@@ -1,0 +1,9 @@
+"""Self-tests of the benchmark: ``python -m pytest perf/tests`` (about 20 s)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "perf", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
