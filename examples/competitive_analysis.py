@@ -1,12 +1,9 @@
-"""Competitive analysis: the full rank-aware question family.
+"""Competitive analysis: reverse top-k, then the improvement query.
 
 The paper (§2) positions Improvement Queries against the existing
 rank-aware queries: reverse top-k tells you *who* prefers your product
-today, reverse k-ranks finds your most promising users when you hit
-nobody's top-k, and the maximum rank query asks how well you could ever
-do for *some* user without changing the product.  The IQ then answers
-the question none of them can: what to *change*.  This example runs the
-whole family over one market.
+today.  The IQ then answers the question it cannot: what to *change*.
+This example runs both over one market.
 
 Run:  python examples/competitive_analysis.py
 """
@@ -15,7 +12,6 @@ import numpy as np
 
 from repro import Dataset, ImprovementQueryEngine, QuerySet, euclidean_cost
 from repro.core.reduction import min_cost_via_max_hit
-from repro.rankaware import max_rank, reverse_k_ranks
 
 rng = np.random.default_rng(2017)
 
@@ -36,17 +32,7 @@ fans = engine.reverse_top_k(OURS)
 print(f"reverse top-k: {len(fans)} buyers shortlist us today "
       f"({fans.tolist()[:8]}{'...' if len(fans) > 8 else ''})")
 
-# 2. Reverse k-ranks: our most promising buyers, even if we hit nobody.
-promising = reverse_k_ranks(market, buyers, OURS, k=5)
-print(f"reverse 5-ranks: buyers {promising} rank us best — the first to court")
-
-# 3. Maximum rank: our ceiling without changing the product at all.
-ceiling = max_rank(market, OURS, samples=128)
-print(f"maximum rank: position {ceiling.rank} is the best any buyer profile "
-      f"could ever rank us (witness weights {np.round(ceiling.witness, 3)}; "
-      f"exact={ceiling.exact})")
-
-# 4. The improvement query: what should we actually change?
+# 2. The improvement query: what should we actually change?
 print("\n== improvement strategies ==")
 result = engine.min_cost(OURS, tau=20)
 print(f"to be shortlisted by 20 buyers (Min-Cost IQ):")
@@ -55,7 +41,7 @@ for name, delta in zip(ATTRIBUTES, result.strategy.vector):
         print(f"  change {name:<14} by {delta:+.4f}")
 print(f"  cost {result.total_cost:.4f} -> {result.hits_after} buyers")
 
-# 5. Cross-check via the paper's §4.2.2 reduction: binary-searching the
+# 3. Cross-check via the paper's §4.2.2 reduction: binary-searching the
 #    Max-Hit budget brackets the same answer.
 reduced = min_cost_via_max_hit(engine.evaluator, OURS, 20, euclidean_cost(market.dim))
 print(f"\nreduction cross-check (binary search over Max-Hit budgets): "

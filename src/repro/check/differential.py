@@ -452,14 +452,17 @@ def check_shard_boundary_ties(shards: int = 4, seed: int = 0) -> None:
     _check_sharded_vs_mono(sharded, mono)
 
     with tempfile.TemporaryDirectory() as tmp:
+        # The restored shards map the saved files: check them before
+        # the directory goes away.
         sharded.save(f"{tmp}/boundary-index")
         restored = ShardedSubdomainIndex.load(f"{tmp}/boundary-index", dataset, queries)
-    restored.validate()
-    if not np.array_equal(restored._shard_of, sharded._shard_of):
-        raise CheckFailure(
-            "save/load round trip reassigned boundary queries to different shards"
-        )
-    _check_sharded_vs_mono(restored, mono)
+        restored.validate()
+        if not np.array_equal(restored._shard_of, sharded._shard_of):
+            raise CheckFailure(
+                "save/load round trip reassigned boundary queries to different shards"
+            )
+        _check_sharded_vs_mono(restored, mono)
+        del restored
 
 
 # ----------------------------------------------------------------------

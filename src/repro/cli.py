@@ -47,11 +47,11 @@ from repro.core.cost import L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.queries import QuerySet
 from repro.core.solvers import registered_solvers
-from repro.core.sharding import ShardedSubdomainIndex
+from repro.core.sharding import SHARDED_SCHEMA, ShardedSubdomainIndex
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import INDEX_FORMATS, SubdomainIndex
+from repro.core.subdomain import SubdomainIndex
 from repro.data.realworld import load_csv
-from repro.index.mmapio import MMAP_SCHEMA, directory_schema
+from repro.index.mmapio import directory_schema
 from repro.index.router import registered_routers
 from repro.native import KERNEL_BACKENDS
 from repro.errors import ReproError, ValidationError
@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--cost", default="L2", choices=sorted(_COSTS))
         command.add_argument("--sense", default="min", choices=["min", "max"])
         # Choices come from the solver registry, so a third-party solver
-        # registered before main() is immediately addressable; "auto"
-        # defers the choice to the recorded-stats feedback planner.
+        # registered before main() is immediately addressable.  The
+        # solver changes the answer, so it is never chosen for the user.
         command.add_argument("--method", default="efficient",
-                             choices=list(registered_solvers()) + ["auto"])
+                             choices=list(registered_solvers()))
         command.add_argument("--adjust", action="append", default=[],
                              metavar="COL:LO:HI",
                              help="bound a column's adjustment, e.g. price:-80:0")
@@ -108,22 +108,17 @@ def build_parser() -> argparse.ArgumentParser:
                                   "jitted kernels when numba is importable, "
                                   "'auto' prefers native with a python fallback "
                                   "(default: REPRO_KERNEL env var, else auto)")
-        command.add_argument("--save-index", default=None, metavar="PATH",
-                             help="persist the built index (.npz file, or a "
-                                  "directory when sharded or --index-format mmap)")
-        command.add_argument("--index-format", default="npz",
-                             choices=list(INDEX_FORMATS),
-                             help="--save-index layout: compressed .npz, or a "
-                                  "memory-mappable directory of raw .npy files "
-                                  "(O(1) open, zero-copy pool residency)")
-        command.add_argument("--load-index", default=None, metavar="PATH",
-                             help="restore a saved index instead of rebuilding: "
-                                  "a .npz file, a sharded index directory, or an "
-                                  "mmap index directory "
+        command.add_argument("--save-index", default=None, metavar="DIR",
+                             help="persist the built index as a directory of "
+                                  "memory-mappable .npy files (one subdirectory "
+                                  "per shard when sharded)")
+        command.add_argument("--load-index", default=None, metavar="DIR",
+                             help="restore an index directory written by "
+                                  "--save-index instead of rebuilding "
                                   "(fingerprints must match the CSVs)")
         command.add_argument("--stats", default=None, metavar="PATH",
                              help="persist per-run EXPLAIN ANALYZE stats in this "
-                                  "JSON file; METHOD/KERNEL 'auto' consult it "
+                                  "JSON file; KERNEL 'auto' consults it "
                                   "(default: REPRO_STATS env var, else in-memory)")
 
     improve = sub.add_parser("improve", help="run a Min-Cost or Max-Hit IQ")
@@ -275,16 +270,11 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
     kernel = getattr(args, "kernel", None)
     load_path = getattr(args, "load_index", None)
     if load_path:
-        # Both directory layouts carry a manifest whose schema tag says
-        # which loader owns them (sharded npz/mmap vs monolithic mmap);
-        # a plain file is the monolithic .npz format.
-        from pathlib import Path
-
-        if Path(load_path).is_dir():
-            if directory_schema(load_path) == MMAP_SCHEMA:
-                index = SubdomainIndex.load(load_path, dataset, queries)
-            else:
-                index = ShardedSubdomainIndex.load(load_path, dataset, queries)
+        # The manifest's schema tag says which loader owns a directory;
+        # anything else goes to the monolithic loader, which types the
+        # error (missing path, regular file, unreadable manifest).
+        if directory_schema(load_path) == SHARDED_SCHEMA:
+            index = ShardedSubdomainIndex.load(load_path, dataset, queries)
         else:
             index = SubdomainIndex.load(load_path, dataset, queries)
         engine = ImprovementQueryEngine.from_index(index, kernel=kernel)
@@ -299,7 +289,7 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
             kernel=kernel,
         )
     if getattr(args, "save_index", None):
-        engine.index.save(args.save_index, format=getattr(args, "index_format", "npz"))
+        engine.index.save(args.save_index)
     return engine
 
 

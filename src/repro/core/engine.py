@@ -53,7 +53,7 @@ from repro.core.plan import ExecutedPlan, ExecutionPlan, build_plan
 from repro.core.queries import QuerySet
 from repro.core.results import IQResult
 from repro.core.sharding import ShardedSubdomainIndex, build_index
-from repro.core.solvers import Solver, get_solver, registered_solvers
+from repro.core.solvers import Solver, get_solver
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
@@ -62,9 +62,7 @@ from repro.native import native_available, resolve_backend, use_backend
 from repro.observe import (
     StageRecorder,
     choose_kernel,
-    choose_method,
     default_store,
-    knob_advisories,
     now,
     observing,
     stage,
@@ -271,28 +269,25 @@ class ImprovementQueryEngine:
     ) -> tuple[ExecutionPlan, CostFunction, StrategySpace | None]:
         """Plan step: resolve the solver, internalize, snapshot the index.
 
-        ``method="auto"`` and an ``"auto"`` kernel request are resolved
-        here by the feedback rules (:mod:`repro.observe.feedback`)
-        against the recorded stats for this workload's fingerprint; each
-        resolution appends its stat-citing note to the plan.
+        ``method`` names a registered solver; it is never chosen for
+        the caller, because the solver decides the answer.  An
+        ``"auto"`` kernel request is resolved here by the feedback rule
+        (:mod:`repro.observe.feedback`) against the recorded stats for
+        this workload's fingerprint, appending its stat-citing note to
+        the plan — the kernel changes only speed, never the answer.
         """
         with stage("plan"):
             extra_notes: list[str] = []
             kernel = (self.kernel_requested, self.kernel_backend)
-            if method == "auto" or self.kernel_requested == "auto":
-                fingerprint = workload_fingerprint(self.index, kind)
-                store = default_store()
-                if method == "auto":
-                    choice = choose_method(store, fingerprint, registered_solvers())
-                    method = choice.value
-                    extra_notes.append(choice.note)
-                if self.kernel_requested == "auto":
-                    kernel_choice = choose_kernel(
-                        store, fingerprint, self._available_backends()
-                    )
-                    if kernel_choice is not None:
-                        kernel = (self.kernel_requested, kernel_choice.value)
-                        extra_notes.append(kernel_choice.note)
+            if self.kernel_requested == "auto":
+                kernel_choice = choose_kernel(
+                    default_store(),
+                    workload_fingerprint(self.index, kind),
+                    self._available_backends(),
+                )
+                if kernel_choice is not None:
+                    kernel = (self.kernel_requested, kernel_choice.value)
+                    extra_notes.append(kernel_choice.note)
             solver = get_solver(method)
             cost_int, space_int = internalize(self.dataset, cost, space)
             plan = build_plan(
@@ -355,7 +350,7 @@ class ImprovementQueryEngine:
         :meth:`max_hit` call (``repro check --analyze`` enforces this):
         the observation layer only reads the clock and counts.  The
         executed plan is recorded in the process stats store, which is
-        what future ``method="auto"`` requests consult.
+        what future ``"auto"`` kernel requests consult.
         """
         if (tau is None) == (budget is None):
             raise ValidationError(
@@ -383,21 +378,15 @@ class ImprovementQueryEngine:
         record: bool = True,
     ) -> ExecutedPlan:
         """Build the :class:`ExecutedPlan` and file it in the stats store."""
-        store = default_store()
-        fingerprint = workload_fingerprint(self.index, kind)
-        advisories = tuple(
-            choice.note for choice in knob_advisories(store, fingerprint)
-        )
         executed = ExecutedPlan.from_plan(
             plan,
-            fingerprint=fingerprint,
+            fingerprint=workload_fingerprint(self.index, kind),
             total_seconds=total_seconds,
             stage_seconds=recorder.seconds,
             counts=recorder.counts,
-            extra_notes=advisories,
         )
         if record:
-            store.record(executed)
+            default_store().record(executed)
         return executed
 
     def _evaluator_for(self, solver: Solver) -> StrategyEvaluator:

@@ -191,8 +191,8 @@ class ExecutedPlan(ExecutionPlan):
     """An :class:`ExecutionPlan` plus what actually happened when it ran.
 
     Produced by ``engine.analyze(...)`` / ``EXPLAIN ANALYZE``: the base
-    plan fields are copied verbatim from the plan that ran (plus any
-    feedback-advisory notes), and the observation fields carry the
+    plan fields are copied verbatim from the plan that ran, and the
+    observation fields carry the
     :mod:`repro.observe` recorder's per-stage wall-clock and counters.
     Stage seconds are honest per-region wall-clock, not an exclusive
     partition — ``evaluate`` time spent scoring a candidate batch is
@@ -218,11 +218,9 @@ class ExecutedPlan(ExecutionPlan):
         total_seconds: float,
         stage_seconds: dict[str, float],
         counts: dict[str, int],
-        extra_notes: tuple[str, ...] = (),
     ) -> "ExecutedPlan":
         """Attach one run's observations to the plan that produced it."""
         base = {f.name: getattr(plan, f.name) for f in fields(ExecutionPlan)}
-        base["notes"] = tuple(base["notes"]) + tuple(extra_notes)
         return cls(
             **base,
             fingerprint=fingerprint,

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -60,7 +59,7 @@ from repro.errors import IndexCorruptionError, ValidationError
 from repro.geometry.arrangement import group_by_signature, signature_matrix
 from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
-from repro.index.mmapio import read_mmap_index, write_mmap_index
+from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
 from repro.index.rtree import Rect, RTree
 from repro.native import kernel as _kernel
 from repro.parallel.construction import parallel_partition
@@ -74,15 +73,6 @@ __all__ = [
     "queryset_fingerprint",
     "relevant_pairs",
 ]
-
-#: Schema tag written into every persisted index file; bumped whenever
-#: the on-disk layout changes so stale files fail loudly.
-INDEX_SCHEMA = "repro-subdomain-index/1"
-
-#: Accepted ``save(format=...)`` values: the compressed single-file
-#: ``.npz`` layout and the memory-mapped directory layout
-#: (:mod:`repro.index.mmapio`).
-INDEX_FORMATS = ("npz", "mmap")
 
 _MODES = ("exact", "relevant")
 _PARTITION_METHODS = ("vectorized", "literal")
@@ -243,10 +233,6 @@ class SubdomainIndex:
         Extra ranking depth kept trustworthy in ``"relevant"`` mode.
     rtree_max_entries:
         Node capacity of the query-point R-tree.
-    rtree_cls:
-        Spatial index class for the query points — :class:`RTree`
-        (default) or :class:`~repro.index.xtree.XTree`, the paper's two
-        named options (§4.1).  Must provide the :class:`RTree` API.
     partition_method:
         ``"vectorized"`` (default) or ``"literal"`` — which
         :func:`find_subdomains` path builds the partition.  Both yield
@@ -270,7 +256,6 @@ class SubdomainIndex:
         mode: str = "exact",
         margin: int = 2,
         rtree_max_entries: int = 16,
-        rtree_cls: type[RTree] = RTree,
         partition_method: str = "vectorized",
         workers: "int | str | None" = None,
     ) -> None:
@@ -323,7 +308,6 @@ class SubdomainIndex:
             )
         self.pair_column = {pair: col for col, pair in enumerate(self.pairs)}
 
-        self._rtree_cls = rtree_cls
         self._rtree_max_entries = rtree_max_entries
         self._build_partition(groups)
         self._build_rtree(rtree_max_entries)
@@ -344,7 +328,6 @@ class SubdomainIndex:
         normals: np.ndarray,
         groups: "dict[bytes, np.ndarray] | None",
         rtree_max_entries: int = 16,
-        rtree_cls: type[RTree] = RTree,
         partition_method: str = "vectorized",
     ) -> "SubdomainIndex":
         """Assemble an index from an externally computed hyperplane set.
@@ -370,7 +353,6 @@ class SubdomainIndex:
         index.pairs = list(pairs)
         index.normals = normals
         index.pair_column = {pair: col for col, pair in enumerate(index.pairs)}
-        index._rtree_cls = rtree_cls
         index._rtree_max_entries = rtree_max_entries
         index._build_partition(groups)
         index._build_rtree(rtree_max_entries)
@@ -415,19 +397,12 @@ class SubdomainIndex:
             self.subdomain_of[members] = sid
 
     def _build_rtree(self, max_entries: int) -> None:
-        if self._rtree_cls is RTree:
-            # STR bulk load packs the whole workload in one pass; the
-            # point variant sorts coordinate arrays with numpy instead
-            # of Python tuple comparisons.
-            self.rtree = RTree.bulk_load_points(
-                self.queries.dim, self.queries.weights, max_entries=max_entries
-            )
-        else:
-            # Alternative spatial indexes (e.g. the X-tree) build
-            # incrementally so their overflow policy takes effect.
-            self.rtree = self._rtree_cls(self.queries.dim, max_entries=max_entries)
-            for payload, weights in enumerate(self.queries.weights):
-                self.rtree.insert_point(weights, int(payload))
+        # STR bulk load packs the whole workload in one pass; the point
+        # variant sorts coordinate arrays with numpy instead of Python
+        # tuple comparisons.
+        self.rtree = RTree.bulk_load_points(
+            self.queries.dim, self.queries.weights, max_entries=max_entries
+        )
 
     def ensure_boundaries(self) -> None:
         """Mark which hyperplane columns bound which subdomains (lazy).
@@ -616,7 +591,7 @@ class SubdomainIndex:
     # Persistence
     # ------------------------------------------------------------------
     def _persist_payload(self) -> "tuple[dict[str, object], dict[str, np.ndarray]]":
-        """``(metadata, arrays)`` shared by the ``.npz`` and mmap writers."""
+        """``(metadata, arrays)`` written by :meth:`save`."""
         h = self.num_hyperplanes
         if self.subdomains:
             signatures = np.frombuffer(
@@ -656,42 +631,25 @@ class SubdomainIndex:
         }
         return metadata, arrays
 
-    def save(self, path: "str | Path", format: str = "npz") -> None:
-        """Persist the index: versioned ``.npz`` file or mmap directory.
+    def save(self, path: "str | Path", format: str = "mmap") -> None:
+        """Persist the index as a memory-mappable directory.
 
-        Both layouts store the partition (hyperplane pairs, normals,
-        one signature per cell, per-query subdomain ids,
-        representatives), every ranking prefix evaluated so far, the
-        mutation epoch, and content fingerprints of the dataset and the
-        workload — :meth:`load` validates the fingerprints, so a saved
-        index can never silently serve answers for different data.
-        ``format="npz"`` writes the compressed single file;
-        ``format="mmap"`` writes the raw-``.npy`` directory layout of
-        :mod:`repro.index.mmapio`, which :meth:`load` reopens in O(1)
-        via read-only memory maps.
+        The directory (:mod:`repro.index.mmapio`: one raw ``.npy`` per
+        matrix under a ``manifest.json``) stores the partition
+        (hyperplane pairs, normals, one signature per cell, per-query
+        subdomain ids, representatives), every ranking prefix evaluated
+        so far, the mutation epoch, and content fingerprints of the
+        dataset and the workload — :meth:`load` validates the
+        fingerprints, so a saved index can never silently serve answers
+        for different data.  ``"mmap"`` is the only ``format``; any
+        other value raises :class:`~repro.errors.ValidationError`.
         """
-        if format not in INDEX_FORMATS:
-            raise ValidationError(
-                f"unknown index format {format!r}; choose from {INDEX_FORMATS}"
-            )
+        check_index_format(format)
         path = Path(path)
+        if path.exists() and not path.is_dir():
+            raise ValidationError(f"index path {path} exists and is not a directory")
         metadata, arrays = self._persist_payload()
-        if format == "mmap":
-            write_mmap_index(path, metadata, arrays)
-            return
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                schema=INDEX_SCHEMA,
-                mode=str(metadata["mode"]),
-                margin=np.int64(int(metadata["margin"])),  # type: ignore[call-overload]
-                partition_method=str(metadata["partition_method"]),
-                rtree_max_entries=np.int64(int(metadata["rtree_max_entries"])),  # type: ignore[call-overload]
-                epoch=np.int64(int(metadata["epoch"])),  # type: ignore[call-overload]
-                dataset_fingerprint=str(metadata["dataset_fingerprint"]),
-                queries_fingerprint=str(metadata["queries_fingerprint"]),
-                **arrays,
-            )
+        write_mmap_index(path, metadata, arrays)
 
     @classmethod
     def _check_metadata(
@@ -703,7 +661,7 @@ class SubdomainIndex:
     ) -> None:
         """Validate loaded header metadata before any payload is touched.
 
-        Missing fields are corruption (the container is damaged or
+        Missing fields are corruption (the manifest is damaged or
         written under a different key layout); an intact header naming
         different data or unknown enum values is a validation failure.
         """
@@ -739,110 +697,64 @@ class SubdomainIndex:
     def load(
         cls, path: "str | Path", dataset: Dataset, queries: QuerySet
     ) -> "SubdomainIndex":
-        """Restore a saved index against the *same* dataset and workload.
+        """Restore a saved index directory against the *same* data.
 
-        Accepts both persisted layouts: a ``.npz`` file or a mmap
-        directory (detected by ``path`` being a directory).  The stored
-        fingerprints must match the provided ``dataset`` and ``queries``
-        (a mismatch raises :class:`~repro.errors.ValidationError`), and
-        the header is validated *before* any payload matrix is
-        decompressed or faulted in — a stale or mismatched file fails
-        in O(metadata), not O(index).  The restored index serves
-        identical answers to the one that was saved, including the
-        already-evaluated ranking prefixes and the mutation epoch.  The
-        R-tree is rebuilt by bulk load; boundary registration stays lazy
-        exactly as after a fresh construction.
+        The stored fingerprints must match the provided ``dataset`` and
+        ``queries`` (a mismatch raises
+        :class:`~repro.errors.ValidationError`), and the manifest is
+        validated *before* any array file is opened — a stale or
+        mismatched index fails in O(metadata), not O(index).  A path
+        that is a regular file (such as a single-file ``.npz`` index,
+        a layout this version no longer reads) also raises
+        :class:`~repro.errors.ValidationError`.  The restored index
+        serves identical answers to the one that was saved, including
+        the already-evaluated ranking prefixes and the mutation epoch.
+        The R-tree is rebuilt by bulk load; boundary registration stays
+        lazy exactly as after a fresh construction.
 
-        A mmap load keeps the heavy matrices as read-only memory maps
-        (O(1) open, page-cache shared across forked workers) and copies
-        only ``subdomain_of``, which the update paths write in place;
-        every other mutation rebinds, so the file on disk can never be
-        modified through a loaded index.
+        The heavy matrices stay read-only memory maps (O(1) open,
+        page-cache shared across forked workers); only
+        ``subdomain_of``, which the update paths write in place, is
+        copied.  Every other mutation rebinds, so the files on disk can
+        never be modified through a loaded index.
         """
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"no saved index at {path}")
-        if path.is_dir():
-            metadata, arrays = read_mmap_index(path)
-            cls._check_metadata(metadata, path, dataset, queries)
-            for key in (
-                "pairs",
-                "normals",
-                "signatures",
-                "subdomain_of",
-                "representatives",
-                "prefix_lengths",
-                "prefix_concat",
-            ):
-                if key not in arrays:
-                    raise IndexCorruptionError(
-                        f"saved index {path} is missing required field {key!r}"
-                    )
-            return cls._restore(
-                dataset,
-                queries,
-                metadata,
-                normals=np.asarray(arrays["normals"], dtype=float),
-                signatures=np.asarray(arrays["signatures"], dtype=np.int8),
-                pairs=np.asarray(arrays["pairs"], dtype=np.intp),
-                # The one array the update paths write in place
-                # (cell-merge renumbering) — everything else stays a
-                # read-only map.
-                subdomain_of=np.array(arrays["subdomain_of"], dtype=np.intp),
-                representatives=np.asarray(arrays["representatives"], dtype=np.intp),
-                prefix_lengths=np.asarray(arrays["prefix_lengths"], dtype=np.intp),
-                prefix_concat=np.asarray(arrays["prefix_concat"], dtype=np.intp),
+        if not path.is_dir():
+            raise ValidationError(
+                f"saved index {path} is a file, but an index must be a directory "
+                "written by save(); save the index again"
             )
-        # A damaged file must surface as a typed ReproError, never as a
-        # bare zipfile/KeyError leaking numpy's storage format: BadZipFile
-        # and OSError/EOFError cover truncation and garbage bytes, KeyError
-        # a file written under a different key layout, and ValueError the
-        # pickled-object refusal path of allow_pickle=False.  The header
-        # scalars are read and validated first; npz members decompress on
-        # access, so a rejected file never pays for its payload matrices.
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                schema = str(data["schema"][()])
-                if schema != INDEX_SCHEMA:
-                    raise ValidationError(
-                        f"unsupported index schema {schema!r} (expected {INDEX_SCHEMA!r})"
-                    )
-                metadata = {
-                    "mode": str(data["mode"][()]),
-                    "margin": int(data["margin"][()]),
-                    "partition_method": str(data["partition_method"][()]),
-                    "rtree_max_entries": int(data["rtree_max_entries"][()]),
-                    "epoch": int(data["epoch"][()]),
-                    "dataset_fingerprint": str(data["dataset_fingerprint"][()]),
-                    "queries_fingerprint": str(data["queries_fingerprint"][()]),
-                }
-                cls._check_metadata(metadata, path, dataset, queries)
-                normals = np.asarray(data["normals"], dtype=float)
-                signatures = np.asarray(data["signatures"], dtype=np.int8)
-                pairs = np.asarray(data["pairs"], dtype=np.intp)
-                subdomain_of = np.asarray(data["subdomain_of"], dtype=np.intp)
-                representatives = np.asarray(data["representatives"], dtype=np.intp)
-                prefix_lengths = np.asarray(data["prefix_lengths"], dtype=np.intp)
-                prefix_concat = np.asarray(data["prefix_concat"], dtype=np.intp)
-        except KeyError as exc:
-            raise IndexCorruptionError(
-                f"saved index {path} is missing required field {exc.args[0]!r}"
-            ) from exc
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise IndexCorruptionError(
-                f"saved index {path} is corrupt or truncated: {exc}"
-            ) from exc
+        metadata, arrays = read_mmap_index(
+            path, validate=lambda meta: cls._check_metadata(meta, path, dataset, queries)
+        )
+        for key in (
+            "pairs",
+            "normals",
+            "signatures",
+            "subdomain_of",
+            "representatives",
+            "prefix_lengths",
+            "prefix_concat",
+        ):
+            if key not in arrays:
+                raise IndexCorruptionError(
+                    f"saved index {path} is missing required field {key!r}"
+                )
         return cls._restore(
             dataset,
             queries,
             metadata,
-            normals=normals,
-            signatures=signatures,
-            pairs=pairs,
-            subdomain_of=subdomain_of,
-            representatives=representatives,
-            prefix_lengths=prefix_lengths,
-            prefix_concat=prefix_concat,
+            normals=np.asarray(arrays["normals"], dtype=float),
+            signatures=np.asarray(arrays["signatures"], dtype=np.int8),
+            pairs=np.asarray(arrays["pairs"], dtype=np.intp),
+            # The one array the update paths write in place (cell-merge
+            # renumbering) — everything else stays a read-only map.
+            subdomain_of=np.array(arrays["subdomain_of"], dtype=np.intp),
+            representatives=np.asarray(arrays["representatives"], dtype=np.intp),
+            prefix_lengths=np.asarray(arrays["prefix_lengths"], dtype=np.intp),
+            prefix_concat=np.asarray(arrays["prefix_concat"], dtype=np.intp),
         )
 
     @classmethod
@@ -905,7 +817,6 @@ class SubdomainIndex:
                     prefix=prefix,
                 )
             )
-        index._rtree_cls = RTree
         index._rtree_max_entries = max_entries
         index._build_rtree(max_entries)
         index._boundaries_ready = False

@@ -45,9 +45,8 @@ class BudgetExhaustedError(ReproError):
 class IndexCorruptionError(ReproError):
     """An index invariant was violated (internal consistency check).
 
-    Also raised when a persisted index — a ``.npz`` shard file or a
-    sharded-directory manifest — is truncated, unreadable, or missing
-    required fields.  Schema-version and fingerprint mismatches on an
+    Also raised when a persisted index — an array file or a
+    manifest — is truncated, unreadable, or missing required fields.  Schema-version and fingerprint mismatches on an
     otherwise well-formed file raise :class:`ValidationError` instead:
     the file is intact, it just belongs to different data.
     """

@@ -6,29 +6,15 @@ from repro.geometry.arrangement import (
     max_cells_bound,
     signature_matrix,
 )
-from repro.geometry.halfspace import HalfspaceRegion, chebyshev_center, region_is_empty
 from repro.geometry.hyperplane import Hyperplane, pairwise_normals, side_of, sides_of
-from repro.geometry.plane_sweep import (
-    Segment,
-    brute_force_intersections,
-    find_intersections,
-    segment_intersection,
-)
 
 __all__ = [
     "Hyperplane",
     "pairwise_normals",
     "side_of",
     "sides_of",
-    "HalfspaceRegion",
-    "chebyshev_center",
-    "region_is_empty",
     "signature_matrix",
     "group_by_signature",
     "cells_touched",
     "max_cells_bound",
-    "Segment",
-    "find_intersections",
-    "brute_force_intersections",
-    "segment_intersection",
 ]

@@ -9,12 +9,10 @@ from repro.index.skyline import (
     skyline,
     skyline_layers,
 )
-from repro.index.xtree import XTree
 
 __all__ = [
     "RTree",
     "Rect",
-    "XTree",
     "BloomFilter",
     "CountingBloomFilter",
     "optimal_parameters",

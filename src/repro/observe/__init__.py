@@ -21,13 +21,13 @@ Layers, bottom to top:
 * :mod:`repro.observe.store` — the persisted :class:`StatsStore`:
   analyzed runs are recorded under a workload-shape fingerprint, as JSON
   when a path is configured (``--stats`` / ``REPRO_STATS``).
-* :mod:`repro.observe.feedback` — the feedback planner rules:
-  ``method="auto"`` (and an ``auto``-kernel hint) choose from recorded
-  medians, and every choice carries a note citing the stat behind it.
+* :mod:`repro.observe.feedback` — the feedback planner rule: an
+  ``auto`` kernel request chooses from recorded medians, and the choice
+  carries a note citing the stat behind it.
 """
 
 from repro.observe.clock import Stopwatch, now, time_call
-from repro.observe.feedback import Choice, choose_kernel, choose_method, knob_advisories
+from repro.observe.feedback import Choice, choose_kernel
 from repro.observe.stats import (
     COUNTERS,
     STAGES,
@@ -51,10 +51,8 @@ __all__ = [
     "StatsStore",
     "Stopwatch",
     "choose_kernel",
-    "choose_method",
     "configure_store",
     "default_store",
-    "knob_advisories",
     "now",
     "observing",
     "stage",

@@ -1,33 +1,28 @@
-"""Feedback planner rules: recorded runtime stats → plan knob choices.
+"""Feedback planner rule: recorded runtime stats → kernel choice.
 
-Each rule reads the :class:`~repro.observe.store.StatsStore` and returns
-a :class:`Choice` — the chosen value *plus a note citing the stat that
-justified it*.  The engine appends that note to ``plan.notes``, so an
-``EXPLAIN`` of an auto-planned query always shows its evidence; a rule
-with no recorded evidence says so explicitly and falls back to the
-static default.  Rules never mutate the store and never touch solver
-state: they only turn medians into knob values, which keeps the
-feedback layer inside the byte-identical-results contract (the chosen
-knobs change *how fast* a query runs, and for ``method`` which
-documented scheme answers it — never the scheme's own semantics).
+:func:`choose_kernel` reads the :class:`~repro.observe.store.StatsStore`
+and returns a :class:`Choice` — the chosen backend *plus a note citing
+the stat that justified it*.  The engine appends that note to
+``plan.notes``, so an ``EXPLAIN`` of an auto-planned query always shows
+its evidence.  The rule never mutates the store and never touches
+solver state: the kernel backends are bit-exact twins, so the choice
+changes *how fast* a query runs, never its answer.  The solver, which
+does change the answer, is never chosen from stats.
 
-The rules are deliberately conservative: a knob is only moved off its
-requested/default value when the store has seen *competing* values for
-this workload fingerprint, so cold stores behave exactly like the
+The rule is deliberately conservative: the kernel is only moved off its
+availability-based default when the store has seen *competing* backends
+for this workload fingerprint, so cold stores behave exactly like the
 static planner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.observe.store import StatsStore
 
-__all__ = ["Choice", "choose_kernel", "choose_method", "knob_advisories"]
-
-#: Static default used when a fingerprint has no recorded runs.
-FALLBACK_METHOD = "efficient"
+__all__ = ["Choice", "choose_kernel"]
 
 
 @dataclass(frozen=True)
@@ -40,33 +35,6 @@ class Choice:
 
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f}ms"
-
-
-def choose_method(
-    store: StatsStore, fingerprint: str, allowed: Iterable[str]
-) -> Choice:
-    """Resolve ``method="auto"``: the fastest recorded median, or the default.
-
-    ``allowed`` is the set of currently-registered solver names; stale
-    store entries for since-removed solvers are ignored rather than
-    crashing the dispatch they would fail.
-    """
-    permitted = set(allowed)
-    ranked = [
-        entry for entry in store.method_medians(fingerprint) if entry[0] in permitted
-    ]
-    if not ranked:
-        return Choice(
-            FALLBACK_METHOD,
-            f"auto method={FALLBACK_METHOD}: no recorded runs for "
-            f"fingerprint {fingerprint}",
-        )
-    method, median, runs = ranked[0]
-    return Choice(
-        method,
-        f"auto method={method}: fastest median {_fmt_ms(median)} over "
-        f"{runs} analyzed run{'s' if runs != 1 else ''} for fingerprint {fingerprint}",
-    )
 
 
 def choose_kernel(
@@ -92,24 +60,3 @@ def choose_kernel(
                 f"(of {len(ranked)} recorded backends) for fingerprint {fingerprint}",
             )
     return None
-
-
-def knob_advisories(store: StatsStore, fingerprint: str) -> Iterator[Choice]:
-    """Advisory notes for the pool/shard knobs the engine cannot re-wire.
-
-    ``workers`` and ``shards`` are fixed when the engine (and its index)
-    is built, so per-request feedback cannot act on them — but it *can*
-    tell the operator which recorded value was fastest.  One advisory
-    per knob, only when competing values were recorded.
-    """
-    for knob in ("workers", "shards"):
-        ranked = store.knob_medians(fingerprint, knob)
-        if len(ranked) < 2:
-            continue
-        value, median, runs = ranked[0]
-        yield Choice(
-            value,
-            f"stats advise {knob}={value}: fastest median {_fmt_ms(median)} over "
-            f"{runs} analyzed run{'s' if runs != 1 else ''} "
-            f"(of {len(ranked)} recorded values) for fingerprint {fingerprint}",
-        )

@@ -184,18 +184,6 @@ class StatsStore:
             methods = self._workloads.get(fingerprint, {})
             return {method: list(samples) for method, samples in methods.items()}
 
-    def method_medians(self, fingerprint: str) -> list[tuple[str, float, int]]:
-        """``(method, median_seconds, runs)`` sorted fastest first.
-
-        Ties break toward the method name, so the choice is stable
-        across runs with equal medians.
-        """
-        out = []
-        for method, samples in self.samples(fingerprint).items():
-            if samples:
-                out.append((method, _median(s["seconds"] for s in samples), len(samples)))
-        return sorted(out, key=lambda item: (item[1], item[0]))
-
     def knob_medians(self, fingerprint: str, knob: str) -> list[tuple[str, float, int]]:
         """``(value, median_seconds, runs)`` per recorded ``knob`` value.
 

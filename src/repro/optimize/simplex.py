@@ -7,8 +7,6 @@ dependency beyond numpy.  It is used for:
 
 * L1 / linear min-cost-to-hit subproblems with box bounds
   (:mod:`repro.optimize.hit_cost`),
-* halfspace-intersection emptiness tests
-  (:mod:`repro.geometry.halfspace`),
 * the exhaustive exact IQ search (:mod:`repro.core.exhaustive`).
 
 The interface mirrors the familiar ``linprog`` shape::

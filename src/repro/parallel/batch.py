@@ -118,8 +118,7 @@ def _validate_requests(requests: tuple[IQRequest, ...]) -> None:
             raise ValidationError(
                 f"request kind must be one of {QUERY_KINDS}, got {request.kind!r}"
             )
-        if request.method != "auto":  # "auto" resolves at plan time (feedback rules)
-            get_solver(request.method)  # unknown methods fail before the pool starts
+        get_solver(request.method)  # unknown methods fail before the pool starts
 
 
 def run_batch(

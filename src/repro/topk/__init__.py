@@ -1,4 +1,4 @@
-"""Top-k evaluation substrates: direct, heap, Fagin's TA, views, onion."""
+"""Top-k evaluation substrates: direct scoring and heap selection."""
 
 from repro.topk.evaluate import (
     kth_score,
@@ -8,9 +8,6 @@ from repro.topk.evaluate import (
     top_k,
     top_k_heap,
 )
-from repro.topk.onion import OnionIndex, convex_hull_2d
-from repro.topk.threshold import SortedListsIndex, TAResult
-from repro.topk.views import ViewAnswer, ViewIndex
 
 __all__ = [
     "scores",
@@ -19,10 +16,4 @@ __all__ = [
     "ranking_prefix",
     "rank_of",
     "kth_score",
-    "SortedListsIndex",
-    "TAResult",
-    "ViewIndex",
-    "ViewAnswer",
-    "OnionIndex",
-    "convex_hull_2d",
 ]

@@ -1,4 +1,4 @@
-"""EXPLAIN ANALYZE at the engine level: parity, stats, feedback planning."""
+"""EXPLAIN ANALYZE at the engine level: parity, stats, explicit solvers."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.plan import ANALYZE_FIELDS, PLAN_FIELDS, ExecutedPlan, ExecutionPlan
 from repro.core.queries import QuerySet
+from repro.core.solvers import registered_solvers
 from repro.errors import ValidationError
 from repro.observe import configure_store, default_store, workload_fingerprint
 
@@ -110,31 +111,31 @@ class TestExecutedPlan:
         assert len(samples[executed.solver_name]) == 1
 
 
-class TestFeedbackPlanning:
-    def test_cold_auto_behaves_like_static_default_and_says_so(self, engine):
-        plan = engine.explain(0, tau=10, method="auto")
-        assert plan.solver_name == "efficient"
-        assert any("no recorded runs" in note for note in plan.notes)
+class TestSolverStaysExplicit:
+    """Recorded stats never choose the solver: the solver decides the answer."""
 
-    def test_auto_choice_cites_recorded_stat(self, engine):
-        engine.analyze(0, tau=10, method="rta")
-        plan = engine.explain(0, tau=10, method="auto")
-        assert plan.solver_name == "rta"
-        cited = [note for note in plan.notes if note.startswith("auto method=rta")]
-        assert cited and "median" in cited[0]
-        assert workload_fingerprint(engine.index, "min_cost") in cited[0]
-
-    def test_auto_executes_the_cited_method(self, engine):
-        engine.analyze(0, tau=10, method="greedy")
-        result = engine.min_cost(0, tau=10, method="auto")
-        reference = engine.min_cost(0, tau=10, method="greedy")
-        assert_same_result(reference, result)
-
-    def test_fingerprints_keep_kinds_apart(self, engine):
-        engine.analyze(0, tau=10, method="rta")  # min_cost evidence only
-        plan = engine.explain(0, budget=0.4, method="auto")
-        assert plan.solver_name == "efficient"
-        assert any("no recorded runs" in note for note in plan.notes)
+    def test_auto_method_rejected_even_when_random_was_recorded(self):
+        # 60 objects x 80 top-3 queries: random costs 5.207 here against
+        # efficient's 0.401, yet its recorded median can be the fastest,
+        # which is how a stats-driven method="auto" used to answer with
+        # it.  Now "auto" is no solver name, however much was recorded.
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.random((60, 3)))
+        queries = QuerySet(rng.random((80, 3)), ks=3)
+        engine = ImprovementQueryEngine(dataset, queries, mode="relevant")
+        for method in registered_solvers():
+            if method == "exhaustive":
+                continue
+            for _ in range(3):
+                engine.analyze(5, tau=20, method=method)
+        with pytest.raises(ValidationError, match="method must be one of"):
+            engine.min_cost(5, tau=20, method="auto")
+        with pytest.raises(ValidationError, match="method must be one of"):
+            engine.explain(5, tau=20, method="auto")
+        assert engine.explain(5, tau=20).solver_name == "efficient"
+        default = engine.min_cost(5, tau=20)
+        assert default.total_cost == pytest.approx(0.401, abs=1e-3)
+        assert engine.min_cost(5, tau=20, method="random").total_cost > 5.0
 
 
 class TestMultiTargetValidation:

@@ -1,7 +1,12 @@
 import pytest
 
 from repro.dbms.executor import Database
-from repro.errors import SQLCatalogError, SQLExecutionError, SQLSyntaxError
+from repro.errors import (
+    SQLCatalogError,
+    SQLExecutionError,
+    SQLSyntaxError,
+    ValidationError,
+)
 
 
 @pytest.fixture
@@ -81,6 +86,13 @@ class TestImproveReach:
             "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 METHOD greedy"
         )
         assert efficient.column("cost")[0] <= greedy.column("cost")[0] * 1.2 + 1e-9
+
+    def test_method_auto_is_not_a_solver(self, db):
+        # The solver decides the answer, so it is never picked from stats.
+        with pytest.raises(ValidationError, match="method must be one of"):
+            db.execute(
+                "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 METHOD auto"
+            )
 
 
 class TestImproveBudget:

@@ -1,14 +1,8 @@
-"""Feedback rules: every auto-choice must cite a recorded stat."""
+"""Feedback rule: every auto kernel choice must cite a recorded stat."""
 
 from dataclasses import dataclass
 
-from repro.observe import (
-    StatsStore,
-    choose_kernel,
-    choose_method,
-    knob_advisories,
-)
-from repro.observe.feedback import FALLBACK_METHOD
+from repro.observe import StatsStore, choose_kernel
 
 
 @dataclass
@@ -23,38 +17,6 @@ class FakeExecuted:
 
 
 FP = FakeExecuted.fingerprint
-ALLOWED = ("efficient", "rta", "greedy", "random", "exhaustive")
-
-
-class TestChooseMethod:
-    def test_cold_store_falls_back_with_explicit_note(self):
-        choice = choose_method(StatsStore(None), FP, ALLOWED)
-        assert choice.value == FALLBACK_METHOD
-        assert "no recorded runs" in choice.note
-        assert FP in choice.note
-
-    def test_fastest_median_wins_and_note_cites_it(self):
-        store = StatsStore(None)
-        store.record(FakeExecuted(total_seconds=0.05))
-        store.record(FakeExecuted(solver_name="rta", total_seconds=0.01))
-        choice = choose_method(store, FP, ALLOWED)
-        assert choice.value == "rta"
-        assert "auto method=rta" in choice.note
-        assert "median" in choice.note and FP in choice.note
-
-    def test_stale_solver_entries_ignored(self):
-        store = StatsStore(None)
-        store.record(FakeExecuted(solver_name="removed_solver", total_seconds=0.001))
-        store.record(FakeExecuted(total_seconds=0.05))
-        choice = choose_method(store, FP, ALLOWED)
-        assert choice.value == "efficient"
-
-    def test_all_entries_stale_falls_back(self):
-        store = StatsStore(None)
-        store.record(FakeExecuted(solver_name="gone", total_seconds=0.001))
-        choice = choose_method(store, FP, ALLOWED)
-        assert choice.value == FALLBACK_METHOD
-        assert "no recorded runs" in choice.note
 
 
 class TestChooseKernel:
@@ -77,23 +39,3 @@ class TestChooseKernel:
         store.record(FakeExecuted(kernel_backend="native", total_seconds=0.01))
         choice = choose_kernel(store, FP, ("python",))
         assert choice is None or choice.value == "python"
-
-
-class TestKnobAdvisories:
-    def test_cold_store_advises_nothing(self):
-        assert list(knob_advisories(StatsStore(None), FP)) == []
-
-    def test_single_value_knob_advises_nothing(self):
-        store = StatsStore(None)
-        store.record(FakeExecuted(workers=0))
-        store.record(FakeExecuted(workers=0))
-        assert list(knob_advisories(store, FP)) == []
-
-    def test_competing_values_yield_citing_advisory(self):
-        store = StatsStore(None)
-        store.record(FakeExecuted(workers=0, total_seconds=0.05))
-        store.record(FakeExecuted(workers=2, total_seconds=0.01))
-        advisories = list(knob_advisories(store, FP))
-        assert len(advisories) == 1
-        assert "workers=2" in advisories[0].note
-        assert "median" in advisories[0].note

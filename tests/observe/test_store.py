@@ -47,30 +47,23 @@ class TestRecording:
 
 
 class TestMedians:
-    def test_method_medians_sorted_fastest_first(self):
-        store = StatsStore(None)
-        for seconds in (0.03, 0.01, 0.02):
-            store.record(FakeExecuted(total_seconds=seconds))
-        store.record(FakeExecuted(solver_name="rta", total_seconds=0.001))
-        ranked = store.method_medians(FakeExecuted.fingerprint)
-        assert [name for name, _, _ in ranked] == ["rta", "efficient"]
-        assert ranked[1][1] == 0.02  # median of the three samples
-        assert ranked[1][2] == 3
-
     def test_knob_medians_group_across_methods(self):
         store = StatsStore(None)
-        store.record(FakeExecuted(kernel_backend="python", total_seconds=0.02))
+        for seconds in (0.03, 0.01, 0.02):
+            store.record(FakeExecuted(kernel_backend="python", total_seconds=seconds))
         store.record(
             FakeExecuted(
-                solver_name="rta", kernel_backend="native", total_seconds=0.01
+                solver_name="rta", kernel_backend="native", total_seconds=0.001
             )
         )
         ranked = store.knob_medians(FakeExecuted.fingerprint, "kernel")
         assert [value for value, _, _ in ranked] == ["native", "python"]
+        assert ranked[1][1] == 0.02  # median of the three python samples
+        assert ranked[1][2] == 3
 
     def test_unknown_fingerprint_is_empty(self):
         store = StatsStore(None)
-        assert store.method_medians("nope") == []
+        assert store.samples("nope") == {}
         assert store.knob_medians("nope", "kernel") == []
 
 
@@ -80,8 +73,10 @@ class TestPersistence:
         store = StatsStore(path)
         store.record(FakeExecuted())
         reloaded = StatsStore(path)
-        assert reloaded.method_medians(FakeExecuted.fingerprint) == store.method_medians(
-            FakeExecuted.fingerprint
+        fingerprint = FakeExecuted.fingerprint
+        assert reloaded.samples(fingerprint) == store.samples(fingerprint)
+        assert reloaded.knob_medians(fingerprint, "kernel") == store.knob_medians(
+            fingerprint, "kernel"
         )
 
     def test_foreign_schema_ignored(self, tmp_path):

@@ -139,8 +139,7 @@ class TestRegressionHarness:
         figures = {record["figure"] for record in payload["records"]}
         assert figures == {
             "fig4", "fig5", "fig7", "par_index", "par_batch", "serve", "persist",
-            "shard_build", "shard_update", "native", "mmap_load",
-            "analyze_overhead",
+            "shard_build", "shard_update", "native", "analyze_overhead",
         }
         for record in payload["records"]:
             assert record["literal_seconds"] > 0
@@ -160,8 +159,8 @@ class TestRegressionHarness:
                 assert record["config"]["touched_shards"] >= 1
             if record["figure"] == "native":
                 assert record["config"]["resolved"] in ("python", "native")
-            if record["figure"] == "mmap_load":
-                assert record["config"]["mmap_bytes"] > record["config"]["npz_bytes"]
+            if record["figure"] == "persist":
+                assert record["config"]["dir_bytes"] > 0
             if record["figure"] == "analyze_overhead":
                 assert record["config"]["requests"] >= 2
         assert payload["kernel"] in ("python", "native")

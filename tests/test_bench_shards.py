@@ -1,4 +1,4 @@
-"""Sharding bench figures and the single-core shard_update floor."""
+"""Sharding bench figures and the single-core shard_update/persist floors."""
 
 import pytest
 
@@ -41,14 +41,14 @@ class TestSingleCoreFloor:
     """shard_update's 1x floor gates any host — the win is work avoidance,
     not parallelism — with only the tiny (smoke) scale exempt."""
 
-    def make_payload(self, median, cpus=1, scale="bench"):
+    def make_payload(self, median, cpus=1, scale="bench", figure="shard_update"):
         stats = {"points": 1, "min_speedup": median,
                  "median_speedup": median, "max_speedup": median}
         return {
             "schema": "repro-bench-regression/1",
             "scale": scale,
             "cpus": cpus,
-            "summary": {"shard_update": stats},
+            "summary": {figure: stats},
         }
 
     def test_floor_enforced_even_on_one_cpu(self):
@@ -59,6 +59,16 @@ class TestSingleCoreFloor:
         problems = check_regression(run, baseline)
         assert len(problems) == 1
         assert "shard_update" in problems[0] and "work avoidance" in problems[0]
+
+    def test_persist_floor_enforced_even_on_one_cpu(self):
+        # Loading a saved index must beat rebuilding it on any host.
+        from repro.bench.regression import check_regression
+
+        run = self.make_payload(0.8, figure="persist")
+        baseline = self.make_payload(0.9, figure="persist")
+        problems = check_regression(run, baseline)
+        assert len(problems) == 1
+        assert "persist" in problems[0] and "work avoidance" in problems[0]
 
     def test_floor_enforced_on_multicore_too(self):
         from repro.bench.regression import check_regression

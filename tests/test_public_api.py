@@ -19,7 +19,6 @@ MODULES = [
     "repro.data",
     "repro.dbms",
     "repro.bench",
-    "repro.rankaware",
 ]
 
 
