@@ -48,6 +48,23 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             normals[0, 0] = 99.0
 
+    def test_rewrite_through_its_own_maps_replaces_the_files(self, saved):
+        # Writing arrays that are maps of the files being written: each
+        # file is renamed into place, so the old maps keep the old bytes
+        # and the new files hold exactly what was passed in.
+        root, metadata, arrays = saved
+        __, mapped = read_mmap_index(root)
+        doubled = {**mapped, "normals": mapped["normals"] * 2}
+        write_mmap_index(root, {**metadata, "epoch": 4}, doubled)
+        assert np.array_equal(mapped["normals"], arrays["normals"])
+        got_meta, got = read_mmap_index(root)
+        assert got_meta["epoch"] == 4
+        assert np.array_equal(got["normals"], arrays["normals"] * 2)
+        assert np.array_equal(got["ids"], arrays["ids"])
+        assert sorted(f.name for f in root.iterdir()) == sorted(
+            [MANIFEST_NAME] + [f"{key}.npy" for key in arrays]
+        )
+
     def test_directory_schema_identifies_the_layout(self, saved, tmp_path):
         root, __, __ = saved
         assert directory_schema(root) == MMAP_SCHEMA
