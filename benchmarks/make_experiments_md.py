@@ -145,11 +145,18 @@ SECTIONS = [
         "Paper: queries/objects can be added and removed without rebuilding "
         "(kNN candidate subdomains; bloom-filter boundary checks and cell "
         "merging).",
-        "Measured (steady state, boundary registration warmed): every "
-        "maintenance operation beats a rebuild — query insertion and object "
-        "removal by an order of magnitude (kNN candidate subdomains and the "
-        "bloom-filter boundary pre-check doing exactly what §4.3 claims), "
-        "query removal and object insertion by ~2.5x.",
+        "Measured (each operation: the median of 5 consecutive calls on one "
+        "working index, nothing warmed first): every maintenance operation "
+        "beats a rebuild — object insertion by 12.8x, query insertion by "
+        "8.9x, object removal by 6.3x and query removal by 4.1x. The update "
+        "path consults no bloom filter: a new query is located by comparing "
+        "its full signature with the cells of its kNN candidates (§4.3), "
+        "and a removed object's cells merge by the exact collision test of "
+        "their reduced signatures. Earlier versions warmed the boundary "
+        "registration before timing a single call and reported query "
+        "insertion at 10.6x, but every update made the next one re-register "
+        "every boundary: in this set-up each later insertion took 107-140 "
+        "ms against a 13-17 ms rebuild.",
     ),
 ]
 

@@ -256,8 +256,11 @@ class ShmLifecycleRule(Rule):
                     )
 
 
-#: Index-owned array attributes whose rebinding/stores demand an epoch bump.
-_INDEX_ARRAY_ATTRS = frozenset({"normals", "_external", "_weights"})
+#: Index-owned attributes whose rebinding/stores demand an epoch bump: the
+#: shared arrays, and the cell state the per-epoch prefix table is built from.
+_INDEX_ARRAY_ATTRS = frozenset(
+    {"normals", "_external", "_weights", "subdomains", "subdomain_of", "query_ids", "prefix"}
+)
 
 #: Substrings of a subscript-store base that mark a store-resident array.
 _STORE_BASE_MARKS = ("._external", "._weights", ".normals", ".flat")

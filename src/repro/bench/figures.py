@@ -571,6 +571,10 @@ def x4_index_mode_ablation(config: BenchConfig | None = None) -> TableResult:
     return table
 
 
+#: Consecutive calls per X3 operation; the table reports their median.
+_X3_CALLS = 5
+
+
 def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
     """§4.3: incremental maintenance vs full index rebuild."""
     config = config or load_config()
@@ -579,8 +583,8 @@ def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
         columns=["operation", "incremental (ms)", "rebuild (ms)", "speedup (x)"],
         notes=(
             "query add/remove far below a rebuild; object updates cheaper or "
-            "comparable (boundary registration is warmed first — it is a "
-            "one-time cost amortized across a maintenance session)"
+            "comparable (each operation: median of 5 consecutive calls on one "
+            "working index, nothing warmed first)"
         ),
     )
     rng = np.random.default_rng(config.seed + 23)
@@ -601,8 +605,9 @@ def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
     }
     for name, op in operations.items():
         working = fresh()
-        working.ensure_boundaries()  # steady state: registration amortized
-        __, incremental_time = time_call(op, working)
+        incremental_time = float(
+            np.median([time_call(op, working)[1] for __ in range(_X3_CALLS)])
+        )
         table.add(
             name,
             1000 * incremental_time,

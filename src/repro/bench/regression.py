@@ -479,14 +479,19 @@ def bench_shard_update(
 ) -> list[BenchRecord]:
     """Incremental maintenance: touched-shard update vs full rebuild.
 
-    Builds a K-shard index, routes three ``add_query`` inserts into
-    their owning shards (``vectorized_seconds`` is the median single
-    insert, so one noisy timer sample cannot swing the figure), and
-    times a from-scratch sharded rebuild on the post-insert workload
-    (``literal_seconds``).  Each update leaves K-1 shards untouched, so
-    it must beat the rebuild outright even on a single core; the
-    maintained and rebuilt indexes must agree on every probe target's
-    thresholds and hit mask.
+    Builds a K-shard index and, over five rounds, routes one
+    ``add_query`` insert into its owning shard, then times a
+    from-scratch sharded rebuild on the post-insert workload.
+    ``vectorized_seconds`` is the median insert and ``literal_seconds``
+    the median rebuild.  The two alternate with the garbage collector
+    off, as in :func:`bench_persist`: an insert takes about a
+    millisecond, so one collection or one slow stretch of the host
+    landing on one side would swing the ratio.  Each update leaves K-1
+    shards untouched, so it must beat the rebuild outright even on a
+    single core; the maintained and the last rebuilt index must agree
+    on every probe target's thresholds and hit mask.  Five rounds: in a
+    median of three, two inserts slowed from about 1 ms to 3.7 ms on a
+    2-CPU host were enough to halve the ratio.
     """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
     maintained = build_index(
@@ -494,23 +499,30 @@ def bench_shard_update(
     )
     rng = np.random.default_rng(config.seed + 13)
     epochs_before = maintained.shard_epochs
-    insert_seconds = []
-    for _ in range(3):
-        weights = rng.random(config.dimensions)
-        _, seconds = time_call(maintained.add_query, weights, 2)
-        insert_seconds.append(seconds)
-    update_seconds = sorted(insert_seconds)[1]
+    insert_seconds: list[float] = []
+    rebuild_seconds: list[float] = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            weights = rng.random(config.dimensions)
+            _, seconds = time_call(maintained.add_query, weights, 2)
+            insert_seconds.append(seconds)
+            rebuilt, seconds = time_call(
+                build_index,
+                dataset,
+                maintained.queries,
+                mode=config.index_mode,
+                shards=shards,
+                workers=0,
+            )
+            rebuild_seconds.append(seconds)
+    finally:
+        if collecting:
+            gc.enable()
     touched = sum(
         1 for before, after in zip(epochs_before, maintained.shard_epochs)
         if after != before
-    )
-    rebuilt, rebuild_seconds = time_call(
-        build_index,
-        dataset,
-        maintained.queries,
-        mode=config.index_mode,
-        shards=shards,
-        workers=0,
     )
     for target in range(min(dataset.n, 16)):
         _, maintained_theta = maintained.kth_other(target)
@@ -539,8 +551,8 @@ def bench_shard_update(
                 "touched_shards": touched,
                 "seed": config.seed,
             },
-            literal_seconds=rebuild_seconds,
-            vectorized_seconds=update_seconds,
+            literal_seconds=float(np.median(rebuild_seconds)),
+            vectorized_seconds=float(np.median(insert_seconds)),
         )
     ]
 

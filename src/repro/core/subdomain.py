@@ -11,8 +11,10 @@ The index
   that Efficient Strategy Evaluation relies on),
 * keeps the query points in an R-tree for affected-subspace retrieval
   and kNN-based insertion (§4.3), and
-* registers subdomain boundaries in a counting bloom filter so that
-  object removal can quickly find the subdomains to merge (§4.3).
+* on request (:meth:`SubdomainIndex.ensure_boundaries`), registers
+  subdomain boundaries in a counting bloom filter, the paper's §4.3
+  merge pre-check.  The update path itself decides merges by an exact
+  signature-collision test and never registers boundaries.
 
 Two construction paths produce the identical partition:
 
@@ -313,6 +315,7 @@ class SubdomainIndex:
         self._build_rtree(rtree_max_entries)
         self._boundaries_ready = False
         self.bloom: CountingBloomFilter | None = None
+        self._prefix_table: "tuple[int, np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -358,6 +361,7 @@ class SubdomainIndex:
         index._build_rtree(rtree_max_entries)
         index._boundaries_ready = False
         index.bloom = None
+        index._prefix_table = None
         return index
 
     def _build_partition(self, groups: dict[bytes, np.ndarray] | None = None) -> None:
@@ -411,7 +415,10 @@ class SubdomainIndex:
         cell with another populated cell — i.e. the hyperplane actually
         separates two populated subdomains, which is the only case the
         merge-on-removal maintenance cares about.  Registrations go to
-        a counting bloom filter keyed ``(sid, column)`` (§4.3).
+        a counting bloom filter keyed ``(sid, column)`` (§4.3).  This is
+        explicit API: :mod:`repro.core.updates` never calls it, since
+        its exact collision test makes the same merge decision and every
+        mutation would force a full re-registration.
         """
         if self._boundaries_ready:
             return
@@ -821,6 +828,7 @@ class SubdomainIndex:
         index._build_rtree(max_entries)
         index._boundaries_ready = False
         index.bloom = None
+        index._prefix_table = None
         index.validate()
         return index
 
@@ -857,41 +865,62 @@ class SubdomainIndex:
         and ``theta[j]`` its score at ``j`` (``+inf`` when fewer than
         ``k`` other objects exist).  The improved target hits query
         ``j`` iff its score is below ``theta[j]`` (ties by id).
+
+        Every query reads its threshold out of its cell's shared prefix
+        in one gather over a table of all prefixes, which is rebuilt only
+        after a mutation.
         """
         self.dataset._check_id(target)
         m = self.queries.m
         kth_ids = np.full(m, -1, dtype=np.intp)
         theta = np.full(m, np.inf)
+        if m == 0:
+            return kth_ids, theta
         weights = self.queries.weights
-        ks = self.queries.ks
+        ks = self.queries.ks.astype(np.intp)
         matrix = self.dataset.matrix
-        for sub in self.subdomains:
-            prefix = self.prefix(sub.sid)
-            others = prefix[prefix != target]
-            members = sub.query_ids
-            member_ks = ks[members].astype(np.intp)
-            deep = member_ks <= others.shape[0]
-            covered = members[deep]
-            if covered.size:
-                # Batched threshold lookup: every member whose k is
-                # within the shared prefix resolves with one fancy
-                # index plus one row-wise dot product.
-                kth = others[member_ks[deep] - 1]
-                kth_ids[covered] = kth
-                theta[covered] = np.einsum(
-                    "ij,ij->i", weights[covered], matrix[kth]
-                )
-            for j, k in zip(members[~deep], member_ks[~deep]):
-                if self.dataset.n - 1 >= k:
-                    # Prefix too shallow (can only happen in relevant
-                    # mode); fall back to a direct evaluation.
-                    scores = matrix @ weights[j]
-                    order = np.argsort(scores, kind="stable")
-                    other_order = order[order != target]
-                    kth = int(other_order[k - 1])
-                    kth_ids[j] = kth
-                    theta[j] = float(scores[kth])
+        table, lengths = self._prefix_rows()
+        found = table == target
+        # The target's position in each cell's prefix (past every k when
+        # absent); a query's k-th *other* object shifts one entry deeper
+        # when the target ranks inside its first k.
+        position = np.where(found.any(axis=1), found.argmax(axis=1), np.iinfo(np.intp).max)
+        cells = self.subdomain_of
+        column = ks - 1 + (position[cells] < ks)
+        deep = column < lengths[cells]
+        covered = np.flatnonzero(deep)
+        kth = table[cells[covered], column[covered]]
+        kth_ids[covered] = kth
+        theta[covered] = np.einsum("ij,ij->i", weights[covered], matrix[kth])
+        for j in np.flatnonzero(~deep):
+            k = int(ks[j])
+            if self.dataset.n - 1 >= k:
+                # Prefix too shallow (can only happen in relevant mode);
+                # fall back to a direct evaluation.
+                scores = matrix @ weights[j]
+                order = np.argsort(scores, kind="stable")
+                other_order = order[order != target]
+                kth_j = int(other_order[k - 1])
+                kth_ids[j] = kth_j
+                theta[j] = float(scores[kth_j])
         return kth_ids, theta
+
+    def _prefix_rows(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Every cell's :meth:`prefix` as one ``-1``-padded table, plus lengths.
+
+        Derived state for :meth:`kth_other`: built once per mutation
+        epoch and never persisted.
+        """
+        cached = self._prefix_table
+        if cached is not None and cached[0] == self._epoch:
+            return cached[1], cached[2]
+        prefixes = [self.prefix(sid) for sid in range(self.num_subdomains)]
+        lengths = np.asarray([p.shape[0] for p in prefixes], dtype=np.intp)
+        table = np.full((len(prefixes), int(lengths.max(initial=0))), -1, dtype=np.intp)
+        for row, prefix in zip(table, prefixes):
+            row[: prefix.shape[0]] = prefix
+        self._prefix_table = (self._epoch, table, lengths)
+        return table, lengths
 
     def hits_mask(self, target: int) -> np.ndarray:
         """Boolean mask over queries currently hit by ``target``."""

@@ -4,9 +4,9 @@ Four operations, mirroring the paper:
 
 * **add_query** — insert the point into the R-tree, then locate its
   subdomain.  Following the paper's observation, the subdomains of the
-  new point's nearest neighbours are tried first (checking only their
-  boundary intersections); the full signature classification runs only
-  when no candidate matches.
+  new point's nearest neighbours are tried first, each by one signature
+  comparison; the scan over every cell runs only when no candidate
+  matches.
 * **remove_query** — delete from the R-tree and from its subdomain;
   empty subdomains are discarded.
 * **add_object** — create the intersections of the new function with
@@ -16,11 +16,13 @@ Four operations, mirroring the paper:
   Representative rankings are invalidated (the new object may appear
   anywhere in them).
 * **remove_object** — drop every intersection involving the object.
-  Dropped hyperplanes can only *merge* cells.  The counting bloom
-  filter of boundary registrations gives a fast pre-check: if no
-  populated subdomain uses any dropped intersection as a boundary, the
-  partition is untouched; otherwise cells whose reduced signatures
-  collide merge — exactly the above/below merge the paper describes.
+  Dropped hyperplanes can only *merge* cells: cells whose reduced
+  signatures collide merge — exactly the above/below merge the paper
+  describes — and when none collide the partition is untouched.  The
+  exact collision test decides this alone.  The paper's bloom filter of
+  boundary registrations (:meth:`SubdomainIndex.ensure_boundaries`)
+  could only pre-empt the same decision, and registering every boundary
+  again after each mutation costs far more than the test.
 
 The index stores one signature per populated cell (not per query), so
 all maintenance works on cell signatures; per-query side vectors are
@@ -129,29 +131,19 @@ def _locate_with_knn_candidates(
 ) -> int | None:
     """§4.3: try the subdomains of the point's nearest neighbours first.
 
-    A candidate is accepted by checking sides only against its
-    *boundary* intersections (cheap), then confirmed with the full
-    signature (exactness guard, since tracked boundary sets need not be
-    tight descriptions of the cell).
+    A candidate cell is accepted when its signature equals the point's
+    full signature.  No boundary pre-check runs: a mismatch on a
+    boundary column implies a full-signature mismatch, so it could only
+    reject what the equality test rejects anyway.
     """
     if index.queries.m <= 1 or index.num_subdomains == 0:
         return None
-    index.ensure_boundaries()
-    neighbour_ids = index.rtree.nearest(weights, k=_KNN_CANDIDATES + 1)
-    tried: set[int] = set()
-    for neighbour in neighbour_ids:
+    key = signature_row.tobytes()
+    for neighbour in index.rtree.nearest(weights, k=_KNN_CANDIDATES + 1):
         if neighbour >= index.subdomain_of.shape[0]:
             continue  # the freshly inserted point itself
         sid = int(index.subdomain_of[neighbour])
-        if sid in tried:
-            continue
-        tried.add(sid)
-        sub = index.subdomains[sid]
-        cell_signature = np.frombuffer(sub.signature, dtype=np.int8)
-        boundary_cols = list(sub.boundaries)
-        if any(signature_row[c] != cell_signature[c] for c in boundary_cols):
-            continue  # fails a boundary side test: not this cell
-        if np.array_equal(signature_row, cell_signature):
+        if index.subdomains[sid].signature == key:
             return sid
     return None
 
@@ -331,22 +323,10 @@ def remove_object(
         return
     index = _as_monolithic(index)
     index.dataset._check_id(object_id)
-    involved = [col for col, (a, b) in enumerate(index.pairs) if object_id in (a, b)]
-
-    # Bloom-filter fast path (§4.3): if no populated subdomain uses any
-    # involved intersection as a boundary, the partition is unchanged
-    # and only the ranking caches need refreshing.
-    partition_touched = False
-    if involved:
-        index.ensure_boundaries()
-        for sub in index.subdomains:
-            if any(index.is_boundary(sub.sid, col) for col in involved):
-                partition_touched = True
-                break
+    involved = {col for col, (a, b) in enumerate(index.pairs) if object_id in (a, b)}
 
     index.dataset = index.dataset.without_object(object_id)
-    involved_set = set(involved)
-    keep = [col for col in range(len(index.pairs)) if col not in involved_set]
+    keep = [col for col in range(len(index.pairs)) if col not in involved]
     index.normals = index.normals[keep] if index.normals.size else index.normals
     remapped = []
     for col in keep:
@@ -363,13 +343,11 @@ def remove_object(
         cell_signature = np.frombuffer(sub.signature, dtype=np.int8)
         reduced[sub.sid] = cell_signature[keep_idx].tobytes()
 
-    if not partition_touched:
-        # Cells that differed only in several dropped columns collide
-        # now even though no single column registered as a boundary;
-        # detect the (rare) collision and fall back to a full merge.
-        partition_touched = len(set(reduced.values())) != len(index.subdomains)
-
-    if partition_touched:
+    # The exact collision test decides the merge on its own.  A dropped
+    # column that bounds a cell separates it from a cell differing only
+    # there, so the two collide; cells differing only in several dropped
+    # columns collide too, and cells differing elsewhere never do.
+    if len(set(reduced.values())) != len(index.subdomains):
         _merge_cells(index, reduced)  # above/below merge of §4.3
     else:
         for sub in index.subdomains:

@@ -319,6 +319,27 @@ class TestEpochDiscipline:
         """
         assert lint_source(tmp_path, source, select=frozenset({"RPR010"})) == []
 
+    def test_triggers_on_cell_state_rebinding(self, tmp_path):
+        # The per-epoch prefix table is built from these; a silent write
+        # would leave kth_other answering from the old cells.
+        source = """\
+        def regroup(index, cells, owners, sub, members, ranking):
+            index.subdomains = cells
+            index.subdomain_of = owners
+            sub.query_ids = members
+            sub.prefix = ranking
+        """
+        findings = lint_source(tmp_path, source, select=frozenset({"RPR010"}))
+        assert codes(findings) == ["RPR010"]
+        assert len(findings) == 4
+
+    def test_noqa_suppresses_cell_state_rebinding(self, tmp_path):
+        source = """\
+        def corrupt(sub, ranking):
+            sub.prefix = ranking  # repro: noqa[RPR010]
+        """
+        assert lint_source(tmp_path, source, select=frozenset({"RPR010"})) == []
+
 
 # ----------------------------------------------------------------------
 # RPR011: no blocking calls while holding a lock

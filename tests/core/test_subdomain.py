@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
+from repro.core.sharding import build_index
 from repro.core.subdomain import SubdomainIndex, find_subdomains, relevant_pairs
 from repro.errors import ValidationError
 from repro.topk.evaluate import kth_score, top_k
@@ -120,7 +122,89 @@ class TestRankingInvariance:
         assert index.representative_evaluations == 1
 
 
+def recount_kth(index, target):
+    """Eq. 6 thresholds per query by a stable argsort of D minus the target."""
+    matrix = index.dataset.matrix
+    kth_ids = np.full(index.queries.m, -1, dtype=np.intp)
+    theta = np.full(index.queries.m, np.inf)
+    for j in range(index.queries.m):
+        weights, k = index.queries.query(j)
+        scores = matrix @ weights
+        order = np.argsort(scores, kind="stable")
+        others = order[order != target]
+        if k <= others.shape[0]:
+            kth_ids[j] = others[k - 1]
+            theta[j] = scores[others[k - 1]]
+    return kth_ids, theta
+
+
+def prefix_positions(index, target):
+    """Where ``target`` sits in the cells' prefixes: inside, at the end, outside."""
+    found = set()
+    for s in range(index.shards):
+        shard = index.shard(s)
+        for sid in range(shard.num_subdomains):
+            prefix = shard.prefix(sid).tolist()
+            if target not in prefix:
+                found.add("outside")
+            elif prefix.index(target) == len(prefix) - 1:
+                found.add("end")
+            else:
+                found.add("inside")
+    return found
+
+
 class TestKthOther:
+    @pytest.mark.parametrize("variant", ["exact", "relevant", "mmap", "4-shard"])
+    def test_matches_recount_through_every_update_kind(self, rng, tmp_path, variant):
+        dataset = Dataset(rng.random((30, 3)))
+        queries = QuerySet(rng.random((60, 3)), ks=rng.integers(1, 5, 60))
+        index = build_index(
+            dataset,
+            queries,
+            mode="relevant" if variant == "relevant" else "exact",
+            shards=4 if variant == "4-shard" else None,
+        )
+        if variant == "mmap":
+            index.save(tmp_path / "index")
+            index = SubdomainIndex.load(tmp_path / "index", dataset, queries)
+
+        def lone_query(idx):
+            # Removing the only member of a cell renumbers the cells.
+            return next(q for q in range(idx.queries.m) if idx.cell_members(q).size == 1)
+
+        steps = [
+            lambda idx: None,
+            lambda idx: updates.add_query(idx, rng.random(3), 4),
+            lambda idx: updates.remove_query(idx, lone_query(idx)),
+            lambda idx: updates.add_object(idx, np.zeros(3)),  # tops every query
+            lambda idx: updates.remove_object(idx, int(idx.shard(0).prefix(0)[1])),
+        ]
+        for step in steps:
+            step(index)  # the same object throughout: a stale table shows
+            positions = set()
+            for target in range(index.dataset.n):
+                kth_ids, theta = index.kth_other(target)
+                expected_ids, expected_theta = recount_kth(index, target)
+                assert np.array_equal(kth_ids, expected_ids)
+                np.testing.assert_allclose(theta, expected_theta, rtol=1e-12)
+                positions |= prefix_positions(index, target)
+            assert positions == {"inside", "end", "outside"}
+
+    def test_prefix_table_reused_until_the_epoch_moves(self, rng, monkeypatch):
+        __, __, index = build(rng)
+        index.kth_other(0)
+        calls = []
+        prefix = SubdomainIndex.prefix
+        monkeypatch.setattr(
+            SubdomainIndex, "prefix", lambda idx, sid: calls.append(sid) or prefix(idx, sid)
+        )
+        index.kth_other(1)
+        assert calls == []
+        updates.add_object(index, rng.random(3))
+        index.kth_other(1)
+        assert sorted(calls) == list(range(index.num_subdomains))
+
     def test_matches_brute_force(self, rng):
         dataset, queries, index = build(rng, n=12, m=30)
         for target in (0, 5, 11):

@@ -4,6 +4,7 @@ import pytest
 from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
+from repro.core.sharding import build_index
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 
@@ -26,6 +27,32 @@ def assert_equivalent(index, reference):
     assert ours == theirs
     for target in range(index.dataset.n):
         assert index.hits(target) == reference.hits(target)
+
+
+def cells(index):
+    """The partition as sorted tuples of global query ids (any shard count)."""
+    return sorted({tuple(index.cell_members(q).tolist()) for q in range(index.queries.m)})
+
+
+def separation(index, object_id):
+    """How ``object_id``'s hyperplanes separate the populated cells.
+
+    ``"boundary"``: one of its columns is a registered boundary of some
+    cell; ``"joint"``: no single column is, but dropping all of them
+    makes two cells collide; ``"none"``: they separate no two cells.
+    Read from the explicit §4.3 registry of a separate probe index.
+    """
+    dropped = [col for col, pair in enumerate(index.pairs) if object_id in pair]
+    probe = rebuilt(index)
+    probe.ensure_boundaries()
+    if any(probe.is_boundary(sub.sid, col) for sub in probe.subdomains for col in dropped):
+        return "boundary"
+    keep = [col for col in range(probe.num_hyperplanes) if col not in dropped]
+    reduced = {
+        np.frombuffer(sub.signature, dtype=np.int8)[keep].tobytes()
+        for sub in probe.subdomains
+    }
+    return "joint" if len(reduced) < probe.num_subdomains else "none"
 
 
 class TestAddQuery:
@@ -121,6 +148,34 @@ class TestRemoveObject:
         index.validate()
         assert index.num_subdomains <= before
 
+    # In the weight quadrant w = (cos t, sin t): object 2's hyperplanes
+    # with objects 0 and 1 cross it at t = 45 and t = 26.6 degrees; the
+    # pair (0, 1) and every pair with the dominated object 3 never do.
+    SEPARATION_OBJECTS = [[0.2, 0.6], [0.3, 0.7], [0.5, 0.3], [0.9, 0.95]]
+
+    @pytest.mark.parametrize(
+        "case, degrees, removed",
+        [
+            ("boundary", (10, 12, 35, 38, 70, 75), 2),
+            ("joint", (10, 12, 60, 70), 2),
+            ("none", (10, 12, 35, 38, 70, 75), 3),
+        ],
+    )
+    def test_remove_matches_rebuild_by_separation(self, case, degrees, removed):
+        angles = np.radians(degrees)
+        weights = np.column_stack([np.cos(angles), np.sin(angles)])
+        queries = QuerySet(weights, ks=np.arange(len(degrees)) % 2 + 1)
+        index = SubdomainIndex(Dataset(np.asarray(self.SEPARATION_OBJECTS)), queries)
+        assert separation(index, removed) == case
+        before = index.num_subdomains
+        updates.remove_object(index, removed)
+        index.validate()
+        if case == "none":
+            assert index.num_subdomains == before
+        else:
+            assert index.num_subdomains < before
+        assert_equivalent(index, rebuilt(index))
+
     def test_remove_invalid_id(self, rng):
         index = build(rng)
         with pytest.raises(ValidationError):
@@ -208,3 +263,32 @@ class TestInterleaved:
         updates.add_query(index, rng.random(2), 1)
         index.validate()
         assert_equivalent(index, rebuilt(index))
+
+
+class TestNoBoundaryRegistration:
+    """The §4.3 update path decides by exact tests, never by the registry."""
+
+    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
+    def test_mixed_updates_never_register_boundaries(self, rng, monkeypatch, shards):
+        calls = []
+        register = SubdomainIndex.ensure_boundaries
+
+        def counted(index):
+            calls.append(index)
+            register(index)
+
+        monkeypatch.setattr(SubdomainIndex, "ensure_boundaries", counted)
+        dataset = Dataset(rng.random((12, 2)))
+        queries = QuerySet(rng.random((40, 2)), ks=rng.integers(1, 4, 40))
+        index = build_index(dataset, queries, shards=shards)
+        for __ in range(2):
+            updates.add_query(index, rng.random(2), int(rng.integers(1, 4)))
+            updates.remove_object(index, int(rng.integers(index.dataset.n)))
+            updates.add_object(index, rng.random(2))
+            updates.remove_query(index, int(rng.integers(index.queries.m)))
+        assert calls == []
+        index.validate()
+        reference = build_index(index.dataset, index.queries, shards=shards)
+        assert cells(index) == cells(reference)
+        for target in range(index.dataset.n):
+            assert index.hits(target) == reference.hits(target)

@@ -25,7 +25,7 @@ class TestShardFigures:
 
         (record,) = bench_shard_update(config, shards=2)
         assert record.figure == "shard_update"
-        assert record.config["inserts"] == 3
+        assert record.config["inserts"] == 5
         assert 1 <= record.config["touched_shards"] <= 2
 
     def test_par_index_includes_a_sharded_case(self, config):
