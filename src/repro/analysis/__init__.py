@@ -24,9 +24,8 @@ RPR011    no blocking calls while holding a lock
 RPR012    indexes are constructed through
           ``repro.core.sharding.build_index`` (or the engine) outside
           ``core/``, ``check/``, and the tests
-RPR013    compiled kernel backends (numba, ...) import only inside
-          ``repro/native/``; every jitted kernel is registered via
-          ``register_native`` and names a pure-python twin
+RPR013    no compiled kernel backend (numba, llvmlite, cython,
+          pyximport, cffi) is imported anywhere in the library
 RPR014    monotonic-clock reads (``perf_counter``, ``monotonic``, ...)
           live only inside ``repro/observe/``; everything else times
           through ``repro.observe.clock``

@@ -23,7 +23,7 @@ __all__ = [
     "SolverDispatchRule",
     "ParallelImportRule",
     "IndexFactoryRule",
-    "NativeBackendRule",
+    "CompiledBackendRule",
     "TimingSourceRule",
     "PARITY_PAIRS",
 ]
@@ -480,44 +480,24 @@ class IndexFactoryRule(Rule):
 
 
 @register_rule
-class NativeBackendRule(Rule):
-    """RPR013: compiled kernel backends live in ``repro/native`` with twins.
+class CompiledBackendRule(Rule):
+    """RPR013: no compiled kernel backend anywhere in the library.
 
-    The pure-python kernels are the executable reference; jitted
-    backends are an *optional accelerator* behind the
-    :mod:`repro.native` registry.  Three obligations keep that true:
-
-    * compiled-backend imports (numba, llvmlite, cython, ...) are only
-      legal in files whose path contains a ``native`` component — any
-      other module must dispatch through ``repro.native.kernel(...)``
-      so the import guard and fallback live in exactly one place;
-    * inside the native layer, every jitted function (decorated with
-      ``njit``/``jit``, directly or through an alias assigned from a
-      jit call) must also be registered with ``register_native`` —
-      an unregistered jitted kernel is unreachable by the backend
-      switch and invisible to the parity harness;
-    * every ``register_native("name")`` literal must name a kernel the
-      python registry already knows (checked against the runtime
-      :func:`repro.native.python_kernel_names`, RPR006-style), so a
-      native backend can never exist without its python twin.
+    The numpy kernels are the only backend.  A numba layer once sat
+    behind a backend switch, but no recorded run ever executed it and
+    no host showed a win, so it was deleted.  Any import of a compiled
+    backend (numba, llvmlite, cython, pyximport, cffi) is a finding: a
+    compiled backend comes back only as a deliberate change to this
+    rule, together with a host that has it and a measured win.
     """
 
     code = "RPR013"
-    title = "compiled backend outside the native-registry discipline"
+    title = "compiled kernel backend import"
 
     _COMPILED_ROOTS = frozenset({"numba", "llvmlite", "cython", "pyximport", "cffi"})
-    _JIT_NAMES = frozenset({"njit", "jit"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield RPR013 findings: stray compiled imports, twin-less kernels."""
-        parts = ctx.path.resolve().parts
-        if "native" not in parts:
-            yield from self._check_imports(ctx)
-            return
-        yield from self._check_jitted_defs(ctx)
-        yield from self._check_twin_names(ctx)
-
-    def _check_imports(self, ctx: FileContext) -> Iterator[Finding]:
+        """Yield one RPR013 finding per compiled-backend import."""
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -530,85 +510,19 @@ class NativeBackendRule(Rule):
                     yield ctx.finding(
                         node,
                         self,
-                        f"import of {name}: compiled kernel backends are "
-                        f"confined to repro/native/; dispatch through "
-                        f"repro.native.kernel(...) instead",
+                        f"import of {name}: the library has no compiled kernel "
+                        f"backend; the numpy kernels are the only path",
                     )
-
-    def _jit_aliases(self, ctx: FileContext) -> set[str]:
-        """Names bound to a jit decorator factory, e.g. ``_jit = njit(...)``."""
-        aliases: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                targets = [node.target.id]
-                value = node.value
-            else:
-                continue
-            if isinstance(value, ast.Call) and _call_name(value) in self._JIT_NAMES:
-                aliases.update(targets)
-        return aliases
-
-    def _decorator_name(self, dec: ast.expr) -> str | None:
-        if isinstance(dec, ast.Call):
-            return _call_name(dec)
-        if isinstance(dec, ast.Name):
-            return dec.id
-        if isinstance(dec, ast.Attribute):
-            return dec.attr
-        return None
-
-    def _check_jitted_defs(self, ctx: FileContext) -> Iterator[Finding]:
-        jit_markers = self._JIT_NAMES | self._jit_aliases(ctx)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            names = [self._decorator_name(dec) for dec in node.decorator_list]
-            if not any(name in jit_markers for name in names):
-                continue
-            if "register_native" not in names:
-                yield ctx.finding(
-                    node,
-                    self,
-                    f"jitted function {node.name}() is not registered via "
-                    f"register_native(...); an unregistered kernel is "
-                    f"unreachable by the backend switch and skips the "
-                    f"parity harness",
-                )
-
-    def _check_twin_names(self, ctx: FileContext) -> Iterator[Finding]:
-        from repro.native import python_kernel_names
-
-        known = python_kernel_names()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or _call_name(node) != "register_native":
-                continue
-            if not node.args:
-                continue
-            arg = node.args[0]
-            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
-                continue
-            if arg.value not in known:
-                yield ctx.finding(
-                    node,
-                    self,
-                    f"register_native({arg.value!r}) has no pure-python twin; "
-                    f"register the canonical kernel with "
-                    f"register_kernel({arg.value!r}) first",
-                )
 
 
 @register_rule
 class TimingSourceRule(Rule):
     """RPR014: monotonic-clock reads are confined to ``repro/observe``.
 
-    The RPR013 registry pattern applied to timing: ``repro.observe.clock``
-    is the library's single wall-clock seam (``now``/``Stopwatch``/
-    ``time_call``), and everything that measures time — the bench
-    harness, the serving stats, the ``EXPLAIN ANALYZE`` recorder —
-    imports it from there.  Flags any call to a monotonic/CPU clock
+    ``repro.observe.clock`` is the library's single wall-clock seam
+    (``now``/``Stopwatch``/``time_call``), and everything that measures
+    time — the bench harness, the serving stats, the ``EXPLAIN
+    ANALYZE`` recorder — imports it from there.  Flags any call to a monotonic/CPU clock
     (``time.perf_counter``, ``time.monotonic``, ``process_time``, their
     ``_ns`` variants, ``clock_gettime``) and any ``from time import``
     of one of those names in a file whose path has no ``observe``

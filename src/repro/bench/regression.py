@@ -56,16 +56,6 @@ Two figures cover the sharded index layer (PR8), same record shape:
 worker-pool construction of the *sharded* index (one process group per
 shard), held to per-shard bit-identical partitions.
 
-One figure covers the native-kernel layer (PR9):
-
-* **native** — every registered hot-path kernel
-  (:mod:`repro.native`) timed under the pure-python backend
-  (``literal_seconds``) vs the resolved backend
-  (``vectorized_seconds``), outputs bit-exact; with numba absent the
-  resolved backend degrades to python and the figure documents the
-  fallback (~1x), with numba present ``--check`` holds the jitted
-  kernels to an absolute floor.
-
 One figure covers the observability layer (PR10):
 
 * **analyze_overhead** — the fig7-shaped IQ sweep run through the plain
@@ -114,11 +104,10 @@ from repro.core.queries import QuerySet
 from repro.core.solvers import get_solver
 from repro.core.sharding import build_index
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex
+from repro.core.subdomain import SubdomainIndex
 from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
 from repro.errors import ReproError
-from repro.native import get_kernel, native_available, resolve_backend
 from repro.parallel import IQRequest, PersistentPool, run_batch, serve_stream
 
 __all__ = [
@@ -131,7 +120,6 @@ __all__ = [
     "bench_persist",
     "bench_shard_build",
     "bench_shard_update",
-    "bench_native",
     "bench_analyze",
     "check_regression",
     "run_regression",
@@ -177,13 +165,6 @@ CHECK_SINGLE_CORE_FLOORS = {"shard_update": 1.0, "persist": 1.0}
 #: global read on the hot path; doubling a query's cost would mean the
 #: instrumentation escaped that design.
 CHECK_ANALYZE_FLOORS = {"analyze_overhead": 0.5}
-
-#: Absolute floor for the ``native`` kernel figure, enforced only when
-#: the payload records ``numba: true``: with the jit compiled, every
-#: kernel must at least match its numpy twin.  Without numba the figure
-#: times python against python and documents the graceful fallback
-#: (speedup ~1x by construction, no floor to enforce).
-CHECK_NATIVE_FLOORS = {"native": 1.0}
 
 
 class RegressionMismatch(AssertionError):
@@ -771,82 +752,6 @@ def bench_persist(config: BenchConfig) -> list[BenchRecord]:
     ]
 
 
-def bench_native(config: BenchConfig, kernel: str | None = None) -> list[BenchRecord]:
-    """Hot-path kernels: pure-python (numpy) twin vs resolved backend.
-
-    One record per registered kernel, timed on fig7-shaped inputs:
-    Eq. 6 membership tests (``beats_batch``) over a candidate batch,
-    arrangement classification (``signature_matrix``) over the
-    workload x hyperplane products, and the ESE slab test
-    (``slab_crossings``) over candidate x other-object score blocks.
-    The two backends must agree bit-exactly on every output.
-
-    With numba absent the "native" backend degrades to python, so the
-    figure times python against python (~1x by construction) — the run
-    still proves the fallback path executes.  With numba importable the
-    jitted kernels carry the figure and ``--check`` holds their median
-    speedup to :data:`CHECK_NATIVE_FLOORS` (the compile happens in an
-    untimed warm-up call).
-    """
-    requested, resolved = resolve_backend(kernel)
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    index = SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench drives kernels directly)
-    rng = np.random.default_rng(config.seed + 23)
-    repeats = max(3, config.iq_repeats)
-
-    target = 0
-    kth_ids, theta = index.kth_other(target)
-    positions = rng.random((64, config.dimensions))
-    scores = queries.weights @ positions.T  # (m, c)
-    block = dataset.matrix[1 : 1 + 64]  # (b, d) other objects
-    slab_theta = queries.weights @ block.T
-    old_values = queries.weights @ (dataset.matrix[target] - block).T
-    new_values = queries.weights @ (dataset.matrix[target] + 0.05 - block).T
-    normals = index.normals if index.normals.size else rng.random((32, config.dimensions)) - 0.5
-    products = queries.weights @ normals.T
-
-    cases = {
-        "beats_batch": (scores, theta, target, kth_ids, _TIE_TOL),
-        "signature_matrix": (products, _TIE_TOL),
-        "slab_crossings": (old_values, new_values, slab_theta, _TIE_TOL),
-    }
-    records = []
-    for name, args in cases.items():
-        python_kernel = get_kernel(name, "python")
-        backend_kernel = get_kernel(name, resolved)
-        backend_kernel(*args)  # untimed warm-up: jit compilation happens here
-        python_out, python_seconds = time_call(
-            lambda fn=python_kernel, a=args: [fn(*a) for _ in range(repeats)]
-        )
-        backend_out, backend_seconds = time_call(
-            lambda fn=backend_kernel, a=args: [fn(*a) for _ in range(repeats)]
-        )
-        if not np.array_equal(np.asarray(python_out[-1]), np.asarray(backend_out[-1])):
-            raise RegressionMismatch(
-                f"kernel {name!r}: python and {resolved} backends disagree"
-            )
-        records.append(
-            BenchRecord(
-                figure="native",
-                case=name,
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "kernel": requested,
-                    "resolved": resolved,
-                    "numba": native_available(),
-                    "repeats": repeats,
-                    "seed": config.seed,
-                },
-                literal_seconds=python_seconds,
-                vectorized_seconds=backend_seconds,
-            )
-        )
-    return records
-
-
 def bench_analyze(config: BenchConfig, requests: int | None = None) -> list[BenchRecord]:
     """EXPLAIN ANALYZE overhead: plain engine calls vs analyzed calls.
 
@@ -994,19 +899,6 @@ def check_regression(
                     f"absolute {absolute_floor:g}x floor — EXPLAIN ANALYZE "
                     "must not cost more than double the plain run"
                 )
-    if payload.get("numba") and payload.get("scale") not in CHECK_FLOOR_EXEMPT_SCALES:
-        for figure, absolute_floor in sorted(CHECK_NATIVE_FLOORS.items()):
-            stats = summary.get(figure)
-            if stats is None:
-                continue
-            median = float(stats["median_speedup"])
-            if median < absolute_floor:
-                problems.append(
-                    f"{figure}: median speedup {median:.2f}x is below the "
-                    f"absolute {absolute_floor:g}x floor — with numba "
-                    "importable the jitted kernels must at least match "
-                    "their numpy twins"
-                )
     return problems
 
 
@@ -1016,7 +908,6 @@ def run_regression(
     out: str | None = None,
     workers: int | None = None,
     shards: int | None = None,
-    kernel: str | None = None,
 ) -> dict:
     """Run the full serial-vs-optimized harness; returns the payload.
 
@@ -1025,9 +916,7 @@ def run_regression(
     the JSON payload to the given path; ``workers`` sets the pool size
     benched by the parallel figures (default
     :data:`DEFAULT_BENCH_WORKERS`); ``shards`` the shard count benched
-    by the sharded figures (default :data:`DEFAULT_BENCH_SHARDS`);
-    ``kernel`` the backend the native-kernel figure resolves against
-    (default: ``REPRO_KERNEL`` env var, else auto).
+    by the sharded figures (default :data:`DEFAULT_BENCH_SHARDS`).
     """
     config = load_config("tiny" if smoke else scale)
     points = 2 if smoke else None
@@ -1047,17 +936,10 @@ def run_regression(
     records += bench_persist(config)
     records += bench_shard_build(config, shards=shard_count)
     records += bench_shard_update(config, shards=shard_count)
-    records += bench_native(config, kernel=kernel)
     records += bench_analyze(config, requests=2 if smoke else None)
-    # The host's core count and numba availability travel with the
-    # payload: --check only enforces the absolute pooled floors when
-    # the run had real cores, and the native-kernel floor only when the
-    # jit was actually importable.
-    extra = {
-        "cpus": os.cpu_count() or 1,
-        "numba": native_available(),
-        "kernel": resolve_backend(kernel)[1],
-    }
+    # The host's core count travels with the payload: --check only
+    # enforces the absolute pooled floors when the run had real cores.
+    extra = {"cpus": os.cpu_count() or 1}
     if out:
         return write_bench_json(records, out, scale=config.name, extra=extra)
     return {
@@ -1111,13 +993,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=["python", "native", "auto"],
-        help="kernel backend the native-kernel figure resolves against "
-             "(default: $REPRO_KERNEL or auto)",
-    )
-    parser.add_argument(
         "--check",
         default=None,
         metavar="BASELINE",
@@ -1146,7 +1021,6 @@ def main(argv=None) -> int:
             out=args.out,
             workers=args.workers,
             shards=args.shards,
-            kernel=args.kernel,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

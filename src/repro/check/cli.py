@@ -99,18 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--kernel",
-        choices=["python", "native", "auto"],
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "pin the whole harness to this kernel backend and add a "
-            "kernel-parity differential: python-backend vs resolved-backend "
-            "results must be field-exact, serially and through the pool "
-            "(default: off — the ambient REPRO_KERNEL resolution applies)"
-        ),
-    )
-    parser.add_argument(
         "--analyze",
         action="store_true",
         help=(
@@ -437,64 +425,6 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
     return failures
 
 
-def _run_kernel_parity(kernel: str, out: IO[str]) -> list[str]:
-    """Kernel differential: python backend vs resolved backend (KP oracle).
-
-    Two engines over identical inputs — one pinned to the pure-python
-    kernels, one resolved from the requested backend — must agree
-    field-exactly on every hit count and every IQ result, both through
-    the serial loop and through a :class:`PersistentPool`.  With numba
-    absent the resolved backend degrades to python and the leg proves
-    the fallback serves; with numba present it is the float-exactness
-    gate for the jitted kernels inside real solver runs.
-    """
-    from repro.core.engine import ImprovementQueryEngine
-    from repro.core.objects import Dataset
-    from repro.data.synthetic import independent
-    from repro.data.workloads import uniform_queries
-    from repro.native import resolve_backend
-    from repro.parallel import IQRequest, PersistentPool, run_batch
-
-    requested, resolved = resolve_backend(kernel)
-    dataset = Dataset(independent(24, 3, seed=11))
-    queries = uniform_queries(18, 3, seed=12, k_range=(1, 4))
-    reference = ImprovementQueryEngine(dataset, queries, mode="relevant", kernel="python")
-    candidate = ImprovementQueryEngine(dataset, queries, mode="relevant", kernel=kernel)
-    requests = tuple(
-        IQRequest("min_cost", target, 8) for target in range(0, 8, 2)
-    ) + tuple(IQRequest("max_hit", target, 0.4) for target in range(1, 8, 2))
-
-    failures: list[str] = []
-    for target in range(dataset.n):
-        expect, got = reference.hits(target), candidate.hits(target)
-        if expect != got:
-            failures.append(
-                f"kernel parity: hits({target}) diverged "
-                f"(python {expect} vs {resolved} {got})"
-            )
-    base = run_batch(reference, requests, workers=0)
-    serial = run_batch(candidate, requests, workers=0)
-    for request, expect, got in zip(requests, base, serial):
-        label = f"kernel parity [serial] {request.kind}@{request.target}"
-        mismatch = _result_mismatch(label, expect, got)
-        if mismatch is not None:
-            failures.append(mismatch)
-    with PersistentPool(candidate) as pool:
-        pooled = pool.run(requests)
-        for request, expect, got in zip(requests, base, pooled):
-            label = f"kernel parity [pooled] {request.kind}@{request.target}"
-            mismatch = _result_mismatch(label, expect, got)
-            if mismatch is not None:
-                failures.append(mismatch)
-        status = "ok" if not failures else "FAIL"
-        print(
-            f"kernel parity (requested {requested}, resolved {resolved}, "
-            f"workers {pool.workers}): {status}",
-            file=out,
-        )
-    return failures
-
-
 def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
@@ -517,45 +447,33 @@ def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
 
 def _execute(args: argparse.Namespace, out: "IO[str]") -> int:
     """Run the configured battery/parity/fuzz phases; returns the exit code."""
-    from contextlib import nullcontext
-
-    from repro.native import resolve_backend, use_backend
-
     modes: tuple[str, ...] = _MODES if args.mode == "both" else (args.mode,)
     failures: list[FuzzFailure] = []
     parity_failures: list[str] = []
 
-    # --kernel pins every phase to the resolved backend, so the whole
-    # battery/fuzz corpus (not just the parity leg) runs through it.
-    kernel = getattr(args, "kernel", None)
-    pin = use_backend(resolve_backend(kernel)[1]) if kernel else nullcontext()
-    with pin:
-        if not args.skip_battery:
-            failures.extend(_run_battery(modes, out))
+    if not args.skip_battery:
+        failures.extend(_run_battery(modes, out))
 
-        if args.shards is not None:
-            if args.shards < 1:
-                raise ValidationError(f"--shards must be positive, got {args.shards}")
-            failures.extend(_run_sharded(modes, args.shards, out))
+    if args.shards is not None:
+        if args.shards < 1:
+            raise ValidationError(f"--shards must be positive, got {args.shards}")
+        failures.extend(_run_sharded(modes, args.shards, out))
 
-        if not args.skip_pooled:
-            parity_failures = _run_pooled_parity(out)
+    if not args.skip_pooled:
+        parity_failures = _run_pooled_parity(out)
 
-        if getattr(args, "analyze", False):
-            parity_failures = parity_failures + _run_analyze_parity(out)
+    if getattr(args, "analyze", False):
+        parity_failures = parity_failures + _run_analyze_parity(out)
 
-        if kernel is not None:
-            parity_failures = parity_failures + _run_kernel_parity(kernel, out)
-
-        if args.fuzz > 0:
-            fuzz_mode = None if args.mode == "both" else args.mode
-            fuzz_failures = fuzz(args.fuzz, seed=args.seed, mode=fuzz_mode)
-            print(
-                f"fuzz: {args.fuzz} cases, seed {args.seed}, mode {args.mode}: "
-                f"{len(fuzz_failures)} failure(s)",
-                file=out,
-            )
-            failures.extend(fuzz_failures)
+    if args.fuzz > 0:
+        fuzz_mode = None if args.mode == "both" else args.mode
+        fuzz_failures = fuzz(args.fuzz, seed=args.seed, mode=fuzz_mode)
+        print(
+            f"fuzz: {args.fuzz} cases, seed {args.seed}, mode {args.mode}: "
+            f"{len(fuzz_failures)} failure(s)",
+            file=out,
+        )
+        failures.extend(fuzz_failures)
 
     if failures or parity_failures:
         print(file=out)

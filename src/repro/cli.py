@@ -53,7 +53,6 @@ from repro.core.subdomain import SubdomainIndex
 from repro.data.realworld import load_csv
 from repro.index.mmapio import directory_schema
 from repro.index.router import registered_routers
-from repro.native import KERNEL_BACKENDS
 from repro.errors import ReproError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -103,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--router", default=None,
                              choices=sorted(registered_routers()),
                              help="shard routing policy (default: grid)")
-        command.add_argument("--kernel", default=None, choices=list(KERNEL_BACKENDS),
-                             help="hot-path kernel backend: 'native' uses the "
-                                  "jitted kernels when numba is importable, "
-                                  "'auto' prefers native with a python fallback "
-                                  "(default: REPRO_KERNEL env var, else auto)")
         command.add_argument("--save-index", default=None, metavar="DIR",
                              help="persist the built index as a directory of "
                                   "memory-mappable .npy files (one subdirectory "
@@ -118,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(fingerprints must match the CSVs)")
         command.add_argument("--stats", default=None, metavar="PATH",
                              help="persist per-run EXPLAIN ANALYZE stats in this "
-                                  "JSON file; KERNEL 'auto' consults it "
-                                  "(default: REPRO_STATS env var, else in-memory)")
+                                  "JSON file (default: REPRO_STATS env var, "
+                                  "else in-memory)")
 
     improve = sub.add_parser("improve", help="run a Min-Cost or Max-Hit IQ")
     add_iq_arguments(improve)
@@ -172,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pool size for the parallel bench figures (default 4)")
     bench.add_argument("--shards", type=int, default=None, metavar="K",
                        help="shard count for the sharding bench figures (default 4)")
-    bench.add_argument("--kernel", default=None, choices=list(KERNEL_BACKENDS),
-                       help="kernel backend the timed figures run under "
-                            "(default: REPRO_KERNEL env var, else auto)")
 
     check = sub.add_parser(
         "check", help="differential correctness harness (oracles + seeded fuzz)"
@@ -196,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--shards", type=int, default=None, metavar="K",
                        help="also hold a K-shard index to monolithic parity "
                             "(K=1 checks byte parity of the degenerate case)")
-    check.add_argument("--kernel", default=None, choices=list(KERNEL_BACKENDS),
-                       help="run the whole harness under this kernel backend "
-                            "and add a python-vs-backend parity phase")
     check.add_argument("--analyze", action="store_true",
                        help="also hold EXPLAIN ANALYZE runs byte-identical to "
                             "their plain counterparts (engine, SQL, CLI, pooled)")
@@ -267,7 +255,6 @@ def _space(args, dataset) -> StrategySpace | None:
 
 def _engine(args, dataset, queries) -> ImprovementQueryEngine:
     """Build (or restore) the engine honoring the index CLI options."""
-    kernel = getattr(args, "kernel", None)
     load_path = getattr(args, "load_index", None)
     if load_path:
         # The manifest's schema tag says which loader owns a directory;
@@ -277,7 +264,7 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
             index = ShardedSubdomainIndex.load(load_path, dataset, queries)
         else:
             index = SubdomainIndex.load(load_path, dataset, queries)
-        engine = ImprovementQueryEngine.from_index(index, kernel=kernel)
+        engine = ImprovementQueryEngine.from_index(index)
     else:
         engine = ImprovementQueryEngine(
             dataset,
@@ -286,7 +273,6 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
             workers=getattr(args, "workers", None),
             shards=getattr(args, "shards", None),
             router=getattr(args, "router", None),
-            kernel=kernel,
         )
     if getattr(args, "save_index", None):
         engine.index.save(args.save_index)
@@ -413,7 +399,7 @@ def _cmd_serve(args, out) -> int:
         f"{stats.rejected} rejected in {stats.seconds:.3f}s "
         f"({stats.throughput:.1f} req/s, "
         f"{stats.avg_request_seconds * 1000:.2f} ms/req dispatch, "
-        f"workers {stats.workers}, kernel {stats.kernel}, "
+        f"workers {stats.workers}, "
         f"{stats.batches} batches, {stats.refreshes} refreshes)",
         file=sys.stderr,
     )
@@ -479,8 +465,6 @@ def main(argv=None, out=None) -> int:
                 bench_args += ["--workers", str(args.workers)]
             if args.shards is not None:
                 bench_args += ["--shards", str(args.shards)]
-            if args.kernel is not None:
-                bench_args += ["--kernel", args.kernel]
             return bench_main(bench_args)
         if args.command == "check":
             from repro.check.cli import main as check_main
@@ -497,8 +481,6 @@ def main(argv=None, out=None) -> int:
                 check_args.append("--analyze")
             if args.shards is not None:
                 check_args += ["--shards", str(args.shards)]
-            if args.kernel is not None:
-                check_args += ["--kernel", args.kernel]
             return check_main(check_args, out=out)
         if args.command == "lint":
             from repro.analysis.cli import main as lint_main

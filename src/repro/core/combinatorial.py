@@ -238,7 +238,7 @@ def combinatorial_max_hit(
     max_rounds: int | None = None,
 ) -> MultiTargetResult:
     """Combinatorial Max-Hit improvement strategy (Def. 6, §5.1 steps)."""
-    if budget < 0:
+    if not budget >= 0:  # also rejects NaN
         raise ValidationError(f"budget must be non-negative, got {budget}")
     state = _JointState(index, list(targets))
     costs = _normalize_per_target(costs, state.targets, "cost function")

@@ -58,10 +58,8 @@ from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 from repro.index.router import ShardRouter
-from repro.native import native_available, resolve_backend, use_backend
 from repro.observe import (
     StageRecorder,
-    choose_kernel,
     default_store,
     now,
     observing,
@@ -104,16 +102,6 @@ class ImprovementQueryEngine:
         Shard routing policy (a name or a
         :class:`~repro.index.router.ShardRouter`); only consulted when
         the resolved shard count exceeds 1.
-    kernel:
-        Hot-path kernel backend request: ``"python"`` (the canonical
-        numpy path), ``"native"`` (numba-jitted kernels, degrading
-        gracefully to python when numba is absent), or ``"auto"``
-        (native when available).  ``None`` defers to the
-        ``REPRO_KERNEL`` environment variable, then ``"auto"``.  The
-        engine pins its *resolved* backend around every execution, so
-        pooled workers and concurrent engines with different backends
-        stay deterministic; :meth:`explain` surfaces both the requested
-        and the resolved value.
     """
 
     def __init__(
@@ -125,9 +113,7 @@ class ImprovementQueryEngine:
         workers: "int | str | None" = None,
         shards: "int | str | None" = None,
         router: "str | ShardRouter | None" = None,
-        kernel: "str | None" = None,
     ) -> None:
-        self.kernel_requested, self.kernel_backend = resolve_backend(kernel)
         self.index: "SubdomainIndex | ShardedSubdomainIndex" = build_index(
             dataset,
             queries,
@@ -142,15 +128,12 @@ class ImprovementQueryEngine:
 
     @classmethod
     def from_index(
-        cls,
-        index: "SubdomainIndex | ShardedSubdomainIndex",
-        kernel: "str | None" = None,
+        cls, index: "SubdomainIndex | ShardedSubdomainIndex"
     ) -> "ImprovementQueryEngine":
         """Wrap an existing index (e.g. one restored by
         :meth:`SubdomainIndex.load` or
         :meth:`ShardedSubdomainIndex.load`) without rebuilding it."""
         engine = cls.__new__(cls)
-        engine.kernel_requested, engine.kernel_backend = resolve_backend(kernel)
         engine.index = index
         engine.evaluator = StrategyEvaluator(index)
         engine._rta_evaluator = None
@@ -194,13 +177,11 @@ class ImprovementQueryEngine:
     # ------------------------------------------------------------------
     def hits(self, target: int) -> int:
         """``H(target)``: how many workload queries the object hits now."""
-        with use_backend(self.kernel_backend):
-            return self.evaluator.hits(target)
+        return self.evaluator.hits(target)
 
     def reverse_top_k(self, target: int) -> np.ndarray:
         """Ids of the queries currently hit (a reverse top-k query [21])."""
-        with use_backend(self.kernel_backend):
-            return np.flatnonzero(self.evaluator.hits_mask(target))
+        return np.flatnonzero(self.evaluator.hits_mask(target))
 
     # ------------------------------------------------------------------
     # Planning
@@ -241,7 +222,7 @@ class ImprovementQueryEngine:
         """Per-target plans a multi-target call would run (nothing executes).
 
         The combinatorial solver interleaves the targets in one joint
-        greedy loop (§5.1), so the plans share every index/kernel field
+        greedy loop (§5.1), so the plans share every index field
         and differ only in ``target`` and per-target cost/space.
         """
         if (tau is None) == (budget is None):
@@ -251,12 +232,6 @@ class ImprovementQueryEngine:
         if tau is not None:
             return self._plan_multi("min_cost", targets, tau, costs, spaces)[0]
         return self._plan_multi("max_hit", targets, float(budget), costs, spaces)[0]
-
-    def _available_backends(self) -> tuple[str, ...]:
-        """Kernel backends the feedback rule may choose in this process."""
-        if native_available():
-            return ("python", "native")
-        return ("python",)
 
     def _plan(
         self,
@@ -270,29 +245,13 @@ class ImprovementQueryEngine:
         """Plan step: resolve the solver, internalize, snapshot the index.
 
         ``method`` names a registered solver; it is never chosen for
-        the caller, because the solver decides the answer.  An
-        ``"auto"`` kernel request is resolved here by the feedback rule
-        (:mod:`repro.observe.feedback`) against the recorded stats for
-        this workload's fingerprint, appending its stat-citing note to
-        the plan — the kernel changes only speed, never the answer.
+        the caller, because the solver decides the answer.
         """
         with stage("plan"):
-            extra_notes: list[str] = []
-            kernel = (self.kernel_requested, self.kernel_backend)
-            if self.kernel_requested == "auto":
-                kernel_choice = choose_kernel(
-                    default_store(),
-                    workload_fingerprint(self.index, kind),
-                    self._available_backends(),
-                )
-                if kernel_choice is not None:
-                    kernel = (self.kernel_requested, kernel_choice.value)
-                    extra_notes.append(kernel_choice.note)
             solver = get_solver(method)
             cost_int, space_int = internalize(self.dataset, cost, space)
             plan = build_plan(
-                self.index, solver, kind, target, goal, cost_int, space_int,
-                extra_notes=tuple(extra_notes), kernel=kernel,
+                self.index, solver, kind, target, goal, cost_int, space_int
             )
         return plan, cost_int, space_int
 
@@ -320,18 +279,12 @@ class ImprovementQueryEngine:
         space_int: StrategySpace | None,
         kwargs: dict[str, object],
     ) -> IQResult:
-        """Execute step: hand the planned solver its evaluator.
-
-        The plan\'s resolved kernel backend is pinned for the whole
-        solver run, so every ``_beats_batch`` / slab-scan dispatch under
-        this call uses it regardless of the process-global default.
-        """
-        with use_backend(plan.kernel_backend):
-            with stage("solve"):
-                result = plan.solver.run(
-                    kind, self._evaluator_for(plan.solver), target, goal,
-                    cost_int, space_int, **kwargs,
-                )
+        """Execute step: hand the planned solver its evaluator."""
+        with stage("solve"):
+            result = plan.solver.run(
+                kind, self._evaluator_for(plan.solver), target, goal,
+                cost_int, space_int, **kwargs,
+            )
         return externalize_result(self.dataset, result)
 
     def analyze(
@@ -349,8 +302,7 @@ class ImprovementQueryEngine:
         The result is byte-identical to the plain :meth:`min_cost` /
         :meth:`max_hit` call (``repro check --analyze`` enforces this):
         the observation layer only reads the clock and counts.  The
-        executed plan is recorded in the process stats store, which is
-        what future ``"auto"`` kernel requests consult.
+        executed plan is recorded in the process stats store.
         """
         if (tau is None) == (budget is None):
             raise ValidationError(
@@ -479,7 +431,6 @@ class ImprovementQueryEngine:
                 build_plan(
                     self.index, solver, kind, t, goal, costs_map[t], spaces_map[t],
                     extra_notes=(note,),
-                    kernel=(self.kernel_requested, self.kernel_backend),
                 )
                 for t in target_list
             )
@@ -497,11 +448,8 @@ class ImprovementQueryEngine:
         """Execute step for a combinatorial query (joint greedy loop)."""
         solve = combinatorial_min_cost if kind == "min_cost" else combinatorial_max_hit
         targets = [plan.target for plan in plans]
-        with use_backend(plans[0].kernel_backend):
-            with stage("solve"):
-                result = solve(
-                    self.index, targets, goal, costs_int, spaces_int, **kwargs
-                )
+        with stage("solve"):
+            result = solve(self.index, targets, goal, costs_int, spaces_int, **kwargs)
         return externalize_multi(self.dataset, result)
 
     def min_cost_multi(

@@ -33,7 +33,6 @@ from repro.core.sharding import IndexProtocol
 from repro.core.subdomain import _TIE_TOL, _beats, _beats_batch
 from repro.errors import ValidationError
 from repro.index.rtree import Rect
-from repro.native import kernel as _kernel
 
 __all__ = ["StrategyEvaluator"]
 
@@ -60,12 +59,29 @@ def _slab_region(value: float, theta: float) -> int:
     return 0
 
 
+def _slab_crossings(
+    old_values: np.ndarray, new_values: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """:func:`_slab_region` over whole blocks: did the region change?
+
+    Elementwise over matching shapes: ``old_values``/``new_values`` are
+    the queries' signed offsets against the old/new intersection
+    hyperplane of one other object and ``theta`` that object's scores.
+    A query is affected when its region (-1 / 0 / +1) differs between
+    the two hyperplanes.
+    """
+    band = _TIE_TOL * np.maximum(1.0, np.abs(theta))
+    old_region = (old_values > band).astype(np.int8) - (old_values < -band).astype(np.int8)
+    new_region = (new_values > band).astype(np.int8) - (new_values < -band).astype(np.int8)
+    return old_region != new_region
+
+
 def _inside_domain(rect: Rect, query_id: int) -> bool:
-    """Domain-only R-tree predicate: geometry filters, the kernel classifies.
+    """Domain-only R-tree predicate: geometry filters, the slab scan classifies.
 
     :meth:`StrategyEvaluator.affected_queries` retrieves every query
     point inside the workload domain with one scan, then runs the slab
-    test as a batched ``slab_crossings`` kernel pass — so the per-leaf
+    test as a batched :func:`_slab_crossings` pass — so the per-leaf
     predicate accepts everything.
     """
     return True
@@ -206,9 +222,9 @@ class StrategyEvaluator:
         The retrieval runs in two stages: one R-tree scan collects the
         candidate query points inside the domain, then the slab
         classification runs as one batched pass per chunk of other
-        objects through the ``slab_crossings`` kernel
-        (:mod:`repro.native`) instead of a per-candidate python closure
-        — the hottest loop of the incremental path.
+        objects through :func:`_slab_crossings` instead of a
+        per-candidate python closure — the hottest loop of the
+        incremental path.
         """
         dataset = self.index.dataset
         old_position = np.asarray(old_position, dtype=float)
@@ -226,7 +242,6 @@ class StrategyEvaluator:
         if candidates.size == 0 or others.size == 0:
             return np.empty(0, dtype=np.intp)
         points = self.index.queries.weights[candidates]  # (c, d)
-        crossing = _kernel("slab_crossings")
         mask = np.zeros(candidates.shape[0], dtype=bool)
         # Chunk the (c, b) slab matrices like evaluate_many chunks its
         # score blocks, so huge workloads never materialize c x (n-1).
@@ -236,7 +251,7 @@ class StrategyEvaluator:
             theta = points @ block.T  # (c, b) other-object scores
             old_values = points @ (old_position - block).T
             new_values = points @ (new_position - block).T
-            mask |= crossing(old_values, new_values, theta, _TIE_TOL).any(axis=1)
+            mask |= _slab_crossings(old_values, new_values, theta).any(axis=1)
         affected = candidates[mask]
         self.affected_retrieved += int(affected.shape[0])
         return affected

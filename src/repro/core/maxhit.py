@@ -44,7 +44,7 @@ def max_hit_iq(
 ) -> IQResult:
     """Algorithm 4 in internal (min-convention) coordinates."""
     index = evaluator.index
-    if budget < 0:
+    if not budget >= 0:  # also rejects NaN
         raise ValidationError(f"budget must be non-negative, got {budget}")
     if cost.dim != index.dataset.dim:
         raise ValidationError(f"cost dim {cost.dim} != dataset dim {index.dataset.dim}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from repro.core.boundary import describe_cost, describe_space
 from repro.core.cost import CostFunction
 from repro.core.sharding import IndexProtocol
-from repro.core.solvers import QUERY_KINDS, Solver
+from repro.core.solvers import QUERY_KINDS, Solver, check_goal
 from repro.core.strategy import StrategySpace
 from repro.errors import ValidationError
 
@@ -55,8 +55,6 @@ PLAN_FIELDS = (
     "num_hyperplanes",
     "epoch",
     "workers",
-    "kernel",
-    "kernel_backend",
     "shards",
     "routing",
     "shard_sizes",
@@ -105,8 +103,6 @@ class ExecutionPlan:
     num_hyperplanes: int = 0
     epoch: int = 0  #: index epoch the plan was built against
     workers: int = 0  #: construction pool size (0/1 = serial reference path)
-    kernel: str = "auto"  #: requested kernel backend (--kernel / REPRO_KERNEL)
-    kernel_backend: str = "python"  #: resolved backend the kernels dispatch to
     shards: int = 1  #: index shard count (1 = monolithic)
     routing: str = "none"  #: shard routing policy ("none" when monolithic)
     shard_sizes: tuple[int, ...] = ()  #: workload queries per shard
@@ -143,8 +139,6 @@ class ExecutionPlan:
             "num_hyperplanes": self.num_hyperplanes,
             "epoch": self.epoch,
             "workers": self.workers,
-            "kernel": self.kernel,
-            "kernel_backend": self.kernel_backend,
             "shards": self.shards,
             "routing": self.routing,
             "shard_sizes": list(self.shard_sizes),
@@ -259,17 +253,13 @@ def build_plan(
     cost: CostFunction,
     space: StrategySpace | None,
     extra_notes: tuple[str, ...] = (),
-    kernel: tuple[str, str] = ("auto", "python"),
 ) -> ExecutionPlan:
     """Assemble the frozen plan for one query against one index state.
 
     ``cost`` and ``space`` must already be internalized (the engine's
     boundary step does this); the index statistics and ``epoch`` are
     snapshotted here, so a stale plan is detectable by comparing its
-    ``epoch`` against ``index.epoch``.  ``kernel`` is the engine's
-    ``(requested, resolved)`` backend pair — EXPLAIN shows both so a
-    ``native`` request that degraded to python (numba absent) is
-    visible.
+    ``epoch`` against ``index.epoch``.
     """
     if kind not in QUERY_KINDS:
         raise ValidationError(f"kind must be one of {QUERY_KINDS}, got {kind!r}")
@@ -284,7 +274,7 @@ def build_plan(
         kind=kind,
         solver=solver,
         target=int(target),
-        goal=float(goal),
+        goal=check_goal(kind, goal),
         sense=index.dataset.sense,
         index_mode=index.mode,
         partition_method=index.partition_method,
@@ -292,8 +282,6 @@ def build_plan(
         num_hyperplanes=index.num_hyperplanes,
         epoch=index.epoch,
         workers=index.workers,
-        kernel=kernel[0],
-        kernel_backend=kernel[1],
         shards=index.shards,
         routing=index.routing,
         shard_sizes=index.shard_sizes,

@@ -35,6 +35,7 @@ dispatch point.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, TypeVar, runtime_checkable
 
 from repro.baselines.greedy import greedy_max_hit_iq, greedy_min_cost_iq
@@ -51,6 +52,7 @@ from repro.errors import ValidationError
 __all__ = [
     "Solver",
     "SolverBase",
+    "check_goal",
     "register_solver",
     "get_solver",
     "registered_solvers",
@@ -59,6 +61,18 @@ __all__ = [
 
 #: The two query kinds a solver must process.
 QUERY_KINDS = ("min_cost", "max_hit")
+
+
+def check_goal(kind: str, goal: float) -> float:
+    """Validate an IQ goal: a Min-Cost tau is a finite whole number of
+    hits, a Max-Hit budget is any number but NaN (an infinite budget
+    means no spending cap)."""
+    value = float(goal)
+    if kind == "min_cost" and not (math.isfinite(value) and value.is_integer()):
+        raise ValidationError(f"tau must be a whole number of hits, got {goal}")
+    if kind == "max_hit" and math.isnan(value):
+        raise ValidationError(f"budget must be a number, got {goal}")
+    return value
 
 
 @runtime_checkable
@@ -153,10 +167,11 @@ class SolverBase:
         **kwargs: object,
     ) -> IQResult:
         """Execute one improvement query of the given kind."""
+        value = check_goal(kind, goal)
         if kind == "min_cost":
-            return self.min_cost(evaluator, target, int(goal), cost, space, **kwargs)
+            return self.min_cost(evaluator, target, int(value), cost, space, **kwargs)
         if kind == "max_hit":
-            return self.max_hit(evaluator, target, float(goal), cost, space, **kwargs)
+            return self.max_hit(evaluator, target, value, cost, space, **kwargs)
         raise ValidationError(f"kind must be one of {QUERY_KINDS}, got {kind!r}")
 
 

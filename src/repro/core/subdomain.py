@@ -63,7 +63,6 @@ from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
 from repro.index.rtree import Rect, RTree
-from repro.native import kernel as _kernel
 from repro.parallel.construction import parallel_partition
 from repro.parallel.pool import resolve_workers
 
@@ -967,11 +966,17 @@ def _beats_batch(
     :meth:`~repro.core.ese.StrategyEvaluator.evaluate_many` can never
     drift from the per-position path.
 
-    Dispatches through the kernel registry (:mod:`repro.native`): the
-    canonical implementation is the ``beats_batch`` python kernel, and
-    the active backend may swap in its float-exact numba twin.
+    Position ``j`` beats query ``i``'s threshold strictly, ties within
+    the relative band and wins the id tie-break (``target <
+    kth_ids[i]``), or meets an infinite threshold.
     """
-    return _kernel("beats_batch")(scores, theta, target, kth_ids, _TIE_TOL)
+    always = np.isinf(theta)
+    finite_theta = np.where(always, 0.0, theta)
+    band = _TIE_TOL * np.maximum(1.0, np.abs(finite_theta))
+    tie_ok = target < kth_ids
+    strict = scores < (finite_theta - band)[:, None]
+    tie = (np.abs(scores - finite_theta[:, None]) <= band[:, None]) & tie_ok[:, None]
+    return always[:, None] | strict | tie
 
 
 def _beats(scores: np.ndarray, theta: np.ndarray, target: int, kth_ids: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ class AdjustClause:
 @dataclass(frozen=True)
 class Improve:
     """IMPROVE objects TARGET WHERE ... USING idx REACH n | BUDGET x
-    [COST L1|L2|LINF] [ADJUST ...] [METHOD name] [KERNEL backend] [APPLY]"""
+    [COST L1|L2|LINF] [ADJUST ...] [METHOD name] [APPLY]"""
 
     table: str
     where: object
@@ -141,7 +141,6 @@ class Improve:
     cost: str = "L2"
     adjust: list = field(default_factory=list)  #: [AdjustClause, ...]
     method: str = "efficient"
-    kernel: str | None = None  #: per-statement kernel backend override
     apply: bool = False
 
 

@@ -30,8 +30,7 @@ from repro.core.queries import QuerySet
 from repro.core.strategy import StrategySpace
 from repro.dbms import ast_nodes as ast
 from repro.dbms.catalog import Catalog
-from repro.errors import SQLCatalogError, SQLExecutionError, ValidationError
-from repro.native import resolve_backend
+from repro.errors import SQLCatalogError, SQLExecutionError
 
 __all__ = ["ImprovementService", "IndexDefinition"]
 
@@ -142,13 +141,6 @@ class ImprovementService:
         if not targets:
             raise SQLExecutionError("TARGET WHERE matched no rows")
         engine = self._engine(definition)
-        # KERNEL is per-statement: re-resolve the cached engine's backend
-        # every time, so a statement without the clause falls back to the
-        # session default instead of inheriting an earlier override.
-        try:
-            engine.kernel_requested, engine.kernel_backend = resolve_backend(stmt.kernel)
-        except ValidationError as exc:
-            raise SQLExecutionError(str(exc)) from exc
 
         cost_cls = _COSTS.get(stmt.cost)
         if cost_cls is None:

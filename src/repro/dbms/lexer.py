@@ -27,7 +27,7 @@ KEYWORDS = {
     # improvement-query extension
     "IMPROVEMENT", "INDEX", "ON", "USING", "QUERIES", "SENSE", "MIN",
     "MAX", "IMPROVE", "TARGET", "REACH", "BUDGET", "COST", "ADJUST",
-    "BETWEEN", "FROZEN", "APPLY", "METHOD", "EXPLAIN", "ANALYZE", "KERNEL",
+    "BETWEEN", "FROZEN", "APPLY", "METHOD", "EXPLAIN", "ANALYZE",
 }
 
 _PUNCT = {"(", ")", ",", "*", "+", "-", "/", ";", "."}

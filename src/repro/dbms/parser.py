@@ -292,19 +292,19 @@ class _Parser:
         cost = "L2"
         adjust = []
         method = "efficient"
-        kernel = None
         apply = False
         while True:
             if self.accept_keyword("REACH"):
-                reach = int(self.number())
+                value = self.number()
+                if not value.is_integer():
+                    raise SQLSyntaxError(f"REACH needs a whole number of hits, got {value}")
+                reach = int(value)
             elif self.accept_keyword("BUDGET"):
                 budget = self.number()
             elif self.accept_keyword("COST"):
                 cost = self.identifier().upper()
             elif self.accept_keyword("METHOD"):
                 method = self.identifier().lower()
-            elif self.accept_keyword("KERNEL"):
-                kernel = self.identifier().lower()
             elif self.accept_keyword("APPLY"):
                 apply = True
             elif self.accept_keyword("ADJUST"):
@@ -322,7 +322,6 @@ class _Parser:
             cost=cost,
             adjust=adjust,
             method=method,
-            kernel=kernel,
             apply=apply,
         )
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.geometry.hyperplane import EPS
-from repro.native import kernel as _kernel
 
 __all__ = [
     "signature_matrix",
@@ -41,12 +40,8 @@ def signature_matrix(points: np.ndarray, normals: np.ndarray, tol: float = EPS) 
     -------
     ``(m, h)`` ``int8`` matrix with entries ``+1`` (*above*:
     ``q . n <= 0``) or ``-1`` (*below*), matching the paper's convention
-    that boundary points count as above.
-
-    The float64 offset products are computed here once and the int8
-    classification dispatches through the ``signature_matrix`` kernel
-    (:mod:`repro.native`), so the python and native backends classify
-    identical inputs — which is what keeps them bit-exact.
+    that boundary points count as above: an offset ``<= tol`` is
+    side ``+1``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -57,7 +52,7 @@ def signature_matrix(points: np.ndarray, normals: np.ndarray, tol: float = EPS) 
             f"dimension mismatch: points are {points.shape[1]}-D, normals {normals.shape[1]}-D"
         )
     values = points @ normals.T
-    return _kernel("signature_matrix")(values, tol)
+    return np.where(values <= tol, np.int8(1), np.int8(-1))
 
 
 def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:

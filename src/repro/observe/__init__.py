@@ -1,8 +1,8 @@
-"""Runtime observability: stage timing, run stats, and planner feedback.
+"""Runtime observability: stage timing and recorded run stats.
 
 This package is the *only* place in the library allowed to read the
-process's monotonic wall clock (lint rule **RPR014**, the RPR013
-registry pattern applied to timing): every other module that wants a
+process's monotonic wall clock (lint rule **RPR014**): every other
+module that wants a
 timestamp — the bench harness, the serving front end, the engine's
 ``EXPLAIN ANALYZE`` path — imports :mod:`repro.observe.clock` instead
 of calling :func:`time.perf_counter` directly.  Confined timing is what
@@ -21,13 +21,9 @@ Layers, bottom to top:
 * :mod:`repro.observe.store` — the persisted :class:`StatsStore`:
   analyzed runs are recorded under a workload-shape fingerprint, as JSON
   when a path is configured (``--stats`` / ``REPRO_STATS``).
-* :mod:`repro.observe.feedback` — the feedback planner rule: an
-  ``auto`` kernel request chooses from recorded medians, and the choice
-  carries a note citing the stat behind it.
 """
 
 from repro.observe.clock import Stopwatch, now, time_call
-from repro.observe.feedback import Choice, choose_kernel
 from repro.observe.stats import (
     COUNTERS,
     STAGES,
@@ -45,12 +41,10 @@ from repro.observe.store import (
 
 __all__ = [
     "COUNTERS",
-    "Choice",
     "STAGES",
     "StageRecorder",
     "StatsStore",
     "Stopwatch",
-    "choose_kernel",
     "configure_store",
     "default_store",
     "now",

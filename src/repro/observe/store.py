@@ -1,19 +1,19 @@
-"""The persisted runtime-stats store feeding the feedback planner.
+"""The persisted runtime-stats store of ``EXPLAIN ANALYZE`` runs.
 
 Every ``EXPLAIN ANALYZE`` run records one entry — solver method, total
-seconds, evaluation count, resolved kernel backend, pool/shard shape —
-under a *workload fingerprint*: the query kind plus the index's mode,
-sense, dimensionality, and size buckets.  Sizes are bucketed to powers
-of two so a 24-object workload and a 30-object workload share stats (a
-planner that only recognizes byte-identical workloads never has data),
-while a 10x larger one does not.
+seconds, evaluation count, pool/shard shape — under a *workload
+fingerprint*: the query kind plus the index's mode, sense,
+dimensionality, and size buckets.  Sizes are bucketed to powers of two
+so a 24-object workload and a 30-object workload share stats, while a
+10x larger one does not.
 
 The store is JSON on disk when constructed with a path (CLI ``--stats``
-or the ``REPRO_STATS`` environment variable) and memory-only otherwise;
-either way the feedback rules in :mod:`repro.observe.feedback` read it
-through the same API.  Samples per (fingerprint, method) are capped at
-:data:`MAX_SAMPLES`, keeping the newest — the feedback medians should
-track the current machine, not the file's whole history.
+or the ``REPRO_STATS`` environment variable) and memory-only otherwise.
+A path holding anything but a stats file this module wrote is refused
+with :class:`~repro.errors.ValidationError` and left untouched.  Samples
+per (fingerprint, method) are capped at :data:`MAX_SAMPLES`, keeping
+the newest, so the file tracks the current machine rather than its
+whole history.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from __future__ import annotations
 import json
 import os
 import threading
+from pathlib import Path
 from typing import Any, Protocol
+
+from repro.errors import ValidationError
+from repro.index.mmapio import replace_file
 
 __all__ = [
     "MAX_SAMPLES",
@@ -69,10 +73,9 @@ def _bucket(count: int) -> int:
 def workload_fingerprint(index: _IndexLike, kind: str) -> str:
     """The stats-store key for one query kind against one index shape.
 
-    Deliberately excludes the solver method and the kernel backend —
-    those are the *dimensions being compared* under the key — and the
-    index epoch: mutations move answers, not the relative cost of the
-    processing schemes.
+    Deliberately excludes the solver method — the dimension being
+    compared under the key — and the index epoch: mutations move
+    answers, not the relative cost of the processing schemes.
     """
     dataset = index.dataset
     queries = index.queries  # type: ignore[attr-defined]
@@ -102,34 +105,55 @@ class StatsStore:
     # Persistence
     # ------------------------------------------------------------------
     def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != STATS_SCHEMA:
-            # A foreign or future file must not silently poison the
-            # feedback medians; start fresh and overwrite on save.
-            return
+        """Read a stats file, refusing anything this module did not write.
+
+        A foreign or damaged file raises before the store holds a path
+        it could save over, so the file stays byte-identical.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read stats file {path}: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("schema") != STATS_SCHEMA:
+            raise ValidationError(
+                f"{path} is not a {STATS_SCHEMA} stats file; "
+                f"refusing to read or overwrite it"
+            )
         workloads = payload.get("workloads", {})
-        if isinstance(workloads, dict):
-            self._workloads = {
-                str(fingerprint): {
-                    str(method): [dict(sample) for sample in samples][-MAX_SAMPLES:]
-                    for method, samples in methods.items()
-                    if isinstance(samples, list)
-                }
-                for fingerprint, methods in workloads.items()
-                if isinstance(methods, dict)
+        well_formed = isinstance(workloads, dict) and all(
+            isinstance(methods, dict)
+            and all(
+                isinstance(samples, list) and all(isinstance(x, dict) for x in samples)
+                for samples in methods.values()
+            )
+            for methods in workloads.values()
+        )
+        if not well_formed:
+            raise ValidationError(
+                f"stats file {path} is malformed: 'workloads' must map "
+                f"fingerprint -> method -> list of sample objects"
+            )
+        self._workloads = {
+            fingerprint: {
+                method: [dict(sample) for sample in samples][-MAX_SAMPLES:]
+                for method, samples in methods.items()
             }
+            for fingerprint, methods in workloads.items()
+        }
 
     def save(self) -> None:
-        """Write the store to its path (no-op for memory-only stores)."""
+        """Write the store to its path (no-op for memory-only stores).
+
+        Writes a temporary file and renames it into place, so an
+        interrupted save never leaves a truncated stats file.
+        """
         if self.path is None:
             return
         # Snapshot under the lock, write after release (RPR011): file
-        # I/O must not stall a serving thread reading the medians.
-        payload = self.as_dict()
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        # I/O must not stall a serving thread recording a run.
+        text = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        replace_file(Path(self.path), lambda handle: handle.write(text.encode("utf-8")))
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot (what :meth:`save` persists)."""
@@ -150,8 +174,8 @@ class StatsStore:
 
         Accepts any object with the executed-plan surface (duck-typed so
         this layer never imports :mod:`repro.core`): ``fingerprint``,
-        ``solver_name``, ``total_seconds``, ``evaluations``,
-        ``kernel_backend``, ``workers``, ``shards``.
+        ``solver_name``, ``total_seconds``, ``evaluations``, ``workers``,
+        ``shards``.
         """
         fingerprint = str(plan.fingerprint)
         if not fingerprint:
@@ -159,7 +183,6 @@ class StatsStore:
         sample = {
             "seconds": float(plan.total_seconds),
             "evaluations": int(plan.evaluations),
-            "kernel": str(plan.kernel_backend),
             "workers": int(plan.workers),
             "shards": int(plan.shards),
         }
@@ -171,7 +194,7 @@ class StatsStore:
         self.save()
 
     # ------------------------------------------------------------------
-    # Reading (the feedback rules' API)
+    # Reading
     # ------------------------------------------------------------------
     def fingerprints(self) -> list[str]:
         """Sorted workload fingerprints with at least one recorded run."""
@@ -183,31 +206,6 @@ class StatsStore:
         with self._lock:
             methods = self._workloads.get(fingerprint, {})
             return {method: list(samples) for method, samples in methods.items()}
-
-    def knob_medians(self, fingerprint: str, knob: str) -> list[tuple[str, float, int]]:
-        """``(value, median_seconds, runs)`` per recorded ``knob`` value.
-
-        ``knob`` is a sample field (``kernel``, ``workers``, ``shards``);
-        values are compared across *all* methods recorded under the
-        fingerprint, sorted fastest first.
-        """
-        groups: dict[str, list[float]] = {}
-        for samples in self.samples(fingerprint).values():
-            for sample in samples:
-                if knob in sample:
-                    groups.setdefault(str(sample[knob]), []).append(float(sample["seconds"]))
-        out = [(value, _median(seconds), len(seconds)) for value, seconds in groups.items()]
-        return sorted(out, key=lambda item: (item[1], item[0]))
-
-
-def _median(values: Any) -> float:
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        return 0.0
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 #: Process-default store, created lazily from ``REPRO_STATS``.

@@ -79,9 +79,11 @@ def _run_one(engine: "ImprovementQueryEngine", request: IQRequest) -> "IQResult"
     """Execute one request against the engine (serial and worker path)."""
     kwargs = dict(request.options)
     if request.kind == "min_cost":
+        # Passed on unconverted: the solver boundary rejects a tau that
+        # is not a whole number with a typed error.
         return engine.min_cost(
             request.target,
-            int(request.goal),
+            request.goal,  # type: ignore[arg-type]
             cost=request.cost,
             space=request.space,
             method=request.method,

@@ -92,7 +92,6 @@ class ServerStats:
     seconds: float = 0.0  #: wall-clock time of the serve session (so far)
     dispatch_seconds: float = 0.0  #: wall-clock spent inside pool dispatches
     workers: int = 0  #: resolved pool size (0/1 = serial reference)
-    kernel: str = "python"  #: resolved kernel backend the engine serves with
     mmap_resident: int = 0  #: hot arrays served zero-copy from the page cache
 
     @property
@@ -382,7 +381,6 @@ class IQServer:
         self._serving = True
         self._stats = ServerStats(
             workers=self._pool.workers,
-            kernel=self._pool.engine.kernel_backend,
             mmap_resident=self._pool.mmap_resident,
         )
         self._writer = writer

@@ -1,9 +1,8 @@
 """Shared fault injection for the harness canary tests.
 
 The ESE hot path classifies queries against the slab boundaries through
-the registered ``slab_crossings`` kernel (every backend slot resolves
-through :mod:`repro.native.registry`), so re-creating the pre-fix
-tie-band-blind predicate must patch the registry — patching the scalar
+the batched ``ese._slab_crossings``, so re-creating the pre-fix
+tie-band-blind predicate must patch that function — patching the scalar
 reference helper ``ese._slab_region`` would leave the vectorized path
 that actually runs untouched and the canary powerless.
 """
@@ -11,25 +10,15 @@ that actually runs untouched and the canary powerless.
 import numpy as np
 import pytest
 
-from repro.native import registry as _registry
+from repro.core import ese
 
 
 @pytest.fixture
 def tie_band_blind(monkeypatch):
-    """Inject the pre-fix predicate: affected iff the raw slab sign flips.
+    """Inject the pre-fix predicate: affected iff the raw slab sign flips."""
 
-    Patches every registry slot the dispatch can reach (the python
-    canon, the active snapshot, and — where numba registered one — the
-    compiled twin), so the fault survives the engine's per-execution
-    ``use_backend`` re-pin, which rebuilds the active snapshot from the
-    backend dicts.
-    """
-
-    def sign_only(old_values, new_values, theta, tie_tol):
+    def sign_only(old_values, new_values, theta):
         return (np.asarray(old_values) > 0) != (np.asarray(new_values) > 0)
 
-    monkeypatch.setitem(_registry._PYTHON, "slab_crossings", sign_only)
-    monkeypatch.setitem(_registry._ACTIVE, "slab_crossings", sign_only)
-    if "slab_crossings" in _registry._NATIVE:
-        monkeypatch.setitem(_registry._NATIVE, "slab_crossings", sign_only)
+    monkeypatch.setattr(ese, "_slab_crossings", sign_only)
     return sign_only

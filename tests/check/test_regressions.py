@@ -4,9 +4,8 @@ Each test pins one fix: the ESE-parity tie-band slab test, the
 relevant-mode ``add_object`` contender closure, the once-only Max-Hit
 budget slack, and the shared Eq. 6 kernel behind ``evaluate_many``.
 Where practical, the pre-fix behaviour is re-created in place (the
-``tie_band_blind`` fixture patches the registered ``slab_crossings``
-kernel back to its old sign-only form) to show the test really
-distinguishes the two.
+``tie_band_blind`` fixture patches ``ese._slab_crossings`` back to its
+old sign-only form) to show the test really distinguishes the two.
 """
 
 import numpy as np

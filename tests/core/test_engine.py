@@ -61,6 +61,32 @@ class TestMethodDispatch:
             assert result.total_cost <= 0.5 + 1e-9
 
 
+class TestGoalValidation:
+    """Bad IQ goals raise ValidationError instead of a wrong answer."""
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 2.7])
+    def test_tau_must_be_a_finite_whole_number(self, engine, tau):
+        with pytest.raises(ValidationError, match="tau must be a whole number"):
+            engine.min_cost(0, tau=tau)
+        with pytest.raises(ValidationError, match="tau must be a whole number"):
+            engine.explain(0, tau=tau)
+        with pytest.raises(ValidationError, match="tau must be a whole number"):
+            engine.min_cost_multi([0, 1], tau=tau)
+
+    def test_integral_float_tau_is_accepted(self, engine):
+        assert engine.min_cost(0, tau=5.0).hits_after == engine.min_cost(0, tau=5).hits_after
+
+    def test_nan_budget_rejected(self, engine):
+        with pytest.raises(ValidationError, match="budget must be a number"):
+            engine.max_hit(0, budget=float("nan"))
+        with pytest.raises(ValidationError, match="budget must be a number"):
+            engine.max_hit_multi([0, 1], budget=float("nan"))
+
+    def test_infinite_budget_stays_legal(self, engine):
+        result = engine.max_hit(0, budget=float("inf"))
+        assert result.hits_after >= result.hits_before
+
+
 class TestMaxSense:
     """The camera example convention: higher utility is better."""
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.core.ese import StrategyEvaluator
+from repro.core.ese import StrategyEvaluator, _slab_crossings
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import _TIE_TOL, SubdomainIndex
 from repro.errors import ValidationError
 from repro.topk.evaluate import top_k
 
@@ -126,3 +126,30 @@ class TestAffectedSubspace:
         old = dataset.matrix[target]
         evaluator.evaluate_affected(target, old, old + rng.normal(scale=0.3, size=3))
         assert evaluator.incremental_evaluations == 1
+
+
+class TestSlabCrossings:
+    """The batched slab scan behind :meth:`StrategyEvaluator.affected_queries`."""
+
+    def test_region_change_detected_both_directions(self):
+        theta = np.array([1.0, 1.0, 1.0])
+        band = _TIE_TOL * 1.0
+        old = np.array([2 * band, 2 * band, -2 * band])
+        new = np.array([-2 * band, 2 * band, 0.0])
+        out = _slab_crossings(old, new, theta)
+        assert out.dtype == np.bool_
+        # sign flip and band entry are crossings; unchanged region is not
+        assert out.tolist() == [True, False, True]
+
+    def test_entering_the_band_counts_without_sign_flip(self):
+        # The tie-band region (-1/0/+1) is what matters: moving from
+        # above the band to inside it flips membership through the id
+        # tie-break even though the raw sign never changes.
+        theta = np.array([1.0])
+        band = _TIE_TOL * 1.0
+        out = _slab_crossings(np.array([2 * band]), np.array([band / 2]), theta)
+        assert out.tolist() == [True]
+
+    def test_empty(self):
+        empty = np.empty(0)
+        assert _slab_crossings(empty, empty, empty).shape == (0,)

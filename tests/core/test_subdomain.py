@@ -5,7 +5,13 @@ from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.sharding import build_index
-from repro.core.subdomain import SubdomainIndex, find_subdomains, relevant_pairs
+from repro.core.subdomain import (
+    _TIE_TOL,
+    SubdomainIndex,
+    _beats_batch,
+    find_subdomains,
+    relevant_pairs,
+)
 from repro.errors import ValidationError
 from repro.topk.evaluate import kth_score, top_k
 
@@ -278,3 +284,43 @@ class TestBoundaries:
     def test_memory_estimate_positive(self, rng):
         __, __, index = build(rng)
         assert index.memory_estimate() > 0
+
+
+class TestBeatsBatch:
+    """Eq. 6 membership over an ``(m, c)`` score block."""
+
+    def test_infinite_threshold_always_hits(self):
+        scores = np.array([[5.0, -5.0], [0.5, 0.4]])
+        theta = np.array([np.inf, 0.3])
+        kth = np.array([7, 1], dtype=np.intp)
+        out = _beats_batch(scores, theta, 3, kth)
+        assert out.dtype == np.bool_
+        assert out[0].all()  # fewer than k others: every position hits
+        assert not out[1].any()  # above a finite threshold: no hit
+
+    def test_strict_beat_below_band(self):
+        theta = np.array([1.0])
+        band = _TIE_TOL * 1.0
+        scores = np.array([[1.0 - 2 * band, 1.0 + 2 * band]])
+        out = _beats_batch(scores, theta, 0, np.array([9], dtype=np.intp))
+        assert out.tolist() == [[True, False]]
+
+    def test_tie_band_uses_id_tie_break(self):
+        theta = np.array([1.0, 1.0])
+        scores = np.full((2, 1), 1.0)  # exactly on the threshold
+        kth = np.array([5, 5], dtype=np.intp)
+        wins = _beats_batch(scores, theta, 2, kth)  # target 2 < kth 5
+        loses = _beats_batch(scores, theta, 8, kth)  # target 8 > kth 5
+        assert wins.all()
+        assert not loses.any()
+
+    def test_band_scales_relative_to_threshold(self):
+        # |theta| > 1 widens the band: a score off by theta*tol/2 still ties.
+        theta = np.array([100.0])
+        near = 100.0 + 100.0 * _TIE_TOL / 2
+        out = _beats_batch(np.array([[near]]), theta, 0, np.array([9], dtype=np.intp))
+        assert out.all()
+
+    def test_empty_block(self):
+        out = _beats_batch(np.empty((0, 4)), np.empty(0), 0, np.empty(0, dtype=np.intp))
+        assert out.shape == (0, 4)

@@ -221,46 +221,6 @@ class TestExplainImprove:
         # (negated) adjustment interval the solver actually receives.
         assert result.column("space") == ["box(lower=[0, 0, 0], upper=[0, 0, 100])"]
 
-    def test_kernel_clause_reported_requested_and_resolved(self, db):
-        from repro.native import native_available
-
-        result = db.execute(
-            "EXPLAIN IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 "
-            "KERNEL native"
-        )
-        assert result.column("kernel") == ["native"]
-        expected = "native" if native_available() else "python"
-        assert result.column("kernel_backend") == [expected]
-
-    def test_kernel_override_is_per_statement_not_sticky(self, db, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        db.execute(
-            "EXPLAIN IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 "
-            "KERNEL python"
-        )
-        # A following statement without the clause falls back to the
-        # session default (auto), not the earlier override.
-        result = db.execute(
-            "EXPLAIN IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3"
-        )
-        assert result.column("kernel") == ["auto"]
-
-    def test_unknown_kernel_is_execution_error(self, db):
-        with pytest.raises(SQLExecutionError, match="fortran"):
-            db.execute(
-                "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 "
-                "KERNEL fortran"
-            )
-
-    def test_kernel_backends_agree_on_answers(self, db):
-        python = db.execute(
-            "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 KERNEL python"
-        )
-        native = db.execute(
-            "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 KERNEL native"
-        )
-        assert python.rows == native.rows
-
     def test_explain_does_not_execute(self, db):
         before = db.execute("SELECT * FROM cameras").rows
         db.execute(

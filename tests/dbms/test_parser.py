@@ -110,14 +110,13 @@ class TestImprovementExtension:
         assert stmt.cost == "L2" and not stmt.apply
 
     def test_improve_kernel_clause(self):
-        stmt = parse(
-            "IMPROVE cars TARGET WHERE rowid = 0 USING idx REACH 5 KERNEL native"
-        )
-        assert stmt.kernel == "native"
+        # The kernel backend switch is gone: KERNEL is no longer a clause.
+        with pytest.raises(SQLSyntaxError):
+            parse("IMPROVE cars TARGET WHERE rowid = 0 USING idx REACH 5 KERNEL native")
 
-    def test_kernel_defaults_to_session_resolution(self):
-        stmt = parse("IMPROVE cars TARGET WHERE rowid = 0 USING idx REACH 5")
-        assert stmt.kernel is None
+    def test_fractional_reach_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="whole number"):
+            parse("IMPROVE cars TARGET WHERE rowid = 0 USING idx REACH 2.7")
 
     def test_reach_and_budget_mutually_exclusive(self):
         with pytest.raises(SQLSyntaxError):

@@ -30,6 +30,17 @@ class TestSignatureMatrix:
         sig = signature_matrix(rng.random((5, 3)), rng.normal(size=(4, 3)))
         assert sig.dtype == np.int8
 
+    def test_side_convention(self):
+        # 1-D points against scalar normals: the offsets are the normals.
+        normals = np.array([[-1.0], [0.0], [1e-12], [1.0]])
+        out = signature_matrix(np.array([[1.0]]), normals, 1e-9)
+        assert out.dtype == np.int8
+        assert out.tolist() == [[1, 1, 1, -1]]  # <= tol is side 1
+
+    def test_exactly_on_tolerance_is_side_one(self):
+        out = signature_matrix(np.array([[1.0]]), np.array([[1e-9]]), 1e-9)
+        assert out.tolist() == [[1]]
+
 
 class TestGrouping:
     def test_identical_rows_grouped(self):

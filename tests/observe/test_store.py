@@ -1,11 +1,19 @@
-"""The persisted stats store: recording, medians, caps, persistence."""
+"""The persisted stats store: recording, caps, persistence, refusals."""
 
 import json
+import os
+import re
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from repro.core.engine import ImprovementQueryEngine
+from repro.core.objects import Dataset
+from repro.core.queries import QuerySet
+from repro.errors import ValidationError
 from repro.observe import StatsStore, configure_store, default_store
+from repro.observe import store as store_module
 from repro.observe.store import MAX_SAMPLES, STATS_SCHEMA
 
 
@@ -17,7 +25,6 @@ class FakeExecuted:
     solver_name: str = "efficient"
     total_seconds: float = 0.002
     evaluations: int = 19
-    kernel_backend: str = "python"
     workers: int = 0
     shards: int = 0
 
@@ -28,8 +35,9 @@ class TestRecording:
         store.record(FakeExecuted())
         samples = store.samples(FakeExecuted.fingerprint)
         assert list(samples) == ["efficient"]
-        assert samples["efficient"][0]["seconds"] == 0.002
-        assert samples["efficient"][0]["kernel"] == "python"
+        assert samples["efficient"][0] == {
+            "seconds": 0.002, "evaluations": 19, "workers": 0, "shards": 0,
+        }
 
     def test_empty_fingerprint_not_recorded(self):
         store = StatsStore(None)
@@ -46,25 +54,10 @@ class TestRecording:
         assert samples[0]["seconds"] == 5.0  # oldest five evicted
 
 
-class TestMedians:
-    def test_knob_medians_group_across_methods(self):
-        store = StatsStore(None)
-        for seconds in (0.03, 0.01, 0.02):
-            store.record(FakeExecuted(kernel_backend="python", total_seconds=seconds))
-        store.record(
-            FakeExecuted(
-                solver_name="rta", kernel_backend="native", total_seconds=0.001
-            )
-        )
-        ranked = store.knob_medians(FakeExecuted.fingerprint, "kernel")
-        assert [value for value, _, _ in ranked] == ["native", "python"]
-        assert ranked[1][1] == 0.02  # median of the three python samples
-        assert ranked[1][2] == 3
-
     def test_unknown_fingerprint_is_empty(self):
         store = StatsStore(None)
         assert store.samples("nope") == {}
-        assert store.knob_medians("nope", "kernel") == []
+        assert store.fingerprints() == []
 
 
 class TestPersistence:
@@ -75,15 +68,26 @@ class TestPersistence:
         reloaded = StatsStore(path)
         fingerprint = FakeExecuted.fingerprint
         assert reloaded.samples(fingerprint) == store.samples(fingerprint)
-        assert reloaded.knob_medians(fingerprint, "kernel") == store.knob_medians(
-            fingerprint, "kernel"
-        )
+        assert reloaded.fingerprints() == [fingerprint]
 
-    def test_foreign_schema_ignored(self, tmp_path):
+    def test_save_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "stats.json"
-        path.write_text(json.dumps({"schema": "other/9", "workloads": {"x": {}}}))
-        store = StatsStore(path)
-        assert store.fingerprints() == []
+        StatsStore(path).record(FakeExecuted())
+        assert os.listdir(tmp_path) == ["stats.json"]
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "stats.json"
+        StatsStore(path).record(FakeExecuted())
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="disk full"):
+            StatsStore(path).record(FakeExecuted(total_seconds=9.0))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["stats.json"]
 
     def test_save_writes_schema_tag(self, tmp_path):
         path = tmp_path / "stats.json"
@@ -110,3 +114,42 @@ class TestDefaultStore:
             # Restore a fresh memory-only default for test isolation.
             configure_store(None)
         assert default_store() is not original
+
+
+#: Files the store did not write: each must be refused, never rewritten.
+FOREIGN_FILES = {
+    "other_schema": json.dumps({"schema": "repro-bench-regression/1", "records": []}),
+    "malformed_json": '{"schema": "repro-stats/1", "workloads": ',
+    "top_level_list": "[1, 2, 3]",
+    "non_list_samples": json.dumps(
+        {"schema": STATS_SCHEMA, "workloads": {"fp": {"efficient": {"seconds": 1}}}}
+    ),
+    "non_object_sample": json.dumps(
+        {"schema": STATS_SCHEMA, "workloads": {"fp": {"efficient": [1]}}}
+    ),
+}
+
+
+class TestForeignFiles:
+    @pytest.mark.parametrize("case", sorted(FOREIGN_FILES))
+    def test_library_refuses_and_leaves_the_file(self, tmp_path, case):
+        path = tmp_path / "stats.json"
+        path.write_text(FOREIGN_FILES[case])
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            StatsStore(path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("case", sorted(FOREIGN_FILES))
+    def test_repro_stats_refuses_and_leaves_the_file(self, tmp_path, monkeypatch, rng, case):
+        path = tmp_path / "stats.json"
+        path.write_text(FOREIGN_FILES[case])
+        before = path.read_bytes()
+        monkeypatch.setenv("REPRO_STATS", str(path))
+        monkeypatch.setattr(store_module, "_DEFAULT", None)
+        engine = ImprovementQueryEngine(
+            Dataset(rng.random((12, 3))), QuerySet(rng.random((10, 3)), ks=np.full(10, 2))
+        )
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            engine.analyze(0, tau=3)
+        assert path.read_bytes() == before

@@ -190,7 +190,6 @@ class _BlockingPool:
         self.generation = 1
         self.restarts = 0
         self.mmap_resident = 0
-        self.engine = types.SimpleNamespace(kernel_backend="python")
         self.started = threading.Event()
         self.release = threading.Event()
 

@@ -139,7 +139,7 @@ class TestRegressionHarness:
         figures = {record["figure"] for record in payload["records"]}
         assert figures == {
             "fig4", "fig5", "fig7", "par_index", "par_batch", "serve", "persist",
-            "shard_build", "shard_update", "native", "analyze_overhead",
+            "shard_build", "shard_update", "analyze_overhead",
         }
         for record in payload["records"]:
             assert record["literal_seconds"] > 0
@@ -157,14 +157,11 @@ class TestRegressionHarness:
                 assert sum(record["config"]["shard_sizes"]) > 0
             if record["figure"] == "shard_update":
                 assert record["config"]["touched_shards"] >= 1
-            if record["figure"] == "native":
-                assert record["config"]["resolved"] in ("python", "native")
             if record["figure"] == "persist":
                 assert record["config"]["dir_bytes"] > 0
             if record["figure"] == "analyze_overhead":
                 assert record["config"]["requests"] >= 2
-        assert payload["kernel"] in ("python", "native")
-        assert isinstance(payload["numba"], bool)
+        assert "kernel" not in payload and "numba" not in payload
 
     def test_cli_entry_point(self, capsys):
         from repro.bench.regression import main

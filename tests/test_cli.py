@@ -79,6 +79,15 @@ class TestImprove:
         assert code == 2
         assert "satisfied False" in out
 
+    def test_nan_budget_exits_1_with_typed_error(self, market_files, capsys):
+        objects, queries = market_files
+        code, out = run(
+            ["improve", objects, queries, "--target", "3", "--budget", "nan"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "budget must be a number" in capsys.readouterr().err
+
     def test_bad_column_errors(self, market_files):
         objects, queries = market_files
         code, __ = run(
@@ -156,6 +165,28 @@ class TestServe:
         assert answered[0]["ok"] is False
         assert answered[1]["ok"] is True
 
+    def test_serve_rejects_bad_goals_with_typed_errors(self, market_files, tmp_path):
+        objects, queries = market_files
+        lines = [
+            json.dumps({"id": 0, "kind": "max_hit", "target": 0, "goal": float("nan")}),
+            json.dumps({"id": 1, "kind": "min_cost", "target": 0, "goal": float("inf")}),
+            json.dumps({"id": 2, "kind": "min_cost", "target": 0, "goal": float("nan")}),
+            json.dumps({"id": 3, "kind": "min_cost", "target": 0, "goal": 2.7}),
+            json.dumps({"id": 4, "kind": "max_hit", "target": 0, "goal": float("inf")}),
+        ]
+        code, out = run(
+            ["serve", objects, queries, "--input", self.write_requests(tmp_path, lines)]
+        )
+        assert code == 0
+        answered = {r["id"]: r for r in [json.loads(line) for line in out.splitlines()]}
+        assert answered[0]["error"].startswith("ValidationError: budget must be a number")
+        for rid in (1, 2, 3):
+            assert answered[rid]["ok"] is False
+            assert answered[rid]["error"].startswith(
+                "ValidationError: tau must be a whole number"
+            )
+        assert answered[4]["ok"] is True  # an infinite budget stays legal
+
     def test_serve_honors_batch_and_queue_flags(self, market_files, tmp_path):
         objects, queries = market_files
         lines = [
@@ -180,6 +211,13 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_kernel_option_is_gone(self, market_files):
+        objects, queries = market_files
+        with pytest.raises(SystemExit) as exc:
+            main(["improve", objects, queries, "--target", "0", "--reach", "3",
+                  "--kernel", "python"])
+        assert exc.value.code == 2
 
 
 class TestExplain:
@@ -276,6 +314,23 @@ class TestExplainAnalyze:
         workloads = json.loads(stats.read_text())["workloads"]
         runs = [sample for methods in workloads.values() for sample in methods["rta"]]
         assert len(runs) == 2
+
+    def test_stats_option_refuses_a_foreign_file(self, market_files, tmp_path, capsys):
+        from repro.observe import configure_store
+
+        objects, queries = market_files
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps({"schema": "repro-bench-regression/1", "records": []}))
+        before = path.read_bytes()
+        argv = ["explain", objects, queries, "--target", "0", "--reach", "3",
+                "--analyze", "--stats", str(path)]
+        try:
+            code, __ = run(argv)
+        finally:
+            configure_store(None)
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
 
 
 class TestIndexPersistence:

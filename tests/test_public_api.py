@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +79,45 @@ def test_public_classes_document_their_methods():
 
 def test_version_is_exposed():
     assert repro.__version__ == "1.0.0"
+
+
+#: A stand-in ``numba`` whose ``njit`` returns the function it wraps.
+FAKE_NUMBA = '''\
+def njit(*args, **kwargs):
+    if len(args) == 1 and callable(args[0]) and not kwargs:
+        return args[0]
+    return lambda func: func
+
+
+jit = njit
+'''
+
+ONE_IQ = '''\
+import numba
+import repro
+from repro.core.engine import ImprovementQueryEngine
+from repro.core.objects import Dataset
+from repro.data.synthetic import independent
+from repro.data.workloads import uniform_queries
+
+assert numba.__file__.startswith(STUB_DIR), numba.__file__
+engine = ImprovementQueryEngine(
+    Dataset(independent(20, 3, seed=1)), uniform_queries(12, 3, seed=2, k_range=(1, 3))
+)
+print(engine.min_cost(0, tau=4).hits_after)
+'''
+
+
+def test_library_imports_with_numba_installed(tmp_path):
+    """Having numba importable must not change what ``import repro`` does."""
+    stub = tmp_path / "stub"
+    (stub / "numba").mkdir(parents=True)
+    (stub / "numba" / "__init__.py").write_text(FAKE_NUMBA)
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(stub), str(src)]))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"STUB_DIR = {str(stub)!r}\n" + ONE_IQ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert int(completed.stdout.strip()) >= 4
