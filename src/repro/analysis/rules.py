@@ -449,8 +449,8 @@ class IndexFactoryRule(Rule):
     through :func:`repro.core.sharding.build_index` or the engine.
     ``core/`` (the implementations and the factory itself), ``check/``
     (differentials deliberately pin both layouts), and the tests are
-    exempt; ``.load``/``.from_partition`` restores are not construction
-    and are never flagged.
+    exempt; ``.load`` restores are not construction and are never
+    flagged.
     """
 
     code = "RPR012"

@@ -14,14 +14,11 @@ of each optimized stage and records wall-clock plus speedup:
   ``method="auto"`` (batched closed form), per sampled target.  The two
   paths must agree on candidate ids, vectors, and costs.
 
-Three more figures cover the parallel execution layer (PR4), reusing
-the same record shape with *serial* in the ``literal_seconds`` slot and
-the optimized path in ``vectorized_seconds``:
+Three more figures cover the parallel execution layer and persistence,
+reusing the same record shape with *serial* (or the rebuild) in the
+``literal_seconds`` slot and the optimized path in
+``vectorized_seconds``:
 
-* **par_index** — serial vs worker-pool ``SubdomainIndex`` construction
-  at the fig7 configuration in ``mode="exact"`` (where construction is
-  the cost center), for each benched worker count; partitions must be
-  bit-for-bit identical.
 * **par_batch** — the fig7 IQ sweep evaluated serially vs through a
   pre-warmed :class:`repro.parallel.persistent.PersistentPool` (fork
   once, shm-resident matrices, chunked dispatch); pool startup is
@@ -51,10 +48,6 @@ Two figures cover the sharded index layer (PR8), same record shape:
   it must beat the rebuild outright *even on a single core* — the win
   is work avoidance, not parallelism — which is why this figure gets
   its own :data:`CHECK_SINGLE_CORE_FLOORS` entry.
-
-``par_index`` additionally records a ``shards=K`` case: serial vs
-worker-pool construction of the *sharded* index (one process group per
-shard), held to per-shard bit-identical partitions.
 
 One figure covers the observability layer (PR10):
 
@@ -114,7 +107,6 @@ __all__ = [
     "bench_fig4_partition",
     "bench_fig5_partition",
     "bench_fig7_candidates",
-    "bench_par_index",
     "bench_par_batch",
     "bench_serve",
     "bench_persist",
@@ -320,94 +312,6 @@ def bench_fig7_candidates(config: BenchConfig, targets: int | None = None) -> li
     return records
 
 
-def bench_par_index(
-    config: BenchConfig,
-    workers: int = DEFAULT_BENCH_WORKERS,
-    shards: int = DEFAULT_BENCH_SHARDS,
-) -> list[BenchRecord]:
-    """Parallel index construction: serial vs worker pool (fig7 config).
-
-    Runs in ``mode="exact"`` — the configuration where construction is
-    the cost center (the relevant-mode hyperplane budget is too small to
-    parallelize meaningfully).  One record per benched worker count,
-    each sharing the single serial reference timing; the worker count is
-    embedded in the record's plan metadata (``plan["workers"]``).  A
-    final ``shards=K`` case builds the *sharded* index serially vs
-    through the worker pool (one process group per shard) and requires
-    per-shard bit-identical partitions.
-    """
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    serial, serial_seconds = time_call(SubdomainIndex, dataset, queries, mode="exact")
-    reference = _partition_fingerprint(serial)
-    cost = euclidean_cost(config.dimensions)
-    space = StrategySpace.unconstrained(config.dimensions)
-    tau = min(config.tau, queries.m)
-    solver = get_solver("efficient")
-    records = []
-    for count in sorted({2, workers}):
-        parallel, parallel_seconds = time_call(
-            SubdomainIndex, dataset, queries, mode="exact", workers=count
-        )
-        if _partition_fingerprint(parallel) != reference:
-            raise RegressionMismatch(
-                f"serial and parallel (workers={count}) partitions differ"
-            )
-        plan = build_plan(parallel, solver, "min_cost", 0, tau, cost, space)
-        resolved = parallel.workers
-        del parallel  # keep the parent heap small before the next fork
-        records.append(
-            BenchRecord(
-                figure="par_index",
-                case=f"workers={count}",
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": "exact",
-                    "workers": count,
-                    "resolved_workers": resolved,
-                    "seed": config.seed,
-                },
-                literal_seconds=serial_seconds,
-                vectorized_seconds=parallel_seconds,
-                plan=plan.to_dict(),
-            )
-        )
-    sharded_serial, sharded_serial_seconds = time_call(
-        build_index, dataset, queries, mode="exact", shards=shards, workers=0
-    )
-    sharded_parallel, sharded_parallel_seconds = time_call(
-        build_index, dataset, queries, mode="exact", shards=shards, workers=workers
-    )
-    for s in range(shards):
-        if _partition_fingerprint(sharded_serial.shard(s)) != _partition_fingerprint(
-            sharded_parallel.shard(s)
-        ):
-            raise RegressionMismatch(
-                f"serial and parallel sharded builds differ on shard {s}"
-            )
-    records.append(
-        BenchRecord(
-            figure="par_index",
-            case=f"shards={shards},workers={workers}",
-            config={
-                "num_objects": config.num_objects,
-                "num_queries": config.num_queries,
-                "dimensions": config.dimensions,
-                "index_mode": "exact",
-                "shards": shards,
-                "routing": sharded_parallel.routing,
-                "workers": workers,
-                "resolved_workers": sharded_parallel.workers,
-                "seed": config.seed,
-            },
-            literal_seconds=sharded_serial_seconds,
-            vectorized_seconds=sharded_parallel_seconds,
-        )
-    )
-    return records
-
-
 def bench_shard_build(
     config: BenchConfig, shards: int = DEFAULT_BENCH_SHARDS
 ) -> list[BenchRecord]:
@@ -423,7 +327,7 @@ def bench_shard_build(
         SubdomainIndex, dataset, queries, mode=config.index_mode
     )
     sharded, sharded_seconds = time_call(
-        build_index, dataset, queries, mode=config.index_mode, shards=shards, workers=0
+        build_index, dataset, queries, mode=config.index_mode, shards=shards
     )
     for target in range(min(dataset.n, 16)):
         _, mono_theta = mono.kth_other(target)
@@ -475,9 +379,7 @@ def bench_shard_update(
     2-CPU host were enough to halve the ratio.
     """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    maintained = build_index(
-        dataset, queries, mode=config.index_mode, shards=shards, workers=0
-    )
+    maintained = build_index(dataset, queries, mode=config.index_mode, shards=shards)
     rng = np.random.default_rng(config.seed + 13)
     epochs_before = maintained.shard_epochs
     insert_seconds: list[float] = []
@@ -495,7 +397,6 @@ def bench_shard_update(
                 maintained.queries,
                 mode=config.index_mode,
                 shards=shards,
-                workers=0,
             )
             rebuild_seconds.append(seconds)
     finally:
@@ -541,16 +442,11 @@ def bench_shard_update(
 def _bench_workload(
     config: BenchConfig, requests: int | None
 ) -> "tuple[object, list[IQRequest], int]":
-    """The shared serving workload: engine + fig7-shaped IQ batch.
-
-    workers=0 pins the index build to the serial reference path, so the
-    parallel figures measure the batch driver alone even when
-    ``REPRO_WORKERS`` is set in the environment.
-    """
+    """The shared serving workload: engine + fig7-shaped IQ batch."""
     from repro.core.engine import ImprovementQueryEngine
 
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    engine = ImprovementQueryEngine(dataset, queries, mode=config.index_mode, workers=0)
+    engine = ImprovementQueryEngine(dataset, queries, mode=config.index_mode)
     rng = np.random.default_rng(config.seed + 7)
     count = requests if requests else 4 * config.iq_repeats
     pool = rng.choice(dataset.n, size=min(dataset.n, 8 * count), replace=False)
@@ -926,7 +822,6 @@ def run_regression(
     records += bench_fig4_partition(config, points=points)
     records += bench_fig5_partition(config, points=points)
     records += bench_fig7_candidates(config, targets=points)
-    records += bench_par_index(config, workers=pool_size, shards=shard_count)
     records += bench_par_batch(
         config, workers=pool_size, requests=2 if smoke else None
     )

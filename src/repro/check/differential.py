@@ -282,9 +282,7 @@ def replay_sharded(scenario: Scenario, shards: int) -> ShardedSubdomainIndex:
     queries = uniform_queries(
         scenario.m, scenario.d, seed=scenario.seed + 1, k_range=(1, scenario.k_max)
     )
-    index = ShardedSubdomainIndex(
-        dataset, queries, shards=shards, mode=scenario.mode, workers=0
-    )
+    index = ShardedSubdomainIndex(dataset, queries, shards=shards, mode=scenario.mode)
     for op in scenario.ops:
         op.apply(index)
     return index
@@ -384,7 +382,6 @@ def check_sharded_scenario(scenario: Scenario, shards: int) -> ShardedSubdomainI
         maintained.queries,
         shards=shards,
         mode=scenario.mode,
-        workers=0,
     )
     fresh.validate()
     for s in range(shards):
@@ -396,7 +393,7 @@ def check_sharded_scenario(scenario: Scenario, shards: int) -> ShardedSubdomainI
         _check_partition_equivalence(maintained.shard(s), fresh.shard(s))
 
     degenerate = ShardedSubdomainIndex(
-        maintained.dataset, maintained.queries, shards=1, mode=scenario.mode, workers=0
+        maintained.dataset, maintained.queries, shards=1, mode=scenario.mode
     )
     fresh_mono = SubdomainIndex(maintained.dataset, maintained.queries, mode=scenario.mode)
     for qid in range(fresh_mono.queries.m):
@@ -441,7 +438,7 @@ def check_shard_boundary_ties(shards: int = 4, seed: int = 0) -> None:
     queries = QuerySet(weights, np.full(len(xs), 2))
     dataset = Dataset(generate("IN", 12, 2, seed + 1))
 
-    sharded = ShardedSubdomainIndex(dataset, queries, shards=shards, workers=0)
+    sharded = ShardedSubdomainIndex(dataset, queries, shards=shards)
     sharded.validate()
     again = sharded.router.assign(queries.weights, shards)
     if not np.array_equal(again, sharded._shard_of):

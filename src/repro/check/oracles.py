@@ -11,9 +11,9 @@ Each oracle re-derives one structural invariant from first principles
   ``normals`` for *all* of the cell's members;
 * every cached ``prefix`` matches a brute-force ranking of the cell's
   representative (stable score-then-id order, recomputed directly);
-* ``pairs`` / ``pair_column`` / ``normals`` stay mutually consistent
-  (aligned lengths, exact inverse mapping, ordered in-range pairs, and
-  each normal equal to ``matrix[a] - matrix[b]``).
+* ``pairs`` / ``normals`` stay mutually consistent (aligned lengths,
+  ordered in-range pairs, no pair in two columns, and each normal equal
+  to ``matrix[a] - matrix[b]``).
 
 :func:`check_index_invariants` runs the whole battery plus the index's
 own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (R-tree size
@@ -120,27 +120,24 @@ def check_prefixes(index: SubdomainIndex) -> None:
 
 
 def check_pair_consistency(index: SubdomainIndex) -> None:
-    """``pairs`` / ``pair_column`` / ``normals`` are mutually consistent."""
+    """``pairs`` / ``normals`` are mutually consistent."""
     n = index.dataset.n
     h = index.num_hyperplanes
     if len(index.pairs) != h:
         raise IndexCorruptionError(
             f"{len(index.pairs)} pairs for {h} hyperplane normals"
         )
-    if len(index.pair_column) != len(index.pairs):
-        raise IndexCorruptionError(
-            f"pair_column has {len(index.pair_column)} entries for "
-            f"{len(index.pairs)} pairs"
-        )
     matrix = index.dataset.matrix
-    for col, (a, b) in enumerate(index.pairs):
+    columns: dict[tuple[int, int], int] = {}
+    for col, (a, b) in enumerate(index.pairs.tolist()):
         if not (0 <= a < b < n):
             raise IndexCorruptionError(
                 f"pair column {col} holds invalid pair ({a}, {b}) for n={n}"
             )
-        if index.pair_column.get((a, b)) != col:
+        first = columns.setdefault((a, b), col)
+        if first != col:
             raise IndexCorruptionError(
-                f"pair_column[{(a, b)}] != {col} (stale inverse mapping)"
+                f"pair ({a}, {b}) occupies columns {first} and {col}"
             )
         normal = matrix[a] - matrix[b]
         if not np.array_equal(index.normals[col], normal):

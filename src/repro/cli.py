@@ -91,14 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_index_arguments(command)
 
     def add_index_arguments(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--workers", default=None, metavar="N",
-                             help="worker pool size: an integer, or 'auto' for "
-                                  "all cores (default: REPRO_WORKERS env var, "
-                                  "else serial)")
-        command.add_argument("--shards", default=None, metavar="K",
+        command.add_argument("--shards", type=int, default=None, metavar="K",
                              help="shard the index over K weight-space regions "
-                                  "('auto' picks from workload size and workers; "
-                                  "default: monolithic)")
+                                  "(default: monolithic)")
         command.add_argument("--router", default=None,
                              choices=sorted(registered_routers()),
                              help="shard routing policy (default: grid)")
@@ -146,6 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max requests coalesced into one pool dispatch")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="admission bound; requests beyond it are rejected")
+    serve.add_argument("--workers", default=None, metavar="N",
+                       help="serving pool size: an integer, or 'auto' for all "
+                            "cores (default: REPRO_WORKERS env var, else serial)")
     add_index_arguments(serve)
 
     demo = sub.add_parser("demo", help="self-contained demo on generated data")
@@ -270,7 +268,6 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
             dataset,
             queries,
             mode="relevant",
-            workers=getattr(args, "workers", None),
             shards=getattr(args, "shards", None),
             router=getattr(args, "router", None),
         )

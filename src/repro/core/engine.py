@@ -85,19 +85,11 @@ class ImprovementQueryEngine:
     mode, margin:
         Subdomain-index construction options (see
         :class:`~repro.core.subdomain.SubdomainIndex`).
-    workers:
-        Construction pool size (see
-        :class:`~repro.core.subdomain.SubdomainIndex`); ``None`` defers
-        to the ``REPRO_WORKERS`` environment variable, below 2 runs the
-        serial reference path.  Surfaced by :meth:`explain` as the
-        plan's ``workers`` field.
     shards:
         Workload shard count for the index layer: ``None`` builds the
-        monolithic reference index, an integer builds that many shards,
-        and ``"auto"`` lets :func:`~repro.core.sharding.resolve_shards`
-        pick from the workload size and the resolved worker count.
-        Surfaced by :meth:`explain` as ``shards``/``routing``/
-        ``shard_sizes``.
+        monolithic reference index, an integer builds that many shards
+        (see :func:`~repro.core.sharding.resolve_shards`).  Surfaced by
+        :meth:`explain` as ``shards``/``routing``/``shard_sizes``.
     router:
         Shard routing policy (a name or a
         :class:`~repro.index.router.ShardRouter`); only consulted when
@@ -110,7 +102,6 @@ class ImprovementQueryEngine:
         queries: QuerySet,
         mode: str = "exact",
         margin: int = 2,
-        workers: "int | str | None" = None,
         shards: "int | str | None" = None,
         router: "str | ShardRouter | None" = None,
     ) -> None:
@@ -121,7 +112,6 @@ class ImprovementQueryEngine:
             margin=margin,
             shards=shards,
             router=router,
-            workers=workers,
         )
         self.evaluator = StrategyEvaluator(self.index)
         self._rta_evaluator: RTAEvaluator | None = None

@@ -54,7 +54,6 @@ PLAN_FIELDS = (
     "num_subdomains",
     "num_hyperplanes",
     "epoch",
-    "workers",
     "shards",
     "routing",
     "shard_sizes",
@@ -102,7 +101,6 @@ class ExecutionPlan:
     num_subdomains: int = 0
     num_hyperplanes: int = 0
     epoch: int = 0  #: index epoch the plan was built against
-    workers: int = 0  #: construction pool size (0/1 = serial reference path)
     shards: int = 1  #: index shard count (1 = monolithic)
     routing: str = "none"  #: shard routing policy ("none" when monolithic)
     shard_sizes: tuple[int, ...] = ()  #: workload queries per shard
@@ -138,7 +136,6 @@ class ExecutionPlan:
             "num_subdomains": self.num_subdomains,
             "num_hyperplanes": self.num_hyperplanes,
             "epoch": self.epoch,
-            "workers": self.workers,
             "shards": self.shards,
             "routing": self.routing,
             "shard_sizes": list(self.shard_sizes),
@@ -281,7 +278,6 @@ def build_plan(
         num_subdomains=index.num_subdomains,
         num_hyperplanes=index.num_hyperplanes,
         epoch=index.epoch,
-        workers=index.workers,
         shards=index.shards,
         routing=index.routing,
         shard_sizes=index.shard_sizes,

@@ -1,10 +1,10 @@
 """Sharded subdomain index: partitioned build/persist/update, thin merge.
 
 The monolithic :class:`~repro.core.subdomain.SubdomainIndex` owns all
-``m`` query points, so construction parallelism, persistence, and
-update cost all hit a one-object wall.  This module splits the workload
-*by weight-space region* into ``K`` independently built monolithic
-shards behind the same read surface:
+``m`` query points, so persistence and update cost hit a one-object
+wall.  This module splits the workload *by weight-space region* into
+``K`` independently built monolithic shards behind the same read
+surface:
 
 * :class:`IndexProtocol` — the explicit read-side contract every index
   consumer (planner, ESE, persistent pool, serving, EXPLAIN) programs
@@ -45,17 +45,11 @@ import numpy as np
 
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import (
-    SubdomainIndex,
-    dataset_fingerprint,
-    queryset_fingerprint,
-    relevant_pairs,
-)
+from repro.core.subdomain import SubdomainIndex, dataset_fingerprint, queryset_fingerprint
 from repro.errors import IndexCorruptionError, ValidationError
 from repro.index.mmapio import check_index_format, replace_file
 from repro.index.router import ShardRouter, get_router
 from repro.index.rtree import Rect
-from repro.parallel.pool import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.subdomain import Subdomain
@@ -69,14 +63,6 @@ __all__ = [
 
 #: Schema tag of the sharded directory manifest; bumped on layout change.
 SHARDED_SCHEMA = "repro-sharded-index/1"
-
-#: ``shards="auto"`` never cuts the workload finer than this many
-#: queries per shard — below it, per-shard fixed costs (R-tree, prefix
-#: sharing lost across shard boundaries) outweigh the parallelism.
-MIN_QUERIES_PER_SHARD = 32
-
-#: Upper bound for ``shards="auto"``; explicit shard counts may exceed it.
-MAX_AUTO_SHARDS = 16
 
 
 @runtime_checkable
@@ -105,9 +91,6 @@ class IndexProtocol(Protocol):
 
     @property
     def partition_method(self) -> str: ...
-
-    @property
-    def workers(self) -> int: ...
 
     @property
     def epoch(self) -> int: ...
@@ -189,35 +172,18 @@ class IndexProtocol(Protocol):
         ...
 
 
-def resolve_shards(
-    shards: "int | str | None", m: int, workers: "int | str | None" = None
-) -> int:
+def resolve_shards(shards: "int | str | None") -> int:
     """Resolve a shard-count request into a concrete ``K >= 1``.
 
-    ``None`` means monolithic (``1``).  ``"auto"`` targets one shard per
-    resolved construction worker (4 when construction is serial), capped
-    so no shard drops below :data:`MIN_QUERIES_PER_SHARD` queries and by
-    :data:`MAX_AUTO_SHARDS`; tiny workloads resolve to ``1``.  Explicit
-    counts pass through validated but uncapped — the caller asked for
-    that layout.
+    ``None`` means monolithic (``1``); an integer (or its decimal text)
+    is validated and used as given.
     """
     if shards is None:
         return 1
-    if isinstance(shards, str):
-        if shards == "auto":
-            resolved = resolve_workers(workers)
-            want = resolved if resolved >= 2 else 4
-            cap = m // MIN_QUERIES_PER_SHARD
-            if cap < 2:
-                return 1
-            return max(2, min(want, cap, MAX_AUTO_SHARDS))
-        try:
-            shards = int(shards)
-        except ValueError:
-            raise ValidationError(
-                f'shards must be a positive integer or "auto", got {shards!r}'
-            ) from None
-    count = int(shards)
+    try:
+        count = int(shards)
+    except ValueError:
+        raise ValidationError(f"shards must be a positive integer, got {shards!r}") from None
     if count < 1:
         raise ValidationError(f"shards must be positive, got {count}")
     return count
@@ -232,7 +198,6 @@ def build_index(
     router: "str | ShardRouter | None" = None,
     rtree_max_entries: int = 16,
     partition_method: str = "vectorized",
-    workers: "int | str | None" = None,
 ) -> "SubdomainIndex | ShardedSubdomainIndex":
     """The index factory: monolithic or sharded by :func:`resolve_shards`.
 
@@ -241,7 +206,7 @@ def build_index(
     decision instead of ad-hoc ``SubdomainIndex(...)`` calls scattered
     across layers.
     """
-    count = resolve_shards(shards, queries.m, workers)
+    count = resolve_shards(shards)
     if count <= 1:
         return SubdomainIndex(
             dataset,
@@ -250,7 +215,6 @@ def build_index(
             margin=margin,
             rtree_max_entries=rtree_max_entries,
             partition_method=partition_method,
-            workers=workers,
         )
     return ShardedSubdomainIndex(
         dataset,
@@ -261,7 +225,6 @@ def build_index(
         margin=margin,
         rtree_max_entries=rtree_max_entries,
         partition_method=partition_method,
-        workers=workers,
     )
 
 
@@ -280,14 +243,9 @@ class ShardedSubdomainIndex:
         per-point functions of the weight vector, which is what makes
         the assignment recomputable at :meth:`load` time and stable
         under updates.
-    workers:
-        With 2+ resolved workers (and the vectorized partition method)
-        the shards' hyperplane/signature passes run concurrently, one
-        process task per shard, through
-        :func:`repro.parallel.construction.parallel_shard_partition`
-        with one shared-memory group per shard; otherwise shards build
-        serially in routing order.  Either way each shard is
-        bit-identical to ``SubdomainIndex(dataset, queries.subset(...))``.
+
+    Shards build in routing order, each exactly
+    ``SubdomainIndex(dataset, queries.subset(members))``.
     """
 
     def __init__(
@@ -300,7 +258,6 @@ class ShardedSubdomainIndex:
         margin: int = 2,
         rtree_max_entries: int = 16,
         partition_method: str = "vectorized",
-        workers: "int | str | None" = None,
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be positive, got {shards}")
@@ -316,9 +273,6 @@ class ShardedSubdomainIndex:
         self.shards = int(shards)
         self.router = get_router(router)
         self.routing = self.router.policy
-        self.workers = resolve_workers(workers)
-        if partition_method == "literal":
-            self.workers = 0
         self._rtree_max_entries = rtree_max_entries
         self._mutation_hooks: list = []
         self._epoch = 0
@@ -326,19 +280,15 @@ class ShardedSubdomainIndex:
         self._slots: "list[SubdomainIndex | None]" = [None] * self.shards
         self._slot_paths: "list[Path | None]" = [None] * self.shards
         self._slot_hints: "list[dict[str, int]]" = [{} for __ in range(self.shards)]
-        if self.workers >= 2 and partition_method == "vectorized":
-            self._build_parallel()
-        else:
-            for s in range(self.shards):
-                self._slots[s] = SubdomainIndex(
-                    dataset,
-                    queries.subset(self._members[s]),
-                    mode=mode,
-                    margin=margin,
-                    rtree_max_entries=rtree_max_entries,
-                    partition_method=partition_method,
-                    workers=0,
-                )
+        for s in range(self.shards):
+            self._slots[s] = SubdomainIndex(
+                dataset,
+                queries.subset(self._members[s]),
+                mode=mode,
+                margin=margin,
+                rtree_max_entries=rtree_max_entries,
+                partition_method=partition_method,
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -359,43 +309,6 @@ class ShardedSubdomainIndex:
         self._members = [
             np.flatnonzero(self._shard_of == s) for s in range(self.shards)
         ]
-
-    def _build_parallel(self) -> None:
-        """Concurrent per-shard hyperplane/signature passes."""
-        from repro.parallel.construction import parallel_shard_partition
-
-        matrix = self.dataset.matrix
-        subsets = [self.queries.subset(members) for members in self._members]
-        if self.mode == "exact":
-            shared = [
-                (a, b) for a in range(self.dataset.n) for b in range(a + 1, self.dataset.n)
-            ]
-            pair_lists = [shared for __ in range(self.shards)]
-            shared_array = np.asarray(shared, dtype=np.intp).reshape(-1, 2)
-            pair_arrays = [shared_array for __ in range(self.shards)]
-        else:
-            pair_lists = [
-                relevant_pairs(self.dataset, subset, self.margin) for subset in subsets
-            ]
-            pair_arrays = [
-                np.asarray(pairs, dtype=np.intp).reshape(-1, 2) for pairs in pair_lists
-            ]
-        results = parallel_shard_partition(
-            matrix, pair_arrays, [subset.weights for subset in subsets], self.workers
-        )
-        for s, (keep_mask, normals, groups) in enumerate(results):
-            kept = [pair_lists[s][i] for i in np.flatnonzero(keep_mask)]
-            self._slots[s] = SubdomainIndex.from_partition(
-                self.dataset,
-                subsets[s],
-                self.mode,
-                self.margin,
-                kept,
-                normals,
-                groups,
-                rtree_max_entries=self._rtree_max_entries,
-                partition_method=self.partition_method,
-            )
 
     # ------------------------------------------------------------------
     # Shard access
@@ -836,7 +749,6 @@ class ShardedSubdomainIndex:
         index.shards = shards
         index.router = get_router(**router_params)
         index.routing = index.router.policy
-        index.workers = 0
         index._rtree_max_entries = max_entries
         index._mutation_hooks = []
         index._epoch = epoch

@@ -63,14 +63,13 @@ from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
 from repro.index.rtree import Rect, RTree
-from repro.parallel.construction import parallel_partition
-from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "Subdomain",
     "SubdomainIndex",
     "dataset_fingerprint",
     "find_subdomains",
+    "hyperplanes",
     "queryset_fingerprint",
     "relevant_pairs",
 ]
@@ -118,13 +117,11 @@ def queryset_fingerprint(queries: QuerySet) -> str:
     return digest.hexdigest()
 
 
-def relevant_pairs(
-    dataset: Dataset, queries: QuerySet, margin: int = 2
-) -> list[tuple[int, int]]:
+def relevant_pairs(dataset: Dataset, queries: QuerySet, margin: int = 2) -> np.ndarray:
     """Object pairs whose intersections can affect indexed top-k results.
 
-    Returns the sorted list of ``(a, b)`` pairs (``a < b``) among the
-    union of every query's top-``(k + margin)`` objects.
+    Returns the ``(p, 2)`` array of ``(a, b)`` rows (``a < b``, sorted)
+    over the union of every query's top-``(k + margin)`` objects.
     """
     if margin < 0:
         raise ValidationError(f"margin must be non-negative, got {margin}")
@@ -132,7 +129,7 @@ def relevant_pairs(
     weights = queries.weights
     n, m = dataset.n, queries.m
     if n == 0 or m == 0:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     depths = np.minimum(n, queries.ks.astype(np.intp) + margin)
     max_depth = int(depths.max())
     contender = np.zeros(n, dtype=bool)
@@ -153,8 +150,23 @@ def relevant_pairs(
         ranked = np.take_along_axis(part, order, axis=1)
         keep = cols[None, :] < depths[start : start + block.shape[0], None]
         contender[ranked[keep]] = True
-    ordered = np.flatnonzero(contender).tolist()
-    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]]
+    ordered = np.flatnonzero(contender)
+    first, second = np.triu_indices(ordered.shape[0], 1)
+    return np.column_stack((ordered[first], ordered[second]))
+
+
+def hyperplanes(matrix: np.ndarray, pairs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The intersection hyperplanes of ``pairs``: ``(kept_pairs, normals)``.
+
+    Row ``i`` of ``normals`` is ``matrix[a] - matrix[b]`` for
+    ``(a, b) = kept_pairs[i]``.  Pairs of identical objects
+    (``|normal|_inf <= EPS``) never switch rank and are dropped; the
+    kept rows stay in ``pairs`` order.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    normals = matrix[pairs[:, 0]] - matrix[pairs[:, 1]]
+    keep = np.abs(normals).max(axis=1, initial=0.0) > EPS
+    return pairs[keep], normals[keep]
 
 
 def find_subdomains(
@@ -239,15 +251,11 @@ class SubdomainIndex:
         :func:`find_subdomains` path builds the partition.  Both yield
         identical subdomains; the literal path exists as the executable
         specification and for benchmark baselines.
-    workers:
-        Worker-pool size for construction, resolved through
-        :func:`repro.parallel.pool.resolve_workers` (explicit argument >
-        ``REPRO_WORKERS`` environment variable > serial).  With 2 or
-        more workers the normals and the signature partition are built
-        by :func:`repro.parallel.construction.parallel_partition` —
-        bit-for-bit identical to the serial path, which stays the
-        default and the reference.  The literal partition method is
-        inherently sequential and always runs serial.
+
+    The hyperplane set is two aligned arrays: ``pairs``, the ``(h, 2)``
+    object ids ``(a, b)`` with ``a < b``, and ``normals``, the ``(h, d)``
+    rows ``p_a - p_b``.  Column ``c`` of every cell signature is the
+    side of hyperplane ``c``.
     """
 
     def __init__(
@@ -258,7 +266,6 @@ class SubdomainIndex:
         margin: int = 2,
         rtree_max_entries: int = 16,
         partition_method: str = "vectorized",
-        workers: "int | str | None" = None,
     ) -> None:
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -276,41 +283,18 @@ class SubdomainIndex:
         self.mode = mode
         self.margin = margin
         self.partition_method = partition_method
-        self.workers = resolve_workers(workers)
-        if partition_method == "literal":
-            self.workers = 0  # the literal BSP loop is the serial spec
         self.representative_evaluations = 0  #: full rankings computed so far
         self._mutation_hooks: list = []  #: weak refs to invalidation callbacks
         self._epoch = 0  #: bumped by every mutation (see :attr:`epoch`)
 
-        matrix = dataset.matrix
         if mode == "exact":
-            pairs = [(a, b) for a in range(dataset.n) for b in range(a + 1, dataset.n)]
+            pairs = np.column_stack(np.triu_indices(dataset.n, 1))
         else:
             pairs = relevant_pairs(dataset, queries, margin)
-        groups: dict[bytes, np.ndarray] | None = None
-        if self.workers >= 2:
-            pair_array = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-            keep_mask, self.normals, groups = parallel_partition(
-                matrix, pair_array, queries.weights, self.workers
-            )
-            self.pairs = [pairs[i] for i in np.flatnonzero(keep_mask)]
-        else:
-            self.pairs = []
-            rows = []
-            for a, b in pairs:
-                normal = matrix[a] - matrix[b]
-                if np.abs(normal).max(initial=0.0) <= EPS:
-                    continue  # identical objects never switch rank
-                self.pairs.append((a, b))
-                rows.append(normal)
-            self.normals = (
-                np.vstack(rows) if rows else np.empty((0, dataset.dim), dtype=float)
-            )
-        self.pair_column = {pair: col for col, pair in enumerate(self.pairs)}
+        self.pairs, self.normals = hyperplanes(dataset.matrix, pairs)
 
         self._rtree_max_entries = rtree_max_entries
-        self._build_partition(groups)
+        self._build_partition()
         self._build_rtree(rtree_max_entries)
         self._boundaries_ready = False
         self.bloom: CountingBloomFilter | None = None
@@ -319,71 +303,20 @@ class SubdomainIndex:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_partition(
-        cls,
-        dataset: Dataset,
-        queries: QuerySet,
-        mode: str,
-        margin: int,
-        pairs: "list[tuple[int, int]]",
-        normals: np.ndarray,
-        groups: "dict[bytes, np.ndarray] | None",
-        rtree_max_entries: int = 16,
-        partition_method: str = "vectorized",
-    ) -> "SubdomainIndex":
-        """Assemble an index from an externally computed hyperplane set.
-
-        The sharded builder computes pairs/normals once (or per shard,
-        in a worker) and hands them here together with the signature
-        ``groups``; everything downstream of the hyperplane pass —
-        partition assembly, R-tree, lazy boundaries — is identical to
-        :meth:`__init__`.  ``groups=None`` re-derives the partition
-        serially from ``normals``, which is the path worker processes
-        take when they ship only the hyperplane set.
-        """
-        index = cls.__new__(cls)
-        index.dataset = dataset
-        index.queries = queries
-        index.mode = mode
-        index.margin = margin
-        index.partition_method = partition_method
-        index.workers = 0
-        index.representative_evaluations = 0
-        index._mutation_hooks = []
-        index._epoch = 0
-        index.pairs = list(pairs)
-        index.normals = normals
-        index.pair_column = {pair: col for col, pair in enumerate(index.pairs)}
-        index._rtree_max_entries = rtree_max_entries
-        index._build_partition(groups)
-        index._build_rtree(rtree_max_entries)
-        index._boundaries_ready = False
-        index.bloom = None
-        index._prefix_table = None
-        return index
-
-    def _build_partition(self, groups: dict[bytes, np.ndarray] | None = None) -> None:
+    def _build_partition(self) -> None:
         # The full per-query signature matrix exists only while
         # grouping; the index at rest stores one signature per *cell*
         # plus a subdomain id per query — the paper's observation that
         # per-query storage is unnecessary ("mark this on the root-node
         # of the sub-tree instead of storing the same information for
-        # each query point").  A precomputed ``groups`` mapping (the
-        # merged output of the parallel construction) bypasses the
-        # serial signature pass.
-        if groups is None:
-            if self.partition_method == "literal":
-                cells = find_subdomains(
-                    self.normals, self.queries.weights, method="literal"
-                )
-                groups = {
-                    key: np.asarray(members, dtype=np.intp)
-                    for key, members in cells.items()
-                }
-            else:
-                signatures = signature_matrix(self.queries.weights, self.normals)
-                groups = group_by_signature(signatures)
+        # each query point").
+        if self.partition_method == "literal":
+            cells = find_subdomains(self.normals, self.queries.weights, method="literal")
+            groups = {
+                key: np.asarray(members, dtype=np.intp) for key, members in cells.items()
+            }
+        else:
+            groups = group_by_signature(signature_matrix(self.queries.weights, self.normals))
         self.subdomains: list[Subdomain] = []
         self.subdomain_of = np.empty(self.queries.m, dtype=np.intp)
         for signature_key in sorted(groups):  # deterministic order
@@ -625,7 +558,7 @@ class SubdomainIndex:
             "queries_fingerprint": queryset_fingerprint(self.queries),
         }
         arrays: dict[str, np.ndarray] = {
-            "pairs": np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2),
+            "pairs": np.asarray(self.pairs, dtype=np.int64),
             "normals": np.asarray(self.normals, dtype=float),
             "signatures": signatures,
             "subdomain_of": self.subdomain_of.astype(np.int64),
@@ -791,13 +724,11 @@ class SubdomainIndex:
         index.mode = mode
         index.margin = margin
         index.partition_method = partition_method
-        index.workers = 0
         index.representative_evaluations = 0
         index._mutation_hooks = []
         index._epoch = epoch
-        index.pairs = [(int(a), int(b)) for a, b in pairs]
+        index.pairs = pairs
         index.normals = normals
-        index.pair_column = {pair: col for col, pair in enumerate(index.pairs)}
         index.subdomain_of = subdomain_of
         num_subdomains = signatures.shape[0]
         # Stable argsort of the per-query subdomain ids reconstructs

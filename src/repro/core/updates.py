@@ -45,10 +45,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.subdomain import Subdomain, SubdomainIndex, relevant_pairs
+from repro.core.subdomain import Subdomain, SubdomainIndex, hyperplanes, relevant_pairs
 from repro.errors import ValidationError
 from repro.geometry.arrangement import signature_matrix
-from repro.geometry.hyperplane import EPS
 from repro.index.rtree import Rect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -225,16 +224,10 @@ def add_object(
     matrix = new_dataset.matrix
 
     if index.mode == "exact":
-        new_pairs = []
-        rows = []
-        for b in range(object_id):
-            normal = matrix[b] - matrix[object_id]  # pair (b, new), b < new
-            if np.abs(normal).max(initial=0.0) <= EPS:
-                continue
-            new_pairs.append((b, object_id))
-            rows.append(normal)
-        if rows:
-            _append_columns(index, new_pairs, np.vstack(rows))
+        pairs = np.column_stack((np.arange(object_id), np.full(object_id, object_id)))
+        new_pairs, new_normals = hyperplanes(matrix, pairs)  # pairs (b, new), b < new
+        if new_pairs.shape[0]:
+            _append_columns(index, new_pairs, new_normals)
     else:
         # Relevant mode: recompute the contender set on the post-insert
         # data and close over every missing pair.  Deriving counterparts
@@ -250,15 +243,13 @@ def add_object(
 
 
 def _append_columns(
-    index: SubdomainIndex, new_pairs: list[tuple[int, int]], new_normals: np.ndarray
+    index: SubdomainIndex, new_pairs: np.ndarray, new_normals: np.ndarray
 ) -> None:
     """Append hyperplane columns and split the cells they cut through."""
     index.normals = (
         np.vstack([index.normals, new_normals]) if index.normals.size else new_normals
     )
-    for pair in new_pairs:
-        index.pair_column[pair] = len(index.pairs)
-        index.pairs.append(pair)
+    index.pairs = np.concatenate([index.pairs, new_pairs])
     _split_cells_on_new_columns(index, new_normals)
 
 
@@ -275,19 +266,17 @@ def _extend_relevant_closure(index: SubdomainIndex) -> None:
     """
     if index.mode != "relevant":
         return
-    matrix = index.dataset.matrix
-    new_pairs = []
-    rows = []
-    for a, b in relevant_pairs(index.dataset, index.queries, index.margin):
-        if (a, b) in index.pair_column:
-            continue
-        normal = matrix[a] - matrix[b]
-        if np.abs(normal).max(initial=0.0) <= EPS:
-            continue
-        new_pairs.append((a, b))
-        rows.append(normal)
-    if rows:
-        _append_columns(index, new_pairs, np.vstack(rows))
+    n = index.dataset.n
+    wanted = relevant_pairs(index.dataset, index.queries, index.margin)
+    # Pair (a, b) is key a * n + b; a sorted probe finds the held ones.
+    held = np.sort(index.pairs[:, 0] * n + index.pairs[:, 1])
+    keys = wanted[:, 0] * n + wanted[:, 1]
+    slot = np.searchsorted(held, keys)
+    found = slot < held.shape[0]
+    found[found] = held[slot[found]] == keys[found]
+    new_pairs, new_normals = hyperplanes(index.dataset.matrix, wanted[~found])
+    if new_pairs.shape[0]:
+        _append_columns(index, new_pairs, new_normals)
 
 
 def _split_cells_on_new_columns(index: SubdomainIndex, new_normals: np.ndarray) -> None:
@@ -323,25 +312,17 @@ def remove_object(
         return
     index = _as_monolithic(index)
     index.dataset._check_id(object_id)
-    involved = {col for col, (a, b) in enumerate(index.pairs) if object_id in (a, b)}
-
     index.dataset = index.dataset.without_object(object_id)
-    keep = [col for col in range(len(index.pairs)) if col not in involved]
-    index.normals = index.normals[keep] if index.normals.size else index.normals
-    remapped = []
-    for col in keep:
-        a, b = index.pairs[col]
-        a = a - 1 if a > object_id else a
-        b = b - 1 if b > object_id else b
-        remapped.append((a, b))
-    index.pairs = remapped
-    index.pair_column = {pair: col for col, pair in enumerate(remapped)}
+    # Drop every column involving the object; ids above it shift down.
+    keep = np.flatnonzero((index.pairs != object_id).all(axis=1))
+    kept = index.pairs[keep]
+    index.pairs = kept - (kept > object_id)
+    index.normals = index.normals[keep]
 
-    keep_idx = np.asarray(keep, dtype=np.intp)
     reduced: dict[int, bytes] = {}
     for sub in index.subdomains:
         cell_signature = np.frombuffer(sub.signature, dtype=np.int8)
-        reduced[sub.sid] = cell_signature[keep_idx].tobytes()
+        reduced[sub.sid] = cell_signature[keep].tobytes()
 
     # The exact collision test decides the merge on its own.  A dropped
     # column that bounds a cell separates it from a cell differing only

@@ -59,30 +59,26 @@ def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:
     """Group row indices by identical signature rows.
 
     Returns a dict mapping the signature's byte representation to the
-    sorted array of row indices sharing it.  The byte key is stable and
-    hashable, which is what the subdomain index stores.
+    ascending array of row indices sharing it, keys in byte order.  The
+    byte key is stable and hashable, which is what the subdomain index
+    stores.
 
-    Grouping is a single ``np.unique`` over the rows plus a stable
-    argsort of the inverse mapping, so the cost is ``O(m h + m log m)``
-    vectorized work rather than a Python loop over every query point.
+    Each row is viewed as one opaque ``h``-byte item, so a single 1-D
+    ``np.unique`` groups them; a structured ``np.unique(axis=0)`` pays a
+    per-column cost that dominates at exact-mode hyperplane counts.
     """
-    signatures = np.atleast_2d(np.asarray(signatures, dtype=np.int8))
+    signatures = np.ascontiguousarray(np.atleast_2d(np.asarray(signatures, dtype=np.int8)))
     m, h = signatures.shape
     if m == 0:
         return {}
     if h == 0:
         # Zero hyperplanes: every point shares the one (empty) signature.
         return {b"": np.arange(m, dtype=np.intp)}
-    uniq, inverse = np.unique(signatures, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.x returns (m, 1) for axis=0
+    rows = signatures.view(np.dtype((np.void, h))).reshape(m)
+    uniq, inverse = np.unique(rows, return_inverse=True)
     order = np.argsort(inverse, kind="stable")  # members stay ascending
-    starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-    bounds = np.append(starts, m)
-    members = order.astype(np.intp, copy=False)
-    return {
-        uniq[g].tobytes(): members[bounds[g] : bounds[g + 1]]
-        for g in range(uniq.shape[0])
-    }
+    bounds = np.append(np.searchsorted(inverse[order], np.arange(uniq.shape[0])), m)
+    return {uniq[g].tobytes(): order[bounds[g] : bounds[g + 1]] for g in range(uniq.shape[0])}
 
 
 def cells_touched(points: np.ndarray, normals: np.ndarray) -> int:

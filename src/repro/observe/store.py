@@ -1,7 +1,7 @@
 """The persisted runtime-stats store of ``EXPLAIN ANALYZE`` runs.
 
 Every ``EXPLAIN ANALYZE`` run records one entry — solver method, total
-seconds, evaluation count, pool/shard shape — under a *workload
+seconds, evaluation count, shard count — under a *workload
 fingerprint*: the query kind plus the index's mode, sense,
 dimensionality, and size buckets.  Sizes are bucketed to powers of two
 so a 24-object workload and a 30-object workload share stats, while a
@@ -174,8 +174,7 @@ class StatsStore:
 
         Accepts any object with the executed-plan surface (duck-typed so
         this layer never imports :mod:`repro.core`): ``fingerprint``,
-        ``solver_name``, ``total_seconds``, ``evaluations``, ``workers``,
-        ``shards``.
+        ``solver_name``, ``total_seconds``, ``evaluations``, ``shards``.
         """
         fingerprint = str(plan.fingerprint)
         if not fingerprint:
@@ -183,7 +182,6 @@ class StatsStore:
         sample = {
             "seconds": float(plan.total_seconds),
             "evaluations": int(plan.evaluations),
-            "workers": int(plan.workers),
             "shards": int(plan.shards),
         }
         with self._lock:

@@ -3,14 +3,11 @@
 Every use of :mod:`multiprocessing` / :mod:`concurrent.futures` in the
 project lives inside this package (lint rule RPR007 enforces it), so
 pool lifecycle, shared-memory hygiene, and platform quirks are handled
-in exactly one place.  The integrated pieces:
+in exactly one place.  Index construction is not among them: the
+vectorized serial build in :mod:`repro.core.subdomain` beat a 2-worker
+construction pool at every measured size on a 2-CPU host.  The
+integrated pieces:
 
-* :mod:`repro.parallel.construction` — multiprocess subdomain-index
-  construction: the hyperplane set and the query points are chunked
-  across workers that read the object matrix ``D`` and the query
-  weights ``Q`` from :mod:`multiprocessing.shared_memory` (the matrices
-  are never pickled); partial signature partitions are merged into
-  subdomains in the parent.
 * :mod:`repro.parallel.batch` — the fork-per-call batch IQ driver: many
   Min-Cost / Max-Hit calls (many targets, or one target under many
   goals, as in the paper's experiment grids) evaluated across a
@@ -38,7 +35,6 @@ parity tests assert it).
 from __future__ import annotations
 
 from repro.parallel.batch import IQRequest, run_batch
-from repro.parallel.construction import parallel_partition
 from repro.parallel.persistent import PersistentPool
 from repro.parallel.pool import pool_start_method, resolve_workers
 from repro.parallel.server import IQServer, ServerStats, serve_stream
@@ -51,7 +47,6 @@ __all__ = [
     "PersistentPool",
     "ServerStats",
     "SharedArrayStore",
-    "parallel_partition",
     "pool_start_method",
     "resolve_workers",
     "run_batch",

@@ -24,10 +24,8 @@ workload) should hold a
 it to :func:`run_batch` via ``pool=``, which amortizes worker startup
 and keeps per-worker evaluator state warm across batches.
 
-This module must not import :mod:`repro.core` at module level: the
-package ``__init__`` imports it, and :mod:`repro.core.subdomain` in
-turn imports :mod:`repro.parallel.construction` — engine-side imports
-happen lazily at call time instead.
+Engine-side imports happen lazily at call time, so importing
+:mod:`repro.parallel` never loads :mod:`repro.core`.
 """
 
 from __future__ import annotations

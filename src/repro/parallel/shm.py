@@ -4,8 +4,9 @@ The parent exports read-only numpy arrays into named
 :class:`multiprocessing.shared_memory.SharedMemory` segments and hands
 workers only the tiny :class:`ArraySpec` descriptors; workers re-map the
 same physical pages instead of unpickling array copies.  This is what
-lets index construction ship the object matrix ``D`` and the query
-weights ``Q`` to every worker for the cost of an ``mmap``.
+lets the persistent pool ship the object matrix ``D``, the query
+weights ``Q`` and the normals to every worker for the cost of an
+``mmap``.
 
 Lifecycle rules (the part that is easy to get wrong):
 

@@ -425,7 +425,6 @@ class TestIndexFactory:
         source = """\
         a = SubdomainIndex.load(path, dataset, queries)
         b = ShardedSubdomainIndex.load(root, dataset, queries, lazy=True)
-        c = SubdomainIndex.from_partition(dataset, queries, payload)
         """
         findings = lint_source(tmp_path, source, select=frozenset({"RPR012"}))
         assert findings == []

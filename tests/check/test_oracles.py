@@ -78,10 +78,12 @@ class TestCorruptionDetected:
             check_prefixes(index)
 
     def test_stale_pair_column_mapping(self, rng):
+        # A pair mapped to two columns (a duplicated row), each column
+        # with its true normal.
         index = build(rng)
-        a, b = index.pairs[0]
-        index.pair_column[(a, b)] = len(index.pairs) + 7
-        with pytest.raises(IndexCorruptionError):
+        index.pairs = np.vstack([index.pairs, index.pairs[:1]])
+        index.normals = np.vstack([index.normals, index.normals[:1]])
+        with pytest.raises(IndexCorruptionError, match="occupies columns"):
             check_pair_consistency(index)
 
     def test_drifted_normal(self, rng):
@@ -91,8 +93,8 @@ class TestCorruptionDetected:
             check_pair_consistency(index)
 
     def test_dropped_pair_entry(self, rng):
-        # A pair list shorter than the normal matrix is a length breach.
+        # A pair array shorter than the normal matrix is a length breach.
         index = build(rng)
-        index.pairs.pop()
+        index.pairs = index.pairs[:-1]
         with pytest.raises(IndexCorruptionError):
             check_pair_consistency(index)

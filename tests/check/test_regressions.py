@@ -84,10 +84,10 @@ class TestRelevantAddObjectClosure:
         dataset = Dataset(np.array([[0.2, 0.8]]))
         queries = QuerySet(np.array([[0.9, 0.1], [0.1, 0.9]]), ks=np.array([1, 1]))
         index = SubdomainIndex(dataset, queries, mode="relevant")
-        assert index.pairs == []  # a single object admits no hyperplanes
+        assert index.pairs.shape[0] == 0  # a single object admits no hyperplanes
 
         updates.add_object(index, np.array([0.8, 0.2]))
-        assert index.pairs  # the newcomer must have gained hyperplanes
+        assert index.pairs.shape[0] > 0  # the newcomer must have gained hyperplanes
         updates.add_object(index, np.array([0.5, 0.5]))
 
         fresh = SubdomainIndex(index.dataset, index.queries, mode="relevant")

@@ -33,7 +33,7 @@ class TestRelevantPairs:
         queries = QuerySet(rng.random((10, 2)), ks=1)
         tight = relevant_pairs(dataset, queries, margin=0)
         loose = relevant_pairs(dataset, queries, margin=5)
-        assert set(tight) <= set(loose)
+        assert set(map(tuple, tight.tolist())) <= set(map(tuple, loose.tolist()))
 
     def test_negative_margin_rejected(self, rng):
         dataset = Dataset(rng.random((5, 2)))

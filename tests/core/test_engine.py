@@ -17,6 +17,14 @@ def engine(rng):
     return ImprovementQueryEngine(dataset, queries)
 
 
+class TestConstruction:
+    def test_no_construction_workers_argument(self, rng):
+        dataset = Dataset(rng.random((6, 3)))
+        queries = QuerySet(rng.random((5, 3)), ks=1)
+        with pytest.raises(TypeError):
+            ImprovementQueryEngine(dataset, queries, workers=2)
+
+
 class TestReadSide:
     def test_hits_and_reverse_topk_consistent(self, engine):
         for target in range(0, 18, 3):

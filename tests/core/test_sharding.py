@@ -39,29 +39,25 @@ def inputs():
 
 class TestResolveShards:
     def test_none_is_monolithic(self):
-        assert resolve_shards(None, 1000) == 1
+        assert resolve_shards(None) == 1
 
     def test_explicit_counts_pass_through(self):
-        assert resolve_shards(7, 10) == 7
-        assert resolve_shards("7", 10) == 7
+        assert resolve_shards(7) == 7
+        assert resolve_shards("7") == 7
 
     def test_explicit_zero_rejected(self):
         with pytest.raises(ValidationError):
-            resolve_shards(0, 100)
+            resolve_shards(0)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):
-            resolve_shards("many", 100)
+            resolve_shards("many")
 
-    def test_auto_scales_with_workers_and_caps_by_workload(self):
-        from repro.parallel.pool import resolve_workers
-
-        # workers resolve through the host clamp, so compare against it
-        want = max(2, min(resolve_workers(8), 16))
-        assert resolve_shards("auto", 1000, workers=8) == want
-        assert resolve_shards("auto", 1000, workers=0) == 4  # serial default
-        assert resolve_shards("auto", 70, workers=0) == 2  # 70 // 32
-        assert resolve_shards("auto", 40, workers=0) == 1  # too small
+    def test_auto_is_rejected(self):
+        # "auto" meant one shard per construction worker; the
+        # construction pool is gone, and with it the rule.
+        with pytest.raises(ValidationError):
+            resolve_shards("auto")
 
 
 class TestBuildIndexFactory:
@@ -429,11 +425,9 @@ class TestPlanAndEngine:
     def test_engine_builds_and_answers_through_shards(self, inputs):
         dataset, queries = inputs
         sharded_engine = ImprovementQueryEngine(
-            dataset, queries, mode="relevant", shards=3, workers=0
+            dataset, queries, mode="relevant", shards=3
         )
-        mono_engine = ImprovementQueryEngine(
-            dataset, queries, mode="relevant", workers=0
-        )
+        mono_engine = ImprovementQueryEngine(dataset, queries, mode="relevant")
         assert sharded_engine.index.shards == 3
         target = 1
         a = sharded_engine.min_cost(target=target, tau=3)
@@ -441,20 +435,6 @@ class TestPlanAndEngine:
         assert a.hits_after == b.hits_after
         assert a.total_cost == pytest.approx(b.total_cost)
         assert np.array_equal(a.strategy.vector, b.strategy.vector)
-
-    def test_parallel_shard_build_matches_serial(self, inputs):
-        dataset, queries = inputs
-        serial = ShardedSubdomainIndex(
-            dataset, queries, shards=3, mode="exact", workers=0
-        )
-        parallel = ShardedSubdomainIndex(
-            dataset, queries, shards=3, mode="exact", workers=2
-        )
-        for qid in range(queries.m):
-            assert parallel.signature_of(qid) == serial.signature_of(qid)
-            assert np.array_equal(
-                parallel.cell_members(qid), serial.cell_members(qid)
-            )
 
 
 class TestHotArrays:

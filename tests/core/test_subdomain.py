@@ -41,6 +41,34 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SubdomainIndex(Dataset(rng.random((3, 2))), QuerySet(rng.random((3, 2)), ks=1), mode="bogus")
 
+    def test_construction_takes_no_workers_argument(self, rng):
+        dataset = Dataset(rng.random((5, 2)))
+        queries = QuerySet(rng.random((5, 2)), ks=1)
+        with pytest.raises(TypeError):
+            SubdomainIndex(dataset, queries, workers=2)
+
+    def test_duplicate_objects_drop_every_degenerate_pair(self, rng):
+        # Pairs keep the row order (0, 1), (0, 2), ..., (1, 2), ... and
+        # lose exactly the pairs of identical objects.
+        objects = rng.random((12, 3))
+        objects[5] = objects[2]
+        objects[9] = objects[2]
+        dataset = Dataset(objects)
+        index = SubdomainIndex(dataset, QuerySet(rng.random((8, 3)), ks=2))
+        matrix = dataset.matrix
+        expected = [
+            (a, b)
+            for a in range(12)
+            for b in range(a + 1, 12)
+            if not np.array_equal(matrix[a], matrix[b])
+        ]
+        assert len(expected) == 12 * 11 // 2 - 3
+        assert index.pairs.dtype == np.intp
+        assert [tuple(pair) for pair in index.pairs.tolist()] == expected
+        assert np.array_equal(
+            index.normals, matrix[index.pairs[:, 0]] - matrix[index.pairs[:, 1]]
+        )
+
     def test_duplicate_objects_skip_degenerate_hyperplanes(self, rng):
         raw = rng.random((5, 2))
         raw[3] = raw[1]  # duplicate
@@ -248,6 +276,22 @@ class TestRelevantMode:
         pairs = relevant_pairs(dataset, queries, margin=2)
         assert len(pairs) <= 20 * 19 // 2
         assert all(a < b for a, b in pairs)
+
+    def test_relevant_mode_literal_matches_vectorized_partition(self, rng):
+        # The relevant pair subset runs through the same partition
+        # machinery: the literal BSP build over it must agree with the
+        # vectorized grouping, hyperplane for hyperplane.
+        dataset = Dataset(rng.random((40, 3)))
+        queries = QuerySet(rng.random((30, 3)), ks=rng.integers(1, 5, 30))
+        literal = SubdomainIndex(
+            dataset, queries, mode="relevant", partition_method="literal"
+        )
+        vectorized = SubdomainIndex(dataset, queries, mode="relevant")
+        assert np.array_equal(literal.pairs, vectorized.pairs)
+        assert np.array_equal(literal.normals, vectorized.normals)
+        ours = [(s.signature, s.query_ids.tolist()) for s in literal.subdomains]
+        theirs = [(s.signature, s.query_ids.tolist()) for s in vectorized.subdomains]
+        assert ours == theirs
 
     def test_relevant_mode_hits_match_exact(self, rng):
         dataset = Dataset(rng.random((25, 3)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.check import check_index_invariants
 from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
@@ -119,6 +120,27 @@ class TestAddObject:
         index.validate()
         assert index.dataset.n == 11
         assert_equivalent(index, rebuilt(index))
+
+    def test_copy_of_an_existing_object_adds_no_degenerate_column(self, rng):
+        # Exact mode pairs the newcomer with every object; the pair with
+        # its twin has a zero normal and must be dropped, exactly as a
+        # fresh build drops it.
+        index = build(rng)
+        object_id = updates.add_object(index, index.dataset.points[3].copy())
+        check_index_invariants(index)
+        assert index.num_hyperplanes == 11 * 10 // 2 - 1
+        assert [3, object_id] not in index.pairs.tolist()
+        # The newcomer's columns come last; put them in build order.
+        fresh = rebuilt(index)
+        order = np.lexsort((index.pairs[:, 1], index.pairs[:, 0]))
+        assert np.array_equal(index.pairs[order], fresh.pairs)
+        assert np.array_equal(index.normals[order], fresh.normals)
+        ours = sorted(
+            (np.frombuffer(s.signature, dtype=np.int8)[order].tobytes(), s.query_ids.tolist())
+            for s in index.subdomains
+        )
+        theirs = sorted((s.signature, s.query_ids.tolist()) for s in fresh.subdomains)
+        assert ours == theirs
 
     def test_dominating_object_changes_hits(self, rng):
         index = build(rng)

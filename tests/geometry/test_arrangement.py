@@ -56,6 +56,26 @@ class TestGrouping:
         all_indices = np.concatenate(list(groups.values()))
         assert sorted(all_indices.tolist()) == list(range(50))
 
+    def test_matches_structured_unique(self, rng):
+        # Keys are row bytes and members ascend, exactly as a structured
+        # np.unique(axis=0) over the rows groups them.
+        signatures = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 7))
+        uniq, inverse = np.unique(signatures, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        expected = {
+            uniq[g].tobytes(): np.flatnonzero(inverse == g).tolist()
+            for g in range(uniq.shape[0])
+        }
+        groups = group_by_signature(signatures)
+        assert {key: members.tolist() for key, members in groups.items()} == expected
+        assert all(members.dtype == np.intp for members in groups.values())
+
+    def test_empty_inputs(self):
+        assert group_by_signature(np.empty((0, 4), dtype=np.int8)) == {}
+        zero_cols = group_by_signature(np.empty((3, 0), dtype=np.int8))
+        assert list(zero_cols) == [b""]
+        assert zero_cols[b""].tolist() == [0, 1, 2]
+
     def test_zero_hyperplanes_single_group(self):
         groups = group_by_signature(np.empty((7, 0), dtype=np.int8))
         assert len(groups) == 1

@@ -25,7 +25,6 @@ class FakeExecuted:
     solver_name: str = "efficient"
     total_seconds: float = 0.002
     evaluations: int = 19
-    workers: int = 0
     shards: int = 0
 
 
@@ -36,7 +35,7 @@ class TestRecording:
         samples = store.samples(FakeExecuted.fingerprint)
         assert list(samples) == ["efficient"]
         assert samples["efficient"][0] == {
-            "seconds": 0.002, "evaluations": 19, "workers": 0, "shards": 0,
+            "seconds": 0.002, "evaluations": 19, "shards": 0,
         }
 
     def test_empty_fingerprint_not_recorded(self):

@@ -15,9 +15,7 @@ SHARDS = 3
 @pytest.fixture
 def sharded_engine(small_market):
     objects, queries, ks = small_market
-    return ImprovementQueryEngine(
-        Dataset(objects), QuerySet(queries, ks), shards=SHARDS, workers=0
-    )
+    return ImprovementQueryEngine(Dataset(objects), QuerySet(queries, ks), shards=SHARDS)
 
 
 def requests_for(engine, count=5):

@@ -138,7 +138,7 @@ class TestRegressionHarness:
         assert payload["scale"] == "tiny"
         figures = {record["figure"] for record in payload["records"]}
         assert figures == {
-            "fig4", "fig5", "fig7", "par_index", "par_batch", "serve", "persist",
+            "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
             "shard_build", "shard_update", "analyze_overhead",
         }
         for record in payload["records"]:
@@ -223,20 +223,10 @@ class TestPlanMetadata:
                 assert plan["kind"] == "min_cost"
                 assert plan["solver"] == "efficient"
                 assert plan["evaluator"] == "ese"
-            elif record["figure"] == "par_index":
-                if "routing" in record["config"]:
-                    # The sharded case compares two sharded builds; no
-                    # single monolithic plan describes it.
-                    assert "plan" not in record
-                    continue
-                # The plan describes the parallel-built index, so its
-                # worker count must match the record's *resolved* count
-                # (requests above os.cpu_count() are clamped).
-                assert record["plan"]["workers"] == record["config"]["resolved_workers"]
             elif record["figure"] == "par_batch":
-                # The batch bench shares one serially-built index across
-                # pool sizes; the plan reports that build.
-                assert record["plan"]["workers"] == 0
+                # The batch bench shares one index across pool sizes;
+                # the plan reports that index, the config the pool.
+                assert record["plan"]["shards"] == 1
                 assert record["config"]["workers"] >= 2
             else:
                 assert "plan" not in record

@@ -28,14 +28,6 @@ class TestShardFigures:
         assert record.config["inserts"] == 5
         assert 1 <= record.config["touched_shards"] <= 2
 
-    def test_par_index_includes_a_sharded_case(self, config):
-        from repro.bench.regression import bench_par_index
-
-        records = bench_par_index(config, workers=2, shards=2)
-        sharded = [r for r in records if r.config.get("routing")]
-        assert len(sharded) == 1
-        assert sharded[0].case == "shards=2,workers=2"
-
 
 class TestSingleCoreFloor:
     """shard_update's 1x floor gates any host — the win is work avoidance,

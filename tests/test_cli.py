@@ -265,6 +265,26 @@ class TestExplain:
                  "--method", "auto"])
 
 
+class TestWorkersOption:
+    """``--workers`` sizes the serving pool; no other verb takes it."""
+
+    @pytest.mark.parametrize("verb", ["improve", "explain", "hits"])
+    def test_index_verbs_reject_workers(self, market_files, capsys, verb):
+        objects, queries = market_files
+        goal = [] if verb == "hits" else ["--target", "0", "--reach", "4"]
+        with pytest.raises(SystemExit) as excinfo:
+            run([verb, objects, queries, *goal, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_shards_auto_is_a_usage_error(self, market_files):
+        objects, queries = market_files
+        with pytest.raises(SystemExit) as excinfo:
+            run(["improve", objects, queries, "--target", "0", "--reach", "4",
+                 "--shards", "auto"])
+        assert excinfo.value.code == 2
+
+
 class TestExplainAnalyze:
     def test_analyze_prints_observed_stats(self, market_files):
         objects, queries = market_files
