@@ -71,22 +71,24 @@ class TableResult:
 
 @dataclass
 class BenchRecord:
-    """One literal-vs-vectorized measurement of the regression harness.
+    """One point of a regression-harness figure: baseline vs candidate.
 
-    ``literal_seconds`` times the pre-optimization code path (BSP
-    partition loop / per-query closed-form loop); ``vectorized_seconds``
-    times the batched replacement on the *same* inputs, after a parity
-    check that both produced identical results.
+    ``literal_seconds`` times the baseline path (the BSP partition loop,
+    the per-query candidate loop, the serial batch loop, a rebuild, a
+    plain engine call); ``vectorized_seconds`` times the candidate path
+    the figure defends on the *same* inputs.  The names come from the
+    first figures, which timed literal against vectorized code; a
+    record exists only after the two sides' results agreed.
     """
 
-    figure: str  #: paper artefact the configuration comes from (fig4/fig5/fig7)
+    figure: str  #: bench-table row (fig4, fig5, fig7, par_batch, serve, ...)
     case: str  #: human-readable point on the figure's sweep axis
     config: dict  #: the generating parameters (sizes, seed, mode, ...)
     literal_seconds: float
     vectorized_seconds: float
     #: ExecutionPlan.to_dict() of the benchmarked call, when the measured
-    #: stage belongs to a planned improvement query (fig7); None for
-    #: stages with no solver involved (fig4/fig5 index builds).
+    #: stage belongs to a planned improvement query (fig7, par_batch);
+    #: None for the other figures.
     plan: dict | None = None
 
     @property

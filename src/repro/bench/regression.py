@@ -1,69 +1,32 @@
-"""Benchmark-regression harness: literal vs vectorized code paths.
+"""Benchmark-regression harness: one table of figures, one timing loop.
 
-Re-runs the Figure 4, 5, and 7 configurations with both implementations
-of each optimized stage and records wall-clock plus speedup:
+Each row of :data:`FIGURES` names a figure, a generator of its points,
+and the figure's absolute floor.  A :class:`Point` pairs a *baseline*
+callable (the reference path) with a *candidate* (the path the figure
+defends) on the same inputs, plus the check that their results agree.
+:func:`measure` times every point the same way, and records keep the
+schema's ``literal_seconds`` / ``vectorized_seconds`` names for the
+baseline and candidate sides.  The rows, in table order:
 
-* **fig4 / fig5** — full :class:`~repro.core.subdomain.SubdomainIndex`
+* **fig4 / fig5** — the Figure 4 and 5 configurations (§6.3): index
   builds with ``partition_method="literal"`` (the BSP loop of
-  Algorithm 1) vs ``"vectorized"`` (one sign-matrix partition), sweeping
-  |D| (fig4) and |Q| (fig5).  Both builds must produce byte-identical
-  signature -> member partitions or the run aborts.
-* **fig7** — candidate generation on the Figure 7 IQ-processing
-  configuration: :func:`~repro.core._search.generate_candidates` with
-  ``method="loop"`` (per-query :func:`min_cost_to_hit`) vs
-  ``method="auto"`` (batched closed form), per sampled target.  The two
-  paths must agree on candidate ids, vectors, and costs.
+  Algorithm 1) vs ``"vectorized"``, sweeping |D| and |Q|.
+* **fig7** — the Figure 7 configuration: candidate generation,
+  ``method="loop"`` vs the batched closed form, per sampled target.
+* **par_batch** — the fig7-shaped IQ batch, serial loop vs a
+  :class:`~repro.parallel.persistent.PersistentPool`.
+* **serve** — the same batch as a JSONL stream through
+  :func:`~repro.parallel.server.serve_stream`, serial vs pooled.
+* **persist** — a fresh ``mode="exact"`` build vs loading it from disk.
+* **shard_build** — a monolithic build vs a K-shard build.
+* **shard_update** — a full K-shard rebuild vs one routed ``add_query``.
+* **analyze_overhead** — plain engine calls vs ``engine.analyze``.
 
-Three more figures cover the parallel execution layer and persistence,
-reusing the same record shape with *serial* (or the rebuild) in the
-``literal_seconds`` slot and the optimized path in
-``vectorized_seconds``:
-
-* **par_batch** — the fig7 IQ sweep evaluated serially vs through a
-  pre-warmed :class:`repro.parallel.persistent.PersistentPool` (fork
-  once, shm-resident matrices, chunked dispatch); pool startup is
-  untimed because it amortizes across a serving process's lifetime, and
-  per-request results must agree with the serial reference.
-* **serve** — the same sweep as a JSONL stream through
-  :func:`repro.parallel.server.serve_stream`: serial-mode server vs
-  pooled server, response lines byte-identical, with the pooled run's
-  requests/second recorded as the serving-throughput figure.
-* **persist** — a fresh ``mode="exact"`` build vs
-  :meth:`SubdomainIndex.load` of the saved index directory (mmap
-  layout); the restored index must serve identical answers, and the
-  record carries the directory's size in bytes.  Loading must beat
-  rebuilding on any host, so this figure has a
-  :data:`CHECK_SINGLE_CORE_FLOORS` entry.
-
-Two figures cover the sharded index layer (PR8), same record shape:
-
-* **shard_build** — one monolithic build (``literal_seconds``) vs a
-  K-shard :class:`~repro.core.sharding.ShardedSubdomainIndex` build
-  (``vectorized_seconds``) on the same inputs; every probe target's
-  Eq. 6 thresholds and hit mask must match the monolith float-exactly.
-* **shard_update** — incremental maintenance: rebuild the whole
-  K-shard index on the post-insert workload (``literal_seconds``) vs
-  routing one ``add_query`` into its owning shard
-  (``vectorized_seconds``).  The update touches exactly one shard, so
-  it must beat the rebuild outright *even on a single core* — the win
-  is work avoidance, not parallelism — which is why this figure gets
-  its own :data:`CHECK_SINGLE_CORE_FLOORS` entry.
-
-One figure covers the observability layer (PR10):
-
-* **analyze_overhead** — the fig7-shaped IQ sweep run through the plain
-  engine calls (``literal_seconds``) vs through ``engine.analyze``
-  (``vectorized_seconds``, the ``EXPLAIN ANALYZE`` path with the stage
-  recorder active and the stats store recording).  Results must be
-  byte-identical; the figure's "speedup" is plain/analyzed, so values
-  near 1x mean the observation layer is near-free, and the
-  :data:`CHECK_ANALYZE_FLOORS` gate fails ``--check`` if analyzed runs
-  ever cost more than double the plain ones.
-
-``run_regression`` drives all of them and optionally writes a
-``BENCH_*.json`` file (schema documented in EXPERIMENTS.md).  The
-``--smoke`` mode truncates every sweep and forces the tiny scale so CI
-can execute the whole harness in seconds.
+``run_regression`` runs the table and optionally writes a
+``BENCH_*.json`` file (schema documented in EXPERIMENTS.md), and
+``check_regression`` gates a run against a baseline with the floors
+the table declares.  ``--smoke`` truncates every sweep and forces the
+tiny scale so CI can execute the whole harness in seconds.
 """
 
 from __future__ import annotations
@@ -75,7 +38,9 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -104,16 +69,14 @@ from repro.errors import ReproError
 from repro.parallel import IQRequest, PersistentPool, run_batch, serve_stream
 
 __all__ = [
-    "bench_fig4_partition",
-    "bench_fig5_partition",
-    "bench_fig7_candidates",
-    "bench_par_batch",
-    "bench_serve",
-    "bench_persist",
-    "bench_shard_build",
-    "bench_shard_update",
-    "bench_analyze",
+    "FIGURES",
+    "Figure",
+    "Point",
+    "ROUNDS",
+    "RegressionMismatch",
     "check_regression",
+    "measure",
+    "run_figure",
     "run_regression",
     "main",
 ]
@@ -124,43 +87,107 @@ DEFAULT_BENCH_WORKERS = 4
 #: Default shard count for the sharded-index figures.
 DEFAULT_BENCH_SHARDS = 4
 
+#: Timed rounds per point.  Three were not enough: with medians of
+#: three, 36 of the 870 ordered pairs of 30 ``--smoke`` runs on a 2-CPU
+#: host failed the 2x ``--check`` tolerance, most of them on par_batch.
+ROUNDS = 5
+
 #: A figure "regresses" when its median speedup falls below this
 #: fraction of the baseline's — generous, because the harness times
 #: sub-second stages on shared CI machines.
 CHECK_MIN_RATIO = 0.5
 
-#: Absolute median-speedup floors enforced by ``--check`` on top of the
-#: relative ratio: the persistent-pool figures must beat serial outright
-#: (the whole point of the redeemed driver), so a future slide back
-#: under 1x fails CI even if the baseline also slid.  Only enforced on
-#: multi-core hosts (the payload records ``cpus``) and at non-smoke
-#: scales: with one core a process pool cannot beat the serial loop,
-#: and at tiny scale fork/IPC overhead legitimately dominates the
-#: micro-batches, whatever the driver does.
-CHECK_ABSOLUTE_FLOORS = {"par_batch": 1.0, "serve": 1.0}
-
-#: Scales too small for the absolute pooled floors to be meaningful.
+#: Scales too small for the absolute floors to be meaningful: at tiny
+#: scale both sides are sub-millisecond and fork/IPC overhead dominates
+#: the pooled micro-batches, whatever the code does.
 CHECK_FLOOR_EXEMPT_SCALES = frozenset({"tiny"})
-
-#: Absolute floors enforced on *any* host, single-core included: these
-#: figures' advantage is work avoidance (maintain one touched shard
-#: instead of rebuilding all K; load a saved index instead of building
-#: it), not parallelism, so a slide under 1x is a real regression
-#: everywhere.  Tiny scale stays exempt — there both sides are
-#: sub-millisecond timer noise.
-CHECK_SINGLE_CORE_FLOORS = {"shard_update": 1.0, "persist": 1.0}
-
-#: Absolute floor for the ``analyze_overhead`` figure, enforced on any
-#: host at non-smoke scales: the figure's speedup is plain/analyzed
-#: seconds, so 0.5 means an ``EXPLAIN ANALYZE`` run may cost at most
-#: twice its plain twin.  The observation layer is a no-op-guarded
-#: global read on the hot path; doubling a query's cost would mean the
-#: instrumentation escaped that design.
-CHECK_ANALYZE_FLOORS = {"analyze_overhead": 0.5}
 
 
 class RegressionMismatch(AssertionError):
-    """Literal and vectorized paths disagreed — the harness is void."""
+    """Baseline and candidate paths disagreed — the harness is void."""
+
+
+@dataclass(frozen=True)
+class Point:
+    """One measured point of a figure: two sides and their agreement check.
+
+    ``agree(baseline_result, candidate_result)`` sees each side's last
+    result.  A ``config`` value may be a function of those two results;
+    it is read after the timing (the pooled server's throughput, a
+    sharded build's shard sizes).
+    """
+
+    case: str
+    config: dict
+    baseline: Callable[[], Any]
+    candidate: Callable[[], Any]
+    agree: Callable[[Any, Any], bool]
+    plan: dict | None = None
+
+
+#: ``points(config, limit, workers, shards)``: ``limit`` truncates each
+#: sweep (smoke runs), ``workers`` and ``shards`` size the parallel and
+#: sharded figures.  A generator resumes only after its point is
+#: measured, so setup held around a ``yield`` outlives the timing.
+PointSource = Callable[[BenchConfig, "int | None", int, int], Iterator[Point]]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One row of the bench table.
+
+    ``floor`` is the absolute median speedup ``--check`` requires at
+    non-tiny scales, on hosts with at least ``cores`` CPUs; ``reason``
+    says why, in the failure message.
+    """
+
+    name: str
+    points: PointSource
+    floor: float | None = None
+    cores: int = 1
+    reason: str = ""
+
+
+def measure(figure: str, point: Point) -> BenchRecord:
+    """Time one point: ``ROUNDS`` rounds, sides alternating, GC off.
+
+    The baseline runs first on even rounds and the candidate first on
+    odd ones, so both sides sample the same stretch of host speed and
+    neither always inherits the other's cache state.  The collector is
+    off, as in :mod:`timeit`, so a full collection over a large caller
+    heap cannot land in one side.  Each side keeps its median, which
+    absorbs a cold first call.  The agreement check runs once, after
+    the loop.
+    """
+    sides = (point.baseline, point.candidate)
+    seconds: tuple[list[float], list[float]] = ([], [])
+    results: list[Any] = [None, None]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for round_ in range(ROUNDS):
+            for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+                results[side], took = time_call(sides[side])
+                seconds[side].append(took)
+    finally:
+        if collecting:
+            gc.enable()
+    if not point.agree(*results):
+        raise RegressionMismatch(
+            f"{figure} {point.case}: baseline and candidate results differ"
+        )
+    config = {
+        key: value(*results) if callable(value) else value
+        for key, value in point.config.items()
+    }
+    return BenchRecord(
+        figure=figure,
+        case=point.case,
+        config=config,
+        literal_seconds=float(np.median(seconds[0])),
+        vectorized_seconds=float(np.median(seconds[1])),
+        plan=point.plan,
+    )
 
 
 def _make_inputs(n: int, m: int, config: BenchConfig) -> tuple[Dataset, QuerySet]:
@@ -171,6 +198,24 @@ def _make_inputs(n: int, m: int, config: BenchConfig) -> tuple[Dataset, QuerySet
     return dataset, queries
 
 
+def _record_config(
+    config: BenchConfig,
+    n: int | None = None,
+    m: int | None = None,
+    mode: str | None = None,
+    **extra: Any,
+) -> dict:
+    """A record's config: sizes and index mode, then ``extra``, then the seed."""
+    return {
+        "num_objects": config.num_objects if n is None else n,
+        "num_queries": config.num_queries if m is None else m,
+        "dimensions": config.dimensions,
+        "index_mode": mode or config.index_mode,
+        **extra,
+        "seed": config.seed,
+    }
+
+
 def _partition_fingerprint(index: SubdomainIndex) -> list[tuple[bytes, tuple[int, ...]]]:
     return sorted(
         (sub.signature, tuple(int(q) for q in np.sort(sub.query_ids)))
@@ -178,99 +223,81 @@ def _partition_fingerprint(index: SubdomainIndex) -> list[tuple[bytes, tuple[int
     )
 
 
-def _timed_builds(
-    dataset: Dataset, queries: QuerySet, config: BenchConfig
-) -> tuple[float, float]:
-    """(literal_seconds, vectorized_seconds) for identical index builds."""
-    literal, literal_seconds = time_call(
-        SubdomainIndex,
-        dataset,
-        queries,
-        mode=config.index_mode,
-        partition_method="literal",
+def _same_partition(left: SubdomainIndex, right: SubdomainIndex) -> bool:
+    return _partition_fingerprint(left) == _partition_fingerprint(right)
+
+
+def _same_thresholds(left: Any, right: Any) -> bool:
+    """Every probe target's Eq. 6 thresholds and hit mask agree float-exactly.
+
+    Per-query quantities depend only on that query's weights and the
+    full object set, so neither sharding nor maintenance may move them.
+    """
+    return all(
+        np.array_equal(left.kth_other(target)[1], right.kth_other(target)[1])
+        and np.array_equal(left.hits_mask(target), right.hits_mask(target))
+        for target in range(min(left.dataset.n, 16))
     )
-    vectorized, vectorized_seconds = time_call(
-        SubdomainIndex,
-        dataset,
-        queries,
-        mode=config.index_mode,
-        partition_method="vectorized",
+
+
+def _build_point(config: BenchConfig, case: str, n: int, m: int) -> Point:
+    dataset, queries = _make_inputs(n, m, config)
+
+    def build(method: str) -> Callable[[], Any]:
+        return lambda: build_index(
+            dataset, queries, mode=config.index_mode, partition_method=method
+        )
+
+    return Point(
+        case,
+        _record_config(config, n, m),
+        build("literal"),
+        build("vectorized"),
+        _same_partition,
     )
-    if _partition_fingerprint(literal) != _partition_fingerprint(vectorized):
-        raise RegressionMismatch(
-            f"literal and vectorized partitions differ (n={dataset.n}, m={queries.m})"
-        )
-    return literal_seconds, vectorized_seconds
 
 
-def bench_fig4_partition(config: BenchConfig, points: int | None = None) -> list[BenchRecord]:
-    """Figure 4 configuration: index build sweeping |D|."""
-    records = []
-    sweep = config.object_sweep[:points] if points else config.object_sweep
-    for n in sweep:
-        dataset, queries = _make_inputs(n, config.num_queries, config)
-        literal_seconds, vectorized_seconds = _timed_builds(dataset, queries, config)
-        records.append(
-            BenchRecord(
-                figure="fig4",
-                case=f"|D|={n}",
-                config={
-                    "num_objects": n,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "seed": config.seed,
-                },
-                literal_seconds=literal_seconds,
-                vectorized_seconds=vectorized_seconds,
-            )
-        )
-    return records
+def _fig4_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Figure 4: index build sweeping |D|; the partitions must be identical."""
+    for n in config.object_sweep[:limit]:
+        yield _build_point(config, f"|D|={n}", n, config.num_queries)
 
 
-def bench_fig5_partition(config: BenchConfig, points: int | None = None) -> list[BenchRecord]:
-    """Figure 5 configuration: index build sweeping |Q|."""
-    records = []
-    sweep = config.query_sweep[:points] if points else config.query_sweep
-    for m in sweep:
-        dataset, queries = _make_inputs(config.num_objects, m, config)
-        literal_seconds, vectorized_seconds = _timed_builds(dataset, queries, config)
-        records.append(
-            BenchRecord(
-                figure="fig5",
-                case=f"|Q|={m}",
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": m,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "seed": config.seed,
-                },
-                literal_seconds=literal_seconds,
-                vectorized_seconds=vectorized_seconds,
-            )
-        )
-    return records
+def _fig5_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Figure 5: index build sweeping |Q|; the partitions must be identical."""
+    for m in config.query_sweep[:limit]:
+        yield _build_point(config, f"|Q|={m}", config.num_objects, m)
 
 
-def bench_fig7_candidates(config: BenchConfig, targets: int | None = None) -> list[BenchRecord]:
-    """Figure 7 configuration: candidate generation, loop vs batch."""
+def _same_candidates(loop: Any, batch: Any) -> bool:
+    return (
+        np.array_equal(loop.query_ids, batch.query_ids)
+        and np.allclose(loop.vectors, batch.vectors, atol=ATOL_PARITY)
+        and np.allclose(loop.costs, batch.costs, atol=ATOL_PARITY)
+    )
+
+
+def _fig7_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Figure 7: candidate generation for a planned Min-Cost IQ, loop vs batch.
+
+    Candidate ids, vectors and costs must agree; the plan of the IQ the
+    stage belongs to is recorded with the timing.
+    """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    index = SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
+    index = build_index(dataset, queries, mode=config.index_mode)
     evaluator = StrategyEvaluator(index)
     cost = euclidean_cost(config.dimensions)
     space = StrategySpace.unconstrained(config.dimensions)
     rng = np.random.default_rng(config.seed + 7)
-    count = targets if targets else config.iq_repeats
+    count = limit if limit else config.iq_repeats
     picks = rng.choice(dataset.n, size=min(dataset.n, count), replace=False)
-
     tau = min(config.tau, queries.m)
     solver = get_solver("efficient")
-    records = []
+
+    def generate(state: SearchState, method: str) -> Callable[[], Any]:
+        return lambda: generate_candidates(evaluator, state, cost, space, method=method)
+
     for target in sorted(int(t) for t in picks):
-        # The measured stage is candidate generation inside this planned
-        # Min-Cost IQ call; the plan is recorded alongside the timing.
-        plan = build_plan(index, solver, "min_cost", target, tau, cost, space)
         state = SearchState(
             target=target,
             base=index.dataset.matrix[target].copy(),
@@ -278,165 +305,14 @@ def bench_fig7_candidates(config: BenchConfig, targets: int | None = None) -> li
             spent=0.0,
             mask=evaluator.hits_mask(target),
         )
-        loop_batch, loop_seconds = time_call(
-            generate_candidates, evaluator, state, cost, space, method="loop"
+        yield Point(
+            f"target={target}",
+            _record_config(config, candidates=lambda loop, _: loop.size),
+            generate(state, "loop"),
+            generate(state, "auto"),
+            _same_candidates,
+            plan=build_plan(index, solver, "min_cost", target, tau, cost, space).to_dict(),
         )
-        auto_batch, auto_seconds = time_call(
-            generate_candidates, evaluator, state, cost, space, method="auto"
-        )
-        if not (
-            np.array_equal(loop_batch.query_ids, auto_batch.query_ids)
-            and np.allclose(loop_batch.vectors, auto_batch.vectors, atol=ATOL_PARITY)
-            and np.allclose(loop_batch.costs, auto_batch.costs, atol=ATOL_PARITY)
-        ):
-            raise RegressionMismatch(
-                f"loop and batch candidate generation differ (target={target})"
-            )
-        records.append(
-            BenchRecord(
-                figure="fig7",
-                case=f"target={target}",
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "candidates": int(loop_batch.size),
-                    "seed": config.seed,
-                },
-                literal_seconds=loop_seconds,
-                vectorized_seconds=auto_seconds,
-                plan=plan.to_dict(),
-            )
-        )
-    return records
-
-
-def bench_shard_build(
-    config: BenchConfig, shards: int = DEFAULT_BENCH_SHARDS
-) -> list[BenchRecord]:
-    """Sharded build: monolithic vs K-shard partitioned construction.
-
-    Same inputs, both serial; every probe target's Eq. 6 thresholds and
-    hit mask must agree float-exactly (per-query quantities depend only
-    on that query's weights and the full object set, so sharding the
-    workload cannot change them).
-    """
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    mono, mono_seconds = time_call(
-        SubdomainIndex, dataset, queries, mode=config.index_mode
-    )
-    sharded, sharded_seconds = time_call(
-        build_index, dataset, queries, mode=config.index_mode, shards=shards
-    )
-    for target in range(min(dataset.n, 16)):
-        _, mono_theta = mono.kth_other(target)
-        _, sharded_theta = sharded.kth_other(target)
-        if not (
-            np.array_equal(mono_theta, sharded_theta)
-            and np.array_equal(mono.hits_mask(target), sharded.hits_mask(target))
-        ):
-            raise RegressionMismatch(
-                f"monolithic and {shards}-shard builds disagree on target {target}"
-            )
-    return [
-        BenchRecord(
-            figure="shard_build",
-            case=f"shards={shards}",
-            config={
-                "num_objects": config.num_objects,
-                "num_queries": config.num_queries,
-                "dimensions": config.dimensions,
-                "index_mode": config.index_mode,
-                "shards": shards,
-                "routing": sharded.routing,
-                "shard_sizes": list(sharded.shard_sizes),
-                "seed": config.seed,
-            },
-            literal_seconds=mono_seconds,
-            vectorized_seconds=sharded_seconds,
-        )
-    ]
-
-
-def bench_shard_update(
-    config: BenchConfig, shards: int = DEFAULT_BENCH_SHARDS
-) -> list[BenchRecord]:
-    """Incremental maintenance: touched-shard update vs full rebuild.
-
-    Builds a K-shard index and, over five rounds, routes one
-    ``add_query`` insert into its owning shard, then times a
-    from-scratch sharded rebuild on the post-insert workload.
-    ``vectorized_seconds`` is the median insert and ``literal_seconds``
-    the median rebuild.  The two alternate with the garbage collector
-    off, as in :func:`bench_persist`: an insert takes about a
-    millisecond, so one collection or one slow stretch of the host
-    landing on one side would swing the ratio.  Each update leaves K-1
-    shards untouched, so it must beat the rebuild outright even on a
-    single core; the maintained and the last rebuilt index must agree
-    on every probe target's thresholds and hit mask.  Five rounds: in a
-    median of three, two inserts slowed from about 1 ms to 3.7 ms on a
-    2-CPU host were enough to halve the ratio.
-    """
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    maintained = build_index(dataset, queries, mode=config.index_mode, shards=shards)
-    rng = np.random.default_rng(config.seed + 13)
-    epochs_before = maintained.shard_epochs
-    insert_seconds: list[float] = []
-    rebuild_seconds: list[float] = []
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(5):
-            weights = rng.random(config.dimensions)
-            _, seconds = time_call(maintained.add_query, weights, 2)
-            insert_seconds.append(seconds)
-            rebuilt, seconds = time_call(
-                build_index,
-                dataset,
-                maintained.queries,
-                mode=config.index_mode,
-                shards=shards,
-            )
-            rebuild_seconds.append(seconds)
-    finally:
-        if collecting:
-            gc.enable()
-    touched = sum(
-        1 for before, after in zip(epochs_before, maintained.shard_epochs)
-        if after != before
-    )
-    for target in range(min(dataset.n, 16)):
-        _, maintained_theta = maintained.kth_other(target)
-        _, rebuilt_theta = rebuilt.kth_other(target)
-        if not (
-            np.array_equal(maintained_theta, rebuilt_theta)
-            and np.array_equal(
-                maintained.hits_mask(target), rebuilt.hits_mask(target)
-            )
-        ):
-            raise RegressionMismatch(
-                f"updated and rebuilt sharded indexes disagree on target {target}"
-            )
-    return [
-        BenchRecord(
-            figure="shard_update",
-            case=f"shards={shards}",
-            config={
-                "num_objects": config.num_objects,
-                "num_queries": config.num_queries,
-                "dimensions": config.dimensions,
-                "index_mode": config.index_mode,
-                "shards": shards,
-                "routing": maintained.routing,
-                "inserts": len(insert_seconds),
-                "touched_shards": touched,
-                "seed": config.seed,
-            },
-            literal_seconds=float(np.median(rebuild_seconds)),
-            vectorized_seconds=float(np.median(insert_seconds)),
-        )
-    ]
 
 
 def _bench_workload(
@@ -459,262 +335,245 @@ def _bench_workload(
     return engine, batch, tau
 
 
-def bench_par_batch(
-    config: BenchConfig,
-    workers: int = DEFAULT_BENCH_WORKERS,
-    requests: int | None = None,
-) -> list[BenchRecord]:
-    """Batch IQ driver: serial loop vs persistent worker pool.
+def _same_results(serial: Any, pooled: Any) -> bool:
+    return len(serial) == len(pooled) and all(
+        s.hits_after == p.hits_after
+        and np.isclose(s.total_cost, p.total_cost, atol=ATOL_PARITY)
+        for s, p in zip(serial, pooled)
+    )
 
-    The fig7 IQ sweep shape: Min-Cost and Max-Hit calls over the
-    least-hit targets, one batch per worker count.  Pool construction
-    (fork + shm export) and one warm-up batch are *untimed* — that is
-    the persistent pool's contract: startup amortizes across the many
-    batches a serving process runs, so the figure measures the
-    steady-state cost of one more batch.  Per-request results must
-    agree with the serial reference on hits and cost.
+
+def _par_batch_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Batch IQ driver: the serial loop vs a persistent worker pool.
+
+    Min-Cost and Max-Hit calls over the least-hit targets, one point
+    per pool size.  Pool startup is not the figure: it amortizes across
+    the many batches a serving process runs.  The shm export happens
+    before the timing; the workers fork inside the first pooled call
+    (inheriting the collector's off state), a cold call the median
+    drops.
     """
-    engine, batch, tau = _bench_workload(config, requests)
-    run_batch(engine, batch, workers=0)  # warm-up: prefixes + caches
-    serial_results, serial_seconds = time_call(run_batch, engine, batch, workers=0)
-    solver = get_solver("efficient")
-    cost = euclidean_cost(config.dimensions)
-    space = StrategySpace.unconstrained(config.dimensions)
-    records = []
-    for pool_size in sorted({2, workers}):
-        with PersistentPool(engine, workers=pool_size) as worker_pool:
-            worker_pool.run(batch)  # warm-up: per-worker evaluator state
-            parallel_results, parallel_seconds = time_call(worker_pool.run, batch)
-            resolved = worker_pool.workers
-        for serial_result, parallel_result in zip(serial_results, parallel_results):
-            if not (
-                serial_result.hits_after == parallel_result.hits_after
-                and np.isclose(
-                    serial_result.total_cost,
-                    parallel_result.total_cost,
-                    atol=ATOL_PARITY,
-                )
-            ):
-                raise RegressionMismatch(
-                    f"serial and pooled batch results differ (workers={pool_size})"
-                )
-        plan = build_plan(
-            engine.index, solver, "min_cost", batch[0].target, tau, cost, space
-        )
-        records.append(
-            BenchRecord(
-                figure="par_batch",
-                case=f"workers={pool_size}",
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "requests": len(batch),
-                    "workers": pool_size,
-                    "resolved_workers": resolved,
-                    "driver": "persistent",
-                    "seed": config.seed,
-                },
-                literal_seconds=serial_seconds,
-                vectorized_seconds=parallel_seconds,
-                plan=plan.to_dict(),
+    engine, batch, tau = _bench_workload(config, limit)
+    plan = build_plan(
+        engine.index,
+        get_solver("efficient"),
+        "min_cost",
+        batch[0].target,
+        tau,
+        euclidean_cost(config.dimensions),
+        StrategySpace.unconstrained(config.dimensions),
+    ).to_dict()
+    for size in sorted({2, workers}):
+        with PersistentPool(engine, workers=size) as pool:
+            yield Point(
+                f"workers={size}",
+                _record_config(
+                    config,
+                    requests=len(batch),
+                    workers=size,
+                    resolved_workers=pool.workers,
+                    driver="persistent",
+                ),
+                lambda: run_batch(engine, batch, workers=0),
+                lambda: pool.run(batch),
+                _same_results,
+                plan=plan,
             )
-        )
-    return records
 
 
-def bench_serve(
-    config: BenchConfig,
-    workers: int = DEFAULT_BENCH_WORKERS,
-    requests: int | None = None,
-) -> list[BenchRecord]:
-    """Serving front end: one JSONL stream, serial vs pooled server.
+def _served(engine: Any, lines: list[str], pool: PersistentPool) -> tuple[str, Any]:
+    out = io.StringIO()
+    stats = serve_stream(engine, lines, out, pool=pool)
+    return out.getvalue(), stats
 
-    The same fig7-shaped workload as :func:`bench_par_batch`, expressed
-    as protocol lines and pushed through :func:`serve_stream` — so the
-    figure includes parsing, coalescing, and response serialization, not
-    just solve time.  ``literal_seconds`` serves through a serial-mode
-    pool (the reference), ``vectorized_seconds`` through a pre-warmed
-    worker pool; both runs must emit byte-identical response lines.
-    The record's config carries the pooled run's requests/second as
-    ``throughput`` (the serving figure EXPERIMENTS.md quotes).
+
+def _serve_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Serving front end: one JSONL stream, serial-mode vs pooled server.
+
+    The par_batch workload as protocol lines, so the figure includes
+    parsing, coalescing and response serialization.  Both servers must
+    emit byte-identical responses; ``throughput`` and ``batches`` are
+    the pooled server's last run.
     """
-    engine, batch, _ = _bench_workload(config, requests)
+    engine, batch, _ = _bench_workload(config, limit)
     lines = [
         json.dumps(
-            {
-                "id": i,
-                "kind": request.kind,
-                "target": request.target,
-                "goal": request.goal,
-            }
+            {"id": i, "kind": request.kind, "target": request.target, "goal": request.goal}
         )
         for i, request in enumerate(batch)
     ]
-    records = []
     with PersistentPool(engine, workers=0) as serial_pool:
-        serve_stream(engine, lines, io.StringIO(), pool=serial_pool)  # warm-up
-        serial_out = io.StringIO()
-        _, serial_seconds = time_call(
-            serve_stream, engine, lines, serial_out, pool=serial_pool
-        )
-    for pool_size in sorted({2, workers}):
-        with PersistentPool(engine, workers=pool_size) as worker_pool:
-            serve_stream(engine, lines, io.StringIO(), pool=worker_pool)  # warm-up
-            pooled_out = io.StringIO()
-            stats, pooled_seconds = time_call(
-                serve_stream, engine, lines, pooled_out, pool=worker_pool
-            )
-            resolved = worker_pool.workers
-        if serial_out.getvalue() != pooled_out.getvalue():
-            raise RegressionMismatch(
-                f"serial and pooled serve responses differ (workers={pool_size})"
-            )
-        records.append(
-            BenchRecord(
-                figure="serve",
-                case=f"workers={pool_size}",
-                config={
-                    "num_objects": config.num_objects,
-                    "num_queries": config.num_queries,
-                    "dimensions": config.dimensions,
-                    "index_mode": config.index_mode,
-                    "requests": len(lines),
-                    "workers": pool_size,
-                    "resolved_workers": resolved,
-                    "throughput": stats.throughput,
-                    "batches": stats.batches,
-                    "seed": config.seed,
-                },
-                literal_seconds=serial_seconds,
-                vectorized_seconds=pooled_seconds,
-            )
-        )
-    return records
+        for size in sorted({2, workers}):
+            with PersistentPool(engine, workers=size) as pool:
+                yield Point(
+                    f"workers={size}",
+                    _record_config(
+                        config,
+                        requests=len(lines),
+                        workers=size,
+                        resolved_workers=pool.workers,
+                        throughput=lambda _, pooled: pooled[1].throughput,
+                        batches=lambda _, pooled: pooled[1].batches,
+                    ),
+                    lambda: _served(engine, lines, serial_pool),
+                    lambda: _served(engine, lines, pool),
+                    lambda serial, pooled: serial[0] == pooled[0],
+                )
 
 
-def bench_persist(config: BenchConfig) -> list[BenchRecord]:
-    """Index persistence: fresh ``mode="exact"`` build vs directory load.
+def _persist_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Index persistence: a fresh ``mode="exact"`` build vs a directory load.
 
-    Saves the built index, reloads it against the same inputs, verifies
-    the partitions and a probe object's hit count agree, and records
-    build time vs load time (the amortization repeated runs get) plus
-    the saved directory's size in bytes.  Builds and loads alternate
-    over three rounds and each side records its median, with the
-    garbage collector off as in :mod:`timeit`: both sides then sample
-    the same stretch of host speed, and a full collection over a large
-    caller heap cannot land in one of them.
+    The loaded index must restore the same partition and answer a probe
+    the same way; the record carries the directory's size in bytes.
     """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    build_seconds: list[float] = []
-    load_seconds: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench-index"
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(3):
-                built, seconds = time_call(SubdomainIndex, dataset, queries, mode="exact")
-                build_seconds.append(seconds)
-                if not path.exists():
-                    built.save(path)
-                loaded, seconds = time_call(SubdomainIndex.load, path, dataset, queries)
-                load_seconds.append(seconds)
-        finally:
-            if collecting:
-                gc.enable()
+        build_index(dataset, queries, mode="exact").save(path)
         size_bytes = sum(f.stat().st_size for f in path.iterdir())
-        if _partition_fingerprint(built) != _partition_fingerprint(loaded):
-            raise RegressionMismatch("persisted index restored a different partition")
-        if built.hits(0) != loaded.hits(0):
-            raise RegressionMismatch("persisted index answers differ from the built index")
-        del loaded  # the maps die before the files do
-    return [
-        BenchRecord(
-            figure="persist",
-            case="build-vs-load",
-            config={
-                "num_objects": config.num_objects,
-                "num_queries": config.num_queries,
-                "dimensions": config.dimensions,
-                "index_mode": "exact",
-                "dir_bytes": int(size_bytes),
-                "seed": config.seed,
-            },
-            literal_seconds=float(np.median(build_seconds)),
-            vectorized_seconds=float(np.median(load_seconds)),
+        yield Point(
+            "build-vs-load",
+            _record_config(config, mode="exact", dir_bytes=size_bytes),
+            lambda: build_index(dataset, queries, mode="exact"),
+            lambda: SubdomainIndex.load(path, dataset, queries),
+            lambda built, loaded: _same_partition(built, loaded)
+            and built.hits(0) == loaded.hits(0),
         )
-    ]
 
 
-def bench_analyze(config: BenchConfig, requests: int | None = None) -> list[BenchRecord]:
-    """EXPLAIN ANALYZE overhead: plain engine calls vs analyzed calls.
+def _shard_build_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Sharded build: one monolithic build vs a K-shard build, both serial."""
+    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
+    yield Point(
+        f"shards={shards}",
+        _record_config(
+            config,
+            shards=shards,
+            routing=lambda _, sharded: sharded.routing,
+            shard_sizes=lambda _, sharded: list(sharded.shard_sizes),
+        ),
+        lambda: build_index(dataset, queries, mode=config.index_mode),
+        lambda: build_index(dataset, queries, mode=config.index_mode, shards=shards),
+        _same_thresholds,
+    )
 
-    The fig7-shaped IQ sweep (Min-Cost and Max-Hit over the least-hit
-    targets) executed twice: through the plain ``min_cost``/``max_hit``
-    API (``literal_seconds``) and through ``engine.analyze``
-    (``vectorized_seconds``) with the stage recorder active and the
-    stats store recording every run.  Each request pair must return
-    byte-identical strategies, hits, and costs — the differential that
-    ``repro check --analyze`` also enforces — and every executed plan
-    must actually carry observations (non-zero total wall-clock).
+
+def _shard_update_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """Incremental maintenance: a full K-shard rebuild vs one routed insert.
+
+    Each round's candidate routes one ``add_query`` into its owning
+    shard of the maintained index; the baseline rebuilds all K shards on
+    the maintained workload.  The update leaves K-1 shards untouched,
+    so it must beat the rebuild even on a single core.  Because the
+    sides alternate, the last timed rebuild may precede the last insert,
+    so the maintained index is checked against a rebuild of its final
+    workload.
     """
-    engine, batch, _ = _bench_workload(config, requests)
+    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
+    maintained = build_index(dataset, queries, mode=config.index_mode, shards=shards)
+    epochs = maintained.shard_epochs
+    rng = np.random.default_rng(config.seed + 13)
 
-    def plain():
-        return [
+    def rebuild() -> Any:
+        return build_index(dataset, maintained.queries, mode=config.index_mode, shards=shards)
+
+    def insert() -> Any:
+        maintained.add_query(rng.random(config.dimensions), 2)
+        return maintained
+
+    yield Point(
+        f"shards={shards}",
+        _record_config(
+            config,
+            shards=shards,
+            routing=maintained.routing,
+            inserts=ROUNDS,
+            touched_shards=lambda _, updated: sum(
+                before != after for before, after in zip(epochs, updated.shard_epochs)
+            ),
+        ),
+        rebuild,
+        insert,
+        lambda _, updated: _same_thresholds(updated, rebuild()),
+    )
+
+
+def _same_analyzed(plain: Any, analyzed: Any) -> bool:
+    """Byte-identical answers, and every analyzed run observed its wall-clock."""
+    return len(plain) == len(analyzed) and all(
+        result.hits_after == twin.hits_after
+        and result.total_cost == twin.total_cost
+        and np.array_equal(result.strategy.vector, twin.strategy.vector)
+        and executed.total_seconds > 0.0
+        for result, (twin, executed) in zip(plain, analyzed)
+    )
+
+
+def _analyze_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+    """EXPLAIN ANALYZE overhead: plain ``min_cost``/``max_hit`` vs ``engine.analyze``.
+
+    The par_batch workload, run as plain engine calls and as analyzed
+    ones (stage recorder active, stats store recording).  The speedup
+    is plain/analyzed, so values near 1x mean the observation layer is
+    near-free.  Answers must be byte-identical — the differential
+    ``repro check --analyze`` also enforces.
+    """
+    engine, batch, _ = _bench_workload(config, limit)
+    yield Point(
+        f"requests={len(batch)}",
+        _record_config(config, requests=len(batch)),
+        lambda: [
             engine.min_cost(r.target, int(r.goal))
             if r.kind == "min_cost"
             else engine.max_hit(r.target, r.goal)
             for r in batch
-        ]
-
-    def analyzed():
-        return [
+        ],
+        lambda: [
             engine.analyze(r.target, tau=int(r.goal))
             if r.kind == "min_cost"
             else engine.analyze(r.target, budget=r.goal)
             for r in batch
-        ]
+        ],
+        _same_analyzed,
+    )
 
-    plain()  # warm-up: evaluator prefixes + caches
-    plain_results, plain_seconds = time_call(plain)
-    analyzed_results, analyzed_seconds = time_call(analyzed)
-    for request, plain_result, (analyzed_result, executed) in zip(
-        batch, plain_results, analyzed_results
-    ):
-        if not (
-            plain_result.hits_after == analyzed_result.hits_after
-            and plain_result.total_cost == analyzed_result.total_cost
-            and np.array_equal(
-                plain_result.strategy.vector, analyzed_result.strategy.vector
-            )
-        ):
-            raise RegressionMismatch(
-                f"plain and analyzed results differ "
-                f"({request.kind}, target={request.target})"
-            )
-        if executed.total_seconds <= 0.0:
-            raise RegressionMismatch(
-                f"analyzed run recorded no wall-clock "
-                f"({request.kind}, target={request.target})"
-            )
+
+_POOLED = "the pooled path must beat serial on a multi-core host"
+_WORK_AVOIDANCE = (
+    "this figure's win is work avoidance, not parallelism, so it must hold on any host"
+)
+
+#: The bench table, in report order.
+FIGURES: tuple[Figure, ...] = (
+    Figure("fig4", _fig4_points),
+    Figure("fig5", _fig5_points),
+    Figure("fig7", _fig7_points),
+    Figure("par_batch", _par_batch_points, floor=1.0, cores=2, reason=_POOLED),
+    Figure("serve", _serve_points, floor=1.0, cores=2, reason=_POOLED),
+    Figure("persist", _persist_points, floor=1.0, reason=_WORK_AVOIDANCE),
+    Figure("shard_build", _shard_build_points),
+    Figure("shard_update", _shard_update_points, floor=1.0, reason=_WORK_AVOIDANCE),
+    Figure(
+        "analyze_overhead",
+        _analyze_points,
+        floor=0.5,
+        reason="EXPLAIN ANALYZE must not cost more than double the plain run",
+    ),
+)
+
+
+def run_figure(
+    figure: Figure,
+    config: BenchConfig,
+    limit: int | None = None,
+    workers: int = DEFAULT_BENCH_WORKERS,
+    shards: int = DEFAULT_BENCH_SHARDS,
+) -> list[BenchRecord]:
+    """Measure every point of one table row."""
     return [
-        BenchRecord(
-            figure="analyze_overhead",
-            case=f"requests={len(batch)}",
-            config={
-                "num_objects": config.num_objects,
-                "num_queries": config.num_queries,
-                "dimensions": config.dimensions,
-                "index_mode": config.index_mode,
-                "requests": len(batch),
-                "seed": config.seed,
-            },
-            literal_seconds=plain_seconds,
-            vectorized_seconds=analyzed_seconds,
-        )
+        measure(figure.name, point)
+        for point in figure.points(config, limit, workers, shards)
     ]
 
 
@@ -726,11 +585,10 @@ def check_regression(
     Returns a list of human-readable problems (empty = no regression):
     schema/scale mismatches make the comparison meaningless and are
     reported as problems; a figure regresses when its median speedup
-    drops below ``min_ratio`` times the baseline's.  On multi-core
-    hosts (``payload["cpus"] > 1``) at non-smoke scales the
-    persistent-pool figures must additionally clear their
-    :data:`CHECK_ABSOLUTE_FLOORS` outright — these floors do not scale
-    with a degraded baseline.
+    drops below ``min_ratio`` times the baseline's.  Outside the tiny
+    scale, each :data:`FIGURES` row with a floor must also clear it
+    outright on a host with at least the row's ``cores`` (the payload
+    records ``cpus``) — floors do not scale with a degraded baseline.
     """
     problems: list[str] = []
     if baseline.get("schema") != BENCH_SCHEMA:
@@ -754,47 +612,19 @@ def check_regression(
                 f"{floor:.2f}x ({min_ratio:g} * baseline "
                 f"{float(base_stats['median_speedup']):.2f}x)"
             )
-    enforce_floors = (
-        int(payload.get("cpus", 1)) > 1
-        and payload.get("scale") not in CHECK_FLOOR_EXEMPT_SCALES
-    )
-    if enforce_floors:
-        for figure, absolute_floor in sorted(CHECK_ABSOLUTE_FLOORS.items()):
-            stats = summary.get(figure)
-            if stats is None:
-                continue
-            median = float(stats["median_speedup"])
-            if median < absolute_floor:
-                problems.append(
-                    f"{figure}: median speedup {median:.2f}x is below the "
-                    f"absolute {absolute_floor:g}x floor — the pooled path "
-                    "must beat serial on a multi-core host"
-                )
-    if payload.get("scale") not in CHECK_FLOOR_EXEMPT_SCALES:
-        for figure, absolute_floor in sorted(CHECK_SINGLE_CORE_FLOORS.items()):
-            stats = summary.get(figure)
-            if stats is None:
-                continue
-            median = float(stats["median_speedup"])
-            if median < absolute_floor:
-                problems.append(
-                    f"{figure}: median speedup {median:.2f}x is below the "
-                    f"absolute {absolute_floor:g}x floor — this figure's win "
-                    "is work avoidance, not parallelism, so it must hold "
-                    "on any host"
-                )
-    if payload.get("scale") not in CHECK_FLOOR_EXEMPT_SCALES:
-        for figure, absolute_floor in sorted(CHECK_ANALYZE_FLOORS.items()):
-            stats = summary.get(figure)
-            if stats is None:
-                continue
-            median = float(stats["median_speedup"])
-            if median < absolute_floor:
-                problems.append(
-                    f"{figure}: median speedup {median:.2f}x is below the "
-                    f"absolute {absolute_floor:g}x floor — EXPLAIN ANALYZE "
-                    "must not cost more than double the plain run"
-                )
+    if payload.get("scale") in CHECK_FLOOR_EXEMPT_SCALES:
+        return problems
+    cpus = int(payload.get("cpus", 1))
+    for row in FIGURES:
+        stats = summary.get(row.name)
+        if row.floor is None or stats is None or cpus < row.cores:
+            continue
+        median = float(stats["median_speedup"])
+        if median < row.floor:
+            problems.append(
+                f"{row.name}: median speedup {median:.2f}x is below the "
+                f"absolute {row.floor:g}x floor — {row.reason}"
+            )
     return problems
 
 
@@ -805,7 +635,7 @@ def run_regression(
     workers: int | None = None,
     shards: int | None = None,
 ) -> dict:
-    """Run the full serial-vs-optimized harness; returns the payload.
+    """Run every row of the bench table; returns the payload.
 
     ``smoke`` forces the tiny scale and truncates each sweep to its
     first two points / two targets (fast enough for CI); ``out`` writes
@@ -815,25 +645,16 @@ def run_regression(
     by the sharded figures (default :data:`DEFAULT_BENCH_SHARDS`).
     """
     config = load_config("tiny" if smoke else scale)
-    points = 2 if smoke else None
-    pool_size = workers if workers else DEFAULT_BENCH_WORKERS
-    shard_count = shards if shards else DEFAULT_BENCH_SHARDS
-    records = []
-    records += bench_fig4_partition(config, points=points)
-    records += bench_fig5_partition(config, points=points)
-    records += bench_fig7_candidates(config, targets=points)
-    records += bench_par_batch(
-        config, workers=pool_size, requests=2 if smoke else None
-    )
-    records += bench_serve(
-        config, workers=pool_size, requests=2 if smoke else None
-    )
-    records += bench_persist(config)
-    records += bench_shard_build(config, shards=shard_count)
-    records += bench_shard_update(config, shards=shard_count)
-    records += bench_analyze(config, requests=2 if smoke else None)
-    # The host's core count travels with the payload: --check only
-    # enforces the absolute pooled floors when the run had real cores.
+    limit = 2 if smoke else None
+    workers = DEFAULT_BENCH_WORKERS if workers is None else workers
+    shards = DEFAULT_BENCH_SHARDS if shards is None else shards
+    records = [
+        record
+        for figure in FIGURES
+        for record in run_figure(figure, config, limit, workers, shards)
+    ]
+    # The host's core count travels with the payload: --check enforces
+    # a row's floor only when the run had the cores the row needs.
     extra = {"cpus": os.cpu_count() or 1}
     if out:
         return write_bench_json(records, out, scale=config.name, extra=extra)
@@ -846,11 +667,37 @@ def run_regression(
     }
 
 
+def _count_of_two(text: str) -> int:
+    """``--workers`` / ``--shards``: one worker times the serial loop
+    against itself, and one shard builds the monolithic index."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {count}")
+    return count
+
+
+def _baseline_shape_problem(baseline: Any) -> str | None:
+    """What ``check_regression`` could not read in a baseline, if anything."""
+    if not isinstance(baseline, dict):
+        return f"expected a JSON object, got {type(baseline).__name__}"
+    summary = baseline.get("summary")
+    if not isinstance(summary, dict):
+        return "'summary' is not an object"
+    for figure, stats in summary.items():
+        median = stats.get("median_speedup") if isinstance(stats, dict) else None
+        if isinstance(median, bool) or not isinstance(median, (int, float)):
+            return f"summary[{figure!r}] has no numeric 'median_speedup'"
+    return None
+
+
 def main(argv=None) -> int:
     """``python -m repro.bench`` entry point."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Literal-vs-vectorized benchmark-regression harness.",
+        description="Benchmark-regression harness: baseline vs candidate path per figure.",
     )
     parser.add_argument(
         "--scale",
@@ -869,21 +716,21 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_count_of_two,
         default=None,
         metavar="N",
         help=(
-            "pool size benched by the parallel figures "
+            "pool size benched by the parallel figures, at least 2 "
             f"(default {DEFAULT_BENCH_WORKERS})"
         ),
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_count_of_two,
         default=None,
         metavar="K",
         help=(
-            "shard count benched by the sharded-index figures "
+            "shard count benched by the sharded-index figures, at least 2 "
             f"(default {DEFAULT_BENCH_SHARDS})"
         ),
     )
@@ -906,6 +753,10 @@ def main(argv=None) -> int:
                 baseline = json.load(handle)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read baseline {args.check}: {exc}", file=sys.stderr)
+            return 1
+        problem = _baseline_shape_problem(baseline)
+        if problem is not None:
+            print(f"error: baseline {args.check} is malformed: {problem}", file=sys.stderr)
             return 1
         if scale is None and not args.smoke:
             scale = baseline.get("scale")
@@ -930,9 +781,10 @@ def main(argv=None) -> int:
         print(f"wrote {args.out} [{payload['scale']} scale]")
     if baseline is not None:
         if int(payload.get("cpus", 1)) <= 1:
+            pooled = sorted(row.name for row in FIGURES if row.cores > 1)
             print(
                 "note: single-core host — absolute pooled-figure floors "
-                f"({', '.join(sorted(CHECK_ABSOLUTE_FLOORS))}) not enforced"
+                f"({', '.join(pooled)}) not enforced"
             )
         problems = check_regression(payload, baseline)
         if problems:

@@ -24,12 +24,17 @@ Subcommands
               persistent worker pool holding the built index.
 ``demo``      a self-contained run on generated data (no files needed).
 ``sql``       start the interactive mini-DBMS shell.
-``bench``     run the literal-vs-vectorized benchmark-regression harness
-              (also available as ``python -m repro.bench``).
+``bench``     run the benchmark-regression harness: every bench figure
+              times a baseline path against the path it defends (also
+              available as ``python -m repro.bench``).
 ``check``     run the differential correctness harness — invariant
               oracles, update-vs-rebuild differentials, ESE parity, and
               a seeded fuzz driver with counterexample shrinking (also
               available as ``python -m repro.check``).
+``lint``      run the project's static analysis rules.
+
+``bench``, ``check`` and ``lint`` take their tools' own options, so
+``repro bench --help`` prints the harness's flags.
 
 Object CSVs have one numeric column per attribute.  Query CSVs have the
 matching weight columns plus a final ``k`` column.
@@ -58,6 +63,15 @@ from repro.errors import ReproError, ValidationError
 __all__ = ["main", "build_parser"]
 
 _COSTS = {"L1": L1Cost, "L2": L2Cost, "LINF": LInfCost}
+
+#: Subcommands that run another tool, with their help lines.  Each tool
+#: parses its own options: :func:`main` forwards the arguments after
+#: the tool's name to that tool's ``main``.
+_TOOLS = {
+    "bench": "benchmark-regression harness",
+    "check": "differential correctness harness (oracles + seeded fuzz)",
+    "lint": "project static analysis (rules RPR001-RPR014)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,56 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("sql", help="interactive mini-DBMS shell")
 
-    bench = sub.add_parser("bench", help="benchmark-regression harness")
-    bench.add_argument("--scale", default=None,
-                       help="bench scale (tiny/bench/paper; default: env or bench)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI mode: tiny scale, truncated sweeps")
-    bench.add_argument("--out", default=None,
-                       help="write the JSON payload to this path (e.g. BENCH_PR1.json)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against a baseline BENCH_*.json; exit 3 on regression")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="pool size for the parallel bench figures (default 4)")
-    bench.add_argument("--shards", type=int, default=None, metavar="K",
-                       help="shard count for the sharding bench figures (default 4)")
-
-    check = sub.add_parser(
-        "check", help="differential correctness harness (oracles + seeded fuzz)"
-    )
-    check.add_argument("--fuzz", type=int, default=25, metavar="N",
-                       help="random fuzz scenarios to run (default 25; 0 disables)")
-    check.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="base seed; cases derive deterministically from it")
-    check.add_argument("--mode", choices=["exact", "relevant", "both"],
-                       default="both", help="index mode(s) to exercise")
-    check.add_argument("--skip-battery", action="store_true",
-                       help="skip the deterministic IN/CO/AC battery, only fuzz")
-    check.add_argument("--skip-pooled", action="store_true",
-                       help="skip the pooled-vs-serial batch parity check")
-    check.add_argument("--sanitize", action="store_true",
-                       help="run under the runtime resource sanitizer "
-                            "(faulthandler, ResourceWarning as error, "
-                            "zero leaked /dev/shm segments)")
-    check.add_argument("--shards", type=int, default=None, metavar="K",
-                       help="also hold a K-shard index to monolithic parity "
-                            "(K=1 checks byte parity of the degenerate case)")
-    check.add_argument("--analyze", action="store_true",
-                       help="also hold EXPLAIN ANALYZE runs byte-identical to "
-                            "their plain counterparts (engine, SQL, CLI, pooled)")
-
-    lint = sub.add_parser("lint", help="project static analysis (rules RPR001-RPR014)")
-    lint.add_argument("paths", nargs="*", default=["src/repro"],
-                      help="files or directories to lint (default: src/repro)")
-    lint.add_argument("--format", choices=["human", "json", "sarif"], default="human")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes to run")
-    lint.add_argument("--ignore", default=None, metavar="CODES",
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--tests-root", default=None, metavar="DIR",
-                      help="tests directory for RPR005 parity lookups")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
+    # Listed for ``repro --help``; main() hands them to their tools first.
+    for name, summary in _TOOLS.items():
+        sub.add_parser(name, help=summary)
     return parser
 
 
@@ -424,12 +391,28 @@ def _cmd_demo(args, out) -> int:
     return 0
 
 
+def _run_tool(name: str, argv: list[str], out) -> int:
+    if name == "bench":
+        from repro.bench.regression import main as bench_main
+
+        return bench_main(argv)
+    if name == "check":
+        from repro.check.cli import main as check_main
+
+        return check_main(argv, out=out)
+    from repro.analysis.cli import main as lint_main
+
+    return lint_main(argv, out=out)
+
+
 def main(argv=None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0] in _TOOLS:
+            return _run_tool(argv[0], argv[1:], out)
+        args = build_parser().parse_args(argv)
         if getattr(args, "stats", None):
             from repro.observe import configure_store
 
@@ -448,51 +431,6 @@ def main(argv=None, out=None) -> int:
             from repro.dbms.__main__ import run_repl
 
             return run_repl(stdout=out)
-        if args.command == "bench":
-            from repro.bench.regression import main as bench_main
-
-            bench_args = ["--smoke"] if args.smoke else []
-            if args.scale:
-                bench_args += ["--scale", args.scale]
-            if args.out:
-                bench_args += ["--out", args.out]
-            if args.check:
-                bench_args += ["--check", args.check]
-            if args.workers is not None:
-                bench_args += ["--workers", str(args.workers)]
-            if args.shards is not None:
-                bench_args += ["--shards", str(args.shards)]
-            return bench_main(bench_args)
-        if args.command == "check":
-            from repro.check.cli import main as check_main
-
-            check_args = ["--fuzz", str(args.fuzz), "--seed", str(args.seed),
-                          "--mode", args.mode]
-            if args.skip_battery:
-                check_args.append("--skip-battery")
-            if args.skip_pooled:
-                check_args.append("--skip-pooled")
-            if args.sanitize:
-                check_args.append("--sanitize")
-            if args.analyze:
-                check_args.append("--analyze")
-            if args.shards is not None:
-                check_args += ["--shards", str(args.shards)]
-            return check_main(check_args, out=out)
-        if args.command == "lint":
-            from repro.analysis.cli import main as lint_main
-
-            lint_args = list(args.paths)
-            lint_args += ["--format", args.format]
-            if args.select:
-                lint_args += ["--select", args.select]
-            if args.ignore:
-                lint_args += ["--ignore", args.ignore]
-            if args.tests_root:
-                lint_args += ["--tests-root", args.tests_root]
-            if args.list_rules:
-                lint_args.append("--list-rules")
-            return lint_main(lint_args, out=out)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 """Tests for the benchmark configuration and harness utilities."""
 
+import dataclasses
+import gc
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.config import SCALES, load_config
@@ -344,3 +347,181 @@ class TestRegressionCheck:
         run = self.make_pooled_payload(1.8, cpus=4)
         baseline = self.make_pooled_payload(1.6, cpus=4)
         assert check_regression(run, baseline) == []
+
+
+class TestMeasure:
+    """The one timing loop every bench figure goes through."""
+
+    def fake_point(self, calls, fail=None):
+        from repro.bench.regression import Point
+
+        def side(name):
+            def call():
+                calls.append((name, gc.isenabled()))
+                if name == fail:
+                    raise RuntimeError(f"{name} failed")
+                return 1
+
+            return call
+
+        return Point(
+            "case=0",
+            {"n": 1, "both": lambda baseline, candidate: baseline + candidate},
+            side("baseline"),
+            side("candidate"),
+            lambda baseline, candidate: baseline == candidate,
+        )
+
+    def test_sides_alternate_with_gc_off(self):
+        from repro.bench.regression import ROUNDS, measure
+
+        calls = []
+        record = measure("fake", self.fake_point(calls))
+        # Baseline first on even rounds, candidate first on odd ones.
+        expected = []
+        for round_ in range(ROUNDS):
+            pair = ["baseline", "candidate"]
+            expected += pair if round_ % 2 == 0 else pair[::-1]
+        assert [name for name, _ in calls] == expected
+        assert not any(enabled for _, enabled in calls)
+        assert gc.isenabled()
+        assert (record.figure, record.case) == ("fake", "case=0")
+        # Derived config values are read off the last results.
+        assert record.config == {"n": 1, "both": 2}
+
+    @pytest.mark.parametrize("fail", ["baseline", "candidate"])
+    def test_gc_restored_when_a_side_raises(self, fail):
+        from repro.bench.regression import measure
+
+        calls = []
+        with pytest.raises(RuntimeError, match=f"{fail} failed"):
+            measure("fake", self.fake_point(calls, fail=fail))
+        assert calls and not any(enabled for _, enabled in calls)
+        assert gc.isenabled()
+
+    def test_gc_left_off_when_the_caller_had_it_off(self):
+        from repro.bench.regression import measure
+
+        gc.disable()
+        try:
+            measure("fake", self.fake_point([]))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_disagreement_names_figure_and_case(self):
+        from repro.bench.regression import Point, RegressionMismatch, measure
+
+        point = Point("case=0", {}, lambda: 1, lambda: 2, lambda b, c: b == c)
+        with pytest.raises(RegressionMismatch, match="^fake case=0: "):
+            measure("fake", point)
+
+
+def _other_workload(index):
+    """An index over the same objects and one query fewer."""
+    from repro.core.sharding import build_index
+
+    queries = index.queries.subset(np.arange(1, index.queries.m))
+    return build_index(index.dataset, queries, mode=index.mode)
+
+
+def _one_hit_more(results):
+    first = dataclasses.replace(results[0], hits_after=results[0].hits_after + 1)
+    return [first, *results[1:]]
+
+
+#: A wrong candidate result per bench-table row: another workload's
+#: index, or one value changed.
+PLANTED = {
+    "fig4": _other_workload,
+    "fig5": _other_workload,
+    "fig7": lambda batch: dataclasses.replace(
+        batch, query_ids=np.append(batch.query_ids, 0)
+    ),
+    "par_batch": _one_hit_more,
+    "serve": lambda served: ("\n".join(served[0].splitlines()[::-1]), served[1]),
+    "persist": _other_workload,
+    "shard_build": _other_workload,
+    "shard_update": _other_workload,
+    "analyze_overhead": lambda pairs: [
+        (_one_hit_more([pairs[0][0]])[0], pairs[0][1]),
+        *pairs[1:],
+    ],
+}
+
+
+class TestAgreementChecks:
+    """Every row's agreement check catches a wrong candidate result."""
+
+    def test_every_row_has_a_planted_result(self):
+        from repro.bench.regression import FIGURES
+
+        assert [row.name for row in FIGURES] == [
+            "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
+            "shard_build", "shard_update", "analyze_overhead",
+        ]
+        assert set(PLANTED) == {row.name for row in FIGURES}
+
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_planted_disagreement_raises(self, name):
+        from repro.bench.regression import FIGURES, RegressionMismatch, run_figure
+
+        (row,) = [row for row in FIGURES if row.name == name]
+        corrupt = PLANTED[name]
+        cases = []
+
+        def planted_points(*args):
+            for point in row.points(*args):
+                cases.append(point.case)
+                yield dataclasses.replace(
+                    point, candidate=lambda side=point.candidate: corrupt(side())
+                )
+
+        planted = dataclasses.replace(row, points=planted_points)
+        with pytest.raises(RegressionMismatch) as excinfo:
+            run_figure(planted, load_config("tiny"), limit=2, workers=2, shards=2)
+        assert str(excinfo.value).startswith(f"{name} {cases[-1]}: ")
+
+
+class TestInputErrors:
+    """Bad --workers/--shards/--check input fails before anything is timed."""
+
+    @pytest.fixture
+    def untimed(self, monkeypatch):
+        from repro.bench import regression
+
+        def timed(*args, **kwargs):
+            raise AssertionError("a figure was timed before the input error")
+
+        monkeypatch.setattr(regression, "time_call", timed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--shards", "1"], ["--shards", "0"], ["--workers", "1"], ["--workers", "0"]],
+    )
+    def test_counts_below_two_are_usage_errors(self, untimed, argv, capsys):
+        from repro.bench.regression import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", *argv])
+        assert excinfo.value.code == 2
+        assert "must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [
+            [],
+            {"schema": "repro-bench-regression/1", "scale": "tiny"},
+            {"summary": {"fig4": {"points": 1}}},
+            {"summary": {"fig4": {"median_speedup": "fast"}}},
+            {"summary": {"fig4": 2.0}},
+        ],
+        ids=["list", "no-summary", "no-median", "non-numeric", "not-an-object"],
+    )
+    def test_malformed_baseline_exits_one(self, untimed, baseline, tmp_path, capsys):
+        from repro.bench.regression import main
+
+        path = tmp_path / "BASE.json"
+        path.write_text(json.dumps(baseline))
+        assert main(["--smoke", "--check", str(path)]) == 1
+        assert f"error: baseline {path} is malformed: " in capsys.readouterr().err

@@ -10,20 +10,24 @@ def config():
     return load_config("tiny")
 
 
+def figure_records(name, config, shards):
+    """Run one row of the bench table."""
+    from repro.bench.regression import FIGURES, run_figure
+
+    (figure,) = [row for row in FIGURES if row.name == name]
+    return run_figure(figure, config, shards=shards)
+
+
 class TestShardFigures:
     def test_shard_build_checks_parity_and_records_layout(self, config):
-        from repro.bench.regression import bench_shard_build
-
-        (record,) = bench_shard_build(config, shards=2)
+        (record,) = figure_records("shard_build", config, shards=2)
         assert record.figure == "shard_build"
         assert record.literal_seconds > 0 and record.vectorized_seconds > 0
         assert record.config["shards"] == 2
         assert sum(record.config["shard_sizes"]) == config.num_queries
 
     def test_shard_update_times_inserts_against_a_rebuild(self, config):
-        from repro.bench.regression import bench_shard_update
-
-        (record,) = bench_shard_update(config, shards=2)
+        (record,) = figure_records("shard_update", config, shards=2)
         assert record.figure == "shard_update"
         assert record.config["inserts"] == 5
         assert 1 <= record.config["touched_shards"] <= 2

@@ -125,6 +125,29 @@ class TestHitsAndDemo:
         printed = capsys.readouterr().out
         assert "fig4" in printed and "speedup" in printed
 
+    def test_tools_listed_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        printed = capsys.readouterr().out
+        assert "bench" in printed and "check" in printed and "lint" in printed
+
+    def test_bench_help_is_the_harness_parser(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--help"])
+        assert excinfo.value.code == 0
+        printed = capsys.readouterr().out
+        for flag in ("--scale", "--smoke", "--out", "--check", "--workers", "--shards"):
+            assert flag in printed
+
+    def test_bench_usage_error_matches_the_harness(self, capsys):
+        from repro.bench.regression import main as bench_main
+
+        for runner, argv in ((main, ["bench", "--shards", "1"]), (bench_main, ["--shards", "1"])):
+            with pytest.raises(SystemExit) as excinfo:
+                runner(argv)
+            assert excinfo.value.code == 2
+            assert "--shards: must be at least 2" in capsys.readouterr().err
+
 
 class TestServe:
     def write_requests(self, tmp_path, lines):
