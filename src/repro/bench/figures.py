@@ -584,7 +584,7 @@ def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
         notes=(
             "query add/remove far below a rebuild; object updates cheaper or "
             "comparable (each operation: median of 5 consecutive calls on one "
-            "working index, nothing warmed first)"
+            "working index, nothing warmed first; rebuild: median of 5 builds)"
         ),
     )
     rng = np.random.default_rng(config.seed + 23)
@@ -594,8 +594,9 @@ def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
     def fresh():
         return SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
 
-    index = fresh()
-    __, rebuild_time = time_call(fresh)
+    # Both sides are medians of _X3_CALLS calls, so neither is a lone
+    # cold measurement.
+    rebuild_time = float(np.median([time_call(fresh)[1] for __ in range(_X3_CALLS)]))
 
     operations = {
         "add query": lambda idx: add_query(idx, rng.random(config.dimensions), 2),

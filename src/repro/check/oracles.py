@@ -13,7 +13,11 @@ Each oracle re-derives one structural invariant from first principles
   representative (stable score-then-id order, recomputed directly);
 * ``pairs`` / ``normals`` stay mutually consistent (aligned lengths,
   ordered in-range pairs, no pair in two columns, and each normal equal
-  to ``matrix[a] - matrix[b]``).
+  to ``matrix[a] - matrix[b]``);
+* in relevant mode, the arrangement holds the hyperplane of every pair
+  :func:`~repro.core.subdomain.relevant_pairs` finds on the current
+  data, and the contender rows the updates keep name exactly the objects
+  a recomputation names.
 
 :func:`check_index_invariants` runs the whole battery plus the index's
 own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (R-tree size
@@ -24,7 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import (
+    SubdomainIndex,
+    contender_mask,
+    contender_rows,
+    hyperplanes,
+    relevant_pairs,
+)
 from repro.errors import IndexCorruptionError
 from repro.geometry.arrangement import signature_matrix
 from repro.geometry.hyperplane import EPS
@@ -34,6 +44,7 @@ __all__ = [
     "check_pair_consistency",
     "check_partition_cover",
     "check_prefixes",
+    "check_relevant_closure",
     "check_signatures",
 ]
 
@@ -150,6 +161,40 @@ def check_pair_consistency(index: SubdomainIndex) -> None:
             )
 
 
+def check_relevant_closure(index: SubdomainIndex) -> None:
+    """Relevant mode: every contender hyperplane is held; kept rows name the contenders.
+
+    Hyperplanes are compared by normal, up to sign: a query update can
+    trade a contender for its exact duplicate (a tie at a cut), whose
+    pairs are the same hyperplanes under other ids.
+    """
+    if index.mode != "relevant":
+        return
+    dataset, queries = index.dataset, index.queries
+    # Pairs of identical objects never become hyperplanes.
+    wanted, normals = hyperplanes(dataset.matrix, relevant_pairs(dataset, queries, index.margin))
+    held = {(sign * row + 0.0).tobytes() for row in index.normals for sign in (1.0, -1.0)}
+    missing = [
+        tuple(pair) for pair, row in zip(wanted.tolist(), normals) if row.tobytes() not in held
+    ]
+    if missing:
+        raise IndexCorruptionError(
+            f"relevant-mode arrangement misses {len(missing)} contender "
+            f"hyperplane(s), first of pair {missing[0]}"
+        )
+    if index._contenders is None:
+        return  # not derived yet: the next update ranks them afresh
+    rows = index._contenders.rows
+    fresh, __ = contender_rows(dataset.matrix, queries.weights, queries.ks, index.margin)
+    kept = np.flatnonzero(contender_mask(rows, dataset.n))
+    expected = np.flatnonzero(contender_mask(fresh, dataset.n))
+    if rows.shape[0] != queries.m or not np.array_equal(kept, expected):
+        raise IndexCorruptionError(
+            f"kept contender rows ({rows.shape[0]} for {queries.m} queries) name "
+            f"objects {kept.tolist()}, a recomputation names {expected.tolist()}"
+        )
+
+
 def check_index_invariants(index: SubdomainIndex) -> None:
     """Run every invariant oracle plus the index's own ``validate``."""
     index.validate()
@@ -157,3 +202,4 @@ def check_index_invariants(index: SubdomainIndex) -> None:
     check_signatures(index)
     check_prefixes(index)
     check_pair_consistency(index)
+    check_relevant_closure(index)

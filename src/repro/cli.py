@@ -55,7 +55,7 @@ from repro.core.solvers import registered_solvers
 from repro.core.sharding import SHARDED_SCHEMA, ShardedSubdomainIndex
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
-from repro.data.realworld import load_csv
+from repro.data.realworld import load_csv, read_csv
 from repro.index.mmapio import directory_schema
 from repro.index.router import registered_routers
 from repro.errors import ReproError, ValidationError
@@ -173,11 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(objects_path, queries_path, sense):
     dataset = load_csv(objects_path, normalized=False, sense=sense)
-    raw = load_csv(queries_path, normalized=False)
-    weights_and_k = raw.points
-    queries = QuerySet(
-        weights_and_k[:, :-1], weights_and_k[:, -1].astype(int), normalized=False
-    )
+    __, weights_and_k = read_csv(queries_path)
+    # QuerySet checks the k column: a finite whole number, never truncated.
+    queries = QuerySet(weights_and_k[:, :-1], weights_and_k[:, -1], normalized=False)
     if queries.dim != dataset.dim:
         raise ValidationError(
             f"query file has {queries.dim} weight columns but objects have "

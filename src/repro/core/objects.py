@@ -26,9 +26,22 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "check_id"]
 
 _SENSES = ("min", "max")
+
+
+def check_id(value: object, size: int, what: str) -> int:
+    """``value`` as a dense id in ``[0, size)``; raises :class:`ValidationError` otherwise.
+
+    An id must be an integer: ``1.5`` or ``1.0`` is refused rather than
+    truncated or left for numpy indexing to reject.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} id must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise ValidationError(f"{what} id {value} out of range [0, {size})")
+    return int(value)
 
 
 class Dataset:
@@ -157,8 +170,7 @@ class Dataset:
 
     # -- helpers ----------------------------------------------------------
     def _check_id(self, object_id: int) -> None:
-        if not 0 <= object_id < self.n:
-            raise ValidationError(f"object id {object_id} out of range [0, {self.n})")
+        check_id(object_id, self.n, "object")
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, dim={self.dim}, sense={self.sense!r})"

@@ -10,9 +10,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.objects import check_id
 from repro.errors import ValidationError
 
 __all__ = ["QuerySet"]
+
+#: Largest accepted ``k``: a bigger float could not be cast to int64.
+_MAX_K = 2.0**62
+
+
+def _whole_ks(ks: "np.typing.ArrayLike") -> np.ndarray:
+    """``ks`` as integers; each must be a finite whole number (``3.0`` is 3)."""
+    values = np.asarray(ks)
+    if values.dtype.kind in "iu":
+        return values.astype(int)
+    try:
+        floats = values.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"k must be a whole number, got {ks!r}") from exc
+    whole = np.isfinite(floats) & (np.abs(floats) < _MAX_K)
+    whole[whole] = floats[whole] == np.floor(floats[whole])
+    if not whole.all():
+        raise ValidationError(
+            f"k must be a finite whole number, got {floats[~whole].ravel()[0]}"
+        )
+    return floats.astype(int)
 
 
 class QuerySet:
@@ -44,7 +66,7 @@ class QuerySet:
             raise ValidationError(
                 "weights outside [0, 1]; pass normalized=False for unnormalized workloads"
             )
-        ks = np.broadcast_to(np.asarray(ks, dtype=int), (weights.shape[0],)).copy()
+        ks = np.broadcast_to(_whole_ks(ks), (weights.shape[0],)).copy()
         if weights.shape[0] and ks.min() < 1:
             raise ValidationError("every k must be >= 1")
         self._weights = weights
@@ -89,8 +111,8 @@ class QuerySet:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.dim,):
             raise ValidationError(f"query shape {weights.shape} != ({self.dim},)")
+        ks = np.concatenate([self._ks, _whole_ks([k])])
         stacked = np.vstack([self._weights, weights[None, :]])
-        ks = np.concatenate([self._ks, [int(k)]])
         return QuerySet(stacked, ks, normalized=self.normalized), self.m
 
     def without_query(self, query_id: int) -> "QuerySet":
@@ -106,8 +128,7 @@ class QuerySet:
         return QuerySet(self._weights[query_ids], self._ks[query_ids], normalized=self.normalized)
 
     def _check_id(self, query_id: int) -> None:
-        if not 0 <= query_id < self.m:
-            raise ValidationError(f"query id {query_id} out of range [0, {self.m})")
+        check_id(query_id, self.m, "query")
 
     def __repr__(self) -> str:
         return f"QuerySet(m={self.m}, dim={self.dim}, max_k={self.max_k})"

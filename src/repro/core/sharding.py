@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.objects import Dataset
+from repro.core.objects import Dataset, check_id
 from repro.core.queries import QuerySet
 from repro.core.subdomain import SubdomainIndex, dataset_fingerprint, queryset_fingerprint
 from repro.errors import IndexCorruptionError, ValidationError
@@ -340,10 +340,7 @@ class ShardedSubdomainIndex:
 
     def _local_id(self, query_id: int) -> tuple[int, int]:
         """``(shard, shard-local id)`` of a global query id."""
-        if not 0 <= query_id < self.queries.m:
-            raise ValidationError(
-                f"query id {query_id} out of range [0, {self.queries.m})"
-            )
+        check_id(query_id, self.queries.m, "query")
         s = int(self._shard_of[query_id])
         local = int(np.searchsorted(self._members[s], query_id))
         return s, local

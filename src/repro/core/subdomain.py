@@ -50,7 +50,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,11 @@ from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_i
 from repro.index.rtree import Rect, RTree
 
 __all__ = [
+    "Contenders",
     "Subdomain",
     "SubdomainIndex",
+    "contender_mask",
+    "contender_rows",
     "dataset_fingerprint",
     "find_subdomains",
     "hyperplanes",
@@ -81,6 +84,12 @@ _PARTITION_METHODS = ("vectorized", "literal")
 #: processed in query chunks so the full ``m x n`` matrix never needs to
 #: exist at once.
 _SCORE_CHUNK = 4_000_000
+
+#: Budget (in floats) for one block of representative scores when the
+#: prefix table is ranked.  Kept small: the first read after a build
+#: runs on a fuller heap than the build did, and a build-sized block
+#: there would raise the process's peak memory.
+_RANK_CHUNK = 250_000
 
 
 @dataclass
@@ -97,6 +106,16 @@ class Subdomain:
     @property
     def size(self) -> int:
         return int(self.query_ids.shape[0])
+
+
+class Contenders(NamedTuple):
+    """Relevant mode's contender state, derived and kept by the §4.3 updates."""
+
+    rows: np.ndarray  #: :func:`contender_rows` of the current data
+    tied: np.ndarray  #: per row, whether its cut is tied (see :func:`contender_rows`)
+    #: Objects whose pairs with each other the arrangement holds: the
+    #: contenders as of the last closure.
+    closed: np.ndarray
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -121,38 +140,93 @@ def relevant_pairs(dataset: Dataset, queries: QuerySet, margin: int = 2) -> np.n
     """Object pairs whose intersections can affect indexed top-k results.
 
     Returns the ``(p, 2)`` array of ``(a, b)`` rows (``a < b``, sorted)
-    over the union of every query's top-``(k + margin)`` objects.
+    over the union of every query's top-``(k + margin)`` objects (the
+    rows of :func:`contender_rows`).
     """
-    if margin < 0:
-        raise ValidationError(f"margin must be non-negative, got {margin}")
-    matrix = dataset.matrix
-    weights = queries.weights
-    n, m = dataset.n, queries.m
-    if n == 0 or m == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    depths = np.minimum(n, queries.ks.astype(np.intp) + margin)
-    max_depth = int(depths.max())
-    contender = np.zeros(n, dtype=bool)
-    # Batched prefix selection: one argpartition per query *chunk*
-    # instead of a Python loop over queries.  Within the shared
-    # ``max_depth`` candidate block, rows are ordered by (score, id) so
-    # each query's own depth cut is a deterministic prefix.
-    chunk = max(1, _SCORE_CHUNK // n)
-    cols = np.arange(max_depth)
-    for start in range(0, m, chunk):
-        block = weights[start : start + chunk] @ matrix.T  # (b, n)
-        if max_depth < n:
-            part = np.argpartition(block, max_depth - 1, axis=1)[:, :max_depth]
-        else:
-            part = np.broadcast_to(np.arange(n), block.shape).copy()
-        part_scores = np.take_along_axis(block, part, axis=1)
-        order = np.lexsort((part, part_scores), axis=1)
-        ranked = np.take_along_axis(part, order, axis=1)
-        keep = cols[None, :] < depths[start : start + block.shape[0], None]
-        contender[ranked[keep]] = True
+    rows, __ = contender_rows(dataset.matrix, queries.weights, queries.ks, margin)
+    return _pairs_among(contender_mask(rows, dataset.n))
+
+
+def contender_mask(rows: np.ndarray, n: int) -> np.ndarray:
+    """Which of the ``n`` objects some row of ``-1``-padded ``rows`` names."""
+    rows = np.asarray(rows, dtype=np.intp)
+    # A mask, not np.unique: a plain 1-D np.unique imports numpy.ma.
+    mask = np.zeros(n, dtype=bool)
+    mask[rows[rows >= 0]] = True
+    return mask
+
+
+def _pairs_among(contender: np.ndarray) -> np.ndarray:
+    """Every ``(a, b)`` pair (``a < b``, sorted) of the objects ``contender`` marks."""
     ordered = np.flatnonzero(contender)
     first, second = np.triu_indices(ordered.shape[0], 1)
     return np.column_stack((ordered[first], ordered[second]))
+
+
+def contender_rows(
+    matrix: np.ndarray, weights: np.ndarray, ks: np.ndarray, margin: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each query's top-``(k + margin)`` object ids, in ``(score, id)`` order.
+
+    Returns ``(rows, tied)``.  ``rows`` is ``(m, width)``, row ``j``
+    holding query ``j``'s ``min(n, k_j + margin)`` best objects and
+    ``-1`` past them.  ``tied[j]`` is set when that cut falls inside a
+    run of equal scores: which of the tied objects made the row then
+    depends on ``argpartition`` and on the block's width (the deepest
+    query's depth), so the row cannot be edited incrementally.  The
+    objects named by any row are the *contenders*.
+    """
+    if margin < 0:
+        raise ValidationError(f"margin must be non-negative, got {margin}")
+    n, m = matrix.shape[0], weights.shape[0]
+    depths = np.minimum(n, np.asarray(ks).astype(np.intp) + margin)
+    width = int(depths.max(initial=0))
+    rows = np.full((m, width), -1, dtype=np.intp)
+    tied = np.zeros(m, dtype=bool)
+    if n == 0:
+        return rows, tied
+    # Batched prefix selection: one argpartition per query *chunk*
+    # instead of a Python loop over queries.
+    chunk = max(1, _SCORE_CHUNK // n)
+    cols = np.arange(width)
+    for start in range(0, m, chunk):
+        block = weights[start : start + chunk] @ matrix.T  # (b, n)
+        stop = start + block.shape[0]
+        depth = depths[start:stop]
+        ranked, tied[start:stop] = _rank_block(block, width, depth)
+        rows[start:stop] = np.where(cols < depth[:, None], ranked, -1)
+    return rows, tied
+
+
+def _rank_block(
+    block: np.ndarray, width: int, depths: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each row's ``width`` smallest scores, in ``(score, id)`` order.
+
+    Returns ``(ranked, tied)``: the column ids, from one ``argpartition``
+    then a ``(score, id)`` lexsort, and whether row ``i``'s cut at
+    ``depths[i] <= width`` falls inside a run of equal scores.  Where a
+    cut is tied at ``width``, which of the tied columns are kept is
+    ``argpartition``'s choice.  ``block`` is left as it was passed.
+    """
+    n = block.shape[1]
+    if width < n:
+        part = np.argpartition(block, width - 1, axis=1)[:, :width]
+    else:
+        part = np.broadcast_to(np.arange(n), block.shape).copy()
+    part_scores = np.take_along_axis(block, part, axis=1)
+    order = np.lexsort((part, part_scores), axis=1)
+    scores = np.take_along_axis(part_scores, order, axis=1)
+    # The least score past the ranked columns, found in place so no
+    # second (rows, n) array is allocated.
+    past = np.full((block.shape[0], 1), np.inf)
+    if width < n:
+        np.put_along_axis(block, part, np.inf, axis=1)
+        past[:, 0] = block.min(axis=1)
+        np.put_along_axis(block, part, part_scores, axis=1)
+    local = np.arange(block.shape[0])
+    after = np.concatenate((scores, past), axis=1)[local, depths]
+    return np.take_along_axis(part, order, axis=1), after == scores[local, depths - 1]
 
 
 def hyperplanes(matrix: np.ndarray, pairs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -287,10 +361,16 @@ class SubdomainIndex:
         self._mutation_hooks: list = []  #: weak refs to invalidation callbacks
         self._epoch = 0  #: bumped by every mutation (see :attr:`epoch`)
 
+        #: Relevant mode's :class:`Contenders`: derived state, never
+        #: persisted (a loaded index rebuilds it, see :meth:`contenders`).
+        self._contenders: "Contenders | None" = None
         if mode == "exact":
             pairs = np.column_stack(np.triu_indices(dataset.n, 1))
         else:
-            pairs = relevant_pairs(dataset, queries, margin)
+            rows, tied = contender_rows(dataset.matrix, queries.weights, queries.ks, margin)
+            closed = contender_mask(rows, dataset.n)
+            self._contenders = Contenders(rows, tied, closed)
+            pairs = _pairs_among(closed)
         self.pairs, self.normals = hyperplanes(dataset.matrix, pairs)
 
         self._rtree_max_entries = rtree_max_entries
@@ -759,17 +839,32 @@ class SubdomainIndex:
         index._boundaries_ready = False
         index.bloom = None
         index._prefix_table = None
+        index._contenders = None
         index.validate()
         return index
 
     # ------------------------------------------------------------------
     # Representative rankings
     # ------------------------------------------------------------------
-    def _prefix_depth(self, sub: Subdomain) -> int:
-        needed = int(self.queries.ks[sub.query_ids].max()) + 1
-        if self.mode == "relevant":
-            needed += self.margin
-        return min(self.dataset.n, needed)
+    def contenders(self) -> Contenders:
+        """The :class:`Contenders` of the current data (relevant mode).
+
+        The build keeps them and :mod:`repro.core.updates` edits them
+        with each update.  A loaded index ranks them on first use and
+        marks no object closed, so its first closure checks every
+        contender pair, as a rebuild would.
+        """
+        if self._contenders is None:
+            rows, tied = contender_rows(
+                self.dataset.matrix, self.queries.weights, self.queries.ks, self.margin
+            )
+            self._contenders = Contenders(rows, tied, np.zeros(self.dataset.n, dtype=bool))
+        return self._contenders
+
+    def _trusted_depth(self, max_k: "int | np.ndarray") -> "int | np.ndarray":
+        """Prefix depth a cell needs when its deepest query asks for ``max_k``."""
+        extra = 1 + (self.margin if self.mode == "relevant" else 0)
+        return np.minimum(self.dataset.n, max_k + extra)
 
     def prefix(self, sid: int) -> np.ndarray:
         """Ranking prefix (object ids, best first) shared by the cell.
@@ -778,14 +873,40 @@ class SubdomainIndex:
         most one query evaluated per subdomain" rule of ESE.
         """
         sub = self.subdomains[sid]
-        depth = self._prefix_depth(sub)
+        depth = int(self._trusted_depth(int(self.queries.ks[sub.query_ids].max())))
         if sub.prefix is None or sub.prefix.shape[0] < depth:
-            weights, __ = self.queries.query(sub.representative)
-            scores = self.dataset.matrix @ weights
-            order = np.argsort(scores, kind="stable")
-            sub.prefix = order[:depth].astype(np.intp)
-            self.representative_evaluations += 1
+            self._rank_cells(np.array([sid]), np.array([depth]))
         return sub.prefix
+
+    def _rank_cells(self, sids: np.ndarray, depths: np.ndarray) -> None:
+        """Rank the representatives of cells ``sids`` and cache their prefixes.
+
+        The one scoring routine behind :meth:`prefix` and the prefix
+        table.  Each representative is scored by its own gemv
+        (``matmul(matrix, weights[rep])``), so a prefix never depends on
+        which cells were ranked with it.  A row whose cut falls inside a
+        run of equal scores is re-ranked by a stable argsort, so ties go
+        to the lower id at every depth.
+        """
+        matrix = self.dataset.matrix
+        weights = self.queries.weights
+        n = matrix.shape[0]
+        width = int(depths.max(initial=0))
+        chunk = max(1, _RANK_CHUNK // max(1, n))
+        for start in range(0, sids.shape[0], chunk):
+            cells = sids[start : start + chunk]
+            block = np.empty((cells.shape[0], n))
+            for row, sid in zip(block, cells):
+                np.matmul(matrix, weights[self.subdomains[sid].representative], out=row)
+            if not width:
+                ranked = block[:, :0].astype(np.intp)
+            else:
+                ranked, tied = _rank_block(block, width, np.full(cells.shape[0], width))
+                for i in np.flatnonzero(tied):
+                    ranked[i] = np.argsort(block[i], kind="stable")[:width]
+            for sid, row, depth in zip(cells, ranked, depths[start : start + chunk]):
+                self.subdomains[sid].prefix = row[:depth].copy()
+        self.representative_evaluations += int(sids.shape[0])
 
     def kth_other(self, target: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-query threshold object against a target (Eq. 6).
@@ -798,7 +919,10 @@ class SubdomainIndex:
 
         Every query reads its threshold out of its cell's shared prefix
         in one gather over a table of all prefixes, which is rebuilt only
-        after a mutation.
+        after a mutation.  A prefix holds at least ``min(n, k + 1)``
+        objects for every member query, so a query whose threshold lies
+        past its cell's prefix has fewer than ``k`` other objects to
+        rank, and keeps ``+inf``.
         """
         self.dataset._check_id(target)
         m = self.queries.m
@@ -822,33 +946,35 @@ class SubdomainIndex:
         kth = table[cells[covered], column[covered]]
         kth_ids[covered] = kth
         theta[covered] = np.einsum("ij,ij->i", weights[covered], matrix[kth])
-        for j in np.flatnonzero(~deep):
-            k = int(ks[j])
-            if self.dataset.n - 1 >= k:
-                # Prefix too shallow (can only happen in relevant mode);
-                # fall back to a direct evaluation.
-                scores = matrix @ weights[j]
-                order = np.argsort(scores, kind="stable")
-                other_order = order[order != target]
-                kth_j = int(other_order[k - 1])
-                kth_ids[j] = kth_j
-                theta[j] = float(scores[kth_j])
         return kth_ids, theta
 
     def _prefix_rows(self) -> "tuple[np.ndarray, np.ndarray]":
         """Every cell's :meth:`prefix` as one ``-1``-padded table, plus lengths.
 
         Derived state for :meth:`kth_other`: built once per mutation
-        epoch and never persisted.
+        epoch and never persisted.  Only the cells whose cached prefix
+        is missing or shorter than their depth are ranked, in one batch.
         """
         cached = self._prefix_table
         if cached is not None and cached[0] == self._epoch:
             return cached[1], cached[2]
-        prefixes = [self.prefix(sid) for sid in range(self.num_subdomains)]
-        lengths = np.asarray([p.shape[0] for p in prefixes], dtype=np.intp)
-        table = np.full((len(prefixes), int(lengths.max(initial=0))), -1, dtype=np.intp)
-        for row, prefix in zip(table, prefixes):
-            row[: prefix.shape[0]] = prefix
+        subdomains = self.subdomains
+        depths = np.zeros(len(subdomains), dtype=np.intp)
+        np.maximum.at(depths, self.subdomain_of, self.queries.ks)
+        depths = self._trusted_depth(depths)
+        have = np.fromiter(  # -1: never ranked, so stale even at depth 0
+            (-1 if sub.prefix is None else sub.prefix.shape[0] for sub in subdomains),
+            dtype=np.intp,
+            count=len(subdomains),
+        )
+        stale = np.flatnonzero(have < depths)
+        if stale.size:
+            self._rank_cells(stale, depths[stale])
+        lengths = np.maximum(have, depths)
+        table = np.full((len(subdomains), int(lengths.max(initial=0))), -1, dtype=np.intp)
+        if subdomains:
+            filled = np.arange(table.shape[1]) < lengths[:, None]
+            table[filled] = np.concatenate([sub.prefix for sub in subdomains])
         self._prefix_table = (self._epoch, table, lengths)
         return table, lengths
 

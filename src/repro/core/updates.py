@@ -7,8 +7,9 @@ Four operations, mirroring the paper:
   new point's nearest neighbours are tried first, each by one signature
   comparison; the scan over every cell runs only when no candidate
   matches.
-* **remove_query** — delete from the R-tree and from its subdomain;
-  empty subdomains are discarded.
+* **remove_query** — delete from the R-tree (renumbering the payloads
+  above it in place) and from its subdomain; empty subdomains are
+  discarded, and one stable argsort rebuilds every cell's member list.
 * **add_object** — create the intersections of the new function with
   every existing one and split the subdomains that the new hyperplanes
   cut through.  New hyperplanes can only *split* cells, so the work is
@@ -28,6 +29,17 @@ The index stores one signature per populated cell (not per query), so
 all maintenance works on cell signatures; per-query side vectors are
 recomputed from the workload weights only where needed.
 
+In relevant mode the index keeps every query's top-``(k + margin)`` row
+(:class:`~repro.core.subdomain.Contenders`), and each update edits only
+the rows it touches: ``add_query`` ranks one new row, ``remove_query``
+drops one, ``add_object`` offers the newcomer to each row as one extra
+candidate, and ``remove_object`` re-ranks the rows that held the object.
+The arrangement is then closed over the pairs of the *new* contenders
+only, which yields the same columns, in the same order, as recomputing
+:func:`~repro.core.subdomain.relevant_pairs` after every update.  Rows
+whose cut falls between equal scores are ranked afresh with all rows, so
+they follow exactly what a recomputation would pick.
+
 Object ids and query ids are *dense*: removing id ``x`` shifts every id
 above ``x`` down by one, in the dataset/queryset and in the index
 alike.
@@ -45,10 +57,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.subdomain import Subdomain, SubdomainIndex, hyperplanes, relevant_pairs
+from repro.core.subdomain import (
+    Contenders,
+    Subdomain,
+    SubdomainIndex,
+    contender_mask,
+    contender_rows,
+    hyperplanes,
+)
 from repro.errors import ValidationError
 from repro.geometry.arrangement import signature_matrix
-from repro.index.rtree import Rect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sharding import ShardedSubdomainIndex
@@ -102,6 +120,7 @@ def add_query(
         return sharded.add_query(weights, k)
     index = _as_monolithic(index)
     new_queries, query_id = index.queries.with_query(weights, k)
+    relevant = _derive_contenders(index)
     index.queries = new_queries
     index.rtree.insert_point(weights, query_id)
 
@@ -113,13 +132,13 @@ def add_query(
     sub.query_ids = np.append(sub.query_ids, query_id)
     if sub.representative < 0:
         sub.representative = query_id  # freshly created cell
-    if sub.prefix is not None and k + 1 > sub.prefix.shape[0] and sub.prefix.shape[0] < index.dataset.n:
-        sub.prefix = None  # deeper ranking now needed; re-evaluate lazily
     index.subdomain_of = np.append(index.subdomain_of, sid)
     # A new query can pull objects into the contender set that the
     # relevant-mode arrangement has never seen; close over them so the
     # partition stays trustworthy at the new query's depth.
-    _extend_relevant_closure(index)
+    if relevant:
+        _append_contender_row(index, query_id)
+        _close_over_new_contenders(index)
     index.mark_boundaries_dirty()
     index.notify_mutation()
     return query_id
@@ -177,38 +196,33 @@ def remove_query(
     if not index.rtree.delete(weights, query_id):
         raise ValidationError(f"query {query_id} missing from the R-tree (corrupt index?)")
     index.queries = index.queries.without_query(query_id)
+    index.rtree.decrement_payloads_above(query_id)
 
-    mask = np.ones(index.subdomain_of.shape[0], dtype=bool)
-    mask[query_id] = False
-    index.subdomain_of = index.subdomain_of[mask]
-
-    survivors: list[Subdomain] = []
-    for sub in index.subdomains:
-        ids = sub.query_ids[sub.query_ids != query_id]
-        ids = np.where(ids > query_id, ids - 1, ids)
-        if ids.size == 0:
-            continue  # Algorithm 1 keeps only populated subdomains
-        sub.query_ids = ids
-        if sub.representative == query_id or sub.representative > query_id:
-            sub.representative = int(ids[0])
+    sid = int(index.subdomain_of[query_id])
+    subdomain_of = np.delete(index.subdomain_of, query_id)
+    if index.subdomains[sid].size == 1:
+        del index.subdomains[sid]  # Algorithm 1 keeps only populated subdomains
+        subdomain_of -= subdomain_of > sid
+    index.subdomain_of = subdomain_of
+    # One stable argsort rebuilds every cell's ascending member list.
+    order = np.argsort(subdomain_of, kind="stable")
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(subdomain_of, minlength=index.num_subdomains)))
+    )
+    for new_sid, sub in enumerate(index.subdomains):
+        sub.sid = new_sid
+        sub.query_ids = order[bounds[new_sid] : bounds[new_sid + 1]]
+        if sub.representative >= query_id:
             # The cached prefix is still valid: any member is an equally
             # good representative within the same subdomain.
-        survivors.append(sub)
-    _renumber(index, survivors)
-    # R-tree payloads above the removed id must shift as well.
-    _shift_rtree_payloads(index, query_id)
+            sub.representative = int(sub.query_ids[0])
+    if index._contenders is not None:
+        rows, tied, closed = index._contenders
+        _keep_contenders(
+            index, Contenders(np.delete(rows, query_id, axis=0), np.delete(tied, query_id), closed)
+        )
     index.mark_boundaries_dirty()
     index.notify_mutation()
-
-
-def _shift_rtree_payloads(index: SubdomainIndex, removed_id: int) -> None:
-    """Rebuild the R-tree with payloads > removed_id decremented."""
-    items: list[tuple[Rect, int]] = []
-    for rect, payload in index.rtree.items():
-        items.append((rect, payload - 1 if payload > removed_id else payload))
-    index.rtree = type(index.rtree).bulk_load(
-        index.queries.dim, items, max_entries=index.rtree.max_entries
-    )
 
 
 def add_object(
@@ -220,22 +234,24 @@ def add_object(
         return sharded.add_object(np.asarray(attributes, dtype=float))
     index = _as_monolithic(index)
     new_dataset, object_id = index.dataset.with_object(attributes)
+    relevant = _derive_contenders(index)
     index.dataset = new_dataset
     matrix = new_dataset.matrix
 
-    if index.mode == "exact":
+    if not relevant:
         pairs = np.column_stack((np.arange(object_id), np.full(object_id, object_id)))
         new_pairs, new_normals = hyperplanes(matrix, pairs)  # pairs (b, new), b < new
         if new_pairs.shape[0]:
             _append_columns(index, new_pairs, new_normals)
     else:
-        # Relevant mode: recompute the contender set on the post-insert
-        # data and close over every missing pair.  Deriving counterparts
-        # from the *existing* pair list (the pre-fix behaviour) silently
-        # left the newcomer without hyperplanes whenever the pair list
-        # was empty — or missed the contenders the newcomer displaces —
-        # and the partition went stale.
-        _extend_relevant_closure(index)
+        # Relevant mode: the newcomer is the only object that can join a
+        # query's top-(k + margin); close over its pairs with every
+        # contender.  Deriving counterparts from the *existing* pair list
+        # (the pre-fix behaviour) silently left the newcomer without
+        # hyperplanes whenever the pair list was empty, and the
+        # partition went stale.
+        _insert_into_contender_rows(index, object_id)
+        _close_over_new_contenders(index)
     _invalidate_prefixes(index)  # the new object changes every ranking
     index.mark_boundaries_dirty()
     index.notify_mutation()
@@ -253,28 +269,138 @@ def _append_columns(
     _split_cells_on_new_columns(index, new_normals)
 
 
-def _extend_relevant_closure(index: SubdomainIndex) -> None:
-    """Grow a relevant-mode arrangement to the current contender closure.
-
-    Recomputes :func:`~repro.core.subdomain.relevant_pairs` on the
-    index's *current* data and appends every pair the arrangement is
-    missing.  New hyperplanes only refine the partition, so stale extra
-    pairs from earlier states are harmless and are kept; missing pairs
-    are exactly what lets two queries with different contender rankings
-    share a cell (and therefore a wrong k-th-other threshold).  No-op in
-    exact mode and when the arrangement is already closed.
-    """
+def _derive_contenders(index: SubdomainIndex) -> bool:
+    """Relevant mode: make sure the contenders of the data *before* the update exist."""
     if index.mode != "relevant":
-        return
+        return False
+    index.contenders()
+    return True
+
+
+def _rank_contenders(
+    index: SubdomainIndex, query_ids: "np.ndarray | None" = None
+) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`~repro.core.subdomain.contender_rows` of some (default: all) queries."""
+    weights, ks = index.queries.weights, index.queries.ks
+    if query_ids is not None:
+        weights, ks = weights[query_ids], ks[query_ids]
+    return contender_rows(index.dataset.matrix, weights, ks, index.margin)
+
+
+def _keep_contenders(index: SubdomainIndex, contenders: Contenders) -> None:
+    """Store edited rows, ranking every row afresh where an edit cannot be exact.
+
+    A tied row holds ``argpartition``'s pick among equal scores at the
+    width it was ranked with (see
+    :func:`~repro.core.subdomain.contender_rows`).  While any row is
+    tied, all rows are ranked together whenever the width a rebuild
+    would use, the deepest query's depth, differs from the rows' width.
+    """
+    rows, tied, closed = contenders
+    if tied.any():
+        depths = np.minimum(index.dataset.n, index.queries.ks.astype(np.intp) + index.margin)
+        if rows.shape[1] != int(depths.max(initial=0)):
+            rows, tied = _rank_contenders(index)
+    index._contenders = Contenders(rows, tied, closed)
+
+
+def _append_contender_row(index: SubdomainIndex, query_id: int) -> None:
+    """``add_query``: rank the new query alone and append its row."""
+    rows, tied, closed = index.contenders()
+    row, row_tied = _rank_contenders(index, np.array([query_id]))
+    if row_tied[0] or (tied.any() and row.shape[1] > rows.shape[1]):
+        # A tied row depends on the whole block's score bits and width;
+        # rank every query together, as a rebuild would.
+        rows, tied = _rank_contenders(index)
+    else:
+        width = max(rows.shape[1], row.shape[1])
+        rows = np.vstack((_pad(rows, width), _pad(row, width)))
+        tied = np.append(tied, False)
+    _keep_contenders(index, Contenders(rows, tied, closed))
+
+
+def _insert_into_contender_rows(index: SubdomainIndex, object_id: int) -> None:
+    """``add_object``: re-rank each row with the new object as one extra candidate.
+
+    An untied row's objects all score below every object outside it, so
+    the newcomer is the only object that can enter.  When a row was
+    tied, or a new cut is, every row is ranked afresh.
+    """
+    rows, tied, closed = index.contenders()
+    closed = np.append(closed, False)
+    m, n = rows.shape[0], index.dataset.n
+    depths = np.minimum(n, index.queries.ks.astype(np.intp) + index.margin)
+    candidates = np.concatenate((rows, np.full((m, 1), object_id, dtype=np.intp)), axis=1)
+    valid = candidates >= 0
+    scores = np.einsum(
+        "ijk,ik->ij", index.dataset.matrix[np.where(valid, candidates, 0)], index.queries.weights
+    )
+    scores[~valid] = np.inf
+    order = np.lexsort((np.where(valid, candidates, n), scores), axis=1)
+    ranked = np.take_along_axis(candidates, order, axis=1)
+    ranked_scores = np.take_along_axis(scores, order, axis=1)
+    cut = np.flatnonzero(valid.sum(axis=1) > depths)
+    if tied.any() or np.any(ranked_scores[cut, depths[cut] - 1] == ranked_scores[cut, depths[cut]]):
+        rows, tied = _rank_contenders(index)
+    else:
+        width = int(depths.max(initial=0))
+        rows = np.where(np.arange(width) < depths[:, None], ranked[:, :width], -1)
+    _keep_contenders(index, Contenders(rows, tied, closed))
+
+
+def _drop_from_contender_rows(index: SubdomainIndex, object_id: int) -> None:
+    """``remove_object``: shift ids above it and re-rank only the rows that held it."""
+    rows, tied, closed = index.contenders()
+    closed = np.delete(closed, object_id)
+    held = np.flatnonzero((rows == object_id).any(axis=1))
+    rows = np.where(rows > object_id, rows - 1, rows)
+    fresh, fresh_tied = _rank_contenders(index, held)
+    if tied.any() or fresh_tied.any():
+        rows, tied = _rank_contenders(index)
+    else:
+        rows[held] = _pad(fresh, rows.shape[1])
+    _keep_contenders(index, Contenders(rows, tied, closed))
+
+
+def _pad(rows: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` widened to ``width`` columns with ``-1``."""
+    extra = width - rows.shape[1]
+    return np.pad(rows, ((0, 0), (0, extra)), constant_values=-1) if extra else rows
+
+
+def _close_over_new_contenders(index: SubdomainIndex) -> None:
+    """Append the pairs between new contenders and every contender.
+
+    The arrangement holds every pair among the closed objects, so the
+    pairs it misses are the new contenders against all current ones.
+    They are appended in ``(a, b)`` order, as a recomputation of
+    :func:`~repro.core.subdomain.relevant_pairs` would list them.  New
+    hyperplanes only refine the partition, so stale pairs of objects
+    that dropped out stay harmlessly.
+    """
+    rows, tied, closed = index.contenders()
     n = index.dataset.n
-    wanted = relevant_pairs(index.dataset, index.queries, index.margin)
+    now = contender_mask(rows, n)
+    index._contenders = Contenders(rows, tied, now)
+    fresh = now & ~closed
+    new = np.flatnonzero(fresh)
+    if not new.size:
+        return
+    current = np.flatnonzero(now)
+    # Each pair once: a new contender with an old one, or two new ones in order.
+    keep = (new[:, None] < current) | ~fresh[current]
+    low = np.minimum.outer(new, current)[keep]
+    high = np.maximum.outer(new, current)[keep]
     # Pair (a, b) is key a * n + b; a sorted probe finds the held ones.
+    keys = np.sort(low * n + high)
     held = np.sort(index.pairs[:, 0] * n + index.pairs[:, 1])
-    keys = wanted[:, 0] * n + wanted[:, 1]
     slot = np.searchsorted(held, keys)
     found = slot < held.shape[0]
     found[found] = held[slot[found]] == keys[found]
-    new_pairs, new_normals = hyperplanes(index.dataset.matrix, wanted[~found])
+    missing = keys[~found]
+    new_pairs, new_normals = hyperplanes(
+        index.dataset.matrix, np.column_stack((missing // n, missing % n))
+    )
     if new_pairs.shape[0]:
         _append_columns(index, new_pairs, new_normals)
 
@@ -312,6 +438,7 @@ def remove_object(
         return
     index = _as_monolithic(index)
     index.dataset._check_id(object_id)
+    relevant = _derive_contenders(index)
     index.dataset = index.dataset.without_object(object_id)
     # Drop every column involving the object; ids above it shift down.
     keep = np.flatnonzero((index.pairs != object_id).all(axis=1))
@@ -336,7 +463,9 @@ def remove_object(
     # Removing a top-ranked object promotes objects from below the
     # margin depth into the contender set; close over their pairs so
     # relevant-mode cells keep constant rankings at trusted depths.
-    _extend_relevant_closure(index)
+    if relevant:
+        _drop_from_contender_rows(index, object_id)
+        _close_over_new_contenders(index)
     index.mark_boundaries_dirty()
     _invalidate_prefixes(index)
     index.notify_mutation()

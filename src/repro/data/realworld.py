@@ -34,6 +34,7 @@ __all__ = [
     "simulate_vehicle",
     "simulate_house",
     "load_csv",
+    "read_csv",
     "normalize",
     "VEHICLE_ATTRIBUTES",
     "HOUSE_ATTRIBUTES",
@@ -112,11 +113,12 @@ def simulate_house(n: int = HOUSE_SIZE, seed=None, normalized: bool = True) -> D
     return Dataset(values, names=HOUSE_ATTRIBUTES)
 
 
-def load_csv(path, columns=None, normalized: bool = True, sense: str = "min") -> Dataset:
-    """Load a real CSV (e.g. the genuine VEHICLE extract) as a Dataset.
+def read_csv(path, columns=None) -> "tuple[list[str], np.ndarray]":
+    """The numeric rows of a CSV: ``(column names, (rows, columns) array)``.
 
     ``columns`` selects and orders numeric columns by header name;
-    non-numeric cells make the row be skipped.
+    non-numeric cells make the row be skipped.  Values are not checked
+    further, so ``inf`` and ``nan`` pass through to the caller.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -134,6 +136,15 @@ def load_csv(path, columns=None, normalized: bool = True, sense: str = "min") ->
                 continue  # skip non-numeric rows
     if len(rows) < 2:
         raise ValidationError(f"{path}: fewer than two numeric rows")
-    raw = np.asarray(rows)
+    return names, np.asarray(rows)
+
+
+def load_csv(path, columns=None, normalized: bool = True, sense: str = "min") -> Dataset:
+    """Load a real CSV (e.g. the genuine VEHICLE extract) as a Dataset.
+
+    ``columns`` selects and orders numeric columns by header name;
+    non-numeric cells make the row be skipped.
+    """
+    names, raw = read_csv(path, columns)
     values = normalize(raw) if normalized else raw
     return Dataset(values, names=names, sense=sense)

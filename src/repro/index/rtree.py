@@ -349,6 +349,20 @@ class RTree:
             for __, child in node.entries:
                 yield from self._leaf_entries(child)
 
+    def decrement_payloads_above(self, removed: int) -> None:
+        """Shift every payload above ``removed`` down by one, in place.
+
+        Dense-id renumbering after id ``removed`` left the tree: no
+        rectangle moves, so the tree keeps its shape.
+        """
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.leaf:
+                node.entries = [(r, p - 1 if p > removed else p) for r, p in node.entries]
+            else:
+                stack.extend(child for __, child in node.entries)
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -8,8 +8,10 @@ from repro.check.oracles import (
     check_pair_consistency,
     check_partition_cover,
     check_prefixes,
+    check_relevant_closure,
     check_signatures,
 )
+from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.subdomain import SubdomainIndex
@@ -98,3 +100,35 @@ class TestCorruptionDetected:
         index.pairs = index.pairs[:-1]
         with pytest.raises(IndexCorruptionError):
             check_pair_consistency(index)
+
+
+class TestRelevantClosure:
+    @staticmethod
+    def relevant(rng):
+        dataset = Dataset(rng.random((40, 2)))
+        queries = QuerySet(rng.random((15, 2)), ks=rng.integers(1, 3, 15))
+        return SubdomainIndex(dataset, queries, mode="relevant")
+
+    def test_healthy_through_updates(self, rng):
+        index = self.relevant(rng)
+        check_relevant_closure(index)
+        updates.add_query(index, rng.random(2), 6)
+        updates.remove_object(index, int(index.contenders().rows[0, 0]))
+        updates.add_object(index, np.zeros(2))
+        updates.remove_query(index, 0)
+        check_index_invariants(index)
+
+    def test_missing_pair_detected(self, rng):
+        index = self.relevant(rng)
+        index.pairs = index.pairs[:-1]
+        index.normals = index.normals[:-1]
+        with pytest.raises(IndexCorruptionError, match="misses 1 contender hyperplane"):
+            check_relevant_closure(index)
+
+    def test_wrong_row_detected(self, rng):
+        index = self.relevant(rng)
+        rows = index.contenders().rows
+        outsider = next(o for o in range(index.dataset.n) if o not in rows)
+        rows[0, 0] = outsider
+        with pytest.raises(IndexCorruptionError, match="kept contender rows"):
+            check_relevant_closure(index)

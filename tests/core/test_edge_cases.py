@@ -12,6 +12,7 @@ from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.subdomain import SubdomainIndex, relevant_pairs
 from repro.errors import IndexCorruptionError, ValidationError
+from repro.topk.evaluate import top_k
 
 
 class TestChunkedEvaluation:
@@ -78,12 +79,30 @@ class TestDegenerateWorkloads:
         result = min_cost_iq(evaluator, 3, 1, euclidean_cost(2))
         assert not result.satisfied  # provably unreachable
 
-    def test_k_larger_than_n(self, rng):
-        dataset = Dataset(rng.random((3, 2)))
-        queries = QuerySet(rng.random((4, 2)), ks=10)
-        index = SubdomainIndex(dataset, queries)
-        for t in range(3):
-            assert index.hits(t) == 4
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    @pytest.mark.parametrize("extra", [-1, 0, 7], ids=["n-1", "n", "n+7"])
+    def test_k_larger_than_n(self, rng, mode, extra):
+        n = 3
+        k = n + extra
+        dataset = Dataset(rng.random((n, 2)))
+        queries = QuerySet(rng.random((4, 2)), ks=k)
+        index = SubdomainIndex(dataset, queries, mode=mode)
+        for t in range(n):
+            kth_ids, theta = index.kth_other(t)
+            for j in range(queries.m):
+                weights, __ = queries.query(j)
+                others = [o for o in top_k(dataset.matrix, weights, n) if o != t]
+                if k <= len(others):
+                    assert kth_ids[j] == others[k - 1]
+                    assert theta[j] == pytest.approx(dataset.matrix[others[k - 1]] @ weights)
+                else:  # fewer than k other objects: the target is always in
+                    assert kth_ids[j] == -1 and theta[j] == np.inf
+            expected = sum(
+                t in top_k(dataset.matrix, queries.query(j)[0], k) for j in range(queries.m)
+            )
+            assert index.hits(t) == expected
+        if extra >= 0:
+            assert all(index.hits(t) == queries.m for t in range(n))
 
 
 class TestFailureInjection:

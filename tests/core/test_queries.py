@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,37 @@ class TestMutation:
             qs.query(5)
         with pytest.raises(ValidationError):
             qs.without_query(-1)
+
+
+class TestTypedArguments:
+    def test_fractional_k_refused(self, rng):
+        with pytest.raises(ValidationError, match="finite whole number, got 2.5"):
+            QuerySet(rng.random((3, 2)), ks=[2.5, 1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_k_refused_without_a_cast_warning(self, rng, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite whole number"):
+                QuerySet(rng.random((3, 2)), ks=[bad, 1, 1])
+
+    def test_whole_float_k_accepted(self, rng):
+        qs = QuerySet(rng.random((3, 2)), ks=[3.0, 1, 1])
+        assert qs.ks.tolist() == [3, 1, 1]
+        grown, query_id = qs.with_query(rng.random(2), 4.0)
+        assert grown.ks[query_id] == 4
+
+    @pytest.mark.parametrize("bad", [2.5, np.inf, np.nan])
+    def test_with_query_refuses_non_whole_k(self, rng, bad):
+        qs = QuerySet(rng.random((3, 2)), ks=1)
+        with pytest.raises(ValidationError, match="whole number"):
+            qs.with_query(rng.random(2), bad)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+    def test_ids_must_be_integers(self, rng, bad):
+        qs = QuerySet(rng.random((3, 2)), ks=1)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            qs.query(bad)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            qs.without_query(bad)
+        assert qs.query(np.int64(1))[1] == 1

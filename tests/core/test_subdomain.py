@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.check.oracles import check_prefixes
 from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
@@ -156,6 +157,29 @@ class TestRankingInvariance:
         assert index.representative_evaluations == 1
 
 
+class TestPrefixTies:
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    def test_duplicates_straddling_the_cut_rank_by_id(self, rng, mode):
+        base = rng.random((6, 3))
+        dataset = Dataset(np.vstack([base, base]))  # objects i and i + 6 always tie
+        # Even ks give odd prefix depths, so every cut falls between twins.
+        queries = QuerySet(rng.random((40, 3)), ks=rng.choice([2, 4], 40))
+        index = SubdomainIndex(dataset, queries, mode=mode)
+        table, lengths = index._prefix_rows()
+        for sub, row, length in zip(index.subdomains, table, lengths):
+            weights, __ = queries.query(sub.representative)
+            scores = dataset.matrix @ weights
+            expected = np.argsort(scores, kind="stable")[:length]
+            assert scores[expected[-1]] == np.sort(scores)[length]  # a tied cut
+            assert row[:length].tolist() == expected.tolist()
+            assert (row[length:] == -1).all()
+        check_prefixes(index)
+        for sub in index.subdomains:
+            sub.prefix = None
+        for sid in range(index.num_subdomains):  # the one-cell path agrees
+            assert index.prefix(sid).tolist() == table[sid, : lengths[sid]].tolist()
+
+
 def recount_kth(index, target):
     """Eq. 6 thresholds per query by a stable argsort of D minus the target."""
     matrix = index.dataset.matrix
@@ -225,19 +249,30 @@ class TestKthOther:
                 positions |= prefix_positions(index, target)
             assert positions == {"inside", "end", "outside"}
 
-    def test_prefix_table_reused_until_the_epoch_moves(self, rng, monkeypatch):
+    def test_prefix_table_reused_until_the_epoch_moves(self, rng):
         __, __, index = build(rng)
         index.kth_other(0)
-        calls = []
-        prefix = SubdomainIndex.prefix
-        monkeypatch.setattr(
-            SubdomainIndex, "prefix", lambda idx, sid: calls.append(sid) or prefix(idx, sid)
-        )
+        ranked = index.representative_evaluations
+        assert ranked == index.num_subdomains  # one batch ranks every cell once
+        table, __ = index._prefix_rows()
         index.kth_other(1)
-        assert calls == []
+        assert index.representative_evaluations == ranked
+        assert index._prefix_rows()[0] is table  # same epoch: the table is reused
         updates.add_object(index, rng.random(3))
         index.kth_other(1)
-        assert sorted(calls) == list(range(index.num_subdomains))
+        # The object update invalidated every prefix: each cell is ranked again.
+        assert index.representative_evaluations == ranked + index.num_subdomains
+        assert index._prefix_rows()[0] is not table
+
+    def test_query_update_ranks_only_cells_that_need_it(self, rng):
+        __, __, index = build(rng)
+        index.kth_other(0)
+        ranked = index.representative_evaluations
+        cells = index.num_subdomains
+        updates.add_query(index, rng.random(3), 1)
+        index.kth_other(0)
+        # Cached prefixes are deep enough for k = 1: only a new cell is ranked.
+        assert index.representative_evaluations == ranked + index.num_subdomains - cells
 
     def test_matches_brute_force(self, rng):
         dataset, queries, index = build(rng, n=12, m=30)

@@ -3,11 +3,13 @@ import pytest
 
 from repro.check import check_index_invariants
 from repro.core import updates
+from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.sharding import build_index
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import SubdomainIndex, contender_rows, hyperplanes, relevant_pairs
 from repro.errors import ValidationError
+from repro.index.rtree import RTree
 
 
 def build(rng, n=10, m=20, d=2):
@@ -314,3 +316,190 @@ class TestNoBoundaryRegistration:
         assert cells(index) == cells(reference)
         for target in range(index.dataset.n):
             assert index.hits(target) == reference.hits(target)
+
+
+def recomputed_closure(index):
+    """Close the arrangement by the full rule: ``relevant_pairs`` on the
+    current data, appending every pair the arrangement misses in
+    ``(a, b)`` order."""
+    n = index.dataset.n
+    wanted = relevant_pairs(index.dataset, index.queries, index.margin)
+    held = index.pairs[:, 0] * n + index.pairs[:, 1]
+    missing = wanted[~np.isin(wanted[:, 0] * n + wanted[:, 1], held)]
+    new_pairs, new_normals = hyperplanes(index.dataset.matrix, missing)
+    if new_pairs.shape[0]:
+        updates._append_columns(index, new_pairs, new_normals)
+
+
+def mixed_sequence(seed, mode, steps=36):
+    """A fixed §4.3 update sequence with planted duplicate objects.
+
+    Yields the index after every step.  Duplicates tie for every query,
+    so some queries' top-(k + margin) cuts fall between two of them.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.random((48, 3))
+    points[24:32] = points[:8]  # planted duplicates
+    queries = QuerySet(rng.random((30, 3)), ks=rng.integers(1, 5, 30))
+    index = SubdomainIndex(Dataset(points), queries, mode=mode)
+    yield index
+    for __ in range(steps):
+        op = int(rng.integers(4))
+        if op == 0:
+            # A deep query can bring several new contenders at once.
+            updates.add_query(index, rng.random(3), int(rng.integers(1, 10)))
+        elif op == 1:
+            updates.remove_query(index, int(rng.integers(index.queries.m)))
+        elif op == 2:
+            copy = int(rng.integers(index.dataset.n))
+            attributes = index.dataset.points[copy] if rng.random() < 0.4 else rng.random(3)
+            updates.add_object(index, attributes)
+        elif index.dataset.n > 10:
+            updates.remove_object(index, int(rng.integers(index.dataset.n)))
+        yield index
+
+
+def snapshot(index):
+    state = {
+        "subdomain_of": index.subdomain_of.tolist(),
+        "members": [sub.query_ids.tolist() for sub in index.subdomains],
+        "representatives": [sub.representative for sub in index.subdomains],
+        "pairs": index.pairs.tolist(),
+    }
+    thresholds = [index.kth_other(t) for t in range(0, index.dataset.n, 3)]
+    return state, thresholds
+
+
+class TestIncrementalClosure:
+    """The kept contender rows close the arrangement exactly as a full
+    recomputation of the relevant pairs after every update would."""
+
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_replay_matches_the_recomputed_closure(self, monkeypatch, mode, seed):
+        incremental = [snapshot(index) for index in mixed_sequence(seed, mode)]
+        monkeypatch.setattr(updates, "_close_over_new_contenders", recomputed_closure)
+        recomputed = [snapshot(index) for index in mixed_sequence(seed, mode)]
+        assert len(incremental) == len(recomputed)
+        for (ours, our_kth), (theirs, their_kth) in zip(incremental, recomputed):
+            assert ours == theirs
+            for (ids, theta), (their_ids, their_theta) in zip(our_kth, their_kth):
+                assert np.array_equal(ids, their_ids)
+                np.testing.assert_allclose(theta, their_theta, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_kept_rows_match_a_recomputation(self, seed):
+        for index in mixed_sequence(seed, "relevant"):
+            rows, tied, __ = index.contenders()
+            fresh, fresh_tied = contender_rows(
+                index.dataset.matrix, index.queries.weights, index.queries.ks, index.margin
+            )
+            assert [set(r) - {-1} for r in rows.tolist()] == [set(r) - {-1} for r in fresh.tolist()]
+            assert np.array_equal(tied, fresh_tied)
+            check_index_invariants(index)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_rows_follow_the_deepest_query(self, monkeypatch, seed):
+        # A tied row holds argpartition's pick at the block's width, the
+        # deepest query's depth: removing or adding that query can change
+        # the pick, and the kept rows must follow it.
+        def sequence():
+            rng = np.random.default_rng(seed)
+            base = rng.random((20, 3))
+            dataset = Dataset(np.vstack([base, base[::-1]]))  # every object has a twin
+            queries = QuerySet(rng.random((30, 3)), ks=np.r_[12, np.ones(29, dtype=int)])
+            index = SubdomainIndex(dataset, queries, mode="relevant")
+            for step in (
+                lambda: updates.remove_query(index, 0),
+                lambda: updates.add_query(index, rng.random(3), 12),
+                lambda: updates.add_object(index, base[3]),
+                lambda: updates.remove_query(index, index.queries.m - 1),
+                lambda: updates.remove_object(index, 5),
+                lambda: updates.add_query(index, rng.random(3), 1),
+            ):
+                step()
+                check_index_invariants(index)
+                yield snapshot(index)
+
+        incremental = list(sequence())
+        monkeypatch.setattr(updates, "_close_over_new_contenders", recomputed_closure)
+        for (ours, __), (theirs, __) in zip(incremental, sequence()):
+            assert ours == theirs
+
+    def test_loaded_index_derives_its_rows_on_the_first_update(self, rng, tmp_path):
+        dataset = Dataset(rng.random((30, 3)))
+        queries = QuerySet(rng.random((40, 3)), ks=rng.integers(1, 5, 40))
+        built = SubdomainIndex(dataset, queries, mode="relevant")
+        built.save(tmp_path / "index")
+        loaded = SubdomainIndex.load(tmp_path / "index", dataset, queries)
+        assert loaded._contenders is None  # not persisted
+        for index in (built, loaded):
+            updates.add_query(index, np.array([0.9, 0.05, 0.5]), 5)
+            updates.add_object(index, np.array([0.01, 0.02, 0.9]))
+        assert np.array_equal(loaded.pairs, built.pairs)
+        assert np.array_equal(loaded.contenders()[0], built.contenders()[0])
+
+
+class TestRemoveQueryRTree:
+    def test_payloads_renumbered_in_place(self, rng):
+        dataset = Dataset(rng.random((12, 3)))
+        queries = QuerySet(rng.random((60, 3)), ks=rng.integers(1, 4, 60))
+        index = SubdomainIndex(dataset, queries)
+        for query_id in (0, 31, index.queries.m - 3, 7):
+            items = index.rtree.items()
+            tree = index.rtree
+            updates.remove_query(index, query_id)
+            assert index.rtree is tree  # renumbered, not rebuilt
+            index.rtree.validate()
+            shifted = [
+                (rect, payload - (payload > query_id))
+                for rect, payload in items
+                if payload != query_id
+            ]
+            reloaded = RTree.bulk_load(3, shifted, max_entries=tree.max_entries)
+            assert set(index.rtree.items()) == set(reloaded.items())
+            for j in range(index.queries.m):
+                weights, __ = index.queries.query(j)
+                assert j in index.rtree.search(weights)
+
+
+class TestTypedArguments:
+    """A bad ``k`` or id raises ValidationError before anything changes."""
+
+    @staticmethod
+    def data(rng):
+        return Dataset(rng.random((10, 2))), QuerySet(rng.random((20, 2)), ks=2)
+
+    @pytest.mark.parametrize("k", [2.5, np.inf, np.nan])
+    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
+    def test_add_query_refuses_non_whole_k(self, rng, k, shards):
+        index = build_index(*self.data(rng), mode="relevant", shards=shards)
+        epoch, pairs = index.epoch, index.shard(0).pairs.copy()
+        with pytest.raises(ValidationError, match="whole number"):
+            updates.add_query(index, rng.random(2), k)
+        assert index.epoch == epoch and index.queries.m == 20
+        assert np.array_equal(index.shard(0).pairs, pairs)
+        index.validate()
+
+    @pytest.mark.parametrize("k", [2.5, np.inf])
+    def test_engine_add_query_refuses_non_whole_k(self, rng, k):
+        engine = ImprovementQueryEngine(*self.data(rng))
+        with pytest.raises(ValidationError, match="whole number"):
+            engine.add_query(rng.random(2), k)
+        assert engine.queries.m == 20 and engine.epoch == 0
+        query_id = engine.add_query(rng.random(2), 3.0)
+        assert engine.queries.ks[query_id] == 3
+
+    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
+    def test_fractional_ids_refused(self, rng, shards):
+        engine = ImprovementQueryEngine(*self.data(rng), shards=shards)
+        for call in (
+            lambda: updates.remove_query(engine.index, 1.5),
+            lambda: engine.remove_query(1.5),
+            lambda: engine.remove_object(1.5),
+        ):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                call()
+        assert engine.epoch == 0
+        assert (engine.queries.m, engine.dataset.n) == (20, 10)
+        engine.index.validate()

@@ -112,6 +112,22 @@ class TestHitsAndDemo:
         assert "of 15 queries" in out
         assert len([l for l in out.splitlines() if l.strip() and l.split()[0].isdigit()]) == 5
 
+    @pytest.mark.parametrize("k", ["2.5", "inf", "nan"])
+    def test_hits_refuses_a_non_whole_k(self, market_files, tmp_path, capsys, k):
+        objects, __ = market_files
+        bad = tmp_path / "queries.csv"
+        bad.write_text(f"w1,w2,w3,k\n0.5,0.2,0.1,{k}\n0.4,0.3,0.2,1\n")
+        code, out = run(["hits", objects, str(bad)])
+        assert code == 1 and out == ""
+        assert f"k must be a finite whole number, got {float(k)}" in capsys.readouterr().err
+
+    def test_hits_accepts_a_whole_float_k(self, market_files, tmp_path):
+        objects, __ = market_files
+        good = tmp_path / "queries.csv"
+        good.write_text("w1,w2,w3,k\n0.5,0.2,0.1,3.0\n0.4,0.3,0.2,1\n")
+        code, out = run(["hits", objects, str(good)])
+        assert code == 0 and "of 2 queries" in out
+
     def test_demo_runs(self):
         code, out = run(["demo", "--seed", "1"])
         assert code == 0
