@@ -21,9 +21,6 @@ RPR010    index-owned array writes outside ``updates.py`` notify the
           epoch bus
 RPR011    no blocking calls while holding a lock
           (``Condition.wait`` excepted)
-RPR012    indexes are constructed through
-          ``repro.core.sharding.build_index`` (or the engine) outside
-          ``core/``, ``check/``, and the tests
 RPR013    no compiled kernel backend (numba, llvmlite, cython,
           pyximport, cffi) is imported anywhere in the library
 RPR014    monotonic-clock reads (``perf_counter``, ``monotonic``, ...)
@@ -31,7 +28,7 @@ RPR014    monotonic-clock reads (``perf_counter``, ``monotonic``, ...)
           through ``repro.observe.clock``
 ========  ==============================================================
 
-RPR001-007 and RPR012-014 are per-file AST passes; RPR008-011 additionally consume the
+RPR001-007, RPR013 and RPR014 are per-file AST passes; RPR008-011 additionally consume the
 run-wide :class:`~repro.analysis.project.ProjectContext` (cross-file
 symbol table, call graph, worker reachability) and per-function
 :mod:`~repro.analysis.cfg` control-flow graphs built in
@@ -44,7 +41,7 @@ a single line with ``# repro: noqa[RPR001]``.
 from __future__ import annotations
 
 import repro.analysis.concurrency  # noqa: F401  (import registers RPR008-011)
-import repro.analysis.rules  # noqa: F401  (import registers RPR001-007, RPR012-013)
+import repro.analysis.rules  # noqa: F401  (import registers RPR001-007, RPR013-014)
 from repro.analysis.cli import main
 from repro.analysis.framework import (
     FileContext,

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import IO
 
 import repro.analysis.concurrency  # noqa: F401  (registers RPR008-RPR011)
-import repro.analysis.rules  # noqa: F401  (registers RPR001-RPR007, RPR012-RPR014)
+import repro.analysis.rules  # noqa: F401  (registers RPR001-RPR007, RPR013-RPR014)
 from repro.analysis.framework import (
     LintConfig,
     lint_paths,

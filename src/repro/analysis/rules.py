@@ -1,4 +1,4 @@
-"""Project-specific lint rules RPR001-RPR007 and RPR012-RPR014.
+"""Project-specific lint rules RPR001-RPR007, RPR013 and RPR014.
 
 Each rule encodes a discipline the paper's correctness depends on; see
 DESIGN.md ("Static analysis") for the full catalog with rationale.
@@ -22,7 +22,6 @@ __all__ = [
     "ParityCoverageRule",
     "SolverDispatchRule",
     "ParallelImportRule",
-    "IndexFactoryRule",
     "CompiledBackendRule",
     "TimingSourceRule",
     "PARITY_PAIRS",
@@ -434,49 +433,6 @@ class ParallelImportRule(Rule):
                         f"owned by repro.parallel; use its pool/batch API "
                         f"instead",
                     )
-
-
-@register_rule
-class IndexFactoryRule(Rule):
-    """RPR012: indexes are constructed through the factory outside core.
-
-    Since the index layer sharded, "build me an index" is a routing
-    decision (:func:`repro.core.sharding.resolve_shards` picks the shard
-    count, the router picks the layout); a direct
-    ``SubdomainIndex(...)`` / ``ShardedSubdomainIndex(...)`` call in an
-    outer layer hard-codes the monolithic (or one fixed) layout and
-    silently bypasses ``--shards``/``--router``.  Outer layers go
-    through :func:`repro.core.sharding.build_index` or the engine.
-    ``core/`` (the implementations and the factory itself), ``check/``
-    (differentials deliberately pin both layouts), and the tests are
-    exempt; ``.load`` restores are not construction and are never
-    flagged.
-    """
-
-    code = "RPR012"
-    title = "direct index construction outside the factory layers"
-
-    _INDEX_CLASSES = frozenset({"SubdomainIndex", "ShardedSubdomainIndex"})
-    _EXEMPT_PARTS = frozenset({"core", "check", "tests"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield RPR012 findings: direct index constructions in outer layers."""
-        parts = ctx.path.resolve().parts
-        if self._EXEMPT_PARTS & set(parts) or ctx.path.name.startswith("test_"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else None
-            if name in self._INDEX_CLASSES:
-                yield ctx.finding(
-                    node,
-                    self,
-                    f"direct {name}(...) construction; build indexes through "
-                    f"repro.core.sharding.build_index(...) (or the engine) so "
-                    f"shard routing stays a single decision",
-                )
 
 
 @register_rule

@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult
-from repro.core.sharding import IndexProtocol
 from repro.core.strategy import StrategySpace
+from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 
 __all__ = ["ReverseTopK", "RTAEvaluator", "rta_min_cost_iq", "rta_max_hit_iq"]
@@ -91,7 +91,7 @@ class RTAEvaluator(StrategyEvaluator):
     comparison the paper's Figures 7-12 make.
     """
 
-    def __init__(self, index: IndexProtocol):
+    def __init__(self, index: SubdomainIndex):
         super().__init__(index)
         self.rta = ReverseTopK(index.dataset.matrix, index.queries)
 
@@ -123,7 +123,7 @@ class RTAEvaluator(StrategyEvaluator):
 
 
 def rta_min_cost_iq(
-    index: IndexProtocol,
+    index: SubdomainIndex,
     target: int,
     tau: int,
     cost: CostFunction,
@@ -139,7 +139,7 @@ def rta_min_cost_iq(
 
 
 def rta_max_hit_iq(
-    index: IndexProtocol,
+    index: SubdomainIndex,
     target: int,
     budget: float,
     cost: CostFunction,

@@ -30,7 +30,6 @@ from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
 from repro.index.dominant_graph import DominantGraph
 from repro.index.rtree import RTree
-from repro.parallel import IQRequest, resolve_workers, run_batch
 
 __all__ = [
     "fig4_indexing_objects",
@@ -193,23 +192,9 @@ def fig6_indexing_real(config: BenchConfig | None = None) -> TableResult:
 # ----------------------------------------------------------------------
 # Figures 7-12: IQ processing time and strategy quality
 # ----------------------------------------------------------------------
-def _run_schemes(
-    dataset: Dataset,
-    queries: QuerySet,
-    config: BenchConfig,
-    workers: int | None = None,
-):
-    """Average per-IQ time (ms) and cost-per-hit for each scheme.
-
-    With ``workers`` resolving to 2+ (argument or ``REPRO_WORKERS``),
-    each scheme's IQ sweep is evaluated through the
-    :func:`repro.parallel.batch.run_batch` driver instead of the serial
-    loop; reported times are then wall-clock-per-IQ of the batch.
-    """
-    pool_size = resolve_workers(workers)
-    if pool_size >= 2:
-        return _run_schemes_batch(dataset, queries, config, pool_size)
-    index = SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
+def _run_schemes(dataset: Dataset, queries: QuerySet, config: BenchConfig):
+    """Average per-IQ time (ms) and cost-per-hit for each scheme."""
+    index = SubdomainIndex(dataset, queries, mode=config.index_mode)
     ese = StrategyEvaluator(index)
     rta = RTAEvaluator(index)
     rng = np.random.default_rng(config.seed + 7)
@@ -264,46 +249,7 @@ def _run_schemes(
     return times, qualities
 
 
-def _run_schemes_batch(
-    dataset: Dataset, queries: QuerySet, config: BenchConfig, workers: int
-):
-    """The parallel variant of :func:`_run_schemes`: same target pool and
-    schemes, each sweep submitted as one :func:`run_batch` call."""
-    from repro.core.engine import ImprovementQueryEngine
-
-    engine = ImprovementQueryEngine(dataset, queries, mode=config.index_mode)
-    rng = np.random.default_rng(config.seed + 7)
-    pool = rng.choice(dataset.n, size=min(dataset.n, 8 * config.iq_repeats), replace=False)
-    pool = sorted(pool, key=lambda t: engine.hits(int(t)))
-    targets = [int(t) for t in pool[: config.iq_repeats]]
-    tau = min(config.tau, queries.m)
-    methods = {
-        "Efficient-IQ": "efficient",
-        "RTA-IQ": "rta",
-        "Greedy": "greedy",
-        "Random": "random",
-    }
-    times = {}
-    qualities = {}
-    for scheme, method in methods.items():
-        options = (("seed", config.seed),) if method == "random" else ()
-        batch = [
-            IQRequest("min_cost", t, float(tau), method=method, options=options)
-            for t in targets
-        ] + [
-            IQRequest("max_hit", t, config.budget, method=method, options=options)
-            for t in targets
-        ]
-        results, seconds = time_call(run_batch, engine, batch, workers=workers)
-        times[scheme] = 1000.0 * seconds / len(batch)
-        finite = [r.cost_per_hit for r in results if np.isfinite(r.cost_per_hit)]
-        qualities[scheme] = float(np.mean(finite)) if finite else float("inf")
-    return times, qualities
-
-
-def _query_processing_table(
-    title, axis_name, points, make_data, config, note, workers=None
-):
+def _query_processing_table(title, axis_name, points, make_data, config, note):
     table = TableResult(
         title=title,
         columns=[axis_name]
@@ -313,7 +259,7 @@ def _query_processing_table(
     )
     for value in points:
         dataset, queries = make_data(value)
-        times, qualities = _run_schemes(dataset, queries, config, workers=workers)
+        times, qualities = _run_schemes(dataset, queries, config)
         table.add(
             value,
             *[times[s] for s in SCHEMES],
@@ -330,7 +276,7 @@ _PROCESSING_NOTE = (
 
 
 def fig7_to_9_query_processing_objects(
-    kind: str, config: BenchConfig | None = None, workers: int | None = None
+    kind: str, config: BenchConfig | None = None
 ) -> TableResult:
     """Figures 7 (IN), 8 (CO), 9 (AC): sweep |D|."""
     config = config or load_config()
@@ -350,12 +296,11 @@ def fig7_to_9_query_processing_objects(
         make_data,
         config,
         _PROCESSING_NOTE,
-        workers=workers,
     )
 
 
 def fig10_to_11_query_processing_queries(
-    kind: str, config: BenchConfig | None = None, workers: int | None = None
+    kind: str, config: BenchConfig | None = None
 ) -> TableResult:
     """Figures 10 (UN), 11 (CL): sweep |Q|."""
     config = config or load_config()
@@ -375,13 +320,10 @@ def fig10_to_11_query_processing_queries(
         make_data,
         config,
         _PROCESSING_NOTE,
-        workers=workers,
     )
 
 
-def fig12_query_processing_real(
-    config: BenchConfig | None = None, workers: int | None = None
-) -> TableResult:
+def fig12_query_processing_real(config: BenchConfig | None = None) -> TableResult:
     """Figure 12: IQ processing time/quality on the simulated real datasets."""
     config = config or load_config()
     table = TableResult(
@@ -399,7 +341,7 @@ def fig12_query_processing_real(
         dataset = make(config.real_sizes[name])
         m = max(10, int(dataset.n * config.real_query_fraction))
         queries = _queries("UN", m, dataset.dim, config)
-        times, qualities = _run_schemes(dataset, queries, config, workers=workers)
+        times, qualities = _run_schemes(dataset, queries, config)
         table.add(
             name,
             *[times[s] for s in SCHEMES],
@@ -423,7 +365,7 @@ def fig13_dimensionality(config: BenchConfig | None = None) -> TableResult:
     for d in config.dim_sweep:
         dataset = _dataset("IN", config.num_objects, d, config)
         queries = _queries("UN", config.num_queries, d, config)
-        index = SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
+        index = SubdomainIndex(dataset, queries, mode=config.index_mode)
         ese = StrategyEvaluator(index)
         cost = euclidean_cost(d)
         tau = min(config.tau, queries.m)
@@ -467,7 +409,7 @@ def x1_exhaustive_gap(config: BenchConfig | None = None) -> TableResult:
     for m in (6, 9, 12, 15):
         dataset = Dataset(rng.random((30, config.dimensions)))
         queries = QuerySet(rng.random((m, config.dimensions)), ks=2)
-        evaluator = StrategyEvaluator(SubdomainIndex(dataset, queries))  # repro: noqa[RPR012] (bench times raw construction)
+        evaluator = StrategyEvaluator(SubdomainIndex(dataset, queries))
         cost = euclidean_cost(config.dimensions)
         tau = max(2, m // 3)
         exact, exact_time = time_call(get_solver("exhaustive").min_cost, evaluator, 0, tau, cost)
@@ -495,7 +437,7 @@ def x2_ese_ablation(config: BenchConfig | None = None) -> TableResult:
     for m in config.query_sweep:
         dataset = _dataset("IN", config.num_objects, config.dimensions, config)
         queries = _queries("UN", m, config.dimensions, config)
-        index = SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
+        index = SubdomainIndex(dataset, queries, mode=config.index_mode)
         ese = StrategyEvaluator(index)
         target = 0
         strategy = rng.normal(scale=0.1, size=config.dimensions)
@@ -592,7 +534,7 @@ def x3_updates_ablation(config: BenchConfig | None = None) -> TableResult:
     queries = _queries("UN", config.num_queries, config.dimensions, config)
 
     def fresh():
-        return SubdomainIndex(dataset, queries, mode=config.index_mode)  # repro: noqa[RPR012] (bench times raw construction)
+        return SubdomainIndex(dataset, queries, mode=config.index_mode)
 
     # Both sides are medians of _X3_CALLS calls, so neither is a lone
     # cold measurement.

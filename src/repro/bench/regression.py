@@ -18,8 +18,7 @@ baseline and candidate sides.  The rows, in table order:
 * **serve** — the same batch as a JSONL stream through
   :func:`~repro.parallel.server.serve_stream`, serial vs pooled.
 * **persist** — a fresh ``mode="exact"`` build vs loading it from disk.
-* **shard_build** — a monolithic build vs a K-shard build.
-* **shard_update** — a full K-shard rebuild vs one routed ``add_query``.
+* **update** — a full rebuild vs one incremental ``add_query`` (§4.3).
 * **analyze_overhead** — plain engine calls vs ``engine.analyze``.
 
 ``run_regression`` runs the table and optionally writes a
@@ -60,9 +59,9 @@ from repro.core.objects import Dataset
 from repro.core.plan import build_plan
 from repro.core.queries import QuerySet
 from repro.core.solvers import get_solver
-from repro.core.sharding import build_index
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
+from repro.core.updates import add_query
 from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
 from repro.errors import ReproError
@@ -83,9 +82,6 @@ __all__ = [
 
 #: Default pool size for the parallel bench figures.
 DEFAULT_BENCH_WORKERS = 4
-
-#: Default shard count for the sharded-index figures.
-DEFAULT_BENCH_SHARDS = 4
 
 #: Timed rounds per point.  Three were not enough: with medians of
 #: three, 36 of the 870 ordered pairs of 30 ``--smoke`` runs on a 2-CPU
@@ -113,8 +109,8 @@ class Point:
 
     ``agree(baseline_result, candidate_result)`` sees each side's last
     result.  A ``config`` value may be a function of those two results;
-    it is read after the timing (the pooled server's throughput, a
-    sharded build's shard sizes).
+    it is read after the timing (the pooled server's throughput, the
+    number of candidates generated).
     """
 
     case: str
@@ -125,11 +121,11 @@ class Point:
     plan: dict | None = None
 
 
-#: ``points(config, limit, workers, shards)``: ``limit`` truncates each
-#: sweep (smoke runs), ``workers`` and ``shards`` size the parallel and
-#: sharded figures.  A generator resumes only after its point is
-#: measured, so setup held around a ``yield`` outlives the timing.
-PointSource = Callable[[BenchConfig, "int | None", int, int], Iterator[Point]]
+#: ``points(config, limit, workers)``: ``limit`` truncates each sweep
+#: (smoke runs), ``workers`` sizes the parallel figures.  A generator
+#: resumes only after its point is measured, so setup held around a
+#: ``yield`` outlives the timing.
+PointSource = Callable[[BenchConfig, "int | None", int], Iterator[Point]]
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,7 @@ def _same_thresholds(left: Any, right: Any) -> bool:
     """Every probe target's Eq. 6 thresholds and hit mask agree float-exactly.
 
     Per-query quantities depend only on that query's weights and the
-    full object set, so neither sharding nor maintenance may move them.
+    full object set, so maintenance may not move them.
     """
     return all(
         np.array_equal(left.kth_other(target)[1], right.kth_other(target)[1])
@@ -244,7 +240,7 @@ def _build_point(config: BenchConfig, case: str, n: int, m: int) -> Point:
     dataset, queries = _make_inputs(n, m, config)
 
     def build(method: str) -> Callable[[], Any]:
-        return lambda: build_index(
+        return lambda: SubdomainIndex(
             dataset, queries, mode=config.index_mode, partition_method=method
         )
 
@@ -257,13 +253,13 @@ def _build_point(config: BenchConfig, case: str, n: int, m: int) -> Point:
     )
 
 
-def _fig4_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _fig4_points(config: BenchConfig, limit: int | None, workers: int):
     """Figure 4: index build sweeping |D|; the partitions must be identical."""
     for n in config.object_sweep[:limit]:
         yield _build_point(config, f"|D|={n}", n, config.num_queries)
 
 
-def _fig5_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _fig5_points(config: BenchConfig, limit: int | None, workers: int):
     """Figure 5: index build sweeping |Q|; the partitions must be identical."""
     for m in config.query_sweep[:limit]:
         yield _build_point(config, f"|Q|={m}", config.num_objects, m)
@@ -277,14 +273,14 @@ def _same_candidates(loop: Any, batch: Any) -> bool:
     )
 
 
-def _fig7_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _fig7_points(config: BenchConfig, limit: int | None, workers: int):
     """Figure 7: candidate generation for a planned Min-Cost IQ, loop vs batch.
 
     Candidate ids, vectors and costs must agree; the plan of the IQ the
     stage belongs to is recorded with the timing.
     """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    index = build_index(dataset, queries, mode=config.index_mode)
+    index = SubdomainIndex(dataset, queries, mode=config.index_mode)
     evaluator = StrategyEvaluator(index)
     cost = euclidean_cost(config.dimensions)
     space = StrategySpace.unconstrained(config.dimensions)
@@ -343,7 +339,7 @@ def _same_results(serial: Any, pooled: Any) -> bool:
     )
 
 
-def _par_batch_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _par_batch_points(config: BenchConfig, limit: int | None, workers: int):
     """Batch IQ driver: the serial loop vs a persistent worker pool.
 
     Min-Cost and Max-Hit calls over the least-hit targets, one point
@@ -374,7 +370,7 @@ def _par_batch_points(config: BenchConfig, limit: int | None, workers: int, shar
                     resolved_workers=pool.workers,
                     driver="persistent",
                 ),
-                lambda: run_batch(engine, batch, workers=0),
+                lambda: run_batch(engine, batch),
                 lambda: pool.run(batch),
                 _same_results,
                 plan=plan,
@@ -387,7 +383,7 @@ def _served(engine: Any, lines: list[str], pool: PersistentPool) -> tuple[str, A
     return out.getvalue(), stats
 
 
-def _serve_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _serve_points(config: BenchConfig, limit: int | None, workers: int):
     """Serving front end: one JSONL stream, serial-mode vs pooled server.
 
     The par_batch workload as protocol lines, so the figure includes
@@ -421,7 +417,7 @@ def _serve_points(config: BenchConfig, limit: int | None, workers: int, shards: 
                 )
 
 
-def _persist_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _persist_points(config: BenchConfig, limit: int | None, workers: int):
     """Index persistence: a fresh ``mode="exact"`` build vs a directory load.
 
     The loaded index must restore the same partition and answer a probe
@@ -430,69 +426,42 @@ def _persist_points(config: BenchConfig, limit: int | None, workers: int, shards
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench-index"
-        build_index(dataset, queries, mode="exact").save(path)
+        SubdomainIndex(dataset, queries, mode="exact").save(path)
         size_bytes = sum(f.stat().st_size for f in path.iterdir())
         yield Point(
             "build-vs-load",
             _record_config(config, mode="exact", dir_bytes=size_bytes),
-            lambda: build_index(dataset, queries, mode="exact"),
+            lambda: SubdomainIndex(dataset, queries, mode="exact"),
             lambda: SubdomainIndex.load(path, dataset, queries),
             lambda built, loaded: _same_partition(built, loaded)
             and built.hits(0) == loaded.hits(0),
         )
 
 
-def _shard_build_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
-    """Sharded build: one monolithic build vs a K-shard build, both serial."""
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    yield Point(
-        f"shards={shards}",
-        _record_config(
-            config,
-            shards=shards,
-            routing=lambda _, sharded: sharded.routing,
-            shard_sizes=lambda _, sharded: list(sharded.shard_sizes),
-        ),
-        lambda: build_index(dataset, queries, mode=config.index_mode),
-        lambda: build_index(dataset, queries, mode=config.index_mode, shards=shards),
-        _same_thresholds,
-    )
+def _update_points(config: BenchConfig, limit: int | None, workers: int):
+    """§4.3 maintenance: a full rebuild vs one incremental ``add_query``.
 
-
-def _shard_update_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
-    """Incremental maintenance: a full K-shard rebuild vs one routed insert.
-
-    Each round's candidate routes one ``add_query`` into its owning
-    shard of the maintained index; the baseline rebuilds all K shards on
-    the maintained workload.  The update leaves K-1 shards untouched,
-    so it must beat the rebuild even on a single core.  Because the
-    sides alternate, the last timed rebuild may precede the last insert,
-    so the maintained index is checked against a rebuild of its final
-    workload.
+    Each round's candidate inserts one query into the maintained index;
+    the baseline rebuilds the index on the maintained workload.  The
+    insert ranks one contender row and locates one cell, so it must beat
+    the rebuild even on a single core.  Because the sides alternate, the
+    last timed rebuild may precede the last insert, so the maintained
+    index is checked against a rebuild of its final workload.
     """
     dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    maintained = build_index(dataset, queries, mode=config.index_mode, shards=shards)
-    epochs = maintained.shard_epochs
+    maintained = SubdomainIndex(dataset, queries, mode=config.index_mode)
     rng = np.random.default_rng(config.seed + 13)
 
-    def rebuild() -> Any:
-        return build_index(dataset, maintained.queries, mode=config.index_mode, shards=shards)
+    def rebuild() -> SubdomainIndex:
+        return SubdomainIndex(dataset, maintained.queries, mode=config.index_mode)
 
-    def insert() -> Any:
-        maintained.add_query(rng.random(config.dimensions), 2)
+    def insert() -> SubdomainIndex:
+        add_query(maintained, rng.random(config.dimensions), 2)
         return maintained
 
     yield Point(
-        f"shards={shards}",
-        _record_config(
-            config,
-            shards=shards,
-            routing=maintained.routing,
-            inserts=ROUNDS,
-            touched_shards=lambda _, updated: sum(
-                before != after for before, after in zip(epochs, updated.shard_epochs)
-            ),
-        ),
+        "add_query",
+        _record_config(config, inserts=ROUNDS),
         rebuild,
         insert,
         lambda _, updated: _same_thresholds(updated, rebuild()),
@@ -510,7 +479,7 @@ def _same_analyzed(plain: Any, analyzed: Any) -> bool:
     )
 
 
-def _analyze_points(config: BenchConfig, limit: int | None, workers: int, shards: int):
+def _analyze_points(config: BenchConfig, limit: int | None, workers: int):
     """EXPLAIN ANALYZE overhead: plain ``min_cost``/``max_hit`` vs ``engine.analyze``.
 
     The par_batch workload, run as plain engine calls and as analyzed
@@ -552,8 +521,7 @@ FIGURES: tuple[Figure, ...] = (
     Figure("par_batch", _par_batch_points, floor=1.0, cores=2, reason=_POOLED),
     Figure("serve", _serve_points, floor=1.0, cores=2, reason=_POOLED),
     Figure("persist", _persist_points, floor=1.0, reason=_WORK_AVOIDANCE),
-    Figure("shard_build", _shard_build_points),
-    Figure("shard_update", _shard_update_points, floor=1.0, reason=_WORK_AVOIDANCE),
+    Figure("update", _update_points, floor=1.0, reason=_WORK_AVOIDANCE),
     Figure(
         "analyze_overhead",
         _analyze_points,
@@ -568,13 +536,9 @@ def run_figure(
     config: BenchConfig,
     limit: int | None = None,
     workers: int = DEFAULT_BENCH_WORKERS,
-    shards: int = DEFAULT_BENCH_SHARDS,
 ) -> list[BenchRecord]:
     """Measure every point of one table row."""
-    return [
-        measure(figure.name, point)
-        for point in figure.points(config, limit, workers, shards)
-    ]
+    return [measure(figure.name, point) for point in figure.points(config, limit, workers)]
 
 
 def check_regression(
@@ -633,7 +597,6 @@ def run_regression(
     smoke: bool = False,
     out: str | None = None,
     workers: int | None = None,
-    shards: int | None = None,
 ) -> dict:
     """Run every row of the bench table; returns the payload.
 
@@ -641,17 +604,13 @@ def run_regression(
     first two points / two targets (fast enough for CI); ``out`` writes
     the JSON payload to the given path; ``workers`` sets the pool size
     benched by the parallel figures (default
-    :data:`DEFAULT_BENCH_WORKERS`); ``shards`` the shard count benched
-    by the sharded figures (default :data:`DEFAULT_BENCH_SHARDS`).
+    :data:`DEFAULT_BENCH_WORKERS`).
     """
     config = load_config("tiny" if smoke else scale)
     limit = 2 if smoke else None
     workers = DEFAULT_BENCH_WORKERS if workers is None else workers
-    shards = DEFAULT_BENCH_SHARDS if shards is None else shards
     records = [
-        record
-        for figure in FIGURES
-        for record in run_figure(figure, config, limit, workers, shards)
+        record for figure in FIGURES for record in run_figure(figure, config, limit, workers)
     ]
     # The host's core count travels with the payload: --check enforces
     # a row's floor only when the run had the cores the row needs.
@@ -668,8 +627,7 @@ def run_regression(
 
 
 def _count_of_two(text: str) -> int:
-    """``--workers`` / ``--shards``: one worker times the serial loop
-    against itself, and one shard builds the monolithic index."""
+    """``--workers``: one worker times the serial loop against itself."""
     try:
         count = int(text)
     except ValueError:
@@ -725,16 +683,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=_count_of_two,
-        default=None,
-        metavar="K",
-        help=(
-            "shard count benched by the sharded-index figures, at least 2 "
-            f"(default {DEFAULT_BENCH_SHARDS})"
-        ),
-    )
-    parser.add_argument(
         "--check",
         default=None,
         metavar="BASELINE",
@@ -766,7 +714,6 @@ def main(argv=None) -> int:
             smoke=args.smoke,
             out=args.out,
             workers=args.workers,
-            shards=args.shards,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import FuzzFailure, fuzz, run_case
 from repro.data.synthetic import DATASET_KINDS
-from repro.errors import ValidationError
 
 __all__ = ["main", "build_parser", "battery_scenarios"]
 
@@ -84,18 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
             "run under the runtime resource sanitizer: faulthandler on, "
             "ResourceWarning promoted to an error, and zero leaked "
             "/dev/shm segments asserted after the run"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "also run the sharded-index differential: replay the battery "
-            "through a K-shard index and hold it to monolithic parity, "
-            "update-vs-rebuild per shard, shard-boundary tie probes, and "
-            "K=1 byte-parity degeneracy (default: off)"
         ),
     )
     parser.add_argument(
@@ -163,44 +150,6 @@ def _run_battery(modes: tuple[str, ...], out: IO[str]) -> list[FuzzFailure]:
     return failures
 
 
-def _run_sharded(modes: tuple[str, ...], shards: int, out: IO[str]) -> list[FuzzFailure]:
-    """The ``--shards`` axis: sharded differentials over the battery.
-
-    Every battery scenario is replayed through a K-shard index and held
-    to the oracles of
-    :func:`~repro.check.differential.check_sharded_scenario`; the grid
-    router's bin edges get their own boundary-tie probe.
-    """
-    from repro.check.differential import (
-        check_shard_boundary_ties,
-        check_sharded_scenario,
-    )
-    from repro.errors import ReproError
-
-    failures: list[FuzzFailure] = []
-    for scenario in battery_scenarios(modes):
-        try:
-            check_sharded_scenario(scenario, shards)
-            error: "str | None" = None
-        except ReproError as exc:
-            error = str(exc)
-        status = "ok" if error is None else "FAIL"
-        print(
-            f"sharded[K={shards}] {scenario.kind}/{scenario.mode}/d={scenario.d}: "
-            f"{status}",
-            file=out,
-        )
-        if error is not None:
-            failures.append(FuzzFailure(scenario=scenario, error=error))
-    try:
-        check_shard_boundary_ties(shards=max(2, shards))
-        print(f"sharded[K={shards}] grid boundary ties: ok", file=out)
-    except ReproError as exc:
-        print(f"sharded[K={shards}] grid boundary ties: FAIL", file=out)
-        failures.append(FuzzFailure(scenario=Scenario(), error=str(exc)))
-    return failures
-
-
 def _result_mismatch(label: str, serial: object, pooled: object) -> "str | None":
     """Field-exact comparison of two IQResults; None when identical."""
     import numpy as np
@@ -241,7 +190,7 @@ def _run_pooled_parity(out: IO[str]) -> list[str]:
     failures: list[str] = []
     with PersistentPool(engine) as pool:
         for round_label in ("initial", "post-mutation"):
-            serial = run_batch(engine, requests, workers=0)
+            serial = run_batch(engine, requests)
             pooled = pool.run(requests)
             for request, expect, got in zip(requests, serial, pooled):
                 label = f"pooled parity [{round_label}] {request.kind}@{request.target}"
@@ -453,11 +402,6 @@ def _execute(args: argparse.Namespace, out: "IO[str]") -> int:
 
     if not args.skip_battery:
         failures.extend(_run_battery(modes, out))
-
-    if args.shards is not None:
-        if args.shards < 1:
-            raise ValidationError(f"--shards must be positive, got {args.shards}")
-        failures.extend(_run_sharded(modes, args.shards, out))
 
     if not args.skip_pooled:
         parity_failures = _run_pooled_parity(out)

@@ -43,9 +43,7 @@ from repro.core.cost import L2Cost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.ese import StrategyEvaluator
 from repro.core.objects import Dataset
-from repro.core.queries import QuerySet
 from repro.core.results import IQResult
-from repro.core.sharding import ShardedSubdomainIndex
 from repro.core.subdomain import _TIE_TOL, SubdomainIndex
 from repro.data.synthetic import generate
 from repro.data.workloads import uniform_queries
@@ -61,10 +59,7 @@ __all__ = [
     "check_affected_parity",
     "check_iq_contracts",
     "check_scenario",
-    "check_shard_boundary_ties",
-    "check_sharded_scenario",
     "replay",
-    "replay_sharded",
 ]
 
 
@@ -78,7 +73,7 @@ class AddQuery:
     weights: tuple[float, ...]
     k: int
 
-    def apply(self, index: "SubdomainIndex | ShardedSubdomainIndex") -> None:
+    def apply(self, index: SubdomainIndex) -> None:
         """Apply this op to ``index`` via the maintenance layer."""
         updates.add_query(index, np.asarray(self.weights, dtype=float), self.k)
 
@@ -89,7 +84,7 @@ class RemoveQuery:
 
     slot: int
 
-    def apply(self, index: "SubdomainIndex | ShardedSubdomainIndex") -> None:
+    def apply(self, index: SubdomainIndex) -> None:
         """Apply this op to ``index`` via the maintenance layer."""
         if index.queries.m <= 1:
             return  # keep the workload non-empty
@@ -102,7 +97,7 @@ class AddObject:
 
     attributes: tuple[float, ...]
 
-    def apply(self, index: "SubdomainIndex | ShardedSubdomainIndex") -> None:
+    def apply(self, index: SubdomainIndex) -> None:
         """Apply this op to ``index`` via the maintenance layer."""
         updates.add_object(index, np.asarray(self.attributes, dtype=float))
 
@@ -113,7 +108,7 @@ class RemoveObject:
 
     slot: int
 
-    def apply(self, index: "SubdomainIndex | ShardedSubdomainIndex") -> None:
+    def apply(self, index: SubdomainIndex) -> None:
         """Apply this op to ``index`` via the maintenance layer."""
         if index.dataset.n <= 2:
             return  # keep enough objects for rankings to mean anything
@@ -266,200 +261,6 @@ def check_scenario(scenario: Scenario) -> SubdomainIndex:
     _check_partition_equivalence(index, fresh)
     _check_hits_parity(index, fresh)
     return index
-
-
-# ----------------------------------------------------------------------
-# Sharded-vs-monolithic differential (the --shards axis)
-# ----------------------------------------------------------------------
-def replay_sharded(scenario: Scenario, shards: int) -> ShardedSubdomainIndex:
-    """Build a K-shard index for the scenario and apply its ops in order.
-
-    Ops go through the very same :mod:`repro.core.updates` dispatcher as
-    the monolithic replay, so every add/remove exercises the routed
-    (queries) and fanned-out (objects) maintenance paths.
-    """
-    dataset = Dataset(generate(scenario.kind, scenario.n, scenario.d, scenario.seed))
-    queries = uniform_queries(
-        scenario.m, scenario.d, seed=scenario.seed + 1, k_range=(1, scenario.k_max)
-    )
-    index = ShardedSubdomainIndex(dataset, queries, shards=shards, mode=scenario.mode)
-    for op in scenario.ops:
-        op.apply(index)
-    return index
-
-
-def _check_sharded_vs_mono(
-    sharded: ShardedSubdomainIndex, mono: SubdomainIndex
-) -> None:
-    """Thin-merge parity: the sharded read surface equals the monolithic one.
-
-    Thresholds and hit masks must be *float-exact* equal — every served
-    per-query quantity depends only on that query's weights and the full
-    object set, so sharding may not perturb a single bit.  The sharded
-    mask is additionally held to brute-force membership outside tie
-    bands.  In exact mode (a shard's hyperplane set is the same
-    all-pairs set as the monolith's) each shard cell must equal the
-    monolithic cell restricted to the shard's members, and the cell
-    signatures must be byte-identical.
-    """
-    if sharded.queries.m != mono.queries.m or sharded.dataset.n != mono.dataset.n:
-        raise CheckFailure(
-            f"sharded index holds {sharded.dataset.n}x{sharded.queries.m} but the "
-            f"monolithic reference {mono.dataset.n}x{mono.queries.m}"
-        )
-    weights = mono.queries.weights
-    ks = mono.queries.ks
-    matrix = mono.dataset.matrix
-    for target in range(mono.dataset.n):
-        ids_s, theta_s = sharded.kth_other(target)
-        ids_m, theta_m = mono.kth_other(target)
-        if not (np.array_equal(ids_s, ids_m) and np.array_equal(theta_s, theta_m)):
-            diverging = np.flatnonzero((ids_s != ids_m) | (theta_s != theta_m))
-            raise CheckFailure(
-                f"kth_other({target}) diverges between sharded and monolithic "
-                f"indexes at queries {diverging.tolist()}"
-            )
-        mask_s = sharded.hits_mask(target)
-        mask_m = mono.hits_mask(target)
-        if not np.array_equal(mask_s, mask_m):
-            diverging = np.flatnonzero(mask_s != mask_m)
-            raise CheckFailure(
-                f"hits_mask({target}) diverges between sharded and monolithic "
-                f"indexes at queries {diverging.tolist()}"
-            )
-        brute, ambiguous = brute_force_hits(matrix, weights, ks, target)
-        settled = ~ambiguous
-        if not np.array_equal(mask_s[settled], brute[settled]):
-            diverging = np.flatnonzero(settled & (mask_s != brute))
-            raise CheckFailure(
-                f"sharded hits_mask({target}) differs from brute-force top-k "
-                f"membership at queries {diverging.tolist()}"
-            )
-    if mono.mode != "exact":
-        return
-    for qid in range(mono.queries.m):
-        members = sharded.shard_members(int(sharded._shard_of[qid]))
-        expected = np.intersect1d(mono.cell_members(qid), members)
-        got = np.asarray(sharded.cell_members(qid))
-        if not np.array_equal(got, expected):
-            raise CheckFailure(
-                f"shard cell of query {qid} is {got.tolist()}, expected the "
-                f"monolithic cell restricted to its shard {expected.tolist()}"
-            )
-        if sharded.signature_of(qid) != mono.signature_of(qid):
-            raise CheckFailure(
-                f"exact-mode cell signature of query {qid} diverges between the "
-                "sharded and monolithic indexes"
-            )
-
-
-def check_sharded_scenario(scenario: Scenario, shards: int) -> ShardedSubdomainIndex:
-    """The full sharded differential for one scenario.
-
-    Four equivalences, each fatal on divergence:
-
-    1. *maintained sharded vs maintained monolithic* — replaying the op
-       sequence through the routed/fanned-out maintenance paths serves
-       the same thresholds, masks (and, exact mode, cells) as the
-       monolithic replay, brute force included;
-    2. *update vs rebuild, per shard* — each maintained shard's
-       partition equals (exact) or refines (relevant) the corresponding
-       shard of a fresh build on the final data;
-    3. *structural invariants* — :meth:`ShardedSubdomainIndex.validate`
-       plus the monolithic invariant oracle on every shard;
-    4. *K=1 degeneracy* — a one-shard index is byte-identical to the
-       monolith (signatures included) in both modes.
-    """
-    maintained = replay_sharded(scenario, shards)
-    maintained.validate()
-    for s in range(maintained.shards):
-        check_index_invariants(maintained.shard(s))
-    mono = replay(scenario)
-    _check_sharded_vs_mono(maintained, mono)
-
-    fresh = ShardedSubdomainIndex(
-        maintained.dataset,
-        maintained.queries,
-        shards=shards,
-        mode=scenario.mode,
-    )
-    fresh.validate()
-    for s in range(shards):
-        if not np.array_equal(maintained.shard_members(s), fresh.shard_members(s)):
-            raise CheckFailure(
-                f"maintained shard {s} owns {maintained.shard_members(s).tolist()} "
-                f"but a fresh build routes {fresh.shard_members(s).tolist()}"
-            )
-        _check_partition_equivalence(maintained.shard(s), fresh.shard(s))
-
-    degenerate = ShardedSubdomainIndex(
-        maintained.dataset, maintained.queries, shards=1, mode=scenario.mode
-    )
-    fresh_mono = SubdomainIndex(maintained.dataset, maintained.queries, mode=scenario.mode)
-    for qid in range(fresh_mono.queries.m):
-        if degenerate.signature_of(qid) != fresh_mono.signature_of(qid):
-            raise CheckFailure(
-                f"K=1 sharded index is not byte-identical to the monolith: "
-                f"signature of query {qid} diverges"
-            )
-        if not np.array_equal(degenerate.cell_members(qid), fresh_mono.cell_members(qid)):
-            raise CheckFailure(
-                f"K=1 sharded index is not byte-identical to the monolith: "
-                f"cell of query {qid} diverges"
-            )
-    return maintained
-
-
-def check_shard_boundary_ties(shards: int = 4, seed: int = 0) -> None:
-    """Grid-router boundary probe: queries exactly on shard bin edges.
-
-    Builds a workload whose routed coordinate sits *exactly* on the
-    ``i/K`` grid boundaries (plus one-ulp neighbours on either side) and
-    checks that (a) routing is deterministic and boundary-stable across
-    recomputation, (b) the sharded index still serves monolithic-parity
-    masks everywhere — a query landing in the "wrong-looking" bin is
-    fine, the same query landing in *different* bins on different calls
-    is not — and (c) a save/load round trip (whose member maps are
-    recomputed from the router, never stored) reproduces the identical
-    assignment.
-    """
-    import tempfile
-
-    rng = np.random.default_rng(seed)
-    edges = np.linspace(0.0, 1.0, shards + 1)
-    xs: list[float] = []
-    for edge in edges:
-        xs.append(float(edge))
-        xs.append(float(np.nextafter(edge, 0.0)))
-        xs.append(float(np.nextafter(edge, 1.0)))
-    xs.extend(float(x) for x in rng.random(8))
-    xs = [min(1.0, max(0.0, x)) for x in xs]
-    weights = np.column_stack([np.asarray(xs), 1.0 - np.asarray(xs)])
-    queries = QuerySet(weights, np.full(len(xs), 2))
-    dataset = Dataset(generate("IN", 12, 2, seed + 1))
-
-    sharded = ShardedSubdomainIndex(dataset, queries, shards=shards)
-    sharded.validate()
-    again = sharded.router.assign(queries.weights, shards)
-    if not np.array_equal(again, sharded._shard_of):
-        raise CheckFailure(
-            "grid routing of boundary queries is not deterministic across calls"
-        )
-    mono = SubdomainIndex(dataset, queries)
-    _check_sharded_vs_mono(sharded, mono)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # The restored shards map the saved files: check them before
-        # the directory goes away.
-        sharded.save(f"{tmp}/boundary-index")
-        restored = ShardedSubdomainIndex.load(f"{tmp}/boundary-index", dataset, queries)
-        restored.validate()
-        if not np.array_equal(restored._shard_of, sharded._shard_of):
-            raise CheckFailure(
-                "save/load round trip reassigned boundary queries to different shards"
-            )
-        _check_sharded_vs_mono(restored, mono)
-        del restored
 
 
 # ----------------------------------------------------------------------

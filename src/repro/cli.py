@@ -52,12 +52,9 @@ from repro.core.cost import L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.queries import QuerySet
 from repro.core.solvers import registered_solvers
-from repro.core.sharding import SHARDED_SCHEMA, ShardedSubdomainIndex
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.data.realworld import load_csv, read_csv
-from repro.index.mmapio import directory_schema
-from repro.index.router import registered_routers
 from repro.errors import ReproError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -105,16 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_index_arguments(command)
 
     def add_index_arguments(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--shards", type=int, default=None, metavar="K",
-                             help="shard the index over K weight-space regions "
-                                  "(default: monolithic)")
-        command.add_argument("--router", default=None,
-                             choices=sorted(registered_routers()),
-                             help="shard routing policy (default: grid)")
         command.add_argument("--save-index", default=None, metavar="DIR",
                              help="persist the built index as a directory of "
-                                  "memory-mappable .npy files (one subdirectory "
-                                  "per shard when sharded)")
+                                  "memory-mappable .npy files")
         command.add_argument("--load-index", default=None, metavar="DIR",
                              help="restore an index directory written by "
                                   "--save-index instead of rebuilding "
@@ -220,22 +210,11 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
     """Build (or restore) the engine honoring the index CLI options."""
     load_path = getattr(args, "load_index", None)
     if load_path:
-        # The manifest's schema tag says which loader owns a directory;
-        # anything else goes to the monolithic loader, which types the
-        # error (missing path, regular file, unreadable manifest).
-        if directory_schema(load_path) == SHARDED_SCHEMA:
-            index = ShardedSubdomainIndex.load(load_path, dataset, queries)
-        else:
-            index = SubdomainIndex.load(load_path, dataset, queries)
-        engine = ImprovementQueryEngine.from_index(index)
-    else:
-        engine = ImprovementQueryEngine(
-            dataset,
-            queries,
-            mode="relevant",
-            shards=getattr(args, "shards", None),
-            router=getattr(args, "router", None),
+        engine = ImprovementQueryEngine.from_index(
+            SubdomainIndex.load(load_path, dataset, queries)
         )
+    else:
+        engine = ImprovementQueryEngine(dataset, queries, mode="relevant")
     if getattr(args, "save_index", None):
         engine.index.save(args.save_index)
     return engine

@@ -39,12 +39,6 @@ from repro.core.plan import PLAN_FIELDS, ExecutionPlan, build_plan
 from repro.core.queries import QuerySet
 from repro.core.reduction import min_cost_via_max_hit
 from repro.core.results import IQResult, IterationRecord
-from repro.core.sharding import (
-    IndexProtocol,
-    ShardedSubdomainIndex,
-    build_index,
-    resolve_shards,
-)
 from repro.core.solvers import (
     Solver,
     get_solver,
@@ -68,10 +62,6 @@ __all__ = [
     "CallableCost",
     "euclidean_cost",
     "SubdomainIndex",
-    "IndexProtocol",
-    "ShardedSubdomainIndex",
-    "build_index",
-    "resolve_shards",
     "find_subdomains",
     "relevant_pairs",
     "StrategyEvaluator",

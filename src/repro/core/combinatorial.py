@@ -29,7 +29,7 @@ import numpy as np
 from repro.constants import EPS_COST, EPS_FEASIBILITY
 from repro.core.cost import CostFunction
 from repro.core.strategy import Strategy, StrategySpace
-from repro.core.sharding import IndexProtocol
+from repro.core.subdomain import SubdomainIndex
 from repro.errors import InfeasibleError, ValidationError
 from repro.observe import stage, tally
 from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit
@@ -62,7 +62,7 @@ class MultiTargetResult:
 class _JointState:
     """Current positions of every object with exact joint-hit accounting."""
 
-    def __init__(self, index: IndexProtocol, targets: list[int]) -> None:
+    def __init__(self, index: SubdomainIndex, targets: list[int]) -> None:
         if len(set(targets)) != len(targets):
             raise ValidationError("duplicate target ids")
         for t in targets:
@@ -162,7 +162,7 @@ def _pick_best_ratio(
 
 
 def combinatorial_min_cost(
-    index: IndexProtocol,
+    index: SubdomainIndex,
     targets: list[int],
     tau: int,
     costs: CostFunction | dict[int, CostFunction],
@@ -229,7 +229,7 @@ def combinatorial_min_cost(
 
 
 def combinatorial_max_hit(
-    index: IndexProtocol,
+    index: SubdomainIndex,
     targets: list[int],
     budget: float,
     costs: CostFunction | dict[int, CostFunction],

@@ -52,12 +52,10 @@ from repro.core.objects import Dataset
 from repro.core.plan import ExecutedPlan, ExecutionPlan, build_plan
 from repro.core.queries import QuerySet
 from repro.core.results import IQResult
-from repro.core.sharding import ShardedSubdomainIndex, build_index
-from repro.core.solvers import Solver, get_solver
+from repro.core.solvers import Solver, check_goal, get_solver
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
-from repro.index.router import ShardRouter
 from repro.observe import (
     StageRecorder,
     default_store,
@@ -85,15 +83,6 @@ class ImprovementQueryEngine:
     mode, margin:
         Subdomain-index construction options (see
         :class:`~repro.core.subdomain.SubdomainIndex`).
-    shards:
-        Workload shard count for the index layer: ``None`` builds the
-        monolithic reference index, an integer builds that many shards
-        (see :func:`~repro.core.sharding.resolve_shards`).  Surfaced by
-        :meth:`explain` as ``shards``/``routing``/``shard_sizes``.
-    router:
-        Shard routing policy (a name or a
-        :class:`~repro.index.router.ShardRouter`); only consulted when
-        the resolved shard count exceeds 1.
     """
 
     def __init__(
@@ -102,27 +91,15 @@ class ImprovementQueryEngine:
         queries: QuerySet,
         mode: str = "exact",
         margin: int = 2,
-        shards: "int | str | None" = None,
-        router: "str | ShardRouter | None" = None,
     ) -> None:
-        self.index: "SubdomainIndex | ShardedSubdomainIndex" = build_index(
-            dataset,
-            queries,
-            mode=mode,
-            margin=margin,
-            shards=shards,
-            router=router,
-        )
+        self.index = SubdomainIndex(dataset, queries, mode=mode, margin=margin)
         self.evaluator = StrategyEvaluator(self.index)
         self._rta_evaluator: RTAEvaluator | None = None
 
     @classmethod
-    def from_index(
-        cls, index: "SubdomainIndex | ShardedSubdomainIndex"
-    ) -> "ImprovementQueryEngine":
+    def from_index(cls, index: SubdomainIndex) -> "ImprovementQueryEngine":
         """Wrap an existing index (e.g. one restored by
-        :meth:`SubdomainIndex.load` or
-        :meth:`ShardedSubdomainIndex.load`) without rebuilding it."""
+        :meth:`SubdomainIndex.load`) without rebuilding it."""
         engine = cls.__new__(cls)
         engine.index = index
         engine.evaluator = StrategyEvaluator(index)
@@ -149,9 +126,7 @@ class ImprovementQueryEngine:
         """
         return self.index.epoch
 
-    def pool(
-        self, workers: "int | str | None" = None, warm: bool = True
-    ) -> "PersistentPool":
+    def pool(self, workers: "int | str | None" = None) -> "PersistentPool":
         """A :class:`~repro.parallel.persistent.PersistentPool` for this engine.
 
         The pool forks workers holding the built index once and serves
@@ -160,7 +135,7 @@ class ImprovementQueryEngine:
         """
         from repro.parallel.persistent import PersistentPool
 
-        return PersistentPool(self, workers=workers, warm=warm)
+        return PersistentPool(self, workers=workers)
 
     # ------------------------------------------------------------------
     # Read-side queries
@@ -199,7 +174,8 @@ class ImprovementQueryEngine:
             )
         if tau is not None:
             return self._plan("min_cost", target, tau, cost, space, method)[0]
-        return self._plan("max_hit", target, float(budget), cost, space, method)[0]
+        goal = check_goal("max_hit", budget)
+        return self._plan("max_hit", target, goal, cost, space, method)[0]
 
     def explain_multi(
         self,
@@ -221,7 +197,8 @@ class ImprovementQueryEngine:
             )
         if tau is not None:
             return self._plan_multi("min_cost", targets, tau, costs, spaces)[0]
-        return self._plan_multi("max_hit", targets, float(budget), costs, spaces)[0]
+        goal = check_goal("max_hit", budget)
+        return self._plan_multi("max_hit", targets, goal, costs, spaces)[0]
 
     def _plan(
         self,
@@ -299,7 +276,7 @@ class ImprovementQueryEngine:
                 "analyze needs exactly one of tau (min_cost) or budget (max_hit)"
             )
         kind = "min_cost" if tau is not None else "max_hit"
-        goal: float = tau if tau is not None else float(budget)  # type: ignore[assignment]
+        goal: float = tau if tau is not None else check_goal("max_hit", budget)  # type: ignore[assignment]
         recorder = StageRecorder()
         started = now()
         with observing(recorder):
@@ -465,12 +442,9 @@ class ImprovementQueryEngine:
         **kwargs: object,
     ) -> MultiTargetResult:
         """Combinatorial Max-Hit IQ over several targets (Def. 6)."""
-        plans, costs_int, spaces_int = self._plan_multi(
-            "max_hit", targets, float(budget), costs, spaces
-        )
-        return self._run_multi(
-            plans, "max_hit", float(budget), costs_int, spaces_int, kwargs
-        )
+        goal = check_goal("max_hit", budget)
+        plans, costs_int, spaces_int = self._plan_multi("max_hit", targets, goal, costs, spaces)
+        return self._run_multi(plans, "max_hit", goal, costs_int, spaces_int, kwargs)
 
     def analyze_multi(
         self,
@@ -493,7 +467,7 @@ class ImprovementQueryEngine:
                 "analyze_multi needs exactly one of tau (min_cost) or budget (max_hit)"
             )
         kind = "min_cost" if tau is not None else "max_hit"
-        goal: float = tau if tau is not None else float(budget)  # type: ignore[assignment]
+        goal: float = tau if tau is not None else check_goal("max_hit", budget)  # type: ignore[assignment]
         recorder = StageRecorder()
         started = now()
         with observing(recorder):

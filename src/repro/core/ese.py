@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sharding import IndexProtocol
-from repro.core.subdomain import _TIE_TOL, _beats, _beats_batch
+from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats, _beats_batch
 from repro.errors import ValidationError
 from repro.index.rtree import Rect
 
@@ -88,16 +87,13 @@ def _inside_domain(rect: Rect, query_id: int) -> bool:
 
 
 class StrategyEvaluator:
-    """ESE over any :class:`~repro.core.sharding.IndexProtocol` index.
+    """ESE over a :class:`~repro.core.subdomain.SubdomainIndex`.
 
-    Works identically over the monolithic
-    :class:`~repro.core.subdomain.SubdomainIndex` and the
-    :class:`~repro.core.sharding.ShardedSubdomainIndex`: thresholds come
-    from :meth:`kth_other` (merged per shard), the affected-subspace
-    retrieval from :meth:`affected_candidates` (fanned out per shard).
+    Thresholds come from :meth:`~repro.core.subdomain.SubdomainIndex.kth_other`,
+    the affected-subspace retrieval from the index's query R-tree.
     """
 
-    def __init__(self, index: IndexProtocol) -> None:
+    def __init__(self, index: SubdomainIndex) -> None:
         self.index = index
         self._target_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Epoch-based invalidation: the cache remembers which index
@@ -236,7 +232,7 @@ class StrategyEvaluator:
             np.zeros(dataset.dim), np.ones(dataset.dim)
         ) if self.index.queries.normalized else self._workload_bbox()
         candidates = np.asarray(
-            self.index.affected_candidates(domain, _inside_domain), dtype=np.intp
+            self.index.rtree.search_where(domain, _inside_domain), dtype=np.intp
         )
         candidates.sort()  # ascending ids, like the set-union formulation
         if candidates.size == 0 or others.size == 0:

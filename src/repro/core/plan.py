@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, fields
 
 from repro.core.boundary import describe_cost, describe_space
 from repro.core.cost import CostFunction
-from repro.core.sharding import IndexProtocol
 from repro.core.solvers import QUERY_KINDS, Solver, check_goal
 from repro.core.strategy import StrategySpace
+from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 
 __all__ = [
@@ -54,9 +54,6 @@ PLAN_FIELDS = (
     "num_subdomains",
     "num_hyperplanes",
     "epoch",
-    "shards",
-    "routing",
-    "shard_sizes",
     "index_memory",
     "candidate_method",
     "cost",
@@ -101,9 +98,6 @@ class ExecutionPlan:
     num_subdomains: int = 0
     num_hyperplanes: int = 0
     epoch: int = 0  #: index epoch the plan was built against
-    shards: int = 1  #: index shard count (1 = monolithic)
-    routing: str = "none"  #: shard routing policy ("none" when monolithic)
-    shard_sizes: tuple[int, ...] = ()  #: workload queries per shard
     index_memory: int = 0  #: index memory_estimate() in bytes at plan time
     cost: str = ""  #: internalized cost, rendered
     space: str = "unconstrained"  #: internalized strategy box, rendered
@@ -136,9 +130,6 @@ class ExecutionPlan:
             "num_subdomains": self.num_subdomains,
             "num_hyperplanes": self.num_hyperplanes,
             "epoch": self.epoch,
-            "shards": self.shards,
-            "routing": self.routing,
-            "shard_sizes": list(self.shard_sizes),
             "index_memory": self.index_memory,
             "candidate_method": self.candidate_method,
             "cost": self.cost,
@@ -242,7 +233,7 @@ class ExecutedPlan(ExecutionPlan):
 
 
 def build_plan(
-    index: IndexProtocol,
+    index: SubdomainIndex,
     solver: Solver,
     kind: str,
     target: int,
@@ -278,9 +269,6 @@ def build_plan(
         num_subdomains=index.num_subdomains,
         num_hyperplanes=index.num_hyperplanes,
         epoch=index.epoch,
-        shards=index.shards,
-        routing=index.routing,
-        shard_sizes=index.shard_sizes,
         index_memory=index.memory_estimate(),
         cost=describe_cost(cost),
         space=describe_space(space),

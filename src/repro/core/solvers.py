@@ -66,8 +66,13 @@ QUERY_KINDS = ("min_cost", "max_hit")
 def check_goal(kind: str, goal: float) -> float:
     """Validate an IQ goal: a Min-Cost tau is a finite whole number of
     hits, a Max-Hit budget is any number but NaN (an infinite budget
-    means no spending cap)."""
-    value = float(goal)
+    means no spending cap).  An integer too large for a float is
+    refused too, before anything runs."""
+    try:
+        value = float(goal)
+    except OverflowError:
+        name = "tau" if kind == "min_cost" else "budget"
+        raise ValidationError(f"{name} is too large to represent as a float") from None
     if kind == "min_cost" and not (math.isfinite(value) and value.is_integer()):
         raise ValidationError(f"tau must be a whole number of hits, got {goal}")
     if kind == "max_hit" and math.isnan(value):

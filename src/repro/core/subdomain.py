@@ -62,7 +62,7 @@ from repro.geometry.arrangement import group_by_signature, signature_matrix
 from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
-from repro.index.rtree import Rect, RTree
+from repro.index.rtree import RTree
 
 __all__ = [
     "Contenders",
@@ -481,66 +481,18 @@ class SubdomainIndex:
         """Invalidate the boundary registration after a mutation."""
         self._boundaries_ready = False
 
-    # ------------------------------------------------------------------
-    # IndexProtocol read surface (shared with ShardedSubdomainIndex)
-    # ------------------------------------------------------------------
-    #: A monolithic index is the one-shard degenerate case of the
-    #: sharded architecture; these attributes let every consumer
-    #: (planner, pool, EXPLAIN) treat both implementations uniformly.
-    shards: int = 1
-    routing: str = "none"
-
-    @property
-    def shard_sizes(self) -> tuple[int, ...]:
-        """Workload size per shard (the whole workload, monolithically)."""
-        return (self.queries.m,)
-
-    @property
-    def shard_epochs(self) -> tuple[int, ...]:
-        """Per-shard mutation counters (one shard: the global epoch)."""
-        return (self._epoch,)
-
-    def signature_of(self, query_id: int) -> bytes:
-        """Side-signature of the cell containing ``query_id``."""
-        return self.subdomains[int(self.subdomain_of[query_id])].signature
-
-    def cell_members(self, query_id: int) -> np.ndarray:
-        """Global query ids sharing ``query_id``'s subdomain (ascending)."""
-        return self.subdomains[int(self.subdomain_of[query_id])].query_ids
-
-    def shard(self, s: int) -> "SubdomainIndex":
-        """Shard ``s`` of the one-shard layout: the index itself."""
-        if s != 0:
-            raise ValidationError(f"shard id {s} out of range [0, 1)")
-        return self
-
-    def affected_candidates(
-        self, domain: Rect, predicate: "Callable[[Rect, int], bool]"
-    ) -> list[int]:
-        """Query ids inside ``domain`` whose weights satisfy ``predicate``.
-
-        The affected-subspace scan of ESE (§4.2), expressed on the index
-        rather than on its R-tree so a sharded index can fan the scan
-        out and merge.  ``predicate`` must be a pure function of the
-        weight vector — it is evaluated per shard with no cross-shard
-        state.
-        """
-        return self.rtree.search_where(domain, predicate)
-
-    def hot_arrays(self) -> "list[tuple[str, str, object, str]]":
+    def hot_arrays(self) -> "list[tuple[str, object, str]]":
         """Construction-free arrays worth residing in shared memory.
 
-        Returns ``(key, group, owner, attribute)`` tuples: the pool
-        shares ``getattr(owner, attribute)`` under ``key`` within the
-        named :class:`~repro.parallel.shm.SharedArrayStore` group, and
-        each worker rebinds its own copy by matching keys against this
-        same method on its forked index.  Groups let the sharded index
-        re-share only the shards whose epoch moved.
+        Returns ``(key, owner, attribute)`` tuples: the pool shares
+        ``getattr(owner, attribute)`` under ``key``, and each worker
+        rebinds its own copy by matching keys against this same method
+        on its forked index.
         """
         return [
-            ("external", "global", self.dataset, "_external"),
-            ("weights", "global", self.queries, "_weights"),
-            ("normals", "global", self, "normals"),
+            ("external", self.dataset, "_external"),
+            ("weights", self.queries, "_weights"),
+            ("normals", self, "normals"),
         ]
 
     # ------------------------------------------------------------------
@@ -725,7 +677,8 @@ class SubdomainIndex:
         mismatched index fails in O(metadata), not O(index).  A path
         that is a regular file (such as a single-file ``.npz`` index,
         a layout this version no longer reads) also raises
-        :class:`~repro.errors.ValidationError`.  The restored index
+        :class:`~repro.errors.ValidationError`, as does a directory in
+        the sharded layout, before any shard file is opened.  The restored index
         serves identical answers to the one that was saved, including
         the already-evaluated ranking prefixes and the mutation epoch.
         The R-tree is rebuilt by bulk load; boundary registration stays

@@ -43,17 +43,9 @@ they follow exactly what a recomputation would pick.
 Object ids and query ids are *dense*: removing id ``x`` shifts every id
 above ``x`` down by one, in the dataset/queryset and in the index
 alike.
-
-The four public functions accept either index implementation: a
-:class:`~repro.core.sharding.ShardedSubdomainIndex` routes query
-mutations to the owning shard and fans object mutations out to every
-shard (each shard re-entering these functions as a monolith); a
-:class:`~repro.core.subdomain.SubdomainIndex` is maintained in place.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,57 +60,15 @@ from repro.core.subdomain import (
 from repro.errors import ValidationError
 from repro.geometry.arrangement import signature_matrix
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.sharding import ShardedSubdomainIndex
-
 __all__ = ["add_query", "remove_query", "add_object", "remove_object"]
 
 #: How many nearest neighbours donate candidate subdomains on insert.
 _KNN_CANDIDATES = 3
 
 
-def _as_sharded(
-    index: "SubdomainIndex | ShardedSubdomainIndex",
-) -> "ShardedSubdomainIndex | None":
-    """The sharded view of ``index``, or ``None`` for a monolith.
-
-    The four public maintenance operations dispatch here: a sharded
-    index routes/fans the mutation across its shards (whose *monolithic*
-    members come straight back through these same functions), a
-    monolithic index falls through to the in-place maintenance below.
-    The import is deferred because :mod:`repro.core.sharding` imports
-    this module for its shard-level delegation.
-    """
-    from repro.core.sharding import ShardedSubdomainIndex
-
-    return index if isinstance(index, ShardedSubdomainIndex) else None
-
-
-def _as_monolithic(
-    index: "SubdomainIndex | ShardedSubdomainIndex",
-) -> SubdomainIndex:
-    """Narrow to the monolithic implementation after sharded dispatch.
-
-    Only reachable with a :class:`SubdomainIndex` (the ``_as_sharded``
-    branch returned already); the runtime check keeps that assumption a
-    typed error instead of an ``assert`` under ``python -O``.
-    """
-    if not isinstance(index, SubdomainIndex):
-        raise ValidationError(
-            f"maintenance expects a SubdomainIndex here, got {type(index).__name__}"
-        )
-    return index
-
-
-def add_query(
-    index: "SubdomainIndex | ShardedSubdomainIndex", weights: np.ndarray, k: int
-) -> int:
+def add_query(index: SubdomainIndex, weights: np.ndarray, k: int) -> int:
     """Insert a top-k query; returns its id (= new m - 1)."""
     weights = np.asarray(weights, dtype=float)
-    sharded = _as_sharded(index)
-    if sharded is not None:
-        return sharded.add_query(weights, k)
-    index = _as_monolithic(index)
     new_queries, query_id = index.queries.with_query(weights, k)
     relevant = _derive_contenders(index)
     index.queries = new_queries
@@ -183,15 +133,8 @@ def _classify_full(index: SubdomainIndex, signature_row: np.ndarray) -> int:
     return sid
 
 
-def remove_query(
-    index: "SubdomainIndex | ShardedSubdomainIndex", query_id: int
-) -> None:
+def remove_query(index: SubdomainIndex, query_id: int) -> None:
     """Delete a query; ids above it shift down by one."""
-    sharded = _as_sharded(index)
-    if sharded is not None:
-        sharded.remove_query(query_id)
-        return
-    index = _as_monolithic(index)
     weights, __ = index.queries.query(query_id)
     if not index.rtree.delete(weights, query_id):
         raise ValidationError(f"query {query_id} missing from the R-tree (corrupt index?)")
@@ -225,14 +168,8 @@ def remove_query(
     index.notify_mutation()
 
 
-def add_object(
-    index: "SubdomainIndex | ShardedSubdomainIndex", attributes: np.ndarray
-) -> int:
+def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
     """Insert an object; its function's intersections split subdomains."""
-    sharded = _as_sharded(index)
-    if sharded is not None:
-        return sharded.add_object(np.asarray(attributes, dtype=float))
-    index = _as_monolithic(index)
     new_dataset, object_id = index.dataset.with_object(attributes)
     relevant = _derive_contenders(index)
     index.dataset = new_dataset
@@ -428,15 +365,8 @@ def _split_cells_on_new_columns(index: SubdomainIndex, new_normals: np.ndarray) 
     _renumber(index, survivors)
 
 
-def remove_object(
-    index: "SubdomainIndex | ShardedSubdomainIndex", object_id: int
-) -> None:
+def remove_object(index: SubdomainIndex, object_id: int) -> None:
     """Remove an object; subdomains split only by its intersections merge."""
-    sharded = _as_sharded(index)
-    if sharded is not None:
-        sharded.remove_object(object_id)
-        return
-    index = _as_monolithic(index)
     index.dataset._check_id(object_id)
     relevant = _derive_contenders(index)
     index.dataset = index.dataset.without_object(object_id)

@@ -37,7 +37,6 @@ __all__ = [
     "MMAP_SCHEMA",
     "MANIFEST_NAME",
     "check_index_format",
-    "directory_schema",
     "replace_file",
     "write_mmap_index",
     "read_mmap_index",
@@ -47,9 +46,11 @@ __all__ = [
 #: whenever the on-disk layout changes so stale directories fail loudly.
 MMAP_SCHEMA = "repro-subdomain-index-mmap/1"
 
-#: Manifest file name shared with the sharded layout — the ``schema``
-#: field inside distinguishes the two directory formats.
 MANIFEST_NAME = "manifest.json"
+
+#: Schema tag of the sharded directory layout that earlier versions wrote
+#: (one mmap subdirectory per shard); it is refused, not read.
+_SHARDED_SCHEMA = "repro-sharded-index/1"
 
 
 def check_index_format(format: str) -> None:
@@ -58,22 +59,6 @@ def check_index_format(format: str) -> None:
         raise ValidationError(
             f"unknown index format {format!r}; the only index layout is 'mmap'"
         )
-
-
-def directory_schema(path: "str | Path") -> str | None:
-    """The ``schema`` tag of a persisted-index directory, if readable.
-
-    Returns ``None`` for anything that is not a directory carrying a
-    parseable manifest — callers use this to route a ``--load-index``
-    directory to the sharded or the mmap loader without guessing.
-    """
-    manifest = Path(path) / MANIFEST_NAME
-    try:
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    return schema if isinstance(schema, str) else None
 
 
 def replace_file(target: Path, write: Callable[[BinaryIO], object]) -> None:
@@ -157,6 +142,11 @@ def read_mmap_index(
     root = Path(path)
     payload = _manifest(root)
     schema = payload.get("schema")
+    if schema == _SHARDED_SCHEMA:
+        raise ValidationError(
+            f"saved index {root} uses the sharded layout, which this version no "
+            "longer reads; save the index again"
+        )
     if schema != MMAP_SCHEMA:
         raise ValidationError(
             f"unsupported mmap index schema {schema!r} (expected {MMAP_SCHEMA!r})"

@@ -1,7 +1,7 @@
 """The persisted runtime-stats store of ``EXPLAIN ANALYZE`` runs.
 
 Every ``EXPLAIN ANALYZE`` run records one entry — solver method, total
-seconds, evaluation count, shard count — under a *workload
+seconds, evaluation count — under a *workload
 fingerprint*: the query kind plus the index's mode, sense,
 dimensionality, and size buckets.  Sizes are bucketed to powers of two
 so a 24-object workload and a 30-object workload share stats, while a
@@ -58,9 +58,6 @@ class _IndexLike(Protocol):  # pragma: no cover - typing only
 
     @property
     def mode(self) -> str: ...
-
-    @property
-    def shards(self) -> int: ...
 
 
 def _bucket(count: int) -> int:
@@ -174,7 +171,9 @@ class StatsStore:
 
         Accepts any object with the executed-plan surface (duck-typed so
         this layer never imports :mod:`repro.core`): ``fingerprint``,
-        ``solver_name``, ``total_seconds``, ``evaluations``, ``shards``.
+        ``solver_name``, ``total_seconds``, ``evaluations``.  Samples
+        read from a file written by an older version may carry other
+        keys; they are kept as read.
         """
         fingerprint = str(plan.fingerprint)
         if not fingerprint:
@@ -182,7 +181,6 @@ class StatsStore:
         sample = {
             "seconds": float(plan.total_seconds),
             "evaluations": int(plan.evaluations),
-            "shards": int(plan.shards),
         }
         with self._lock:
             methods = self._workloads.setdefault(fingerprint, {})

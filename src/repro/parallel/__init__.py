@@ -8,10 +8,10 @@ vectorized serial build in :mod:`repro.core.subdomain` beat a 2-worker
 construction pool at every measured size on a 2-CPU host.  The
 integrated pieces:
 
-* :mod:`repro.parallel.batch` — the fork-per-call batch IQ driver: many
-  Min-Cost / Max-Hit calls (many targets, or one target under many
-  goals, as in the paper's experiment grids) evaluated across a
-  fork-based pool against a read-only shared index.
+* :mod:`repro.parallel.batch` — the batch IQ driver: many Min-Cost /
+  Max-Hit calls (many targets, or one target under many goals, as in
+  the paper's experiment grids) run by the serial reference loop, or
+  by a persistent pool the caller holds.
 * :mod:`repro.parallel.persistent` — the persistent worker pool:
   workers forked *once* holding the built index (hot matrices resident
   in shared memory), alive across batches, with epoch-based

@@ -1,10 +1,9 @@
 """The persistent worker pool: fork once, serve batches forever.
 
-The fork-per-call driver in :mod:`repro.parallel.batch` pays pool
-startup, per-request IPC, and cold per-worker state on *every*
-``run_batch`` call — which is why BENCH_PR4 recorded the pooled batch
-path *slower* than serial.  :class:`PersistentPool` amortizes all three
-across the lifetime of an index:
+Forking a pool per batch pays pool startup, per-request IPC, and cold
+per-worker state on *every* batch, which made it slower than the serial
+loop.  :class:`PersistentPool` amortizes all three across the lifetime
+of an index:
 
 * **fork once** — workers are forked holding the fully-built engine
   (index, warm representative prefixes, evaluator caches) and stay
@@ -17,13 +16,11 @@ across the lifetime of an index:
   add memory;
 * **shm-resident hot matrices** — the index enumerates its own
   shared-memory plan (:meth:`SubdomainIndex.hot_arrays`): the object
-  matrix ``D``, the query weights ``Q``, and the hyperplane normals —
-  per shard, for a sharded index — are exported into
-  :class:`~repro.parallel.shm.SharedArrayStore` segments, one store per
-  *group*; each worker's initializer rebinds its inherited engine onto
-  the shared pages, so every worker (and every post-crash fork
-  generation) reads the same physical memory instead of per-process
-  copies;
+  matrix ``D``, the query weights ``Q``, and the hyperplane normals are
+  exported into one :class:`~repro.parallel.shm.SharedArrayStore`; each
+  worker's initializer rebinds its inherited engine onto the shared
+  pages, so every worker (and every post-crash fork generation) reads
+  the same physical memory instead of per-process copies;
 * **chunked dispatch** — a batch travels as contiguous request slices
   (one per worker), so IPC cost is per-chunk, not per-request, and
   per-worker threshold caches warm across the whole slice.
@@ -32,12 +29,9 @@ Consistency is epoch-based, like every other index consumer: the pool
 records :attr:`~repro.core.subdomain.SubdomainIndex.epoch` at fork time
 and compares lazily on every :meth:`run` — a mutated index can never be
 served from stale workers; the pool re-forks (a *refresh*) before
-dispatching.  Over a sharded index the refresh is *scoped*: the pool
-also snapshots the per-shard epochs, and re-exports only the ``global``
-group plus the shard groups whose epoch moved — workers still re-fork,
-but the segment copy cost is bounded by what actually mutated.  A
-worker crash (:class:`BrokenProcessPool`) likewise triggers one full
-refresh-and-retry before surfacing an error.
+dispatching, re-sharing every hot array.  A worker crash
+(:class:`BrokenProcessPool`) likewise triggers one full refresh-and-retry
+before surfacing an error.
 
 The serial loop stays the executable reference: a pool resolved to
 fewer than two workers (or a platform without fork) executes requests
@@ -105,9 +99,8 @@ def _init_pool_worker(token: str, specs: "dict[str, ArraySpec]") -> None:
 
     The engine object graph arrives by fork (copy-on-write); the hot
     matrices — enumerated by the index's *own*
-    :meth:`~repro.core.subdomain.SubdomainIndex.hot_arrays` plan, so a
-    sharded index rebinds every shard's weight subset and normals too —
-    are swapped for attachments to the parent's shared segments, so the
+    :meth:`~repro.core.subdomain.SubdomainIndex.hot_arrays` plan — are
+    swapped for attachments to the parent's shared segments, so the
     bulk of the index is resident in shared memory rather than
     duplicated per worker or per fork generation.
 
@@ -119,7 +112,7 @@ def _init_pool_worker(token: str, specs: "dict[str, ArraySpec]") -> None:
     engine = _POOL_ENGINES.get(token)  # repro: noqa[RPR008] (fork channel: set pre-fork, read-only here)
     if engine is None:  # pragma: no cover - requires spawn-started worker
         return
-    for key, _group, owner, attr in engine.index.hot_arrays():
+    for key, owner, attr in engine.index.hot_arrays():
         spec = specs.get(key)
         if spec is None:
             continue
@@ -177,10 +170,11 @@ class PersistentPool:
         :func:`~repro.parallel.pool.resolve_workers`; below 2 (or on a
         platform without fork) the pool runs every batch through the
         in-process serial reference loop.
-    warm:
-        Pre-evaluate every subdomain's representative ranking prefix
-        before forking, so workers inherit a hot index instead of each
-        recomputing the shared prefixes on first use (default: True).
+
+    Every fork generation starts from a warm index: the prefix table
+    that :meth:`~repro.core.subdomain.SubdomainIndex.kth_other` reads is
+    built once before forking, so workers inherit it instead of each
+    ranking the shared prefixes on first use.
 
     The pool is a context manager; :meth:`close` (or leaving the
     ``with`` block) shuts the workers down and releases the shared
@@ -197,24 +191,19 @@ class PersistentPool:
         self,
         engine: "ImprovementQueryEngine",
         workers: "int | str | None" = None,
-        warm: bool = True,
     ) -> None:
         self._engine = engine
         self._workers = resolve_workers(workers)
         self._forked = self._workers >= 2 and pool_start_method() == "fork"
-        self._warm = warm
         self._token = f"repro-pool-{os.getpid()}-{id(self):x}"
-        self._stores: "dict[str, SharedArrayStore]" = {}  #: one store per group
-        self._specs: "dict[str, dict[str, ArraySpec]]" = {}  #: group -> key -> spec
+        self._store: "SharedArrayStore | None" = None
+        self._specs: "dict[str, ArraySpec]" = {}  #: hot-array key -> shared segment
         self._executor: "ProcessPoolExecutor | None" = None
         self._epoch = -1
-        self._shard_epochs: "tuple[int, ...]" = ()
         self._lock = threading.Lock()
         self._closed = False
         self.generation = 0  #: fork generations started (bumps on refresh)
         self.restarts = 0  #: refreshes forced by worker crashes
-        self.partial_refreshes = 0  #: refreshes that kept some shard segments
-        self.shards_reshared = 0  #: shard groups re-exported across refreshes
         self.mmap_resident = 0  #: hot arrays left page-cache-shared (no shm copy)
         self._start()
 
@@ -253,11 +242,9 @@ class PersistentPool:
 
         Hot arrays come from the index's own
         :meth:`~repro.core.subdomain.SubdomainIndex.hot_arrays` plan,
-        one :class:`SharedArrayStore` per group; a key whose group
-        survived a scoped refresh keeps its existing segment (the
-        owning shard's epoch never moved, so the bytes are current).
+        exported into one :class:`SharedArrayStore`.
 
-        A failure after any store exists (a hot matrix that will not
+        A failure after the store exists (a hot matrix that will not
         export, executor creation itself) tears the partial generation
         down before re-raising — otherwise the shared segments outlive
         the exception until GC happens to collect the pool, which is
@@ -265,20 +252,13 @@ class PersistentPool:
         """
         index = self._engine.index
         self._epoch = index.epoch
-        self._shard_epochs = tuple(index.shard_epochs)
         self.generation += 1
-        if self._warm:
-            for s in range(index.shards):
-                shard = index.shard(s)
-                for sid in range(shard.num_subdomains):
-                    shard.prefix(sid)
+        index._prefix_rows()  # the prefix table kth_other reads, ranked in one pass
         if not self._forked:
             return
         try:
             mmap_resident = 0
-            for key, group, owner, attr in index.hot_arrays():
-                if key in self._specs.get(group, {}):
-                    continue  # segment survived a scoped refresh untouched
+            for key, owner, attr in index.hot_arrays():
                 array = np.asarray(getattr(owner, attr))
                 if _mmap_backed(array):
                     # Already file-backed: forked workers inherit the
@@ -287,76 +267,31 @@ class PersistentPool:
                     # initializer leaves the inherited binding alone.
                     mmap_resident += 1
                     continue
-                store = self._stores.get(group)
-                if store is None:
-                    store = self._stores[group] = SharedArrayStore()
-                self._specs.setdefault(group, {})[key] = store.share(array)
+                if self._store is None:
+                    self._store = SharedArrayStore()
+                self._specs[key] = self._store.share(array)
             self.mmap_resident = mmap_resident
             _POOL_ENGINES[self._token] = self._engine
-            flat_specs = {
-                key: spec
-                for group_specs in self._specs.values()
-                for key, spec in group_specs.items()
-            }
             self._executor = ProcessPoolExecutor(
                 max_workers=self._workers,
                 mp_context=get_context("fork"),
                 initializer=_init_pool_worker,
-                initargs=(self._token, flat_specs),
+                initargs=(self._token, self._specs),
             )
         except BaseException:
             self._teardown()
             raise
 
-    def _teardown(self, groups: "set[str] | None" = None) -> None:
-        """End the current fork generation (workers first, then segments).
-
-        ``groups`` scopes the segment teardown to the named store
-        groups — a stale refresh passes only ``global`` plus the moved
-        shard groups, keeping unmutated shards' segments alive across
-        the re-fork; ``None`` closes everything.
-        """
+    def _teardown(self) -> None:
+        """End the current fork generation (workers first, then segments)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         _POOL_ENGINES.pop(self._token, None)
-        doomed = set(self._stores) if groups is None else groups & set(self._stores)
-        for group in doomed:
-            self._stores.pop(group).close()
-            self._specs.pop(group, None)
-
-    def _stale_groups(self) -> "set[str] | None":
-        """Store groups invalidated by mutations since the last fork.
-
-        The ``global`` group is always stale — every mutation kind
-        touches the object matrix or the global weights; a ``shard:<s>``
-        group is stale only when that shard's epoch moved.  ``None``
-        means the shard topology itself changed and nothing can be
-        scoped (re-share everything).
-        """
-        current = tuple(self._engine.index.shard_epochs)
-        if len(current) != len(self._shard_epochs):
-            return None
-        moved = {"global"}
-        moved.update(
-            f"shard:{s}"
-            for s, (old, new) in enumerate(zip(self._shard_epochs, current))
-            if old != new
-        )
-        return moved
-
-    def _refresh_stale(self) -> None:
-        """Re-fork against the mutated index, re-sharing only moved groups."""
-        doomed = self._stale_groups()
-        if doomed is not None and self._stores:
-            kept = set(self._stores) - doomed
-            if kept:
-                self.partial_refreshes += 1
-            self.shards_reshared += sum(
-                1 for g in doomed if g in self._stores and g.startswith("shard:")
-            )
-        self._teardown(doomed)
-        self._start()
+        if self._store is not None:
+            self._store.close()
+            self._store = None
+        self._specs = {}
 
     def refresh(self) -> None:
         """Tear down and re-fork against the engine's *current* index."""
@@ -424,9 +359,9 @@ class PersistentPool:
         try:
             if self.stale:
                 # Epoch moved: the forked workers hold a pre-mutation
-                # index.  Re-fork rather than serve stale answers,
-                # re-sharing only the segment groups that mutated.
-                self._refresh_stale()
+                # index.  Re-fork rather than serve stale answers.
+                self._teardown()
+                self._start()
             if not batch:
                 return []
             if not self._forked:

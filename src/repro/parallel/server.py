@@ -144,11 +144,10 @@ def _parse_request(payload: "dict[str, object]") -> IQRequest:
         if not isinstance(raw_options, dict):
             raise ValidationError("request 'options' must be a JSON object")
         options = tuple(sorted(raw_options.items()))
-    request = IQRequest(
-        kind=kind, target=target, goal=float(goal), method=method, options=options
-    )
-    # Per-request validation at admission time: a bad kind or unknown
-    # method must produce one error *response*, not poison a batch.
+    request = IQRequest(kind=kind, target=target, goal=goal, method=method, options=options)
+    # Per-request validation at admission time: a bad kind, an unknown
+    # method or a goal out of float range must produce one error
+    # *response*, not poison a batch or end the stream.
     _validate_requests((request,))
     return request
 

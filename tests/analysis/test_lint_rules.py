@@ -394,82 +394,6 @@ class TestFramework:
 
 
 # ----------------------------------------------------------------------
-# RPR012: direct index construction outside the factory layers
-# ----------------------------------------------------------------------
-class TestIndexFactory:
-    def test_direct_monolithic_construction_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "index = SubdomainIndex(dataset, queries, mode='exact')\n",
-            select=frozenset({"RPR012"}),
-        )
-        assert codes(findings) == ["RPR012"]
-
-    def test_direct_sharded_construction_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "index = ShardedSubdomainIndex(dataset, queries, shards=4)\n",
-            select=frozenset({"RPR012"}),
-        )
-        assert codes(findings) == ["RPR012"]
-
-    def test_factory_call_passes(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "index = build_index(dataset, queries, shards=4)\n",
-            select=frozenset({"RPR012"}),
-        )
-        assert findings == []
-
-    def test_restore_classmethods_pass(self, tmp_path):
-        source = """\
-        a = SubdomainIndex.load(path, dataset, queries)
-        b = ShardedSubdomainIndex.load(root, dataset, queries, lazy=True)
-        """
-        findings = lint_source(tmp_path, source, select=frozenset({"RPR012"}))
-        assert findings == []
-
-    def test_class_passed_as_argument_passes(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "result, seconds = time_call(SubdomainIndex, dataset, queries)\n",
-            select=frozenset({"RPR012"}),
-        )
-        assert findings == []
-
-    def test_noqa_suppresses(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "index = SubdomainIndex(d, q)  # repro: noqa[RPR012]\n",
-            select=frozenset({"RPR012"}),
-        )
-        assert findings == []
-
-    def test_test_files_exempt(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "index = SubdomainIndex(d, q)\n",
-            name="test_fixture.py",
-            select=frozenset({"RPR012"}),
-        )
-        assert findings == []
-
-    def test_core_layer_exempt(self, tmp_path):
-        (tmp_path / "core").mkdir()
-        path = tmp_path / "core" / "builders.py"
-        path.write_text("index = SubdomainIndex(d, q)\n")
-        findings = lint_file(path, LintConfig(select=frozenset({"RPR012"})))
-        assert findings == []
-
-    def test_check_layer_exempt(self, tmp_path):
-        (tmp_path / "check").mkdir()
-        path = tmp_path / "check" / "differential.py"
-        path.write_text("index = ShardedSubdomainIndex(d, q, shards=2)\n")
-        findings = lint_file(path, LintConfig(select=frozenset({"RPR012"})))
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
 # RPR014: monotonic-clock reads confined to repro/observe
 # ----------------------------------------------------------------------
 class TestTimingSource:

@@ -86,7 +86,7 @@ class TestExecutedPlan:
     def test_extends_the_plain_plan(self, engine):
         plan = engine.explain(0, tau=10)
         _, executed = engine.analyze(0, tau=10)
-        for name in ("kind", "target", "goal", "sense", "epoch", "shards"):
+        for name in ("kind", "target", "goal", "sense", "epoch", "num_subdomains"):
             assert getattr(executed, name) == getattr(plan, name), name
 
     def test_to_dict_appends_analyze_fields_in_order(self, engine):

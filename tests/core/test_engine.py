@@ -90,6 +90,21 @@ class TestGoalValidation:
         with pytest.raises(ValidationError, match="budget must be a number"):
             engine.max_hit_multi([0, 1], budget=float("nan"))
 
+    def test_goal_beyond_float_range_rejected(self, engine):
+        huge = 10**400
+        with pytest.raises(ValidationError, match="tau is too large"):
+            engine.min_cost(0, tau=huge)
+        with pytest.raises(ValidationError, match="budget is too large"):
+            engine.max_hit(0, budget=huge)
+        with pytest.raises(ValidationError, match="tau is too large"):
+            engine.explain(0, tau=huge)
+        with pytest.raises(ValidationError, match="budget is too large"):
+            engine.explain(0, budget=huge)
+        with pytest.raises(ValidationError, match="budget is too large"):
+            engine.analyze(0, budget=huge)
+        with pytest.raises(ValidationError, match="tau is too large"):
+            engine.min_cost_multi([0, 1], tau=huge)
+
     def test_infinite_budget_stays_legal(self, engine):
         result = engine.max_hit(0, budget=float("inf"))
         assert result.hits_after >= result.hits_before

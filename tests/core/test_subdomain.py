@@ -5,7 +5,6 @@ from repro.check.oracles import check_prefixes
 from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.sharding import build_index
 from repro.core.subdomain import (
     _TIE_TOL,
     SubdomainIndex,
@@ -199,29 +198,24 @@ def recount_kth(index, target):
 def prefix_positions(index, target):
     """Where ``target`` sits in the cells' prefixes: inside, at the end, outside."""
     found = set()
-    for s in range(index.shards):
-        shard = index.shard(s)
-        for sid in range(shard.num_subdomains):
-            prefix = shard.prefix(sid).tolist()
-            if target not in prefix:
-                found.add("outside")
-            elif prefix.index(target) == len(prefix) - 1:
-                found.add("end")
-            else:
-                found.add("inside")
+    for sid in range(index.num_subdomains):
+        prefix = index.prefix(sid).tolist()
+        if target not in prefix:
+            found.add("outside")
+        elif prefix.index(target) == len(prefix) - 1:
+            found.add("end")
+        else:
+            found.add("inside")
     return found
 
 
 class TestKthOther:
-    @pytest.mark.parametrize("variant", ["exact", "relevant", "mmap", "4-shard"])
+    @pytest.mark.parametrize("variant", ["exact", "relevant", "mmap"])
     def test_matches_recount_through_every_update_kind(self, rng, tmp_path, variant):
         dataset = Dataset(rng.random((30, 3)))
         queries = QuerySet(rng.random((60, 3)), ks=rng.integers(1, 5, 60))
-        index = build_index(
-            dataset,
-            queries,
-            mode="relevant" if variant == "relevant" else "exact",
-            shards=4 if variant == "4-shard" else None,
+        index = SubdomainIndex(
+            dataset, queries, mode="relevant" if variant == "relevant" else "exact"
         )
         if variant == "mmap":
             index.save(tmp_path / "index")
@@ -229,14 +223,14 @@ class TestKthOther:
 
         def lone_query(idx):
             # Removing the only member of a cell renumbers the cells.
-            return next(q for q in range(idx.queries.m) if idx.cell_members(q).size == 1)
+            return min(int(sub.query_ids[0]) for sub in idx.subdomains if sub.size == 1)
 
         steps = [
             lambda idx: None,
             lambda idx: updates.add_query(idx, rng.random(3), 4),
             lambda idx: updates.remove_query(idx, lone_query(idx)),
             lambda idx: updates.add_object(idx, np.zeros(3)),  # tops every query
-            lambda idx: updates.remove_object(idx, int(idx.shard(0).prefix(0)[1])),
+            lambda idx: updates.remove_object(idx, int(idx.prefix(0)[1])),
         ]
         for step in steps:
             step(index)  # the same object throughout: a stale table shows
@@ -403,3 +397,13 @@ class TestBeatsBatch:
     def test_empty_block(self):
         out = _beats_batch(np.empty((0, 4)), np.empty(0), 0, np.empty(0, dtype=np.intp))
         assert out.shape == (0, 4)
+
+
+class TestHotArrays:
+    def test_plan_names_each_shared_array_once(self, rng):
+        dataset, queries, index = build(rng)
+        entries = index.hot_arrays()
+        assert [key for key, __, __ in entries] == ["external", "weights", "normals"]
+        for key, owner, attribute in entries:
+            assert isinstance(getattr(owner, attribute), np.ndarray), key
+        assert entries[2][1] is index and entries[0][1] is dataset

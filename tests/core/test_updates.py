@@ -6,7 +6,6 @@ from repro.core import updates
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.sharding import build_index
 from repro.core.subdomain import SubdomainIndex, contender_rows, hyperplanes, relevant_pairs
 from repro.errors import ValidationError
 from repro.index.rtree import RTree
@@ -33,8 +32,8 @@ def assert_equivalent(index, reference):
 
 
 def cells(index):
-    """The partition as sorted tuples of global query ids (any shard count)."""
-    return sorted({tuple(index.cell_members(q).tolist()) for q in range(index.queries.m)})
+    """The partition as sorted tuples of query ids."""
+    return sorted(tuple(sub.query_ids.tolist()) for sub in index.subdomains)
 
 
 def separation(index, object_id):
@@ -292,8 +291,7 @@ class TestInterleaved:
 class TestNoBoundaryRegistration:
     """The §4.3 update path decides by exact tests, never by the registry."""
 
-    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
-    def test_mixed_updates_never_register_boundaries(self, rng, monkeypatch, shards):
+    def test_mixed_updates_never_register_boundaries(self, rng, monkeypatch):
         calls = []
         register = SubdomainIndex.ensure_boundaries
 
@@ -304,7 +302,7 @@ class TestNoBoundaryRegistration:
         monkeypatch.setattr(SubdomainIndex, "ensure_boundaries", counted)
         dataset = Dataset(rng.random((12, 2)))
         queries = QuerySet(rng.random((40, 2)), ks=rng.integers(1, 4, 40))
-        index = build_index(dataset, queries, shards=shards)
+        index = SubdomainIndex(dataset, queries)
         for __ in range(2):
             updates.add_query(index, rng.random(2), int(rng.integers(1, 4)))
             updates.remove_object(index, int(rng.integers(index.dataset.n)))
@@ -312,7 +310,7 @@ class TestNoBoundaryRegistration:
             updates.remove_query(index, int(rng.integers(index.queries.m)))
         assert calls == []
         index.validate()
-        reference = build_index(index.dataset, index.queries, shards=shards)
+        reference = SubdomainIndex(index.dataset, index.queries)
         assert cells(index) == cells(reference)
         for target in range(index.dataset.n):
             assert index.hits(target) == reference.hits(target)
@@ -471,14 +469,13 @@ class TestTypedArguments:
         return Dataset(rng.random((10, 2))), QuerySet(rng.random((20, 2)), ks=2)
 
     @pytest.mark.parametrize("k", [2.5, np.inf, np.nan])
-    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
-    def test_add_query_refuses_non_whole_k(self, rng, k, shards):
-        index = build_index(*self.data(rng), mode="relevant", shards=shards)
-        epoch, pairs = index.epoch, index.shard(0).pairs.copy()
+    def test_add_query_refuses_non_whole_k(self, rng, k):
+        index = SubdomainIndex(*self.data(rng), mode="relevant")
+        epoch, pairs = index.epoch, index.pairs.copy()
         with pytest.raises(ValidationError, match="whole number"):
             updates.add_query(index, rng.random(2), k)
         assert index.epoch == epoch and index.queries.m == 20
-        assert np.array_equal(index.shard(0).pairs, pairs)
+        assert np.array_equal(index.pairs, pairs)
         index.validate()
 
     @pytest.mark.parametrize("k", [2.5, np.inf])
@@ -490,9 +487,8 @@ class TestTypedArguments:
         query_id = engine.add_query(rng.random(2), 3.0)
         assert engine.queries.ks[query_id] == 3
 
-    @pytest.mark.parametrize("shards", [None, 4], ids=["monolithic", "4-shard"])
-    def test_fractional_ids_refused(self, rng, shards):
-        engine = ImprovementQueryEngine(*self.data(rng), shards=shards)
+    def test_fractional_ids_refused(self, rng):
+        engine = ImprovementQueryEngine(*self.data(rng))
         for call in (
             lambda: updates.remove_query(engine.index, 1.5),
             lambda: engine.remove_query(1.5),

@@ -9,8 +9,6 @@ import pytest
 from repro.errors import IndexCorruptionError, ValidationError
 from repro.index.mmapio import (
     MANIFEST_NAME,
-    MMAP_SCHEMA,
-    directory_schema,
     read_mmap_index,
     write_mmap_index,
 )
@@ -64,16 +62,6 @@ class TestRoundTrip:
         assert sorted(f.name for f in root.iterdir()) == sorted(
             [MANIFEST_NAME] + [f"{key}.npy" for key in arrays]
         )
-
-    def test_directory_schema_identifies_the_layout(self, saved, tmp_path):
-        root, __, __ = saved
-        assert directory_schema(root) == MMAP_SCHEMA
-        # anything without a parseable manifest routes elsewhere
-        assert directory_schema(tmp_path / "absent") is None
-        garbage = tmp_path / "garbage"
-        garbage.mkdir()
-        (garbage / MANIFEST_NAME).write_text("not json {")
-        assert directory_schema(garbage) is None
 
 
 class TestTypedErrors:

@@ -25,7 +25,6 @@ class FakeExecuted:
     solver_name: str = "efficient"
     total_seconds: float = 0.002
     evaluations: int = 19
-    shards: int = 0
 
 
 class TestRecording:
@@ -34,9 +33,7 @@ class TestRecording:
         store.record(FakeExecuted())
         samples = store.samples(FakeExecuted.fingerprint)
         assert list(samples) == ["efficient"]
-        assert samples["efficient"][0] == {
-            "seconds": 0.002, "evaluations": 19, "shards": 0,
-        }
+        assert samples["efficient"][0] == {"seconds": 0.002, "evaluations": 19}
 
     def test_empty_fingerprint_not_recorded(self):
         store = StatsStore(None)
@@ -68,6 +65,21 @@ class TestPersistence:
         fingerprint = FakeExecuted.fingerprint
         assert reloaded.samples(fingerprint) == store.samples(fingerprint)
         assert reloaded.fingerprints() == [fingerprint]
+
+    def test_file_from_an_older_version_still_loads(self, tmp_path):
+        # Earlier versions recorded the index's shard count in each sample.
+        path = tmp_path / "stats.json"
+        old = {"seconds": 0.5, "evaluations": 7, "shards": 1}
+        fingerprint = FakeExecuted.fingerprint
+        path.write_text(json.dumps(
+            {"schema": STATS_SCHEMA, "workloads": {fingerprint: {"efficient": [old]}}}
+        ))
+        store = StatsStore(path)
+        assert store.samples(fingerprint) == {"efficient": [old]}
+        store.record(FakeExecuted())
+        assert StatsStore(path).samples(fingerprint)["efficient"] == [
+            old, {"seconds": 0.002, "evaluations": 19},
+        ]
 
     def test_save_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "stats.json"

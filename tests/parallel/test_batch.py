@@ -1,4 +1,4 @@
-"""The parallel batch driver must reproduce the serial loop exactly."""
+"""The batch driver must reproduce direct engine calls exactly."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.errors import ReproError, ValidationError
+from repro.errors import ValidationError
 from repro.parallel import IQRequest, run_batch
-from repro.parallel import batch as batch_module
 
 
 @pytest.fixture
@@ -24,24 +23,10 @@ def requests_for(engine, count=6):
     ]
 
 
-def assert_results_match(serial, parallel):
-    assert len(serial) == len(parallel)
-    for ours, theirs in zip(serial, parallel):
-        assert ours.hits_after == theirs.hits_after
-        assert ours.total_cost == pytest.approx(theirs.total_cost)
-        assert np.allclose(ours.strategy.vector, theirs.strategy.vector)
-
-
 class TestParity:
-    def test_parallel_matches_serial_loop(self, engine):
-        batch = requests_for(engine)
-        serial = run_batch(engine, batch, workers=0)
-        parallel = run_batch(engine, batch, workers=2)
-        assert_results_match(serial, parallel)
-
     def test_matches_direct_engine_calls(self, engine):
         batch = [IQRequest("min_cost", 0, 5.0), IQRequest("max_hit", 1, 0.5)]
-        results = run_batch(engine, batch, workers=2)
+        results = run_batch(engine, batch)
         direct_min = engine.min_cost(0, tau=5)
         direct_max = engine.max_hit(1, budget=0.5)
         assert results[0].hits_after == direct_min.hits_after
@@ -53,73 +38,32 @@ class TestParity:
             IQRequest("min_cost", 0, 5.0, method="greedy"),
             IQRequest("max_hit", 1, 0.8, method="random", options=(("seed", 7),)),
         ]
-        serial = run_batch(engine, batch, workers=0)
-        parallel = run_batch(engine, batch, workers=2)
-        assert_results_match(serial, parallel)
+        results = run_batch(engine, batch)
+        greedy = engine.min_cost(0, tau=5, method="greedy")
         direct = engine.max_hit(1, budget=0.8, method="random", seed=7)
-        assert serial[1].hits_after == direct.hits_after
+        assert results[0].hits_after == greedy.hits_after
+        assert np.array_equal(results[0].strategy.vector, greedy.strategy.vector)
+        assert results[1].hits_after == direct.hits_after
 
 
 class TestDispatch:
     def test_results_in_request_order(self, engine):
         batch = requests_for(engine)
-        results = run_batch(engine, batch, workers=3)
+        results = run_batch(engine, batch)
         for request, result in zip(batch, results):
+            assert result.target == request.target
             if request.kind == "min_cost":
                 assert result.hits_after >= request.goal or not result.satisfied
 
     def test_empty_batch(self, engine):
-        assert run_batch(engine, [], workers=4) == []
-
-    def test_single_request_runs_serially(self, engine):
-        results = run_batch(engine, [IQRequest("min_cost", 0, 5.0)], workers=4)
-        assert len(results) == 1
-
-    def test_env_variable_selects_workers(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        batch = requests_for(engine, count=2)
-        serial = run_batch(engine, batch, workers=0)
-        from_env = run_batch(engine, batch)
-        assert_results_match(serial, from_env)
-
-
-class TestChunking:
-    def test_batch_chunk_runs_a_contiguous_slice(self, engine, monkeypatch):
-        batch = tuple(requests_for(engine, count=3))
-        monkeypatch.setattr(batch_module, "_SHARED", (engine, batch))
-        chunk = batch_module._batch_chunk((1, 4))
-        reference = [batch_module._run_one(engine, request) for request in batch[1:4]]
-        assert_results_match(reference, chunk)
-
-    def test_batch_chunk_without_shared_state_raises(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_SHARED", None)
-        with pytest.raises(ReproError, match="fork-shared"):
-            batch_module._batch_chunk((0, 1))
-
-    def test_chunks_cover_batch_once_per_worker(self, engine):
-        # The fallback path dispatches ceil(len/workers)-sized slices —
-        # one map task per worker, not one per request.
-        from repro.parallel.shm import chunk_bounds
-
-        batch = requests_for(engine, count=4)  # 8 requests
-        bounds = list(chunk_bounds(len(batch), 2))
-        assert bounds == [(0, 4), (4, 8)]
+        assert run_batch(engine, []) == []
 
 
 class TestValidation:
     def test_unknown_kind_rejected_before_pool(self, engine):
         with pytest.raises(ValidationError, match="kind"):
-            run_batch(engine, [IQRequest("median", 0, 5.0)], workers=2)
+            run_batch(engine, [IQRequest("median", 0, 5.0)])
 
     def test_unknown_method_rejected_before_pool(self, engine):
         with pytest.raises(ValidationError):
-            run_batch(
-                engine,
-                [IQRequest("min_cost", 0, 5.0, method="quantum")] * 2,
-                workers=2,
-            )
-
-    def test_not_reentrant(self, engine, monkeypatch):
-        monkeypatch.setattr(batch_module, "_SHARED", (engine, ()))
-        with pytest.raises(ReproError, match="reentrant"):
-            run_batch(engine, requests_for(engine, count=2), workers=2)
+            run_batch(engine, [IQRequest("min_cost", 0, 5.0, method="quantum")] * 2)

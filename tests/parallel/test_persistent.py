@@ -41,20 +41,20 @@ def assert_results_match(serial, pooled):
 class TestParity:
     def test_pooled_matches_serial_reference(self, engine):
         batch = requests_for(engine)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
             assert_results_match(serial, pool.run(batch))
 
     def test_serial_mode_pool_matches_reference(self, engine):
         batch = requests_for(engine)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=0) as pool:
             assert pool.workers == 0
             assert_results_match(serial, pool.run(batch))
 
     def test_repeated_batches_stay_consistent(self, engine):
         batch = requests_for(engine, count=3)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
             first = pool.run(batch)
             second = pool.run(batch)
@@ -64,7 +64,7 @@ class TestParity:
 
     def test_run_batch_delegates_to_pool(self, engine):
         batch = requests_for(engine, count=3)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
             assert_results_match(serial, run_batch(engine, batch, pool=pool))
 
@@ -80,11 +80,14 @@ class TestParity:
             assert pool.engine is engine
             assert pool.workers == 2
 
-    def test_unwarmed_pool_still_agrees(self, engine):
-        batch = requests_for(engine, count=3)
-        serial = run_batch(engine, batch, workers=0)
-        with PersistentPool(engine, workers=2, warm=False) as pool:
-            assert_results_match(serial, pool.run(batch))
+    def test_pool_start_builds_the_prefix_table(self, engine):
+        # Workers inherit the table kth_other reads, ranked before forking.
+        index = engine.index
+        assert index._prefix_table is None
+        with PersistentPool(engine, workers=0):
+            assert index._prefix_table is not None
+            assert index._prefix_table[0] == index.epoch
+            assert index.representative_evaluations == index.num_subdomains
 
 
 class TestErrors:
@@ -97,7 +100,7 @@ class TestErrors:
             # The worker that hit the error kept running; the pool is
             # still the same fork generation and still serves.
             assert pool.generation == 1
-            assert_results_match(run_batch(engine, good, workers=0), pool.run(good))
+            assert_results_match(run_batch(engine, good), pool.run(good))
 
     def test_run_outcomes_isolates_failures(self, engine):
         batch = [
@@ -153,7 +156,7 @@ class TestLifecycle:
 
     def test_manual_refresh_bumps_generation(self, engine):
         batch = requests_for(engine, count=2)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
             pool.refresh()
             assert pool.generation == 2
@@ -172,7 +175,7 @@ class TestEpoch:
         with PersistentPool(engine, workers=2) as pool:
             pool.run(batch)
             engine.add_query(np.full(engine.dataset.dim, 0.5), 2)
-            serial = run_batch(engine, batch, workers=0)
+            serial = run_batch(engine, batch)
             pooled = pool.run(batch)  # must re-fork, not serve stale hits
             assert pool.generation == 2
             assert not pool.stale
@@ -224,7 +227,7 @@ class TestStartFailure:
 class TestCrashRecovery:
     def test_killed_workers_are_replaced(self, engine):
         batch = requests_for(engine, count=3)
-        serial = run_batch(engine, batch, workers=0)
+        serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
             pool.run(batch)
             for pid in list(pool._executor._processes):

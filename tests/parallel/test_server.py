@@ -81,6 +81,16 @@ class TestProtocol:
         assert answered[1]["ok"] is True
         assert stats.failed == 1 and stats.served == 1
 
+    def test_goal_beyond_float_range_answered_inline(self, engine):
+        lines = [request_line(0), request_line(1, goal=10**400), request_line(2, target=1)]
+        out = io.StringIO()
+        stats = serve_stream(engine, lines, out, workers=0)
+        answered = {r["id"]: r for r in responses(out)}
+        assert sorted(answered) == [0, 1, 2]
+        assert answered[1]["ok"] is False and "too large" in answered[1]["error"]
+        assert answered[0]["ok"] is True and answered[2]["ok"] is True
+        assert stats.failed == 1 and stats.served == 2
+
     def test_unknown_op_rejected(self, engine):
         out = io.StringIO()
         serve_stream(engine, [json.dumps({"op": "reboot"})], out, workers=0)

@@ -142,7 +142,7 @@ class TestRegressionHarness:
         figures = {record["figure"] for record in payload["records"]}
         assert figures == {
             "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
-            "shard_build", "shard_update", "analyze_overhead",
+            "update", "analyze_overhead",
         }
         for record in payload["records"]:
             assert record["literal_seconds"] > 0
@@ -155,11 +155,8 @@ class TestRegressionHarness:
             if record["figure"] == "serve":
                 assert record["config"]["throughput"] > 0
                 assert record["config"]["batches"] >= 1
-            if record["figure"] == "shard_build":
-                assert record["config"]["shards"] >= 2
-                assert sum(record["config"]["shard_sizes"]) > 0
-            if record["figure"] == "shard_update":
-                assert record["config"]["touched_shards"] >= 1
+            if record["figure"] == "update":
+                assert record["config"]["inserts"] == 5
             if record["figure"] == "persist":
                 assert record["config"]["dir_bytes"] > 0
             if record["figure"] == "analyze_overhead":
@@ -229,7 +226,7 @@ class TestPlanMetadata:
             elif record["figure"] == "par_batch":
                 # The batch bench shares one index across pool sizes;
                 # the plan reports that index, the config the pool.
-                assert record["plan"]["shards"] == 1
+                assert record["plan"]["num_subdomains"] >= 1
                 assert record["config"]["workers"] >= 2
             else:
                 assert "plan" not in record
@@ -349,6 +346,81 @@ class TestRegressionCheck:
         assert check_regression(run, baseline) == []
 
 
+class TestUpdateFigure:
+    def test_update_times_inserts_against_a_rebuild(self):
+        from repro.bench.regression import FIGURES, run_figure
+
+        (row,) = [row for row in FIGURES if row.name == "update"]
+        (record,) = run_figure(row, load_config("tiny"))
+        assert record.figure == "update" and record.case == "add_query"
+        assert record.literal_seconds > 0 and record.vectorized_seconds > 0
+        assert record.config["inserts"] == 5
+
+
+class TestSingleCoreFloor:
+    """The update and persist 1x floors gate any host — the win is work
+    avoidance, not parallelism — with only the tiny (smoke) scale exempt."""
+
+    def make_payload(self, median, cpus=1, scale="bench", figure="update"):
+        stats = {"points": 1, "min_speedup": median,
+                 "median_speedup": median, "max_speedup": median}
+        return {
+            "schema": "repro-bench-regression/1",
+            "scale": scale,
+            "cpus": cpus,
+            "summary": {figure: stats},
+        }
+
+    def test_floor_enforced_even_on_one_cpu(self):
+        from repro.bench.regression import check_regression
+
+        run = self.make_payload(0.8, cpus=1)
+        baseline = self.make_payload(0.9, cpus=1)
+        problems = check_regression(run, baseline)
+        assert len(problems) == 1
+        assert "update" in problems[0] and "work avoidance" in problems[0]
+
+    def test_persist_floor_enforced_even_on_one_cpu(self):
+        # Loading a saved index must beat rebuilding it on any host.
+        from repro.bench.regression import check_regression
+
+        run = self.make_payload(0.8, figure="persist")
+        baseline = self.make_payload(0.9, figure="persist")
+        problems = check_regression(run, baseline)
+        assert len(problems) == 1
+        assert "persist" in problems[0] and "work avoidance" in problems[0]
+
+    def test_floor_enforced_on_multicore_too(self):
+        from repro.bench.regression import check_regression
+
+        problems = check_regression(
+            self.make_payload(0.8, cpus=8), self.make_payload(0.9, cpus=8)
+        )
+        assert len(problems) == 1
+
+    def test_tiny_scale_exempt(self):
+        from repro.bench.regression import check_regression
+
+        run = self.make_payload(0.8, scale="tiny")
+        baseline = self.make_payload(0.9, scale="tiny")
+        assert check_regression(run, baseline) == []
+
+    def test_passing_update_clears_the_floor(self):
+        from repro.bench.regression import check_regression
+
+        run = self.make_payload(1.8)
+        baseline = self.make_payload(1.9)
+        assert check_regression(run, baseline) == []
+
+    def test_relative_floor_still_applies_above_one(self):
+        from repro.bench.regression import check_regression
+
+        # 1.1x clears the absolute floor but is < half the 4x baseline.
+        problems = check_regression(self.make_payload(1.1), self.make_payload(4.0))
+        assert len(problems) == 1
+        assert "update" in problems[0]
+
+
 class TestMeasure:
     """The one timing loop every bench figure goes through."""
 
@@ -419,10 +491,10 @@ class TestMeasure:
 
 def _other_workload(index):
     """An index over the same objects and one query fewer."""
-    from repro.core.sharding import build_index
+    from repro.core.subdomain import SubdomainIndex
 
     queries = index.queries.subset(np.arange(1, index.queries.m))
-    return build_index(index.dataset, queries, mode=index.mode)
+    return SubdomainIndex(index.dataset, queries, mode=index.mode)
 
 
 def _one_hit_more(results):
@@ -441,8 +513,7 @@ PLANTED = {
     "par_batch": _one_hit_more,
     "serve": lambda served: ("\n".join(served[0].splitlines()[::-1]), served[1]),
     "persist": _other_workload,
-    "shard_build": _other_workload,
-    "shard_update": _other_workload,
+    "update": _other_workload,
     "analyze_overhead": lambda pairs: [
         (_one_hit_more([pairs[0][0]])[0], pairs[0][1]),
         *pairs[1:],
@@ -458,7 +529,7 @@ class TestAgreementChecks:
 
         assert [row.name for row in FIGURES] == [
             "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
-            "shard_build", "shard_update", "analyze_overhead",
+            "update", "analyze_overhead",
         ]
         assert set(PLANTED) == {row.name for row in FIGURES}
 
@@ -479,12 +550,12 @@ class TestAgreementChecks:
 
         planted = dataclasses.replace(row, points=planted_points)
         with pytest.raises(RegressionMismatch) as excinfo:
-            run_figure(planted, load_config("tiny"), limit=2, workers=2, shards=2)
+            run_figure(planted, load_config("tiny"), limit=2, workers=2)
         assert str(excinfo.value).startswith(f"{name} {cases[-1]}: ")
 
 
 class TestInputErrors:
-    """Bad --workers/--shards/--check input fails before anything is timed."""
+    """Bad --workers/--check input fails before anything is timed."""
 
     @pytest.fixture
     def untimed(self, monkeypatch):
@@ -497,7 +568,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--shards", "1"], ["--shards", "0"], ["--workers", "1"], ["--workers", "0"]],
+        [["--workers", "1"], ["--workers", "0"]],
     )
     def test_counts_below_two_are_usage_errors(self, untimed, argv, capsys):
         from repro.bench.regression import main

@@ -121,6 +121,15 @@ class TestHitsAndDemo:
         assert code == 1 and out == ""
         assert f"k must be a finite whole number, got {float(k)}" in capsys.readouterr().err
 
+    def test_oversized_reach_is_an_error_not_a_traceback(self, market_files, capsys):
+        objects, queries = market_files
+        code, out = run(["improve", objects, queries, "--target", "0",
+                         "--reach", "1" + "0" * 400])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau is too large")
+        assert "Traceback" not in err
+
     def test_hits_accepts_a_whole_float_k(self, market_files, tmp_path):
         objects, __ = market_files
         good = tmp_path / "queries.csv"
@@ -152,17 +161,18 @@ class TestHitsAndDemo:
             main(["bench", "--help"])
         assert excinfo.value.code == 0
         printed = capsys.readouterr().out
-        for flag in ("--scale", "--smoke", "--out", "--check", "--workers", "--shards"):
+        for flag in ("--scale", "--smoke", "--out", "--check", "--workers"):
             assert flag in printed
+        assert "--shards" not in printed
 
     def test_bench_usage_error_matches_the_harness(self, capsys):
         from repro.bench.regression import main as bench_main
 
-        for runner, argv in ((main, ["bench", "--shards", "1"]), (bench_main, ["--shards", "1"])):
+        for runner, argv in ((main, ["bench", "--workers", "1"]), (bench_main, ["--workers", "1"])):
             with pytest.raises(SystemExit) as excinfo:
                 runner(argv)
             assert excinfo.value.code == 2
-            assert "--shards: must be at least 2" in capsys.readouterr().err
+            assert "--workers: must be at least 2" in capsys.readouterr().err
 
 
 class TestServe:
@@ -317,11 +327,12 @@ class TestWorkersOption:
         assert "--workers" in capsys.readouterr().err
 
     def test_shards_auto_is_a_usage_error(self, market_files):
+        # There is one index layout: no verb takes a shard count or router.
         objects, queries = market_files
-        with pytest.raises(SystemExit) as excinfo:
-            run(["improve", objects, queries, "--target", "0", "--reach", "4",
-                 "--shards", "auto"])
-        assert excinfo.value.code == 2
+        for option in (["--shards", "auto"], ["--shards", "4"], ["--router", "grid"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["improve", objects, queries, "--target", "0", "--reach", "4", *option])
+            assert excinfo.value.code == 2
 
 
 class TestExplainAnalyze:
@@ -393,12 +404,9 @@ class TestExplainAnalyze:
 
 
 class TestIndexPersistence:
-    @pytest.mark.parametrize("shards", [None, "4"])
-    def test_saved_index_answers_like_a_fresh_build(self, market_files, tmp_path, shards):
+    def test_saved_index_answers_like_a_fresh_build(self, market_files, tmp_path):
         objects, queries = market_files
         argv = ["improve", objects, queries, "--target", "3", "--reach", "5"]
-        if shards:
-            argv += ["--shards", shards]
         index_dir = str(tmp_path / "idx")
         code, built = run(argv + ["--save-index", index_dir])
         assert code == 0
@@ -407,12 +415,9 @@ class TestIndexPersistence:
         assert code == 0
         assert loaded == built
 
-    @pytest.mark.parametrize("shards", [None, "4"])
-    def test_save_index_over_the_loaded_directory(self, market_files, tmp_path, shards):
+    def test_save_index_over_the_loaded_directory(self, market_files, tmp_path):
         objects, queries = market_files
         argv = ["improve", objects, queries, "--target", "3", "--reach", "5"]
-        if shards:
-            argv += ["--shards", shards]
         index_dir = str(tmp_path / "idx")
         code, built = run(argv + ["--save-index", index_dir])
         assert code == 0
@@ -434,3 +439,19 @@ class TestIndexPersistence:
         assert code == 1
         err = capsys.readouterr().err
         assert "directory" in err and "save the index again" in err
+
+    def test_load_index_on_a_sharded_directory_exits_1_with_save_again_hint(
+        self, market_files, tmp_path, capsys
+    ):
+        objects, queries = market_files
+        sharded = tmp_path / "sharded"
+        sharded.mkdir()
+        (sharded / "manifest.json").write_text(
+            json.dumps({"schema": "repro-sharded-index/1", "shards": 2})
+        )
+        code, out = run(["improve", objects, queries, "--target", "3", "--reach", "5",
+                         "--load-index", str(sharded)])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sharded layout" in err and "save the index again" in err
