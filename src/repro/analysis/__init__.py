@@ -14,9 +14,7 @@ RPR005    vectorized/literal implementation pairs are exercised by a
 RPR006    solver functions dispatch through the registry
 RPR007    multiprocessing primitives live only in ``repro/parallel/``
 RPR008    no module-level mutable state reachable from worker entry
-          points (fork-safety; share via ``SharedArrayStore`` specs)
-RPR009    every shared-memory acquisition is released on all
-          control-flow paths (per-function CFG walk)
+          points (fork-safety; pass state as task arguments)
 RPR010    index-owned array writes outside ``updates.py`` notify the
           epoch bus
 RPR011    no blocking calls while holding a lock
@@ -28,11 +26,11 @@ RPR014    monotonic-clock reads (``perf_counter``, ``monotonic``, ...)
           through ``repro.observe.clock``
 ========  ==============================================================
 
-RPR001-007, RPR013 and RPR014 are per-file AST passes; RPR008-011 additionally consume the
-run-wide :class:`~repro.analysis.project.ProjectContext` (cross-file
-symbol table, call graph, worker reachability) and per-function
-:mod:`~repro.analysis.cfg` control-flow graphs built in
-:func:`lint_paths`' first pass.
+RPR001-007, RPR013 and RPR014 are per-file AST passes; RPR008, RPR010
+and RPR011 additionally consume the run-wide
+:class:`~repro.analysis.project.ProjectContext` (cross-file symbol
+table, call graph, worker reachability) built in :func:`lint_paths`'
+first pass.
 
 Run ``repro lint src/repro`` (or ``python -m repro.analysis``); suppress
 a single line with ``# repro: noqa[RPR001]``.
@@ -40,7 +38,7 @@ a single line with ``# repro: noqa[RPR001]``.
 
 from __future__ import annotations
 
-import repro.analysis.concurrency  # noqa: F401  (import registers RPR008-011)
+import repro.analysis.concurrency  # noqa: F401  (import registers RPR008, RPR010-011)
 import repro.analysis.rules  # noqa: F401  (import registers RPR001-007, RPR013-014)
 from repro.analysis.cli import main
 from repro.analysis.framework import (

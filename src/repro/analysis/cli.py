@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import IO
 
-import repro.analysis.concurrency  # noqa: F401  (registers RPR008-RPR011)
+import repro.analysis.concurrency  # noqa: F401  (registers RPR008, RPR010-RPR011)
 import repro.analysis.rules  # noqa: F401  (registers RPR001-RPR007, RPR013-RPR014)
 from repro.analysis.framework import (
     LintConfig,

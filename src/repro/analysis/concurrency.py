@@ -1,27 +1,15 @@
-"""Project-wide concurrency and resource lint rules RPR008-RPR011.
+"""Project-wide concurrency lint rules RPR008, RPR010 and RPR011.
 
 Unlike RPR001-007, these rules consume the run-wide
 :class:`~repro.analysis.project.ProjectContext` (cross-file symbol
-table, call graph, worker reachability) and the per-function
-:mod:`~repro.analysis.cfg` control-flow graphs, because the failure
-modes they police are inherently cross-file and path-sensitive:
+table, call graph, worker reachability), because the failure modes
+they police are cross-file:
 
 * **RPR008** — module-level mutable state (containers, lock primitives,
-  ``SharedMemory`` handles, fork-shared rebinding slots) referenced from
-  functions that run inside worker processes.  Fork-shared globals are
-  invisible coupling between parent and child: the sanctioned channel
-  is a :class:`~repro.parallel.shm.SharedArrayStore` spec attached via
-  ``attach_array``.  Registries whose every store *is* an
-  ``attach_array(...)`` result are exempt, as is the shm plumbing
-  module itself; everything else needs a visible line-scoped noqa.
-* **RPR009** — a ``SharedMemory(create=True)`` / ``SharedArrayStore()``
-  acquisition bound to a local name must be released on every
-  control-flow path: a ``with`` block, a ``close()``/``unlink()``/
-  ``shutdown()`` reached on all paths (``try/finally``), or an
-  ownership transfer (the handle passed into a call or stored into an
-  attribute/subscript).  Checked with a per-function CFG walk, so an
-  early ``return`` or an exception edge that skips the release is a
-  finding even when a ``close()`` appears later in the text.
+  fork-shared rebinding slots) referenced from functions that run
+  inside worker processes.  Fork-shared globals are invisible coupling
+  between parent and child: state should travel as a task argument.
+  Every accepted use needs a visible line-scoped noqa.
 * **RPR010** — writes to index-owned arrays (``normals``,
   ``_external``, ``_weights``), ``.flat``/slice stores into them, and
   ``setattr``-rebinding outside ``updates.py`` (or the module defining
@@ -40,13 +28,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.framework import FileContext, Finding, Rule, register_rule
 from repro.analysis.project import FunctionInfo, ModuleInfo, ProjectContext
 
 __all__ = [
     "ForkSafetyRule",
-    "ShmLifecycleRule",
     "EpochDisciplineRule",
     "BlockingUnderLockRule",
 ]
@@ -90,10 +76,7 @@ class ForkSafetyRule(Rule):
     mutating (or even relying on) that state couples parent and child
     invisibly — a spawn-started worker sees a fresh module instead, and
     a re-forked generation sees whatever the parent mutated since.
-    State must travel as :class:`~repro.parallel.shm.ArraySpec`
-    descriptors re-attached via ``attach_array``.  Globals used *as*
-    attach registries (every store an ``attach_array(...)`` result) and
-    the shm plumbing module itself are exempt; lambdas handed to a pool
+    State should travel as a task argument.  Lambdas handed to a pool
     are flagged unconditionally (their closure is the same trap plus a
     pickling failure on spawn).
     """
@@ -107,7 +90,7 @@ class ForkSafetyRule(Rule):
         if project is None:
             return
         info = project.module_for(ctx.path)
-        if info is None or info.path in project.plumbing_paths():
+        if info is None:
             return
         for arg in project.iter_entry_args(info):
             if isinstance(arg, ast.Lambda):
@@ -116,13 +99,9 @@ class ForkSafetyRule(Rule):
                     self,
                     "lambda handed to a worker pool: closures capture "
                     "parent state invisibly and cannot be pickled; pass a "
-                    "module-level function taking ArraySpec descriptors",
+                    "module-level function and its state as task arguments",
                 )
-        flagged = {
-            name: kind
-            for name, kind in info.mutable_globals.items()
-            if name not in info.registry_globals
-        }
+        flagged = info.mutable_globals
         if not flagged:
             return
         reachable = project.worker_reachable()
@@ -144,125 +123,18 @@ class ForkSafetyRule(Rule):
                     first[name],
                     self,
                     f"worker-reachable {fn.qualname}() touches module-level "
-                    f"{flagged[name]} {name!r}; share state through "
-                    f"SharedArrayStore specs and attach_array() instead",
+                    f"{flagged[name]} {name!r}; pass the state as a task "
+                    f"argument instead",
                 )
 
 
-#: Method names that count as releasing a shared-memory handle.
-_RELEASE_METHODS = frozenset({"close", "unlink", "shutdown"})
-
-
-def _shm_acquisition(stmt: ast.stmt) -> "tuple[str | None, ast.Call] | None":
-    """``(bound name, call)`` when ``stmt`` acquires a shm resource.
-
-    Matches ``name = SharedArrayStore()``, ``name =
-    SharedMemory(create=True)`` (any module spelling), and the bare-
-    expression forms of either.  Attribute/subscript targets are an
-    ownership transfer at birth and are not reported here.
-    """
-    name: str | None = None
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            return None
-        name, value = target.id, stmt.value
-    elif isinstance(stmt, ast.Expr):
-        value = stmt.value
-    else:
-        return None
-    if not isinstance(value, ast.Call):
-        return None
-    tail = _call_tail(value)
-    if tail == "SharedArrayStore":
-        return name, value
-    if tail == "SharedMemory":
-        for keyword in value.keywords:
-            if keyword.arg == "create" and isinstance(keyword.value, ast.Constant):
-                if keyword.value.value:
-                    return name, value
-    return None
-
-
-def _releases_name(stmt: ast.stmt, name: str) -> bool:
-    """Does ``stmt`` release or transfer ownership of the handle ``name``?"""
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == name
-                and func.attr in _RELEASE_METHODS
-            ):
-                return True
-            arguments = list(node.args) + [kw.value for kw in node.keywords]
-            if any(isinstance(a, ast.Name) and a.id == name for a in arguments):
-                return True  # handed off: receiver owns the lifecycle now
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)) and any(
-                    isinstance(n, ast.Name) and n.id == name
-                    for n in ast.walk(node.value)
-                ):
-                    return True  # parked on an object/registry
-    return False
-
-
-@register_rule
-class ShmLifecycleRule(Rule):
-    """RPR009: shared-memory acquisitions must be released on all paths.
-
-    Leaked ``/dev/shm`` segments survive the process; a ``close()``
-    that an early return or an exception edge can skip is a leak the
-    text of the function hides.  The per-function CFG (conservative
-    raise edges on every statement) makes the skip visible.
-    """
-
-    code = "RPR009"
-    title = "shared-memory acquisition not released on every path"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield RPR009 findings: escaping shm acquisitions, per CFG walk."""
-        scopes: "list[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef]" = [ctx.tree]
-        scopes.extend(
-            node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            cfg = build_cfg(scope)
-            for stmt in cfg.statements:
-                acquired = _shm_acquisition(stmt)
-                if acquired is None:
-                    continue
-                name, call = acquired
-                what = _call_tail(call) or "shared memory"
-                if name is None:
-                    yield ctx.finding(
-                        call,
-                        self,
-                        f"{what} acquired and discarded: bind it and close "
-                        f"it, or use a with-statement",
-                    )
-                    continue
-                if cfg.can_escape(stmt, lambda s: _releases_name(s, name)):
-                    yield ctx.finding(
-                        call,
-                        self,
-                        f"{what} bound to {name!r} can escape this scope "
-                        f"without close(): use a with-statement or a "
-                        f"try/finally reaching {name}.close() on every path",
-                    )
-
-
 #: Index-owned attributes whose rebinding/stores demand an epoch bump: the
-#: shared arrays, and the cell state the per-epoch prefix table is built from.
+#: hot matrices, and the cell state the per-epoch prefix table is built from.
 _INDEX_ARRAY_ATTRS = frozenset(
     {"normals", "_external", "_weights", "subdomains", "subdomain_of", "query_ids", "prefix"}
 )
 
-#: Substrings of a subscript-store base that mark a store-resident array.
+#: Substrings of a subscript-store base that mark an index-owned matrix.
 _STORE_BASE_MARKS = ("._external", "._weights", ".normals", ".flat")
 
 

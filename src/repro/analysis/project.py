@@ -1,18 +1,17 @@
 """Cross-file analysis context for the project-wide lint rules.
 
 The per-file rules (RPR001-007) see one ``ast.Module`` at a time; the
-concurrency rules (RPR008-011) need to answer questions no single file
-can: *which functions run inside worker processes?* (the pool
-initializer lives in one module, the task function it reaches in
-another), *is this module-level dict a sanctioned shared-array registry
-or leaked mutable state?*, *does this call eventually block?*
+concurrency rules (RPR008, RPR010, RPR011) need to answer questions no
+single file can: *which functions run inside worker processes?* (the
+pool dispatch lives in one module, the task function it reaches in
+another), *does this call eventually block?*
 
 :class:`ProjectContext` is that shared view.  It is built once per lint
 run from every parsed file and provides:
 
 * a **symbol table** — module-level functions and class methods of every
   linted file, keyed by ``(path, qualname)``, plus each module's import
-  aliases so ``from repro.parallel.shm import attach_array`` resolves to
+  aliases so ``from repro.parallel.batch import run_batch`` resolves to
   the defining file when it is part of the run;
 * a **lightweight call graph** — edges for ``f(...)``, ``self.m(...)``,
   and ``alias.f(...)`` call forms (attribute calls on arbitrary objects
@@ -23,11 +22,8 @@ run from every parsed file and provides:
   ``executor`` or ``pool``), or started as ``Process(target=f)`` — and
   the transitive closure of project functions reachable from them;
 * **module-global classification** — which module-level names are
-  mutable state (container literals, ``threading`` primitives,
-  ``SharedMemory`` handles, or fork-shared rebinding slots declared
-  ``global`` inside functions), and which of those are *sanctioned
-  shared-array registries* (every value stored into them flows through
-  ``attach_array``);
+  mutable state (container literals, ``threading`` primitives, or
+  fork-shared rebinding slots declared ``global`` inside functions);
 * a **may-block fixpoint** — given a seed set of blocking call names,
   which project functions can transitively reach one.
 
@@ -125,10 +121,8 @@ class ModuleInfo:
     #: local alias -> module dotted name for plain imports.
     module_aliases: dict[str, str] = field(default_factory=dict)
     #: module-level mutable state: name -> kind
-    #: ("container" | "lock" | "shm" | "rebinding slot").
+    #: ("container" | "lock" | "fork-shared rebinding slot").
     mutable_globals: dict[str, str] = field(default_factory=dict)
-    #: mutable globals whose stored values all flow through attach_array.
-    registry_globals: set[str] = field(default_factory=set)
 
 
 class ProjectContext:
@@ -210,7 +204,7 @@ class ProjectContext:
         info.functions[qualname] = fn
 
     def _collect_globals(self, info: ModuleInfo) -> None:
-        """Classify module-level mutable state and shared-array registries."""
+        """Classify module-level mutable state."""
         module_level: set[str] = set()
         for node in info.tree.body:
             targets: list[ast.expr] = []
@@ -236,24 +230,6 @@ class ProjectContext:
                 rebound.update(node.names)
         for name in rebound & module_level:
             info.mutable_globals.setdefault(name, "fork-shared rebinding slot")
-        # Registry exemption: every subscript store into the global is an
-        # ``attach_array(...)`` result — the sanctioned plumbing pattern.
-        stores: dict[str, list[ast.expr]] = {}
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in info.mutable_globals
-                ):
-                    stores.setdefault(target.value.id, []).append(node.value)
-        for name, values in stores.items():
-            if values and all(
-                isinstance(v, ast.Call) and _call_tail(v) == "attach_array"
-                for v in values
-            ):
-                info.registry_globals.add(name)
 
     @staticmethod
     def _mutable_kind(value: ast.expr | None) -> str | None:
@@ -265,8 +241,6 @@ class ProjectContext:
                 return "container"
             if tail in _LOCK_CTOR_TAILS:
                 return "lock"
-            if tail == "SharedMemory":
-                return "shm"
         return None
 
     # ------------------------------------------------------------------
@@ -403,14 +377,3 @@ class ProjectContext:
                     changed = True
         self._may_block[blocking_names] = blocked
         return blocked
-
-    # ------------------------------------------------------------------
-    # Plumbing module detection
-    # ------------------------------------------------------------------
-    def plumbing_paths(self) -> set[str]:
-        """Files defining ``attach_array`` — the sanctioned shm layer."""
-        return {
-            info.path
-            for info in self.modules.values()
-            if "attach_array" in info.functions
-        }

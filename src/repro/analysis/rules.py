@@ -401,10 +401,10 @@ class ParallelImportRule(Rule):
 
     ``multiprocessing`` and ``concurrent.futures`` carry sharp edges —
     resource-tracker bookkeeping, start-method portability, pickling of
-    module globals — that ``repro.parallel`` centralizes (shared-memory
-    attach, worker-count resolution, fork-sharing an engine).  Any other
-    module importing them directly bypasses those guards; it must go
-    through the ``repro.parallel`` API instead.  Files whose path
+    module globals — that ``repro.parallel`` centralizes (worker-count
+    resolution, fork-sharing an engine).  Any other module importing
+    them directly bypasses those guards; it must go through the
+    ``repro.parallel`` API instead.  Files whose path
     contains a ``parallel`` component are exempt.
     """
 

@@ -344,10 +344,9 @@ def _par_batch_points(config: BenchConfig, limit: int | None, workers: int):
 
     Min-Cost and Max-Hit calls over the least-hit targets, one point
     per pool size.  Pool startup is not the figure: it amortizes across
-    the many batches a serving process runs.  The shm export happens
-    before the timing; the workers fork inside the first pooled call
-    (inheriting the collector's off state), a cold call the median
-    drops.
+    the many batches a serving process runs.  The workers fork inside
+    the first pooled call (inheriting the collector's off state), a
+    cold call the median drops.
     """
     engine, batch, tau = _bench_workload(config, limit)
     plan = build_plan(

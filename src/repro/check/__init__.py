@@ -39,7 +39,6 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import FuzzFailure, fuzz, run_case, shrink
 from repro.check.oracles import check_index_invariants
-from repro.check.sanitize import Sanitizer, shm_segments
 from repro.errors import CheckFailure
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "AddQuery",
     "CheckFailure",
     "FuzzFailure",
-    "Sanitizer",
-    "shm_segments",
     "RemoveObject",
     "RemoveQuery",
     "Scenario",

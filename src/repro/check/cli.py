@@ -77,15 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the pooled-vs-serial batch parity check",
     )
     parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "run under the runtime resource sanitizer: faulthandler on, "
-            "ResourceWarning promoted to an error, and zero leaked "
-            "/dev/shm segments asserted after the run"
-        ),
-    )
-    parser.add_argument(
         "--analyze",
         action="store_true",
         help=(
@@ -382,20 +373,6 @@ def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
     if args.fuzz < 0:
         parser.error(f"--fuzz must be non-negative, got {args.fuzz}")
 
-    if not args.sanitize:
-        return _execute(args, out)
-    from repro.check.sanitize import Sanitizer
-
-    with Sanitizer("repro check") as sanitizer:
-        code = _execute(args, out)
-    print(sanitizer.summary(), file=out)
-    if sanitizer.leaked:
-        return 1
-    return code
-
-
-def _execute(args: argparse.Namespace, out: "IO[str]") -> int:
-    """Run the configured battery/parity/fuzz phases; returns the exit code."""
     modes: tuple[str, ...] = _MODES if args.mode == "both" else (args.mode,)
     failures: list[FuzzFailure] = []
     parity_failures: list[str] = []
@@ -406,7 +383,7 @@ def _execute(args: argparse.Namespace, out: "IO[str]") -> int:
     if not args.skip_pooled:
         parity_failures = _run_pooled_parity(out)
 
-    if getattr(args, "analyze", False):
+    if args.analyze:
         parity_failures = parity_failures + _run_analyze_parity(out)
 
     if args.fuzz > 0:

@@ -36,6 +36,7 @@ dispatch point.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Protocol, TypeVar, runtime_checkable
 
 from repro.baselines.greedy import greedy_max_hit_iq, greedy_min_cost_iq
@@ -63,15 +64,20 @@ __all__ = [
 QUERY_KINDS = ("min_cost", "max_hit")
 
 
-def check_goal(kind: str, goal: float) -> float:
-    """Validate an IQ goal: a Min-Cost tau is a finite whole number of
-    hits, a Max-Hit budget is any number but NaN (an infinite budget
-    means no spending cap).  An integer too large for a float is
-    refused too, before anything runs."""
+def check_goal(kind: str, goal: object) -> float:
+    """Validate an IQ goal, before anything runs.
+
+    The goal must be a real number: a string (numeric or not), a bool,
+    ``None`` or a container is refused.  A Min-Cost tau is a finite
+    whole number of hits, a Max-Hit budget is any number but NaN (an
+    infinite budget means no spending cap).  An integer too large for
+    a float is refused too."""
+    name = "tau" if kind == "min_cost" else "budget"
+    if isinstance(goal, bool) or not isinstance(goal, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {goal!r}")
     try:
         value = float(goal)
     except OverflowError:
-        name = "tau" if kind == "min_cost" else "budget"
         raise ValidationError(f"{name} is too large to represent as a float") from None
     if kind == "min_cost" and not (math.isfinite(value) and value.is_integer()):
         raise ValidationError(f"tau must be a whole number of hits, got {goal}")

@@ -481,20 +481,6 @@ class SubdomainIndex:
         """Invalidate the boundary registration after a mutation."""
         self._boundaries_ready = False
 
-    def hot_arrays(self) -> "list[tuple[str, object, str]]":
-        """Construction-free arrays worth residing in shared memory.
-
-        Returns ``(key, owner, attribute)`` tuples: the pool shares
-        ``getattr(owner, attribute)`` under ``key``, and each worker
-        rebinds its own copy by matching keys against this same method
-        on its forked index.
-        """
-        return [
-            ("external", self.dataset, "_external"),
-            ("weights", self.queries, "_weights"),
-            ("normals", self, "normals"),
-        ]
-
     # ------------------------------------------------------------------
     # Mutation notification: the epoch bus
     # ------------------------------------------------------------------

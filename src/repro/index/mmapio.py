@@ -10,9 +10,8 @@ This is the one on-disk index layout:
   entries so corruption is detected *before* any matrix is touched.
 
 Because the maps are read-only, forked ``PersistentPool`` workers share
-the hot matrices through the page cache for free — the pool skips its
-shared-memory export for mmap-backed arrays entirely.  Mutating code
-never writes through the maps: update paths rebind index arrays (the
+the hot matrices through the page cache for free.  Mutating code never
+writes through the maps: update paths rebind index arrays (the
 read-only mapping makes an accidental in-place write raise instead of
 silently corrupting the file on disk).
 

@@ -7,20 +7,11 @@ of an index:
 
 * **fork once** — workers are forked holding the fully-built engine
   (index, warm representative prefixes, evaluator caches) and stay
-  alive across :meth:`run` calls;
-* **zero-copy residency for mmap-loaded indexes** — a hot array whose
-  buffer is a file-backed ``np.memmap`` (an index opened from the
-  ``mmap`` persistence layout) is *skipped* by the export: forked
-  workers inherit the read-only mapping and share its physical pages
-  through the OS page cache already, so a shared-memory copy would only
-  add memory;
-* **shm-resident hot matrices** — the index enumerates its own
-  shared-memory plan (:meth:`SubdomainIndex.hot_arrays`): the object
-  matrix ``D``, the query weights ``Q``, and the hyperplane normals are
-  exported into one :class:`~repro.parallel.shm.SharedArrayStore`; each
-  worker's initializer rebinds its inherited engine onto the shared
-  pages, so every worker (and every post-crash fork generation) reads
-  the same physical memory instead of per-process copies;
+  alive across :meth:`run` calls.  The index is read-only between
+  §4.3 updates, so every worker shares the parent's pages
+  copy-on-write; an index loaded from the mmap layout shares its
+  matrices through the OS page cache as well.  Nothing is copied
+  into separate shared memory;
 * **chunked dispatch** — a batch travels as contiguous request slices
   (one per worker), so IPC cost is per-chunk, not per-request, and
   per-worker threshold caches warm across the whole slice.
@@ -29,9 +20,8 @@ Consistency is epoch-based, like every other index consumer: the pool
 records :attr:`~repro.core.subdomain.SubdomainIndex.epoch` at fork time
 and compares lazily on every :meth:`run` — a mutated index can never be
 served from stale workers; the pool re-forks (a *refresh*) before
-dispatching, re-sharing every hot array.  A worker crash
-(:class:`BrokenProcessPool`) likewise triggers one full refresh-and-retry
-before surfacing an error.
+dispatching.  A worker crash (:class:`BrokenProcessPool`) likewise
+triggers one full refresh-and-retry before surfacing an error.
 
 The serial loop stays the executable reference: a pool resolved to
 fewer than two workers (or a platform without fork) executes requests
@@ -49,18 +39,9 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
 from repro.errors import ReproError, ValidationError
 from repro.parallel.batch import IQRequest, _run_one, _validate_requests
 from repro.parallel.pool import pool_start_method, resolve_workers
-from repro.parallel.shm import (
-    ArraySpec,
-    SharedArrayStore,
-    attach_array,
-    chunk_bounds,
-    detach_all,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import ImprovementQueryEngine
@@ -76,49 +57,15 @@ Outcome = "tuple[bool, IQResult | Exception]"
 _POOL_ENGINES: "dict[str, ImprovementQueryEngine]" = {}
 
 
-def _mmap_backed(array: np.ndarray) -> bool:
-    """True when the array's memory lives in a file-backed ``np.memmap``.
-
-    Arrays loaded through the mmap index layout are read-only views
-    whose buffer is the OS page cache; forked workers inherit the
-    mapping and share those physical pages for free, so exporting them
-    into a shared-memory segment would only *add* a copy.  ``np.asarray``
-    strips the ``memmap`` subclass, so the check walks the ``.base``
-    chain to the owning buffer instead of type-checking the array
-    itself.
-    """
-    base: "object | None" = array
-    while isinstance(base, np.ndarray):
-        if isinstance(base, np.memmap):
-            return True
-        base = base.base
-    return False
-
-def _init_pool_worker(token: str, specs: "dict[str, ArraySpec]") -> None:
-    """Worker initializer: rebind the inherited engine onto shared pages.
-
-    The engine object graph arrives by fork (copy-on-write); the hot
-    matrices — enumerated by the index's *own*
-    :meth:`~repro.core.subdomain.SubdomainIndex.hot_arrays` plan — are
-    swapped for attachments to the parent's shared segments, so the
-    bulk of the index is resident in shared memory rather than
-    duplicated per worker or per fork generation.
-
-    The inherited attachment cache is dropped first: its entries
-    describe the *previous* fork generation's segments, which the
-    parent unlinked before re-forking.
-    """
-    detach_all()
-    engine = _POOL_ENGINES.get(token)  # repro: noqa[RPR008] (fork channel: set pre-fork, read-only here)
-    if engine is None:  # pragma: no cover - requires spawn-started worker
+def chunk_bounds(total: int, chunks: int) -> Iterator[tuple[int, int]]:
+    """Split ``range(total)`` into at most ``chunks`` contiguous slices."""
+    if total <= 0:
         return
-    for key, owner, attr in engine.index.hot_arrays():
-        spec = specs.get(key)
-        if spec is None:
-            continue
-        # Swapping the inherited copy for the shared mapping changes no
-        # observable value, so the epoch bus stays silent by design.
-        setattr(owner, attr, attach_array(spec))  # repro: noqa[RPR010]
+    if chunks < 1:
+        raise ValidationError(f"chunks must be positive, got {chunks}")
+    step = -(-total // chunks)  # ceil division: balanced, order-preserving
+    for start in range(0, total, step):
+        yield start, min(total, start + step)
 
 
 def _sanitize_error(exc: Exception) -> Exception:
@@ -177,14 +124,13 @@ class PersistentPool:
     ranking the shared prefixes on first use.
 
     The pool is a context manager; :meth:`close` (or leaving the
-    ``with`` block) shuts the workers down and releases the shared
-    segments.  :meth:`run` is not reentrant — one batch at a time.
+    ``with`` block) shuts the workers down.  :meth:`run` is not
+    reentrant — one batch at a time.
     """
 
     #: Chunks dispatched per worker per batch: 1 keeps IPC minimal
-    #: (chunksize = ceil(len(batch) / workers), the fallback driver's
-    #: granularity); the second wave lets faster workers steal load
-    #: when request costs are skewed.
+    #: (chunksize = ceil(len(batch) / workers)); the second wave lets
+    #: faster workers steal load when request costs are skewed.
     CHUNK_WAVES = 2
 
     def __init__(
@@ -196,15 +142,12 @@ class PersistentPool:
         self._workers = resolve_workers(workers)
         self._forked = self._workers >= 2 and pool_start_method() == "fork"
         self._token = f"repro-pool-{os.getpid()}-{id(self):x}"
-        self._store: "SharedArrayStore | None" = None
-        self._specs: "dict[str, ArraySpec]" = {}  #: hot-array key -> shared segment
         self._executor: "ProcessPoolExecutor | None" = None
         self._epoch = -1
         self._lock = threading.Lock()
         self._closed = False
         self.generation = 0  #: fork generations started (bumps on refresh)
         self.restarts = 0  #: refreshes forced by worker crashes
-        self.mmap_resident = 0  #: hot arrays left page-cache-shared (no shm copy)
         self._start()
 
     # ------------------------------------------------------------------
@@ -238,17 +181,10 @@ class PersistentPool:
     # Lifecycle
     # ------------------------------------------------------------------
     def _start(self) -> None:
-        """Begin a fork generation: share matrices, park state, fork.
+        """Begin a fork generation: warm the index, park the engine, fork.
 
-        Hot arrays come from the index's own
-        :meth:`~repro.core.subdomain.SubdomainIndex.hot_arrays` plan,
-        exported into one :class:`SharedArrayStore`.
-
-        A failure after the store exists (a hot matrix that will not
-        export, executor creation itself) tears the partial generation
-        down before re-raising — otherwise the shared segments outlive
-        the exception until GC happens to collect the pool, which is
-        exactly the window the sanitizer harness flags as a leak.
+        A failure while creating the executor unregisters the engine
+        before re-raising, so a half-started pool leaves nothing behind.
         """
         index = self._engine.index
         self._epoch = index.epoch
@@ -256,42 +192,21 @@ class PersistentPool:
         index._prefix_rows()  # the prefix table kth_other reads, ranked in one pass
         if not self._forked:
             return
+        _POOL_ENGINES[self._token] = self._engine
         try:
-            mmap_resident = 0
-            for key, owner, attr in index.hot_arrays():
-                array = np.asarray(getattr(owner, attr))
-                if _mmap_backed(array):
-                    # Already file-backed: forked workers inherit the
-                    # read-only mapping and share its pages through the
-                    # OS page cache — no spec means the worker
-                    # initializer leaves the inherited binding alone.
-                    mmap_resident += 1
-                    continue
-                if self._store is None:
-                    self._store = SharedArrayStore()
-                self._specs[key] = self._store.share(array)
-            self.mmap_resident = mmap_resident
-            _POOL_ENGINES[self._token] = self._engine
             self._executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=get_context("fork"),
-                initializer=_init_pool_worker,
-                initargs=(self._token, self._specs),
+                max_workers=self._workers, mp_context=get_context("fork")
             )
         except BaseException:
             self._teardown()
             raise
 
     def _teardown(self) -> None:
-        """End the current fork generation (workers first, then segments)."""
+        """End the current fork generation."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         _POOL_ENGINES.pop(self._token, None)
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-        self._specs = {}
 
     def refresh(self) -> None:
         """Tear down and re-fork against the engine's *current* index."""
@@ -301,7 +216,7 @@ class PersistentPool:
         self._start()
 
     def close(self) -> None:
-        """Shut the workers down and release the shared segments (idempotent)."""
+        """Shut the workers down (idempotent)."""
         if self._closed:
             return
         self._closed = True

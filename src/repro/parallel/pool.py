@@ -75,10 +75,11 @@ def resolve_workers(workers: "int | str | None" = None) -> int:
 def pool_start_method() -> str:
     """The start method pools use: ``fork`` when available, else default.
 
-    Fork keeps worker startup cheap and lets the batch driver share the
-    engine by copy-on-write; on platforms without it (Windows, some
-    macOS configs) the platform default is used and all task state must
-    travel through explicit shared memory or pickling.
+    Fork keeps worker startup cheap and lets the workers share the
+    engine by copy-on-write.  On platforms without it (Windows, some
+    macOS configs) this returns the platform default, and
+    :class:`~repro.parallel.persistent.PersistentPool` runs the serial
+    loop instead of a pool.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:

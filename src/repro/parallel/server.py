@@ -10,7 +10,7 @@ Request lines::
 
     {"id": 7, "kind": "min_cost", "target": 3, "goal": 25}
     {"id": 8, "kind": "max_hit", "target": 3, "goal": 1.5,
-     "method": "greedy", "options": {"seed": 0}}
+     "method": "random", "options": {"seed": 0}}
 
 Control lines::
 
@@ -92,7 +92,6 @@ class ServerStats:
     seconds: float = 0.0  #: wall-clock time of the serve session (so far)
     dispatch_seconds: float = 0.0  #: wall-clock spent inside pool dispatches
     workers: int = 0  #: resolved pool size (0/1 = serial reference)
-    mmap_resident: int = 0  #: hot arrays served zero-copy from the page cache
 
     @property
     def throughput(self) -> float:
@@ -378,10 +377,7 @@ class IQServer:
         if self._serving:
             raise ReproError("IQServer.serve is not reentrant: a stream is being served")
         self._serving = True
-        self._stats = ServerStats(
-            workers=self._pool.workers,
-            mmap_resident=self._pool.mmap_resident,
-        )
+        self._stats = ServerStats(workers=self._pool.workers)
         self._writer = writer
         self._done = False
         self._reader_error = None

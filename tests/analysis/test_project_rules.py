@@ -1,7 +1,7 @@
-"""The project-wide concurrency rules (RPR008-011) and the native-backend
-rule (RPR013): trigger and noqa fixtures per rule, cross-file
-reachability, and the meta-test asserting ``src/repro`` itself carries
-zero unsuppressed findings."""
+"""The project-wide concurrency rules (RPR008, RPR010, RPR011) and the
+native-backend rule (RPR013): trigger and noqa fixtures per rule,
+cross-file reachability, and the meta-test asserting ``src/repro``
+itself carries zero unsuppressed findings."""
 
 import textwrap
 from pathlib import Path
@@ -108,21 +108,6 @@ class TestForkSafety:
         assert codes(findings) == ["RPR008"]
         assert "lambda" in findings[0].message
 
-    def test_attach_registry_is_exempt(self, tmp_path):
-        source = """\
-        from concurrent.futures import ProcessPoolExecutor
-
-        _ARRAYS = {}
-
-        def _init_worker(specs):
-            for key, spec in specs.items():
-                _ARRAYS[key] = attach_array(spec)
-
-        def start():
-            return ProcessPoolExecutor(initializer=_init_worker)
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR008"})) == []
-
     def test_global_unused_by_workers_passes(self, tmp_path):
         source = """\
         from concurrent.futures import ProcessPoolExecutor
@@ -161,89 +146,6 @@ class TestForkSafety:
         )
         assert codes(findings) == ["RPR008"]
         assert findings[0].path.endswith("worker.py")
-
-
-# ----------------------------------------------------------------------
-# RPR009: shared-memory lifecycle on every control-flow path
-# ----------------------------------------------------------------------
-class TestShmLifecycle:
-    def test_triggers_when_exception_edge_skips_close(self, tmp_path):
-        source = """\
-        from multiprocessing.shared_memory import SharedMemory
-
-        def export(payload):
-            segment = SharedMemory(create=True, size=8)
-            segment.buf[: len(payload)] = payload
-            segment.close()
-        """
-        findings = lint_source(tmp_path, source, select=frozenset({"RPR009"}))
-        assert codes(findings) == ["RPR009"]
-        assert "'segment'" in findings[0].message
-
-    def test_triggers_on_early_return(self, tmp_path):
-        source = """\
-        def build(flag):
-            store = SharedArrayStore()
-            if flag:
-                return None
-            store.close()
-            return store
-        """
-        findings = lint_source(tmp_path, source, select=frozenset({"RPR009"}))
-        assert codes(findings) == ["RPR009"]
-
-    def test_triggers_on_discarded_acquisition(self, tmp_path):
-        source = """\
-        def touch():
-            SharedMemory(create=True, size=8)
-        """
-        findings = lint_source(tmp_path, source, select=frozenset({"RPR009"}))
-        assert codes(findings) == ["RPR009"]
-        assert "discarded" in findings[0].message
-
-    def test_try_finally_passes(self, tmp_path):
-        source = """\
-        def export(payload):
-            segment = SharedMemory(create=True, size=8)
-            try:
-                segment.buf[: len(payload)] = payload
-            finally:
-                segment.close()
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR009"})) == []
-
-    def test_with_statement_passes(self, tmp_path):
-        source = """\
-        def export(payload):
-            with SharedArrayStore() as store:
-                return store.share(payload)
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR009"})) == []
-
-    def test_ownership_transfer_passes(self, tmp_path):
-        source = """\
-        def adopt(registry):
-            segment = SharedMemory(create=True, size=8)
-            registry["segment"] = segment
-            return registry
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR009"})) == []
-
-    def test_attach_without_create_passes(self, tmp_path):
-        source = """\
-        def attach(name):
-            segment = SharedMemory(name=name)
-            return segment
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR009"})) == []
-
-    def test_noqa_suppresses(self, tmp_path):
-        source = """\
-        def leak_on_purpose():
-            store = SharedArrayStore()  # repro: noqa[RPR009]
-            return store
-        """
-        assert lint_source(tmp_path, source, select=frozenset({"RPR009"})) == []
 
 
 # ----------------------------------------------------------------------
@@ -474,9 +376,7 @@ class TestLibraryIsClean:
         findings, checked = lint_paths(
             [REPO_SRC],
             LintConfig(
-                select=frozenset(
-                    {"RPR008", "RPR009", "RPR010", "RPR011", "RPR013"}
-                )
+                select=frozenset({"RPR008", "RPR010", "RPR011", "RPR013"})
             ),
         )
         assert checked > 50  # the whole library, not a subset

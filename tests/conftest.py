@@ -1,40 +1,7 @@
-"""Shared fixtures for the test suite.
-
-Setting ``REPRO_SANITIZE=1`` (the CI sanitizer job does) arms an
-autouse fixture that snapshots the host's ``/dev/shm`` segment set
-around every test and fails any test that leaves orphaned ``psm_*``
-segments behind — the runtime complement to the RPR009 static rule.
-"""
-
-import gc
-import os
+"""Shared fixtures for the test suite."""
 
 import numpy as np
 import pytest
-
-
-@pytest.fixture(autouse=True)
-def _shm_leak_guard(request):
-    """Fail any test that orphans /dev/shm segments (REPRO_SANITIZE=1).
-
-    Inactive (zero overhead beyond one env lookup) unless opted in, so
-    the regular suite is unaffected; under the sanitizer leg every test
-    — not just the parallel ones — carries the invariant, because leaks
-    travel: an engine fixture leaking a store fails wherever it's used.
-    """
-    if not os.environ.get("REPRO_SANITIZE"):
-        yield
-        return
-    from repro.check.sanitize import shm_segments
-
-    before = shm_segments()
-    yield
-    gc.collect()  # settle refcount cleanup before judging
-    leaked = shm_segments() - before
-    if leaked:
-        pytest.fail(
-            f"test leaked {len(leaked)} /dev/shm segment(s): {sorted(leaked)}"
-        )
 
 
 @pytest.fixture

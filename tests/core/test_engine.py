@@ -109,6 +109,41 @@ class TestGoalValidation:
         result = engine.max_hit(0, budget=float("inf"))
         assert result.hits_after >= result.hits_before
 
+    @pytest.mark.parametrize("tau", ["abc", "5", None, True, [5]])
+    def test_non_numeric_tau_rejected(self, engine, tau):
+        # A numeric string is refused too: it used to run silently as 5.
+        with pytest.raises(ValidationError, match="tau must be a number"):
+            engine.min_cost(0, tau=tau)
+        with pytest.raises(ValidationError, match="tau must be a number"):
+            engine.min_cost_multi([0, 1], tau=tau)
+        if tau is not None:
+            with pytest.raises(ValidationError, match="tau must be a number"):
+                engine.explain(0, tau=tau)
+            with pytest.raises(ValidationError, match="tau must be a number"):
+                engine.analyze(0, tau=tau)
+
+    @pytest.mark.parametrize("budget", ["abc", "0.5", None, False, [1]])
+    def test_non_numeric_budget_rejected(self, engine, budget):
+        with pytest.raises(ValidationError, match="budget must be a number"):
+            engine.max_hit(0, budget=budget)
+        with pytest.raises(ValidationError, match="budget must be a number"):
+            engine.max_hit_multi([0, 1], budget=budget)
+        if budget is not None:
+            with pytest.raises(ValidationError, match="budget must be a number"):
+                engine.explain(0, budget=budget)
+            with pytest.raises(ValidationError, match="budget must be a number"):
+                engine.analyze(0, budget=budget)
+
+    def test_numpy_scalar_goals_are_accepted(self, engine):
+        assert (
+            engine.min_cost(0, tau=np.int64(5)).hits_after
+            == engine.min_cost(0, tau=5).hits_after
+        )
+        assert (
+            engine.max_hit(0, budget=np.float32(0.5)).total_cost
+            == engine.max_hit(0, budget=float(np.float32(0.5))).total_cost
+        )
+
 
 class TestMaxSense:
     """The camera example convention: higher utility is better."""

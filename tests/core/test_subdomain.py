@@ -397,13 +397,3 @@ class TestBeatsBatch:
     def test_empty_block(self):
         out = _beats_batch(np.empty((0, 4)), np.empty(0), 0, np.empty(0, dtype=np.intp))
         assert out.shape == (0, 4)
-
-
-class TestHotArrays:
-    def test_plan_names_each_shared_array_once(self, rng):
-        dataset, queries, index = build(rng)
-        entries = index.hot_arrays()
-        assert [key for key, __, __ in entries] == ["external", "weights", "normals"]
-        for key, owner, attribute in entries:
-            assert isinstance(getattr(owner, attribute), np.ndarray), key
-        assert entries[2][1] is index and entries[0][1] is dataset

@@ -1,8 +1,12 @@
 """The persistent pool must reproduce the serial reference exactly —
 across batches, across index mutations, and across worker crashes."""
 
+import json
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.errors import ReproError, ValidationError
-from repro.parallel import IQRequest, PersistentPool, run_batch
+from repro.parallel import IQRequest, PersistentPool, pool_start_method, run_batch
 
 
 @pytest.fixture
@@ -190,28 +194,6 @@ class TestEpoch:
 
 
 class TestStartFailure:
-    def test_failed_start_releases_shared_segments(self, engine, monkeypatch):
-        """A generation that fails mid-start must not orphan segments.
-
-        The exception's live traceback (held by ``excinfo``) references
-        the half-built pool, so refcount-driven ``__del__`` cleanup
-        cannot run before the leak check — without the explicit
-        teardown in ``_start`` the segments really are still there.
-        """
-        from repro.check.sanitize import shm_segments
-        from repro.parallel import persistent as persistent_mod
-
-        def refuse(*args, **kwargs):
-            raise RuntimeError("executor refused to start")
-
-        monkeypatch.setattr(persistent_mod, "ProcessPoolExecutor", refuse)
-        before = shm_segments()
-        with pytest.raises(RuntimeError, match="refused") as excinfo:
-            PersistentPool(engine, workers=2)
-        leaked = shm_segments() - before
-        assert leaked == frozenset(), sorted(leaked)
-        assert excinfo.value.args == ("executor refused to start",)
-
     def test_failed_start_unregisters_engine(self, engine, monkeypatch):
         from repro.parallel import persistent as persistent_mod
 
@@ -236,3 +218,107 @@ class TestCrashRecovery:
             assert pool.restarts == 1
             assert pool.generation == 2
             assert_results_match(serial, pooled)
+
+
+#: Runs in a fresh interpreter: a pool on a built index, through a
+#: batch, a killed worker and an update, recording after each step the
+#: ``psm_*`` shared-memory segments and the command line of every child
+#: process.
+POOL_LIFECYCLE = '''\
+import json
+import os
+import signal
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.engine import ImprovementQueryEngine
+from repro.core.objects import Dataset
+from repro.core.queries import QuerySet
+from repro.parallel import IQRequest, PersistentPool, run_batch
+
+SHM = Path("/dev/shm")
+
+
+def segments():
+    if not SHM.is_dir():
+        return []
+    return sorted(p.name for p in SHM.iterdir() if p.name.startswith("psm_"))
+
+
+def children():
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            if int(fields[1]) != os.getpid():
+                continue
+            found.append(
+                (stat.parent / "cmdline").read_bytes().replace(bytes(1), b" ").decode()
+            )
+        except (OSError, IndexError, ValueError):
+            continue
+    return found
+
+
+def agrees(pooled):
+    return all(
+        ours.hits_after == theirs.hits_after
+        and ours.total_cost == theirs.total_cost
+        and np.array_equal(ours.strategy.vector, theirs.strategy.vector)
+        for ours, theirs in zip(run_batch(engine, batch), pooled)
+    )
+
+
+rng = np.random.default_rng(5)
+engine = ImprovementQueryEngine(
+    Dataset(rng.random((30, 3))), QuerySet(rng.random((40, 3)), rng.integers(1, 6, 40))
+)
+batch = [IQRequest("min_cost", t, 5.0) for t in range(3)] + [
+    IQRequest("max_hit", t, 0.8) for t in range(3)
+]
+before = segments()
+steps = []
+with PersistentPool(engine, workers=2) as pool:
+    same = [agrees(pool.run(batch))]
+    steps.append((segments(), children()))
+    os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._executor._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    same.append(agrees(pool.run(batch)))
+    steps.append((segments(), children()))
+    engine.add_query(np.full(3, 0.5), 2)
+    same.append(agrees(pool.run(batch)))
+    steps.append((segments(), children()))
+    counters = [pool.workers, pool.restarts, pool.generation]
+print(json.dumps({"before": before, "steps": steps, "same": same, "counters": counters}))
+'''
+
+
+class TestNoSharedMemory:
+    @pytest.mark.skipif(
+        not (os.path.isdir("/dev/shm") and os.path.isdir("/proc")),
+        reason="needs /dev/shm and /proc",
+    )
+    def test_pool_creates_no_segment_and_no_resource_tracker(self):
+        """Workers read the index from fork-inherited pages: the pool
+        creates no shared-memory segment, so nothing can leak, and never
+        starts multiprocessing's resource-tracker process."""
+        if pool_start_method() != "fork":
+            pytest.skip("fork start method unavailable")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", POOL_LIFECYCLE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report["counters"] == [2, 1, 3]  # pooled, one crash, one refresh
+        assert report["same"] == [True, True, True]
+        before = set(report["before"])
+        for segments, children in report["steps"]:
+            assert set(segments) <= before, sorted(set(segments) - before)
+            assert not [c for c in children if "resource_tracker" in c], children

@@ -1,13 +1,12 @@
-"""Worker-count resolution and shared-memory plumbing."""
+"""Worker-count resolution, the start method and chunked dispatch."""
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.parallel import pool_start_method, resolve_workers
-from repro.parallel.shm import SharedArrayStore, attach_array, chunk_bounds
+from repro.parallel.persistent import chunk_bounds
 
 
 def ceiling():
@@ -77,33 +76,6 @@ class TestPoolStartMethod:
         assert pool_start_method() in ("fork", "forkserver", "spawn")
 
 
-class TestSharedArrayStore:
-    def test_share_attach_round_trip(self, rng):
-        array = rng.random((17, 3))
-        with SharedArrayStore() as store:
-            spec = store.share(array)
-            assert tuple(spec.shape) == array.shape
-            attached = attach_array(spec)
-            assert np.array_equal(attached, array)
-            assert not attached.flags.writeable
-
-    def test_share_view_maps_the_segment(self, rng):
-        array = rng.random((6, 4))
-        with SharedArrayStore() as store:
-            spec, view = store.share_view(array)
-            assert np.array_equal(view, array)
-            assert not view.flags.writeable
-            # The view and a fresh attachment read the same pages.
-            assert np.array_equal(attach_array(spec), view)
-
-    def test_int8_and_intp_arrays(self, rng):
-        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, 9))
-        pairs = np.array([[0, 1], [1, 2]], dtype=np.intp)
-        with SharedArrayStore() as store:
-            assert np.array_equal(attach_array(store.share(signs)), signs)
-            assert np.array_equal(attach_array(store.share(pairs)), pairs)
-
-
 class TestChunkBounds:
     def test_covers_range_contiguously(self):
         bounds = list(chunk_bounds(10, 3))
@@ -119,3 +91,7 @@ class TestChunkBounds:
 
     def test_empty_total(self):
         assert list(chunk_bounds(0, 4)) == []
+
+    def test_nonpositive_chunk_count_rejected(self):
+        with pytest.raises(ValidationError):
+            list(chunk_bounds(5, 0))
