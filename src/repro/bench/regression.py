@@ -13,6 +13,9 @@ baseline and candidate sides.  The rows, in table order:
   Algorithm 1) vs ``"vectorized"``, sweeping |D| and |Q|.
 * **fig7** — the Figure 7 configuration: candidate generation,
   ``method="loop"`` vs the batched closed form, per sampled target.
+* **evaluate** — ESE's inner loop on fig7's first-iteration candidate
+  blocks: the reference Eq. 6 test (``_beats_batch``) vs a warm
+  ``evaluate_many``, which compares each score with a cached cutoff.
 * **par_batch** — the fig7-shaped IQ batch, serial loop vs a
   :class:`~repro.parallel.persistent.PersistentPool`.
 * **serve** — the same batch as a JSONL stream through
@@ -60,7 +63,7 @@ from repro.core.plan import build_plan
 from repro.core.queries import QuerySet
 from repro.core.solvers import get_solver
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import SubdomainIndex, _beats_batch
 from repro.core.updates import add_query
 from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
@@ -273,41 +276,100 @@ def _same_candidates(loop: Any, batch: Any) -> bool:
     )
 
 
+def _fig7_states(
+    config: BenchConfig, limit: int | None
+) -> "tuple[StrategyEvaluator, list[SearchState]]":
+    """Figure 7's evaluator and the first-iteration search state of each target."""
+    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
+    evaluator = StrategyEvaluator(SubdomainIndex(dataset, queries, mode=config.index_mode))
+    rng = np.random.default_rng(config.seed + 7)
+    count = limit if limit else config.iq_repeats
+    picks = rng.choice(dataset.n, size=min(dataset.n, count), replace=False)
+    states = [
+        SearchState(
+            target=target,
+            base=dataset.matrix[target].copy(),
+            applied=np.zeros(config.dimensions),
+            spent=0.0,
+            mask=evaluator.hits_mask(target),
+        )
+        for target in sorted(int(t) for t in picks)
+    ]
+    return evaluator, states
+
+
 def _fig7_points(config: BenchConfig, limit: int | None, workers: int):
     """Figure 7: candidate generation for a planned Min-Cost IQ, loop vs batch.
 
     Candidate ids, vectors and costs must agree; the plan of the IQ the
     stage belongs to is recorded with the timing.
     """
-    dataset, queries = _make_inputs(config.num_objects, config.num_queries, config)
-    index = SubdomainIndex(dataset, queries, mode=config.index_mode)
-    evaluator = StrategyEvaluator(index)
+    evaluator, states = _fig7_states(config, limit)
+    index = evaluator.index
     cost = euclidean_cost(config.dimensions)
     space = StrategySpace.unconstrained(config.dimensions)
-    rng = np.random.default_rng(config.seed + 7)
-    count = limit if limit else config.iq_repeats
-    picks = rng.choice(dataset.n, size=min(dataset.n, count), replace=False)
-    tau = min(config.tau, queries.m)
+    tau = min(config.tau, index.queries.m)
     solver = get_solver("efficient")
 
     def generate(state: SearchState, method: str) -> Callable[[], Any]:
         return lambda: generate_candidates(evaluator, state, cost, space, method=method)
 
-    for target in sorted(int(t) for t in picks):
-        state = SearchState(
-            target=target,
-            base=index.dataset.matrix[target].copy(),
-            applied=np.zeros(config.dimensions),
-            spent=0.0,
-            mask=evaluator.hits_mask(target),
-        )
+    for state in states:
         yield Point(
-            f"target={target}",
+            f"target={state.target}",
             _record_config(config, candidates=lambda loop, _: loop.size),
             generate(state, "loop"),
             generate(state, "auto"),
             _same_candidates,
-            plan=build_plan(index, solver, "min_cost", target, tau, cost, space).to_dict(),
+            plan=build_plan(
+                index, solver, "min_cost", state.target, tau, cost, space
+            ).to_dict(),
+        )
+
+
+#: Scores each side of an ``evaluate`` point covers, repeating its block:
+#: a tiny-scale block is 60 x 60 or smaller, some 20-40 us a pass.
+_EVALUATE_SCORES = 400_000
+
+
+def _evaluate_points(config: BenchConfig, limit: int | None, workers: int):
+    """ESE's inner loop: the reference Eq. 6 test vs the evaluator's cutoffs.
+
+    Each fig7 target's first-iteration candidate block is scored and
+    counted, the baseline by the product and ``_beats_batch``, the
+    candidate by a warm ``evaluate_many`` (cutoffs already built).
+    Both repeat the block until they cover ``_EVALUATE_SCORES`` scores,
+    and their counts must be equal.
+    """
+    evaluator, states = _fig7_states(config, limit)
+    weights = evaluator.index.queries.weights
+    cost = euclidean_cost(config.dimensions)
+    space = StrategySpace.unconstrained(config.dimensions)
+
+    def sides(target: int, positions: np.ndarray, repeats: int):
+        kth_ids, theta = evaluator.thresholds(target)
+
+        def reference() -> np.ndarray:
+            for __ in range(repeats):
+                counts = _beats_batch(weights @ positions.T, theta, target, kth_ids).sum(axis=0)
+            return counts
+
+        def cutoffs() -> np.ndarray:
+            for __ in range(repeats):
+                counts = evaluator.evaluate_many(target, positions)
+            return counts
+
+        return reference, cutoffs
+
+    for state in states:
+        block = generate_candidates(evaluator, state, cost, space)
+        positions = state.position + block.vectors
+        repeats = max(1, -(-_EVALUATE_SCORES // max(1, weights.shape[0] * positions.shape[0])))
+        yield Point(
+            f"target={state.target}",
+            _record_config(config, candidates=positions.shape[0], repeats=repeats),
+            *sides(state.target, positions, repeats),
+            np.array_equal,
         )
 
 
@@ -508,6 +570,12 @@ def _analyze_points(config: BenchConfig, limit: int | None, workers: int):
 
 
 _POOLED = "the pooled path must beat serial on a multi-core host"
+#: At bench scale the row read 2.1-2.4x in five ``--check`` runs on a
+#: 2-CPU host with no numba; 1.5x leaves room for a slower host.
+_EVALUATE = (
+    "one compare per score against a cached cutoff must beat the reference "
+    "Eq. 6 test it restates, on any host"
+)
 _WORK_AVOIDANCE = (
     "this figure's win is work avoidance, not parallelism, so it must hold on any host"
 )
@@ -517,6 +585,7 @@ FIGURES: tuple[Figure, ...] = (
     Figure("fig4", _fig4_points),
     Figure("fig5", _fig5_points),
     Figure("fig7", _fig7_points),
+    Figure("evaluate", _evaluate_points, floor=1.5, reason=_EVALUATE),
     Figure("par_batch", _par_batch_points, floor=1.0, cores=2, reason=_POOLED),
     Figure("serve", _serve_points, floor=1.0, cores=2, reason=_POOLED),
     Figure("persist", _persist_points, floor=1.0, reason=_WORK_AVOIDANCE),

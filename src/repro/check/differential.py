@@ -16,7 +16,11 @@ through an independent path and raising
   ``evaluate_affected`` must produce the same mask as a full
   ``hits_mask`` re-evaluation for random moves *and* for engineered
   moves that land the target's score inside the tie band of a
-  threshold, where the id tie-break decides membership.
+  threshold, where the id tie-break decides membership.  At those
+  moves ``hits_mask`` and ``evaluate_many`` must also equal
+  ``_beats_batch``, the reference statement of Eq. 6 that no
+  production path runs, and so must the evaluator's cached per-query
+  cutoffs on scores planted at every row's band edges.
 * **IQ result contracts** (:func:`check_iq_contracts`) — a Min-Cost /
   Max-Hit result's reported ``total_cost`` / ``hits_after`` /
   ``satisfied`` fields must survive re-verification from scratch
@@ -41,10 +45,10 @@ from repro.check.oracles import check_index_invariants
 from repro.core import updates
 from repro.core.cost import L2Cost
 from repro.core.engine import ImprovementQueryEngine
-from repro.core.ese import StrategyEvaluator
+from repro.core.ese import StrategyEvaluator, _eq6_counts, _eq6_hits
 from repro.core.objects import Dataset
 from repro.core.results import IQResult
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex
+from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
 from repro.data.synthetic import generate
 from repro.data.workloads import uniform_queries
 from repro.errors import CheckFailure
@@ -290,6 +294,71 @@ def _compare_affected(
         )
 
 
+def _compare_reference(
+    evaluator: StrategyEvaluator, target: int, positions: np.ndarray, label: str
+) -> None:
+    """``hits_mask`` and ``evaluate_many`` ≡ ``_beats_batch`` at ``positions``.
+
+    The reference sees the same score products as each path (``weights
+    @ block.T`` for the batch, ``weights @ position`` for one mask),
+    so any difference is the kernel's.
+    """
+    kth_ids, theta = evaluator.thresholds(target)
+    weights = evaluator.index.queries.weights
+    expected = _beats_batch(weights @ positions.T, theta, target, kth_ids).sum(axis=0)
+    counts = evaluator.evaluate_many(target, positions)
+    if not np.array_equal(counts, expected):
+        raise CheckFailure(
+            f"evaluate_many counts {counts.tolist()} differ from the reference "
+            f"Eq. 6 counts {expected.tolist()} for target {target} ({label} moves)"
+        )
+    for position in positions:
+        mask = evaluator.hits_mask(target, position)
+        reference = _beats_batch((weights @ position)[:, None], theta, target, kth_ids)[:, 0]
+        if not np.array_equal(mask, reference):
+            diverging = np.flatnonzero(mask != reference)
+            raise CheckFailure(
+                f"hits_mask diverges from the reference Eq. 6 test for target "
+                f"{target} on a {label} move at queries {diverging.tolist()}"
+            )
+
+
+def _compare_band_edges(evaluator: StrategyEvaluator, target: int) -> None:
+    """The cached cutoffs ≡ ``_beats_batch`` on scores at every row's band edges.
+
+    A position rarely lands its score on an exact float, so the edges
+    are planted as scores: ``theta``, ``theta +- b/2``, ``theta +- b``
+    and the last float under each row's cutoff, each with its
+    neighbours two floats either way.  A cutoff one float off fails
+    here, and so does a missed or extra hole at ``fl(theta - b)``.
+    """
+    kth_ids, theta, cutoffs = evaluator._cached(target)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = np.where(np.isinf(theta), 0.0, theta)
+        band = _TIE_TOL * np.maximum(1.0, np.abs(center))
+        edges = [
+            center, center - band / 2, center + band / 2, center - band, center + band,
+            np.nextafter(cutoffs.cut, -np.inf),
+        ]
+        columns = list(edges)
+        for edge in edges:
+            up, down = edge, edge
+            for __ in range(2):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                columns += [up, down]
+        scores = np.stack(columns, axis=1)
+        expected = _beats_batch(scores, theta, target, kth_ids)
+    hits = _eq6_hits(scores, cutoffs)
+    if not np.array_equal(hits, expected) or not np.array_equal(
+        _eq6_counts(scores, cutoffs), expected.sum(axis=0)
+    ):
+        rows = np.flatnonzero((hits != expected).any(axis=1))
+        raise CheckFailure(
+            f"the cached Eq. 6 cutoffs of target {target} disagree with the "
+            f"reference test at band-edge scores of queries {rows.tolist()}"
+        )
+
+
 def check_affected_parity(
     index: SubdomainIndex,
     rng: np.random.Generator,
@@ -302,7 +371,10 @@ def check_affected_parity(
     moves that place the target's score exactly on / just inside the
     tie band of a query's threshold (where membership is decided by the
     id tie-break and the raw hyperplane side never flips — the
-    ESE-parity bug's hiding spot).
+    ESE-parity bug's hiding spot).  The engineered moves and the band
+    edges are also held to the reference Eq. 6 test
+    (:func:`_compare_reference`, :func:`_compare_band_edges`), since
+    ``evaluate_affected`` and ``hits_mask`` share one kernel.
     """
     evaluator = StrategyEvaluator(index)
     n = index.dataset.n
@@ -315,6 +387,8 @@ def check_affected_parity(
             delta = rng.normal(0.0, 0.3, size=d)
             _compare_affected(evaluator, target, old, old + delta, "random")
         kth_ids, theta = evaluator.thresholds(target)
+        _compare_band_edges(evaluator, target)
+        landed: list[np.ndarray] = []
         probed = 0
         for j in range(weights.shape[0]):
             if probed >= 2 or not np.isfinite(theta[j]):
@@ -328,7 +402,10 @@ def check_affected_parity(
                 landing = float(theta[j]) + frac * band
                 new = old + q * ((landing - float(q @ old)) / denom)
                 _compare_affected(evaluator, target, old, new, "tie-band")
+                landed.append(new)
             probed += 1
+        if landed:
+            _compare_reference(evaluator, target, np.array(landed), "tie-band")
 
 
 # ----------------------------------------------------------------------

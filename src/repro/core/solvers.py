@@ -27,17 +27,19 @@ Solver metadata feeds the planner (:mod:`repro.core.plan`):
 ``evaluator`` names the evaluation engine the solver expects (``"ese"``
 or ``"rta"``), ``candidate_method`` describes how candidate strategies
 are generated, and ``notes`` carries fallback caveats surfaced by
-EXPLAIN.  ``wraps`` lists the raw solver-function names behind the
-scheme — the RPR006 lint rule uses it to flag any direct call to those
-functions outside this module, keeping the registry the single
-dispatch point.
+EXPLAIN.  ``options`` maps each keyword option the solver takes to the
+check its value must pass (:func:`check_options`); a solver that leaves
+it ``None`` has its keywords checked only by its own signature.
+``wraps`` lists the raw solver-function names behind the scheme — the
+RPR006 lint rule uses it to flag any direct call to those functions
+outside this module, keeping the registry the single dispatch point.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Protocol, TypeVar, runtime_checkable
+from typing import Callable, Mapping, Protocol, TypeVar, runtime_checkable
 
 from repro.baselines.greedy import greedy_max_hit_iq, greedy_min_cost_iq
 from repro.baselines.random_search import random_max_hit_iq, random_min_cost_iq
@@ -54,6 +56,7 @@ __all__ = [
     "Solver",
     "SolverBase",
     "check_goal",
+    "check_options",
     "register_solver",
     "get_solver",
     "registered_solvers",
@@ -84,6 +87,63 @@ def check_goal(kind: str, goal: object) -> float:
     if kind == "max_hit" and math.isnan(value):
         raise ValidationError(f"budget must be a number, got {goal}")
     return value
+
+
+#: Checks one keyword option: ``check(name, value)`` raises
+#: :class:`~repro.errors.ValidationError` for a value the solver cannot take.
+OptionCheck = Callable[[str, object], None]
+
+
+def _margin(name: str, value: object) -> None:
+    """A strictness margin: a finite real number, at least zero."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(float(value)) and value >= 0:
+                return
+        except OverflowError:
+            pass
+    raise ValidationError(f"option {name!r} must be a finite number >= 0, got {value!r}")
+
+
+def _whole(least: int, optional: bool = False) -> OptionCheck:
+    """A whole number at least ``least`` (or ``None``, when ``optional``)."""
+
+    def check(name: str, value: object) -> None:
+        if value is None and optional:
+            return
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+            return
+        spelled = f"a whole number >= {least}" + (" or null" if optional else "")
+        raise ValidationError(f"option {name!r} must be {spelled}, got {value!r}")
+
+    return check
+
+
+#: The options of the greedy searches (Alg. 3/4 and the Greedy baseline).
+_SEARCH_OPTIONS: Mapping[str, OptionCheck] = {
+    "margin": _margin,
+    "max_iterations": _whole(1, optional=True),
+}
+
+
+def check_options(solver: "Solver", options: Mapping[str, object]) -> None:
+    """Validate a solver's keyword options before anything runs.
+
+    An unknown key is refused with the keys the solver accepts, and a
+    value of the wrong type or out of range by the key's own check.  A
+    solver with no ``options`` table (a third-party scheme, say) is not
+    checked here."""
+    accepted: "Mapping[str, OptionCheck] | None" = getattr(solver, "options", None)
+    if accepted is None:
+        return
+    for name, value in options.items():
+        check = accepted.get(name)
+        if check is None:
+            raise ValidationError(
+                f"solver {solver.name!r} takes no option {name!r}; "
+                f"its options are {sorted(accepted)}"
+            )
+        check(name, value)
 
 
 @runtime_checkable
@@ -142,6 +202,7 @@ class SolverBase:
     candidate_method: str = "unspecified"
     wraps: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
+    options: "Mapping[str, OptionCheck] | None" = None
 
     def min_cost(
         self,
@@ -179,6 +240,7 @@ class SolverBase:
     ) -> IQResult:
         """Execute one improvement query of the given kind."""
         value = check_goal(kind, goal)
+        check_options(self, kwargs)
         if kind == "min_cost":
             return self.min_cost(evaluator, target, int(value), cost, space, **kwargs)
         if kind == "max_hit":
@@ -241,6 +303,7 @@ class EfficientSolver(SolverBase):
     evaluator = "ese"
     candidate_method = "batched-closed-form"
     wraps = ("min_cost_iq", "max_hit_iq")
+    options = _SEARCH_OPTIONS
 
     def min_cost(
         self,
@@ -285,6 +348,7 @@ class GreedySolver(SolverBase):
     evaluator = "ese"
     candidate_method = "cheapest-single-query"
     wraps = ("greedy_min_cost_iq", "greedy_max_hit_iq")
+    options = _SEARCH_OPTIONS
 
     def min_cost(
         self,
@@ -318,6 +382,7 @@ class RandomSolver(SolverBase):
     candidate_method = "uniform-sampling"
     wraps = ("random_min_cost_iq", "random_max_hit_iq")
     notes = ("stochastic: quality depends on the attempt budget and seed",)
+    options = {"attempts": _whole(1), "seed": _whole(0, optional=True)}
 
     def min_cost(
         self,
@@ -351,6 +416,7 @@ class ExhaustiveSolver(SolverBase):
     candidate_method = "subset-enumeration"
     wraps = ("exhaustive_min_cost", "exhaustive_max_hit")
     notes = ("exact but exponential in the workload size; tiny instances only",)
+    options = {"margin": _margin}
 
     def min_cost(
         self,

@@ -74,15 +74,17 @@ def _run_one(engine: "ImprovementQueryEngine", request: IQRequest) -> "IQResult"
 
 
 def _validate_requests(requests: tuple[IQRequest, ...]) -> None:
-    from repro.core.solvers import QUERY_KINDS, check_goal, get_solver
+    """Refuse a bad kind, method, goal or option before the pool runs."""
+    from repro.core.solvers import QUERY_KINDS, check_goal, check_options, get_solver
 
     for request in requests:
         if request.kind not in QUERY_KINDS:
             raise ValidationError(
                 f"request kind must be one of {QUERY_KINDS}, got {request.kind!r}"
             )
-        get_solver(request.method)  # unknown methods fail before the pool starts
+        solver = get_solver(request.method)  # unknown methods fail before the pool starts
         check_goal(request.kind, request.goal)
+        check_options(solver, dict(request.options))
 
 
 def run_batch(

@@ -12,6 +12,10 @@ Request lines::
     {"id": 8, "kind": "max_hit", "target": 3, "goal": 1.5,
      "method": "random", "options": {"seed": 0}}
 
+``options`` may hold only the keyword options the named solver declares
+(:func:`~repro.core.solvers.check_options`), each of the right type and
+range; anything else is answered with a ``ValidationError``.
+
 Control lines::
 
     {"op": "stats"}      -> one stats snapshot line

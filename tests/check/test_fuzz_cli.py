@@ -87,6 +87,14 @@ class TestCanary:
         assert code == 1
         assert "FAIL" in out.getvalue()
 
+    def test_fuzz_finds_a_cutoff_one_float_off(self, cutoff_one_ulp_low):
+        # hits_mask, evaluate_many and evaluate_affected all read the same
+        # cutoffs, so only the reference Eq. 6 test can see this.
+        out = io.StringIO()
+        code = check_main(["--fuzz", "2", "--seed", "0", "--skip-battery"], out=out)
+        assert code == 1
+        assert "reference" in out.getvalue()
+
 
 class TestCli:
     def test_module_main_passes(self):

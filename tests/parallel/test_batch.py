@@ -67,3 +67,35 @@ class TestValidation:
     def test_unknown_method_rejected_before_pool(self, engine):
         with pytest.raises(ValidationError):
             run_batch(engine, [IQRequest("min_cost", 0, 5.0, method="quantum")] * 2)
+
+    @pytest.mark.parametrize(
+        "method, options, match",
+        [
+            ("efficient", {"bogus": 1}, r"takes no option 'bogus'.*\['margin', 'max_iterations'\]"),
+            ("greedy", {"seed": 0}, r"takes no option 'seed'"),
+            ("efficient", {"margin": "x"}, "margin"),
+            ("efficient", {"margin": -1.0}, "margin"),
+            ("exhaustive", {"margin": float("nan")}, "margin"),
+            ("efficient", {"max_iterations": -5}, "max_iterations"),
+            ("greedy", {"max_iterations": 2.5}, "max_iterations"),
+            ("random", {"attempts": 0}, "attempts"),
+            ("random", {"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_options_rejected_before_pool(self, engine, method, options, match):
+        request = IQRequest("max_hit", 0, 0.8, method=method, options=tuple(options.items()))
+        with pytest.raises(ValidationError, match=match):
+            run_batch(engine, [IQRequest("min_cost", 1, 5.0), request])
+
+    def test_library_calls_get_the_same_check(self, engine):
+        with pytest.raises(ValidationError, match="bogus"):
+            engine.min_cost(0, tau=5, bogus=1)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            engine.max_hit(0, budget=0.8, max_iterations=-5)
+
+    def test_declared_options_still_run(self, engine):
+        batch = [
+            IQRequest("min_cost", 0, 5.0, options=(("margin", 0), ("max_iterations", None))),
+            IQRequest("max_hit", 1, 0.8, method="random", options=(("attempts", 3), ("seed", None))),
+        ]
+        assert len(run_batch(engine, batch)) == 2

@@ -72,6 +72,25 @@ class TestProtocol:
         assert answered[1]["ok"] is True
         assert stats.failed == 1 and stats.served == 1
 
+    def test_bad_options_answered_per_request(self, engine):
+        lines = [
+            request_line(0, options={"bogus": 1}),
+            request_line(1, method="greedy", options={"seed": 0}),
+            request_line(2, options={"margin": "x"}),
+            request_line(3, options={"max_iterations": -5}),
+            request_line(4, target=1),
+        ]
+        out = io.StringIO()
+        stats = serve_stream(engine, lines, out, workers=0)
+        answered = {r["id"]: r for r in responses(out)}
+        for rid, named in ((0, "bogus"), (1, "seed"), (2, "margin"), (3, "max_iterations")):
+            assert answered[rid]["ok"] is False
+            assert answered[rid]["error"].startswith("ValidationError:"), answered[rid]
+            assert named in answered[rid]["error"]
+        assert "['margin', 'max_iterations']" in answered[0]["error"]
+        assert answered[4]["ok"] is True
+        assert stats.failed == 4 and stats.served == 1
+
     def test_execution_error_does_not_stop_the_stream(self, engine):
         lines = [request_line(0, target=10_000), request_line(1, target=1)]
         out = io.StringIO()
@@ -357,7 +376,7 @@ class TestParseRequest:
 
     def test_options_become_sorted_tuples(self):
         request = _parse_request(
-            {"kind": "max_hit", "target": 1, "goal": 0.5,
+            {"kind": "max_hit", "target": 1, "goal": 0.5, "method": "random",
              "options": {"seed": 7, "attempts": 2}}
         )
         assert request.options == (("attempts", 2), ("seed", 7))

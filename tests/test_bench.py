@@ -141,7 +141,7 @@ class TestRegressionHarness:
         assert payload["scale"] == "tiny"
         figures = {record["figure"] for record in payload["records"]}
         assert figures == {
-            "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
+            "fig4", "fig5", "fig7", "evaluate", "par_batch", "serve", "persist",
             "update", "analyze_overhead",
         }
         for record in payload["records"]:
@@ -510,6 +510,7 @@ PLANTED = {
     "fig7": lambda batch: dataclasses.replace(
         batch, query_ids=np.append(batch.query_ids, 0)
     ),
+    "evaluate": lambda counts: counts + np.eye(1, counts.size, dtype=counts.dtype)[0],
     "par_batch": _one_hit_more,
     "serve": lambda served: ("\n".join(served[0].splitlines()[::-1]), served[1]),
     "persist": _other_workload,
@@ -528,7 +529,7 @@ class TestAgreementChecks:
         from repro.bench.regression import FIGURES
 
         assert [row.name for row in FIGURES] == [
-            "fig4", "fig5", "fig7", "par_batch", "serve", "persist",
+            "fig4", "fig5", "fig7", "evaluate", "par_batch", "serve", "persist",
             "update", "analyze_overhead",
         ]
         assert set(PLANTED) == {row.name for row in FIGURES}
