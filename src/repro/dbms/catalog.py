@@ -48,7 +48,9 @@ class Table:
     name: str
     columns: list  #: [Column, ...]
     rows: list = field(default_factory=list)  #: list of value lists
-    version: int = 0  #: bumped on every mutation (index staleness checks)
+    #: UPDATEs and DELETEs so far; an INSERT only appends rows, which an
+    #: improvement index can apply without a rebuild (its staleness check)
+    mutations: int = 0
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -74,14 +76,13 @@ class Table:
             )
         row = [col.coerce(v) for col, v in zip(self.columns, values)]
         self.rows.append(row)
-        self.version += 1
         return len(self.rows) - 1
 
     def update_cell(self, row_id: int, column: str, value) -> None:
         """Overwrite one cell (type-coerced)."""
         idx = self.column_index(column)
         self.rows[row_id][idx] = self.columns[idx].coerce(value)
-        self.version += 1
+        self.mutations += 1
 
     def delete_rows(self, row_ids) -> int:
         """Delete the given rowids; returns the number removed."""
@@ -89,17 +90,17 @@ class Table:
         before = len(self.rows)
         self.rows = [r for i, r in enumerate(self.rows) if i not in doomed]
         if len(self.rows) != before:
-            self.version += 1
+            self.mutations += 1
         return before - len(self.rows)
 
-    def numeric_matrix(self, columns: list[str]):
-        """Rows restricted to numeric columns as a list of float lists."""
+    def numeric_matrix(self, columns: list[str], start: int = 0):
+        """Rows ``start`` onward, restricted to numeric columns, as float lists."""
         indices = [self.column_index(c) for c in columns]
         for c, i in zip(columns, indices):
             if self.columns[i].type_name == "TEXT":
                 raise SQLExecutionError(f"column {c} is TEXT; numeric column required")
         out = []
-        for row_id, row in enumerate(self.rows):
+        for row_id, row in enumerate(self.rows[start:], start):
             values = [row[i] for i in indices]
             if any(v is None for v in values):
                 raise SQLExecutionError(

@@ -5,15 +5,20 @@ and runs one statement and returns a :class:`ResultSet` (columns +
 rows).  The improvement-query statements (CREATE IMPROVEMENT INDEX /
 IMPROVE) are delegated to :mod:`repro.dbms.improve`.
 
-Expression evaluation uses SQL-ish three-valued-light semantics: any
-comparison with NULL is false, arithmetic with NULL raises.  A pseudo
-column ``rowid`` (insertion order, 0-based) is always available, which
-is how IMPROVE targets are usually selected.
+Expression evaluation uses SQL-ish three-valued-light semantics: an
+ordering comparison (``<``, ``>``, ``<=``, ``>=``) with NULL is false,
+``=`` and ``<>`` compare NULL as a value, arithmetic with NULL raises.
+A pseudo column ``rowid`` (insertion order, 0-based) is always
+available, which is how IMPROVE targets are usually selected.  Each
+statement compiles its expressions once (:func:`_compile`) and runs the
+result on every row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.dbms import ast_nodes as ast
 from repro.dbms.catalog import Catalog, Column, Table
@@ -125,8 +130,7 @@ class Database:
     def _insert(self, stmt: ast.Insert) -> ResultSet:
         table = self.catalog.get(stmt.table)
         for row in stmt.rows:
-            values = [self._eval(expr, table, None) for expr in row]
-            table.insert(values)
+            table.insert([_compile(expr, None)(None, None) for expr in row])
         return ResultSet([], [], status=f"INSERT {len(stmt.rows)}")
 
     def _select(self, stmt: ast.Select) -> ResultSet:
@@ -157,10 +161,11 @@ class Database:
     def _update(self, stmt: ast.Update) -> ResultSet:
         table = self.catalog.get(stmt.table)
         row_ids = self._matching_row_ids(table, stmt.where)
+        assignments = [(column, _compile(expr, table)) for column, expr in stmt.assignments]
         for row_id in row_ids:
-            for column, expr in stmt.assignments:
-                value = self._eval(expr, table, row_id)
-                table.update_cell(row_id, column, value)
+            row = table.rows[row_id]
+            for column, value in assignments:
+                table.update_cell(row_id, column, value(row, row_id))
         return ResultSet([], [], status=f"UPDATE {len(row_ids)}")
 
     def _delete(self, stmt: ast.Delete) -> ResultSet:
@@ -173,11 +178,8 @@ class Database:
     def _matching_row_ids(self, table: Table, where) -> list[int]:
         if where is None:
             return list(range(len(table.rows)))
-        out = []
-        for row_id in range(len(table.rows)):
-            if _truthy(self._eval(where, table, row_id)):
-                out.append(row_id)
-        return out
+        predicate = _compile(where, table)
+        return [row_id for row_id, row in enumerate(table.rows) if predicate(row, row_id)]
 
     @staticmethod
     def _output_index(table: Table, column: str) -> int:
@@ -186,69 +188,105 @@ class Database:
             return -1
         return table.column_index(column)
 
-    def _eval(self, expr, table: Table, row_id: int | None):
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.ColumnRef):
-            if row_id is None:
-                raise SQLExecutionError(f"column {expr.name!r} not allowed here")
-            if expr.name.lower() == "rowid":
-                return row_id
-            return table.rows[row_id][table.column_index(expr.name)]
-        if isinstance(expr, ast.Unary):
-            value = self._eval(expr.operand, table, row_id)
-            if expr.op == "-":
+
+#: A compiled expression: ``(row, row_id) -> value``.
+Compiled = Callable[[list, int], object]
+
+
+def _divide(a, b):
+    if b == 0:
+        raise SQLExecutionError("division by zero")
+    return a / b
+
+
+_ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _compile(expr, table: Table | None) -> Compiled:
+    """``expr`` as one closure per node, evaluated against a row of ``table``.
+
+    Column positions are resolved here, once per statement.  An error
+    is raised by the closure, when and where row-at-a-time evaluation
+    would meet it: an unknown column raises only when a row reaches it,
+    so it never raises on an empty table or in an operand that AND/OR
+    short-circuits.  ``table`` None is the row-free context of INSERT
+    values, which refuses every column reference.  Recursion follows
+    the tree, whose depth the parser bounds.
+    """
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda row, row_id: value
+    if isinstance(expr, ast.ColumnRef):
+        if table is None:
+            return _raise(SQLExecutionError, f"column {expr.name!r} not allowed here")
+        name = expr.name
+        if name.lower() == "rowid":
+            return lambda row, row_id: row_id
+        if name not in table.column_names:
+            # column_index raises the unknown-column error, row by row.
+            return lambda row, row_id: row[table.column_index(name)]
+        idx = table.column_index(name)
+        return lambda row, row_id: row[idx]
+    if isinstance(expr, ast.Unary):
+        operand = _compile(expr.operand, table)
+        if expr.op == "-":
+
+            def negate(row, row_id):
+                value = operand(row, row_id)
                 _require_number(value)
                 return -value
-            return not _truthy(value)
-        if isinstance(expr, ast.Binary):
-            return self._binary(expr, table, row_id)
-        raise SQLExecutionError(f"cannot evaluate {expr!r}")
 
-    def _binary(self, expr: ast.Binary, table, row_id):
-        if expr.op == "AND":
-            return _truthy(self._eval(expr.left, table, row_id)) and _truthy(
-                self._eval(expr.right, table, row_id)
-            )
-        if expr.op == "OR":
-            return _truthy(self._eval(expr.left, table, row_id)) or _truthy(
-                self._eval(expr.right, table, row_id)
-            )
-        left = self._eval(expr.left, table, row_id)
-        right = self._eval(expr.right, table, row_id)
-        if expr.op in ("=", "<>", "!="):
-            equal = left == right
-            return equal if expr.op == "=" else not equal
-        if expr.op in ("<", ">", "<=", ">="):
-            if left is None or right is None:
+            return negate
+        return lambda row, row_id: not operand(row, row_id)
+    if isinstance(expr, ast.Binary):
+        return _compile_binary(expr.op, _compile(expr.left, table), _compile(expr.right, table))
+    return _raise(SQLExecutionError, f"cannot evaluate {expr!r}")
+
+
+def _compile_binary(op: str, left: Compiled, right: Compiled) -> Compiled:
+    if op == "AND":
+        return lambda row, row_id: bool(left(row, row_id)) and bool(right(row, row_id))
+    if op == "OR":
+        return lambda row, row_id: bool(left(row, row_id)) or bool(right(row, row_id))
+    if op == "=":
+        return lambda row, row_id: left(row, row_id) == right(row, row_id)
+    if op in ("<>", "!="):
+        return lambda row, row_id: not left(row, row_id) == right(row, row_id)
+    if op in _ORDERINGS:
+        compare = _ORDERINGS[op]
+
+        def ordering(row, row_id):
+            a, b = left(row, row_id), right(row, row_id)
+            if a is None or b is None:
                 return False
             try:
-                if expr.op == "<":
-                    return left < right
-                if expr.op == ">":
-                    return left > right
-                if expr.op == "<=":
-                    return left <= right
-                return left >= right
+                return compare(a, b)
             except TypeError:
-                raise SQLExecutionError(f"cannot compare {left!r} and {right!r}")
-        _require_number(left)
-        _require_number(right)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                raise SQLExecutionError("division by zero")
-            return left / right
-        raise SQLExecutionError(f"unknown operator {expr.op!r}")
+                raise SQLExecutionError(f"cannot compare {a!r} and {b!r}")
+
+        return ordering
+
+    apply = _ARITHMETIC.get(op)
+
+    def arithmetic(row, row_id):
+        a, b = left(row, row_id), right(row, row_id)
+        _require_number(a)
+        _require_number(b)
+        if apply is None:
+            raise SQLExecutionError(f"unknown operator {op!r}")
+        return apply(a, b)
+
+    return arithmetic
 
 
-def _truthy(value) -> bool:
-    return bool(value) and value is not None
+def _raise(error: type[Exception], message: str) -> Compiled:
+    """A closure that raises ``error(message)`` whenever a row reaches it."""
+
+    def fail(row, row_id):
+        raise error(message)
+
+    return fail
 
 
 def _require_number(value) -> None:

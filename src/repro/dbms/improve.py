@@ -7,9 +7,20 @@ Max-Hit (``BUDGET x``) improvement query.
 
 Index lifecycle: ``CREATE IMPROVEMENT INDEX`` records the object-table
 attribute columns, the query-table weight/k columns, and the ranking
-sense.  The engine is built lazily and rebuilt automatically when
-either table's version counter moved (INSERT/UPDATE/DELETE bump it), so
-IMPROVE always runs against current data.
+sense.  The engine is built by the first IMPROVE and kept; each later
+IMPROVE (or EXPLAIN) brings it up to date from what the catalog shows:
+
+* rows appended to the query table since the engine last saw it go
+  through ``engine.add_query``, the §4.3 insertion, one row at a time;
+* the engine is rebuilt from both tables instead after an UPDATE or a
+  DELETE of either table (``APPLY`` writes back by UPDATE), after any
+  INSERT into the object table (an exact-mode ``add_object`` adds ``n``
+  hyperplanes and drops every ranking prefix, so a few dozen objects
+  cost more than a rebuild), and when more query rows were appended
+  than the engine holds (about where a rebuild becomes cheaper).
+
+Either way IMPROVE runs against current data, and both paths refuse a
+bad ``k`` with the same :class:`~repro.errors.ValidationError`.
 
 Result shape: one row per target with the per-attribute deltas, the
 total cost, hits before/after, and whether the goal was met.  With
@@ -49,8 +60,10 @@ class IndexDefinition:
     k_column: str
     sense: str
     engine: ImprovementQueryEngine | None = None
-    object_version: int = -1
-    query_version: int = -1
+    #: ``(mutations, rows)`` of the object table when the engine was built
+    objects_seen: tuple = (-1, 0)
+    query_mutations: int = -1  #: the query table's mutations at the build
+    query_rows: int = 0  #: query-table rows the engine holds
 
 
 class ImprovementService:
@@ -95,31 +108,38 @@ class ImprovementService:
     def _engine(self, definition: IndexDefinition) -> ImprovementQueryEngine:
         objects = self.catalog.get(definition.object_table)
         queries = self.catalog.get(definition.query_table)
-        stale = (
+        held = definition.query_rows
+        appended = len(queries.rows) - held
+        if (
             definition.engine is None
-            or definition.object_version != objects.version
-            or definition.query_version != queries.version
+            or definition.objects_seen != (objects.mutations, len(objects.rows))
+            or definition.query_mutations != queries.mutations
+            or appended > held
+        ):
+            return self._build(definition, objects, queries)
+        if appended:
+            columns = definition.weight_columns + [definition.k_column]
+            for row in queries.numeric_matrix(columns, start=held):
+                definition.engine.add_query(row[:-1], row[-1])
+                definition.query_rows += 1
+        return definition.engine
+
+    @staticmethod
+    def _build(definition: IndexDefinition, objects, queries) -> ImprovementQueryEngine:
+        matrix = np.asarray(objects.numeric_matrix(definition.attribute_columns))
+        if matrix.shape[0] == 0:
+            raise SQLExecutionError(f"table {objects.name} is empty")
+        weights_and_k = np.asarray(
+            queries.numeric_matrix(definition.weight_columns + [definition.k_column])
         )
-        if stale:
-            matrix = np.asarray(objects.numeric_matrix(definition.attribute_columns))
-            if matrix.shape[0] == 0:
-                raise SQLExecutionError(f"table {objects.name} is empty")
-            weights_and_k = np.asarray(
-                queries.numeric_matrix(definition.weight_columns + [definition.k_column])
-            )
-            if weights_and_k.shape[0] == 0:
-                raise SQLExecutionError(f"table {queries.name} is empty")
-            dataset = Dataset(
-                matrix, names=definition.attribute_columns, sense=definition.sense
-            )
-            query_set = QuerySet(
-                weights_and_k[:, :-1],
-                weights_and_k[:, -1].astype(int),
-                normalized=False,
-            )
-            definition.engine = ImprovementQueryEngine(dataset, query_set)
-            definition.object_version = objects.version
-            definition.query_version = queries.version
+        if weights_and_k.shape[0] == 0:
+            raise SQLExecutionError(f"table {queries.name} is empty")
+        dataset = Dataset(matrix, names=definition.attribute_columns, sense=definition.sense)
+        query_set = QuerySet(weights_and_k[:, :-1], weights_and_k[:, -1], normalized=False)
+        definition.engine = ImprovementQueryEngine(dataset, query_set)
+        definition.objects_seen = (objects.mutations, len(objects.rows))
+        definition.query_mutations = queries.mutations
+        definition.query_rows = len(queries.rows)
         return definition.engine
 
     # ------------------------------------------------------------------

@@ -16,6 +16,13 @@ Grammar (informal)::
 
 Statements end at ';' or EOF; ``parse_script`` handles multi-statement
 input.
+
+Expressions are parsed by operator precedence with explicit stacks, not
+by recursion, and nest at most :data:`MAX_DEPTH` levels: each operator
+and each pair of parentheses is one level.  The executor compiles an
+expression into one closure per node and recurses once per level, so
+the bound keeps it well inside Python's recursion limit (1000 frames by
+default); deeper input is a :class:`SQLSyntaxError`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,18 @@ from repro.dbms import ast_nodes as ast
 from repro.dbms.lexer import Token, tokenize
 from repro.errors import SQLSyntaxError
 
-__all__ = ["parse", "parse_script"]
+__all__ = ["MAX_DEPTH", "parse", "parse_script"]
+
+#: Deepest expression accepted, in levels (operators and parentheses).
+#: A TARGET WHERE list of 200 OR-ed equalities is 200 levels deep.
+MAX_DEPTH = 256
+
+#: Binary operators by binding strength, loosest first; every OP token
+#: (``=``, ``<>``, ``<=``, ...) is a comparison.  Prefix NOT binds
+#: between AND and the comparisons, prefix minus tightest of all.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MULTIPLY, _NEGATE = range(1, 8)
+_BINARY = {"OR": _OR, "AND": _AND, "+": _ADD, "-": _ADD, "*": _MULTIPLY, "/": _MULTIPLY}
+_OPEN = (0, "(")  #: an open parenthesis on the operator stack
 
 
 def parse(sql: str):
@@ -210,7 +228,10 @@ class _Parser:
             order_by = (column, ascending)
         limit = None
         if self.accept_keyword("LIMIT"):
-            limit = int(self.number())
+            value = self.number()
+            if value < 0 or not value.is_integer():
+                raise SQLSyntaxError(f"LIMIT needs a whole number of rows, got {value}")
+            limit = int(value)
         return ast.Select(table=table, columns=columns, where=where, order_by=order_by, limit=limit)
 
     def update(self):
@@ -344,49 +365,74 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
     def expression(self):
-        return self.or_expr()
+        """Parse one expression (the grammar above) without recursion.
 
-    def or_expr(self):
-        left = self.and_expr()
-        while self.accept_keyword("OR"):
-            left = ast.Binary("OR", left, self.and_expr())
-        return left
+        ``operands`` holds ``(node, depth)`` pairs and ``pending`` the
+        ``(strength, operator)`` pairs not yet applied, with :data:`_OPEN`
+        for each open parenthesis.  A prefix NOT is taken only where
+        ``not_expr`` may start: at the start of the expression or of a
+        parenthesis, or after AND, OR or NOT.
+        """
+        operands: list = []
+        pending: list = []
+        open_parens = 0
+        while True:
+            if self.accept_punct("("):
+                pending.append(_OPEN)
+                open_parens += 1
+                continue
+            if self.accept_punct("-"):
+                pending.append((_NEGATE, "-"))
+                continue
+            if self.at_keyword("NOT") and (not pending or pending[-1][0] <= _NOT):
+                pending.append((_NOT, self.advance().value))
+                continue
+            operands.append((self.value(), 0))
+            while open_parens and self.accept_punct(")"):
+                self._reduce(operands, pending, _OR)
+                pending.pop()
+                open_parens -= 1
+                node, depth = operands.pop()
+                operands.append((node, _checked_depth(depth + 1)))
+            strength = self._binary_strength()
+            if strength == _COMPARE:
+                self._reduce(operands, pending, _COMPARE + 1)
+                if pending and pending[-1][0] == _COMPARE:
+                    strength = None  # comparisons do not chain
+            elif strength is not None:
+                self._reduce(operands, pending, strength)
+            if strength is None:
+                if open_parens:
+                    raise SQLSyntaxError(f"expected ')', got {self.peek().value!r}")
+                self._reduce(operands, pending, _OR)
+                return operands[0][0]
+            pending.append((strength, self.advance().value))
 
-    def and_expr(self):
-        left = self.not_expr()
-        while self.accept_keyword("AND"):
-            left = ast.Binary("AND", left, self.not_expr())
-        return left
+    def _binary_strength(self) -> int | None:
+        """How tightly the next token binds as a binary operator (None: it is not one)."""
+        token = self.peek()
+        if token.kind == "OP":
+            return _COMPARE
+        if token.kind in ("KEYWORD", "PUNCT"):
+            return _BINARY.get(token.value)
+        return None
 
-    def not_expr(self):
-        if self.accept_keyword("NOT"):
-            return ast.Unary("NOT", self.not_expr())
-        return self.comparison()
+    @staticmethod
+    def _reduce(operands: list, pending: list, floor: int) -> None:
+        """Apply pending operators, innermost first, while they bind at least ``floor``."""
+        while pending and pending[-1][0] >= floor:
+            strength, op = pending.pop()
+            node, depth = operands.pop()
+            if strength in (_NOT, _NEGATE):
+                node = ast.Unary(op, node)
+            else:
+                left, left_depth = operands.pop()
+                node = ast.Binary(op, left, node)
+                depth = max(depth, left_depth)
+            operands.append((node, _checked_depth(depth + 1)))
 
-    def comparison(self):
-        left = self.additive()
-        if self.peek().kind == "OP":
-            op = self.advance().value
-            return ast.Binary(op, left, self.additive())
-        return left
-
-    def additive(self):
-        left = self.term()
-        while self.at("PUNCT", "+") or self.at("PUNCT", "-"):
-            op = self.advance().value
-            left = ast.Binary(op, left, self.term())
-        return left
-
-    def term(self):
-        left = self.factor()
-        while self.at("PUNCT", "*") or self.at("PUNCT", "/"):
-            op = self.advance().value
-            left = ast.Binary(op, left, self.factor())
-        return left
-
-    def factor(self):
-        if self.accept_punct("-"):
-            return ast.Unary("-", self.factor())
+    def value(self):
+        """A literal or a column reference."""
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
@@ -403,8 +449,10 @@ class _Parser:
         if token.kind == "IDENT":
             self.advance()
             return ast.ColumnRef(token.value)
-        if self.accept_punct("("):
-            inner = self.expression()
-            self.expect_punct(")")
-            return inner
         raise SQLSyntaxError(f"unexpected token {token.value!r} in expression")
+
+
+def _checked_depth(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise SQLSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels")
+    return depth

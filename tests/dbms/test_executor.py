@@ -1,6 +1,7 @@
 import pytest
 
 from repro.dbms.executor import Database
+from repro.dbms.parser import MAX_DEPTH
 from repro.errors import SQLCatalogError, SQLExecutionError
 
 
@@ -87,6 +88,61 @@ class TestSelect:
     def test_pretty_renders(self, db):
         text = db.execute("SELECT a, name FROM t").pretty()
         assert "name" in text and "three" in text
+
+
+class TestCompiledPredicate:
+    """Each statement compiles its expressions once; errors stay per row."""
+
+    def test_unknown_column_on_an_empty_table_matches_nothing(self, db):
+        db.execute("CREATE TABLE e (x INT)")
+        assert db.execute("SELECT * FROM e WHERE nope = 1").rows == []
+        assert db.execute("DELETE FROM e WHERE nope = 1").status == "DELETE 0"
+        with pytest.raises(SQLCatalogError, match="no column 'nope'"):
+            db.execute("SELECT * FROM t WHERE nope = 1")
+
+    @pytest.mark.parametrize("where, expected", [
+        ("a > 0 OR nope = 1", [1, 2, 3]),
+        ("a > 0 OR name + 1 = 2", [1, 2, 3]),
+        ("NOT (a < 0 AND a / 0 = 1)", [1, 2, 3]),
+        ("a < 0 AND nope / 0 = 1", []),
+    ])
+    def test_short_circuited_operand_never_raises(self, db, where, expected):
+        assert db.execute(f"SELECT a FROM t WHERE {where}").column("a") == expected
+
+    def test_operand_reached_by_a_row_raises(self, db):
+        with pytest.raises(SQLCatalogError):
+            db.execute("SELECT a FROM t WHERE a > 1 OR nope = 1")
+        with pytest.raises(SQLExecutionError, match="division by zero"):
+            db.execute("SELECT a FROM t WHERE a < 2 AND a / 0 = 1")
+
+    @pytest.mark.parametrize("op", ["<", ">", "<=", ">="])
+    def test_ordering_comparison_with_null_is_false(self, db, op):
+        db.execute("INSERT INTO t VALUES (NULL, 9.0, 'n')")
+        assert 9.0 not in db.execute(f"SELECT b FROM t WHERE a {op} 2").column("b")
+        # False, not unknown: its negation holds.
+        assert 9.0 in db.execute(f"SELECT b FROM t WHERE NOT a {op} 2").column("b")
+        assert db.execute(f"SELECT b FROM t WHERE a {op} NULL").rows == []
+        assert db.execute(f"SELECT b FROM t WHERE NULL {op} a").rows == []
+
+    @pytest.mark.parametrize("column", ["a", "rowid"])
+    def test_insert_values_refuse_a_column_reference(self, db, column):
+        with pytest.raises(SQLExecutionError, match="not allowed here"):
+            db.execute(f"INSERT INTO t VALUES (1, 2.0, 'x'), ({column}, 2.0, 'y')")
+        # Rows before the refused one were inserted, as row-at-a-time.
+        assert db.execute("SELECT a FROM t").column("a") == [1, 2, 3, 1]
+
+    def test_update_reads_cells_it_already_set(self, db):
+        db.execute("UPDATE t SET a = a * 10, b = a + 0.5 WHERE rowid = 1")
+        assert db.execute("SELECT a, b FROM t WHERE rowid = 1").rows == [[20, 20.5]]
+
+    @pytest.mark.parametrize("where, expected", [
+        ("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, [1, 2, 3]),
+        ("NOT " * MAX_DEPTH + "a", [1, 2, 3]),
+        (" + ".join(["a"] * (MAX_DEPTH + 1)), [1, 2, 3]),
+        (" OR ".join(["a = 2"] + [f"a = {100 + i}" for i in range(MAX_DEPTH - 1)]), [2]),
+    ], ids=["parentheses", "not", "operators", "or-list"])
+    def test_deepest_expressions_evaluate(self, db, where, expected):
+        assert db.execute(f"SELECT a FROM t WHERE {where}").column("a") == expected
 
 
 class TestUpdateDelete:

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.dbms import ast_nodes as ast
-from repro.dbms.parser import parse, parse_script
+from repro.dbms.parser import MAX_DEPTH, parse, parse_script
 from repro.errors import SQLSyntaxError
 
 
@@ -51,6 +51,15 @@ class TestSelect:
         assert stmt.order_by == ("a", False)
         assert stmt.limit == 5
 
+    @pytest.mark.parametrize("limit", ["-1", "2.5", "1e999"])
+    def test_limit_must_be_a_whole_number_of_rows(self, limit):
+        # Refused, not run as rows[:-1], as 2 rows or into a bare OverflowError.
+        with pytest.raises(SQLSyntaxError, match="LIMIT needs a whole number"):
+            parse(f"SELECT * FROM t LIMIT {limit}")
+
+    def test_limit_zero(self):
+        assert parse("SELECT * FROM t LIMIT 0").limit == 0
+
     def test_expression_precedence(self):
         stmt = parse("SELECT * FROM t WHERE a + b * 2 = 7")
         where = stmt.where
@@ -67,6 +76,44 @@ class TestSelect:
         stmt = parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3")
         assert stmt.where.op == "OR"
         assert stmt.where.right.op == "AND"
+
+
+def _nested(kind: str, levels: int) -> str:
+    """A WHERE body that nests ``levels`` deep in one construct."""
+    if kind == "parentheses":
+        return "(" * levels + "a" + ")" * levels
+    if kind == "not":
+        return "NOT " * levels + "a"
+    return " + ".join(["a"] * (levels + 1))  # a left-deep operator chain
+
+
+class TestNestingBound:
+    """Deep input is a syntax error, never a RecursionError."""
+
+    @pytest.mark.parametrize("kind", ["parentheses", "not", "operators"])
+    def test_at_the_bound(self, kind):
+        assert parse(f"SELECT * FROM t WHERE {_nested(kind, MAX_DEPTH)}").where is not None
+
+    @pytest.mark.parametrize("kind", ["parentheses", "not", "operators"])
+    def test_one_past_the_bound(self, kind):
+        with pytest.raises(SQLSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(f"SELECT * FROM t WHERE {_nested(kind, MAX_DEPTH + 1)}")
+
+    def test_parentheses_parse_without_recursion(self):
+        # Deeper than recursive descent fits in Python's default stack.
+        where = parse("SELECT * FROM t WHERE " + _nested("parentheses", 130)).where
+        assert where == ast.ColumnRef("a")
+
+    def test_long_operator_chain(self):
+        # 500 terms: past the bound, and deep enough to overflow a recursive evaluator.
+        with pytest.raises(SQLSyntaxError):
+            parse("SELECT * FROM t WHERE " + _nested("operators", 499) + " > 0")
+
+    def test_the_bound_counts_parentheses_and_operators_together(self):
+        levels = MAX_DEPTH // 2
+        parse("SELECT * FROM t WHERE " + "(" * levels + _nested("not", levels) + ")" * levels)
+        with pytest.raises(SQLSyntaxError):
+            parse("SELECT * FROM t WHERE " + "(" * levels + _nested("not", levels + 1) + ")" * levels)
 
 
 class TestImprovementExtension:
