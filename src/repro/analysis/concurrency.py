@@ -129,9 +129,10 @@ class ForkSafetyRule(Rule):
 
 
 #: Index-owned attributes whose rebinding/stores demand an epoch bump: the
-#: hot matrices, and the cell state the per-epoch prefix table is built from.
+#: hot matrices, and the partition arrays kth_other reads.
 _INDEX_ARRAY_ATTRS = frozenset(
-    {"normals", "_external", "_weights", "subdomains", "subdomain_of", "query_ids", "prefix"}
+    {"normals", "_external", "_weights", "signatures", "subdomain_of", "representatives",
+     "prefixes", "prefix_lengths"}
 )
 
 #: Substrings of a subscript-store base that mark an index-owned matrix.

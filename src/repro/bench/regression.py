@@ -217,8 +217,8 @@ def _record_config(
 
 def _partition_fingerprint(index: SubdomainIndex) -> list[tuple[bytes, tuple[int, ...]]]:
     return sorted(
-        (sub.signature, tuple(int(q) for q in np.sort(sub.query_ids)))
-        for sub in index.subdomains
+        (signature.tobytes(), tuple(members.tolist()))
+        for signature, members in zip(index.signatures, index.cell_members())
     )
 
 

@@ -8,9 +8,9 @@ honour its own feasibility contract.  This package turns those
 equivalences into standing, mechanically checked oracles:
 
 * :mod:`repro.check.oracles` — structural invariants over a single
-  :class:`~repro.core.subdomain.SubdomainIndex` (partition cover,
-  ``subdomain_of`` inverse, signature/normal consistency, brute-force
-  prefix parity, pair bookkeeping).
+  :class:`~repro.core.subdomain.SubdomainIndex` (partition cover and
+  representatives, signature/normal consistency, brute-force prefix
+  parity, pair bookkeeping).
 * :mod:`repro.check.differential` — behavioural equivalences: replayed
   op sequences vs a fresh build, ``evaluate_affected`` vs ``evaluate``
   (including engineered tie-band positions), and Min-Cost / Max-Hit

@@ -196,7 +196,7 @@ def brute_force_hits(
 # Update-vs-rebuild differential
 # ----------------------------------------------------------------------
 def _cells(index: SubdomainIndex) -> set[tuple[int, ...]]:
-    return {tuple(np.asarray(sub.query_ids).tolist()) for sub in index.subdomains}
+    return {tuple(members.tolist()) for members in index.cell_members()}
 
 
 def _check_partition_equivalence(
@@ -215,12 +215,12 @@ def _check_partition_equivalence(
                 f"{sorted(_cells(incremental))} vs {sorted(_cells(fresh))}"
             )
         return
-    for sub in incremental.subdomains:
-        fresh_sids = np.unique(fresh.subdomain_of[np.asarray(sub.query_ids, dtype=np.intp)])
+    for sid, members in enumerate(incremental.cell_members()):
+        fresh_sids = np.unique(fresh.subdomain_of[members])
         if fresh_sids.shape[0] > 1:
             raise CheckFailure(
                 "incremental relevant-mode partition does not refine the fresh "
-                f"build: cell {sub.sid} members {sub.query_ids.tolist()} span "
+                f"build: cell {sid} members {members.tolist()} span "
                 f"fresh cells {fresh_sids.tolist()}"
             )
 

@@ -4,13 +4,14 @@ Each oracle re-derives one structural invariant from first principles
 (never through the code path that maintains it) and raises
 :class:`~repro.errors.IndexCorruptionError` on the first violation:
 
-* the subdomains disjointly cover every query id exactly once, with
-  ascending member lists and a representative drawn from the cell;
-* ``subdomain_of`` is the exact inverse of the per-cell ``query_ids``;
-* every cell signature matches ``signature_matrix`` recomputed from
-  ``normals`` for *all* of the cell's members;
-* every cached ``prefix`` matches a brute-force ranking of the cell's
-  representative (stable score-then-id order, recomputed directly);
+* ``subdomain_of`` puts every query id in exactly one populated cell,
+  and each cell's representative is one of its members;
+* every cell signature (a row of ``signatures``) matches
+  ``signature_matrix`` recomputed from ``normals`` for *all* of the
+  cell's members;
+* every ranked row of the prefix table matches a brute-force ranking of
+  the cell's representative (stable score-then-id order, recomputed
+  directly) and is ``-1`` past its length;
 * ``pairs`` / ``normals`` stay mutually consistent (aligned lengths,
   ordered in-range pairs, no pair in two columns, and each normal equal
   to ``matrix[a] - matrix[b]``);
@@ -20,8 +21,8 @@ Each oracle re-derives one structural invariant from first principles
   a recomputation names.
 
 :func:`check_index_invariants` runs the whole battery plus the index's
-own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (R-tree size
-and membership agreement).
+own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (array
+shapes and ranges, R-tree size).
 """
 
 from __future__ import annotations
@@ -50,84 +51,66 @@ __all__ = [
 
 
 def check_partition_cover(index: SubdomainIndex) -> None:
-    """Cells disjointly cover all query ids; ``subdomain_of`` is the inverse."""
-    m = index.queries.m
-    seen = np.zeros(m, dtype=np.intp)
-    for sub in index.subdomains:
-        ids = np.asarray(sub.query_ids, dtype=np.intp)
-        if ids.size == 0:
-            raise IndexCorruptionError(f"subdomain {sub.sid} is empty")
-        if np.any(ids < 0) or np.any(ids >= m):
+    """Every query lies in exactly one populated cell; each representative in its own."""
+    m, cells = index.queries.m, index.num_subdomains
+    owner = np.asarray(index.subdomain_of, dtype=np.intp)
+    if owner.shape != (m,):
+        raise IndexCorruptionError(f"subdomain_of has {owner.shape} entries for {m} queries")
+    if np.any(owner < 0) or np.any(owner >= cells):
+        raise IndexCorruptionError(f"subdomain_of names a cell outside [0, {cells})")
+    sizes = np.bincount(owner, minlength=cells)
+    for sid in range(cells):
+        if sizes[sid] == 0:
+            raise IndexCorruptionError(f"subdomain {sid} is empty")
+        representative = int(index.representatives[sid])
+        if not (0 <= representative < m and owner[representative] == sid):
             raise IndexCorruptionError(
-                f"subdomain {sub.sid} holds out-of-range query ids"
+                f"subdomain {sid} representative {representative} is not one of its members"
             )
-        if ids.size > 1 and np.any(np.diff(ids) <= 0):
-            raise IndexCorruptionError(
-                f"subdomain {sub.sid} member list is not strictly ascending"
-            )
-        if sub.representative not in ids:
-            raise IndexCorruptionError(
-                f"subdomain {sub.sid} representative {sub.representative} "
-                "is not one of its members"
-            )
-        if not np.all(index.subdomain_of[ids] == sub.sid):
-            raise IndexCorruptionError(
-                f"subdomain_of disagrees with the member list of cell {sub.sid}"
-            )
-        seen[ids] += 1
-    if index.subdomain_of.shape[0] != m:
-        raise IndexCorruptionError(
-            f"subdomain_of has {index.subdomain_of.shape[0]} entries for {m} queries"
-        )
-    if not np.all(seen == 1):
-        missing = np.flatnonzero(seen != 1)
-        raise IndexCorruptionError(
-            f"queries {missing.tolist()} are not covered exactly once"
-        )
 
 
 def check_signatures(index: SubdomainIndex) -> None:
     """Every cell signature matches a recomputation from ``normals``."""
     h = index.num_hyperplanes
+    stored = index.signatures
+    if stored.shape[1] != h:
+        raise IndexCorruptionError(
+            f"cell signatures have {stored.shape[1]} columns, index has {h} hyperplanes"
+        )
     if index.queries.m == 0:
         return
     recomputed = signature_matrix(index.queries.weights, index.normals)
-    for sub in index.subdomains:
-        stored = np.frombuffer(sub.signature, dtype=np.int8)
-        if stored.shape[0] != h:
+    for sid, members in enumerate(index.cell_members()):
+        if not np.all(recomputed[members] == stored[sid][None, :]):
             raise IndexCorruptionError(
-                f"cell {sub.sid} signature has {stored.shape[0]} columns, "
-                f"index has {h} hyperplanes"
-            )
-        rows = recomputed[np.asarray(sub.query_ids, dtype=np.intp)]
-        if not np.all(rows == stored[None, :]):
-            raise IndexCorruptionError(
-                f"cell {sub.sid} signature disagrees with a recomputation "
+                f"cell {sid} signature disagrees with a recomputation "
                 "from normals for at least one member"
             )
 
 
 def check_prefixes(index: SubdomainIndex) -> None:
-    """Every cached prefix matches a brute-force representative ranking."""
+    """Every ranked prefix matches a brute-force representative ranking."""
     matrix = index.dataset.matrix
     n = index.dataset.n
-    for sub in index.subdomains:
-        if sub.prefix is None:
-            continue
-        weights, __ = index.queries.query(sub.representative)
+    for sid in np.flatnonzero(index.prefix_lengths >= 0).tolist():
+        depth = int(index.prefix_lengths[sid])
+        representative = int(index.representatives[sid])
+        if depth > n:
+            raise IndexCorruptionError(
+                f"cell {sid} prefix is deeper ({depth}) than the dataset ({n})"
+            )
+        weights, __ = index.queries.query(representative)
         scores = matrix @ weights
         # Independent tie-break derivation: lexicographic (score, id).
         order = np.lexsort((np.arange(n), scores))
-        depth = int(sub.prefix.shape[0])
-        if depth > n:
+        row = index.prefixes[sid]
+        if not np.array_equal(row[:depth], order[:depth]):
             raise IndexCorruptionError(
-                f"cell {sub.sid} prefix is deeper ({depth}) than the dataset ({n})"
+                f"cell {sid} cached prefix disagrees with a brute-force "
+                f"ranking of representative {representative}"
             )
-        if not np.array_equal(np.asarray(sub.prefix, dtype=np.intp), order[:depth]):
-            raise IndexCorruptionError(
-                f"cell {sub.sid} cached prefix disagrees with a brute-force "
-                f"ranking of representative {sub.representative}"
-            )
+        if np.any(row[depth:] != -1):
+            raise IndexCorruptionError(f"cell {sid} prefix row is not -1 past its length")
 
 
 def check_pair_consistency(index: SubdomainIndex) -> None:

@@ -5,10 +5,13 @@ the query domain into *subdomains*; within one subdomain the complete
 ranking of the objects is the same for every query point (paper §3.2).
 The index
 
-* groups the workload's query points by subdomain,
+* groups the workload's query points by subdomain, as one array per
+  fact: each query's cell id, each cell's side vector (one ``int8``
+  matrix) and each cell's representative query;
 * stores one lazily-evaluated *representative ranking prefix* per
-  subdomain (the "at most one query evaluated per subdomain" sharing
-  that Efficient Strategy Evaluation relies on),
+  subdomain, as rows of one ``-1``-padded table (the "at most one query
+  evaluated per subdomain" sharing that Efficient Strategy Evaluation
+  relies on),
 * keeps the query points in an R-tree for affected-subspace retrieval
   and kNN-based insertion (§4.3), and
 * on request (:meth:`SubdomainIndex.ensure_boundaries`), registers
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -58,7 +60,7 @@ from repro.constants import EPS_TIE
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.errors import IndexCorruptionError, ValidationError
-from repro.geometry.arrangement import group_by_signature, signature_matrix
+from repro.geometry.arrangement import group_by_signature, signature_matrix, unique_signatures
 from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
@@ -66,7 +68,6 @@ from repro.index.rtree import RTree
 
 __all__ = [
     "Contenders",
-    "Subdomain",
     "SubdomainIndex",
     "contender_mask",
     "contender_rows",
@@ -90,22 +91,6 @@ _SCORE_CHUNK = 4_000_000
 #: runs on a fuller heap than the build did, and a build-sized block
 #: there would raise the process's peak memory.
 _RANK_CHUNK = 250_000
-
-
-@dataclass
-class Subdomain:
-    """One populated cell of the intersection arrangement."""
-
-    sid: int  #: dense subdomain id
-    signature: bytes  #: side vector over the index's hyperplane columns
-    query_ids: np.ndarray  #: workload queries falling in this cell
-    representative: int  #: query id whose evaluation is shared
-    prefix: np.ndarray | None = None  #: ranking prefix (lazy)
-    boundaries: frozenset = field(default_factory=frozenset)  #: boundary column indices
-
-    @property
-    def size(self) -> int:
-        return int(self.query_ids.shape[0])
 
 
 class Contenders(NamedTuple):
@@ -330,6 +315,25 @@ class SubdomainIndex:
     object ids ``(a, b)`` with ``a < b``, and ``normals``, the ``(h, d)``
     rows ``p_a - p_b``.  Column ``c`` of every cell signature is the
     side of hyperplane ``c``.
+
+    The partition is one array per fact:
+
+    * ``subdomain_of``, ``(m,)``: each query's cell, the one membership
+      record (:meth:`cell_members` derives member lists from it);
+    * ``signatures``, ``(cells, h)`` ``int8``: each cell's side vector;
+    * ``representatives``, ``(cells,)``: the query whose ranking the
+      cell shares;
+    * ``prefixes``, ``(cells, width)``, and ``prefix_lengths``,
+      ``(cells,)``: each cell's ranking prefix as one row of a
+      ``-1``-padded table, and its length, ``-1`` for a cell never
+      ranked.
+
+    Cells are numbered as they were made: a build or a merge orders them
+    by signature bytes, a split by parent cell and then by the pattern
+    on the new columns, a cell an inserted query opens comes last, and
+    removing a cell shifts the cells after it down.  A cell's
+    representative is its lowest query id when the cell is made, and is
+    moved only when a query at or below it is removed.
     """
 
     def __init__(
@@ -378,7 +382,6 @@ class SubdomainIndex:
         self._build_rtree(rtree_max_entries)
         self._boundaries_ready = False
         self.bloom: CountingBloomFilter | None = None
-        self._prefix_table: "tuple[int, np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -392,25 +395,13 @@ class SubdomainIndex:
         # each query point").
         if self.partition_method == "literal":
             cells = find_subdomains(self.normals, self.queries.weights, method="literal")
-            groups = {
-                key: np.asarray(members, dtype=np.intp) for key, members in cells.items()
-            }
+            sides = np.empty((self.queries.m, self.num_hyperplanes), dtype=np.int8)
+            for key, members in cells.items():
+                sides[members] = np.frombuffer(key, dtype=np.int8)
         else:
-            groups = group_by_signature(signature_matrix(self.queries.weights, self.normals))
-        self.subdomains: list[Subdomain] = []
-        self.subdomain_of = np.empty(self.queries.m, dtype=np.intp)
-        for signature_key in sorted(groups):  # deterministic order
-            members = groups[signature_key]
-            sid = len(self.subdomains)
-            self.subdomains.append(
-                Subdomain(
-                    sid=sid,
-                    signature=signature_key,
-                    query_ids=members,
-                    representative=int(members[0]),
-                )
-            )
-            self.subdomain_of[members] = sid
+            sides = signature_matrix(self.queries.weights, self.normals)
+        self.signatures, self.representatives, self.subdomain_of = unique_signatures(sides)
+        self._clear_prefixes()
 
     def _build_rtree(self, max_entries: int) -> None:
         # STR bulk load packs the whole workload in one pass; the point
@@ -420,44 +411,44 @@ class SubdomainIndex:
             self.queries.dim, self.queries.weights, max_entries=max_entries
         )
 
+    def _clear_prefixes(self) -> None:
+        """Forget every cell's ranking prefix (the cells or the objects changed)."""
+        self.prefixes = np.empty((self.num_subdomains, 0), dtype=np.intp)
+        self.prefix_lengths = np.full(self.num_subdomains, -1, dtype=np.intp)
+
     def ensure_boundaries(self) -> None:
-        """Mark which hyperplane columns bound which subdomains (lazy).
+        """Register which hyperplane columns bound which subdomains (lazy).
 
         A column is a *boundary* of a cell when masking it merges the
         cell with another populated cell — i.e. the hyperplane actually
         separates two populated subdomains, which is the only case the
         merge-on-removal maintenance cares about.  Registrations go to
-        a counting bloom filter keyed ``(sid, column)`` (§4.3).  This is
-        explicit API: :mod:`repro.core.updates` never calls it, since
-        its exact collision test makes the same merge decision and every
-        mutation would force a full re-registration.
+        a counting bloom filter keyed ``(sid, column)`` (§4.3); the
+        exact answer is read off the signature matrix
+        (:meth:`_boundary_columns`) and not stored.  This is explicit
+        API: :mod:`repro.core.updates` never calls it, since its exact
+        collision test makes the same merge decision and every mutation
+        would force a full re-registration.
         """
         if self._boundaries_ready:
             return
         self._boundaries_ready = True
-        for sub in self.subdomains:
-            sub.boundaries = frozenset()
         self.bloom = CountingBloomFilter(
-            expected_items=max(64, len(self.subdomains) * max(1, self.num_hyperplanes) // 4),
+            expected_items=max(64, self.num_subdomains * max(1, self.num_hyperplanes) // 4),
             false_positive_rate=0.01,
         )
-        if not self.subdomains:
-            return
-        signatures = np.frombuffer(
-            b"".join(sub.signature for sub in self.subdomains), dtype=np.int8
-        ).reshape(len(self.subdomains), self.num_hyperplanes)
-        for col in range(self.num_hyperplanes):
-            masked = signatures.copy()
-            masked[:, col] = 0
-            seen: dict[bytes, list[int]] = {}
-            for sid, row in enumerate(masked):
-                seen.setdefault(row.tobytes(), []).append(sid)
-            for sids in seen.values():
-                if len(sids) > 1:
-                    for sid in sids:
-                        self.bloom.add((sid, col))
-                        sub = self.subdomains[sid]
-                        sub.boundaries = sub.boundaries | {col}
+        for sid in range(self.num_subdomains):
+            for col in self._boundary_columns(sid).tolist():
+                self.bloom.add((sid, col))
+
+    def _boundary_columns(self, sid: int) -> np.ndarray:
+        """The columns in which cell ``sid`` differs from some cell and nowhere else.
+
+        Masking such a column makes the two signatures collide; masking
+        any other column leaves every signature distinct.
+        """
+        differ = self.signatures != self.signatures[sid]
+        return np.flatnonzero(differ[differ.sum(axis=1) == 1].any(axis=0))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -468,14 +459,22 @@ class SubdomainIndex:
 
     @property
     def num_subdomains(self) -> int:
-        return len(self.subdomains)
+        return self.signatures.shape[0]
+
+    def cell_members(self) -> "list[np.ndarray]":
+        """Each cell's query ids, ascending: one stable argsort of ``subdomain_of``."""
+        if not self.num_subdomains:
+            return []
+        order = np.argsort(self.subdomain_of, kind="stable")
+        bounds = np.cumsum(np.bincount(self.subdomain_of, minlength=self.num_subdomains))
+        return np.split(order, bounds[:-1])
 
     def is_boundary(self, sid: int, column: int) -> bool:
         """Bloom-filter pre-check, then exact confirmation."""
         self.ensure_boundaries()
         if (sid, column) not in self.bloom:
             return False  # bloom has no false negatives
-        return column in self.subdomains[sid].boundaries
+        return column in self._boundary_columns(sid)
 
     def mark_boundaries_dirty(self) -> None:
         """Invalidate the boundary registration after a mutation."""
@@ -531,10 +530,8 @@ class SubdomainIndex:
         registered — the filter is lazy).
         """
         signature_bytes = self.num_subdomains * self.num_hyperplanes
-        prefix_bytes = sum(
-            sub.prefix.size * 8 for sub in self.subdomains if sub.prefix is not None
-        )
-        structure = len(self.subdomains) * 96 + self.queries.m * 8
+        prefix_bytes = 8 * int(np.maximum(self.prefix_lengths, 0).sum())
+        structure = self.num_subdomains * 96 + self.queries.m * 8
         bloom_bytes = self.bloom.memory_estimate() if self.bloom is not None else 0
         return (
             self.rtree.memory_estimate()
@@ -548,24 +545,13 @@ class SubdomainIndex:
     # Persistence
     # ------------------------------------------------------------------
     def _persist_payload(self) -> "tuple[dict[str, object], dict[str, np.ndarray]]":
-        """``(metadata, arrays)`` written by :meth:`save`."""
-        h = self.num_hyperplanes
-        if self.subdomains:
-            signatures = np.frombuffer(
-                b"".join(sub.signature for sub in self.subdomains), dtype=np.int8
-            ).reshape(self.num_subdomains, h)
-        else:
-            signatures = np.empty((0, h), dtype=np.int8)
-        prefixes = [sub.prefix for sub in self.subdomains]
-        prefix_lengths = np.asarray(
-            [0 if p is None else p.shape[0] for p in prefixes], dtype=np.int64
-        )
-        evaluated = [p for p in prefixes if p is not None]
-        prefix_concat = (
-            np.concatenate(evaluated).astype(np.int64)
-            if evaluated
-            else np.empty(0, dtype=np.int64)
-        )
+        """``(metadata, arrays)`` written by :meth:`save`.
+
+        On disk a cell never ranked has prefix length 0, and the ranked
+        rows of the prefix table are stored end to end.
+        """
+        lengths = np.maximum(self.prefix_lengths, 0)
+        ranked = np.arange(self.prefixes.shape[1]) < lengths[:, None]
         metadata: dict[str, object] = {
             "mode": self.mode,
             "margin": int(self.margin),
@@ -578,13 +564,11 @@ class SubdomainIndex:
         arrays: dict[str, np.ndarray] = {
             "pairs": np.asarray(self.pairs, dtype=np.int64),
             "normals": np.asarray(self.normals, dtype=float),
-            "signatures": signatures,
-            "subdomain_of": self.subdomain_of.astype(np.int64),
-            "representatives": np.asarray(
-                [sub.representative for sub in self.subdomains], dtype=np.int64
-            ),
-            "prefix_lengths": prefix_lengths,
-            "prefix_concat": prefix_concat,
+            "signatures": np.asarray(self.signatures, dtype=np.int8),
+            "subdomain_of": np.asarray(self.subdomain_of, dtype=np.int64),
+            "representatives": np.asarray(self.representatives, dtype=np.int64),
+            "prefix_lengths": lengths.astype(np.int64),
+            "prefix_concat": self.prefixes[ranked].astype(np.int64),
         }
         return metadata, arrays
 
@@ -670,11 +654,13 @@ class SubdomainIndex:
         The R-tree is rebuilt by bulk load; boundary registration stays
         lazy exactly as after a fresh construction.
 
-        The heavy matrices stay read-only memory maps (O(1) open,
-        page-cache shared across forked workers); only
-        ``subdomain_of``, which the update paths write in place, is
-        copied.  Every other mutation rebinds, so the files on disk can
-        never be modified through a loaded index.
+        Every array stays a read-only memory map (O(1) open, page-cache
+        shared across forked workers), the signature matrix included;
+        only the ranking prefixes are unpacked into their padded table.
+        The update paths rebind the arrays they change, so the files on
+        disk can never be modified through a loaded index.  Arrays that
+        disagree with each other (see :meth:`validate`) raise
+        :class:`~repro.errors.IndexCorruptionError`.
         """
         path = Path(path)
         if not path.exists():
@@ -700,20 +686,7 @@ class SubdomainIndex:
                 raise IndexCorruptionError(
                     f"saved index {path} is missing required field {key!r}"
                 )
-        return cls._restore(
-            dataset,
-            queries,
-            metadata,
-            normals=np.asarray(arrays["normals"], dtype=float),
-            signatures=np.asarray(arrays["signatures"], dtype=np.int8),
-            pairs=np.asarray(arrays["pairs"], dtype=np.intp),
-            # The one array the update paths write in place (cell-merge
-            # renumbering) — everything else stays a read-only map.
-            subdomain_of=np.array(arrays["subdomain_of"], dtype=np.intp),
-            representatives=np.asarray(arrays["representatives"], dtype=np.intp),
-            prefix_lengths=np.asarray(arrays["prefix_lengths"], dtype=np.intp),
-            prefix_concat=np.asarray(arrays["prefix_concat"], dtype=np.intp),
-        )
+        return cls._restore(dataset, queries, metadata, arrays)
 
     @classmethod
     def _restore(
@@ -721,14 +694,7 @@ class SubdomainIndex:
         dataset: Dataset,
         queries: QuerySet,
         metadata: "dict[str, object]",
-        *,
-        normals: np.ndarray,
-        signatures: np.ndarray,
-        pairs: np.ndarray,
-        subdomain_of: np.ndarray,
-        representatives: np.ndarray,
-        prefix_lengths: np.ndarray,
-        prefix_concat: np.ndarray,
+        arrays: "dict[str, np.ndarray]",
     ) -> "SubdomainIndex":
         """Rebuild an index object from validated persisted state."""
         mode = str(metadata["mode"])
@@ -746,38 +712,20 @@ class SubdomainIndex:
         index.representative_evaluations = 0
         index._mutation_hooks = []
         index._epoch = epoch
-        index.pairs = pairs
-        index.normals = normals
-        index.subdomain_of = subdomain_of
-        num_subdomains = signatures.shape[0]
-        # Stable argsort of the per-query subdomain ids reconstructs
-        # each cell's ascending member list without re-partitioning.
-        order = np.argsort(subdomain_of, kind="stable").astype(np.intp)
-        counts = np.bincount(subdomain_of, minlength=num_subdomains)
-        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        prefix_starts = np.concatenate([[0], np.cumsum(prefix_lengths)]).astype(np.intp)
-        index.subdomains = []
-        for sid in range(num_subdomains):
-            length = int(prefix_lengths[sid]) if sid < prefix_lengths.shape[0] else 0
-            prefix = (
-                prefix_concat[prefix_starts[sid] : prefix_starts[sid] + length]
-                if length
-                else None
-            )
-            index.subdomains.append(
-                Subdomain(
-                    sid=sid,
-                    signature=signatures[sid].tobytes(),
-                    query_ids=order[bounds[sid] : bounds[sid + 1]],
-                    representative=int(representatives[sid]),
-                    prefix=prefix,
-                )
-            )
+        # The maps read_mmap_index opened; only the prefixes are unpacked.
+        index.pairs = np.asarray(arrays["pairs"], dtype=np.intp)
+        index.normals = np.asarray(arrays["normals"], dtype=float)
+        index.signatures = np.asarray(arrays["signatures"], dtype=np.int8)
+        index.subdomain_of = np.asarray(arrays["subdomain_of"], dtype=np.intp)
+        index.representatives = np.asarray(arrays["representatives"], dtype=np.intp)
+        index.prefixes, index.prefix_lengths = _unpack_prefixes(
+            np.asarray(arrays["prefix_lengths"], dtype=np.intp),
+            np.asarray(arrays["prefix_concat"], dtype=np.intp),
+        )
         index._rtree_max_entries = max_entries
         index._build_rtree(max_entries)
         index._boundaries_ready = False
         index.bloom = None
-        index._prefix_table = None
         index._contenders = None
         index.validate()
         return index
@@ -811,40 +759,48 @@ class SubdomainIndex:
         Evaluated lazily from the cell's representative query — the "at
         most one query evaluated per subdomain" rule of ESE.
         """
-        sub = self.subdomains[sid]
-        depth = int(self._trusted_depth(int(self.queries.ks[sub.query_ids].max())))
-        if sub.prefix is None or sub.prefix.shape[0] < depth:
+        max_k = int(self.queries.ks[self.subdomain_of == sid].max())
+        depth = int(self._trusted_depth(max_k))
+        if self.prefix_lengths[sid] < depth:
             self._rank_cells(np.array([sid]), np.array([depth]))
-        return sub.prefix
+        return self.prefixes[sid, : self.prefix_lengths[sid]]
 
     def _rank_cells(self, sids: np.ndarray, depths: np.ndarray) -> None:
-        """Rank the representatives of cells ``sids`` and cache their prefixes.
+        """Rank the representatives of cells ``sids`` into their prefix rows.
 
-        The one scoring routine behind :meth:`prefix` and the prefix
-        table.  Each representative is scored by its own gemv
-        (``matmul(matrix, weights[rep])``), so a prefix never depends on
-        which cells were ranked with it.  A row whose cut falls inside a
-        run of equal scores is re-ranked by a stable argsort, so ties go
-        to the lower id at every depth.
+        The one scoring routine behind :meth:`prefix` and
+        :meth:`_prefix_rows`; it writes the rows of the prefix table in
+        place, widening the table when a depth exceeds it.  Each
+        representative is scored by its own gemv (``matmul(matrix,
+        weights[rep])``), so a prefix never depends on which cells were
+        ranked with it.  A row whose cut falls inside a run of equal
+        scores is re-ranked by a stable argsort, so ties go to the lower
+        id at every depth.
         """
         matrix = self.dataset.matrix
         weights = self.queries.weights
         n = matrix.shape[0]
         width = int(depths.max(initial=0))
+        if width > self.prefixes.shape[1]:
+            extra = width - self.prefixes.shape[1]
+            self.prefixes = np.pad(self.prefixes, ((0, 0), (0, extra)), constant_values=-1)
+        columns = np.arange(self.prefixes.shape[1])
         chunk = max(1, _RANK_CHUNK // max(1, n))
         for start in range(0, sids.shape[0], chunk):
             cells = sids[start : start + chunk]
+            depth = depths[start : start + chunk]
             block = np.empty((cells.shape[0], n))
-            for row, sid in zip(block, cells):
-                np.matmul(matrix, weights[self.subdomains[sid].representative], out=row)
-            if not width:
-                ranked = block[:, :0].astype(np.intp)
-            else:
+            for row, representative in zip(block, self.representatives[cells]):
+                np.matmul(matrix, weights[representative], out=row)
+            rows = np.full((cells.shape[0], columns.shape[0]), -1, dtype=np.intp)
+            if width:
                 ranked, tied = _rank_block(block, width, np.full(cells.shape[0], width))
                 for i in np.flatnonzero(tied):
                     ranked[i] = np.argsort(block[i], kind="stable")[:width]
-            for sid, row, depth in zip(cells, ranked, depths[start : start + chunk]):
-                self.subdomains[sid].prefix = row[:depth].copy()
+                rows[:, :width] = ranked
+            rows[columns >= depth[:, None]] = -1
+            self.prefixes[cells] = rows
+            self.prefix_lengths[cells] = depth
         self.representative_evaluations += int(sids.shape[0])
 
     def kth_other(self, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -857,11 +813,10 @@ class SubdomainIndex:
         ``j`` iff its score is below ``theta[j]`` (ties by id).
 
         Every query reads its threshold out of its cell's shared prefix
-        in one gather over a table of all prefixes, which is rebuilt only
-        after a mutation.  A prefix holds at least ``min(n, k + 1)``
-        objects for every member query, so a query whose threshold lies
-        past its cell's prefix has fewer than ``k`` other objects to
-        rank, and keeps ``+inf``.
+        in one gather over the prefix table.  A prefix holds at least
+        ``min(n, k + 1)`` objects for every member query, so a query
+        whose threshold lies past its cell's prefix has fewer than ``k``
+        other objects to rank, and keeps ``+inf``.
         """
         self.dataset._check_id(target)
         m = self.queries.m
@@ -888,34 +843,19 @@ class SubdomainIndex:
         return kth_ids, theta
 
     def _prefix_rows(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Every cell's :meth:`prefix` as one ``-1``-padded table, plus lengths.
+        """The prefix table and its lengths, every cell ranked deep enough.
 
-        Derived state for :meth:`kth_other`: built once per mutation
-        epoch and never persisted.  Only the cells whose cached prefix
+        What :meth:`kth_other` reads.  Per-cell depths come from one
+        ``np.maximum.at`` over the queries; only the cells whose prefix
         is missing or shorter than their depth are ranked, in one batch.
         """
-        cached = self._prefix_table
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1], cached[2]
-        subdomains = self.subdomains
-        depths = np.zeros(len(subdomains), dtype=np.intp)
+        depths = np.zeros(self.num_subdomains, dtype=np.intp)
         np.maximum.at(depths, self.subdomain_of, self.queries.ks)
         depths = self._trusted_depth(depths)
-        have = np.fromiter(  # -1: never ranked, so stale even at depth 0
-            (-1 if sub.prefix is None else sub.prefix.shape[0] for sub in subdomains),
-            dtype=np.intp,
-            count=len(subdomains),
-        )
-        stale = np.flatnonzero(have < depths)
+        stale = np.flatnonzero(self.prefix_lengths < depths)  # -1: never ranked
         if stale.size:
             self._rank_cells(stale, depths[stale])
-        lengths = np.maximum(have, depths)
-        table = np.full((len(subdomains), int(lengths.max(initial=0))), -1, dtype=np.intp)
-        if subdomains:
-            filled = np.arange(table.shape[1]) < lengths[:, None]
-            table[filled] = np.concatenate([sub.prefix for sub in subdomains])
-        self._prefix_table = (self._epoch, table, lengths)
-        return table, lengths
+        return self.prefixes, self.prefix_lengths
 
     def hits_mask(self, target: int) -> np.ndarray:
         """Boolean mask over queries currently hit by ``target``."""
@@ -928,17 +868,80 @@ class SubdomainIndex:
         return int(self.hits_mask(target).sum())
 
     def validate(self) -> None:
-        """Check partition invariants (used by tests and after updates)."""
-        seen = np.zeros(self.queries.m, dtype=int)
-        for sub in self.subdomains:
-            seen[sub.query_ids] += 1
-            if not np.all(self.subdomain_of[sub.query_ids] == sub.sid):
-                raise ValidationError("subdomain_of disagrees with membership lists")
-        if not np.all(seen == 1):
-            raise ValidationError("subdomains do not partition the workload")
+        """Check that the partition's arrays agree, then the R-tree.
+
+        The arrays must have matching shapes; every query must name a
+        cell in ``[0, cells)`` and no cell may be empty; each
+        representative must lie in its own cell; pair ids must lie in
+        ``[0, n)`` with ``a < b``; and ranked prefixes must name objects
+        in ``[0, n)``.  This is O(m + cells + h + prefix) and reads no
+        signature value (the :mod:`repro.check` oracles recompute
+        those).  A disagreement raises
+        :class:`~repro.errors.IndexCorruptionError`; an R-tree that
+        disagrees with the workload raises
+        :class:`~repro.errors.ValidationError`.
+        """
+        m, n = self.queries.m, self.dataset.n
+        h = self.normals.shape[0] if self.normals.ndim == 2 else -1
+        cells = self.signatures.shape[0] if self.signatures.ndim == 2 else -1
+        for name, shape in (
+            ("signatures", (cells, h)),
+            ("pairs", (h, 2)),
+            ("normals", (h, self.dataset.dim)),
+            ("subdomain_of", (m,)),
+            ("representatives", (cells,)),
+            ("prefix_lengths", (cells,)),
+        ):
+            if getattr(self, name).shape != shape:
+                raise IndexCorruptionError(
+                    f"{name} has shape {getattr(self, name).shape}, expected {shape}"
+                )
+        of = self.subdomain_of
+        if m and not (0 <= of.min() and of.max() < cells):
+            raise IndexCorruptionError(f"subdomain_of names a cell outside [0, {cells})")
+        empty = np.flatnonzero(np.bincount(of, minlength=cells) == 0)
+        if empty.size:
+            raise IndexCorruptionError(f"cell {empty[0]} has no member query")
+        reps = self.representatives
+        if cells and not (0 <= reps.min() and reps.max() < m):
+            raise IndexCorruptionError(f"a representative lies outside [0, {m})")
+        strays = np.flatnonzero(of[reps] != np.arange(cells))
+        if strays.size:
+            raise IndexCorruptionError(
+                f"representative {reps[strays[0]]} of cell {strays[0]} lies in another cell"
+            )
+        pairs = self.pairs
+        if h and not ((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < n)).all():
+            raise IndexCorruptionError(f"a hyperplane pair is not (a, b) with 0 <= a < b < {n}")
+        ranked = self.prefixes[np.arange(self.prefixes.shape[1]) < self.prefix_lengths[:, None]]
+        if ranked.size and not (0 <= ranked.min() and ranked.max() < n):
+            raise IndexCorruptionError(f"a ranking prefix names an object outside [0, {n})")
         self.rtree.validate()
-        if len(self.rtree) != self.queries.m:
+        if len(self.rtree) != m:
             raise ValidationError("R-tree size disagrees with workload size")
+
+
+def _unpack_prefixes(
+    lengths: np.ndarray, concat: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Saved ``(prefix_lengths, prefix_concat)`` as the ``-1``-padded table and its lengths.
+
+    On disk a cell never ranked has length 0, and the ranked prefixes
+    lie end to end; in memory such a cell's length is ``-1``.
+    """
+    if (
+        lengths.ndim != 1
+        or concat.ndim != 1
+        or (lengths < 0).any()
+        or int(lengths.sum()) != concat.shape[0]
+    ):
+        raise IndexCorruptionError(
+            "saved prefix_lengths are negative or do not sum to prefix_concat's length"
+        )
+    lengths = np.where(lengths > 0, lengths, -1)
+    table = np.full((lengths.shape[0], int(lengths.max(initial=0))), -1, dtype=np.intp)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = concat
+    return table, lengths
 
 
 #: Scores within this relative band count as tied (resolved by object

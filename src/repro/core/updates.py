@@ -8,12 +8,13 @@ Four operations, mirroring the paper:
   comparison; the scan over every cell runs only when no candidate
   matches.
 * **remove_query** — delete from the R-tree (renumbering the payloads
-  above it in place) and from its subdomain; empty subdomains are
-  discarded, and one stable argsort rebuilds every cell's member list.
+  above it in place) and from its subdomain; an emptied subdomain is
+  discarded, and the cells after it shift down.
 * **add_object** — create the intersections of the new function with
   every existing one and split the subdomains that the new hyperplanes
-  cut through.  New hyperplanes can only *split* cells, so the work is
-  per-cell: classify each cell's members on the new columns only.
+  cut through.  New hyperplanes can only *split* cells, so each query
+  is classified on the new columns only, and the parts of each cell
+  are its members grouped by that pattern.
   Representative rankings are invalidated (the new object may appear
   anywhere in them).
 * **remove_object** — drop every intersection involving the object.
@@ -25,9 +26,15 @@ Four operations, mirroring the paper:
   could only pre-empt the same decision, and registering every boundary
   again after each mutation costs far more than the test.
 
-The index stores one signature per populated cell (not per query), so
-all maintenance works on cell signatures; per-query side vectors are
-recomputed from the workload weights only where needed.
+The index stores one signature per populated cell (not per query), as
+rows of one matrix next to each query's cell id and each cell's
+representative and prefix row (see
+:class:`~repro.core.subdomain.SubdomainIndex`).  Every update edits
+those arrays directly: a new cell is one appended row, a discarded cell
+one deleted row, and a split or a merge regroups the cells in one
+grouping pass.  Per-query side vectors are recomputed from the workload
+weights only where needed.  A query update that adds or removes a cell
+copies the signature matrix once.
 
 In relevant mode the index keeps every query's top-``(k + margin)`` row
 (:class:`~repro.core.subdomain.Contenders`), and each update edits only
@@ -51,14 +58,13 @@ import numpy as np
 
 from repro.core.subdomain import (
     Contenders,
-    Subdomain,
     SubdomainIndex,
     contender_mask,
     contender_rows,
     hyperplanes,
 )
 from repro.errors import ValidationError
-from repro.geometry.arrangement import signature_matrix
+from repro.geometry.arrangement import signature_matrix, unique_signatures
 
 __all__ = ["add_query", "remove_query", "add_object", "remove_object"]
 
@@ -77,11 +83,7 @@ def add_query(index: SubdomainIndex, weights: np.ndarray, k: int) -> int:
     signature_row = signature_matrix(weights[None, :], index.normals)[0]
     sid = _locate_with_knn_candidates(index, weights, signature_row)
     if sid is None:
-        sid = _classify_full(index, signature_row)
-    sub = index.subdomains[sid]
-    sub.query_ids = np.append(sub.query_ids, query_id)
-    if sub.representative < 0:
-        sub.representative = query_id  # freshly created cell
+        sid = _classify_full(index, signature_row, query_id)
     index.subdomain_of = np.append(index.subdomain_of, sid)
     # A new query can pull objects into the contender set that the
     # relevant-mode arrangement has never seen; close over them so the
@@ -111,26 +113,32 @@ def _locate_with_knn_candidates(
         if neighbour >= index.subdomain_of.shape[0]:
             continue  # the freshly inserted point itself
         sid = int(index.subdomain_of[neighbour])
-        if index.subdomains[sid].signature == key:
+        if index.signatures[sid].tobytes() == key:
             return sid
     return None
 
 
-def _classify_full(index: SubdomainIndex, signature_row: np.ndarray) -> int:
-    key = signature_row.tobytes()
-    for sub in index.subdomains:
-        if sub.signature == key:
-            return sub.sid
-    sid = len(index.subdomains)
-    index.subdomains.append(
-        Subdomain(
-            sid=sid,
-            signature=key,
-            query_ids=np.empty(0, dtype=np.intp),
-            representative=-1,  # patched by the caller appending the query
-        )
+def _classify_full(index: SubdomainIndex, signature_row: np.ndarray, query_id: int) -> int:
+    """The cell whose signature is ``signature_row``, by one compare over every cell.
+
+    When no cell matches, the query opens a new last cell and represents it.
+    """
+    cells, h = index.signatures.shape
+    if h == 0:
+        found = np.arange(min(cells, 1))  # every cell has the empty signature
+    else:
+        void = np.dtype((np.void, h))
+        rows = np.ascontiguousarray(index.signatures).view(void).reshape(cells)
+        found = np.flatnonzero(rows == signature_row.view(void)[0])
+    if found.size:
+        return int(found[0])
+    index.signatures = np.vstack((index.signatures, signature_row))
+    index.representatives = np.append(index.representatives, query_id)
+    index.prefixes = np.vstack(
+        (index.prefixes, np.full((1, index.prefixes.shape[1]), -1, dtype=np.intp))
     )
-    return sid
+    index.prefix_lengths = np.append(index.prefix_lengths, -1)  # never ranked
+    return cells
 
 
 def remove_query(index: SubdomainIndex, query_id: int) -> None:
@@ -143,22 +151,21 @@ def remove_query(index: SubdomainIndex, query_id: int) -> None:
 
     sid = int(index.subdomain_of[query_id])
     subdomain_of = np.delete(index.subdomain_of, query_id)
-    if index.subdomains[sid].size == 1:
-        del index.subdomains[sid]  # Algorithm 1 keeps only populated subdomains
+    representatives = index.representatives
+    if not (subdomain_of == sid).any():
+        # Algorithm 1 keeps only populated subdomains.
         subdomain_of -= subdomain_of > sid
+        index.signatures = np.delete(index.signatures, sid, axis=0)
+        index.prefixes = np.delete(index.prefixes, sid, axis=0)
+        index.prefix_lengths = np.delete(index.prefix_lengths, sid)
+        representatives = np.delete(representatives, sid)
     index.subdomain_of = subdomain_of
-    # One stable argsort rebuilds every cell's ascending member list.
-    order = np.argsort(subdomain_of, kind="stable")
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(subdomain_of, minlength=index.num_subdomains)))
+    # A representative at or above the removed id moves to its cell's
+    # lowest member.  The cached prefix is still valid: any member is an
+    # equally good representative within the same subdomain.
+    index.representatives = np.where(
+        representatives >= query_id, _lowest_members(index), representatives
     )
-    for new_sid, sub in enumerate(index.subdomains):
-        sub.sid = new_sid
-        sub.query_ids = order[bounds[new_sid] : bounds[new_sid + 1]]
-        if sub.representative >= query_id:
-            # The cached prefix is still valid: any member is an equally
-            # good representative within the same subdomain.
-            sub.representative = int(sub.query_ids[0])
     if index._contenders is not None:
         rows, tied, closed = index._contenders
         _keep_contenders(
@@ -168,8 +175,17 @@ def remove_query(index: SubdomainIndex, query_id: int) -> None:
     index.notify_mutation()
 
 
+def _lowest_members(index: SubdomainIndex) -> np.ndarray:
+    """Each cell's lowest query id."""
+    m = index.subdomain_of.shape[0]
+    lowest = np.full(index.num_subdomains, m, dtype=np.intp)
+    np.minimum.at(lowest, index.subdomain_of, np.arange(m))
+    return lowest
+
+
 def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
     """Insert an object; its function's intersections split subdomains."""
+    attributes = np.asarray(attributes, dtype=float)
     new_dataset, object_id = index.dataset.with_object(attributes)
     relevant = _derive_contenders(index)
     index.dataset = new_dataset
@@ -189,7 +205,7 @@ def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
         # partition went stale.
         _insert_into_contender_rows(index, object_id)
         _close_over_new_contenders(index)
-    _invalidate_prefixes(index)  # the new object changes every ranking
+    index._clear_prefixes()  # the new object changes every ranking
     index.mark_boundaries_dirty()
     index.notify_mutation()
     return object_id
@@ -343,26 +359,23 @@ def _close_over_new_contenders(index: SubdomainIndex) -> None:
 
 
 def _split_cells_on_new_columns(index: SubdomainIndex, new_normals: np.ndarray) -> None:
-    """New hyperplanes only split cells: reclassify members per cell."""
-    weights = index.queries.weights
-    survivors: list[Subdomain] = []
-    for sub in index.subdomains:
-        member_rows = signature_matrix(weights[sub.query_ids], new_normals)
-        patterns: dict[bytes, list[int]] = {}
-        for local, row in enumerate(member_rows):
-            patterns.setdefault(row.tobytes(), []).append(local)
-        for pattern_key in sorted(patterns):
-            locals_ = patterns[pattern_key]
-            members = sub.query_ids[np.asarray(locals_, dtype=np.intp)]
-            survivors.append(
-                Subdomain(
-                    sid=-1,  # renumbered below
-                    signature=sub.signature + pattern_key,
-                    query_ids=members,
-                    representative=int(members[0]),
-                )
-            )
-    _renumber(index, survivors)
+    """New hyperplanes only split cells: regroup the queries by cell and new pattern.
+
+    One grouping pass orders the parts by parent cell, then by the bytes
+    of their pattern on the new columns; each part's lowest query
+    represents it.
+    """
+    patterns = signature_matrix(index.queries.weights, new_normals)
+    __, __, pattern_of = unique_signatures(patterns)
+    keys = index.subdomain_of * (int(pattern_of.max(initial=0)) + 1) + pattern_of
+    __, first, cell_of = np.unique(keys, return_index=True, return_inverse=True)
+    kept = index.signatures
+    if first.shape[0] > index.num_subdomains:  # some cell split: repeat its row
+        kept = kept[index.subdomain_of[first]]
+    index.signatures = np.hstack((kept, patterns[first]))
+    index.subdomain_of = cell_of
+    index.representatives = first
+    index._clear_prefixes()
 
 
 def remove_object(index: SubdomainIndex, object_id: int) -> None:
@@ -376,20 +389,12 @@ def remove_object(index: SubdomainIndex, object_id: int) -> None:
     index.pairs = kept - (kept > object_id)
     index.normals = index.normals[keep]
 
-    reduced: dict[int, bytes] = {}
-    for sub in index.subdomains:
-        cell_signature = np.frombuffer(sub.signature, dtype=np.int8)
-        reduced[sub.sid] = cell_signature[keep].tobytes()
-
     # The exact collision test decides the merge on its own.  A dropped
     # column that bounds a cell separates it from a cell differing only
     # there, so the two collide; cells differing only in several dropped
     # columns collide too, and cells differing elsewhere never do.
-    if len(set(reduced.values())) != len(index.subdomains):
-        _merge_cells(index, reduced)  # above/below merge of §4.3
-    else:
-        for sub in index.subdomains:
-            sub.signature = reduced[sub.sid]
+    # np.take keeps the rows contiguous, where signatures[:, keep] would not.
+    _merge_cells(index, np.take(index.signatures, keep, axis=1))
     # Removing a top-ranked object promotes objects from below the
     # margin depth into the contender set; close over their pairs so
     # relevant-mode cells keep constant rankings at trusted depths.
@@ -397,38 +402,21 @@ def remove_object(index: SubdomainIndex, object_id: int) -> None:
         _drop_from_contender_rows(index, object_id)
         _close_over_new_contenders(index)
     index.mark_boundaries_dirty()
-    _invalidate_prefixes(index)
+    index._clear_prefixes()
     index.notify_mutation()
 
 
-def _merge_cells(index: SubdomainIndex, reduced: dict[int, bytes]) -> None:
-    """Merge cells whose signatures collide after dropping columns."""
-    groups: dict[bytes, list[Subdomain]] = {}
-    for sub in index.subdomains:
-        groups.setdefault(reduced[sub.sid], []).append(sub)
-    survivors: list[Subdomain] = []
-    for signature_key in sorted(groups):
-        cells = groups[signature_key]
-        members = np.sort(np.concatenate([c.query_ids for c in cells]))
-        survivors.append(
-            Subdomain(
-                sid=-1,  # renumbered below
-                signature=signature_key,
-                query_ids=members,
-                representative=int(members[0]),
-            )
-        )
-    _renumber(index, survivors)
+def _merge_cells(index: SubdomainIndex, reduced: np.ndarray) -> None:
+    """Merge the cells whose signatures collide after dropping columns.
 
-
-def _renumber(index: SubdomainIndex, survivors: list[Subdomain]) -> None:
-    index.subdomains = []
-    for sid, sub in enumerate(survivors):
-        sub.sid = sid
-        index.subdomains.append(sub)
-        index.subdomain_of[sub.query_ids] = sid
-
-
-def _invalidate_prefixes(index: SubdomainIndex) -> None:
-    for sub in index.subdomains:
-        sub.prefix = None
+    Merged cells are ordered by signature bytes, and each one's lowest
+    query represents it (the above/below merge of §4.3); when no two
+    signatures collide, the cells keep their order.
+    """
+    merged, __, cell_of = unique_signatures(reduced)
+    if merged.shape[0] == index.num_subdomains:
+        index.signatures = reduced
+        return
+    index.signatures = merged
+    index.subdomain_of = cell_of[index.subdomain_of]
+    index.representatives = _lowest_members(index)

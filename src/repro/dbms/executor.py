@@ -7,7 +7,8 @@ IMPROVE) are delegated to :mod:`repro.dbms.improve`.
 
 Expression evaluation uses SQL-ish three-valued-light semantics: an
 ordering comparison (``<``, ``>``, ``<=``, ``>=``) with NULL is false,
-``=`` and ``<>`` compare NULL as a value, arithmetic with NULL raises.
+``=`` and ``<>`` compare NULL as a value, arithmetic with NULL raises,
+and ORDER BY puts NULL after every value (first under DESC).
 A pseudo column ``rowid`` (insertion order, 0-based) is always
 available, which is how IMPROVE targets are usually selected.  Each
 statement compiles its expressions once (:func:`_compile`) and runs the
@@ -145,14 +146,18 @@ class Database:
             column, ascending = stmt.order_by
             key_idx = self._output_index(table, column)
             paired = list(zip(rows, row_ids))
-            paired.sort(
-                key=lambda pair: (
-                    pair[0][indices.index(key_idx)]
-                    if key_idx in indices
-                    else (pair[1] if key_idx < 0 else table.rows[pair[1]][key_idx])
-                ),
-                reverse=not ascending,
-            )
+
+            def key(pair: tuple) -> tuple:
+                row, row_id = pair
+                if key_idx in indices:
+                    value = row[indices.index(key_idx)]
+                else:
+                    value = row_id if key_idx < 0 else table.rows[row_id][key_idx]
+                # NULL after every value: last under ASC, first under DESC,
+                # as in PostgreSQL.  The sort is stable either way.
+                return (value is None, value)
+
+            paired.sort(key=key, reverse=not ascending)
             rows = [row for row, __ in paired]
         if stmt.limit is not None:
             rows = rows[: stmt.limit]

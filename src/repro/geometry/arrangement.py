@@ -20,6 +20,7 @@ from repro.geometry.hyperplane import EPS
 
 __all__ = [
     "signature_matrix",
+    "unique_signatures",
     "group_by_signature",
     "cells_touched",
     "max_cells_bound",
@@ -55,13 +56,13 @@ def signature_matrix(points: np.ndarray, normals: np.ndarray, tol: float = EPS) 
     return np.where(values <= tol, np.int8(1), np.int8(-1))
 
 
-def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:
-    """Group row indices by identical signature rows.
+def unique_signatures(signatures: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The distinct signature rows in byte order: ``(cells, first, group)``.
 
-    Returns a dict mapping the signature's byte representation to the
-    ascending array of row indices sharing it, keys in byte order.  The
-    byte key is stable and hashable, which is what the subdomain index
-    stores.
+    ``cells`` is the ``(c, h)`` ``int8`` matrix of distinct rows, ordered
+    as their bytes compare; ``first[g]`` is the lowest row index holding
+    ``cells[g]`` and ``group[i]`` the index of row ``i``'s cell.  Zero
+    columns make one (empty) cell of every row.
 
     Each row is viewed as one opaque ``h``-byte item, so a single 1-D
     ``np.unique`` groups them; a structured ``np.unique(axis=0)`` pays a
@@ -69,16 +70,25 @@ def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:
     """
     signatures = np.ascontiguousarray(np.atleast_2d(np.asarray(signatures, dtype=np.int8)))
     m, h = signatures.shape
-    if m == 0:
-        return {}
-    if h == 0:
-        # Zero hyperplanes: every point shares the one (empty) signature.
-        return {b"": np.arange(m, dtype=np.intp)}
+    if m == 0 or h == 0:
+        count = min(m, 1)
+        return signatures[:count], np.zeros(count, dtype=np.intp), np.zeros(m, dtype=np.intp)
     rows = signatures.view(np.dtype((np.void, h))).reshape(m)
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")  # members stay ascending
-    bounds = np.append(np.searchsorted(inverse[order], np.arange(uniq.shape[0])), m)
-    return {uniq[g].tobytes(): order[bounds[g] : bounds[g + 1]] for g in range(uniq.shape[0])}
+    uniq, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return uniq.view(np.int8).reshape(-1, h), first, group
+
+
+def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:
+    """Group row indices by identical signature rows.
+
+    Returns a dict mapping the signature's byte representation to the
+    ascending array of row indices sharing it, keys in byte order (see
+    :func:`unique_signatures`).
+    """
+    cells, __, group = unique_signatures(signatures)
+    order = np.argsort(group, kind="stable")  # members stay ascending
+    bounds = np.cumsum(np.bincount(group, minlength=cells.shape[0]))[:-1]
+    return {cell.tobytes(): members for cell, members in zip(cells, np.split(order, bounds))}
 
 
 def cells_touched(points: np.ndarray, normals: np.ndarray) -> int:

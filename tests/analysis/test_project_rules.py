@@ -222,23 +222,24 @@ class TestEpochDiscipline:
         assert lint_source(tmp_path, source, select=frozenset({"RPR010"})) == []
 
     def test_triggers_on_cell_state_rebinding(self, tmp_path):
-        # The per-epoch prefix table is built from these; a silent write
-        # would leave kth_other answering from the old cells.
+        # kth_other reads these; a silent write would leave it answering
+        # from the old cells.
         source = """\
-        def regroup(index, cells, owners, sub, members, ranking):
-            index.subdomains = cells
+        def regroup(index, cells, owners, chosen, ranking, lengths):
+            index.signatures = cells
             index.subdomain_of = owners
-            sub.query_ids = members
-            sub.prefix = ranking
+            index.representatives = chosen
+            index.prefixes = ranking
+            index.prefix_lengths = lengths
         """
         findings = lint_source(tmp_path, source, select=frozenset({"RPR010"}))
         assert codes(findings) == ["RPR010"]
-        assert len(findings) == 4
+        assert len(findings) == 5
 
     def test_noqa_suppresses_cell_state_rebinding(self, tmp_path):
         source = """\
-        def corrupt(sub, ranking):
-            sub.prefix = ranking  # repro: noqa[RPR010]
+        def corrupt(index, ranking):
+            index.prefixes = ranking  # repro: noqa[RPR010]
         """
         assert lint_source(tmp_path, source, select=frozenset({"RPR010"})) == []
 

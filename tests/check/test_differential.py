@@ -58,8 +58,8 @@ class TestCheckScenario:
         )
         index = replay(scenario)
         fresh = SubdomainIndex(index.dataset, index.queries, mode="relevant")
-        for sub in index.subdomains:
-            sids = np.unique(fresh.subdomain_of[np.asarray(sub.query_ids)])
+        for members in index.cell_members():
+            sids = np.unique(fresh.subdomain_of[members])
             assert sids.shape[0] == 1  # every maintained cell inside one fresh cell
 
 

@@ -43,39 +43,41 @@ class TestCorruptionDetected:
         with pytest.raises(IndexCorruptionError):
             check_partition_cover(index)
 
-    def test_duplicated_query_membership(self, rng):
+    def test_empty_cell(self, rng):
+        # Every member of cell 1 moved to cell 0: cell 1 is left empty.
         index = build(rng)
-        sub = index.subdomains[0]
-        sub.query_ids = np.concatenate([sub.query_ids, sub.query_ids[:1]])
-        with pytest.raises(IndexCorruptionError):
+        assert index.num_subdomains > 1
+        index.subdomain_of[index.subdomain_of == 1] = 0
+        with pytest.raises(IndexCorruptionError, match="subdomain 1 is empty"):
             check_partition_cover(index)
 
     def test_foreign_representative(self, rng):
         index = build(rng)
-        victim = next(s for s in index.subdomains if s.size < index.queries.m)
-        outsider = next(
-            j for j in range(index.queries.m) if j not in victim.query_ids
+        victim = next(
+            sid
+            for sid, members in enumerate(index.cell_members())
+            if members.size < index.queries.m
         )
-        victim.representative = outsider
+        outsider = next(
+            j for j in range(index.queries.m) if index.subdomain_of[j] != victim
+        )
+        index.representatives[victim] = outsider
         with pytest.raises(IndexCorruptionError):
             check_partition_cover(index)
 
     def test_tampered_signature_byte(self, rng):
         index = build(rng)
-        victim = next(s for s in index.subdomains if len(s.signature) > 0)
-        raw = bytearray(victim.signature)
-        raw[0] = 1 if raw[0] != 1 else 255  # flip one side entry
-        victim.signature = bytes(raw)
+        assert index.num_hyperplanes > 0
+        index.signatures[0, 0] = -index.signatures[0, 0]  # flip one side entry
         with pytest.raises(IndexCorruptionError):
             check_signatures(index)
 
     def test_swapped_prefix_entries(self, rng):
         index = build(rng)
         index.hits_mask(0)  # materialise prefixes
-        victim = next(
-            s for s in index.subdomains if s.prefix is not None and s.prefix.size >= 2
-        )
-        victim.prefix = victim.prefix[::-1].copy()
+        victim = int(np.flatnonzero(index.prefix_lengths >= 2)[0])
+        length = index.prefix_lengths[victim]
+        index.prefixes[victim, :length] = index.prefixes[victim, :length][::-1].copy()
         with pytest.raises(IndexCorruptionError):
             check_prefixes(index)
 

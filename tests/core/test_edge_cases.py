@@ -120,11 +120,10 @@ class TestFailureInjection:
         index = SubdomainIndex(
             Dataset(rng.random((5, 2))), QuerySet(rng.random((10, 2)), ks=1)
         )
-        # Sabotage: drop one query from a membership list so the cells
-        # no longer partition the workload.
-        victim = index.subdomains[0]
-        victim.query_ids = victim.query_ids[:-1]
-        with pytest.raises(ValidationError):
+        # Sabotage: a representative moved outside its own cell.
+        assert index.num_subdomains > 1
+        index.representatives[0] = int(np.flatnonzero(index.subdomain_of == 1)[0])
+        with pytest.raises(IndexCorruptionError, match="another cell"):
             index.validate()
 
     def test_parent_pointer_corruption_detected(self, rng):

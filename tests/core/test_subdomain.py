@@ -26,7 +26,7 @@ class TestConstruction:
     def test_partition_covers_all_queries(self, rng):
         __, queries, index = build(rng)
         index.validate()
-        total = sum(sub.size for sub in index.subdomains)
+        total = sum(members.size for members in index.cell_members())
         assert total == queries.m
 
     def test_exact_mode_hyperplane_count(self, rng):
@@ -83,7 +83,10 @@ class TestAgainstLiteralAlgorithm1:
         for __ in range(5):
             dataset, queries, index = build(rng, n=8, m=30, d=2)
             literal = find_subdomains(index.normals, queries.weights)
-            fast = {sub.signature: sorted(sub.query_ids.tolist()) for sub in index.subdomains}
+            fast = {
+                row.tobytes(): members.tolist()
+                for row, members in zip(index.signatures, index.cell_members())
+            }
             literal = {key: sorted(val) for key, val in literal.items()}
             assert fast == literal
 
@@ -119,9 +122,9 @@ class TestPartitionMethodSwitch:
         literal = SubdomainIndex(dataset, queries, partition_method="literal")
         vectorized = SubdomainIndex(dataset, queries, partition_method="vectorized")
         assert literal.partition_method == "literal"
-        ours = sorted((s.signature, s.query_ids.tolist()) for s in literal.subdomains)
-        theirs = sorted((s.signature, s.query_ids.tolist()) for s in vectorized.subdomains)
-        assert ours == theirs
+        assert np.array_equal(literal.signatures, vectorized.signatures)
+        assert np.array_equal(literal.subdomain_of, vectorized.subdomain_of)
+        assert np.array_equal(literal.representatives, vectorized.representatives)
         for target in range(dataset.n):
             assert literal.hits(target) == vectorized.hits(target)
 
@@ -131,20 +134,20 @@ class TestRankingInvariance:
 
     def test_same_subdomain_same_ranking(self, rng):
         dataset, queries, index = build(rng, n=12, m=40, d=2)
-        for sub in index.subdomains:
-            if sub.size < 2:
+        for members in index.cell_members():
+            if members.size < 2:
                 continue
             rankings = set()
-            for qid in sub.query_ids:
+            for qid in members:
                 weights, __ = queries.query(int(qid))
                 rankings.add(tuple(top_k(dataset.matrix, weights, dataset.n)))
             assert len(rankings) == 1, "subdomain members must share the full ranking"
 
     def test_prefix_matches_direct_topk(self, rng):
         dataset, queries, index = build(rng, n=10, m=30)
-        for sub in index.subdomains:
-            prefix = index.prefix(sub.sid)
-            weights, __ = queries.query(sub.representative)
+        for sid, representative in enumerate(index.representatives.tolist()):
+            prefix = index.prefix(sid)
+            weights, __ = queries.query(representative)
             expected = top_k(dataset.matrix, weights, len(prefix))
             assert prefix.tolist() == expected
 
@@ -165,16 +168,16 @@ class TestPrefixTies:
         queries = QuerySet(rng.random((40, 3)), ks=rng.choice([2, 4], 40))
         index = SubdomainIndex(dataset, queries, mode=mode)
         table, lengths = index._prefix_rows()
-        for sub, row, length in zip(index.subdomains, table, lengths):
-            weights, __ = queries.query(sub.representative)
+        for representative, row, length in zip(index.representatives, table, lengths):
+            weights, __ = queries.query(int(representative))
             scores = dataset.matrix @ weights
             expected = np.argsort(scores, kind="stable")[:length]
             assert scores[expected[-1]] == np.sort(scores)[length]  # a tied cut
             assert row[:length].tolist() == expected.tolist()
             assert (row[length:] == -1).all()
         check_prefixes(index)
-        for sub in index.subdomains:
-            sub.prefix = None
+        table, lengths = table.copy(), lengths.copy()
+        index._clear_prefixes()
         for sid in range(index.num_subdomains):  # the one-cell path agrees
             assert index.prefix(sid).tolist() == table[sid, : lengths[sid]].tolist()
 
@@ -223,7 +226,7 @@ class TestKthOther:
 
         def lone_query(idx):
             # Removing the only member of a cell renumbers the cells.
-            return min(int(sub.query_ids[0]) for sub in idx.subdomains if sub.size == 1)
+            return min(int(m[0]) for m in idx.cell_members() if m.size == 1)
 
         steps = [
             lambda idx: None,
@@ -318,9 +321,8 @@ class TestRelevantMode:
         vectorized = SubdomainIndex(dataset, queries, mode="relevant")
         assert np.array_equal(literal.pairs, vectorized.pairs)
         assert np.array_equal(literal.normals, vectorized.normals)
-        ours = [(s.signature, s.query_ids.tolist()) for s in literal.subdomains]
-        theirs = [(s.signature, s.query_ids.tolist()) for s in vectorized.subdomains]
-        assert ours == theirs
+        assert np.array_equal(literal.signatures, vectorized.signatures)
+        assert np.array_equal(literal.subdomain_of, vectorized.subdomain_of)
 
     def test_relevant_mode_hits_match_exact(self, rng):
         dataset = Dataset(rng.random((25, 3)))
@@ -345,14 +347,23 @@ class TestBoundaries:
         # At least one subdomain pair must be separated by some column
         # (with 40 queries and 15 hyperplanes there are several cells).
         if index.num_subdomains > 1:
-            assert any(sub.boundaries for sub in index.subdomains)
+            assert any(
+                index.is_boundary(sid, col)
+                for sid in range(index.num_subdomains)
+                for col in range(index.num_hyperplanes)
+            )
 
     def test_is_boundary_consistent(self, rng):
+        # A column bounds a cell exactly when masking it makes the cell's
+        # signature collide with another cell's.
         __, __, index = build(rng, n=6, m=40, d=2)
         index.ensure_boundaries()
-        for sub in index.subdomains:
+        for sid in range(index.num_subdomains):
             for col in range(index.num_hyperplanes):
-                assert index.is_boundary(sub.sid, col) == (col in sub.boundaries)
+                masked = index.signatures.copy()
+                masked[:, col] = 0
+                collides = sum(row.tobytes() == masked[sid].tobytes() for row in masked) > 1
+                assert index.is_boundary(sid, col) == collides
 
     def test_memory_estimate_positive(self, rng):
         __, __, index = build(rng)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.core.queries import QuerySet
 from repro.core.subdomain import SubdomainIndex, contender_rows, hyperplanes, relevant_pairs
 from repro.errors import ValidationError
 from repro.index.rtree import RTree
+
+UPDATED = Path(__file__).parents[1] / "fixtures" / "updated_index"
 
 
 def build(rng, n=10, m=20, d=2):
@@ -24,16 +28,14 @@ def rebuilt(index):
 
 def assert_equivalent(index, reference):
     """Same partition (as sets of query-id groups) and same hit counts."""
-    ours = sorted(tuple(sorted(s.query_ids.tolist())) for s in index.subdomains)
-    theirs = sorted(tuple(sorted(s.query_ids.tolist())) for s in reference.subdomains)
-    assert ours == theirs
+    assert cells(index) == cells(reference)
     for target in range(index.dataset.n):
         assert index.hits(target) == reference.hits(target)
 
 
 def cells(index):
     """The partition as sorted tuples of query ids."""
-    return sorted(tuple(sub.query_ids.tolist()) for sub in index.subdomains)
+    return sorted(tuple(members.tolist()) for members in index.cell_members())
 
 
 def separation(index, object_id):
@@ -47,13 +49,12 @@ def separation(index, object_id):
     dropped = [col for col, pair in enumerate(index.pairs) if object_id in pair]
     probe = rebuilt(index)
     probe.ensure_boundaries()
-    if any(probe.is_boundary(sub.sid, col) for sub in probe.subdomains for col in dropped):
+    if any(
+        probe.is_boundary(sid, col) for sid in range(probe.num_subdomains) for col in dropped
+    ):
         return "boundary"
     keep = [col for col in range(probe.num_hyperplanes) if col not in dropped]
-    reduced = {
-        np.frombuffer(sub.signature, dtype=np.int8)[keep].tobytes()
-        for sub in probe.subdomains
-    }
+    reduced = {row.tobytes() for row in probe.signatures[:, keep]}
     return "joint" if len(reduced) < probe.num_subdomains else "none"
 
 
@@ -137,10 +138,13 @@ class TestAddObject:
         assert np.array_equal(index.pairs[order], fresh.pairs)
         assert np.array_equal(index.normals[order], fresh.normals)
         ours = sorted(
-            (np.frombuffer(s.signature, dtype=np.int8)[order].tobytes(), s.query_ids.tolist())
-            for s in index.subdomains
+            (row.tobytes(), members.tolist())
+            for row, members in zip(index.signatures[:, order], index.cell_members())
         )
-        theirs = sorted((s.signature, s.query_ids.tolist()) for s in fresh.subdomains)
+        theirs = sorted(
+            (row.tobytes(), members.tolist())
+            for row, members in zip(fresh.signatures, fresh.cell_members())
+        )
         assert ours == theirs
 
     def test_dominating_object_changes_hits(self, rng):
@@ -360,12 +364,32 @@ def mixed_sequence(seed, mode, steps=36):
 def snapshot(index):
     state = {
         "subdomain_of": index.subdomain_of.tolist(),
-        "members": [sub.query_ids.tolist() for sub in index.subdomains],
-        "representatives": [sub.representative for sub in index.subdomains],
+        "members": [members.tolist() for members in index.cell_members()],
+        "representatives": index.representatives.tolist(),
         "pairs": index.pairs.tolist(),
     }
     thresholds = [index.kth_other(t) for t in range(0, index.dataset.n, 3)]
     return state, thresholds
+
+
+class TestSavedBytes:
+    """The update sequence writes the bytes the list-of-cells index wrote.
+
+    The fixture directories were saved after :func:`mixed_sequence`
+    (seed 0), with every step followed by :func:`snapshot`, by the index
+    that kept each cell as an object.  They pin the cell order, the
+    representatives and the prefixes through every kind of update.
+    """
+
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    def test_mixed_sequence_saves_the_fixture_bytes(self, tmp_path, mode):
+        for index in mixed_sequence(0, mode):
+            snapshot(index)
+        index.save(tmp_path / mode)
+        expected = sorted(path.name for path in (UPDATED / mode).iterdir())
+        assert sorted(path.name for path in (tmp_path / mode).iterdir()) == expected
+        for name in expected:
+            assert (tmp_path / mode / name).read_bytes() == (UPDATED / mode / name).read_bytes(), name
 
 
 class TestIncrementalClosure:

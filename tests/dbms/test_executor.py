@@ -65,6 +65,26 @@ class TestSelect:
         result = db.execute("SELECT a FROM t ORDER BY a DESC LIMIT 2")
         assert result.column("a") == [3, 2]
 
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            ("b", [3, 1, 2, 4]),
+            ("b DESC", [2, 4, 1, 3]),
+            ("name", [3, 4, 1, 2]),
+            ("name DESC", [2, 1, 4, 3]),
+            ("b DESC LIMIT 3", [2, 4, 1]),
+            ("name LIMIT 3", [3, 4, 1]),
+        ],
+    )
+    def test_order_by_puts_null_last_ascending_first_descending(self, order, expected):
+        # NULLs keep their insertion order among themselves.
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, b FLOAT, name TEXT)")
+        db.execute(
+            "INSERT INTO t VALUES (1, 2.0, 'x'), (2, NULL, NULL), (3, 1.0, 'a'), (4, NULL, 'b')"
+        )
+        assert db.execute(f"SELECT a FROM t ORDER BY {order}").column("a") == expected
+
     def test_rowid_pseudo_column(self, db):
         result = db.execute("SELECT rowid, a FROM t WHERE rowid = 1")
         assert result.rows == [[1, 2]]

@@ -9,7 +9,7 @@ import pytest
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.updates import add_query
+from repro.core.updates import add_object, add_query, remove_object, remove_query
 from repro.core.subdomain import (
     SubdomainIndex,
     dataset_fingerprint,
@@ -48,11 +48,9 @@ class TestRoundTrip:
         path = tmp_path / "index"
         built.save(path)
         loaded = SubdomainIndex.load(path, dataset, queries)
-        ours = sorted((s.signature, s.query_ids.tolist()) for s in built.subdomains)
-        theirs = sorted(
-            (s.signature, s.query_ids.tolist()) for s in loaded.subdomains
-        )
-        assert ours == theirs
+        assert np.array_equal(loaded.signatures, built.signatures)
+        assert np.array_equal(loaded.subdomain_of, built.subdomain_of)
+        assert np.array_equal(loaded.representatives, built.representatives)
         kth_built = built.kth_other(0)
         kth_loaded = loaded.kth_other(0)
         assert np.array_equal(kth_built[0], kth_loaded[0])
@@ -193,21 +191,34 @@ class TestMmapLayout:
 
     def test_loaded_maps_are_copy_on_write_safe(self, market, tmp_path):
         # The file on disk can never be modified through a loaded
-        # index: read-only maps refuse in-place writes, and the one
-        # array the update paths do write in place (subdomain_of) is
-        # materialized as a private copy on load.
+        # index: every array is a read-only map that refuses in-place
+        # writes, and the update paths rebind what they change.
         dataset, queries = market
         SubdomainIndex(dataset, queries).save(tmp_path / "idx", format="mmap")
-        normals_bytes = (tmp_path / "idx" / "normals.npy").read_bytes()
-        renumber_bytes = (tmp_path / "idx" / "subdomain_of.npy").read_bytes()
+        before = {p.name: p.read_bytes() for p in (tmp_path / "idx").iterdir()}
         loaded = SubdomainIndex.load(tmp_path / "idx", dataset, queries)
-        with pytest.raises(ValueError):
-            loaded.normals[0, 0] = 99.0
-        loaded.subdomain_of[:] = -1  # in-place renumber must stay private
-        assert (tmp_path / "idx" / "normals.npy").read_bytes() == normals_bytes
-        assert (
-            tmp_path / "idx" / "subdomain_of.npy"
-        ).read_bytes() == renumber_bytes
+        for array in (loaded.normals, loaded.signatures, loaded.subdomain_of):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        add_query(loaded, queries.weights[0], 2)
+        add_object(loaded, dataset.points[0] + 0.1)
+        remove_query(loaded, 0)
+        remove_object(loaded, 0)
+        loaded.validate()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "idx").iterdir()} == before
+
+    def test_loaded_signatures_are_the_map_of_their_file(self, market, tmp_path):
+        # A load copies no cell: the signature matrix is the read-only
+        # map of signatures.npy itself.
+        dataset, queries = market
+        SubdomainIndex(dataset, queries).save(tmp_path / "idx")
+        loaded = SubdomainIndex.load(tmp_path / "idx", dataset, queries)
+        assert not loaded.signatures.flags.writeable
+        base = loaded.signatures
+        while base is not None and not isinstance(base, np.memmap):
+            base = base.base
+        assert base is not None and Path(base.filename).name == "signatures.npy"
+        assert np.shares_memory(loaded.signatures, base)
 
     def test_pool_shares_mmap_arrays_through_page_cache(self, market, tmp_path):
         # Forked workers read the loaded index through the inherited
@@ -290,6 +301,94 @@ class TestSavedByEarlierVersion:
         stale.write_bytes(b"PK\x03\x04")
         with pytest.raises(ValidationError, match="directory.*save the index again"):
             SubdomainIndex.load(stale, dataset, queries)
+
+
+def fixture_inputs():
+    inputs = json.loads((SAVED / "inputs.json").read_text())
+    dataset = Dataset(np.asarray(inputs["objects"]))
+    queries = QuerySet(np.asarray(inputs["weights"]), np.asarray(inputs["ks"]))
+    return dataset, queries
+
+
+def assert_same_files(ours, theirs):
+    names = sorted(path.name for path in theirs.iterdir())
+    assert sorted(path.name for path in ours.iterdir()) == names
+    for name in names:
+        assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+
+
+class TestSavedBytes:
+    """A save writes the fixture's files byte for byte."""
+
+    def test_load_then_save(self, tmp_path):
+        dataset, queries = fixture_inputs()
+        SubdomainIndex.load(SAVED / "monolithic", dataset, queries).save(tmp_path / "idx")
+        assert_same_files(tmp_path / "idx", SAVED / "monolithic")
+
+    def test_fresh_build_ranked_then_saved(self, tmp_path):
+        dataset, queries = fixture_inputs()
+        index = SubdomainIndex(dataset, queries, mode="relevant")
+        for target in range(dataset.n):
+            index.hits(target)
+        index.save(tmp_path / "idx")
+        assert_same_files(tmp_path / "idx", SAVED / "monolithic")
+
+
+def plant(root, name, edit):
+    """Rewrite one array of the index at ``root``, keeping its manifest entry true."""
+    array = np.load(root / f"{name}.npy")
+    array = edit(array.copy())
+    np.save(root / f"{name}.npy", array)
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    manifest["arrays"][name].update(dtype=str(array.dtype), shape=list(array.shape))
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def set_first(value):
+    def edit(array):
+        array.flat[0] = value
+        return array
+
+    return edit
+
+
+class TestInconsistentArraysRefused:
+    """Arrays that disagree with each other refuse to load, typed."""
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("subdomain_of", set_first(-1), "outside"),
+            ("subdomain_of", lambda a: np.where(a == 1, 0, a), "no member"),
+            ("prefix_lengths", set_first(-2), "prefix_lengths"),
+            ("prefix_lengths", lambda a: a + 1, "prefix_lengths"),
+            ("prefix_concat", set_first(99), "outside"),
+            ("representatives", set_first(999), "outside"),
+            ("representatives", lambda a: a[::-1].copy(), "another cell"),
+            ("signatures", lambda a: a[:, :-1].copy(), "signatures has shape"),
+            ("pairs", lambda a: a[:, ::-1].copy(), "pair"),
+            ("normals", lambda a: a[:-1].copy(), "has shape"),
+        ],
+        ids=[
+            "cell-id-negative",
+            "empty-cell",
+            "prefix-length-negative",
+            "prefix-lengths-overrun",
+            "prefix-id-out-of-range",
+            "representative-out-of-range",
+            "representative-in-another-cell",
+            "signatures-column-short",
+            "pair-not-ascending",
+            "normals-row-short",
+        ],
+    )
+    def test_refused(self, tmp_path, name, edit, message):
+        dataset, queries = fixture_inputs()
+        root = tmp_path / "idx"
+        SubdomainIndex.load(SAVED / "monolithic", dataset, queries).save(root)
+        plant(root, name, edit)
+        with pytest.raises(IndexCorruptionError, match=message):
+            SubdomainIndex.load(root, dataset, queries)
 
 
 class TestMonolithicLoadErrors:

@@ -87,10 +87,9 @@ class TestParity:
     def test_pool_start_builds_the_prefix_table(self, engine):
         # Workers inherit the table kth_other reads, ranked before forking.
         index = engine.index
-        assert index._prefix_table is None
+        assert (index.prefix_lengths == -1).all()
         with PersistentPool(engine, workers=0):
-            assert index._prefix_table is not None
-            assert index._prefix_table[0] == index.epoch
+            assert (index.prefix_lengths > 0).all()
             assert index.representative_evaluations == index.num_subdomains
 
 

@@ -51,10 +51,10 @@ class TestSubdomainInvariant:
         dataset = Dataset(objects)
         query_set = QuerySet(queries, ks)
         index = SubdomainIndex(dataset, query_set)
-        for sub in index.subdomains:
+        for members in index.cell_members():
             rankings = {
                 tuple(top_k(dataset.matrix, queries[q], objects.shape[0]))
-                for q in sub.query_ids
+                for q in members
             }
             assert len(rankings) == 1
 
