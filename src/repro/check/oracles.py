@@ -37,7 +37,7 @@ from repro.core.subdomain import (
     relevant_pairs,
 )
 from repro.errors import IndexCorruptionError
-from repro.geometry.arrangement import signature_matrix
+from repro.geometry.arrangement import signature_matrix, unique_signatures
 from repro.geometry.hyperplane import EPS
 
 __all__ = [
@@ -70,13 +70,20 @@ def check_partition_cover(index: SubdomainIndex) -> None:
 
 
 def check_signatures(index: SubdomainIndex) -> None:
-    """Every cell signature matches a recomputation from ``normals``."""
+    """Every cell signature matches a recomputation from ``normals``, and no two are equal.
+
+    Algorithm 1 makes one cell per side vector; ``add_query`` finds a new
+    query's cell by one signature compare, which relies on that rule.
+    """
     h = index.num_hyperplanes
     stored = index.signatures
     if stored.shape[1] != h:
         raise IndexCorruptionError(
             f"cell signatures have {stored.shape[1]} columns, index has {h} hyperplanes"
         )
+    repeated = stored.shape[0] - unique_signatures(stored)[0].shape[0]
+    if repeated:
+        raise IndexCorruptionError(f"{repeated} cell(s) repeat another cell's signature")
     if index.queries.m == 0:
         return
     recomputed = signature_matrix(index.queries.weights, index.normals)

@@ -22,10 +22,13 @@ Two evaluation paths are provided:
 * :meth:`StrategyEvaluator.evaluate` / :meth:`evaluate_many` — the
   vectorized production path, ``O(m d)`` per candidate.
 * :meth:`StrategyEvaluator.evaluate_affected` — the literal
-  affected-subspace formulation: retrieve, via the R-tree, only the
-  query points lying between the old and new intersection hyperplanes
-  (Eq. 4-5) and update the previous hit mask incrementally.  Used by
-  the tests as a cross-check and by the ESE-ablation benchmark.
+  affected-subspace formulation: retrieve only the query points lying
+  between the old and new intersection hyperplanes (Eq. 4-5) and update
+  the previous hit mask incrementally.  Used by the tests as a
+  cross-check and by the ESE-ablation benchmark.  The paper retrieves
+  them by a range query over a query R-tree; the workload's domain
+  bounds every slab, so that range holds every query, and the slab test
+  runs over all of them instead.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from repro.core.subdomain import _TIE_TOL, Eq6Cutoffs, SubdomainIndex, _eq6_cutoffs
 from repro.errors import ValidationError
-from repro.index.rtree import Rect
 
 __all__ = ["StrategyEvaluator"]
 
@@ -129,22 +131,10 @@ def _eq6_counts(scores: np.ndarray, cutoffs: Eq6Cutoffs) -> np.ndarray:
     return counts
 
 
-def _inside_domain(rect: Rect, query_id: int) -> bool:
-    """Domain-only R-tree predicate: geometry filters, the slab scan classifies.
-
-    :meth:`StrategyEvaluator.affected_queries` retrieves every query
-    point inside the workload domain with one scan, then runs the slab
-    test as a batched :func:`_slab_crossings` pass — so the per-leaf
-    predicate accepts everything.
-    """
-    return True
-
-
 class StrategyEvaluator:
     """ESE over a :class:`~repro.core.subdomain.SubdomainIndex`.
 
-    Thresholds come from :meth:`~repro.core.subdomain.SubdomainIndex.kth_other`,
-    the affected-subspace retrieval from the index's query R-tree.
+    Thresholds come from :meth:`~repro.core.subdomain.SubdomainIndex.kth_other`.
     """
 
     def __init__(self, index: SubdomainIndex) -> None:
@@ -261,9 +251,7 @@ class StrategyEvaluator:
         For every other object ``l``, the affected subspace is the slab
         between the old intersection ``q . (p_old - p_l) = 0`` and the
         new one ``q . (p_new - p_l) = 0``; a query's result can change
-        only if it lies strictly between them (Fact 1).  The retrieval
-        runs through the R-tree with the slab conditions as the leaf
-        predicate, exactly the range-query formulation of §4.1.
+        only if it lies strictly between them (Fact 1).
 
         The slab test is widened by the same relative tie band that
         :func:`~repro.core.subdomain._beats_batch` applies (see
@@ -273,12 +261,9 @@ class StrategyEvaluator:
         affected for :meth:`evaluate_affected` to equal
         :meth:`evaluate`.
 
-        The retrieval runs in two stages: one R-tree scan collects the
-        candidate query points inside the domain, then the slab
-        classification runs as one batched pass per chunk of other
-        objects through :func:`_slab_crossings` instead of a
-        per-candidate python closure — the hottest loop of the
-        incremental path.
+        The slab classification runs over every query as one batched
+        pass per chunk of other objects through :func:`_slab_crossings`,
+        the hottest loop of the incremental path.
         """
         dataset = self.index.dataset
         old_position = np.asarray(old_position, dtype=float)
@@ -286,27 +271,21 @@ class StrategyEvaluator:
         others = np.asarray(
             [l for l in range(dataset.n) if l != target], dtype=np.intp
         )
-        domain = Rect.from_arrays(
-            np.zeros(dataset.dim), np.ones(dataset.dim)
-        ) if self.index.queries.normalized else self._workload_bbox()
-        candidates = np.asarray(
-            self.index.rtree.search_where(domain, _inside_domain), dtype=np.intp
-        )
-        candidates.sort()  # ascending ids, like the set-union formulation
-        if candidates.size == 0 or others.size == 0:
+        points = self.index.queries.weights  # (m, d)
+        m = points.shape[0]
+        if m == 0 or others.size == 0:
             return np.empty(0, dtype=np.intp)
-        points = self.index.queries.weights[candidates]  # (c, d)
-        mask = np.zeros(candidates.shape[0], dtype=bool)
-        # Chunk the (c, b) slab matrices like evaluate_many chunks its
-        # score blocks, so huge workloads never materialize c x (n-1).
-        chunk = max(1, _CHUNK_BUDGET // max(1, candidates.shape[0]))
+        mask = np.zeros(m, dtype=bool)
+        # Chunk the (m, b) slab matrices like evaluate_many chunks its
+        # score blocks, so huge workloads never materialize m x (n-1).
+        chunk = max(1, _CHUNK_BUDGET // m)
         for start in range(0, others.shape[0], chunk):
             block = dataset.matrix[others[start : start + chunk]]  # (b, d)
-            theta = points @ block.T  # (c, b) other-object scores
+            theta = points @ block.T  # (m, b) other-object scores
             old_values = points @ (old_position - block).T
             new_values = points @ (new_position - block).T
             mask |= _slab_crossings(old_values, new_values, theta).any(axis=1)
-        affected = candidates[mask]
+        affected = np.flatnonzero(mask)
         self.affected_retrieved += int(affected.shape[0])
         return affected
 
@@ -335,7 +314,3 @@ class StrategyEvaluator:
             new_mask[affected] = _eq6_hits(scores[:, None], cutoffs)[:, 0]
         self.incremental_evaluations += 1
         return int(new_mask.sum()), new_mask
-
-    def _workload_bbox(self) -> Rect:
-        weights = self.index.queries.weights
-        return Rect.from_arrays(weights.min(axis=0), weights.max(axis=0))

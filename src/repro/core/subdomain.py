@@ -11,13 +11,20 @@ The index
 * stores one lazily-evaluated *representative ranking prefix* per
   subdomain, as rows of one ``-1``-padded table (the "at most one query
   evaluated per subdomain" sharing that Efficient Strategy Evaluation
-  relies on),
-* keeps the query points in an R-tree for affected-subspace retrieval
-  and kNN-based insertion (§4.3), and
+  relies on), and
 * on request (:meth:`SubdomainIndex.ensure_boundaries`), registers
   subdomain boundaries in a counting bloom filter, the paper's §4.3
   merge pre-check.  The update path itself decides merges by an exact
   signature-collision test and never registers boundaries.
+
+The paper also keeps the query points in an R-tree, for the range
+retrieval of a strategy's affected subspace (§4.1) and the kNN
+candidate cells of an inserted query (§4.3).  Neither lookup can prune
+here: the affected subspace is bounded by the workload's own domain, so
+the range scan returns every query, and the signature compare that
+confirms a kNN candidate decides an insert on its own.  So the index
+keeps no tree; :mod:`repro.index` keeps a bare one as the baseline of
+Figures 5 and 6.
 
 Two construction paths produce the identical partition:
 
@@ -64,7 +71,6 @@ from repro.geometry.arrangement import group_by_signature, signature_matrix, uni
 from repro.geometry.hyperplane import EPS
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
-from repro.index.rtree import RTree
 
 __all__ = [
     "Contenders",
@@ -303,8 +309,6 @@ class SubdomainIndex:
         (top-ranked contenders only; see module docstring).
     margin:
         Extra ranking depth kept trustworthy in ``"relevant"`` mode.
-    rtree_max_entries:
-        Node capacity of the query-point R-tree.
     partition_method:
         ``"vectorized"`` (default) or ``"literal"`` — which
         :func:`find_subdomains` path builds the partition.  Both yield
@@ -342,7 +346,6 @@ class SubdomainIndex:
         queries: QuerySet,
         mode: str = "exact",
         margin: int = 2,
-        rtree_max_entries: int = 16,
         partition_method: str = "vectorized",
     ) -> None:
         if mode not in _MODES:
@@ -377,9 +380,7 @@ class SubdomainIndex:
             pairs = _pairs_among(closed)
         self.pairs, self.normals = hyperplanes(dataset.matrix, pairs)
 
-        self._rtree_max_entries = rtree_max_entries
         self._build_partition()
-        self._build_rtree(rtree_max_entries)
         self._boundaries_ready = False
         self.bloom: CountingBloomFilter | None = None
 
@@ -402,14 +403,6 @@ class SubdomainIndex:
             sides = signature_matrix(self.queries.weights, self.normals)
         self.signatures, self.representatives, self.subdomain_of = unique_signatures(sides)
         self._clear_prefixes()
-
-    def _build_rtree(self, max_entries: int) -> None:
-        # STR bulk load packs the whole workload in one pass; the point
-        # variant sorts coordinate arrays with numpy instead of Python
-        # tuple comparisons.
-        self.rtree = RTree.bulk_load_points(
-            self.queries.dim, self.queries.weights, max_entries=max_entries
-        )
 
     def _clear_prefixes(self) -> None:
         """Forget every cell's ranking prefix (the cells or the objects changed)."""
@@ -525,21 +518,15 @@ class SubdomainIndex:
         """Approximate index size in bytes (Figures 4-6 metric).
 
         One signature per populated cell, one subdomain id per query,
-        the lazily-evaluated ranking prefixes, the query R-tree, and the
-        boundary counting-bloom filter (zero until boundaries are first
+        the lazily-evaluated ranking prefixes, and the boundary
+        counting-bloom filter (zero until boundaries are first
         registered — the filter is lazy).
         """
         signature_bytes = self.num_subdomains * self.num_hyperplanes
         prefix_bytes = 8 * int(np.maximum(self.prefix_lengths, 0).sum())
         structure = self.num_subdomains * 96 + self.queries.m * 8
         bloom_bytes = self.bloom.memory_estimate() if self.bloom is not None else 0
-        return (
-            self.rtree.memory_estimate()
-            + signature_bytes
-            + prefix_bytes
-            + structure
-            + bloom_bytes
-        )
+        return signature_bytes + prefix_bytes + structure + bloom_bytes
 
     # ------------------------------------------------------------------
     # Persistence
@@ -556,7 +543,6 @@ class SubdomainIndex:
             "mode": self.mode,
             "margin": int(self.margin),
             "partition_method": self.partition_method,
-            "rtree_max_entries": int(self._rtree_max_entries),
             "epoch": int(self._epoch),
             "dataset_fingerprint": dataset_fingerprint(self.dataset),
             "queries_fingerprint": queryset_fingerprint(self.queries),
@@ -602,15 +588,15 @@ class SubdomainIndex:
     ) -> None:
         """Validate loaded header metadata before any payload is touched.
 
-        Missing fields are corruption (the manifest is damaged or
-        written under a different key layout); an intact header naming
+        Missing fields, and a ``margin`` or ``epoch`` that is not a JSON
+        integer >= 0, are corruption (the manifest is damaged or written
+        under a different key layout); an intact header naming
         different data or unknown enum values is a validation failure.
         """
         required = (
             "mode",
             "margin",
             "partition_method",
-            "rtree_max_entries",
             "epoch",
             "dataset_fingerprint",
             "queries_fingerprint",
@@ -619,6 +605,13 @@ class SubdomainIndex:
             if key not in metadata:
                 raise IndexCorruptionError(
                     f"saved index {origin} is missing required field {key!r}"
+                )
+        for key in ("margin", "epoch"):
+            value = metadata[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise IndexCorruptionError(
+                    f"saved index {origin} field {key!r} must be an integer >= 0, "
+                    f"got {value!r}"
                 )
         if str(metadata["dataset_fingerprint"]) != dataset_fingerprint(dataset):
             raise ValidationError(
@@ -651,8 +644,8 @@ class SubdomainIndex:
         the sharded layout, before any shard file is opened.  The restored index
         serves identical answers to the one that was saved, including
         the already-evaluated ranking prefixes and the mutation epoch.
-        The R-tree is rebuilt by bulk load; boundary registration stays
-        lazy exactly as after a fresh construction.
+        Boundary registration stays lazy exactly as after a fresh
+        construction.
 
         Every array stays a read-only memory map (O(1) open, page-cache
         shared across forked workers), the signature matrix included;
@@ -700,7 +693,6 @@ class SubdomainIndex:
         mode = str(metadata["mode"])
         partition_method = str(metadata["partition_method"])
         margin = int(metadata["margin"])  # type: ignore[call-overload]
-        max_entries = int(metadata["rtree_max_entries"])  # type: ignore[call-overload]
         epoch = int(metadata["epoch"])  # type: ignore[call-overload]
 
         index = cls.__new__(cls)
@@ -722,8 +714,6 @@ class SubdomainIndex:
             np.asarray(arrays["prefix_lengths"], dtype=np.intp),
             np.asarray(arrays["prefix_concat"], dtype=np.intp),
         )
-        index._rtree_max_entries = max_entries
-        index._build_rtree(max_entries)
         index._boundaries_ready = False
         index.bloom = None
         index._contenders = None
@@ -868,7 +858,7 @@ class SubdomainIndex:
         return int(self.hits_mask(target).sum())
 
     def validate(self) -> None:
-        """Check that the partition's arrays agree, then the R-tree.
+        """Check that the partition's arrays agree.
 
         The arrays must have matching shapes; every query must name a
         cell in ``[0, cells)`` and no cell may be empty; each
@@ -877,9 +867,7 @@ class SubdomainIndex:
         in ``[0, n)``.  This is O(m + cells + h + prefix) and reads no
         signature value (the :mod:`repro.check` oracles recompute
         those).  A disagreement raises
-        :class:`~repro.errors.IndexCorruptionError`; an R-tree that
-        disagrees with the workload raises
-        :class:`~repro.errors.ValidationError`.
+        :class:`~repro.errors.IndexCorruptionError`.
         """
         m, n = self.queries.m, self.dataset.n
         h = self.normals.shape[0] if self.normals.ndim == 2 else -1
@@ -916,9 +904,6 @@ class SubdomainIndex:
         ranked = self.prefixes[np.arange(self.prefixes.shape[1]) < self.prefix_lengths[:, None]]
         if ranked.size and not (0 <= ranked.min() and ranked.max() < n):
             raise IndexCorruptionError(f"a ranking prefix names an object outside [0, {n})")
-        self.rtree.validate()
-        if len(self.rtree) != m:
-            raise ValidationError("R-tree size disagrees with workload size")
 
 
 def _unpack_prefixes(

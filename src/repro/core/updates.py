@@ -2,14 +2,14 @@
 
 Four operations, mirroring the paper:
 
-* **add_query** — insert the point into the R-tree, then locate its
-  subdomain.  Following the paper's observation, the subdomains of the
-  new point's nearest neighbours are tried first, each by one signature
-  comparison; the scan over every cell runs only when no candidate
-  matches.
-* **remove_query** — delete from the R-tree (renumbering the payloads
-  above it in place) and from its subdomain; an emptied subdomain is
-  discarded, and the cells after it shift down.
+* **add_query** — locate the point's subdomain by one compare of its
+  signature with every cell's; when none matches, the point opens a new
+  last cell.  The paper first tries the cells of the point's nearest
+  neighbours in a query R-tree, but the compare that confirms such a
+  candidate decides on its own: no two cells share a signature, so it
+  finds the cell a neighbour would have offered.
+* **remove_query** — delete the point from its subdomain; an emptied
+  subdomain is discarded, and the cells after it shift down.
 * **add_object** — create the intersections of the new function with
   every existing one and split the subdomains that the new hyperplanes
   cut through.  New hyperplanes can only *split* cells, so each query
@@ -63,13 +63,9 @@ from repro.core.subdomain import (
     contender_rows,
     hyperplanes,
 )
-from repro.errors import ValidationError
 from repro.geometry.arrangement import signature_matrix, unique_signatures
 
 __all__ = ["add_query", "remove_query", "add_object", "remove_object"]
-
-#: How many nearest neighbours donate candidate subdomains on insert.
-_KNN_CANDIDATES = 3
 
 
 def add_query(index: SubdomainIndex, weights: np.ndarray, k: int) -> int:
@@ -78,12 +74,8 @@ def add_query(index: SubdomainIndex, weights: np.ndarray, k: int) -> int:
     new_queries, query_id = index.queries.with_query(weights, k)
     relevant = _derive_contenders(index)
     index.queries = new_queries
-    index.rtree.insert_point(weights, query_id)
-
     signature_row = signature_matrix(weights[None, :], index.normals)[0]
-    sid = _locate_with_knn_candidates(index, weights, signature_row)
-    if sid is None:
-        sid = _classify_full(index, signature_row, query_id)
+    sid = _classify_full(index, signature_row, query_id)
     index.subdomain_of = np.append(index.subdomain_of, sid)
     # A new query can pull objects into the contender set that the
     # relevant-mode arrangement has never seen; close over them so the
@@ -94,28 +86,6 @@ def add_query(index: SubdomainIndex, weights: np.ndarray, k: int) -> int:
     index.mark_boundaries_dirty()
     index.notify_mutation()
     return query_id
-
-
-def _locate_with_knn_candidates(
-    index: SubdomainIndex, weights: np.ndarray, signature_row: np.ndarray
-) -> int | None:
-    """§4.3: try the subdomains of the point's nearest neighbours first.
-
-    A candidate cell is accepted when its signature equals the point's
-    full signature.  No boundary pre-check runs: a mismatch on a
-    boundary column implies a full-signature mismatch, so it could only
-    reject what the equality test rejects anyway.
-    """
-    if index.queries.m <= 1 or index.num_subdomains == 0:
-        return None
-    key = signature_row.tobytes()
-    for neighbour in index.rtree.nearest(weights, k=_KNN_CANDIDATES + 1):
-        if neighbour >= index.subdomain_of.shape[0]:
-            continue  # the freshly inserted point itself
-        sid = int(index.subdomain_of[neighbour])
-        if index.signatures[sid].tobytes() == key:
-            return sid
-    return None
 
 
 def _classify_full(index: SubdomainIndex, signature_row: np.ndarray, query_id: int) -> int:
@@ -143,12 +113,7 @@ def _classify_full(index: SubdomainIndex, signature_row: np.ndarray, query_id: i
 
 def remove_query(index: SubdomainIndex, query_id: int) -> None:
     """Delete a query; ids above it shift down by one."""
-    weights, __ = index.queries.query(query_id)
-    if not index.rtree.delete(weights, query_id):
-        raise ValidationError(f"query {query_id} missing from the R-tree (corrupt index?)")
     index.queries = index.queries.without_query(query_id)
-    index.rtree.decrement_payloads_above(query_id)
-
     sid = int(index.subdomain_of[query_id])
     subdomain_of = np.delete(index.subdomain_of, query_id)
     representatives = index.representatives

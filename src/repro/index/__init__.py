@@ -1,4 +1,4 @@
-"""Index substrates: R-tree, bloom filters, skyline, dominant graph."""
+"""Index substrates: bloom filters, skyline, dominant graph, R-tree (Figs. 5-6 baseline)."""
 
 from repro.index.bloom import BloomFilter, CountingBloomFilter, optimal_parameters
 from repro.index.dominant_graph import DominantGraph

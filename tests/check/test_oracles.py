@@ -72,6 +72,23 @@ class TestCorruptionDetected:
         with pytest.raises(IndexCorruptionError):
             check_signatures(index)
 
+    def test_split_cell_sharing_a_signature(self, rng):
+        # One member of a cell moved to a new cell with the same signature
+        # row: the arrays still agree, and every member's side vector is
+        # still right.
+        index = build(rng)
+        sid = int(np.flatnonzero(np.bincount(index.subdomain_of) > 1)[0])
+        moved = int(np.flatnonzero(index.subdomain_of == sid)[-1])
+        index.signatures = np.vstack((index.signatures, index.signatures[sid]))
+        index.representatives = np.append(index.representatives, moved)
+        index.prefixes = np.vstack((index.prefixes, index.prefixes[sid]))
+        index.prefix_lengths = np.append(index.prefix_lengths, index.prefix_lengths[sid])
+        index.subdomain_of[moved] = index.num_subdomains - 1
+        index.validate()
+        check_partition_cover(index)
+        with pytest.raises(IndexCorruptionError, match="1 cell.* repeat another cell's signature"):
+            check_signatures(index)
+
     def test_swapped_prefix_entries(self, rng):
         index = build(rng)
         index.hits_mask(0)  # materialise prefixes

@@ -10,7 +10,7 @@ from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.subdomain import SubdomainIndex, contender_rows, hyperplanes, relevant_pairs
 from repro.errors import ValidationError
-from repro.index.rtree import RTree
+from tests.parallel.test_persistence import assert_same_files
 
 UPDATED = Path(__file__).parents[1] / "fixtures" / "updated_index"
 
@@ -67,7 +67,7 @@ class TestAddQuery:
         index.validate()
         assert_equivalent(index, rebuilt(index))
 
-    def test_add_into_existing_subdomain_via_knn(self, rng):
+    def test_add_into_existing_subdomain(self, rng):
         index = build(rng)
         # Insert a point nearly identical to an existing one: it must
         # land in the same subdomain.
@@ -386,10 +386,7 @@ class TestSavedBytes:
         for index in mixed_sequence(0, mode):
             snapshot(index)
         index.save(tmp_path / mode)
-        expected = sorted(path.name for path in (UPDATED / mode).iterdir())
-        assert sorted(path.name for path in (tmp_path / mode).iterdir()) == expected
-        for name in expected:
-            assert (tmp_path / mode / name).read_bytes() == (UPDATED / mode / name).read_bytes(), name
+        assert_same_files(tmp_path / mode, UPDATED / mode)
 
 
 class TestIncrementalClosure:
@@ -460,29 +457,6 @@ class TestIncrementalClosure:
             updates.add_object(index, np.array([0.01, 0.02, 0.9]))
         assert np.array_equal(loaded.pairs, built.pairs)
         assert np.array_equal(loaded.contenders()[0], built.contenders()[0])
-
-
-class TestRemoveQueryRTree:
-    def test_payloads_renumbered_in_place(self, rng):
-        dataset = Dataset(rng.random((12, 3)))
-        queries = QuerySet(rng.random((60, 3)), ks=rng.integers(1, 4, 60))
-        index = SubdomainIndex(dataset, queries)
-        for query_id in (0, 31, index.queries.m - 3, 7):
-            items = index.rtree.items()
-            tree = index.rtree
-            updates.remove_query(index, query_id)
-            assert index.rtree is tree  # renumbered, not rebuilt
-            index.rtree.validate()
-            shifted = [
-                (rect, payload - (payload > query_id))
-                for rect, payload in items
-                if payload != query_id
-            ]
-            reloaded = RTree.bulk_load(3, shifted, max_entries=tree.max_entries)
-            assert set(index.rtree.items()) == set(reloaded.items())
-            for j in range(index.queries.m):
-                weights, __ = index.queries.query(j)
-                assert j in index.rtree.search(weights)
 
 
 class TestTypedArguments:

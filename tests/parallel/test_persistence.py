@@ -1,6 +1,7 @@
 """Index persistence: the reloaded index must be indistinguishable."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -311,10 +312,22 @@ def fixture_inputs():
 
 
 def assert_same_files(ours, theirs):
+    """``ours`` holds the files of fixture ``theirs`` byte for byte.
+
+    The fixture's manifest also records ``rtree_max_entries``, the node
+    capacity of the query R-tree the index kept when the fixture was
+    written; ``ours`` must hold that manifest less this one key, as
+    ``write_mmap_index`` serializes it.
+    """
     names = sorted(path.name for path in theirs.iterdir())
     assert sorted(path.name for path in ours.iterdir()) == names
     for name in names:
-        assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+        expected = (theirs / name).read_bytes()
+        if name == MANIFEST_NAME:
+            manifest = json.loads(expected)
+            del manifest["rtree_max_entries"]
+            expected = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert (ours / name).read_bytes() == expected, name
 
 
 class TestSavedBytes:
@@ -430,6 +443,30 @@ class TestMonolithicLoadErrors:
     def test_missing_path(self, tmp_path, market):
         with pytest.raises(ValidationError, match="no saved index"):
             SubdomainIndex.load(tmp_path / "absent", *market)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("margin", "abc"),
+            ("epoch", "x"),
+            ("margin", None),
+            ("epoch", [1]),
+            ("margin", 2.7),
+            ("margin", -5),
+            ("margin", True),
+            ("epoch", -3),
+        ],
+    )
+    def test_untyped_scalar_refused_before_arrays(self, tmp_path, monkeypatch, field, value):
+        dataset, queries = fixture_inputs()
+        root = tmp_path / "idx"
+        shutil.copytree(SAVED / "monolithic", root)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest[field] = value
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        TestSavedByEarlierVersion.refuse_opens(monkeypatch)
+        with pytest.raises(IndexCorruptionError, match=f"{field!r} must be an integer >= 0"):
+            SubdomainIndex.load(root, dataset, queries)
 
 
 class TestFingerprints:

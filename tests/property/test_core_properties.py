@@ -1,17 +1,18 @@
 """Property-based tests for the core invariants the paper relies on."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.check.differential import brute_force_hits
 from repro.core.cost import L1Cost, L2Cost, euclidean_cost
 from repro.core.ese import StrategyEvaluator
 from repro.core.mincost import min_cost_iq
 from repro.core.maxhit import max_hit_iq
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import SubdomainIndex, _beats_batch
 from repro.errors import InfeasibleError
 from repro.optimize.hit_cost import min_cost_to_hit
 from repro.topk.evaluate import top_k
@@ -85,8 +86,22 @@ class TestESEInvariant:
             elements=st.floats(-1.0, 1.0, allow_nan=False, width=32),
         ),
     )
+    @example(
+        # A denormal move of a target tied with every object: its score
+        # lies inside Eq. 6's tie band, where the id tie-break hits all
+        # three queries although the strict top-k holds it in none.
+        world=(
+            np.zeros((4, 2)),
+            np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]),
+            np.array([1, 2, 3]),
+        ),
+        strategy=np.array([np.float32(2.55e-40), 0.0, 0.0]),
+    )
     @settings(max_examples=30, deadline=None)
     def test_evaluate_equals_brute_force(self, world, strategy):
+        # The strategy is not on the grid, so the moved target can score
+        # within the tie band of its k-th other object; there the rule
+        # is Eq. 6 with the id tie-break, as `repro check` compares it.
         objects, queries, ks = world
         strategy = strategy[: objects.shape[1]]
         dataset = Dataset(objects)
@@ -94,12 +109,17 @@ class TestESEInvariant:
         target = 0
         moved = objects.copy()
         moved[target] = moved[target] + strategy
-        expected = sum(
-            1
-            for j in range(queries.shape[0])
-            if target in top_k(moved, queries[j], int(ks[j]))
-        )
-        assert evaluator.evaluate(target, strategy) == expected
+        exact, ambiguous = brute_force_hits(moved, queries, ks, target)
+        mask = evaluator.hits_mask(target, moved[target])
+        assert np.array_equal(mask[~ambiguous], exact[~ambiguous])
+        ids = np.arange(moved.shape[0])
+        for j in np.flatnonzero(ambiguous):
+            scores = moved @ queries[j]
+            order = np.lexsort((ids, scores))
+            kth = order[order != target][ks[j] - 1]
+            reference = _beats_batch(scores[[target], None], scores[[kth]], target, np.array([kth]))
+            assert mask[j] == reference[0, 0]
+        assert evaluator.evaluate(target, strategy) == int(mask.sum())
 
 
 class TestHitCostProperties:

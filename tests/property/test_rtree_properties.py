@@ -1,84 +1,14 @@
-"""Property-based tests for the R-tree: it must behave exactly like a
-brute-force list of (point, id) pairs under any operation sequence."""
+"""Property-based tests for the STR-packed R-tree: any point set packs
+into a valid tree that holds exactly those points."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.rtree import Rect, RTree
+from repro.index.rtree import RTree
+from tests.index.test_rtree import assert_holds_exactly
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 points_2d = st.lists(st.tuples(coords, coords), min_size=1, max_size=60)
-
-
-@st.composite
-def box_2d(draw):
-    x1, x2 = sorted((draw(coords), draw(coords)))
-    y1, y2 = sorted((draw(coords), draw(coords)))
-    return Rect.from_arrays([x1, y1], [x2, y2])
-
-
-class TestRangeSearch:
-    @given(points=points_2d, box=box_2d())
-    @settings(max_examples=60, deadline=None)
-    def test_search_equals_brute_force(self, points, box):
-        tree = RTree(dim=2, max_entries=4)
-        for i, p in enumerate(points):
-            tree.insert_point(p, i)
-        tree.validate()
-        expected = sorted(
-            i
-            for i, (x, y) in enumerate(points)
-            if box.mins[0] <= x <= box.maxs[0] and box.mins[1] <= y <= box.maxs[1]
-        )
-        assert sorted(tree.search(box)) == expected
-
-    @given(points=points_2d)
-    @settings(max_examples=40, deadline=None)
-    def test_full_box_returns_everything(self, points):
-        tree = RTree(dim=2, max_entries=4)
-        for i, p in enumerate(points):
-            tree.insert_point(p, i)
-        everything = Rect.from_arrays([0.0, 0.0], [1.0, 1.0])
-        assert sorted(tree.search(everything)) == list(range(len(points)))
-
-
-class TestDeleteProperties:
-    @given(points=points_2d, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_delete_subset_preserves_rest(self, points, data):
-        tree = RTree(dim=2, max_entries=4)
-        for i, p in enumerate(points):
-            tree.insert_point(p, i)
-        to_delete = data.draw(
-            st.sets(st.integers(min_value=0, max_value=len(points) - 1))
-        )
-        for i in to_delete:
-            assert tree.delete(Rect.point(points[i]), i)
-        tree.validate()
-        everything = Rect.from_arrays([0.0, 0.0], [1.0, 1.0])
-        assert sorted(tree.search(everything)) == sorted(
-            set(range(len(points))) - to_delete
-        )
-        assert len(tree) == len(points) - len(to_delete)
-
-
-class TestNearestProperties:
-    @given(points=points_2d, target=st.tuples(coords, coords), k=st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_knn_distance_optimality(self, points, target, k):
-        tree = RTree(dim=2, max_entries=4)
-        for i, p in enumerate(points):
-            tree.insert_point(p, i)
-        got = tree.nearest(target, k=k)
-        arr = np.asarray(points, dtype=float)
-        dists = np.sum((arr - np.asarray(target)) ** 2, axis=1)
-        k_eff = min(k, len(points))
-        assert len(got) == k_eff
-        # The k-th smallest returned distance must equal the true k-th.
-        got_d = sorted(float(dists[g]) for g in got)
-        true_d = sorted(dists.tolist())[:k_eff]
-        assert np.allclose(got_d, true_d)
 
 
 class TestBulkLoadProperties:
@@ -87,5 +17,4 @@ class TestBulkLoadProperties:
     def test_bulk_load_valid_and_complete(self, points):
         tree = RTree.bulk_load(2, [(p, i) for i, p in enumerate(points)], max_entries=4)
         tree.validate()
-        everything = Rect.from_arrays([0.0, 0.0], [1.0, 1.0])
-        assert sorted(tree.search(everything)) == list(range(len(points)))
+        assert_holds_exactly(tree, points)
