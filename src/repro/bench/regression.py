@@ -544,9 +544,9 @@ def _analyze_points(config: BenchConfig, limit: int | None, workers: int):
     """EXPLAIN ANALYZE overhead: plain ``min_cost``/``max_hit`` vs ``engine.analyze``.
 
     The par_batch workload, run as plain engine calls and as analyzed
-    ones (stage recorder active, stats store recording).  The speedup
-    is plain/analyzed, so values near 1x mean the observation layer is
-    near-free.  Answers must be byte-identical — the differential
+    ones (stage recorder active).  The speedup is plain/analyzed, so
+    values near 1x mean the observation layer is near-free.  Answers
+    must be byte-identical — the differential
     ``repro check --analyze`` also enforces.
     """
     engine, batch, _ = _bench_workload(config, limit)

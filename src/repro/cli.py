@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="restore an index directory written by "
                                   "--save-index instead of rebuilding "
                                   "(fingerprints must match the CSVs)")
-        command.add_argument("--stats", default=None, metavar="PATH",
-                             help="persist per-run EXPLAIN ANALYZE stats in this "
-                                  "JSON file (default: REPRO_STATS env var, "
-                                  "else in-memory)")
 
     improve = sub.add_parser("improve", help="run a Min-Cost or Max-Hit IQ")
     add_iq_arguments(improve)
@@ -390,10 +386,6 @@ def main(argv=None, out=None) -> int:
         if argv and argv[0] in _TOOLS:
             return _run_tool(argv[0], argv[1:], out)
         args = build_parser().parse_args(argv)
-        if getattr(args, "stats", None):
-            from repro.observe import configure_store
-
-            configure_store(args.stats)
         if args.command == "improve":
             return _cmd_improve(args, out)
         if args.command == "explain":

@@ -56,14 +56,7 @@ from repro.core.solvers import Solver, check_goal, get_solver
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
-from repro.observe import (
-    StageRecorder,
-    default_store,
-    now,
-    observing,
-    stage,
-    workload_fingerprint,
-)
+from repro.observe import StageRecorder, now, observing, stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.persistent import PersistentPool
@@ -268,8 +261,7 @@ class ImprovementQueryEngine:
 
         The result is byte-identical to the plain :meth:`min_cost` /
         :meth:`max_hit` call (``repro check --analyze`` enforces this):
-        the observation layer only reads the clock and counts.  The
-        executed plan is recorded in the process stats store.
+        the observation layer only reads the clock and counts.
         """
         if (tau is None) == (budget is None):
             raise ValidationError(
@@ -285,28 +277,13 @@ class ImprovementQueryEngine:
             )
             result = self._run(plan, kind, target, goal, cost_int, space_int, kwargs)
         total = now() - started
-        executed = self._record_run(kind, plan, recorder, total)
-        return result, executed
-
-    def _record_run(
-        self,
-        kind: str,
-        plan: ExecutionPlan,
-        recorder: StageRecorder,
-        total_seconds: float,
-        record: bool = True,
-    ) -> ExecutedPlan:
-        """Build the :class:`ExecutedPlan` and file it in the stats store."""
         executed = ExecutedPlan.from_plan(
             plan,
-            fingerprint=workload_fingerprint(self.index, kind),
-            total_seconds=total_seconds,
+            total_seconds=total,
             stage_seconds=recorder.seconds,
             counts=recorder.counts,
         )
-        if record:
-            default_store().record(executed)
-        return executed
+        return result, executed
 
     def _evaluator_for(self, solver: Solver) -> StrategyEvaluator:
         """The evaluation engine a solver declares ("rta" or ESE default)."""
@@ -459,8 +436,7 @@ class ImprovementQueryEngine:
 
         Returns the (byte-identical) multi-target result plus one
         :class:`ExecutedPlan` per target; the joint greedy loop is one
-        run, so the per-target plans share the same observed timings and
-        only the first is filed in the stats store.
+        run, so the per-target plans share the same observed timings.
         """
         if (tau is None) == (budget is None):
             raise ValidationError(
@@ -477,8 +453,13 @@ class ImprovementQueryEngine:
             result = self._run_multi(plans, kind, goal, costs_int, spaces_int, kwargs)
         total = now() - started
         executed = tuple(
-            self._record_run(kind, plan, recorder, total, record=(i == 0))
-            for i, plan in enumerate(plans)
+            ExecutedPlan.from_plan(
+                plan,
+                total_seconds=total,
+                stage_seconds=recorder.seconds,
+                counts=recorder.counts,
+            )
+            for plan in plans
         )
         return result, executed
 

@@ -178,13 +178,6 @@ class StrategyEvaluator:
         kth_ids, theta, __ = self._cached(target)
         return kth_ids, theta
 
-    def invalidate(self, target: int | None = None) -> None:
-        """Drop cached thresholds and cutoffs eagerly (epoch comparison does this lazily)."""
-        if target is None:
-            self._target_cache.clear()
-        else:
-            self._target_cache.pop(target, None)
-
     # ------------------------------------------------------------------
     # Hit counting
     # ------------------------------------------------------------------

@@ -16,8 +16,7 @@ yields a plan with a newer ``epoch``.
 
 :class:`ExecutedPlan` extends the plan with what ``EXPLAIN ANALYZE``
 observed while actually running it — per-stage wall-clock and work
-counters from the :mod:`repro.observe` recorder — plus the workload
-fingerprint the stats store filed the run under.  It stays frozen for
+counters from the :mod:`repro.observe` recorder.  It stays frozen for
 the same reason: it describes one *completed* run.
 """
 
@@ -65,7 +64,6 @@ PLAN_FIELDS = (
 #: appends after :data:`PLAN_FIELDS`; kept in lock-step with
 #: :meth:`ExecutedPlan.to_dict`.
 ANALYZE_FIELDS = (
-    "fingerprint",
     "total_seconds",
     "plan_seconds",
     "candidates_seconds",
@@ -181,7 +179,6 @@ class ExecutedPlan(ExecutionPlan):
     also inside ``candidates``.
     """
 
-    fingerprint: str = ""  #: stats-store workload key the run was filed under
     total_seconds: float = 0.0  #: end-to-end wall-clock of the analyzed call
     plan_seconds: float = 0.0
     candidates_seconds: float = 0.0
@@ -196,7 +193,6 @@ class ExecutedPlan(ExecutionPlan):
         cls,
         plan: ExecutionPlan,
         *,
-        fingerprint: str,
         total_seconds: float,
         stage_seconds: dict[str, float],
         counts: dict[str, int],
@@ -205,7 +201,6 @@ class ExecutedPlan(ExecutionPlan):
         base = {f.name: getattr(plan, f.name) for f in fields(ExecutionPlan)}
         return cls(
             **base,
-            fingerprint=fingerprint,
             total_seconds=float(total_seconds),
             plan_seconds=float(stage_seconds.get("plan", 0.0)),
             candidates_seconds=float(stage_seconds.get("candidates", 0.0)),
@@ -220,7 +215,6 @@ class ExecutedPlan(ExecutionPlan):
         """Plan fields then observations: :data:`PLAN_FIELDS` +
         :data:`ANALYZE_FIELDS` order."""
         values = super().to_dict()
-        values["fingerprint"] = self.fingerprint
         values["total_seconds"] = self.total_seconds
         values["plan_seconds"] = self.plan_seconds
         values["candidates_seconds"] = self.candidates_seconds

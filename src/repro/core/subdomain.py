@@ -57,9 +57,8 @@ id.  Both are measure-zero events for continuous data.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -365,7 +364,6 @@ class SubdomainIndex:
         self.margin = margin
         self.partition_method = partition_method
         self.representative_evaluations = 0  #: full rankings computed so far
-        self._mutation_hooks: list = []  #: weak refs to invalidation callbacks
         self._epoch = 0  #: bumped by every mutation (see :attr:`epoch`)
 
         #: Relevant mode's :class:`Contenders`: derived state, never
@@ -489,30 +487,9 @@ class SubdomainIndex:
         """
         return self._epoch
 
-    def subscribe_mutations(self, callback: "Callable[[], None]") -> None:
-        """Register a callback fired after every index mutation.
-
-        The epoch bus makes polling consumers (epoch comparison) the
-        default; push-style consumers that must react *eagerly* to a
-        mutation subscribe here.  Callbacks are held weakly: a
-        garbage-collected subscriber is dropped silently.
-        """
-        try:
-            ref = weakref.WeakMethod(callback)
-        except TypeError:
-            ref = weakref.ref(callback)
-        self._mutation_hooks.append(ref)
-
     def notify_mutation(self) -> None:
-        """Bump the epoch, then fire every live callback (``updates`` calls this)."""
+        """Bump the epoch (``updates`` calls this after every mutation)."""
         self._epoch += 1
-        live = []
-        for ref in self._mutation_hooks:
-            callback = ref()
-            if callback is not None:
-                callback()
-                live.append(ref)
-        self._mutation_hooks = live
 
     def memory_estimate(self) -> int:
         """Approximate index size in bytes (Figures 4-6 metric).
@@ -702,7 +679,6 @@ class SubdomainIndex:
         index.margin = margin
         index.partition_method = partition_method
         index.representative_evaluations = 0
-        index._mutation_hooks = []
         index._epoch = epoch
         # The maps read_mmap_index opened; only the prefixes are unpacked.
         index.pairs = np.asarray(arrays["pairs"], dtype=np.intp)

@@ -1,4 +1,4 @@
-"""Runtime observability: stage timing and recorded run stats.
+"""Runtime observability: stage timing and work counters.
 
 This package is the *only* place in the library allowed to read the
 process's monotonic wall clock (lint rule **RPR014**): every other
@@ -18,9 +18,6 @@ Layers, bottom to top:
   solver hot paths mark stages (``plan``/``candidates``/``evaluate``/
   ``solve``) and bump counters through module functions that are no-ops
   unless a recorder was activated with :func:`observing`.
-* :mod:`repro.observe.store` — the persisted :class:`StatsStore`:
-  analyzed runs are recorded under a workload-shape fingerprint, as JSON
-  when a path is configured (``--stats`` / ``REPRO_STATS``).
 """
 
 from repro.observe.clock import Stopwatch, now, time_call
@@ -32,25 +29,15 @@ from repro.observe.stats import (
     stage,
     tally,
 )
-from repro.observe.store import (
-    StatsStore,
-    configure_store,
-    default_store,
-    workload_fingerprint,
-)
 
 __all__ = [
     "COUNTERS",
     "STAGES",
     "StageRecorder",
-    "StatsStore",
     "Stopwatch",
-    "configure_store",
-    "default_store",
     "now",
     "observing",
     "stage",
     "tally",
     "time_call",
-    "workload_fingerprint",
 ]

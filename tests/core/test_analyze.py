@@ -9,15 +9,6 @@ from repro.core.plan import ANALYZE_FIELDS, PLAN_FIELDS, ExecutedPlan, Execution
 from repro.core.queries import QuerySet
 from repro.core.solvers import registered_solvers
 from repro.errors import ValidationError
-from repro.observe import configure_store, default_store, workload_fingerprint
-
-
-@pytest.fixture(autouse=True)
-def _fresh_store():
-    """Each test starts from a cold, memory-only process store."""
-    configure_store(None)
-    yield
-    configure_store(None)
 
 
 @pytest.fixture
@@ -81,7 +72,6 @@ class TestExecutedPlan:
         assert executed.solve_seconds > 0.0
         assert executed.plan_seconds > 0.0
         assert executed.evaluations > 0
-        assert executed.fingerprint == workload_fingerprint(engine.index, "min_cost")
 
     def test_extends_the_plain_plan(self, engine):
         plan = engine.explain(0, tau=10)
@@ -104,21 +94,15 @@ class TestExecutedPlan:
         assert plans[0].total_seconds == plans[1].total_seconds
         assert plans[0].evaluations == plans[1].evaluations
 
-    def test_analyzed_runs_are_recorded(self, engine):
-        _, executed = engine.analyze(0, tau=10)
-        samples = default_store().samples(executed.fingerprint)
-        assert executed.solver_name in samples
-        assert len(samples[executed.solver_name]) == 1
-
 
 class TestSolverStaysExplicit:
-    """Recorded stats never choose the solver: the solver decides the answer."""
+    """Timings never choose the solver: the solver decides the answer."""
 
     def test_auto_method_rejected_even_when_random_was_recorded(self):
         # 60 objects x 80 top-3 queries: random costs 5.207 here against
-        # efficient's 0.401, yet its recorded median can be the fastest,
-        # which is how a stats-driven method="auto" used to answer with
-        # it.  Now "auto" is no solver name, however much was recorded.
+        # efficient's 0.401, yet its analyzed runs can be the fastest,
+        # which is how a timing-driven method="auto" used to answer with
+        # it.  Now "auto" is no solver name, however many runs were analyzed.
         rng = np.random.default_rng(0)
         dataset = Dataset(rng.random((60, 3)))
         queries = QuerySet(rng.random((80, 3)), ks=3)

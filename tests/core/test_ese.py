@@ -64,16 +64,6 @@ class TestHitCounting:
         evaluator.evaluate(3, np.zeros(3))
         assert index.representative_evaluations == evals  # no re-evaluation
 
-    def test_invalidate_clears_cache(self, setup):
-        __, __, __, evaluator = setup
-        evaluator.hits(3)
-        assert 3 in evaluator._target_cache
-        evaluator.invalidate(3)
-        assert 3 not in evaluator._target_cache
-        evaluator.hits(3)
-        evaluator.invalidate()
-        assert not evaluator._target_cache
-
     def test_zero_strategy_is_identity(self, setup):
         __, __, __, evaluator = setup
         assert evaluator.evaluate(2, np.zeros(3)) == evaluator.hits(2)

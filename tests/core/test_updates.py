@@ -218,22 +218,7 @@ class TestRemoveObject:
 
 
 class TestEvaluatorInvalidation:
-    """Every mutation must invalidate subscribed evaluator caches."""
-
-    def _spied_evaluator(self, index):
-        from repro.core.ese import StrategyEvaluator
-
-        evaluator = StrategyEvaluator(index)
-        calls = []
-        original = evaluator.invalidate
-
-        def spy(target=None):
-            calls.append(target)
-            original(target)
-
-        evaluator.invalidate = spy
-        index.subscribe_mutations(evaluator.invalidate)
-        return evaluator, calls
+    """Every mutation moves the epoch, so cached thresholds are re-read."""
 
     @pytest.mark.parametrize(
         "mutate",
@@ -246,17 +231,24 @@ class TestEvaluatorInvalidation:
         ids=["add_query", "remove_query", "add_object", "remove_object"],
     )
     def test_every_mutation_invalidates(self, rng, mutate):
+        from repro.core.ese import StrategyEvaluator
+
         index = build(rng)
-        evaluator, calls = self._spied_evaluator(index)
+        evaluator = StrategyEvaluator(index)
         evaluator.thresholds(1)  # populate the cache
+        evaluator.thresholds(2)
         mutate(index, rng)
-        assert calls, "mutation did not notify the evaluator"
-        assert not evaluator._target_cache
+        kth_ids, theta = evaluator.thresholds(1)
+        fresh_ids, fresh_theta = StrategyEvaluator(index).thresholds(1)
+        assert np.array_equal(kth_ids, fresh_ids)
+        assert np.array_equal(theta, fresh_theta)
+        assert list(evaluator._target_cache) == [1]  # target 2's entry is gone
 
     def test_stale_cache_would_be_wrong(self, rng):
-        # The behavioral reason for the hook: after adding an object the
-        # cached thresholds are wrong, so hits computed from a pinned
-        # stale cache must be allowed to differ from a fresh evaluator.
+        # The behavioral reason for the epoch check: after adding an
+        # object the cached thresholds are wrong, so hits computed from a
+        # pinned stale cache must be allowed to differ from a fresh
+        # evaluator.
         from repro.core.ese import StrategyEvaluator
 
         index = build(rng, n=8, m=25)
@@ -267,17 +259,6 @@ class TestEvaluatorInvalidation:
         after = {t: evaluator.hits(t) for t in range(4)}
         assert after == {t: fresh.hits(t) for t in range(4)}
         assert before != after  # the dominating object displaced someone
-
-    def test_dead_subscriber_is_dropped(self, rng):
-        from repro.core.ese import StrategyEvaluator
-
-        index = build(rng)
-        evaluator = StrategyEvaluator(index)
-        index.subscribe_mutations(evaluator.invalidate)
-        hooks_with_evaluator = len(index._mutation_hooks)
-        del evaluator
-        updates.add_query(index, rng.random(2), 2)  # must not crash
-        assert len(index._mutation_hooks) < hooks_with_evaluator
 
 
 class TestInterleaved:

@@ -2,6 +2,7 @@
 errors, and read-only zero-copy views (:mod:`repro.index.mmapio`)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestRoundTrip:
         assert sorted(f.name for f in root.iterdir()) == sorted(
             [MANIFEST_NAME] + [f"{key}.npy" for key in arrays]
         )
+
+    def test_failed_save_keeps_the_previous_file(self, saved, monkeypatch):
+        # Each file is written under a temporary name first, so a save
+        # whose rename fails leaves the saved directory as it was.
+        root, metadata, arrays = saved
+        before = {f.name: f.read_bytes() for f in root.iterdir()}
+
+        def interrupted(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        doubled = {key: array * 2 for key, array in arrays.items()}
+        with pytest.raises(OSError, match="disk full"):
+            write_mmap_index(root, {**metadata, "epoch": 4}, doubled)
+        assert {f.name: f.read_bytes() for f in root.iterdir()} == before
 
 
 class TestTypedErrors:

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +347,7 @@ class TestExplainAnalyze:
              "--analyze"]
         )
         assert code == 0
-        assert "total_seconds" in out and "fingerprint" in out
+        assert "total_seconds" in out
         assert "candidates_generated" in out
         timing = [l for l in out.splitlines() if l.startswith("total_seconds")]
         assert float(timing[0].split()[-1]) > 0.0
@@ -366,41 +370,26 @@ class TestExplainAnalyze:
         assert out.count("total_seconds") == 2
         assert out.count("joint greedy loop") == 2
 
-    def test_stats_file_carries_runs_across_invocations(self, market_files, tmp_path):
-        from repro.observe import configure_store
-
+    def test_analyze_keeps_no_history(self, market_files, tmp_path):
+        # The run is explained by what it prints and nothing else: the
+        # variable that once named a stats file is ignored.  A fresh
+        # interpreter, because a variable read at first use would be
+        # read once per process.
         objects, queries = market_files
         stats = tmp_path / "stats.json"
-        argv = ["explain", objects, queries, "--target", "3", "--reach", "5",
-                "--method", "rta", "--analyze", "--stats", str(stats)]
-        try:
-            for _ in range(2):
-                code, _ = run(argv)
-                assert code == 0
-        finally:
-            configure_store(None)  # unbind the file store from this process
-        # The second invocation read the first one's run back from the
-        # file before appending its own.
-        workloads = json.loads(stats.read_text())["workloads"]
-        runs = [sample for methods in workloads.values() for sample in methods["rta"]]
-        assert len(runs) == 2
-
-    def test_stats_option_refuses_a_foreign_file(self, market_files, tmp_path, capsys):
-        from repro.observe import configure_store
-
-        objects, queries = market_files
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"schema": "repro-bench-regression/1", "records": []}))
-        before = path.read_bytes()
-        argv = ["explain", objects, queries, "--target", "0", "--reach", "3",
-                "--analyze", "--stats", str(path)]
-        try:
-            code, __ = run(argv)
-        finally:
-            configure_store(None)
-        assert code == 1
-        assert str(path) in capsys.readouterr().err
-        assert path.read_bytes() == before
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_STATS=str(stats))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "explain", objects, queries,
+             "--target", "3", "--reach", "5", "--analyze"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        lines = completed.stdout.splitlines()
+        timing = [l for l in lines if l.startswith("total_seconds")]
+        assert float(timing[0].split()[-1]) > 0.0
+        assert not [l for l in lines if l.startswith("fingerprint")]
+        assert not stats.exists()
 
 
 class TestIndexPersistence:
