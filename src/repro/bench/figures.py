@@ -16,7 +16,7 @@ import numpy as np
 from repro.constants import EPS_TIME
 from repro.baselines.rta import RTAEvaluator
 from repro.bench.config import BenchConfig, load_config
-from repro.bench.harness import TableResult, time_call
+from repro.bench.harness import TableResult, alternating_medians, time_call
 from repro.core.cost import euclidean_cost
 from repro.core.ese import StrategyEvaluator
 from repro.core.objects import Dataset
@@ -118,17 +118,18 @@ def fig5_indexing_queries(config: BenchConfig | None = None) -> TableResult:
         ],
         notes=(
             "Efficient-IQ needs ~20-25% more build time and ~10% more "
-            "space than the bare query R-tree (paper Fig. 5)"
+            "space than the bare query R-tree (paper Fig. 5); each time is "
+            "the median of 5 builds, the sides alternating"
         ),
     )
     for m in config.query_sweep:
         dataset = _dataset("IN", config.num_objects, config.dimensions, config)
         queries = _queries("UN", m, config.dimensions, config)
-        index, ours_time = time_call(
-            SubdomainIndex, dataset, queries, mode=config.index_mode
-        )
         items = [(w, int(j)) for j, w in enumerate(queries.weights)]
-        rtree, rtree_time = time_call(RTree.bulk_load, queries.dim, items, max_entries=16)
+        (index, rtree), (ours_time, rtree_time) = alternating_medians((
+            lambda: SubdomainIndex(dataset, queries, mode=config.index_mode),
+            lambda: RTree.bulk_load(queries.dim, items, max_entries=16),
+        ))
         ours_size = index.memory_estimate()
         rtree_size = rtree.memory_estimate()
         table.add(
@@ -160,7 +161,7 @@ def fig6_indexing_real(config: BenchConfig | None = None) -> TableResult:
             "R-tree size (%)",
             "DominantGraph size (%)",
         ],
-        notes="consistent with the synthetic results (paper Fig. 6)",
+        notes="consistent with the synthetic results (paper Fig. 6); times as in Fig. 5",
     )
     generators = {
         "VEHICLE": lambda n: simulate_vehicle(n, seed=config.seed),
@@ -170,12 +171,12 @@ def fig6_indexing_real(config: BenchConfig | None = None) -> TableResult:
         dataset = make(config.real_sizes[name])
         m = max(10, int(dataset.n * config.real_query_fraction))
         queries = _queries("UN", m, dataset.dim, config)
-        index, ours_time = time_call(
-            SubdomainIndex, dataset, queries, mode=config.index_mode
-        )
         items = [(w, int(j)) for j, w in enumerate(queries.weights)]
-        rtree, rtree_time = time_call(RTree.bulk_load, queries.dim, items, max_entries=16)
-        graph, dg_time = time_call(DominantGraph, dataset.matrix)
+        (index, rtree, graph), (ours_time, rtree_time, dg_time) = alternating_medians((
+            lambda: SubdomainIndex(dataset, queries, mode=config.index_mode),
+            lambda: RTree.bulk_load(queries.dim, items, max_entries=16),
+            lambda: DominantGraph(dataset.matrix),
+        ))
         base = _data_bytes(dataset)
         table.add(
             name,

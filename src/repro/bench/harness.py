@@ -8,7 +8,10 @@ clock itself now lives behind the RPR014 seam like all other timing.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
+from typing import Any, Callable, Sequence
 
 from repro.constants import EPS_TIME
 from repro.observe.clock import Stopwatch, time_call
@@ -18,6 +21,38 @@ __all__ = ["BenchRecord", "Stopwatch", "TableResult", "time_call", "write_bench_
 
 #: Schema tag written into every BENCH_*.json file.
 BENCH_SCHEMA = "repro-bench-regression/1"
+
+#: Timed rounds per point.  Three were not enough: with medians of
+#: three, 36 of the 870 ordered pairs of 30 ``--smoke`` runs on a 2-CPU
+#: host failed the 2x ``--check`` tolerance, most of them on par_batch.
+ROUNDS = 5
+
+
+def alternating_medians(
+    calls: "Sequence[Callable[[], Any]]", rounds: int = ROUNDS
+) -> "tuple[list[Any], list[float]]":
+    """Each call's last result and its median seconds over ``rounds``.
+
+    The calls run in turn, in reverse order on odd rounds, so every side
+    samples the same stretch of host speed and none always inherits
+    another's cache state.  The collector is off, as in :mod:`timeit`,
+    so a full collection over a large caller heap cannot land in one
+    side.  Each side keeps its median, which absorbs a cold first call.
+    """
+    results: "list[Any]" = [None] * len(calls)
+    seconds: "list[list[float]]" = [[] for __ in calls]
+    order = list(range(len(calls)))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for round_ in range(rounds):
+            for side in order if round_ % 2 == 0 else order[::-1]:
+                results[side], took = time_call(calls[side])
+                seconds[side].append(took)
+    finally:
+        if collecting:
+            gc.enable()
+    return results, [float(statistics.median(times)) for times in seconds]
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each row of :data:`FIGURES` names a figure, a generator of its points,
 and the figure's absolute floor.  A :class:`Point` pairs a *baseline*
 callable (the reference path) with a *candidate* (the path the figure
 defends) on the same inputs, plus the check that their results agree.
-:func:`measure` times every point the same way, and records keep the
+:func:`measure` times every point through the one loop
+(:func:`~repro.bench.harness.alternating_medians`), and records keep the
 schema's ``literal_seconds`` / ``vectorized_seconds`` names for the
 baseline and candidate sides.  The rows, in table order:
 
@@ -34,7 +35,6 @@ tiny scale so CI can execute the whole harness in seconds.
 from __future__ import annotations
 
 import argparse
-import gc
 import io
 import json
 import os
@@ -50,9 +50,10 @@ from repro.constants import ATOL_PARITY
 from repro.bench.config import BenchConfig, load_config
 from repro.bench.harness import (
     BENCH_SCHEMA,
+    ROUNDS,
     BenchRecord,
+    alternating_medians,
     summarize_records,
-    time_call,
     write_bench_json,
 )
 from repro.core._search import SearchState, generate_candidates
@@ -85,11 +86,6 @@ __all__ = [
 
 #: Default pool size for the parallel bench figures.
 DEFAULT_BENCH_WORKERS = 4
-
-#: Timed rounds per point.  Three were not enough: with medians of
-#: three, 36 of the 870 ordered pairs of 30 ``--smoke`` runs on a 2-CPU
-#: host failed the 2x ``--check`` tolerance, most of them on par_batch.
-ROUNDS = 5
 
 #: A figure "regresses" when its median speedup falls below this
 #: fraction of the baseline's — generous, because the harness times
@@ -148,29 +144,15 @@ class Figure:
 
 
 def measure(figure: str, point: Point) -> BenchRecord:
-    """Time one point: ``ROUNDS`` rounds, sides alternating, GC off.
+    """Time one point through :func:`~repro.bench.harness.alternating_medians`.
 
-    The baseline runs first on even rounds and the candidate first on
-    odd ones, so both sides sample the same stretch of host speed and
-    neither always inherits the other's cache state.  The collector is
-    off, as in :mod:`timeit`, so a full collection over a large caller
-    heap cannot land in one side.  Each side keeps its median, which
-    absorbs a cold first call.  The agreement check runs once, after
-    the loop.
+    ``ROUNDS`` rounds with GC off: the baseline runs first on even
+    rounds and the candidate first on odd ones, and each side keeps its
+    median.  The agreement check runs once, after the loop.
     """
-    sides = (point.baseline, point.candidate)
-    seconds: tuple[list[float], list[float]] = ([], [])
-    results: list[Any] = [None, None]
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for round_ in range(ROUNDS):
-            for side in (0, 1) if round_ % 2 == 0 else (1, 0):
-                results[side], took = time_call(sides[side])
-                seconds[side].append(took)
-    finally:
-        if collecting:
-            gc.enable()
+    results, (baseline_seconds, candidate_seconds) = alternating_medians(
+        (point.baseline, point.candidate), ROUNDS
+    )
     if not point.agree(*results):
         raise RegressionMismatch(
             f"{figure} {point.case}: baseline and candidate results differ"
@@ -183,8 +165,8 @@ def measure(figure: str, point: Point) -> BenchRecord:
         figure=figure,
         case=point.case,
         config=config,
-        literal_seconds=float(np.median(seconds[0])),
-        vectorized_seconds=float(np.median(seconds[1])),
+        literal_seconds=baseline_seconds,
+        vectorized_seconds=candidate_seconds,
         plan=point.plan,
     )
 

@@ -1,12 +1,17 @@
 """``repro check`` — run the differential correctness harness.
 
-Two phases, both deterministic:
+Three phases, all deterministic:
 
 1. **Battery** — a fixed scenario per (IN/CO/AC) × (exact/relevant)
    combination: a canonical op sequence replayed through every oracle
    (invariants, update-vs-rebuild, ESE parity with tie-band probes, IQ
    contracts).
-2. **Fuzz** — ``--fuzz N`` random scenarios derived from ``--seed``;
+2. **Parity** — one engine and one request batch, built once per run:
+   EXPLAIN ANALYZE runs against plain ones, then a persistent pool at 0
+   and 2 workers, on the fresh index and on the same index saved and
+   mmap-loaded, against the serial reference, before and after a
+   mid-stream ``add_query``.
+3. **Fuzz** — ``--fuzz N`` random scenarios derived from ``--seed``;
    failures are shrunk to minimal op sequences and printed as
    copy-pasteable :class:`~repro.check.differential.Scenario` reprs.
 
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from repro.check.differential import (
     AddObject,
@@ -30,6 +35,10 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import FuzzFailure, fuzz, run_case
 from repro.data.synthetic import DATASET_KINDS
+
+if TYPE_CHECKING:  # pragma: no cover - the parity phase imports lazily
+    from repro.core.engine import ImprovementQueryEngine
+    from repro.parallel import IQRequest
 
 __all__ = ["main", "build_parser", "battery_scenarios"]
 
@@ -70,21 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--skip-battery",
         action="store_true",
         help="skip the deterministic IN/CO/AC battery and only fuzz",
-    )
-    parser.add_argument(
-        "--skip-pooled",
-        action="store_true",
-        help="skip the pooled-vs-serial batch parity check",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help=(
-            "add the EXPLAIN ANALYZE differential: analyzed runs must be "
-            "byte-identical to their plain counterparts across the engine "
-            "API (every query kind and multi-target), the pooled batch "
-            "front end, the SQL shell, and the CLI (default: off)"
-        ),
     )
     return parser
 
@@ -156,20 +150,13 @@ def _result_mismatch(label: str, serial: object, pooled: object) -> "str | None"
     return None
 
 
-def _run_pooled_parity(out: IO[str]) -> list[str]:
-    """Persistent-pool vs serial-reference differential (PC oracle).
-
-    The pool resolves its worker count from the ambient ``REPRO_WORKERS``
-    environment, so the same harness exercises the in-process serial
-    pool mode (workers < 2) and the forked pool (workers >= 2) — CI runs
-    both legs.  The sequence also mutates the index mid-stream so the
-    epoch-refresh path is under the differential too.
-    """
+def _parity_engine() -> "tuple[ImprovementQueryEngine, tuple[IQRequest, ...]]":
+    """The engine and request batch both parity legs run."""
     from repro.core.engine import ImprovementQueryEngine
     from repro.core.objects import Dataset
     from repro.data.synthetic import independent
     from repro.data.workloads import uniform_queries
-    from repro.parallel import IQRequest, PersistentPool, run_batch
+    from repro.parallel import IQRequest
 
     dataset = Dataset(independent(24, 3, seed=11))
     queries = uniform_queries(18, 3, seed=12, k_range=(1, 4))
@@ -177,31 +164,68 @@ def _run_pooled_parity(out: IO[str]) -> list[str]:
     requests = tuple(
         IQRequest("min_cost", target, 8) for target in range(0, 8, 2)
     ) + tuple(IQRequest("max_hit", target, 0.4) for target in range(1, 8, 2))
+    return engine, requests
+
+
+def _run_pooled_parity(
+    engine: "ImprovementQueryEngine", requests: "tuple[IQRequest, ...]", out: IO[str]
+) -> list[str]:
+    """Persistent-pool vs serial-reference differential (PC oracle).
+
+    Four cells: a 0-worker (in-process) and a 2-worker pool, each on
+    ``engine``'s index and on that index saved and mmap-loaded, as
+    ``repro serve --load-index`` runs it.  Each cell's batch must equal
+    the serial loop on ``engine``, field for field, before and after a
+    mid-stream ``add_query`` that makes every pool refresh.
+    """
+    import tempfile
+    from contextlib import ExitStack
+
+    from repro.core.engine import ImprovementQueryEngine
+    from repro.core.subdomain import SubdomainIndex
+    from repro.parallel import PersistentPool, run_batch
 
     failures: list[str] = []
-    with PersistentPool(engine) as pool:
+    with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp, ExitStack() as stack:
+        engine.index.save(tmp)
+        loaded = ImprovementQueryEngine.from_index(
+            SubdomainIndex.load(tmp, engine.dataset, engine.queries)
+        )
+        cells = [
+            (f"{source} index, workers {workers}",
+             stack.enter_context(PersistentPool(cell_engine, workers=workers)))
+            for source, cell_engine in (("fresh", engine), ("loaded", loaded))
+            for workers in (0, 2)
+        ]
         for round_label in ("initial", "post-mutation"):
             serial = run_batch(engine, requests)
-            pooled = pool.run(requests)
-            for request, expect, got in zip(requests, serial, pooled):
-                label = f"pooled parity [{round_label}] {request.kind}@{request.target}"
-                mismatch = _result_mismatch(label, expect, got)
-                if mismatch is not None:
-                    failures.append(mismatch)
+            for cell, pool in cells:
+                for request, expect, got in zip(requests, serial, pool.run(requests)):
+                    mismatch = _result_mismatch(
+                        f"pooled parity [{cell}] [{round_label}] "
+                        f"{request.kind}@{request.target}",
+                        expect,
+                        got,
+                    )
+                    if mismatch is not None:
+                        failures.append(mismatch)
             if round_label == "initial":
-                # Mutate through the engine: the pool must observe the
-                # epoch bump and re-fork instead of serving stale hits.
-                engine.add_query([0.2 + 0.1 * j for j in range(3)], 2)
-        status = "ok" if not failures else "FAIL"
-        print(
-            f"pooled parity (workers {pool.workers}, generation {pool.generation}): "
-            f"{status}",
-            file=out,
-        )
+                # Mutate both indexes: each pool must observe the epoch
+                # bump and re-fork instead of serving stale hits.
+                for mutated in (engine, loaded):
+                    mutated.add_query([0.2 + 0.1 * j for j in range(3)], 2)
+        for cell, pool in cells:
+            status = "FAIL" if any(f"[{cell}]" in failure for failure in failures) else "ok"
+            print(
+                f"pooled parity ({cell}, generation {pool.generation}): {status}",
+                file=out,
+            )
     return failures
 
 
-def _run_analyze_parity(out: IO[str]) -> list[str]:
+def _run_analyze_parity(
+    engine: "ImprovementQueryEngine", requests: "tuple[IQRequest, ...]", out: IO[str]
+) -> list[str]:
     """EXPLAIN ANALYZE differential (AN oracle): analysis never perturbs.
 
     The observe layer only reads clocks and counts, so an analyzed run
@@ -209,10 +233,8 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
     surface:
 
     - **engine** — ``analyze``/``analyze_multi`` vs ``min_cost`` /
-      ``max_hit`` / the combinatorial calls, field-exact per target;
-    - **pooled** — a plain :class:`PersistentPool` batch vs per-request
-      serial ``analyze`` runs (the pool resolves ``REPRO_WORKERS``, so
-      CI's serial and forked legs both pass through here);
+      ``max_hit`` / the combinatorial calls, field-exact per target
+      (the pooled parity cells then fork from this analyzed engine);
     - **SQL** — an ``IMPROVE`` statement re-run after an interleaved
       ``EXPLAIN ANALYZE IMPROVE`` must yield the same rows;
     - **CLI** — ``repro improve`` output re-captured after
@@ -228,27 +250,17 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
     import numpy as np
 
     from repro.cli import main as cli_main
-    from repro.core.engine import ImprovementQueryEngine
-    from repro.core.objects import Dataset
     from repro.data.synthetic import independent
     from repro.data.workloads import uniform_queries
     from repro.dbms import Database
-    from repro.parallel import IQRequest, PersistentPool
 
     failures: list[str] = []
-    dataset = Dataset(independent(24, 3, seed=11))
-    queries = uniform_queries(18, 3, seed=12, k_range=(1, 4))
-    engine = ImprovementQueryEngine(dataset, queries, mode="relevant")
 
     def check_executed(label: str, executed) -> None:
         if executed.total_seconds <= 0.0:
             failures.append(f"{label}: executed plan observed no wall-clock")
 
     # Engine leg: every query kind, plain vs analyzed, field-exact.
-    requests = tuple(
-        IQRequest("min_cost", target, 8) for target in range(0, 8, 2)
-    ) + tuple(IQRequest("max_hit", target, 0.4) for target in range(1, 8, 2))
-    analyzed_results = []
     for request in requests:
         label = f"analyze parity [engine] {request.kind}@{request.target}"
         if request.kind == "min_cost":
@@ -261,7 +273,6 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
         if mismatch is not None:
             failures.append(mismatch)
         check_executed(label, executed)
-        analyzed_results.append(analyzed)
 
     # Multi-target leg: the joint combinatorial loop under analysis.
     targets = [1, 4, 6]
@@ -282,16 +293,6 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
             )
     for plan in plans:
         check_executed(f"analyze parity [multi] plan@{plan.target}", plan)
-
-    # Pooled leg: plain pooled batch vs the serial analyzed results.
-    with PersistentPool(engine) as pool:
-        pooled = pool.run(requests)
-        for request, expect, got in zip(requests, analyzed_results, pooled):
-            label = f"analyze parity [pooled] {request.kind}@{request.target}"
-            mismatch = _result_mismatch(label, got, expect)
-            if mismatch is not None:
-                failures.append(mismatch)
-        workers = pool.workers
 
     # SQL leg: IMPROVE rows unchanged across an EXPLAIN ANALYZE run.
     sql_objects = independent(12, 3, seed=21)
@@ -361,7 +362,7 @@ def _run_analyze_parity(out: IO[str]) -> list[str]:
             )
 
     status = "ok" if not failures else "FAIL"
-    print(f"analyze parity (workers {workers}): {status}", file=out)
+    print(f"analyze parity (engine, multi-target, SQL, CLI): {status}", file=out)
     return failures
 
 
@@ -375,16 +376,13 @@ def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
 
     modes: tuple[str, ...] = _MODES if args.mode == "both" else (args.mode,)
     failures: list[FuzzFailure] = []
-    parity_failures: list[str] = []
 
     if not args.skip_battery:
         failures.extend(_run_battery(modes, out))
 
-    if not args.skip_pooled:
-        parity_failures = _run_pooled_parity(out)
-
-    if args.analyze:
-        parity_failures = parity_failures + _run_analyze_parity(out)
+    engine, requests = _parity_engine()
+    parity_failures = _run_analyze_parity(engine, requests, out)
+    parity_failures += _run_pooled_parity(engine, requests, out)
 
     if args.fuzz > 0:
         fuzz_mode = None if args.mode == "both" else args.mode

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound; requests beyond it are rejected")
     serve.add_argument("--workers", default=None, metavar="N",
                        help="serving pool size: an integer, or 'auto' for all "
-                            "cores (default: REPRO_WORKERS env var, else serial)")
+                            "cores (default: serial)")
     add_index_arguments(serve)
 
     demo = sub.add_parser("demo", help="self-contained demo on generated data")

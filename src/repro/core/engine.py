@@ -123,8 +123,8 @@ class ImprovementQueryEngine:
         """A :class:`~repro.parallel.persistent.PersistentPool` for this engine.
 
         The pool forks workers holding the built index once and serves
-        repeated batches without per-call pool startup; see
-        :func:`repro.parallel.run_batch` (``pool=``) and ``repro serve``.
+        repeated batches without per-call pool startup; ``workers=None``
+        runs them serially.  ``repro serve`` dispatches through one.
         """
         from repro.parallel.persistent import PersistentPool
 

@@ -7,15 +7,14 @@ Index construction is not among them: the vectorized serial build in
 :mod:`repro.core.subdomain` beat a 2-worker construction pool at every
 measured size on a 2-CPU host.  The integrated pieces:
 
-* :mod:`repro.parallel.batch` — the batch IQ driver: many Min-Cost /
-  Max-Hit calls (many targets, or one target under many goals, as in
-  the paper's experiment grids) run by the serial reference loop, or
-  by a persistent pool the caller holds.
+* :mod:`repro.parallel.batch` — the batch request type and the serial
+  reference loop over many Min-Cost / Max-Hit calls (many targets, or
+  one target under many goals, as in the paper's experiment grids).
 * :mod:`repro.parallel.persistent` — the persistent worker pool:
   workers forked *once* holding the built index (its pages shared
-  copy-on-write with the parent), alive across batches, with
-  epoch-based invalidation and crash recovery.  This is the driver
-  for repeated batches against one index.
+  copy-on-write with the parent), alive across batches, each request
+  its own task, with epoch-based invalidation and crash recovery.
+  It runs repeated batches against one index.
 * :mod:`repro.parallel.server` — the batched IQ serving front end over
   a persistent pool: JSONL request streams with coalescing, bounded
   admission, and graceful shutdown (``repro serve``).
@@ -23,12 +22,11 @@ measured size on a 2-CPU host.  The integrated pieces:
   method.
 
 Worker-count resolution is uniform everywhere (:func:`resolve_workers`):
-an explicit ``workers=`` argument wins, the ``REPRO_WORKERS``
-environment variable is the ambient default (``auto`` = all cores), and
-values below 2 select the serial reference path.  The serial
-implementations remain the default and the executable specification;
-the parallel paths must produce bit-for-bit identical results (the
-parity tests assert it).
+only an explicit ``workers=`` argument sizes a pool (``auto`` = all
+cores), and ``None`` or values below 2 select the serial reference
+path.  The serial implementations remain the default and the
+executable specification; the parallel paths must produce bit-for-bit
+identical results (the parity tests and ``repro check`` assert it).
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 The paper's experiment grids (fig. 7-9) evaluate *many* improvement
 queries against *one* index — many targets, or one target under a sweep
 of budgets/thresholds.  :func:`run_batch` runs such a batch through the
-serial reference loop, or through a
-:class:`~repro.parallel.persistent.PersistentPool` the caller holds,
-whose workers keep the index and their evaluator state warm across
-batches.  Forking a pool for each call cost more than it saved: over 24
-requests at bench scale it was slower than the serial loop.
+serial reference loop; a
+:class:`~repro.parallel.persistent.PersistentPool`, whose workers keep
+the index and their evaluator state warm across batches, runs it in
+parallel through :meth:`~repro.parallel.persistent.PersistentPool.run`.
+Forking a pool for each call cost more than it saved: over 24 requests
+at bench scale it was slower than the serial loop.
 
 Engine-side imports happen lazily at call time, so importing
 :mod:`repro.parallel` never loads :mod:`repro.core`.
@@ -25,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import ImprovementQueryEngine
     from repro.core.results import IQResult
     from repro.core.strategy import StrategySpace
-    from repro.parallel.persistent import PersistentPool
 
 __all__ = ["IQRequest", "run_batch"]
 
@@ -88,22 +88,14 @@ def _validate_requests(requests: tuple[IQRequest, ...]) -> None:
 
 
 def run_batch(
-    engine: "ImprovementQueryEngine",
-    requests: "Sequence[IQRequest]",
-    pool: "PersistentPool | None" = None,
+    engine: "ImprovementQueryEngine", requests: "Sequence[IQRequest]"
 ) -> "list[IQResult]":
-    """Evaluate a batch of improvement queries, results in request order.
+    """Evaluate a batch serially, results in request order.
 
-    Without ``pool`` the batch runs as the serial reference loop.
-    Passing ``pool=`` dispatches through an existing
-    :class:`~repro.parallel.persistent.PersistentPool` instead (its
-    workers already hold the index).  The pool must have been created
-    for the same engine.
+    The reference loop every pooled run must match;
+    :meth:`~repro.parallel.persistent.PersistentPool.run` is the
+    parallel path.
     """
     batch = tuple(requests)
-    if pool is not None:
-        if pool.engine is not engine:
-            raise ValidationError("pool was created for a different engine")
-        return pool.run(batch)
     _validate_requests(batch)
     return [_run_one(engine, request) for request in batch]

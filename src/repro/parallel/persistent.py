@@ -12,9 +12,9 @@ of an index:
   copy-on-write; an index loaded from the mmap layout shares its
   matrices through the OS page cache as well.  Nothing is copied
   into separate shared memory;
-* **chunked dispatch** — a batch travels as contiguous request slices
-  (one per worker), so IPC cost is per-chunk, not per-request, and
-  per-worker threshold caches warm across the whole slice.
+* **one task per request** — each request of a batch is its own pool
+  task, so a worker that finishes early takes the next request instead
+  of idling while another works through a slice of heavy ones.
 
 Consistency is epoch-based, like every other index consumer: the pool
 records :attr:`~repro.core.subdomain.SubdomainIndex.epoch` at fork time
@@ -24,9 +24,8 @@ dispatching.  A worker crash (:class:`BrokenProcessPool`) likewise
 triggers one full refresh-and-retry before surfacing an error.
 
 The serial loop stays the executable reference: a pool resolved to
-fewer than two workers (or a platform without fork) executes requests
-in-process through the very same per-request code path the parity
-tests compare against.
+fewer than two workers (or a platform without fork) runs each request
+in-process through the same runner a worker task calls.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError
 from repro.parallel.batch import IQRequest, _run_one, _validate_requests
 from repro.parallel.pool import pool_start_method, resolve_workers
 
@@ -47,25 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import ImprovementQueryEngine
     from repro.core.results import IQResult
 
-__all__ = ["Outcome", "PersistentPool"]
-
-#: One request's fate: ``(True, IQResult)`` or ``(False, exception)``.
-Outcome = "tuple[bool, IQResult | Exception]"
+__all__ = ["PersistentPool"]
 
 #: Fork-shared registry: token -> engine, set for the whole pool
 #: lifetime so lazily-forked workers inherit it whenever they start.
 _POOL_ENGINES: "dict[str, ImprovementQueryEngine]" = {}
-
-
-def chunk_bounds(total: int, chunks: int) -> Iterator[tuple[int, int]]:
-    """Split ``range(total)`` into at most ``chunks`` contiguous slices."""
-    if total <= 0:
-        return
-    if chunks < 1:
-        raise ValidationError(f"chunks must be positive, got {chunks}")
-    step = -(-total // chunks)  # ceil division: balanced, order-preserving
-    for start in range(0, total, step):
-        yield start, min(total, start + step)
 
 
 def _sanitize_error(exc: Exception) -> Exception:
@@ -77,28 +62,32 @@ def _sanitize_error(exc: Exception) -> Exception:
         return ReproError(f"{type(exc).__name__}: {exc}")
 
 
-def _chunk_task(
-    token: str, start: int, requests: "tuple[IQRequest, ...]"
-) -> "list[tuple[bool, object]]":
-    """Worker task: evaluate one contiguous request slice, capturing errors.
+def _run_request(
+    engine: "ImprovementQueryEngine", request: IQRequest
+) -> "tuple[bool, IQResult | Exception]":
+    """One request's outcome: ``(True, IQResult)`` or ``(False, exception)``.
 
-    Per-request exceptions are *returned*, not raised, so one bad
-    request cannot poison the chunk's siblings or the worker process —
-    the pool survives and the caller decides whether to re-raise.
+    Errors are *returned*, not raised, so one bad request cannot poison
+    its batch or the worker process that ran it.
     """
+    try:
+        return (True, _run_one(engine, request))
+    except Exception as exc:  # noqa: BLE001 - one request must not fail the batch
+        return (False, exc)
+
+
+def _request_task(token: str, request: IQRequest) -> "tuple[bool, IQResult | Exception]":
+    """Worker task: one request's outcome, its error made safe to pickle."""
     engine = _POOL_ENGINES.get(token)  # repro: noqa[RPR008] (fork channel: set pre-fork, read-only here)
     if engine is None:
         raise ReproError(
             f"persistent-pool worker has no engine for token {token!r} "
             "(was the pool closed while a batch ran?)"
         )
-    outcomes: "list[tuple[bool, object]]" = []
-    for request in requests:
-        try:
-            outcomes.append((True, _run_one(engine, request)))
-        except Exception as exc:  # noqa: BLE001 - worker must survive any request
-            outcomes.append((False, _sanitize_error(exc)))
-    return outcomes
+    ok, value = _run_request(engine, request)
+    if not ok:
+        value = _sanitize_error(value)
+    return ok, value
 
 
 class PersistentPool:
@@ -114,9 +103,9 @@ class PersistentPool:
         :meth:`run` transparently re-forks before serving.
     workers:
         Pool size, resolved through
-        :func:`~repro.parallel.pool.resolve_workers`; below 2 (or on a
-        platform without fork) the pool runs every batch through the
-        in-process serial reference loop.
+        :func:`~repro.parallel.pool.resolve_workers` (``None`` = 0);
+        below 2 (or on a platform without fork) the pool runs every
+        request in-process, through the runner a worker task calls.
 
     Every fork generation starts from a warm index: the prefix table
     that :meth:`~repro.core.subdomain.SubdomainIndex.kth_other` reads is
@@ -127,11 +116,6 @@ class PersistentPool:
     ``with`` block) shuts the workers down.  :meth:`run` is not
     reentrant — one batch at a time.
     """
-
-    #: Chunks dispatched per worker per batch: 1 keeps IPC minimal
-    #: (chunksize = ceil(len(batch) / workers)); the second wave lets
-    #: faster workers steal load when request costs are skewed.
-    CHUNK_WAVES = 2
 
     def __init__(
         self,
@@ -245,14 +229,11 @@ class PersistentPool:
         serial loop, which stops at the first failure — but the pool
         itself survives and stays warm for the next batch.
         """
-        results: "list[IQResult]" = []
-        for ok, value in self.run_outcomes(requests):
+        outcomes = self.run_outcomes(requests)
+        for ok, value in outcomes:
             if not ok:
-                if isinstance(value, BaseException):
-                    raise value
-                raise ReproError(f"pooled request failed: {value!r}")
-            results.append(value)  # type: ignore[arg-type]
-        return results
+                raise value
+        return [value for __, value in outcomes]
 
     def run_outcomes(
         self, requests: "Sequence[IQRequest]"
@@ -275,12 +256,11 @@ class PersistentPool:
             if self.stale:
                 # Epoch moved: the forked workers hold a pre-mutation
                 # index.  Re-fork rather than serve stale answers.
-                self._teardown()
-                self._start()
+                self.refresh()
             if not batch:
                 return []
             if not self._forked:
-                return [self._run_serial(request) for request in batch]
+                return [_run_request(self._engine, request) for request in batch]
             try:
                 return self._dispatch(batch)
             except BrokenProcessPool:
@@ -288,8 +268,7 @@ class PersistentPool:
                 # crash).  Re-fork once and retry the whole batch —
                 # requests are read-only so replaying is safe.
                 self.restarts += 1
-                self._teardown()
-                self._start()
+                self.refresh()
                 try:
                     return self._dispatch(batch)
                 except BrokenProcessPool as exc:
@@ -300,25 +279,12 @@ class PersistentPool:
         finally:
             self._lock.release()
 
-    def _run_serial(self, request: IQRequest) -> "tuple[bool, IQResult | Exception]":
-        try:
-            return (True, _run_one(self._engine, request))
-        except Exception as exc:  # noqa: BLE001 - mirror the worker-side capture
-            return (False, exc)
-
-    def _chunks(self, total: int) -> "Iterator[tuple[int, int]]":
-        return chunk_bounds(total, min(total, self._workers * self.CHUNK_WAVES))
-
     def _dispatch(
         self, batch: "tuple[IQRequest, ...]"
     ) -> "list[tuple[bool, IQResult | Exception]]":
         if self._executor is None:  # pragma: no cover - guarded by _forked
             raise ReproError("persistent pool has no executor")
         futures = [
-            self._executor.submit(_chunk_task, self._token, start, batch[start:stop])
-            for start, stop in self._chunks(len(batch))
+            self._executor.submit(_request_task, self._token, request) for request in batch
         ]
-        outcomes: "list[tuple[bool, IQResult | Exception]]" = []
-        for future in futures:
-            outcomes.extend(future.result())  # type: ignore[arg-type]
-        return outcomes
+        return [future.result() for future in futures]

@@ -1,10 +1,9 @@
 """Worker-count resolution and pool/start-method helpers.
 
-Every parallel entry point resolves its worker count through
-:func:`resolve_workers` so the precedence is uniform project-wide: an
-explicit ``workers=`` argument wins, the ``REPRO_WORKERS`` environment
-variable is the ambient default, and anything below 2 selects the
-serial reference path.
+Every parallel entry point resolves its ``workers=`` argument through
+:func:`resolve_workers`, so the rule is the same everywhere: ``None``
+and anything below 2 select the serial reference path.  Only an
+explicit argument sizes a pool; no environment variable does.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ import os
 
 from repro.errors import ValidationError
 
-__all__ = ["WORKERS_ENV", "pool_start_method", "resolve_workers"]
-
-#: Environment variable consulted when no explicit ``workers=`` is given.
-WORKERS_ENV = "REPRO_WORKERS"
+__all__ = ["pool_start_method", "resolve_workers"]
 
 
 def _cpu_ceiling() -> int:
@@ -33,38 +29,25 @@ def _cpu_ceiling() -> int:
 def resolve_workers(workers: "int | str | None" = None) -> int:
     """Resolve the effective worker count.
 
-    Precedence: explicit argument > ``REPRO_WORKERS`` env var > 0
-    (serial).  Counts of 0 and 1 mean "run the serial reference path"
-    and pass through unchanged; counts of 2 or more are clamped to
-    ``os.cpu_count()`` (but never below 2, see :func:`_cpu_ceiling`) so
-    an oversized request cannot oversubscribe the host.  The string
-    ``"auto"`` (argument or env var) means "all cores"; negative counts
+    ``None`` means 0 (serial).  Counts of 0 and 1 mean "run the serial
+    reference path" and pass through unchanged; counts of 2 or more are
+    clamped to ``os.cpu_count()`` (but never below 2, see
+    :func:`_cpu_ceiling`) so an oversized request cannot oversubscribe
+    the host.  The string ``"auto"`` means "all cores"; negative counts
     and any other non-integer raise
     :class:`~repro.errors.ValidationError`.
     """
-    source = "workers"
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 0
-        workers = raw
-        source = WORKERS_ENV
-    if isinstance(workers, str):
-        text = workers.strip().lower()
-        if text == "auto":
-            count = os.cpu_count() or 1
-            return count if count >= 2 else 0
-        try:
-            workers = int(text)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{source} must be an integer or 'auto', got {workers!r}"
-            ) from exc
-    else:
-        try:
-            workers = int(workers)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"workers must be an integer, got {workers!r}") from exc
+        return 0
+    if isinstance(workers, str) and workers.strip().lower() == "auto":
+        count = os.cpu_count() or 1
+        return count if count >= 2 else 0
+    try:
+        workers = int(workers)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"workers must be an integer or 'auto', got {workers!r}"
+        ) from exc
     if workers < 0:
         raise ValidationError(f"workers must be non-negative, got {workers}")
     if workers < 2:

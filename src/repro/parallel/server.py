@@ -26,12 +26,12 @@ Response lines (one per request, batch order)::
     {"id": 7, "ok": true, "result": {"target": 3, "hits_before": 1, ...}}
     {"id": 8, "ok": false, "error": "ValidationError: ..."}
 
-Mechanics, in the order the ISSUE asked for them:
+Mechanics:
 
 * **batching/coalescing** — a reader thread parses and enqueues
   requests while the main loop drains up to ``batch_size`` of them per
-  dispatch, so bursty clients are served in chunked pool batches, not
-  one IPC round-trip per request;
+  dispatch; the pool runs each request of that batch as its own task,
+  and the batch's responses are written in request order;
 * **bounded admission** — the queue holds at most ``max_queue``
   requests; arrivals beyond that are *rejected immediately* with an
   error response rather than buffered without bound;

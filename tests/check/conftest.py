@@ -9,12 +9,19 @@ that actually runs untouched and the canary powerless.
 Eq. 6 itself runs through per-query cutoffs that the evaluator builds
 with ``ese._eq6_cutoffs`` (the name ``ese`` imported), so the cutoff
 canary patches that binding.
+
+Pool workers run each request through the ``_run_one`` that
+``repro.parallel.persistent`` imported, and inherit a patch of it when
+they fork; the worker canary patches that binding.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import ese
+from repro.parallel import persistent
 
 
 @pytest.fixture
@@ -41,3 +48,23 @@ def cutoff_one_ulp_low(monkeypatch):
 
     monkeypatch.setattr(ese, "_eq6_cutoffs", shifted)
     return shifted
+
+
+@pytest.fixture
+def forked_workers_drift(monkeypatch):
+    """Add one hit to every result a forked pool worker computes.
+
+    The parent process computes every serial reference and runs the
+    0-worker pool, so only a check that forks a pool sees the change.
+    """
+    parent = os.getpid()
+    run_one = persistent._run_one
+
+    def drifting(engine, request):
+        result = run_one(engine, request)
+        if os.getpid() != parent:
+            result.hits_after += 1
+        return result
+
+    monkeypatch.setattr(persistent, "_run_one", drifting)
+    return drifting

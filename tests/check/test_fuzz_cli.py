@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.check import AddObject, RemoveQuery, Scenario, fuzz, run_case, shrink
-from repro.check.cli import main as check_main
+from repro.check.cli import build_parser, main as check_main
 from repro.check.fuzz import FuzzFailure, random_scenario
 from repro.cli import main as repro_main
 
@@ -95,6 +95,18 @@ class TestCanary:
         assert code == 1
         assert "reference" in out.getvalue()
 
+    def test_parity_finds_a_change_only_forked_workers_make(self, forked_workers_drift):
+        # Every run checks a 2-worker pool; no environment variable
+        # decides whether a pool forks.
+        out = io.StringIO()
+        code = check_main(["--fuzz", "0", "--skip-battery"], out=out)
+        text = out.getvalue()
+        assert code == 1
+        assert "pooled parity (fresh index, workers 2, generation 2): FAIL" in text
+        assert "pooled parity (loaded index, workers 2, generation 2): FAIL" in text
+        assert "pooled parity (fresh index, workers 0, generation 2): ok" in text
+        assert "[fresh index, workers 2] [initial]" in text
+
 
 class TestCli:
     def test_module_main_passes(self):
@@ -111,6 +123,26 @@ class TestCli:
         code = check_main(["--fuzz", "1", "--skip-battery"], out=out)
         assert code == 0
         assert "battery" not in out.getvalue()
+
+    def test_every_run_checks_both_pool_sizes_on_both_indexes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "5")  # ignored
+        out = io.StringIO()
+        code = check_main(["--fuzz", "0", "--skip-battery"], out=out)
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert "analyze parity (engine, multi-target, SQL, CLI): ok" in lines
+        for source in ("fresh", "loaded"):
+            for workers in (0, 2):
+                assert (
+                    f"pooled parity ({source} index, workers {workers}, generation 2): ok"
+                    in lines
+                )
+
+    def test_no_flag_picks_a_parity_cell(self):
+        options = {
+            option for action in build_parser()._actions for option in action.option_strings
+        }
+        assert options == {"-h", "--help", "--fuzz", "--seed", "--mode", "--skip-battery"}
 
     def test_negative_fuzz_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

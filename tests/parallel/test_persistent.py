@@ -66,18 +66,23 @@ class TestParity:
         assert_results_match(first, second)
         assert pool.generation == 1  # no refresh between clean batches
 
-    def test_run_batch_delegates_to_pool(self, engine):
-        batch = requests_for(engine, count=3)
+    def test_each_request_is_its_own_task(self, engine, monkeypatch):
+        # A worker that finishes early takes the next request; no
+        # request waits behind a slice of heavier ones.
+        batch = requests_for(engine)
+        assert len(batch) == 12
         serial = run_batch(engine, batch)
         with PersistentPool(engine, workers=2) as pool:
-            assert_results_match(serial, run_batch(engine, batch, pool=pool))
+            submitted = []
+            submit = pool._executor.submit
 
-    def test_run_batch_rejects_foreign_pool(self, engine, small_market):
-        objects, queries, ks = small_market
-        other = ImprovementQueryEngine(Dataset(objects), QuerySet(queries, ks))
-        with PersistentPool(other, workers=0) as pool:
-            with pytest.raises(ValidationError, match="different engine"):
-                run_batch(engine, requests_for(engine, count=2), pool=pool)
+            def counting(fn, *args):
+                submitted.append(args[-1])
+                return submit(fn, *args)
+
+            monkeypatch.setattr(pool._executor, "submit", counting)
+            assert_results_match(serial, pool.run(batch))
+        assert submitted == batch
 
     def test_engine_pool_factory(self, engine):
         with engine.pool(workers=2) as pool:

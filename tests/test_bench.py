@@ -560,12 +560,12 @@ class TestInputErrors:
 
     @pytest.fixture
     def untimed(self, monkeypatch):
-        from repro.bench import regression
+        from repro.bench import harness
 
         def timed(*args, **kwargs):
             raise AssertionError("a figure was timed before the input error")
 
-        monkeypatch.setattr(regression, "time_call", timed)
+        monkeypatch.setattr(harness, "time_call", timed)
 
     @pytest.mark.parametrize(
         "argv",

@@ -211,7 +211,7 @@ class TestServe:
         ]
         code, out = run(
             ["serve", objects, queries, "--input",
-             self.write_requests(tmp_path, lines)]
+             self.write_requests(tmp_path, lines), "--workers", "2"]
         )
         assert code == 0
         answered = {r["id"]: r for r in [json.loads(line) for line in out.splitlines()]}
