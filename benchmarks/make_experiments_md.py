@@ -49,12 +49,18 @@ SECTIONS = [
         "whole index with a tree it does not hold, where the paper's index "
         "added its grouping to such a tree. Each time is the median of five "
         "builds through the bench's one timing loop (sides alternating, GC "
-        "off). Over fifteen runs of the figure test the time overhead read "
-        "15-85% at |Q| = 100 and 7-68% at |Q| = 300, but -11% to +88% at "
-        "|Q| = 200, negative in seven runs, where the test's 'time overhead "
-        "> 0' assertion failed; 21 alternating rounds in one process put "
-        "|Q| = 200 at -3% with the collector on. The run below is the last "
-        "of the fifteen. Sizes do not vary between runs; they exceed the "
+        "off). Over thirty fresh-process runs of the figure test the time "
+        "overhead read 35-119% at |Q| = 100 and 2-87% at |Q| = 300, but "
+        "-7% to +81% at |Q| = 200 (median 15%), negative in five runs, "
+        "where the test's 'time overhead > 0' assertion failed. The "
+        "collector is not the cause: with it left on in the same loop, "
+        "thirty runs alternated with these read a median of 4% at "
+        "|Q| = 200 and failed ten times. Before the medians each side was "
+        "one call, the index first: the first build at a new |Q| takes "
+        "about 1.8x its steady time (4.2 against 2.3 ms at |Q| = 200), so "
+        "that single sample read a median of 69% at |Q| = 200 and failed "
+        "none of thirty runs alternated with these. The run below is the "
+        "last of the thirty. Sizes do not vary between runs; they exceed the "
         "paper's 10% because the index keeps one full side vector per "
         "populated cell for §4.3 maintenance. The size overhead grows with "
         "|Q|, as in the paper.",

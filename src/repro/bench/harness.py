@@ -29,9 +29,9 @@ ROUNDS = 5
 
 
 def alternating_medians(
-    calls: "Sequence[Callable[[], Any]]", rounds: int = ROUNDS
+    calls: "Sequence[Callable[[], Any]]",
 ) -> "tuple[list[Any], list[float]]":
-    """Each call's last result and its median seconds over ``rounds``.
+    """Each call's last result and its median seconds over ``ROUNDS`` rounds.
 
     The calls run in turn, in reverse order on odd rounds, so every side
     samples the same stretch of host speed and none always inherits
@@ -45,7 +45,7 @@ def alternating_medians(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for round_ in range(rounds):
+        for round_ in range(ROUNDS):
             for side in order if round_ % 2 == 0 else order[::-1]:
                 results[side], took = time_call(calls[side])
                 seconds[side].append(took)

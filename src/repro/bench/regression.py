@@ -151,7 +151,7 @@ def measure(figure: str, point: Point) -> BenchRecord:
     median.  The agreement check runs once, after the loop.
     """
     results, (baseline_seconds, candidate_seconds) = alternating_medians(
-        (point.baseline, point.candidate), ROUNDS
+        (point.baseline, point.candidate)
     )
     if not point.agree(*results):
         raise RegressionMismatch(
@@ -528,8 +528,8 @@ def _analyze_points(config: BenchConfig, limit: int | None, workers: int):
     The par_batch workload, run as plain engine calls and as analyzed
     ones (stage recorder active).  The speedup is plain/analyzed, so
     values near 1x mean the observation layer is near-free.  Answers
-    must be byte-identical — the differential
-    ``repro check --analyze`` also enforces.
+    must be byte-identical — the differential that every
+    ``repro check`` run also enforces.
     """
     engine, batch, _ = _bench_workload(config, limit)
     yield Point(

@@ -260,7 +260,7 @@ class ImprovementQueryEngine:
         """EXPLAIN ANALYZE: run the query and return ``(result, plan+stats)``.
 
         The result is byte-identical to the plain :meth:`min_cost` /
-        :meth:`max_hit` call (``repro check --analyze`` enforces this):
+        :meth:`max_hit` call (every ``repro check`` run enforces this):
         the observation layer only reads the clock and counts.
         """
         if (tau is None) == (budget is None):

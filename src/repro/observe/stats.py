@@ -15,7 +15,7 @@ module-global *active recorder*:
 
 The recorder only ever *reads the clock and counts* — it has no access
 to solver state — which is the structural argument (enforced end to end
-by ``repro check --analyze``) that analyzed runs are byte-identical to
+by every ``repro check`` run) that analyzed runs are byte-identical to
 plain runs.
 
 Stages nest: candidate generation scores its batch with the evaluator,
