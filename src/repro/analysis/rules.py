@@ -361,15 +361,15 @@ class ParityCoverageRule(Rule):
 
 @register_rule
 class SolverDispatchRule(Rule):
-    """RPR006: solver functions are called only through the registry.
+    """RPR006: solver functions are called only through the solver table.
 
     The raw scheme implementations (``min_cost_iq``, ``greedy_*``,
-    ``rta_*``, ...) are wrapped by registered solvers in
-    ``repro/core/solvers.py``; every other module must dispatch through
-    ``get_solver(name)`` so plans, EXPLAIN output, and ``method=``
-    validation stay in sync with what actually runs.  The flagged name
-    set is derived from each solver's ``wraps`` declaration — a newly
-    registered solver extends the rule automatically.
+    ``exhaustive_*``, ...) are the ``min_cost`` and ``max_hit``
+    functions of the records in ``repro/core/solvers.py``; every other
+    module must dispatch through ``get_solver(name)`` so plans, EXPLAIN
+    output, and ``method=`` validation stay in sync with what actually
+    runs.  The flagged name set is derived from those records'
+    functions, so it follows the table.
     """
 
     code = "RPR006"

@@ -2,18 +2,11 @@
 
 from repro.baselines.greedy import greedy_max_hit_iq, greedy_min_cost_iq
 from repro.baselines.random_search import random_max_hit_iq, random_min_cost_iq
-from repro.baselines.rta import (
-    ReverseTopK,
-    RTAEvaluator,
-    rta_max_hit_iq,
-    rta_min_cost_iq,
-)
+from repro.baselines.rta import ReverseTopK, RTAEvaluator
 
 __all__ = [
     "ReverseTopK",
     "RTAEvaluator",
-    "rta_min_cost_iq",
-    "rta_max_hit_iq",
     "greedy_min_cost_iq",
     "greedy_max_hit_iq",
     "random_min_cost_iq",

@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
-from repro.core.results import IQResult
-from repro.core.strategy import StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 
-__all__ = ["ReverseTopK", "RTAEvaluator", "rta_min_cost_iq", "rta_max_hit_iq"]
+__all__ = ["ReverseTopK", "RTAEvaluator"]
 
 
 class ReverseTopK:
@@ -120,35 +117,3 @@ class RTAEvaluator(StrategyEvaluator):
     # only accelerates the *count*, membership listing still needs the
     # per-query test.  This mirrors the paper's setup where RTA-IQ and
     # Efficient-IQ share the searching code.
-
-
-def rta_min_cost_iq(
-    index: SubdomainIndex,
-    target: int,
-    tau: int,
-    cost: CostFunction,
-    space: StrategySpace | None = None,
-    **kwargs,
-) -> IQResult:
-    """Min-Cost IQ with RTA-based candidate evaluation (§6.1 RTA-IQ)."""
-    from repro.core.solvers import get_solver
-
-    return get_solver("rta").min_cost(
-        RTAEvaluator(index), target, tau, cost, space, **kwargs
-    )
-
-
-def rta_max_hit_iq(
-    index: SubdomainIndex,
-    target: int,
-    budget: float,
-    cost: CostFunction,
-    space: StrategySpace | None = None,
-    **kwargs,
-) -> IQResult:
-    """Max-Hit IQ with RTA-based candidate evaluation (§6.1 RTA-IQ)."""
-    from repro.core.solvers import get_solver
-
-    return get_solver("rta").max_hit(
-        RTAEvaluator(index), target, budget, cost, space, **kwargs
-    )

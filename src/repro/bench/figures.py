@@ -208,7 +208,7 @@ def _run_schemes(dataset: Dataset, queries: QuerySet, config: BenchConfig):
     cost = euclidean_cost(dataset.dim)
     tau = min(config.tau, queries.m)
 
-    # Every scheme dispatches through the solver registry (RTA-IQ runs
+    # Every scheme dispatches through the solver table (RTA-IQ runs
     # the "efficient" search over the RTA evaluation engine — only the
     # per-candidate evaluator differs, matching the paper's comparison).
     efficient = get_solver("efficient")

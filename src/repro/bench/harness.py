@@ -97,12 +97,6 @@ class TableResult:
             lines.append(f"expected shape: {self.notes}")
         return "\n".join(lines)
 
-    def show(self) -> None:
-        """Print the rendered table to stdout."""
-        print()
-        print(self.render())
-        print()
-
 
 @dataclass
 class BenchRecord:

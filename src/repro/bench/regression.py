@@ -69,7 +69,7 @@ from repro.core.updates import add_query
 from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
 from repro.errors import ReproError
-from repro.parallel import IQRequest, PersistentPool, run_batch, serve_stream
+from repro.parallel import IQRequest, PersistentPool, resolve_workers, run_batch, serve_stream
 
 __all__ = [
     "FIGURES",
@@ -383,14 +383,24 @@ def _same_results(serial: Any, pooled: Any) -> bool:
     )
 
 
+def _pool_sizes(workers: int) -> list[int]:
+    """The distinct pool sizes the pooled figures time: 2 and ``workers``.
+
+    Resolved as the pool resolves them, so a host that clamps
+    ``workers`` to 2 times its one 2-worker pool once, and a floor never
+    gates the better of two samples of the same pool.
+    """
+    return sorted({resolve_workers(2), resolve_workers(workers)})
+
+
 def _par_batch_points(config: BenchConfig, limit: int | None, workers: int):
     """Batch IQ driver: the serial loop vs a persistent worker pool.
 
     Min-Cost and Max-Hit calls over the least-hit targets, one point
-    per pool size.  Pool startup is not the figure: it amortizes across
-    the many batches a serving process runs.  The workers fork inside
-    the first pooled call (inheriting the collector's off state), a
-    cold call the median drops.
+    per distinct pool size (:func:`_pool_sizes`).  Pool startup is not
+    the figure: it amortizes across the many batches a serving process
+    runs.  The workers fork inside the first pooled call (inheriting the
+    collector's off state), a cold call the median drops.
     """
     engine, batch, tau = _bench_workload(config, limit)
     plan = build_plan(
@@ -402,7 +412,7 @@ def _par_batch_points(config: BenchConfig, limit: int | None, workers: int):
         euclidean_cost(config.dimensions),
         StrategySpace.unconstrained(config.dimensions),
     ).to_dict()
-    for size in sorted({2, workers}):
+    for size in _pool_sizes(workers):
         with PersistentPool(engine, workers=size) as pool:
             yield Point(
                 f"workers={size}",
@@ -430,7 +440,8 @@ def _serve_points(config: BenchConfig, limit: int | None, workers: int):
     """Serving front end: one JSONL stream, serial-mode vs pooled server.
 
     The par_batch workload as protocol lines, so the figure includes
-    parsing, coalescing and response serialization.  Both servers must
+    parsing, coalescing and response serialization; one point per
+    distinct pool size (:func:`_pool_sizes`).  Both servers must
     emit byte-identical responses; ``throughput`` and ``batches`` are
     the pooled server's last run.
     """
@@ -442,7 +453,7 @@ def _serve_points(config: BenchConfig, limit: int | None, workers: int):
         for i, request in enumerate(batch)
     ]
     with PersistentPool(engine, workers=0) as serial_pool:
-        for size in sorted({2, workers}):
+        for size in _pool_sizes(workers):
             with PersistentPool(engine, workers=size) as pool:
                 yield Point(
                     f"workers={size}",

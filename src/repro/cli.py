@@ -89,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         goal.add_argument("--budget", type=float, help="Max-Hit budget beta")
         command.add_argument("--cost", default="L2", choices=sorted(_COSTS))
         command.add_argument("--sense", default="min", choices=["min", "max"])
-        # Choices come from the solver registry, so a third-party solver
-        # registered before main() is immediately addressable.  The
-        # solver changes the answer, so it is never chosen for the user.
+        # Choices come from the solver table: the five schemes of §6.1.
+        # The solver changes the answer, so it is never chosen for the user.
         command.add_argument("--method", default="efficient",
                              choices=list(registered_solvers()))
         command.add_argument("--adjust", action="append", default=[],

@@ -42,7 +42,6 @@ from repro.core.results import IQResult, IterationRecord
 from repro.core.solvers import (
     Solver,
     get_solver,
-    register_solver,
     registered_solvers,
     solver_function_names,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "PLAN_FIELDS",
     "build_plan",
     "Solver",
-    "register_solver",
     "registered_solvers",
     "get_solver",
     "solver_function_names",

@@ -13,9 +13,9 @@ The engine itself is a thin façade over four explicit layers:
 * **planner** (:mod:`repro.core.plan`) — every query first builds a
   frozen :class:`~repro.core.plan.ExecutionPlan`; :meth:`explain`
   returns that plan without executing it.
-* **solver registry** (:mod:`repro.core.solvers`) — ``method="..."``
-  resolves through :func:`~repro.core.solvers.get_solver`; the five
-  paper schemes and any third-party solver dispatch identically.
+* **solver table** (:mod:`repro.core.solvers`) — ``method="..."``
+  resolves through :func:`~repro.core.solvers.get_solver` to one of the
+  five paper schemes, which all dispatch identically.
 * **boundary** (:mod:`repro.core.boundary`) — everything user-facing is
   expressed in the dataset's own attribute convention (``sense="min"``
   or ``"max"``); costs, strategy bounds, and result strategies are
@@ -204,7 +204,7 @@ class ImprovementQueryEngine:
     ) -> tuple[ExecutionPlan, CostFunction, StrategySpace | None]:
         """Plan step: resolve the solver, internalize, snapshot the index.
 
-        ``method`` names a registered solver; it is never chosen for
+        ``method`` names one of the five solvers; it is never chosen for
         the caller, because the solver decides the answer.
         """
         with stage("plan"):
@@ -307,11 +307,10 @@ class ImprovementQueryEngine:
     ) -> IQResult:
         """Min-Cost IQ: cheapest strategy with ``H(target + s) >= tau``.
 
-        ``method`` selects the processing scheme of §6.1 by registry
-        name: ``"efficient"`` (Efficient-IQ, the paper's contribution),
+        ``method`` selects the processing scheme of §6.1 by name:
+        ``"efficient"`` (Efficient-IQ, the paper's contribution),
         ``"rta"``, ``"greedy"``, ``"random"``, or ``"exhaustive"``
-        (exact, tiny workloads only) — plus any solver registered via
-        :func:`repro.core.solvers.register_solver`.
+        (exact, tiny workloads only).
         """
         return self._execute("min_cost", target, tau, cost, space, method, kwargs)
 

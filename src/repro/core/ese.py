@@ -44,35 +44,22 @@ __all__ = ["StrategyEvaluator"]
 _CHUNK_BUDGET = 4_000_000
 
 
-def _slab_region(value: float, theta: float) -> int:
-    """Classify a query against one intersection hyperplane: -1 / 0 / +1.
-
-    ``value`` is the query's signed offset ``q . (position - p_l)`` and
-    ``theta`` the other object's score ``q . p_l``.  Region ``0`` is the
-    relative tie band that :func:`~repro.core.subdomain._beats_batch` resolves
-    by object id; the affected-subspace retrieval must treat it as its
-    own region, because a move that enters or leaves the band changes
-    membership through the tie rule even when the raw sign of ``value``
-    never flips (the ESE-parity bug the correctness harness guards).
-    """
-    band = _TIE_TOL * max(1.0, abs(theta))
-    if value < -band:
-        return -1
-    if value > band:
-        return 1
-    return 0
-
-
 def _slab_crossings(
     old_values: np.ndarray, new_values: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """:func:`_slab_region` over whole blocks: did the region change?
+    """Did a query's region against an intersection hyperplane change?
 
     Elementwise over matching shapes: ``old_values``/``new_values`` are
-    the queries' signed offsets against the old/new intersection
-    hyperplane of one other object and ``theta`` that object's scores.
-    A query is affected when its region (-1 / 0 / +1) differs between
-    the two hyperplanes.
+    the queries' signed offsets ``q . (position - p_l)`` against the
+    old/new intersection hyperplane of one other object ``l`` and
+    ``theta`` that object's scores ``q . p_l``.  Each offset falls in
+    region -1, 0 or +1, where region ``0`` is the relative tie band that
+    :func:`~repro.core.subdomain._beats_batch` resolves by object id.  A
+    query is affected when its region differs between the two
+    hyperplanes: the band must count as its own region, because a move
+    that enters or leaves it changes membership through the tie rule
+    even when the raw sign of the offset never flips (the ESE-parity bug
+    the correctness harness guards).
     """
     band = _TIE_TOL * np.maximum(1.0, np.abs(theta))
     old_region = (old_values > band).astype(np.int8) - (old_values < -band).astype(np.int8)
@@ -248,7 +235,7 @@ class StrategyEvaluator:
 
         The slab test is widened by the same relative tie band that
         :func:`~repro.core.subdomain._beats_batch` applies (see
-        :func:`_slab_region`): a query whose score enters or leaves the
+        :func:`_slab_crossings`): a query whose score enters or leaves the
         band changes membership through the id tie-break without the raw
         side of either hyperplane flipping, so it must count as
         affected for :meth:`evaluate_affected` to equal

@@ -2,7 +2,7 @@
 
 Every ``engine.min_cost`` / ``engine.max_hit`` call is processed in two
 explicit steps: a *plan* step that resolves the solver through the
-registry, internalizes the cost/space arguments at the boundary layer,
+solver table, internalizes the cost/space arguments at the boundary layer,
 and snapshots the index statistics the solver will run against; and an
 *execute* step that hands the plan's solver the chosen evaluator.
 ``engine.explain(...)`` (and SQL ``EXPLAIN IMPROVE ...``) returns the
@@ -87,7 +87,7 @@ class ExecutionPlan:
     """
 
     kind: str  #: "min_cost" | "max_hit"
-    solver: Solver = field(compare=False)  #: the registered solver (singleton)
+    solver: Solver = field(compare=False)  #: the solver record (one per scheme)
     target: int = 0
     goal: float = 0.0  #: tau (min_cost) or budget (max_hit)
     sense: str = "min"

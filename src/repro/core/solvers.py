@@ -1,45 +1,27 @@
-"""The solver registry: one dispatch point for every IQ processing scheme.
+"""The paper's five IQ processing schemes, one :class:`Solver` record each.
 
 The paper's §6.1 compares five processing schemes (Efficient-IQ, RTA-IQ,
-Greedy, Random, Exhaustive).  Each is wrapped here as a :class:`Solver`
-and registered by name with the :func:`register_solver` decorator; the
+Greedy, Random, Exhaustive).  Each is one record in a fixed table; the
 engine's planner resolves ``method="..."`` through :func:`get_solver`
-and never dispatches on strings itself.  Third-party schemes plug in
-the same way::
-
-    from repro.core.solvers import SolverBase, register_solver
-
-    @register_solver
-    class AnnealingSolver(SolverBase):
-        name = "annealing"
-        candidate_method = "simulated-annealing"
-
-        def min_cost(self, evaluator, target, tau, cost, space=None, **kwargs):
-            ...
-
-        def max_hit(self, evaluator, target, budget, cost, space=None, **kwargs):
-            ...
-
-after which ``engine.min_cost(..., method="annealing")`` resolves to it
-and ``engine.explain(...)`` reports its metadata.
+and never dispatches on strings itself.
 
 Solver metadata feeds the planner (:mod:`repro.core.plan`):
 ``evaluator`` names the evaluation engine the solver expects (``"ese"``
 or ``"rta"``), ``candidate_method`` describes how candidate strategies
 are generated, and ``notes`` carries fallback caveats surfaced by
 EXPLAIN.  ``options`` maps each keyword option the solver takes to the
-check its value must pass (:func:`check_options`); a solver that leaves
-it ``None`` has its keywords checked only by its own signature.
-``wraps`` lists the raw solver-function names behind the scheme — the
-RPR006 lint rule uses it to flag any direct call to those functions
-outside this module, keeping the registry the single dispatch point.
+check its value must pass (:func:`check_options`).  The RPR006 lint
+rule flags any direct call to a record's ``min_cost`` or ``max_hit``
+function outside this module, keeping the table the single dispatch
+point.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Mapping, Protocol, TypeVar, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.baselines.greedy import greedy_max_hit_iq, greedy_min_cost_iq
 from repro.baselines.random_search import random_max_hit_iq, random_min_cost_iq
@@ -54,10 +36,8 @@ from repro.errors import ValidationError
 
 __all__ = [
     "Solver",
-    "SolverBase",
     "check_goal",
     "check_options",
-    "register_solver",
     "get_solver",
     "registered_solvers",
     "solver_function_names",
@@ -126,107 +106,37 @@ _SEARCH_OPTIONS: Mapping[str, OptionCheck] = {
 }
 
 
-def check_options(solver: "Solver", options: Mapping[str, object]) -> None:
+def check_options(solver: Solver, options: Mapping[str, object]) -> None:
     """Validate a solver's keyword options before anything runs.
 
     An unknown key is refused with the keys the solver accepts, and a
-    value of the wrong type or out of range by the key's own check.  A
-    solver with no ``options`` table (a third-party scheme, say) is not
-    checked here."""
-    accepted: "Mapping[str, OptionCheck] | None" = getattr(solver, "options", None)
-    if accepted is None:
-        return
+    value of the wrong type or out of range by the key's own check."""
     for name, value in options.items():
-        check = accepted.get(name)
+        check = solver.options.get(name)
         if check is None:
             raise ValidationError(
                 f"solver {solver.name!r} takes no option {name!r}; "
-                f"its options are {sorted(accepted)}"
+                f"its options are {sorted(solver.options)}"
             )
         check(name, value)
 
 
-@runtime_checkable
-class Solver(Protocol):
-    """What the planner requires of a registered processing scheme."""
+@dataclass(frozen=True, eq=False)
+class Solver:
+    """One processing scheme: its two IQ functions and its EXPLAIN metadata.
 
-    name: str  #: registry key, the engine's ``method=`` value
-    evaluator: str  #: evaluation engine the solver expects ("ese" | "rta")
+    ``min_cost`` and ``max_hit`` take ``(evaluator, target, goal, cost,
+    space=None, **options)`` in internal convention.  A record compares
+    and hashes by identity: it is the one instance of its scheme.
+    """
+
+    name: str  #: the engine's ``method=`` value
+    min_cost: Callable[..., IQResult]  #: Min-Cost IQ
+    max_hit: Callable[..., IQResult]  #: Max-Hit IQ
     candidate_method: str  #: how candidate strategies are generated
-    wraps: tuple[str, ...]  #: raw solver-function names behind the scheme
-    notes: tuple[str, ...]  #: fallback caveats surfaced by EXPLAIN
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        """Min-Cost IQ in internal convention."""
-        ...  # pragma: no cover - protocol
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        """Max-Hit IQ in internal convention."""
-        ...  # pragma: no cover - protocol
-
-    def run(
-        self,
-        kind: str,
-        evaluator: StrategyEvaluator,
-        target: int,
-        goal: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        """Dispatch on the query kind ("min_cost" | "max_hit")."""
-        ...  # pragma: no cover - protocol
-
-
-class SolverBase:
-    """Convenience base: kind dispatch plus default metadata."""
-
-    name: str = ""
-    evaluator: str = "ese"
-    candidate_method: str = "unspecified"
-    wraps: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    options: "Mapping[str, OptionCheck] | None" = None
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        """Cheapest strategy reaching ``tau`` hits (unsupported by default)."""
-        raise ValidationError(f"solver {self.name!r} does not support min_cost")
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        """Most hits within ``budget`` cost (unsupported by default)."""
-        raise ValidationError(f"solver {self.name!r} does not support max_hit")
+    options: Mapping[str, OptionCheck]  #: accepted keyword options and their checks
+    evaluator: str = "ese"  #: evaluation engine the solver expects ("ese" | "rta")
+    notes: tuple[str, ...] = ()  #: fallback caveats surfaced by EXPLAIN
 
     def run(
         self,
@@ -248,34 +158,49 @@ class SolverBase:
         raise ValidationError(f"kind must be one of {QUERY_KINDS}, got {kind!r}")
 
 
-_REGISTRY: dict[str, Solver] = {}
-
-_S = TypeVar("_S", bound=type)
-
-
-def register_solver(cls: _S) -> _S:
-    """Class decorator: instantiate and register a solver by its name."""
-    solver = cls()
-    if not isinstance(solver, Solver):
-        raise ValidationError(
-            f"{cls.__name__} does not implement the Solver protocol"
-        )
-    if not solver.name:
-        raise ValidationError(f"{cls.__name__} must set a non-empty name")
-    if solver.name in _REGISTRY:
-        raise ValidationError(f"solver {solver.name!r} is already registered")
-    _REGISTRY[solver.name] = solver
-    return cls
+#: The paper's five processing schemes (§6.1), by name.
+_SOLVERS: Mapping[str, Solver] = {
+    solver.name: solver
+    for solver in (
+        # Efficient-IQ: greedy search with ESE candidate evaluation.
+        Solver("efficient", min_cost_iq, max_hit_iq, "batched-closed-form", _SEARCH_OPTIONS),
+        # RTA-IQ: the same greedy search, hit counts via reverse top-k.
+        Solver(
+            "rta", min_cost_iq, max_hit_iq, "batched-closed-form", _SEARCH_OPTIONS,
+            evaluator="rta",
+            notes=(
+                "hit counts via RTA threshold pruning; membership listing falls back to ESE",
+            ),
+        ),
+        # Greedy baseline: repeatedly hit the single cheapest query.
+        Solver(
+            "greedy", greedy_min_cost_iq, greedy_max_hit_iq, "cheapest-single-query",
+            _SEARCH_OPTIONS,
+        ),
+        # Random baseline: best of N uniformly sampled strategies.
+        Solver(
+            "random", random_min_cost_iq, random_max_hit_iq, "uniform-sampling",
+            {"attempts": _whole(1), "seed": _whole(0, optional=True)},
+            notes=("stochastic: quality depends on the attempt budget and seed",),
+        ),
+        # Exact subset enumeration: tiny workloads only (§6.3.2).
+        Solver(
+            "exhaustive", exhaustive_min_cost, exhaustive_max_hit, "subset-enumeration",
+            {"margin": _margin},
+            notes=("exact but exponential in the workload size; tiny instances only",),
+        ),
+    )
+}
 
 
 def registered_solvers() -> tuple[str, ...]:
-    """Sorted names of every registered solver (the valid ``method`` values)."""
-    return tuple(sorted(_REGISTRY))
+    """Sorted names of the five solvers (the valid ``method`` values)."""
+    return tuple(sorted(_SOLVERS))
 
 
 def get_solver(name: str) -> Solver:
-    """Resolve a solver by name; unknown names list the registry contents."""
-    solver = _REGISTRY.get(name)
+    """Resolve a solver by name; an unknown name lists the valid ones."""
+    solver = _SOLVERS.get(name)
     if solver is None:
         raise ValidationError(
             f"method must be one of {registered_solvers()}, got {name!r}"
@@ -284,158 +209,13 @@ def get_solver(name: str) -> Solver:
 
 
 def solver_function_names() -> frozenset[str]:
-    """Raw solver-function names wrapped by any registered solver.
+    """Names of the records' ``min_cost`` and ``max_hit`` functions.
 
     The RPR006 lint rule flags direct calls to these outside this
-    module, so the set tracks the registry instead of a hand-kept list.
+    module, so the set follows the table instead of a hand-kept list.
     """
-    return frozenset(name for solver in _REGISTRY.values() for name in solver.wraps)
-
-
-# ----------------------------------------------------------------------
-# The paper's five processing schemes (§6.1)
-# ----------------------------------------------------------------------
-@register_solver
-class EfficientSolver(SolverBase):
-    """Efficient-IQ: greedy search with ESE candidate evaluation."""
-
-    name = "efficient"
-    evaluator = "ese"
-    candidate_method = "batched-closed-form"
-    wraps = ("min_cost_iq", "max_hit_iq")
-    options = _SEARCH_OPTIONS
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return min_cost_iq(evaluator, target, tau, cost, space, **kwargs)
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return max_hit_iq(evaluator, target, budget, cost, space, **kwargs)
-
-
-@register_solver
-class RTASolver(EfficientSolver):
-    """RTA-IQ: the same greedy search, hit counts via reverse top-k."""
-
-    name = "rta"
-    evaluator = "rta"
-    wraps = ("min_cost_iq", "max_hit_iq", "rta_min_cost_iq", "rta_max_hit_iq")
-    notes = (
-        "hit counts via RTA threshold pruning; membership listing falls back to ESE",
+    return frozenset(
+        function.__name__
+        for solver in _SOLVERS.values()
+        for function in (solver.min_cost, solver.max_hit)
     )
-
-
-@register_solver
-class GreedySolver(SolverBase):
-    """Greedy baseline: repeatedly hit the single cheapest query."""
-
-    name = "greedy"
-    evaluator = "ese"
-    candidate_method = "cheapest-single-query"
-    wraps = ("greedy_min_cost_iq", "greedy_max_hit_iq")
-    options = _SEARCH_OPTIONS
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return greedy_min_cost_iq(evaluator, target, tau, cost, space, **kwargs)
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return greedy_max_hit_iq(evaluator, target, budget, cost, space, **kwargs)
-
-
-@register_solver
-class RandomSolver(SolverBase):
-    """Random baseline: best of N uniformly sampled strategies."""
-
-    name = "random"
-    evaluator = "ese"
-    candidate_method = "uniform-sampling"
-    wraps = ("random_min_cost_iq", "random_max_hit_iq")
-    notes = ("stochastic: quality depends on the attempt budget and seed",)
-    options = {"attempts": _whole(1), "seed": _whole(0, optional=True)}
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return random_min_cost_iq(evaluator, target, tau, cost, space, **kwargs)
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return random_max_hit_iq(evaluator, target, budget, cost, space, **kwargs)
-
-
-@register_solver
-class ExhaustiveSolver(SolverBase):
-    """Exact subset enumeration — tiny workloads only (§6.3.2)."""
-
-    name = "exhaustive"
-    evaluator = "ese"
-    candidate_method = "subset-enumeration"
-    wraps = ("exhaustive_min_cost", "exhaustive_max_hit")
-    notes = ("exact but exponential in the workload size; tiny instances only",)
-    options = {"margin": _margin}
-
-    def min_cost(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        tau: int,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return exhaustive_min_cost(evaluator, target, tau, cost, space, **kwargs)
-
-    def max_hit(
-        self,
-        evaluator: StrategyEvaluator,
-        target: int,
-        budget: float,
-        cost: CostFunction,
-        space: StrategySpace | None = None,
-        **kwargs: object,
-    ) -> IQResult:
-        return exhaustive_max_hit(evaluator, target, budget, cost, space, **kwargs)

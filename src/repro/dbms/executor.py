@@ -5,10 +5,11 @@ and runs one statement and returns a :class:`ResultSet` (columns +
 rows).  The improvement-query statements (CREATE IMPROVEMENT INDEX /
 IMPROVE) are delegated to :mod:`repro.dbms.improve`.
 
-Expression evaluation uses SQL-ish three-valued-light semantics: an
-ordering comparison (``<``, ``>``, ``<=``, ``>=``) with NULL is false,
-``=`` and ``<>`` compare NULL as a value, arithmetic with NULL raises,
-and ORDER BY puts NULL after every value (first under DESC).
+Expression evaluation uses SQL-ish three-valued-light semantics: any
+comparison (``=``, ``<>``/``!=``, ``<``, ``>``, ``<=``, ``>=``) with a
+NULL operand is false, ``NULL = NULL`` included, and ``NOT`` of it is
+true; arithmetic with NULL raises, and ORDER BY puts NULL after every
+value (first under DESC).
 A pseudo column ``rowid`` (insertion order, 0-based) is always
 available, which is how IMPROVE targets are usually selected.  Each
 statement compiles its expressions once (:func:`_compile`) and runs the
@@ -204,7 +205,15 @@ def _divide(a, b):
     return a / b
 
 
-_ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
@@ -254,14 +263,10 @@ def _compile_binary(op: str, left: Compiled, right: Compiled) -> Compiled:
         return lambda row, row_id: bool(left(row, row_id)) and bool(right(row, row_id))
     if op == "OR":
         return lambda row, row_id: bool(left(row, row_id)) or bool(right(row, row_id))
-    if op == "=":
-        return lambda row, row_id: left(row, row_id) == right(row, row_id)
-    if op in ("<>", "!="):
-        return lambda row, row_id: not left(row, row_id) == right(row, row_id)
-    if op in _ORDERINGS:
-        compare = _ORDERINGS[op]
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
 
-        def ordering(row, row_id):
+        def comparison(row, row_id):
             a, b = left(row, row_id), right(row, row_id)
             if a is None or b is None:
                 return False
@@ -270,7 +275,7 @@ def _compile_binary(op: str, left: Compiled, right: Compiled) -> Compiled:
             except TypeError:
                 raise SQLExecutionError(f"cannot compare {a!r} and {b!r}")
 
-        return ordering
+        return comparison
 
     apply = _ARITHMETIC.get(op)
 

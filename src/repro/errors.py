@@ -30,18 +30,6 @@ class UnboundedError(ReproError):
     """A linear program is unbounded in the optimization direction."""
 
 
-class BudgetExhaustedError(ReproError):
-    """An iterative search ran out of its configured budget.
-
-    Carries the best solution found so far in :attr:`best`, so callers
-    that prefer a partial answer over an exception can recover it.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class IndexCorruptionError(ReproError):
     """An index invariant was violated (internal consistency check).
 

@@ -43,7 +43,7 @@ class IQRequest:
     kind: str  #: "min_cost" | "max_hit"
     target: int  #: object to improve
     goal: float  #: tau (min_cost) or budget (max_hit)
-    method: str = "efficient"  #: solver registry name
+    method: str = "efficient"  #: solver name (see get_solver)
     cost: "CostFunction | None" = None
     space: "StrategySpace | None" = None
     options: tuple[tuple[str, object], ...] = ()

@@ -1,19 +1,10 @@
-"""Top-k evaluation substrates: direct scoring and heap selection."""
+"""Top-k evaluation substrate: direct scoring."""
 
-from repro.topk.evaluate import (
-    kth_score,
-    rank_of,
-    ranking_prefix,
-    scores,
-    top_k,
-    top_k_heap,
-)
+from repro.topk.evaluate import kth_score, rank_of, scores, top_k
 
 __all__ = [
     "scores",
     "top_k",
-    "top_k_heap",
-    "ranking_prefix",
     "rank_of",
     "kth_score",
 ]

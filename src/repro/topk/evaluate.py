@@ -9,13 +9,11 @@ every ranking in the library deterministic.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["scores", "top_k", "rank_of", "ranking_prefix", "kth_score", "top_k_heap"]
+__all__ = ["scores", "top_k", "rank_of", "kth_score"]
 
 
 def scores(objects: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -38,43 +36,6 @@ def top_k(objects: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
     # argsort is stable, so equal scores keep ascending-id order.
     order = np.argsort(vals, kind="stable")
     return [int(i) for i in order[:k]]
-
-
-#: Below this many objects the heap's Python loop beats argpartition's
-#: fixed numpy overhead.
-_PARTITION_CUTOVER = 64
-
-
-def top_k_heap(objects: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
-    """Selection-based top-k: ``O(n + k log k)``, same result as :func:`top_k`.
-
-    Large inputs go through :func:`numpy.argpartition`; the tie-break by
-    id is restored exactly by over-selecting every score equal to the
-    k-th value and keeping the lowest ids among them.  Small inputs keep
-    the original ``heapq.nsmallest`` path.
-    """
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
-    vals = scores(objects, weights)
-    n = vals.shape[0]
-    if k >= n:
-        return top_k(objects, weights, k)
-    if n < _PARTITION_CUTOVER:
-        # heapq.nsmallest on (score, id) pairs realizes the tie-break.
-        return [int(i) for __, i in heapq.nsmallest(k, ((float(v), i) for i, v in enumerate(vals)))]
-    part = np.argpartition(vals, k - 1)[:k]
-    cutoff = vals[part].max()
-    strict = np.flatnonzero(vals < cutoff)
-    # Every score equal to the cutoff competes on id for the last slots.
-    tied = np.flatnonzero(vals == cutoff)[: k - strict.size]
-    chosen = np.concatenate([strict, tied])
-    order = np.lexsort((chosen, vals[chosen]))
-    return [int(i) for i in chosen[order]]
-
-
-def ranking_prefix(objects: np.ndarray, weights: np.ndarray, depth: int) -> list[int]:
-    """The first ``depth`` ids of the full ranking (= ``top_k`` with k=depth)."""
-    return top_k(objects, weights, depth)
 
 
 def rank_of(objects: np.ndarray, weights: np.ndarray, object_id: int) -> int:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines.rta import ReverseTopK, RTAEvaluator, rta_min_cost_iq
+from repro.baselines.rta import ReverseTopK, RTAEvaluator
 from repro.core.cost import euclidean_cost
 from repro.core.ese import StrategyEvaluator
 from repro.core.mincost import min_cost_iq
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
+from repro.core.solvers import get_solver
 from repro.core.subdomain import SubdomainIndex
 from repro.topk.evaluate import top_k
 
@@ -83,7 +84,7 @@ class TestRTAIQ:
         __, __, index = world
         cost = euclidean_cost(3)
         efficient = min_cost_iq(StrategyEvaluator(index), 1, 12, cost)
-        rta = rta_min_cost_iq(index, 1, 12, cost)
+        rta = get_solver("rta").min_cost(RTAEvaluator(index), 1, 12, cost)
         assert rta.satisfied == efficient.satisfied
         assert rta.total_cost == pytest.approx(efficient.total_cost)
         assert np.allclose(rta.strategy.vector, efficient.strategy.vector)

@@ -1,10 +1,8 @@
 """Shared fault injection for the harness canary tests.
 
 The ESE hot path classifies queries against the slab boundaries through
-the batched ``ese._slab_crossings``, so re-creating the pre-fix
-tie-band-blind predicate must patch that function — patching the scalar
-reference helper ``ese._slab_region`` would leave the vectorized path
-that actually runs untouched and the canary powerless.
+the batched ``ese._slab_crossings``, the one function that holds the tie
+band, so re-creating the pre-fix tie-band-blind predicate patches it.
 
 Eq. 6 itself runs through per-query cutoffs that the evaluator builds
 with ``ese._eq6_cutoffs`` (the name ``ese`` imported), so the cutoff

@@ -144,6 +144,14 @@ class TestCompiledPredicate:
         assert db.execute(f"SELECT b FROM t WHERE a {op} NULL").rows == []
         assert db.execute(f"SELECT b FROM t WHERE NULL {op} a").rows == []
 
+    @pytest.mark.parametrize("op", ["=", "<>", "!="])
+    def test_equality_comparison_with_null_is_false(self, db, op):
+        db.execute("INSERT INTO t VALUES (NULL, 9.0, 'n')")
+        assert 9.0 not in db.execute(f"SELECT b FROM t WHERE a {op} 2").column("b")
+        assert 9.0 in db.execute(f"SELECT b FROM t WHERE NOT a {op} 2").column("b")
+        for where in (f"a {op} NULL", f"NULL {op} a", f"1 {op} NULL", f"NULL {op} NULL"):
+            assert db.execute(f"SELECT b FROM t WHERE {where}").rows == [], where
+
     @pytest.mark.parametrize("column", ["a", "rowid"])
     def test_insert_values_refuse_a_column_reference(self, db, column):
         with pytest.raises(SQLExecutionError, match="not allowed here"):

@@ -9,7 +9,7 @@ from repro.errors import InfeasibleError, UnboundedError
 from repro.index.bloom import CountingBloomFilter
 from repro.index.skyline import dominates, skyline, skyline_layers
 from repro.optimize.simplex import linprog
-from repro.topk.evaluate import top_k, top_k_heap
+from repro.topk.evaluate import top_k
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, width=32)
 unit = st.floats(0.0, 1.0, allow_nan=False, width=32)
@@ -53,15 +53,6 @@ import pytest  # noqa: E402  (used by approx above)
 
 
 class TestTopKProperties:
-    @given(
-        objects=arrays(np.float64, (12, 3), elements=unit),
-        weights=arrays(np.float64, (3,), elements=unit),
-        k=st.integers(1, 12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_heap_equals_sort(self, objects, weights, k):
-        assert top_k(objects, weights, k) == top_k_heap(objects, weights, k)
-
     @given(
         objects=arrays(np.float64, (10, 2), elements=unit),
         weights=arrays(np.float64, (2,), elements=unit),

@@ -12,17 +12,11 @@ import pytest
 
 import repro
 
-MODULES = [
-    "repro",
-    "repro.core",
-    "repro.baselines",
-    "repro.index",
-    "repro.topk",
-    "repro.geometry",
-    "repro.optimize",
-    "repro.data",
-    "repro.dbms",
-    "repro.bench",
+#: The package and every module under it but the ``__main__`` entry points.
+MODULES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if "__main__" not in info.name
 ]
 
 
@@ -34,15 +28,12 @@ def test_all_exports_resolve(module_name):
 
 
 def iter_public_objects():
-    package = repro
-    for info in pkgutil.walk_packages(package.__path__, prefix="repro."):
-        if "__main__" in info.name:
-            continue
-        module = importlib.import_module(info.name)
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             obj = getattr(module, name, None)
             if inspect.isclass(obj) or inspect.isfunction(obj):
-                yield f"{info.name}.{name}", obj
+                yield f"{module_name}.{name}", obj
 
 
 def test_every_public_item_has_a_docstring():

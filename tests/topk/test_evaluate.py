@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.topk.evaluate import kth_score, rank_of, scores, top_k, top_k_heap
+from repro.topk.evaluate import kth_score, rank_of, scores, top_k
 
 
 class TestScores:
@@ -34,36 +34,6 @@ class TestTopK:
     def test_invalid_k(self):
         with pytest.raises(ValidationError):
             top_k(np.ones((2, 1)), np.ones(1), 0)
-
-    def test_heap_variant_matches(self, rng):
-        objects = rng.random((100, 4))
-        for __ in range(10):
-            weights = rng.random(4)
-            k = int(rng.integers(1, 20))
-            assert top_k_heap(objects, weights, k) == top_k(objects, weights, k)
-
-    def test_heap_partition_path_ties_broken_by_id(self, rng):
-        # Large n triggers the argpartition fast path; massive score
-        # duplication forces the id tie-break at the k-th slot.
-        values = rng.integers(0, 5, size=200).astype(float)
-        objects = values[:, None]
-        weights = np.ones(1)
-        for k in (1, 3, 17, 64, 199):
-            assert top_k_heap(objects, weights, k) == top_k(objects, weights, k)
-
-    def test_heap_all_scores_identical(self):
-        objects = np.zeros((150, 2))
-        weights = np.array([0.3, 0.7])
-        assert top_k_heap(objects, weights, 10) == list(range(10))
-
-    def test_heap_small_input_keeps_heap_path(self, rng):
-        objects = rng.integers(0, 3, size=(20, 1)).astype(float)
-        for k in (1, 5, 19):
-            assert top_k_heap(objects, np.ones(1), k) == top_k(objects, np.ones(1), k)
-
-    def test_heap_k_equals_n_on_large_input(self, rng):
-        objects = rng.integers(0, 4, size=(128, 1)).astype(float)
-        assert top_k_heap(objects, np.ones(1), 128) == top_k(objects, np.ones(1), 128)
 
     def test_paper_camera_example(self):
         # Figure 1 of the paper, converted to min-convention by negation.
