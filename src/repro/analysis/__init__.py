@@ -9,9 +9,9 @@ RPR002    runtime invariants raise :class:`~repro.errors.ReproError`
           subclasses, never ``assert`` / bare ``Exception``
 RPR003    public ndarray-taking functions validate shape/dtype
 RPR004    no mutable default arguments
-RPR005    vectorized/literal implementation pairs are exercised by a
-          parity test
-RPR006    solver functions dispatch through the registry
+RPR005    a reference implementation and its production counterpart
+          are exercised by a parity test
+RPR006    solver functions are called only through the solver table
 RPR007    multiprocessing primitives live only in ``repro/parallel/``
 RPR008    no module-level mutable state reachable from worker entry
           points (fork-safety; pass state as task arguments)

@@ -27,11 +27,13 @@ __all__ = [
     "PARITY_PAIRS",
 ]
 
-#: Vectorized/literal implementation pairs (RPR005): defining one of
-#: these symbols obliges some test file to exercise *both* variants.
+#: Reference implementations and their production counterparts
+#: (RPR005): defining one of these symbols obliges some test file to
+#: name it together with *both* listed names.  ``find_subdomains`` is
+#: Algorithm 1's BSP loop, held to the index's grouping; the other two
+#: dispatch between a per-row ``"loop"`` and the batched ``"auto"``.
 PARITY_PAIRS: dict[str, tuple[str, str]] = {
-    "find_subdomains": ("literal", "vectorized"),
-    "SubdomainIndex": ("literal", "vectorized"),
+    "find_subdomains": ("signature_matrix", "unique_signatures"),
     "generate_candidates": ("loop", "auto"),
     "min_cost_to_hit_l2_batch": ("loop", "auto"),
 }
@@ -312,17 +314,20 @@ def _find_tests_root(start: Path) -> Path | None:
 
 @register_rule
 class ParityCoverageRule(Rule):
-    """RPR005: vectorized/literal pairs must both be exercised by a parity test.
+    """RPR005: a reference and its production counterpart need a parity test.
 
     For every symbol in :data:`PARITY_PAIRS` defined in the linted file,
     some file under ``tests/`` must reference the symbol together with
-    *both* variant names (e.g. ``"literal"`` and ``"vectorized"``).
-    PR 1's fast paths shadow the paper-literal algorithms; without an
-    enforced parity test the two implementations drift apart silently.
+    *both* names listed for it: the production code that the reference
+    stands for (``signature_matrix`` and ``unique_signatures`` for
+    ``find_subdomains``), or the two variants the symbol dispatches
+    between (``"loop"`` and ``"auto"``).  The fast paths shadow the
+    paper-literal algorithms; without an enforced parity test the two
+    implementations drift apart silently.
     """
 
     code = "RPR005"
-    title = "vectorized/literal pair lacks a parity test"
+    title = "reference implementation lacks a parity test"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield RPR005 findings: parity symbols with no two-variant test."""
@@ -346,9 +351,8 @@ class ParityCoverageRule(Rule):
                 yield ctx.finding(
                     node,
                     self,
-                    f"{node.name} dispatches between {variant_a!r} and "
-                    f"{variant_b!r} but no test file references it with both "
-                    f"variants; add a parity test",
+                    f"no test file references {node.name} together with both "
+                    f"{variant_a!r} and {variant_b!r}; add a parity test",
                 )
 
     @staticmethod

@@ -9,9 +9,10 @@ defends) on the same inputs, plus the check that their results agree.
 schema's ``literal_seconds`` / ``vectorized_seconds`` names for the
 baseline and candidate sides.  The rows, in table order:
 
-* **fig4 / fig5** — the Figure 4 and 5 configurations (§6.3): index
-  builds with ``partition_method="literal"`` (the BSP loop of
-  Algorithm 1) vs ``"vectorized"``, sweeping |D| and |Q|.
+* **fig4 / fig5** — the Figure 4 and 5 configurations (§6.3):
+  Algorithm 1's BSP loop (:func:`~repro.core.subdomain.find_subdomains`)
+  over a built index's hyperplanes vs the index build, sweeping |D|
+  and |Q|.
 * **fig7** — the Figure 7 configuration: candidate generation,
   ``method="loop"`` vs the batched closed form, per sampled target.
 * **evaluate** — ESE's inner loop on fig7's first-iteration candidate
@@ -64,7 +65,7 @@ from repro.core.plan import build_plan
 from repro.core.queries import QuerySet
 from repro.core.solvers import get_solver
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import SubdomainIndex, _beats_batch
+from repro.core.subdomain import SubdomainIndex, _beats_batch, find_subdomains
 from repro.core.updates import add_query
 from repro.data.synthetic import generate
 from repro.data.workloads import generate_queries
@@ -197,15 +198,12 @@ def _record_config(
     }
 
 
-def _partition_fingerprint(index: SubdomainIndex) -> list[tuple[bytes, tuple[int, ...]]]:
-    return sorted(
-        (signature.tobytes(), tuple(members.tolist()))
+def _cells(index: SubdomainIndex) -> dict[bytes, list[int]]:
+    """The index's cells as :func:`find_subdomains` maps them: signature bytes to members."""
+    return {
+        signature.tobytes(): members.tolist()
         for signature, members in zip(index.signatures, index.cell_members())
-    )
-
-
-def _same_partition(left: SubdomainIndex, right: SubdomainIndex) -> bool:
-    return _partition_fingerprint(left) == _partition_fingerprint(right)
+    }
 
 
 def _same_thresholds(left: Any, right: Any) -> bool:
@@ -222,19 +220,20 @@ def _same_thresholds(left: Any, right: Any) -> bool:
 
 
 def _build_point(config: BenchConfig, case: str, n: int, m: int) -> Point:
+    """Algorithm 1's BSP loop vs an index build, on the same hyperplanes.
+
+    The baseline runs :func:`find_subdomains` over the normals of an
+    index built before the timing; the candidate builds the index,
+    normals included.  Both must make the same cells.
+    """
     dataset, queries = _make_inputs(n, m, config)
-
-    def build(method: str) -> Callable[[], Any]:
-        return lambda: SubdomainIndex(
-            dataset, queries, mode=config.index_mode, partition_method=method
-        )
-
+    normals = SubdomainIndex(dataset, queries, mode=config.index_mode).normals
     return Point(
         case,
         _record_config(config, n, m),
-        build("literal"),
-        build("vectorized"),
-        _same_partition,
+        lambda: find_subdomains(normals, queries.weights),
+        lambda: SubdomainIndex(dataset, queries, mode=config.index_mode),
+        lambda cells, index: cells == _cells(index),
     )
 
 
@@ -487,7 +486,7 @@ def _persist_points(config: BenchConfig, limit: int | None, workers: int):
             _record_config(config, mode="exact", dir_bytes=size_bytes),
             lambda: SubdomainIndex(dataset, queries, mode="exact"),
             lambda: SubdomainIndex.load(path, dataset, queries),
-            lambda built, loaded: _same_partition(built, loaded)
+            lambda built, loaded: _cells(built) == _cells(loaded)
             and built.hits(0) == loaded.hits(0),
         )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import EPS
 from repro.core.subdomain import (
     SubdomainIndex,
     contender_mask,
@@ -38,7 +39,6 @@ from repro.core.subdomain import (
 )
 from repro.errors import IndexCorruptionError
 from repro.geometry.arrangement import signature_matrix, unique_signatures
-from repro.geometry.hyperplane import EPS
 
 __all__ = [
     "check_index_invariants",

@@ -48,7 +48,7 @@ import sys
 import numpy as np
 
 from repro.constants import EPS_FEASIBILITY
-from repro.core.cost import L1Cost, L2Cost, LInfCost
+from repro.core.cost import NAMED_COSTS
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.queries import QuerySet
 from repro.core.solvers import registered_solvers
@@ -59,8 +59,6 @@ from repro.errors import ReproError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
-_COSTS = {"L1": L1Cost, "L2": L2Cost, "LINF": LInfCost}
-
 #: Subcommands that run another tool, with their help lines.  Each tool
 #: parses its own options: :func:`main` forwards the arguments after
 #: the tool's name to that tool's ``main``.
@@ -69,6 +67,17 @@ _TOOLS = {
     "check": "differential correctness harness (oracles + seeded fuzz)",
     "lint": "project static analysis (rules RPR001-RPR014)",
 }
+
+
+def _row_count(text: str) -> int:
+    """``hits --top``: a count of rows, never negative (a slice would count from the end)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         goal = command.add_mutually_exclusive_group(required=True)
         goal.add_argument("--reach", type=int, help="Min-Cost goal tau")
         goal.add_argument("--budget", type=float, help="Max-Hit budget beta")
-        command.add_argument("--cost", default="L2", choices=sorted(_COSTS))
+        command.add_argument("--cost", default="L2", choices=sorted(NAMED_COSTS))
         command.add_argument("--sense", default="min", choices=["min", "max"])
         # Choices come from the solver table: the five schemes of §6.1.
         # The solver changes the answer, so it is never chosen for the user.
@@ -95,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=list(registered_solvers()))
         command.add_argument("--adjust", action="append", default=[],
                              metavar="COL:LO:HI",
-                             help="bound a column's adjustment, e.g. price:-80:0")
+                             help="bound a column's adjustment, e.g. price:-80:0; "
+                                  "any --adjust freezes the columns not listed")
         command.add_argument("--freeze", action="append", default=[], metavar="COL",
                              help="forbid adjusting a column")
         add_index_arguments(command)
@@ -125,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     hits.add_argument("objects")
     hits.add_argument("queries")
     hits.add_argument("--sense", default="min", choices=["min", "max"])
-    hits.add_argument("--top", type=int, default=10, help="rows to print")
+    hits.add_argument("--top", type=_row_count, default=10, help="rows to print")
     add_index_arguments(hits)
 
     serve = sub.add_parser(
@@ -173,32 +183,27 @@ def _space(args, dataset) -> StrategySpace | None:
     if not args.adjust and not args.freeze:
         return None
     names = dataset.names or [f"col{j}" for j in range(dataset.dim)]
-    lower = np.full(dataset.dim, -np.inf)
-    upper = np.full(dataset.dim, np.inf)
-    mentioned = set()
 
     def column_index(name):
         if name not in names:
             raise ValidationError(f"unknown column {name!r}; columns: {names}")
         return names.index(name)
 
+    items = []
     for spec in args.adjust:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValidationError(f"--adjust expects COL:LO:HI, got {spec!r}")
         idx = column_index(parts[0])
-        lower[idx], upper[idx] = float(parts[1]), float(parts[2])
-        mentioned.add(idx)
-    for name in args.freeze:
-        idx = column_index(name)
-        lower[idx] = upper[idx] = 0.0
-        mentioned.add(idx)
-    # Paper semantics: listing ADJUST constraints freezes everything else.
-    if args.adjust:
-        for idx in range(dataset.dim):
-            if idx not in mentioned:
-                lower[idx] = upper[idx] = 0.0
-    return StrategySpace(dataset.dim, lower=lower, upper=upper)
+        try:
+            bounds = (float(parts[1]), float(parts[2]))
+            if np.isnan(bounds).any():
+                raise ValueError
+        except ValueError:
+            raise ValidationError(f"--adjust bounds must be numbers, got {spec!r}") from None
+        items.append((idx, bounds))
+    items += [(column_index(name), None) for name in args.freeze]
+    return StrategySpace.from_adjustments(dataset.dim, items)
 
 
 def _engine(args, dataset, queries) -> ImprovementQueryEngine:
@@ -218,7 +223,7 @@ def _engine(args, dataset, queries) -> ImprovementQueryEngine:
 def _cmd_improve(args, out) -> int:
     dataset, queries = _load(args.objects, args.queries, args.sense)
     engine = _engine(args, dataset, queries)
-    cost = _COSTS[args.cost](dataset.dim)
+    cost = NAMED_COSTS[args.cost](dataset.dim)
     space = _space(args, dataset)
     names = dataset.names or [f"col{j}" for j in range(dataset.dim)]
 
@@ -268,7 +273,7 @@ def _cmd_improve(args, out) -> int:
 def _cmd_explain(args, out) -> int:
     dataset, queries = _load(args.objects, args.queries, args.sense)
     engine = _engine(args, dataset, queries)
-    cost = _COSTS[args.cost](dataset.dim)
+    cost = NAMED_COSTS[args.cost](dataset.dim)
     space = _space(args, dataset)
     targets = args.target
     if len(targets) == 1:

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.cost import CostFunction, L2Cost
 from repro.core.ese import StrategyEvaluator
+from repro.core.results import IterationRecord
 from repro.core.strategy import StrategySpace
 from repro.errors import InfeasibleError, ValidationError
 from repro.observe import stage, tally
@@ -28,7 +29,7 @@ from repro.optimize.hit_cost import (
     min_cost_to_hit_l2_batch,
 )
 
-__all__ = ["CandidateBatch", "generate_candidates", "SearchState"]
+__all__ = ["CandidateBatch", "apply_candidate", "generate_candidates", "SearchState"]
 
 _CANDIDATE_METHODS = ("auto", "loop")
 
@@ -79,6 +80,30 @@ class SearchState:
     @property
     def hits(self) -> int:
         return int(self.mask.sum())
+
+
+def apply_candidate(
+    evaluator: StrategyEvaluator,
+    state: SearchState,
+    batch: CandidateBatch,
+    pick: int,
+    records: list[IterationRecord],
+) -> None:
+    """Take candidate ``pick``: move the target, pay its cost, record the iteration."""
+    state.applied = state.applied + batch.vectors[pick]
+    state.spent += float(batch.costs[pick])
+    tally("iterations")
+    tally("evaluations")
+    with stage("evaluate"):
+        state.mask = evaluator.hits_mask(state.target, state.position)
+    records.append(
+        IterationRecord(
+            query_id=int(batch.query_ids[pick]),
+            cost=float(batch.costs[pick]),
+            hits_after=state.hits,
+            candidates=batch.size,
+        )
+    )
 
 
 def generate_candidates(

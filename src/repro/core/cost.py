@@ -34,6 +34,7 @@ __all__ = [
     "LInfCost",
     "AsymmetricLinearCost",
     "CallableCost",
+    "NAMED_COSTS",
     "euclidean_cost",
 ]
 
@@ -156,3 +157,7 @@ class CallableCost(CostFunction):
 def euclidean_cost(dim: int) -> L2Cost:
     """The paper's experimental cost function (Eq. 30)."""
     return L2Cost(dim)
+
+
+#: The costs the front ends name: ``repro improve --cost`` and SQL ``COST``.
+NAMED_COSTS: dict[str, type[CostFunction]] = {"L1": L1Cost, "L2": L2Cost, "LINF": LInfCost}

@@ -19,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import EPS_COST, EPS_FEASIBILITY
-from repro.core._search import CandidateBatch, SearchState, generate_candidates
+from repro.core._search import SearchState, apply_candidate, generate_candidates
 from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.observe import stage, tally
 from repro.optimize.hit_cost import DEFAULT_MARGIN
 
 __all__ = ["max_hit_iq"]
@@ -89,7 +88,7 @@ def max_hit_iq(
         if batch.hits[pick] == 0 or not np.isfinite(batch.costs[pick]):
             break
         hits_before_apply = state.hits
-        _apply(evaluator, state, batch, pick, records)
+        apply_candidate(evaluator, state, batch, pick, records)
         if state.hits > best[0] or (state.hits == best[0] and state.spent < best[1]):
             best = (state.hits, state.spent, state.applied.copy())
         stalls = stalls + 1 if state.hits <= hits_before_apply else 0
@@ -106,27 +105,4 @@ def max_hit_iq(
         satisfied=best_spent <= budget + EPS_FEASIBILITY,
         iterations=records,
         evaluations=evaluator.full_evaluations - evaluations_start,
-    )
-
-
-def _apply(
-    evaluator: StrategyEvaluator,
-    state: SearchState,
-    batch: CandidateBatch,
-    pick: int,
-    records: list[IterationRecord],
-) -> None:
-    state.applied = state.applied + batch.vectors[pick]
-    state.spent += float(batch.costs[pick])
-    tally("iterations")
-    tally("evaluations")
-    with stage("evaluate"):
-        state.mask = evaluator.hits_mask(state.target, state.position)
-    records.append(
-        IterationRecord(
-            query_id=int(batch.query_ids[pick]),
-            cost=float(batch.costs[pick]),
-            hits_after=state.hits,
-            candidates=batch.size,
-        )
     )

@@ -13,13 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._search import CandidateBatch, SearchState, generate_candidates
+from repro.core._search import (
+    CandidateBatch,
+    SearchState,
+    apply_candidate,
+    generate_candidates,
+)
 from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.observe import stage, tally
 from repro.optimize.hit_cost import DEFAULT_MARGIN
 
 __all__ = ["min_cost_iq"]
@@ -83,7 +87,7 @@ def min_cost_iq(
             # overachieves; take the cheapest candidate reaching tau.
             pick = _cheapest_reaching(batch, tau)
         hits_before_apply = state.hits
-        _apply(evaluator, state, batch, pick, records)
+        apply_candidate(evaluator, state, batch, pick, records)
         stalls = stalls + 1 if state.hits <= hits_before_apply else 0
         if stalls >= _MAX_STALLS:
             break
@@ -105,26 +109,3 @@ def _cheapest_reaching(batch: CandidateBatch, tau: int) -> int:
     reaching = np.flatnonzero(batch.hits >= tau)
     order = np.lexsort((batch.query_ids[reaching], batch.costs[reaching]))
     return int(reaching[order[0]])
-
-
-def _apply(
-    evaluator: StrategyEvaluator,
-    state: SearchState,
-    batch: CandidateBatch,
-    pick: int,
-    records: list[IterationRecord],
-) -> None:
-    state.applied = state.applied + batch.vectors[pick]
-    state.spent += float(batch.costs[pick])
-    tally("iterations")
-    tally("evaluations")
-    with stage("evaluate"):
-        state.mask = evaluator.hits_mask(state.target, state.position)
-    records.append(
-        IterationRecord(
-            query_id=int(batch.query_ids[pick]),
-            cost=float(batch.costs[pick]),
-            hits_after=state.hits,
-            candidates=batch.size,
-        )
-    )

@@ -49,7 +49,6 @@ PLAN_FIELDS = (
     "goal",
     "sense",
     "index_mode",
-    "partition_method",
     "num_subdomains",
     "num_hyperplanes",
     "epoch",
@@ -92,7 +91,6 @@ class ExecutionPlan:
     goal: float = 0.0  #: tau (min_cost) or budget (max_hit)
     sense: str = "min"
     index_mode: str = "exact"
-    partition_method: str = "vectorized"
     num_subdomains: int = 0
     num_hyperplanes: int = 0
     epoch: int = 0  #: index epoch the plan was built against
@@ -124,7 +122,6 @@ class ExecutionPlan:
             "goal": self.goal,
             "sense": self.sense,
             "index_mode": self.index_mode,
-            "partition_method": self.partition_method,
             "num_subdomains": self.num_subdomains,
             "num_hyperplanes": self.num_hyperplanes,
             "epoch": self.epoch,
@@ -259,7 +256,6 @@ def build_plan(
         goal=check_goal(kind, goal),
         sense=index.dataset.sense,
         index_mode=index.mode,
-        partition_method=index.partition_method,
         num_subdomains=index.num_subdomains,
         num_hyperplanes=index.num_hyperplanes,
         epoch=index.epoch,

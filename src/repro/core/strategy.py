@@ -116,6 +116,29 @@ class StrategySpace:
             raise ValidationError("object already outside its allowed value range")
         return cls(point.shape[0], lower=value_lower - point, upper=value_upper - point)
 
+    @classmethod
+    def from_adjustments(
+        cls, dim: int, items: "Iterable[tuple[int, tuple[float, float] | None]]"
+    ) -> "StrategySpace":
+        """The analytic tool's box: which attributes may change, and how far.
+
+        Each item is ``(attribute, (lower, upper))``, a bounded attribute,
+        or ``(attribute, None)``, a frozen one; a later item on an
+        attribute replaces an earlier one.  Listing any bounded attribute
+        freezes every attribute no item names (the issuer lists what may
+        change, §6.1); frozen items freeze only themselves.  ``repro
+        improve --adjust/--freeze`` and SQL ``ADJUST`` both build their
+        box here.
+        """
+        items = list(items)
+        lower = np.full(dim, -np.inf)
+        upper = np.full(dim, np.inf)
+        if any(bounds is not None for __, bounds in items):
+            lower[:] = upper[:] = 0.0
+        for attribute, bounds in items:
+            lower[attribute], upper[attribute] = (0.0, 0.0) if bounds is None else bounds
+        return cls(dim, lower=lower, upper=upper)
+
     def freeze(self, attributes: "Iterable[int]") -> "StrategySpace":
         """A copy with the given attribute indices made unadjustable."""
         lower, upper = self.lower.copy(), self.upper.copy()

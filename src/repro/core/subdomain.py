@@ -26,14 +26,12 @@ confirms a kNN candidate decides an insert on its own.  So the index
 keeps no tree; :mod:`repro.index` keeps a bare one as the baseline of
 Figures 5 and 6.
 
-Two construction paths produce the identical partition:
-
-* :func:`find_subdomains` — the literal Algorithm 1 binary space
-  partitioning loop (kept as the executable specification and used by
-  the tests as a cross-check);
-* the vectorized signature fast path used by
-  :class:`SubdomainIndex` — group query points by the sign vector of
-  ``Q . (p_a - p_b)`` over the hyperplane set.
+The index builds its partition one way: it groups the query points by
+their sign vector over the hyperplane set
+(``unique_signatures(signature_matrix(weights, normals))``).
+:func:`find_subdomains` is the literal Algorithm 1 binary space
+partitioning loop, the reference the tests and the Figure 4-5 bench rows
+hold that grouping to.
 
 Hyperplane budget (``mode``)
 ----------------------------
@@ -62,12 +60,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.constants import EPS_TIE
+from repro.constants import EPS, EPS_TIE
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.errors import IndexCorruptionError, ValidationError
-from repro.geometry.arrangement import group_by_signature, signature_matrix, unique_signatures
-from repro.geometry.hyperplane import EPS
+from repro.geometry.arrangement import signature_matrix, unique_signatures
 from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
 
@@ -84,7 +81,6 @@ __all__ = [
 ]
 
 _MODES = ("exact", "relevant")
-_PARTITION_METHODS = ("vectorized", "literal")
 
 #: Budget (in floats) for intermediate score blocks; large workloads are
 #: processed in query chunks so the full ``m x n`` matrix never needs to
@@ -233,10 +229,13 @@ def hyperplanes(matrix: np.ndarray, pairs: np.ndarray) -> "tuple[np.ndarray, np.
     return pairs[keep], normals[keep]
 
 
-def find_subdomains(
-    normals: np.ndarray, points: np.ndarray, method: str = "vectorized"
-) -> dict[bytes, list[int]]:
+def find_subdomains(normals: np.ndarray, points: np.ndarray) -> dict[bytes, list[int]]:
     """Algorithm 1: partition query points by intersection hyperplanes.
+
+    The paper's binary-space-partitioning loop, one hyperplane at a
+    time.  It is the reference :class:`SubdomainIndex`'s grouping is
+    held to (the tests and the Figure 4-5 bench rows compare them cell
+    for cell); no program path builds an index with it.
 
     Parameters
     ----------
@@ -244,12 +243,6 @@ def find_subdomains(
         ``(h, d)`` hyperplane normals (the intersection set ``I``).
     points:
         ``(m, d)`` query points.
-    method:
-        ``"vectorized"`` (default) computes the whole sign matrix with
-        one ``points @ normals.T`` matmul and groups identical rows;
-        ``"literal"`` runs the paper's binary-space-partitioning loop
-        one hyperplane at a time.  Both produce the identical mapping
-        (the property tests assert byte-identical output).
 
     Returns
     -------
@@ -258,26 +251,17 @@ def find_subdomains(
     exactly as Algorithm 1 discards subdomains that contain no query
     point.
     """
-    if method not in _PARTITION_METHODS:
-        raise ValidationError(
-            f"method must be one of {_PARTITION_METHODS}, got {method!r}"
-        )
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         return {}
-    if method == "vectorized":
-        groups = group_by_signature(signature_matrix(points, normals, tol=EPS))
-        return {key: members.tolist() for key, members in groups.items()}
-    h = normals.shape[0]
     # Start with a single subdomain holding every query (lines 1-5).
-    groups_lit: list[tuple[list[int], list[int]]] = [(list(range(points.shape[0])), [])]
+    groups: list[tuple[list[int], list[int]]] = [(list(range(points.shape[0])), [])]
     # Each group carries (query indices, side history) where the side
     # history is the signature accumulated over processed hyperplanes.
-    for col in range(h):  # line 6: for all I_i in I
-        normal = normals[col]
+    for normal in normals:  # line 6: for all I_i in I
         next_groups: list[tuple[list[int], list[int]]] = []
-        for members, history in groups_lit:  # line 7: subdomains overlapping I_i
+        for members, history in groups:  # line 7: subdomains overlapping I_i
             above: list[int] = []
             below: list[int] = []
             for q in members:  # lines 12-18
@@ -289,10 +273,9 @@ def find_subdomains(
                 next_groups.append((above, history + [1]))
             if below:  # line 22-24
                 next_groups.append((below, history + [-1]))
-        groups_lit = next_groups
+        groups = next_groups
     return {
-        np.asarray(history, dtype=np.int8).tobytes(): members
-        for members, history in groups_lit
+        np.asarray(history, dtype=np.int8).tobytes(): members for members, history in groups
     }
 
 
@@ -308,11 +291,6 @@ class SubdomainIndex:
         (top-ranked contenders only; see module docstring).
     margin:
         Extra ranking depth kept trustworthy in ``"relevant"`` mode.
-    partition_method:
-        ``"vectorized"`` (default) or ``"literal"`` — which
-        :func:`find_subdomains` path builds the partition.  Both yield
-        identical subdomains; the literal path exists as the executable
-        specification and for benchmark baselines.
 
     The hyperplane set is two aligned arrays: ``pairs``, the ``(h, 2)``
     object ids ``(a, b)`` with ``a < b``, and ``normals``, the ``(h, d)``
@@ -340,20 +318,10 @@ class SubdomainIndex:
     """
 
     def __init__(
-        self,
-        dataset: Dataset,
-        queries: QuerySet,
-        mode: str = "exact",
-        margin: int = 2,
-        partition_method: str = "vectorized",
+        self, dataset: Dataset, queries: QuerySet, mode: str = "exact", margin: int = 2
     ) -> None:
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-        if partition_method not in _PARTITION_METHODS:
-            raise ValidationError(
-                f"partition_method must be one of {_PARTITION_METHODS}, "
-                f"got {partition_method!r}"
-            )
         if dataset.dim != queries.dim:
             raise ValidationError(
                 f"dataset dim {dataset.dim} != query dim {queries.dim}"
@@ -362,7 +330,6 @@ class SubdomainIndex:
         self.queries = queries
         self.mode = mode
         self.margin = margin
-        self.partition_method = partition_method
         self.representative_evaluations = 0  #: full rankings computed so far
         self._epoch = 0  #: bumped by every mutation (see :attr:`epoch`)
 
@@ -392,13 +359,7 @@ class SubdomainIndex:
         # per-query storage is unnecessary ("mark this on the root-node
         # of the sub-tree instead of storing the same information for
         # each query point").
-        if self.partition_method == "literal":
-            cells = find_subdomains(self.normals, self.queries.weights, method="literal")
-            sides = np.empty((self.queries.m, self.num_hyperplanes), dtype=np.int8)
-            for key, members in cells.items():
-                sides[members] = np.frombuffer(key, dtype=np.int8)
-        else:
-            sides = signature_matrix(self.queries.weights, self.normals)
+        sides = signature_matrix(self.queries.weights, self.normals)
         self.signatures, self.representatives, self.subdomain_of = unique_signatures(sides)
         self._clear_prefixes()
 
@@ -519,7 +480,6 @@ class SubdomainIndex:
         metadata: dict[str, object] = {
             "mode": self.mode,
             "margin": int(self.margin),
-            "partition_method": self.partition_method,
             "epoch": int(self._epoch),
             "dataset_fingerprint": dataset_fingerprint(self.dataset),
             "queries_fingerprint": queryset_fingerprint(self.queries),
@@ -573,7 +533,6 @@ class SubdomainIndex:
         required = (
             "mode",
             "margin",
-            "partition_method",
             "epoch",
             "dataset_fingerprint",
             "queries_fingerprint",
@@ -598,11 +557,8 @@ class SubdomainIndex:
             raise ValidationError(
                 "saved index was built for a different workload (fingerprint mismatch)"
             )
-        if (
-            str(metadata["mode"]) not in _MODES
-            or str(metadata["partition_method"]) not in _PARTITION_METHODS
-        ):
-            raise ValidationError("saved index carries unknown mode/partition_method")
+        if str(metadata["mode"]) not in _MODES:
+            raise ValidationError("saved index carries unknown mode")
 
     @classmethod
     def load(
@@ -622,7 +578,9 @@ class SubdomainIndex:
         serves identical answers to the one that was saved, including
         the already-evaluated ranking prefixes and the mutation epoch.
         Boundary registration stays lazy exactly as after a fresh
-        construction.
+        construction.  Manifest keys this version does not read, such
+        as an earlier version's R-tree capacity or build choice, are
+        ignored, and a re-save omits them.
 
         Every array stays a read-only memory map (O(1) open, page-cache
         shared across forked workers), the signature matrix included;
@@ -668,7 +626,6 @@ class SubdomainIndex:
     ) -> "SubdomainIndex":
         """Rebuild an index object from validated persisted state."""
         mode = str(metadata["mode"])
-        partition_method = str(metadata["partition_method"])
         margin = int(metadata["margin"])  # type: ignore[call-overload]
         epoch = int(metadata["epoch"])  # type: ignore[call-overload]
 
@@ -677,7 +634,6 @@ class SubdomainIndex:
         index.queries = queries
         index.mode = mode
         index.margin = margin
-        index.partition_method = partition_method
         index.representative_evaluations = 0
         index._epoch = epoch
         # The maps read_mmap_index opened; only the prefixes are unpacked.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import L1Cost, L2Cost, LInfCost
+from repro.core.cost import NAMED_COSTS
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.plan import ANALYZE_FIELDS, PLAN_FIELDS
@@ -44,8 +44,6 @@ from repro.dbms.catalog import Catalog
 from repro.errors import SQLCatalogError, SQLExecutionError
 
 __all__ = ["ImprovementService", "IndexDefinition"]
-
-_COSTS = {"L1": L1Cost, "L2": L2Cost, "LINF": LInfCost}
 
 
 @dataclass
@@ -162,10 +160,10 @@ class ImprovementService:
             raise SQLExecutionError("TARGET WHERE matched no rows")
         engine = self._engine(definition)
 
-        cost_cls = _COSTS.get(stmt.cost)
+        cost_cls = NAMED_COSTS.get(stmt.cost)
         if cost_cls is None:
             raise SQLExecutionError(
-                f"COST must be one of {sorted(_COSTS)}, got {stmt.cost!r}"
+                f"COST must be one of {sorted(NAMED_COSTS)}, got {stmt.cost!r}"
             )
         dim = len(definition.attribute_columns)
         cost = cost_cls(dim)
@@ -301,9 +299,7 @@ class ImprovementService:
     def _space(adjust_clauses, definition: IndexDefinition, dim: int):
         if not adjust_clauses:
             return None
-        lower = np.full(dim, -np.inf)
-        upper = np.full(dim, np.inf)
-        mentioned = []
+        items = []
         for clause in adjust_clauses:
             try:
                 idx = definition.attribute_columns.index(clause.column)
@@ -311,15 +307,5 @@ class ImprovementService:
                 raise SQLExecutionError(
                     f"ADJUST column {clause.column!r} is not an indexed attribute"
                 )
-            mentioned.append(idx)
-            if clause.frozen:
-                lower[idx] = upper[idx] = 0.0
-            else:
-                lower[idx] = clause.lower
-                upper[idx] = clause.upper
-        # Paper semantics: the user lists which attributes may change;
-        # unmentioned attributes stay frozen when any ADJUST is given.
-        for idx in range(dim):
-            if idx not in mentioned:
-                lower[idx] = upper[idx] = 0.0
-        return StrategySpace(dim, lower=lower, upper=upper)
+            items.append((idx, None if clause.frozen else (clause.lower, clause.upper)))
+        return StrategySpace.from_adjustments(dim, items)

@@ -5,24 +5,22 @@ intersection hyperplane at a time (binary space partitioning).  The
 partition it produces is fully determined by the *sign vector* of every
 query point over the hyperplane set: two points share a (non-empty)
 subdomain iff they lie on the same side of every hyperplane.  This
-module provides the vectorized signature machinery that both the literal
-Algorithm 1 implementation and the fast path in
-:mod:`repro.core.subdomain` are built on, plus standalone helpers for
-counting/validating arrangement cells.
+module holds the one side test (:func:`signature_matrix`) and the one
+grouping of sign vectors into cells (:func:`unique_signatures`) that
+:class:`repro.core.subdomain.SubdomainIndex` builds and maintains its
+partition with, plus the paper's bound on the number of cells.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import EPS
 from repro.errors import ValidationError
-from repro.geometry.hyperplane import EPS
 
 __all__ = [
     "signature_matrix",
     "unique_signatures",
-    "group_by_signature",
-    "cells_touched",
     "max_cells_bound",
 ]
 
@@ -42,7 +40,9 @@ def signature_matrix(points: np.ndarray, normals: np.ndarray, tol: float = EPS) 
     ``(m, h)`` ``int8`` matrix with entries ``+1`` (*above*:
     ``q . n <= 0``) or ``-1`` (*below*), matching the paper's convention
     that boundary points count as above: an offset ``<= tol`` is
-    side ``+1``.
+    side ``+1``.  For the intersection normal ``n = p_a - p_b`` (Eq. 2)
+    *above* means ``f_a(q) <= f_b(q)``: under the lower-is-better
+    ranking, ``p_a`` ranks at least as well as ``p_b`` at ``q``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
@@ -76,24 +76,6 @@ def unique_signatures(signatures: np.ndarray) -> "tuple[np.ndarray, np.ndarray, 
     rows = signatures.view(np.dtype((np.void, h))).reshape(m)
     uniq, first, group = np.unique(rows, return_index=True, return_inverse=True)
     return uniq.view(np.int8).reshape(-1, h), first, group
-
-
-def group_by_signature(signatures: np.ndarray) -> dict[bytes, np.ndarray]:
-    """Group row indices by identical signature rows.
-
-    Returns a dict mapping the signature's byte representation to the
-    ascending array of row indices sharing it, keys in byte order (see
-    :func:`unique_signatures`).
-    """
-    cells, __, group = unique_signatures(signatures)
-    order = np.argsort(group, kind="stable")  # members stay ascending
-    bounds = np.cumsum(np.bincount(group, minlength=cells.shape[0]))[:-1]
-    return {cell.tobytes(): members for cell, members in zip(cells, np.split(order, bounds))}
-
-
-def cells_touched(points: np.ndarray, normals: np.ndarray) -> int:
-    """Number of distinct arrangement cells containing at least one point."""
-    return len(group_by_signature(signature_matrix(points, normals)))
 
 
 def max_cells_bound(num_hyperplanes: int, dim: int) -> int:

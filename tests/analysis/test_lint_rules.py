@@ -192,10 +192,10 @@ class TestMutableDefault:
 
 
 # ----------------------------------------------------------------------
-# RPR005: parity coverage for vectorized/literal pairs
+# RPR005: parity coverage for a reference and its production counterpart
 # ----------------------------------------------------------------------
 PARITY_SOURCE = """\
-def find_subdomains(method: str = "vectorized") -> None:
+def find_subdomains(normals, points) -> None:
     pass
 """
 
@@ -212,7 +212,9 @@ class TestParityCoverage:
 
     def test_triggers_without_two_variant_test(self, tmp_path):
         mod, tests = self.write_project(
-            tmp_path, "def test_only_one():\n    find_subdomains('vectorized')\n"
+            tmp_path,
+            "def test_only_one():\n"
+            "    assert find_subdomains(normals, points) == signature_matrix(points, normals)\n",
         )
         findings = lint_file(
             mod, LintConfig(select=frozenset({"RPR005"}), tests_root=tests)
@@ -223,7 +225,8 @@ class TestParityCoverage:
         mod, tests = self.write_project(
             tmp_path,
             "def test_parity():\n"
-            "    assert find_subdomains('literal') == find_subdomains('vectorized')\n",
+            "    sides = signature_matrix(points, normals)\n"
+            "    assert find_subdomains(normals, points) == unique_signatures(sides)\n",
         )
         findings = lint_file(
             mod, LintConfig(select=frozenset({"RPR005"}), tests_root=tests)

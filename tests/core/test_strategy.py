@@ -74,6 +74,19 @@ class TestStrategySpace:
         assert space.contains(np.array([5.0, 0.0, -3.0]))
         assert not space.contains(np.array([5.0, 0.1, -3.0]))
 
+    def test_from_adjustments(self):
+        # A bounded attribute freezes the unlisted ones; frozen items
+        # alone freeze only themselves; a later item on an attribute wins.
+        bounded = StrategySpace.from_adjustments(3, [(0, (-1.0, 2.0)), (2, None)])
+        assert bounded.lower.tolist() == [-1.0, 0.0, 0.0]
+        assert bounded.upper.tolist() == [2.0, 0.0, 0.0]
+        frozen = StrategySpace.from_adjustments(3, [(1, None)])
+        assert frozen.lower.tolist() == [-np.inf, 0.0, -np.inf]
+        assert frozen.upper.tolist() == [np.inf, 0.0, np.inf]
+        replaced = StrategySpace.from_adjustments(2, [(0, None), (0, (-1.0, 1.0))])
+        assert replaced.lower.tolist() == [-1.0, 0.0]
+        assert StrategySpace.from_adjustments(2, []).lower.tolist() == [-np.inf, -np.inf]
+
     def test_freeze_invalid_index(self):
         with pytest.raises(ValidationError):
             StrategySpace.unconstrained(2).freeze([5])

@@ -13,6 +13,7 @@ from repro.core.subdomain import (
     relevant_pairs,
 )
 from repro.errors import ValidationError
+from repro.geometry.arrangement import signature_matrix, unique_signatures
 from repro.topk.evaluate import kth_score, top_k
 
 
@@ -99,34 +100,17 @@ class TestAgainstLiteralAlgorithm1:
 
 
 class TestPartitionMethodSwitch:
+    """Algorithm 1's BSP loop against the grouping the index builds with."""
+
     def test_methods_agree(self, rng):
         normals = rng.normal(size=(6, 3))
         points = rng.random((40, 3))
-        literal = find_subdomains(normals, points, method="literal")
-        vectorized = find_subdomains(normals, points, method="vectorized")
-        assert literal == vectorized
-
-    def test_unknown_method_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            find_subdomains(rng.normal(size=(2, 2)), rng.random((4, 2)), method="quantum")
-
-    def test_index_partition_method_validated(self, rng):
-        dataset = Dataset(rng.random((5, 2)))
-        queries = QuerySet(rng.random((5, 2)), ks=1)
-        with pytest.raises(ValidationError):
-            SubdomainIndex(dataset, queries, partition_method="quantum")
-
-    def test_index_builds_identically_either_way(self, rng):
-        dataset = Dataset(rng.random((12, 3)))
-        queries = QuerySet(rng.random((30, 3)), ks=rng.integers(1, 4, 30))
-        literal = SubdomainIndex(dataset, queries, partition_method="literal")
-        vectorized = SubdomainIndex(dataset, queries, partition_method="vectorized")
-        assert literal.partition_method == "literal"
-        assert np.array_equal(literal.signatures, vectorized.signatures)
-        assert np.array_equal(literal.subdomain_of, vectorized.subdomain_of)
-        assert np.array_equal(literal.representatives, vectorized.representatives)
-        for target in range(dataset.n):
-            assert literal.hits(target) == vectorized.hits(target)
+        cells, first, group = unique_signatures(signature_matrix(points, normals))
+        grouped = {
+            cell.tobytes(): np.flatnonzero(group == g).tolist() for g, cell in enumerate(cells)
+        }
+        assert find_subdomains(normals, points) == grouped
+        assert first.tolist() == [members[0] for members in grouped.values()]
 
 
 class TestRankingInvariance:
@@ -311,18 +295,17 @@ class TestRelevantMode:
 
     def test_relevant_mode_literal_matches_vectorized_partition(self, rng):
         # The relevant pair subset runs through the same partition
-        # machinery: the literal BSP build over it must agree with the
-        # vectorized grouping, hyperplane for hyperplane.
+        # machinery: the literal BSP loop over the index's own normals
+        # must make its cells.
         dataset = Dataset(rng.random((40, 3)))
         queries = QuerySet(rng.random((30, 3)), ks=rng.integers(1, 5, 30))
-        literal = SubdomainIndex(
-            dataset, queries, mode="relevant", partition_method="literal"
-        )
-        vectorized = SubdomainIndex(dataset, queries, mode="relevant")
-        assert np.array_equal(literal.pairs, vectorized.pairs)
-        assert np.array_equal(literal.normals, vectorized.normals)
-        assert np.array_equal(literal.signatures, vectorized.signatures)
-        assert np.array_equal(literal.subdomain_of, vectorized.subdomain_of)
+        index = SubdomainIndex(dataset, queries, mode="relevant")
+        assert index.num_hyperplanes < dataset.n * (dataset.n - 1) // 2
+        cells = {
+            row.tobytes(): members.tolist()
+            for row, members in zip(index.signatures, index.cell_members())
+        }
+        assert find_subdomains(index.normals, queries.weights) == cells
 
     def test_relevant_mode_hits_match_exact(self, rng):
         dataset = Dataset(rng.random((25, 3)))

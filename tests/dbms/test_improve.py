@@ -70,6 +70,17 @@ class TestImproveReach:
         )
         assert result.column("delta_price")[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_frozen_items_alone_freeze_only_themselves(self, db):
+        # No bounded column lists what may change, so the others move,
+        # as `repro improve --freeze price` lets them.
+        result = db.execute(
+            "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 3 ADJUST price FROZEN"
+        )
+        assert result.column("satisfied") == [1]
+        assert result.column("delta_price")[0] == 0.0
+        moved = (result.column("delta_resolution")[0], result.column("delta_storage")[0])
+        assert moved != (0.0, 0.0)
+
     def test_unmentioned_columns_frozen(self, db):
         result = db.execute(
             "IMPROVE cameras TARGET WHERE rowid = 0 USING idx REACH 2 "

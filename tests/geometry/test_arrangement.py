@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.geometry.arrangement import (
-    cells_touched,
-    group_by_signature,
-    max_cells_bound,
-    signature_matrix,
-)
+from repro.geometry.arrangement import max_cells_bound, signature_matrix, unique_signatures
 
 
 class TestSignatureMatrix:
@@ -42,23 +37,31 @@ class TestSignatureMatrix:
         assert out.tolist() == [[1]]
 
 
+def members(group, count):
+    """Each cell's row ids, ascending, from ``unique_signatures``' ``group``."""
+    return [np.flatnonzero(group == g).tolist() for g in range(count)]
+
+
 class TestGrouping:
     def test_identical_rows_grouped(self):
         sig = np.array([[1, -1], [1, -1], [-1, 1]], dtype=np.int8)
-        groups = group_by_signature(sig)
-        assert len(groups) == 2
-        sizes = sorted(len(v) for v in groups.values())
+        cells, __, group = unique_signatures(sig)
+        assert len(cells) == 2
+        sizes = sorted(np.bincount(group).tolist())
         assert sizes == [1, 2]
 
     def test_groups_partition_indices(self, rng):
         sig = signature_matrix(rng.random((50, 3)), rng.normal(size=(6, 3)))
-        groups = group_by_signature(sig)
-        all_indices = np.concatenate(list(groups.values()))
-        assert sorted(all_indices.tolist()) == list(range(50))
+        cells, first, group = unique_signatures(sig)
+        assert group.shape == (50,)
+        assert (np.bincount(group, minlength=len(cells)) > 0).all()  # no empty cell
+        assert np.array_equal(sig, cells[group])  # every row sits in its own cell
+        assert np.array_equal(group[first], np.arange(len(cells)))
 
     def test_matches_structured_unique(self, rng):
-        # Keys are row bytes and members ascend, exactly as a structured
-        # np.unique(axis=0) over the rows groups them.
+        # The same cells and members as a structured np.unique(axis=0)
+        # over the rows, each first row the lowest member; the cells
+        # come in byte order.
         signatures = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 7))
         uniq, inverse = np.unique(signatures, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
@@ -66,27 +69,32 @@ class TestGrouping:
             uniq[g].tobytes(): np.flatnonzero(inverse == g).tolist()
             for g in range(uniq.shape[0])
         }
-        groups = group_by_signature(signatures)
-        assert {key: members.tolist() for key, members in groups.items()} == expected
-        assert all(members.dtype == np.intp for members in groups.values())
+        cells, first, group = unique_signatures(signatures)
+        grouped = members(group, len(cells))
+        assert dict(zip((cell.tobytes() for cell in cells), grouped)) == expected
+        assert [cell.tobytes() for cell in cells] == sorted(expected)
+        assert first.tolist() == [rows[0] for rows in grouped]
+        assert first.dtype == np.intp and group.dtype == np.intp
 
     def test_empty_inputs(self):
-        assert group_by_signature(np.empty((0, 4), dtype=np.int8)) == {}
-        zero_cols = group_by_signature(np.empty((3, 0), dtype=np.int8))
-        assert list(zero_cols) == [b""]
-        assert zero_cols[b""].tolist() == [0, 1, 2]
+        cells, first, group = unique_signatures(np.empty((0, 4), dtype=np.int8))
+        assert cells.shape == (0, 4) and first.size == 0 and group.size == 0
+        cells, first, group = unique_signatures(np.empty((3, 0), dtype=np.int8))
+        assert [cell.tobytes() for cell in cells] == [b""]
+        assert first.tolist() == [0]
+        assert group.tolist() == [0, 0, 0]
 
     def test_zero_hyperplanes_single_group(self):
-        groups = group_by_signature(np.empty((7, 0), dtype=np.int8))
-        assert len(groups) == 1
-        assert len(next(iter(groups.values()))) == 7
+        cells, __, group = unique_signatures(np.empty((7, 0), dtype=np.int8))
+        assert len(cells) == 1
+        assert members(group, 1) == [list(range(7))]
 
     def test_cells_touched_counts_groups(self, rng):
         points = rng.random((100, 2))
         normals = rng.normal(size=(5, 2))
-        assert cells_touched(points, normals) == len(
-            group_by_signature(signature_matrix(points, normals))
-        )
+        sig = signature_matrix(points, normals)
+        cells, __, __ = unique_signatures(sig)
+        assert len(cells) == len({row.tobytes() for row in sig})
 
 
 class TestCellBound:
@@ -100,7 +108,8 @@ class TestCellBound:
     def test_bound_dominates_observed_cells(self, rng):
         points = rng.random((500, 2)) * 2 - 1  # include negative orthant
         normals = rng.normal(size=(6, 2))
-        assert cells_touched(points, normals) <= max_cells_bound(6, 2)
+        cells, __, __ = unique_signatures(signature_matrix(points, normals))
+        assert len(cells) <= max_cells_bound(6, 2)
 
     def test_negative_raises(self):
         with pytest.raises(ValidationError):

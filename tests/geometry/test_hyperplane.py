@@ -1,67 +1,72 @@
-import numpy as np
-import pytest
+"""The intersection hyperplanes (Eq. 2-3) as the index holds them.
 
-from repro.errors import ValidationError
-from repro.geometry.hyperplane import Hyperplane, pairwise_normals, side_of, sides_of
+One representation: the aligned ``(pairs, normals)`` arrays of
+:func:`repro.core.subdomain.hyperplanes`, row ``p_a - p_b`` for the pair
+``(a, b)``, with sides from :func:`repro.geometry.signature_matrix`.
+"""
+
+import numpy as np
+
+from repro.constants import EPS
+from repro.core.subdomain import hyperplanes
+from repro.geometry.arrangement import signature_matrix
+
+F_A = [4.0, 3.0]  # f_a(q) = 4 q1 + 3 q2 (Figure 2 of the paper)
+F_B = [1.0, -2.0]  # f_b(q) = q1 - 2 q2
+
+
+def all_pairs(n):
+    return np.column_stack(np.triu_indices(n, 1))
 
 
 class TestHyperplane:
     def test_between_is_difference_of_objects(self):
-        h = Hyperplane.between([4.0, 3.0], [1.0, -2.0], a=0, b=1)
-        assert np.allclose(h.normal, [3.0, 5.0])
-        assert h.a == 0 and h.b == 1
+        pairs, normals = hyperplanes(np.array([F_A, F_B]), [(0, 1)])
+        assert pairs.tolist() == [[0, 1]]
+        assert np.allclose(normals, [[3.0, 5.0]])
 
-    def test_between_shape_mismatch_raises(self):
-        with pytest.raises(ValidationError):
-            Hyperplane.between([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_non_finite_normal_raises(self):
-        with pytest.raises(ValidationError):
-            Hyperplane(np.array([np.nan, 1.0]))
-
-    def test_side_above_means_first_object_ranks_no_worse(self):
-        # f_a(q) = 4q1 + 3q2, f_b(q) = q1 - 2q2 (Figure 2 of the paper)
-        h = Hyperplane.between([4.0, 3.0], [1.0, -2.0])
-        # At q = (0, 0.0) both are 0 -> boundary counts as above.
-        assert h.side(np.array([0.0, 0.0])) == 1
+    def test_side_above_means_first_object_ranks_no_worse(self, rng):
+        matrix = np.array([F_A, F_B])
+        __, normals = hyperplanes(matrix, [(0, 1)])
+        # At q = (0, 0) both are 0 -> boundary counts as above.
         # f_a < f_b requires 3q1 + 5q2 < 0: impossible for positive q,
         # so any positive query is 'below' (f_a > f_b).
-        assert h.side(np.array([0.5, 0.5])) == -1
+        points = np.array([[0.0, 0.0], [0.5, 0.5]])
+        assert signature_matrix(points, normals).tolist() == [[1], [-1]]
+        points = rng.uniform(-1, 1, size=(50, 2))
+        scores = points @ matrix.T
+        above = signature_matrix(points, normals)[:, 0] == 1
+        assert np.array_equal(above, scores[:, 0] <= scores[:, 1])
 
     def test_sides_vectorized_matches_scalar(self, rng):
+        # The one side test against its definition, one point at a time.
         normal = rng.normal(size=4)
         points = rng.normal(size=(25, 4))
-        vec = sides_of(normal, points)
-        scalar = np.array([side_of(normal, p) for p in points])
-        assert np.array_equal(vec, scalar)
+        scalar = [1 if float(p @ normal) <= EPS else -1 for p in points]
+        assert signature_matrix(points, normal[None, :])[:, 0].tolist() == scalar
 
-    def test_tilt_adds_strategy_to_normal(self):
-        h = Hyperplane.between([4.0, 3.0], [1.0, -2.0], a=7, b=9)
-        tilted = h.tilt(np.array([1.0, 0.0]))
-        assert np.allclose(tilted.normal, [4.0, 5.0])
-        assert tilted.a == 7 and tilted.b == 9
-
-    def test_involves(self):
-        h = Hyperplane.between([1.0], [0.0], a=3, b=5)
-        assert h.involves(3) and h.involves(5) and not h.involves(4)
+    def test_tilt_adds_strategy_to_normal(self, rng):
+        # Applying s to object a tilts every hyperplane of a by s (Eq. 3);
+        # the pair keeps its ids.
+        matrix = rng.random((10, 2))
+        matrix[7], matrix[9] = F_A, F_B
+        s = np.array([1.0, 0.0])
+        __, old = hyperplanes(matrix, [(7, 9)])
+        matrix[7] += s
+        pairs, tilted = hyperplanes(matrix, [(7, 9)])
+        assert np.allclose(tilted, [[4.0, 5.0]])
+        assert np.array_equal(tilted, old + s)
+        assert pairs.tolist() == [[7, 9]]
 
     def test_degenerate_detection(self):
-        assert Hyperplane.between([1.0, 1.0], [1.0, 1.0]).is_degenerate()
-        assert not Hyperplane.between([1.0, 1.0], [1.0, 0.5]).is_degenerate()
-
-    def test_hash_and_equality(self):
-        h1 = Hyperplane(np.array([1.0, 2.0]), a=0, b=1)
-        h2 = Hyperplane(np.array([1.0, 2.0]), a=0, b=1)
-        h3 = Hyperplane(np.array([1.0, 2.0]), a=0, b=2)
-        assert h1 == h2 and hash(h1) == hash(h2)
-        assert h1 != h3
-        assert len({h1, h2, h3}) == 2
+        pairs, __ = hyperplanes(np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.5]]), all_pairs(3))
+        assert pairs.tolist() == [[0, 2], [1, 2]]  # (0, 1) has a zero normal
 
 
 class TestPairwiseNormals:
     def test_all_pairs_count(self, rng):
         objects = rng.random((6, 3))
-        normals, pairs = pairwise_normals(objects)
+        pairs, normals = hyperplanes(objects, all_pairs(6))
         assert normals.shape == (15, 3)
         assert len(pairs) == 15
         for row, (a, b) in zip(normals, pairs):
@@ -69,21 +74,17 @@ class TestPairwiseNormals:
 
     def test_duplicate_objects_skipped(self):
         objects = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        normals, pairs = pairwise_normals(objects)
-        assert (0, 1) not in pairs
+        pairs, __ = hyperplanes(objects, all_pairs(3))
+        assert [0, 1] not in pairs.tolist()
         assert len(pairs) == 2
 
     def test_explicit_pairs(self, rng):
         objects = rng.random((5, 2))
-        normals, pairs = pairwise_normals(objects, pairs=[(0, 3), (2, 4)])
-        assert pairs == [(0, 3), (2, 4)]
+        pairs, normals = hyperplanes(objects, [(0, 3), (2, 4)])
+        assert pairs.tolist() == [[0, 3], [2, 4]]
         assert np.allclose(normals[0], objects[0] - objects[3])
-
-    def test_rejects_1d_input(self):
-        with pytest.raises(ValidationError):
-            pairwise_normals(np.array([1.0, 2.0]))
 
     def test_empty_result_shape(self):
         objects = np.array([[1.0, 1.0], [1.0, 1.0]])
-        normals, pairs = pairwise_normals(objects)
-        assert normals.shape == (0, 2) and pairs == []
+        pairs, normals = hyperplanes(objects, all_pairs(2))
+        assert normals.shape == (0, 2) and pairs.shape == (0, 2)

@@ -6,8 +6,8 @@ import pytest
 from repro.core.ese import StrategyEvaluator
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import SubdomainIndex
-from repro.geometry.hyperplane import Hyperplane
+from repro.core.subdomain import SubdomainIndex, hyperplanes
+from repro.geometry.arrangement import signature_matrix
 from repro.topk.evaluate import top_k
 
 
@@ -27,24 +27,30 @@ class TestFigure2WorkedExample:
         objects = np.vstack([p1, self.P2])
         return top_k(objects, q, 2)
 
+    def normal(self, p1):
+        """The index's hyperplane of the pair (f1, f2): Eq. 2's ``p1 - p2``."""
+        pairs, normals = hyperplanes(np.vstack([p1, self.P2]), [(0, 1)])
+        assert pairs.tolist() == [[0, 1]]
+        return normals
+
     def test_old_and_new_intersections(self):
-        old = Hyperplane.between(self.P1, self.P2)
-        new = old.tilt(self.S)
-        assert np.allclose(old.normal, [3.0, 5.0])
-        assert np.allclose(new.normal, [4.0, 5.0])
+        old = self.normal(self.P1)
+        new = self.normal(self.P1 + self.S)
+        assert np.allclose(old, [[3.0, 5.0]])
+        assert np.allclose(new, [[4.0, 5.0]])
+        assert np.array_equal(new, old + self.S)  # Eq. 3: s tilts the normal
 
     def test_affected_queries_switch_rank(self):
         # Query domain here is unnormalized (the paper's figure uses
         # negative coordinates); test the fact directly on rankings.
-        old = Hyperplane.between(self.P1, self.P2)
-        new = old.tilt(self.S)
         rng = np.random.default_rng(2)
+        points = rng.uniform(-1, 1, size=(300, 2))
+        old = signature_matrix(points, self.normal(self.P1))[:, 0]
+        new = signature_matrix(points, self.normal(self.P1 + self.S))[:, 0]
         moved = kept = 0
-        for __ in range(300):
-            q = rng.uniform(-1, 1, size=2)
+        for q, crossed in zip(points, old != new):
             before = self.ranking(self.P1, q)
             after = self.ranking(self.P1 + self.S, q)
-            crossed = old.side(q) != new.side(q)
             if crossed:
                 moved += 1
                 assert before != after, "Fact 2: crossing queries switch ranks"

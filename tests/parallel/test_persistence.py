@@ -296,6 +296,23 @@ class TestSavedByEarlierVersion:
         with pytest.raises(ValidationError, match="sharded layout.*save the index again"):
             SubdomainIndex.load(tmp_path / "idx", dataset, queries)
 
+    def test_literal_partition_key_ignored(self, saved, tmp_path):
+        # A directory saved with the BSP build recorded in its manifest:
+        # the key no longer chooses anything, so the index loads, answers
+        # as a fresh build does, and a re-save drops the key.
+        dataset, queries, expected = saved
+        root = tmp_path / "idx"
+        shutil.copytree(SAVED / "monolithic", root)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["partition_method"] = "literal"
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        loaded = SubdomainIndex.load(root, dataset, queries)
+        assert [loaded.hits(t) for t in range(dataset.n)] == expected
+        loaded.save(tmp_path / "resaved")
+        resaved = json.loads((tmp_path / "resaved" / MANIFEST_NAME).read_text())
+        assert "partition_method" not in resaved
+        assert_same_files(tmp_path / "resaved", SAVED / "monolithic")
+
     def test_npz_file_rejected_with_save_again_hint(self, saved, tmp_path):
         dataset, queries, __ = saved
         stale = tmp_path / "index.npz"
@@ -316,8 +333,9 @@ def assert_same_files(ours, theirs):
 
     The fixture's manifest also records ``rtree_max_entries``, the node
     capacity of the query R-tree the index kept when the fixture was
-    written; ``ours`` must hold that manifest less this one key, as
-    ``write_mmap_index`` serializes it.
+    written, and ``partition_method``, the build path the index could
+    once choose; ``ours`` must hold that manifest less these two keys,
+    as ``write_mmap_index`` serializes it.
     """
     names = sorted(path.name for path in theirs.iterdir())
     assert sorted(path.name for path in ours.iterdir()) == names
@@ -325,7 +343,7 @@ def assert_same_files(ours, theirs):
         expected = (theirs / name).read_bytes()
         if name == MANIFEST_NAME:
             manifest = json.loads(expected)
-            del manifest["rtree_max_entries"]
+            del manifest["rtree_max_entries"], manifest["partition_method"]
             expected = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
         assert (ours / name).read_bytes() == expected, name
 

@@ -1,9 +1,11 @@
-"""Property-based parity of the two ``find_subdomains`` implementations.
+"""Property-based parity of Algorithm 1 and the index's grouping.
 
-The vectorized sign-matrix partition must reproduce the literal BSP loop
-of Algorithm 1 *byte for byte*: same signature keys, same member lists —
-including points sitting exactly on a hyperplane, which the ``<= EPS``
-convention assigns to the non-positive side.
+The partition :class:`~repro.core.subdomain.SubdomainIndex` builds,
+``unique_signatures(signature_matrix(points, normals))``, must reproduce
+the literal BSP loop of Algorithm 1 (``find_subdomains``) *byte for
+byte*: same signature keys, same member lists — including points
+sitting exactly on a hyperplane, which the ``<= EPS`` convention assigns
+to the non-positive side.
 """
 
 import numpy as np
@@ -12,14 +14,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.subdomain import find_subdomains
+from repro.geometry.arrangement import signature_matrix, unique_signatures
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, width=32)
 
 
+def grouped(normals, points):
+    """The index's grouping, keyed as ``find_subdomains`` keys its cells."""
+    cells, __, group = unique_signatures(signature_matrix(points, normals))
+    return {cell.tobytes(): np.flatnonzero(group == g).tolist() for g, cell in enumerate(cells)}
+
+
 def _assert_identical(normals, points):
-    literal = find_subdomains(normals, points, method="literal")
-    vectorized = find_subdomains(normals, points, method="vectorized")
-    assert literal == vectorized
+    assert find_subdomains(normals, points) == grouped(normals, points)
 
 
 class TestFindSubdomainsParity:
@@ -55,8 +62,8 @@ class TestFindSubdomainsParity:
     @given(points=arrays(np.float64, (8, 2), elements=finite))
     @settings(max_examples=30, deadline=None)
     def test_no_hyperplanes_single_cell(self, points):
-        for method in ("literal", "vectorized"):
-            cells = find_subdomains(np.empty((0, 2)), points, method=method)
+        normals = np.empty((0, 2))
+        for cells in (find_subdomains(normals, points), grouped(normals, points)):
             assert list(cells.values()) == [list(range(8))]
 
     def test_duplicate_points_share_a_cell(self):

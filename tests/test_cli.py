@@ -100,6 +100,15 @@ class TestImprove:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["price:x:1", "price:-1:nan"])
+    def test_non_numeric_adjust_bound_exits_1_with_typed_error(self, market_files, capsys, spec):
+        objects, queries = market_files
+        code, out = run(["improve", objects, queries, "--target", "0", "--reach", "3",
+                         "--adjust", spec])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --adjust bounds must be numbers, got {spec!r}\n"
+
     def test_dimension_mismatch_errors(self, market_files, tmp_path):
         objects, __ = market_files
         bad = tmp_path / "bad_queries.csv"
@@ -115,6 +124,14 @@ class TestHitsAndDemo:
         assert code == 0
         assert "of 15 queries" in out
         assert len([l for l in out.splitlines() if l.strip() and l.split()[0].isdigit()]) == 5
+
+    def test_hits_refuses_a_negative_top(self, market_files, capsys):
+        # A negative count would slice from the end of the report.
+        objects, queries = market_files
+        with pytest.raises(SystemExit) as exc:
+            main(["hits", objects, queries, "--top", "-1"])
+        assert exc.value.code == 2
+        assert "argument --top: must be at least 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["2.5", "inf", "nan"])
     def test_hits_refuses_a_non_whole_k(self, market_files, tmp_path, capsys, k):
