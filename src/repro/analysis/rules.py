@@ -30,12 +30,14 @@ __all__ = [
 #: Reference implementations and their production counterparts
 #: (RPR005): defining one of these symbols obliges some test file to
 #: name it together with *both* listed names.  ``find_subdomains`` is
-#: Algorithm 1's BSP loop, held to the index's grouping; the other two
-#: dispatch between a per-row ``"loop"`` and the batched ``"auto"``.
+#: Algorithm 1's BSP loop, held to the index's grouping;
+#: ``generate_candidates`` dispatches between a per-row ``"loop"`` and
+#: the batched ``"auto"``; ``min_cost_to_hit_batch`` is held to its
+#: one-row case and to the simplex/Dykstra set solver.
 PARITY_PAIRS: dict[str, tuple[str, str]] = {
     "find_subdomains": ("signature_matrix", "unique_signatures"),
     "generate_candidates": ("loop", "auto"),
-    "min_cost_to_hit_l2_batch": ("loop", "auto"),
+    "min_cost_to_hit_batch": ("min_cost_to_hit", "min_cost_to_hit_set"),
 }
 
 
@@ -293,14 +295,25 @@ class MutableDefaultRule(Rule):
 
 
 @lru_cache(maxsize=8)
-def _test_corpus(tests_root: Path) -> tuple[tuple[str, str], ...]:
-    """(path, text) for every test file under ``tests_root`` (cached)."""
-    corpus: list[tuple[str, str]] = []
+def _test_corpus(tests_root: Path) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """(symbols, strings) of every parseable test file under ``tests_root`` (cached).
+
+    A symbol is a ``Name``, an ``Attribute`` or an imported alias; a
+    string is a whole string constant.  Text inside a string never
+    counts as a symbol.
+    """
+    corpus: list[tuple[frozenset[str], frozenset[str]]] = []
     for path in sorted(tests_root.rglob("*.py")):
         try:
-            corpus.append((str(path), path.read_text(encoding="utf-8")))
-        except OSError:  # pragma: no cover - unreadable test file
+            nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        except (OSError, SyntaxError, ValueError):  # pragma: no cover - unreadable test file
             continue
+        symbols = {n.id for n in nodes if isinstance(n, ast.Name)}
+        symbols |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        for alias in (n for n in nodes if isinstance(n, ast.alias)):
+            symbols |= {alias.name.rsplit(".", 1)[-1], alias.asname or alias.name}
+        strings = {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        corpus.append((frozenset(symbols), frozenset(strings)))
     return tuple(corpus)
 
 
@@ -321,9 +334,12 @@ class ParityCoverageRule(Rule):
     *both* names listed for it: the production code that the reference
     stands for (``signature_matrix`` and ``unique_signatures`` for
     ``find_subdomains``), or the two variants the symbol dispatches
-    between (``"loop"`` and ``"auto"``).  The fast paths shadow the
-    paper-literal algorithms; without an enforced parity test the two
-    implementations drift apart silently.
+    between (``"loop"`` and ``"auto"``).  The test files are parsed: the
+    symbol counts only as a name, an attribute or an imported alias, and
+    a listed counterpart also as a whole string constant, so a fixture
+    string that merely contains the names covers nothing.  The fast
+    paths shadow the paper-literal algorithms; without an enforced
+    parity test the two implementations drift apart silently.
     """
 
     code = "RPR005"
@@ -344,8 +360,10 @@ class ParityCoverageRule(Rule):
         for node in defined:
             variant_a, variant_b = PARITY_PAIRS[node.name]
             covered = any(
-                node.name in text and variant_a in text and variant_b in text
-                for __, text in corpus
+                node.name in symbols
+                and variant_a in symbols | strings
+                and variant_b in symbols | strings
+                for symbols, strings in corpus
             )
             if not covered:
                 yield ctx.finding(

@@ -17,26 +17,28 @@ from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
-from repro.errors import InfeasibleError, ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit
+from repro.errors import ValidationError
+from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch
 
 __all__ = ["greedy_min_cost_iq", "greedy_max_hit_iq"]
 
 
 def _cheapest_candidate(evaluator, target, position, mask, cost, space, margin):
-    """The unhit query with the smallest single-hit cost, or ``None``."""
-    weights = evaluator.index.queries.weights
+    """The unhit query with the smallest single-hit cost, or ``None``.
+
+    Ties go to the lowest query id (``argmin`` takes the first).
+    """
     __, theta = evaluator.thresholds(target)
-    best = None
-    for j in np.flatnonzero(~mask):
-        gap = float(theta[j] - weights[j] @ position)
-        try:
-            candidate = min_cost_to_hit(cost, weights[j], gap, space=space, margin=margin)
-        except InfeasibleError:
-            continue
-        if best is None or candidate.cost < best[1].cost:
-            best = (int(j), candidate)
-    return best
+    unhit = np.flatnonzero(~mask)
+    q = evaluator.index.queries.weights[unhit]
+    vectors, costs, feasible = min_cost_to_hit_batch(
+        cost, q, theta[unhit] - q @ position, space=space, margin=margin
+    )
+    rows = np.flatnonzero(feasible)
+    if rows.size == 0:
+        return None
+    row = rows[np.argmin(costs[rows])]
+    return int(unhit[row]), Strategy(vectors[row], cost=costs[row])
 
 
 def greedy_min_cost_iq(

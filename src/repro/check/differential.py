@@ -24,8 +24,10 @@ through an independent path and raising
 * **IQ result contracts** (:func:`check_iq_contracts`) — a Min-Cost /
   Max-Hit result's reported ``total_cost`` / ``hits_after`` /
   ``satisfied`` fields must survive re-verification from scratch
-  (strategy re-costed, hits recounted on a fresh index of the improved
-  data and by brute force, budget/goal re-checked).
+  (strategy re-costed under the IQ's own cost and held to its box, hits
+  recounted on a fresh index of the improved data and by brute force,
+  budget/goal re-checked), under free L2 and under boxed L1,
+  L-infinity and asymmetric costs.
 
 Scenarios use ``sense="min"`` datasets, so external and internal
 strategy coordinates coincide and results can be re-checked without
@@ -43,11 +45,12 @@ import numpy as np
 from repro.constants import EPS_COST, EPS_FEASIBILITY
 from repro.check.oracles import check_index_invariants
 from repro.core import updates
-from repro.core.cost import L2Cost
+from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.ese import StrategyEvaluator, _eq6_counts, _eq6_hits
 from repro.core.objects import Dataset
 from repro.core.results import IQResult
+from repro.core.strategy import StrategySpace
 from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
 from repro.data.synthetic import generate
 from repro.data.workloads import uniform_queries
@@ -434,7 +437,10 @@ def _recheck_hits(index: SubdomainIndex, result: IQResult, label: str) -> None:
         )
 
 
-def _recheck_cost(index: SubdomainIndex, result: IQResult, label: str) -> None:
+def _recheck_cost(
+    result: IQResult, label: str, cost: CostFunction, space: StrategySpace | None = None
+) -> None:
+    """Re-cost the strategy under the IQ's own cost, inside its own box."""
     if abs(result.total_cost - result.strategy.cost) > EPS_FEASIBILITY:
         raise CheckFailure(
             f"{label} result total_cost={result.total_cost} disagrees with its "
@@ -442,9 +448,12 @@ def _recheck_cost(index: SubdomainIndex, result: IQResult, label: str) -> None:
         )
     if result.total_cost < 0.0:
         raise CheckFailure(f"{label} result reports negative cost {result.total_cost}")
-    recosted = L2Cost(index.dataset.dim)(
-        index.dataset.to_internal_strategy(result.strategy.vector)
-    )
+    if space is not None and not space.contains(result.strategy.vector):
+        raise CheckFailure(
+            f"{label} strategy {result.strategy.vector} leaves its box "
+            f"[{space.lower}, {space.upper}]"
+        )
+    recosted = cost(result.strategy.vector)
     if recosted > result.total_cost + EPS_FEASIBILITY:
         raise CheckFailure(
             f"{label} applied strategy re-costs to {recosted}, above the "
@@ -452,46 +461,68 @@ def _recheck_cost(index: SubdomainIndex, result: IQResult, label: str) -> None:
         )
 
 
-def check_iq_contracts(index: SubdomainIndex, rng: np.random.Generator) -> None:
-    """Min-Cost / Max-Hit results must survive re-verification from scratch.
-
-    Runs one ``min_cost`` and one ``max_hit`` query through the engine
-    (L2 cost, a reachable goal / a small budget) and re-checks every
-    reported field: accumulated cost vs a re-costing of the applied
-    strategy, ``hits_after`` vs a fresh index of the improved data and
-    brute force, and the feasibility flag vs its documented meaning.
-    """
-    engine = ImprovementQueryEngine.from_index(index)
-    cost = L2Cost(index.dataset.dim)
+def _check_pair(
+    engine: ImprovementQueryEngine,
+    rng: np.random.Generator,
+    cost: CostFunction,
+    space: StrategySpace | None,
+    name: str,
+) -> None:
+    """One Min-Cost and one Max-Hit IQ under ``cost`` in ``space``, re-verified."""
+    index = engine.index
     target = int(rng.integers(index.dataset.n))
-    m = index.queries.m
+    tau = min(index.queries.m, engine.hits(target) + 2)
+    label = f"min_cost ({name})"
+    result = engine.min_cost(target, tau, cost=cost, space=space)
+    _recheck_cost(result, label, cost, space)
+    _recheck_hits(index, result, label)
+    if result.satisfied != (result.hits_after >= tau):
+        raise CheckFailure(
+            f"{label} satisfied={result.satisfied} contradicts "
+            f"hits_after={result.hits_after} vs tau={tau}"
+        )
 
-    tau = min(m, engine.hits(target) + 2)
-    if tau >= 1:
-        result = engine.min_cost(target, tau, cost=cost)
-        _recheck_cost(index, result, "min_cost")
-        _recheck_hits(index, result, "min_cost")
-        if result.satisfied != (result.hits_after >= tau):
-            raise CheckFailure(
-                f"min_cost satisfied={result.satisfied} contradicts "
-                f"hits_after={result.hits_after} vs tau={tau}"
-            )
-
+    label = f"max_hit ({name})"
     budget = 0.25 * (1.0 + float(rng.random()))
-    result = engine.max_hit(target, budget, cost=cost)
-    _recheck_cost(index, result, "max_hit")
-    _recheck_hits(index, result, "max_hit")
+    result = engine.max_hit(target, budget, cost=cost, space=space)
+    _recheck_cost(result, label, cost, space)
+    _recheck_hits(index, result, label)
     if result.total_cost > budget + EPS_COST:
         raise CheckFailure(
-            f"max_hit spent {result.total_cost} beyond budget {budget} plus the "
+            f"{label} spent {result.total_cost} beyond budget {budget} plus the "
             "once-only slack"
         )
     if not result.satisfied:
         raise CheckFailure(
-            "max_hit returned satisfied=False; the best prefix is always within "
+            f"{label} returned satisfied=False; the best prefix is always within "
             "budget by construction"
         )
     if result.hits_after < result.hits_before:
         raise CheckFailure(
-            f"max_hit result lost hits: {result.hits_before} -> {result.hits_after}"
+            f"{label} result lost hits: {result.hits_before} -> {result.hits_after}"
         )
+
+
+def check_iq_contracts(index: SubdomainIndex, rng: np.random.Generator) -> None:
+    """Min-Cost / Max-Hit results must survive re-verification from scratch.
+
+    Runs one ``min_cost`` and one ``max_hit`` query through the engine
+    (a reachable goal / a small budget) under the free L2 cost, then
+    under L1, L-infinity and asymmetric linear costs in one random box,
+    and re-checks every reported field: the strategy stays in its box,
+    the accumulated cost bounds a re-costing of the applied strategy
+    under the IQ's own cost, ``hits_after`` matches a fresh index of the
+    improved data and brute force, and the feasibility flag means what
+    it documents.
+    """
+    engine = ImprovementQueryEngine.from_index(index)
+    d = index.dataset.dim
+    _check_pair(engine, rng, L2Cost(d), None, "L2")
+    box = StrategySpace(d, lower=-rng.uniform(0.02, 0.3, d), upper=rng.uniform(0.02, 0.3, d))
+    prices = rng.uniform(0.5, 2.0, (3, d))
+    for cost, name in (
+        (L1Cost(d, prices[0]), "L1, boxed"),
+        (LInfCost(d, prices[0]), "LINF, boxed"),
+        (AsymmetricLinearCost(d, up=prices[1], down=prices[2]), "asymmetric, boxed"),
+    ):
+        _check_pair(engine, rng, cost, box, name)

@@ -15,14 +15,13 @@ partition signatures disagree near boundaries):
 
 * :data:`EPS` — the canonical side-of-hyperplane tolerance.
 * :data:`EPS_TIE` — score ties when ranking objects at a query.
-* :data:`EPS_EVENT` — plane-sweep event-key coalescing.
 
 Optimization:
 
 * :data:`LP_TOL`, :data:`LP_RESIDUAL_TOL` — simplex internals.
-* :data:`STRICT_MARGIN`, :data:`DEFAULT_MARGIN` — strict-to-closed
-  inequality slack (absolute margins; meaningful because the query
-  domain is normalized to the unit box).
+* :data:`DEFAULT_MARGIN` — strict-to-closed inequality slack (an
+  absolute margin; meaningful because the query domain is normalized
+  to the unit box).
 * :data:`EPS_FEASIBILITY`, :data:`EPS_SET_FEASIBILITY` — verification
   slack on returned solutions.
 * :data:`EPS_CONVERGENCE`, :data:`FD_STEP` — iterative numeric solvers.
@@ -39,7 +38,6 @@ from __future__ import annotations
 __all__ = [
     "EPS",
     "EPS_TIE",
-    "EPS_EVENT",
     "EPS_CONVERGENCE",
     "EPS_COST",
     "EPS_FEASIBILITY",
@@ -48,7 +46,6 @@ __all__ = [
     "ATOL_PARITY",
     "LP_TOL",
     "LP_RESIDUAL_TOL",
-    "STRICT_MARGIN",
     "DEFAULT_MARGIN",
     "FD_STEP",
     "TOLERANCE_BAND",
@@ -63,10 +60,6 @@ EPS = 1e-12
 #: Two object scores at a query within ``EPS_TIE`` are a rank tie and
 #: are broken deterministically by object id (paper's "lower id wins").
 EPS_TIE = 1e-12
-
-#: Plane-sweep intersection events closer than this along the sweep line
-#: are coalesced into one event point.
-EPS_EVENT = 1e-10
 
 #: Stationarity / fixed-point threshold for iterative solvers
 #: (Dykstra's projections, projected subgradient): iteration stops once
@@ -101,10 +94,6 @@ LP_TOL = 1e-9
 #: Accepted phase-1 artificial residual: a phase-1 objective above
 #: ``-LP_RESIDUAL_TOL`` counts as feasible (pure numerical noise).
 LP_RESIDUAL_TOL = 1e-7
-
-#: Strict inequalities ``q . n > 0`` are realized as ``-q . n <= -STRICT_MARGIN``
-#: in LP feasibility tests over the (normalized) query-domain box.
-STRICT_MARGIN = 1e-6
 
 #: Strictness slack turning the open hit constraint ``q . s < gap`` into
 #: the closed ``q . s <= gap - DEFAULT_MARGIN`` solved by the optimizers.

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import CostFunction, L2Cost
+from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IterationRecord
 from repro.core.strategy import StrategySpace
 from repro.errors import InfeasibleError, ValidationError
 from repro.observe import stage, tally
-from repro.optimize.hit_cost import (
-    DEFAULT_MARGIN,
-    min_cost_to_hit,
-    min_cost_to_hit_l2_batch,
-)
+from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit, min_cost_to_hit_batch
 
 __all__ = ["CandidateBatch", "apply_candidate", "generate_candidates", "SearchState"]
 
@@ -127,12 +123,10 @@ def generate_candidates(
     iterations (the budget-accounting bug the correctness harness
     guards).
 
-    ``method="auto"`` (default) solves every weighted-L2 subproblem in
-    one vectorized closed-form batch — bounded strategy boxes included,
-    as long as the row's optimum is not clipped by an active bound —
-    and falls back to :func:`min_cost_to_hit` only for box-active rows
-    and genuinely custom costs.  ``method="loop"`` forces the per-query
-    solver for every row (the benchmark-regression baseline).
+    ``method="auto"`` (default) solves every unhit query in one
+    :func:`min_cost_to_hit_batch` call, whatever the cost and box.
+    ``method="loop"`` calls :func:`min_cost_to_hit` once per row (the
+    benchmark-regression baseline).
     """
     if method not in _CANDIDATE_METHODS:
         raise ValidationError(
@@ -158,55 +152,32 @@ def _generate_candidates(
     position = state.position
     dim = index.dataset.dim
 
-    rows = unhit.size
-    vectors_all = np.zeros((rows, dim))
-    costs_all = np.zeros(rows)
-    keep = np.zeros(rows, dtype=bool)
-    loop_rows = np.arange(rows)
-
-    if method == "auto" and isinstance(cost, L2Cost) and rows:
+    if method == "auto":
         q = weights[unhit]
-        gaps = theta[unhit] - q @ position
-        batch_vecs, batch_costs, solved, infeasible = min_cost_to_hit_l2_batch(
-            cost, q, gaps, space=space, margin=margin
+        vectors_all, costs_all, keep = min_cost_to_hit_batch(
+            cost, q, theta[unhit] - q @ position, space=space, margin=margin
         )
-        vectors_all[solved] = batch_vecs[solved]
-        costs_all[solved] = batch_costs[solved]
-        keep |= solved
-        loop_rows = np.flatnonzero(~solved & ~infeasible)
+    else:
+        vectors_all = np.zeros((unhit.size, dim))
+        costs_all = np.zeros(unhit.size)
+        keep = np.zeros(unhit.size, dtype=bool)
+        for row, j in enumerate(unhit):
+            gap = float(theta[j] - weights[j] @ position)
+            try:
+                candidate = min_cost_to_hit(cost, weights[j], gap, space=space, margin=margin)
+            except InfeasibleError:
+                continue
+            vectors_all[row] = candidate.vector
+            costs_all[row] = candidate.cost
+            keep[row] = True
 
-    for row in loop_rows:
-        j = unhit[row]
-        gap = float(theta[j] - weights[j] @ position)
-        try:
-            candidate = min_cost_to_hit(cost, weights[j], gap, space=space, margin=margin)
-        except InfeasibleError:
-            continue
-        vectors_all[row] = candidate.vector
-        costs_all[row] = candidate.cost
-        keep[row] = True
-
-    if not keep.any():
-        return CandidateBatch(
-            query_ids=np.empty(0, dtype=np.intp),
-            vectors=np.empty((0, dim)),
-            costs=np.empty(0),
-            hits=np.empty(0, dtype=np.intp),
-        )
-
+    if max_cost is not None:
+        keep &= costs_all <= max_cost
     query_ids = unhit[keep].astype(np.intp)
     matrix = vectors_all[keep]
     cost_arr = costs_all[keep]
-    if max_cost is not None:
-        keep = cost_arr <= max_cost
-        query_ids, matrix, cost_arr = query_ids[keep], matrix[keep], cost_arr[keep]
-        if query_ids.size == 0:
-            return CandidateBatch(
-                query_ids=query_ids,
-                vectors=matrix,
-                costs=cost_arr,
-                hits=np.empty(0, dtype=np.intp),
-            )
+    if query_ids.size == 0:
+        return CandidateBatch(query_ids, matrix, cost_arr, hits=np.empty(0, dtype=np.intp))
     tally("candidates", int(query_ids.size))
     tally("evaluations", int(query_ids.size))
     with stage("evaluate"):

@@ -30,9 +30,9 @@ from repro.constants import EPS_COST, EPS_FEASIBILITY
 from repro.core.cost import CostFunction
 from repro.core.strategy import Strategy, StrategySpace
 from repro.core.subdomain import SubdomainIndex
-from repro.errors import InfeasibleError, ValidationError
+from repro.errors import ValidationError
 from repro.observe import stage, tally
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit
+from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch
 
 __all__ = ["MultiTargetResult", "combinatorial_min_cost", "combinatorial_max_hit"]
 
@@ -121,30 +121,27 @@ def _candidates(
     unhit = np.flatnonzero(~mask)
     if unhit.size == 0:
         return out
+    q = state.weights[unhit]
     for t in state.targets:
         theta = state.thresholds(t)
         position = state.matrix[t]
         room = spaces[t].shifted(applied[t])
-        for j in unhit:
-            gap = float(theta[j] - state.weights[j] @ position)
-            try:
-                candidate = min_cost_to_hit(
-                    costs[t], state.weights[j], gap, space=room, margin=margin
-                )
-            except InfeasibleError:
-                continue
-            if max_cost is not None and candidate.cost > max_cost:
-                # §5.1 step 2: drop over-budget candidates.  Exact
-                # comparison — the caller grants EPS_COST once against
-                # the original budget, never per iteration.
-                continue
+        vectors, prices, keep = min_cost_to_hit_batch(
+            costs[t], q, theta[unhit] - q @ position, space=room, margin=margin
+        )
+        if max_cost is not None:
+            # §5.1 step 2: drop over-budget candidates.  Exact
+            # comparison — the caller grants EPS_COST once against
+            # the original budget, never per iteration.
+            keep &= prices <= max_cost
+        for row in np.flatnonzero(keep):
             # Score: joint hits with the other targets frozen.
             scores = state.scores()
-            scores[:, t] = state.weights @ (position + candidate.vector)
+            scores[:, t] = state.weights @ (position + vectors[row])
             joint = np.zeros(mask.shape[0], dtype=bool)
             for u in state.targets:
                 joint |= state.member_mask(scores, u)
-            out.append((t, int(j), candidate.vector, candidate.cost, int(joint.sum())))
+            out.append((t, int(unhit[row]), vectors[row], float(prices[row]), int(joint.sum())))
     return out
 
 

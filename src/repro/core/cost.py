@@ -10,8 +10,9 @@ This module provides that cost plus the family a practitioner would
 actually reach for (weighted L1/L2, asymmetric per-direction pricing,
 and arbitrary callables).  Each built-in cost declares enough structure
 for :mod:`repro.optimize.hit_cost` to solve the "cheapest strategy that
-hits one query" subproblem (Eq. 13-14) in closed form or by LP;
-:class:`CallableCost` falls back to a numeric solver.
+hits one query" subproblem (Eq. 13-14) in closed form, a whole batch of
+queries at once; :class:`CallableCost` falls back to a numeric solver,
+one query at a time.
 
 All costs must satisfy ``cost(0) == 0`` and ``cost(s) >= 0``; built-ins
 are convex, which the greedy searches implicitly rely on.
@@ -133,9 +134,10 @@ class CallableCost(CostFunction):
     """Wraps a user-supplied ``f(s) -> float``.
 
     The wrapped function is assumed convex with ``f(0) = 0``; the
-    library solves its hit subproblems numerically
-    (:func:`repro.optimize.hit_cost.min_cost_to_hit`), so non-convex
-    costs yield approximate (still feasible) strategies.
+    library solves its hit subproblems numerically, by projected
+    subgradient one query at a time
+    (:func:`repro.optimize.hit_cost.min_cost_to_hit_batch`), so
+    non-convex costs yield approximate (still feasible) strategies.
     """
 
     def __init__(self, dim: int, fn: "Callable[[np.ndarray], float]") -> None:

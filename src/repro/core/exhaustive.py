@@ -31,7 +31,7 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import InfeasibleError, ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit, min_cost_to_hit_set
+from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch, min_cost_to_hit_set
 
 __all__ = ["exhaustive_min_cost", "exhaustive_max_hit"]
 
@@ -73,14 +73,8 @@ def _prepare(
     weights = np.asarray(index.queries.weights, dtype=float)
     __, theta = evaluator.thresholds(target)
     gaps = theta - weights @ index.dataset.matrix[target]
-    singles = np.full(index.queries.m, np.inf)
-    for j in range(index.queries.m):
-        try:
-            singles[j] = min_cost_to_hit(
-                cost, weights[j], float(gaps[j]), space=space, margin=margin
-            ).cost
-        except InfeasibleError:
-            continue
+    __, costs, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space, margin=margin)
+    singles = np.where(feasible, costs, np.inf)
     return _Problem(evaluator, target, cost, space, margin, weights, gaps, singles)
 
 

@@ -1,4 +1,4 @@
-"""Cheapest strategy that makes the target hit one query (Eq. 13-14).
+"""Cheapest strategy that makes the target hit a query (Eq. 13-14).
 
 Every iteration of the greedy IQ searches (Algorithms 3 and 4) solves,
 for each not-yet-hit query ``q``::
@@ -11,61 +11,40 @@ where ``theta_q`` is the score of the k-th ranked *other* object at
 constraint is ``q . s < gap``; the strict inequality is realized as
 ``q . s <= gap - margin``.
 
-Solvers by cost type
---------------------
-* :class:`~repro.core.cost.L2Cost` — Lagrangian closed form; with box
-  bounds, monotone bisection on the multiplier.
-* :class:`~repro.core.cost.L1Cost` /
-  :class:`~repro.core.cost.AsymmetricLinearCost` — exact LP via the
-  in-house simplex (:mod:`repro.optimize.simplex`).
-* :class:`~repro.core.cost.LInfCost` — scaling closed form with box
-  bisection.
-* anything else — projected-subgradient numeric fallback (assumes a
-  convex cost; always returns a *feasible* strategy).
+That is one linear constraint in a box, so every built-in cost has an
+exact closed form that batches: :func:`min_cost_to_hit_batch` solves
+all the unhit queries of a round at once, and :func:`min_cost_to_hit`
+is its one-row case.
 
-Infeasibility (the query cannot be hit inside the box) raises
-:class:`repro.errors.InfeasibleError`.
+* L2 (weighted): the Lagrangian point ``s = b (q / w) / (q . (q / w))``;
+  a row it takes out of the box follows the clipped ray with ``a = q / w``.
+* L-infinity: the clipped ray ``s(t) = clip(-t a, lower, upper)`` with
+  ``a = sign(q) / w``.  ``q . s(t)`` is piecewise linear and
+  non-increasing in ``t``, so one sort of each row's kinks gives the
+  exact ``t``.
+* L1 and asymmetric linear: a fractional knapsack, buying the reduction
+  of ``q . s`` at the lowest price per unit first, up to the room the
+  box leaves (ties: lowest column first).
+* any other cost: the projected-subgradient loop of
+  :func:`min_cost_to_hit_set`, one row at a time (assumes a convex cost;
+  always returns a *feasible* strategy).
+
+:func:`min_cost_to_hit_set` hits a whole query *set* with one strategy,
+the exhaustive search's joint problem: an LP on the in-house simplex
+for the linear costs, Dykstra's projections for L2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.constants import (
-    DEFAULT_MARGIN,
-    EPS_CONVERGENCE,
-    EPS_FEASIBILITY,
-    EPS_SET_FEASIBILITY,
-    FD_STEP,
-)
+from repro.constants import DEFAULT_MARGIN, EPS_CONVERGENCE, EPS_SET_FEASIBILITY, FD_STEP
 from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import InfeasibleError, ValidationError
 from repro.optimize.simplex import linprog
 
-__all__ = [
-    "min_cost_to_hit",
-    "min_cost_to_hit_l2_batch",
-    "min_cost_to_hit_set",
-    "HitSubproblem",
-]
-
-
-@dataclass(frozen=True)
-class HitSubproblem:
-    """One "hit query q" subproblem: ``q . s <= bound`` within a box."""
-
-    weights: np.ndarray  #: the query's weight vector (function input q)
-    bound: float  #: gap minus margin; the constraint is q . s <= bound
-
-    def satisfied_by(self, s: np.ndarray, tol: float = EPS_FEASIBILITY) -> bool:
-        """Does strategy ``s`` satisfy the constraint (within ``tol``)?"""
-        s = np.asarray(s, dtype=float)
-        if s.shape != self.weights.shape:
-            raise ValidationError(f"strategy shape {s.shape} != {self.weights.shape}")
-        return float(self.weights @ s) <= self.bound + tol
+__all__ = ["min_cost_to_hit", "min_cost_to_hit_batch", "min_cost_to_hit_set"]
 
 
 def min_cost_to_hit(
@@ -75,241 +54,202 @@ def min_cost_to_hit(
     space: StrategySpace | None = None,
     margin: float = DEFAULT_MARGIN,
 ) -> Strategy:
-    """Solve Eq. 13-14 for one query.
+    """Solve Eq. 13-14 for one query: the one-row :func:`min_cost_to_hit_batch`.
+
+    ``weights`` is the query's ``q`` and ``gap`` its ``theta_q - q . p``;
+    the other parameters are the batch's.  Raises
+    :class:`~repro.errors.InfeasibleError` when no strategy in the box
+    hits the query.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (cost.dim,):
+        raise ValidationError(f"weights shape {weights.shape} != ({cost.dim},)")
+    vectors, costs, feasible = min_cost_to_hit_batch(
+        cost, weights[None, :], np.array([gap], dtype=float), space=space, margin=margin
+    )
+    if not feasible[0]:
+        raise InfeasibleError("query cannot be hit within the strategy bounds")
+    return Strategy(vectors[0], cost=costs[0])
+
+
+def min_cost_to_hit_batch(
+    cost: CostFunction,
+    weights_rows: np.ndarray,
+    gaps: np.ndarray,
+    space: StrategySpace | None = None,
+    margin: float = DEFAULT_MARGIN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 13-14 for a whole batch of queries at once, exactly.
 
     Parameters
     ----------
     cost:
         The issuer's cost function.
-    weights:
-        The query's weight vector ``q``.
-    gap:
-        ``theta_q - q . p``; positive means the target already hits.
+    weights_rows, gaps:
+        An ``(r, d)`` stack of query weight vectors ``q`` and their
+        ``theta_q - q . p``; a positive gap means the target already hits.
     space:
         Valid-strategy box; defaults to unconstrained.
     margin:
         Strictness slack: the solver enforces ``q . s <= gap - margin``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (cost.dim,):
-        raise ValidationError(f"weights shape {weights.shape} != ({cost.dim},)")
-    space = space or StrategySpace.unconstrained(cost.dim)
-    if space.dim != cost.dim:
-        raise ValidationError(f"space dim {space.dim} != cost dim {cost.dim}")
-
-    if gap > margin:
-        return Strategy.zero(cost.dim)  # already hits, strictly
-    problem = HitSubproblem(weights=weights, bound=float(gap) - margin)
-
-    if isinstance(cost, L2Cost):
-        vector = _solve_l2(cost, problem, space)
-    elif isinstance(cost, (L1Cost, AsymmetricLinearCost)):
-        vector = _solve_linear_lp(cost, problem, space)
-    elif isinstance(cost, LInfCost):
-        vector = _solve_linf(cost, problem, space)
-    else:
-        vector = _solve_numeric(cost, problem, space)
-    vector = space.clip(vector)
-    if not problem.satisfied_by(vector):
-        raise InfeasibleError("query cannot be hit within the strategy bounds")
-    return Strategy(vector, cost=cost(vector))
-
-
-def min_cost_to_hit_l2_batch(
-    cost: L2Cost,
-    weights_rows: np.ndarray,
-    gaps: np.ndarray,
-    space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form Eq. 13-14 for a whole batch of queries at once.
-
-    For a weighted-L2 cost the single-constraint optimum is the
-    Lagrangian point ``s = b * (q / w) / (q . (q / w))`` with cost
-    ``|b| / sqrt(q . (q / w))``; it is also the *box-constrained*
-    optimum whenever it happens to lie inside the strategy box (the box
-    constraints are then inactive).  This solves every query in a batch
-    with two matrix products — the per-query bisection of
-    :func:`min_cost_to_hit` is only needed for rows whose optimum is
-    clipped by an active bound.
-
-    Parameters mirror :func:`min_cost_to_hit`, with ``weights_rows`` a
-    ``(r, d)`` stack of query weight vectors and ``gaps`` their
-    ``theta_q - q . p`` values.
 
     Returns
     -------
-    ``(vectors, costs, solved, infeasible)`` where ``vectors``/``costs``
-    are only meaningful on ``solved`` rows.  Rows with neither flag set
-    have a box-active optimum and need the per-query solver; rows
-    flagged ``infeasible`` (all-zero query weights) can never be hit.
+    ``(vectors, costs, feasible)``: where ``feasible[i]``, row ``i`` is
+    the cheapest strategy in the box with ``q_i . s <= gaps[i] - margin``
+    and its cost (zero when the gap already exceeds the margin).  A row
+    the box cannot reach, or whose query weights are all zero, is not
+    feasible and holds a zero vector and cost.
     """
-    weights_rows = np.atleast_2d(np.asarray(weights_rows, dtype=float))
+    q = np.atleast_2d(np.asarray(weights_rows, dtype=float))
     gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
-    if weights_rows.shape != (gaps.shape[0], cost.dim):
+    if q.shape != (gaps.shape[0], cost.dim):
         raise ValidationError(
-            f"weights shape {weights_rows.shape} incompatible with "
-            f"gaps {gaps.shape} / dim {cost.dim}"
+            f"weights shape {q.shape} incompatible with gaps {gaps.shape} / dim {cost.dim}"
         )
     space = space or StrategySpace.unconstrained(cost.dim)
     if space.dim != cost.dim:
         raise ValidationError(f"space dim {space.dim} != cost dim {cost.dim}")
-    q = weights_rows
     bounds = gaps - margin
-    rows = q.shape[0]
-    vectors = np.zeros((rows, cost.dim))
-    costs = np.zeros(rows)
-    denom = np.einsum("ij,ij->i", q, q / cost.weights)  # q . W^-1 q per row
+    if isinstance(cost, L2Cost):
+        return _l2_rows(cost, q, bounds, space)
+    vectors = np.zeros(q.shape)
+    costs = np.zeros(q.shape[0])
+    feasible = np.ones(q.shape[0], dtype=bool)
+    active = np.flatnonzero(bounds < 0)  # the zero strategy satisfies the other rows
+    if isinstance(cost, LInfCost):
+        # At budget t each coordinate moves t / w_i: the ray along sign(q) / w.
+        a = np.sign(q[active]) / cost.weights
+        vectors[active], feasible[active] = _clipped_ray(a, q[active], bounds[active], space)
+        costs = np.max(cost.weights * np.abs(vectors), axis=1, initial=0.0)
+    elif isinstance(cost, (L1Cost, AsymmetricLinearCost)):
+        vectors[active], costs[active], feasible[active] = _knapsack_rows(
+            cost, q[active], bounds[active], space
+        )
+    else:
+        for row in active:
+            try:
+                vectors[row] = _set_numeric(cost, q[row : row + 1], bounds[row : row + 1], space)
+            except InfeasibleError:
+                feasible[row] = False
+            else:
+                costs[row] = cost(vectors[row])
+    return vectors, costs, feasible
+
+
+def _l2_rows(
+    cost: L2Cost, q: np.ndarray, bounds: np.ndarray, space: StrategySpace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted L2: the Lagrangian point, or the clipped ray where the box cuts it.
+
+    The point ``s = b (q / w) / (q . (q / w))`` with cost
+    ``|b| / sqrt(q . (q / w))`` is the box optimum whenever it lies in
+    the box; only the rows it leaves take :func:`_clipped_ray`.
+    """
+    scaled = q / cost.weights
+    denom = np.einsum("ij,ij->i", q, scaled)  # q . W^-1 q per row
     already_hit = bounds >= 0  # the zero strategy suffices (and is free)
-    infeasible = (denom <= 0) & ~already_hit
-    active = ~already_hit & ~infeasible
+    feasible = already_hit | (denom > 0)
+    active = feasible & ~already_hit
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(active, bounds / np.maximum(denom, 1e-300), 0.0)
-    raw = scale[:, None] * (q / cost.weights)
-    inside = np.all((raw >= space.lower) & (raw <= space.upper), axis=1)
-    use = active & inside
-    vectors[use] = raw[use]
-    costs[use] = np.abs(bounds[use]) / np.sqrt(denom[use])
-    solved = already_hit | use
-    return vectors, costs, solved, infeasible
+        costs = np.where(active, np.abs(bounds) / np.sqrt(denom), 0.0)
+    vectors = scale[:, None] * scaled
+    if not active.all():
+        vectors[~active] = 0.0  # a zero scale times a negative entry is -0.0
+    if np.isfinite(space.lower).any() or np.isfinite(space.upper).any():
+        inside = np.all((vectors >= space.lower) & (vectors <= space.upper), axis=1)
+        clipped = np.flatnonzero(active & ~inside)
+        if clipped.size:
+            ray, reached = _clipped_ray(scaled[clipped], q[clipped], bounds[clipped], space)
+            vectors[clipped] = ray
+            costs[clipped] = np.sqrt(np.sum(cost.weights * ray * ray, axis=1))
+            feasible[clipped] = reached
+    return vectors, costs, feasible
 
 
-# ----------------------------------------------------------------------
-# Weighted L2: minimize sqrt(sum w_i s_i^2) s.t. q.s <= b, box
-# ----------------------------------------------------------------------
-def _solve_l2(cost: L2Cost, problem: HitSubproblem, space: StrategySpace) -> np.ndarray:
-    q, b, w = problem.weights, problem.bound, cost.weights
-    unbounded = not (np.isfinite(space.lower).any() or np.isfinite(space.upper).any())
-    denom = float(np.sum(q * q / w))
-    if denom <= 0:
-        raise InfeasibleError("query weights are all zero; no strategy changes its score")
-    if unbounded:
-        # Lagrangian solution on the boundary q.s = b (b < 0 here).
-        return b * (q / w) / denom
+def _clipped_ray(
+    a: np.ndarray, q: np.ndarray, bounds: np.ndarray, space: StrategySpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``s(t) = clip(-t a, lower, upper)`` with ``q . s(t) <= bound``, per row.
 
-    # Box case: s_i(lam) = clip(-lam * q_i / w_i, lo_i, hi_i); the
-    # constraint value q . s(lam) decreases monotonically in lam >= 0.
-    def value(lam: float) -> float:
-        s = np.clip(-lam * q / w, space.lower, space.upper)
-        return float(q @ s)
-
-    lo_lam, hi_lam = 0.0, 1.0
-    if value(0.0) <= b:
-        return np.zeros(cost.dim)
-    while value(hi_lam) > b:
-        hi_lam *= 2.0
-        if hi_lam > 1e18:
-            raise InfeasibleError("query cannot be hit within the strategy bounds")
-    for __ in range(200):  # ~60 bits of precision
-        mid = 0.5 * (lo_lam + hi_lam)
-        if value(mid) > b:
-            lo_lam = mid
-        else:
-            hi_lam = mid
-    return np.clip(-hi_lam * q / w, space.lower, space.upper)
-
-
-# ----------------------------------------------------------------------
-# Weighted L1 / asymmetric linear: exact LP with split variables
-# ----------------------------------------------------------------------
-def _solve_linear_lp(
-    cost: L1Cost | AsymmetricLinearCost, problem: HitSubproblem, space: StrategySpace
-) -> np.ndarray:
-    q, b = problem.weights, problem.bound
-    d = cost.dim
-    if isinstance(cost, AsymmetricLinearCost):
-        up_price, down_price = cost.up, cost.down
-    else:
-        up_price = down_price = cost.weights
-    # Variables: u (increase part), v (decrease part); s = u - v.
-    c = np.concatenate([up_price, down_price])
-    a_ub = np.concatenate([q, -q])[None, :]
-    b_ub = np.asarray([b])
-    bounds = []
-    for i in range(d):
-        bounds.append((0.0, space.upper[i] if np.isfinite(space.upper[i]) else None))
-    for i in range(d):
-        bounds.append((0.0, -space.lower[i] if np.isfinite(space.lower[i]) else None))
-    result = linprog(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    return result.x[:d] - result.x[d:]
+    ``a`` has the sign of ``q`` in every coordinate, so coordinate ``i``
+    lowers ``q . s`` at rate ``q_i a_i`` until it meets the box at the
+    kink ``t_i = room_i / |a_i|``, and holds ``|q_i| room_i`` past it.
+    The reduction is piecewise linear and non-decreasing in ``t``: the
+    first sorted kink whose reduction covers ``-bound`` closes the
+    segment that holds the exact ``t``.  Returns ``(vectors,
+    reached)``; a row the box cannot reach is zero.
+    """
+    room = np.where(a > 0, -space.lower, space.upper)
+    need = -bounds
+    rows = np.arange(q.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = np.where(a != 0, room / np.abs(a), 0.0)
+        order = np.argsort(kinks, axis=1, kind="stable")
+        kinks = np.take_along_axis(kinks, order, axis=1)
+        rates = np.take_along_axis(q * a, order, axis=1)
+        held = _exclusive_cumsum(rates * kinks)  # reduction of the coordinates at the box
+        moving = np.cumsum(rates[:, ::-1], axis=1)[:, ::-1]  # rate of those still moving
+        reached = held + moving * kinks >= need[:, None]
+        feasible = reached.any(axis=1)
+        seg = reached.argmax(axis=1)
+        start = np.where(seg > 0, kinks[rows, seg - 1], 0.0)
+        t = (need - held[rows, seg]) / moving[rows, seg]
+    t = np.fmin(np.fmax(t, start), kinks[rows, seg])  # rounding stays in the segment
+    vectors = np.clip(-t[:, None] * a, space.lower, space.upper)
+    vectors[~feasible] = 0.0
+    return vectors, feasible
 
 
-# ----------------------------------------------------------------------
-# Weighted L-infinity: s_i = -t * sign-aligned extreme direction
-# ----------------------------------------------------------------------
-def _solve_linf(cost: LInfCost, problem: HitSubproblem, space: StrategySpace) -> np.ndarray:
-    q, b, w = problem.weights, problem.bound, cost.weights
-
-    # At budget t, the most negative reachable q.s uses s_i = -sign(q_i) * t / w_i
-    # clipped to the box; bisect on t.
-    def direction(t: float) -> np.ndarray:
-        raw = -np.sign(q) * t / w
-        return np.clip(raw, space.lower, space.upper)
-
-    def value(t: float) -> float:
-        return float(q @ direction(t))
-
-    if value(0.0) <= b:
-        return np.zeros(cost.dim)
-    lo_t, hi_t = 0.0, 1.0
-    while value(hi_t) > b:
-        hi_t *= 2.0
-        if hi_t > 1e18:
-            raise InfeasibleError("query cannot be hit within the strategy bounds")
-    for __ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        if value(mid) > b:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return direction(hi_t)
-
-
-# ----------------------------------------------------------------------
-# Generic convex cost: projected subgradient from the L2 warm start
-# ----------------------------------------------------------------------
-def _solve_numeric(
-    cost: CostFunction,
-    problem: HitSubproblem,
+def _knapsack_rows(
+    cost: L1Cost | AsymmetricLinearCost,
+    q: np.ndarray,
+    bounds: np.ndarray,
     space: StrategySpace,
-    iterations: int = 400,
-) -> np.ndarray:
-    q, b = problem.weights, problem.bound
-    d = cost.dim
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L1 and asymmetric linear costs: a fractional knapsack per row.
 
-    def project(s: np.ndarray) -> np.ndarray:
-        """Projection onto the box intersected with ``q . s <= b``."""
-        s = np.clip(s, space.lower, space.upper)
-        violation = float(q @ s) - b
-        if violation <= 0:
-            return s
-        # Alternate halfspace projection and box clipping (Dykstra-lite);
-        # both sets are convex so this converges to a feasible point.
-        qq = float(q @ q)
-        if qq <= 0:
-            raise InfeasibleError("query weights are all zero; no strategy changes its score")
-        for __ in range(100):
-            s = s - (max(float(q @ s) - b, 0.0) / qq) * q
-            s = np.clip(s, space.lower, space.upper)
-            if float(q @ s) <= b + EPS_CONVERGENCE:
-                return s
-        raise InfeasibleError("query cannot be hit within the strategy bounds")
+    In coordinate ``i`` only one direction lowers ``q . s``: raising it
+    where ``q_i < 0``, at price ``up_i``, and lowering it where
+    ``q_i > 0``, at price ``down_i``.  Buying the reduction at the lowest
+    price per unit, ``price / |q_i|``, up to the room the box leaves, is
+    the LP optimum of one constraint; ties go to the lowest column.
+    """
+    up, down = _prices(cost)
+    rising = q < 0
+    price = np.where(rising, up, down)
+    room = np.where(rising, space.upper, -space.lower)
+    size = np.abs(q)
+    useful = size > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit_price = np.where(useful, price / size, np.inf)
+        supply = np.where(useful, size * room, 0.0)
+    order = np.argsort(unit_price, axis=1, kind="stable")
+    supply = np.take_along_axis(supply, order, axis=1)
+    need = -bounds
+    feasible = np.sum(supply, axis=1) >= need
+    left = np.empty_like(supply)
+    np.put_along_axis(left, order, need[:, None] - _exclusive_cumsum(supply), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        move = np.where(useful & (left > 0), np.minimum(left / size, room), 0.0)
+    move[~feasible] = 0.0
+    vectors = np.where(rising, move, -move) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return vectors, np.sum(price * move, axis=1), feasible
 
-    warm = _solve_l2(L2Cost(d), problem, space)
-    best = project(warm)
-    best_cost = cost(best)
-    current = best.copy()
-    step0 = max(1.0, float(np.linalg.norm(best)))
-    for t in range(1, iterations + 1):
-        grad = _numeric_gradient(cost, current)
-        norm = float(np.linalg.norm(grad))
-        if norm <= EPS_CONVERGENCE:
-            break
-        current = project(current - (step0 / (norm * np.sqrt(t))) * grad)
-        value = cost(current)
-        if value < best_cost:
-            best, best_cost = current.copy(), value
-    return best
+
+def _prices(cost: L1Cost | AsymmetricLinearCost) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit prices of raising and of lowering each attribute."""
+    if isinstance(cost, AsymmetricLinearCost):
+        return cost.up, cost.down
+    return cost.weights, cost.weights
+
+
+def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+    """Row-wise sum of the entries before each column (no ``inf - inf``)."""
+    out = np.zeros_like(values)
+    np.cumsum(values[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
 
 def min_cost_to_hit_set(
@@ -361,17 +301,10 @@ def _set_linear_lp(
     space: StrategySpace,
 ) -> np.ndarray:
     d = cost.dim
-    if isinstance(cost, AsymmetricLinearCost):
-        up_price, down_price = cost.up, cost.down
-    else:
-        up_price = down_price = cost.weights
-    c = np.concatenate([up_price, down_price])
+    c = np.concatenate(_prices(cost))
     a_ub = np.hstack([weights, -weights])
-    lp_bounds = []
-    for i in range(d):
-        lp_bounds.append((0.0, space.upper[i] if np.isfinite(space.upper[i]) else None))
-    for i in range(d):
-        lp_bounds.append((0.0, -space.lower[i] if np.isfinite(space.lower[i]) else None))
+    room = np.concatenate([space.upper, -space.lower])  # caps of u and v in s = u - v
+    lp_bounds = [(0.0, r if np.isfinite(r) else None) for r in room]
     result = linprog(c, a_ub=a_ub, b_ub=bounds, bounds=lp_bounds)
     return result.x[:d] - result.x[d:]
 

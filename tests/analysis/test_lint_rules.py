@@ -233,6 +233,19 @@ class TestParityCoverage:
         )
         assert findings == []
 
+    def test_names_inside_a_string_cover_nothing(self, tmp_path):
+        mod, tests = self.write_project(
+            tmp_path,
+            "FIXTURE = 'find_subdomains(n, p) == unique_signatures(signature_matrix(p, n))'\n"
+            "\n"
+            "def test_fixture():\n"
+            "    assert FIXTURE\n",
+        )
+        findings = lint_file(
+            mod, LintConfig(select=frozenset({"RPR005"}), tests_root=tests)
+        )
+        assert codes(findings) == ["RPR005"]
+
     def test_noqa_suppresses(self, tmp_path):
         src = tmp_path / "proj" / "src"
         src.mkdir(parents=True)

@@ -11,6 +11,10 @@ canary patches that binding.
 Pool workers run each request through the ``_run_one`` that
 ``repro.parallel.persistent`` imported, and inherit a patch of it when
 they fork; the worker canary patches that binding.
+
+The batched Eq. 13-14 solver looks its L1/asymmetric form up by name,
+``hit_cost._knapsack_rows``, on every call, so the box canary patches
+that binding.
 """
 
 import os
@@ -19,6 +23,8 @@ import numpy as np
 import pytest
 
 from repro.core import ese
+from repro.core.strategy import StrategySpace
+from repro.optimize import hit_cost
 from repro.parallel import persistent
 
 
@@ -66,3 +72,15 @@ def forked_workers_drift(monkeypatch):
 
     monkeypatch.setattr(persistent, "_run_one", drifting)
     return drifting
+
+
+@pytest.fixture
+def knapsack_ignores_box(monkeypatch):
+    """Solve L1 and asymmetric rows as if the strategy box were unbounded."""
+    solve = hit_cost._knapsack_rows
+
+    def boxless(cost, q, bounds, space):
+        return solve(cost, q, bounds, StrategySpace.unconstrained(space.dim))
+
+    monkeypatch.setattr(hit_cost, "_knapsack_rows", boxless)
+    return boxless

@@ -87,6 +87,14 @@ class TestCanary:
         assert code == 1
         assert "FAIL" in out.getvalue()
 
+    def test_battery_finds_a_knapsack_that_ignores_the_box(self, knapsack_ignores_box):
+        out = io.StringIO()
+        code = check_main(["--fuzz", "0"], out=out)
+        text = out.getvalue()
+        assert code == 1
+        assert "FAIL" in text
+        assert "leaves its box" in text
+
     def test_fuzz_finds_a_cutoff_one_float_off(self, cutoff_one_ulp_low):
         # hits_mask, evaluate_many and evaluate_affected all read the same
         # cutoffs, so only the reference Eq. 6 test can see this.
