@@ -10,8 +10,9 @@ they police are cross-file:
   inside worker processes.  Fork-shared globals are invisible coupling
   between parent and child: state should travel as a task argument.
   Every accepted use needs a visible line-scoped noqa.
-* **RPR010** — writes to index-owned arrays (``normals``,
-  ``_external``, ``_weights``), ``.flat``/slice stores into them, and
+* **RPR010** — writes to index-owned arrays (:data:`_INDEX_ARRAYS`:
+  ``pairs``, ``normals``, the partition arrays and the query set's
+  ``_weights``), ``.flat``/slice stores into them, and
   ``setattr``-rebinding outside ``updates.py`` (or the module defining
   ``SubdomainIndex``) must notify the epoch bus: a function doing such
   a write without calling ``notify_mutation`` serves stale state to
@@ -128,15 +129,19 @@ class ForkSafetyRule(Rule):
                 )
 
 
-#: Index-owned attributes whose rebinding/stores demand an epoch bump: the
-#: hot matrices, and the partition arrays kth_other reads.
-_INDEX_ARRAY_ATTRS = frozenset(
-    {"normals", "_external", "_weights", "signatures", "subdomain_of", "representatives",
-     "prefixes", "prefix_lengths"}
+#: Index-owned arrays whose rebinding or element stores demand an epoch
+#: bump: the hyperplanes, the partition arrays kth_other reads, and the
+#: query set's weights.
+_INDEX_ARRAYS = (
+    "pairs", "normals", "signatures", "subdomain_of", "representatives", "prefixes",
+    "prefix_lengths", "_weights",
 )
 
-#: Substrings of a subscript-store base that mark an index-owned matrix.
-_STORE_BASE_MARKS = ("._external", "._weights", ".normals", ".flat")
+#: Attributes whose rebinding is flagged.
+_INDEX_ARRAY_ATTRS = frozenset(_INDEX_ARRAYS)
+
+#: Substrings of a subscript-store base that mark an index-owned array.
+_STORE_BASE_MARKS = tuple(f".{name}" for name in _INDEX_ARRAYS) + (".flat",)
 
 
 def _epoch_offense(node: ast.AST) -> "tuple[ast.AST, str] | None":

@@ -18,12 +18,12 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch
+from repro.optimize.hit_cost import min_cost_to_hit_batch
 
 __all__ = ["greedy_min_cost_iq", "greedy_max_hit_iq"]
 
 
-def _cheapest_candidate(evaluator, target, position, mask, cost, space, margin):
+def _cheapest_candidate(evaluator, target, position, mask, cost, space):
     """The unhit query with the smallest single-hit cost, or ``None``.
 
     Ties go to the lowest query id (``argmin`` takes the first).
@@ -32,7 +32,7 @@ def _cheapest_candidate(evaluator, target, position, mask, cost, space, margin):
     unhit = np.flatnonzero(~mask)
     q = evaluator.index.queries.weights[unhit]
     vectors, costs, feasible = min_cost_to_hit_batch(
-        cost, q, theta[unhit] - q @ position, space=space, margin=margin
+        cost, q, theta[unhit] - q @ position, space=space
     )
     rows = np.flatnonzero(feasible)
     if rows.size == 0:
@@ -47,15 +47,13 @@ def greedy_min_cost_iq(
     tau: int,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_iterations: int | None = None,
 ) -> IQResult:
     """Hit the cheapest query, repeat until ``tau`` queries are hit."""
     index = evaluator.index
     if not 1 <= tau <= index.queries.m:
         raise ValidationError(f"tau must be in [1, {index.queries.m}], got {tau}")
     space = space or StrategySpace.unconstrained(index.dataset.dim)
-    max_iterations = max_iterations if max_iterations is not None else 2 * tau + 16
+    max_iterations = 2 * tau + 16
 
     base = index.dataset.matrix[target].copy()
     applied = np.zeros(index.dataset.dim)
@@ -67,7 +65,7 @@ def greedy_min_cost_iq(
 
     while int(mask.sum()) < tau and len(records) < max_iterations:
         best = _cheapest_candidate(
-            evaluator, target, base + applied, mask, cost, space.shifted(applied), margin
+            evaluator, target, base + applied, mask, cost, space.shifted(applied)
         )
         if best is None:
             break
@@ -103,15 +101,13 @@ def greedy_max_hit_iq(
     budget: float,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_iterations: int | None = None,
 ) -> IQResult:
     """Hit cheapest queries until the budget is exhausted."""
     index = evaluator.index
     if budget < 0:
         raise ValidationError(f"budget must be non-negative, got {budget}")
     space = space or StrategySpace.unconstrained(index.dataset.dim)
-    max_iterations = max_iterations if max_iterations is not None else 2 * index.queries.m + 16
+    max_iterations = 2 * index.queries.m + 16
 
     base = index.dataset.matrix[target].copy()
     applied = np.zeros(index.dataset.dim)
@@ -123,7 +119,7 @@ def greedy_max_hit_iq(
 
     while spent < budget and len(records) < max_iterations:
         best = _cheapest_candidate(
-            evaluator, target, base + applied, mask, cost, space.shifted(applied), margin
+            evaluator, target, base + applied, mask, cost, space.shifted(applied)
         )
         if best is None or spent + best[1].cost > budget:
             break

@@ -7,11 +7,13 @@ workload.  RTA's trick is to avoid evaluating every query from scratch:
 queries are processed in sequence and the *previous* query's top-k
 result acts as a pruning buffer — if, under the current query's
 weights, at least ``k`` buffered objects already score better than the
-candidate point, the candidate cannot be in this query's top-k and the
-full evaluation is skipped.  Workload queries are sorted so that
-adjacent queries have similar weights, which keeps the buffer relevant
-(the paper's query sets are normalized, so sorting by weight vector
-works well).
+candidate point by more than the tie band, the candidate cannot be in
+this query's top-k and the full evaluation is skipped.  Workload queries
+are sorted so that adjacent queries have similar weights, which keeps
+the buffer relevant (the paper's query sets are normalized, so sorting
+by weight vector works well).  A query that is evaluated decides the hit
+by Eq. 6 with ESE's tie rule, so RTA-IQ finds Efficient-IQ's strategies
+on tied data too.
 
 RTA supports only linear utility functions — the reproduction keeps
 that restriction, matching §6.1.
@@ -22,10 +24,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ese import StrategyEvaluator
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
 from repro.errors import ValidationError
 
 __all__ = ["ReverseTopK", "RTAEvaluator"]
+
+#: The pruning test skips a query only when the buffer's k-th score lies
+#: this many tie bands below the candidate's: the true threshold then
+#: lies at least as far below, past the band in which Eq. 6 breaks ties
+#: by id, with room for the rounding of two different matrix products.
+_PRUNE_BANDS = 4
 
 
 class ReverseTopK:
@@ -48,34 +56,52 @@ class ReverseTopK:
 
         ``exclude`` removes one object id from the dataset (the target's
         original row) so the candidate replaces rather than duplicates
-        it, matching Eq. 6 semantics.
+        it, and the point takes that id.  Membership is Eq. 6 as ESE
+        decides it (:func:`~repro.core.subdomain._beats_batch`): the
+        point must beat the k-th other object in ``(score, id)`` order,
+        a tie within the band going to the lower id.  Without
+        ``exclude`` the point is one more object, after every id, so it
+        loses each tie.
         """
         point = np.asarray(point, dtype=float)
         matrix = self.matrix
         ids = np.arange(matrix.shape[0])
+        target = matrix.shape[0] if exclude is None else exclude
         if exclude is not None:
             keep = ids != exclude
             matrix = matrix[keep]
+            ids = ids[keep]
         hits = 0
         buffer: np.ndarray | None = None  # rows of the previous top-k
         for qi in self.order:
             weights, k = self.queries.query(int(qi))
             my_score = float(point @ weights)
             if buffer is not None and buffer.shape[0] >= k:
-                buffered_scores = buffer @ weights
-                if int(np.sum(buffered_scores < my_score)) >= k:
-                    # Threshold test: k known objects already beat the
-                    # candidate here; skip the full evaluation.
+                kth_buffered = float(np.partition(buffer @ weights, k - 1)[k - 1])
+                band = _PRUNE_BANDS * _TIE_TOL * max(1.0, abs(kth_buffered))
+                if kth_buffered < my_score - band:
+                    # Threshold test: k known objects beat the candidate
+                    # by more than the tie band, so the k-th other object
+                    # does too; skip the full evaluation.
                     self.pruned_queries += 1
                     continue
             scores = matrix @ weights
             self.evaluated_queries += 1
-            k_eff = min(k, scores.shape[0])
-            top = np.argpartition(scores, k_eff - 1)[:k_eff]
-            kth = float(np.max(scores[top]))
-            buffer = matrix[top]
-            if my_score < kth or scores.shape[0] < k:
-                hits += 1
+            if scores.shape[0] < k:
+                buffer = matrix
+                hits += 1  # fewer than k other objects: an infinite threshold
+                continue
+            # The first k rows in (score, id) order; rows are in id order.
+            kth_score = np.partition(scores, k - 1)[k - 1]
+            below = np.flatnonzero(scores < kth_score)
+            tied = np.flatnonzero(scores == kth_score)[: k - below.shape[0]]
+            buffer = matrix[np.concatenate((below, tied))]
+            kth = tied[-1]
+            hits += int(
+                _beats_batch(
+                    np.array([[my_score]]), scores[kth : kth + 1], target, ids[kth : kth + 1]
+                )[0, 0]
+            )
         return hits
 
 

@@ -22,8 +22,7 @@ Optimization:
 * :data:`DEFAULT_MARGIN` — strict-to-closed inequality slack (an
   absolute margin; meaningful because the query domain is normalized
   to the unit box).
-* :data:`EPS_FEASIBILITY`, :data:`EPS_SET_FEASIBILITY` — verification
-  slack on returned solutions.
+* :data:`EPS_FEASIBILITY` — verification slack on returned solutions.
 * :data:`EPS_CONVERGENCE`, :data:`FD_STEP` — iterative numeric solvers.
 * :data:`EPS_COST` — cost comparisons in branch-and-bound pruning.
 
@@ -41,7 +40,6 @@ __all__ = [
     "EPS_CONVERGENCE",
     "EPS_COST",
     "EPS_FEASIBILITY",
-    "EPS_SET_FEASIBILITY",
     "EPS_TIME",
     "ATOL_PARITY",
     "LP_TOL",
@@ -74,11 +72,6 @@ EPS_COST = 1e-12
 #: single hit constraint or budget (guards against accumulated rounding
 #: in an otherwise exact solution).
 EPS_FEASIBILITY = 1e-9
-
-#: Looser verification slack for *joint* multi-query feasibility, where
-#: iterative projection methods stop at EPS_CONVERGENCE but residuals
-#: accumulate across many constraint rows.
-EPS_SET_FEASIBILITY = 1e-6
 
 #: Denominator guard when computing speedup ratios from measured wall
 #: times (avoids dividing by a ~0s vectorized measurement).

@@ -23,7 +23,7 @@ from repro.core.results import IterationRecord
 from repro.core.strategy import StrategySpace
 from repro.errors import InfeasibleError, ValidationError
 from repro.observe import stage, tally
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit, min_cost_to_hit_batch
+from repro.optimize.hit_cost import min_cost_to_hit, min_cost_to_hit_batch
 
 __all__ = ["CandidateBatch", "apply_candidate", "generate_candidates", "SearchState"]
 
@@ -107,7 +107,6 @@ def generate_candidates(
     state: SearchState,
     cost: CostFunction,
     space: StrategySpace,
-    margin: float = DEFAULT_MARGIN,
     max_cost: float | None = None,
     method: str = "auto",
 ) -> CandidateBatch:
@@ -133,7 +132,7 @@ def generate_candidates(
             f"method must be one of {_CANDIDATE_METHODS}, got {method!r}"
         )
     with stage("candidates"):
-        return _generate_candidates(evaluator, state, cost, space, margin, max_cost, method)
+        return _generate_candidates(evaluator, state, cost, space, max_cost, method)
 
 
 def _generate_candidates(
@@ -141,7 +140,6 @@ def _generate_candidates(
     state: SearchState,
     cost: CostFunction,
     space: StrategySpace,
-    margin: float,
     max_cost: float | None,
     method: str,
 ) -> CandidateBatch:
@@ -155,7 +153,7 @@ def _generate_candidates(
     if method == "auto":
         q = weights[unhit]
         vectors_all, costs_all, keep = min_cost_to_hit_batch(
-            cost, q, theta[unhit] - q @ position, space=space, margin=margin
+            cost, q, theta[unhit] - q @ position, space=space
         )
     else:
         vectors_all = np.zeros((unhit.size, dim))
@@ -164,7 +162,7 @@ def _generate_candidates(
         for row, j in enumerate(unhit):
             gap = float(theta[j] - weights[j] @ position)
             try:
-                candidate = min_cost_to_hit(cost, weights[j], gap, space=space, margin=margin)
+                candidate = min_cost_to_hit(cost, weights[j], gap, space=space)
             except InfeasibleError:
                 continue
             vectors_all[row] = candidate.vector

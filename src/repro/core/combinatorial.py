@@ -32,7 +32,7 @@ from repro.core.strategy import Strategy, StrategySpace
 from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 from repro.observe import stage, tally
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch
+from repro.optimize.hit_cost import min_cost_to_hit_batch
 
 __all__ = ["MultiTargetResult", "combinatorial_min_cost", "combinatorial_max_hit"]
 
@@ -113,7 +113,6 @@ def _candidates(
     spaces: dict[int, StrategySpace],
     applied: dict[int, np.ndarray],
     mask: np.ndarray,
-    margin: float,
     max_cost: float | None,
 ) -> list[tuple[int, int, np.ndarray, float, int]]:
     """All (target, query, vector, cost, joint_hits) candidates of a round."""
@@ -127,7 +126,7 @@ def _candidates(
         position = state.matrix[t]
         room = spaces[t].shifted(applied[t])
         vectors, prices, keep = min_cost_to_hit_batch(
-            costs[t], q, theta[unhit] - q @ position, space=room, margin=margin
+            costs[t], q, theta[unhit] - q @ position, space=room
         )
         if max_cost is not None:
             # §5.1 step 2: drop over-budget candidates.  Exact
@@ -164,8 +163,6 @@ def combinatorial_min_cost(
     tau: int,
     costs: CostFunction | dict[int, CostFunction],
     spaces: StrategySpace | dict[int, StrategySpace] | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_rounds: int | None = None,
 ) -> MultiTargetResult:
     """Combinatorial Min-Cost improvement strategy (Def. 5, §5.1 steps).
 
@@ -183,13 +180,13 @@ def combinatorial_min_cost(
     spent = {t: 0.0 for t in state.targets}
     mask = state.joint_mask()
     hits_before = int(mask.sum())
-    max_rounds = max_rounds if max_rounds is not None else 2 * tau + 16
+    max_rounds = 2 * tau + 16
     log: list[tuple[int, int, float]] = []
     stalls = 0
 
     while int(mask.sum()) < tau and len(log) < max_rounds:
         with stage("candidates"):
-            candidates = _candidates(state, costs, spaces, applied, mask, margin, None)
+            candidates = _candidates(state, costs, spaces, applied, mask, None)
         tally("candidates", len(candidates))
         best = _pick_best_ratio(candidates)
         if best is None:
@@ -231,8 +228,6 @@ def combinatorial_max_hit(
     budget: float,
     costs: CostFunction | dict[int, CostFunction],
     spaces: StrategySpace | dict[int, StrategySpace] | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_rounds: int | None = None,
 ) -> MultiTargetResult:
     """Combinatorial Max-Hit improvement strategy (Def. 6, §5.1 steps)."""
     if not budget >= 0:  # also rejects NaN
@@ -247,7 +242,7 @@ def combinatorial_max_hit(
     total = 0.0
     mask = state.joint_mask()
     hits_before = int(mask.sum())
-    max_rounds = max_rounds if max_rounds is not None else 2 * index.queries.m + 16
+    max_rounds = 2 * index.queries.m + 16
     log: list[tuple[int, int, float]] = []
     stalls = 0
 
@@ -255,7 +250,7 @@ def combinatorial_max_hit(
         # Slack granted once against the original budget (see max_hit_iq).
         with stage("candidates"):
             candidates = _candidates(
-                state, costs, spaces, applied, mask, margin, max_cost=(budget + EPS_COST) - total
+                state, costs, spaces, applied, mask, max_cost=(budget + EPS_COST) - total
             )
         tally("candidates", len(candidates))
         best = _pick_best_ratio(candidates)

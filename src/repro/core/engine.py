@@ -223,11 +223,10 @@ class ImprovementQueryEngine:
         cost: CostFunction | None,
         space: StrategySpace | None,
         method: str,
-        kwargs: dict[str, object],
     ) -> IQResult:
         """Plan-then-run for one query (see :meth:`_run`)."""
         plan, cost_int, space_int = self._plan(kind, target, goal, cost, space, method)
-        return self._run(plan, kind, target, goal, cost_int, space_int, kwargs)
+        return self._run(plan, kind, target, goal, cost_int, space_int)
 
     def _run(
         self,
@@ -237,13 +236,11 @@ class ImprovementQueryEngine:
         goal: float,
         cost_int: CostFunction,
         space_int: StrategySpace | None,
-        kwargs: dict[str, object],
     ) -> IQResult:
         """Execute step: hand the planned solver its evaluator."""
         with stage("solve"):
             result = plan.solver.run(
-                kind, self._evaluator_for(plan.solver), target, goal,
-                cost_int, space_int, **kwargs,
+                kind, self._evaluator_for(plan.solver), target, goal, cost_int, space_int
             )
         return externalize_result(self.dataset, result)
 
@@ -255,7 +252,6 @@ class ImprovementQueryEngine:
         cost: CostFunction | None = None,
         space: StrategySpace | None = None,
         method: str = "efficient",
-        **kwargs: object,
     ) -> tuple[IQResult, ExecutedPlan]:
         """EXPLAIN ANALYZE: run the query and return ``(result, plan+stats)``.
 
@@ -275,7 +271,7 @@ class ImprovementQueryEngine:
             plan, cost_int, space_int = self._plan(
                 kind, target, goal, cost, space, method
             )
-            result = self._run(plan, kind, target, goal, cost_int, space_int, kwargs)
+            result = self._run(plan, kind, target, goal, cost_int, space_int)
         total = now() - started
         executed = ExecutedPlan.from_plan(
             plan,
@@ -303,7 +299,6 @@ class ImprovementQueryEngine:
         cost: CostFunction | None = None,
         space: StrategySpace | None = None,
         method: str = "efficient",
-        **kwargs: object,
     ) -> IQResult:
         """Min-Cost IQ: cheapest strategy with ``H(target + s) >= tau``.
 
@@ -312,7 +307,7 @@ class ImprovementQueryEngine:
         ``"rta"``, ``"greedy"``, ``"random"``, or ``"exhaustive"``
         (exact, tiny workloads only).
         """
-        return self._execute("min_cost", target, tau, cost, space, method, kwargs)
+        return self._execute("min_cost", target, tau, cost, space, method)
 
     def max_hit(
         self,
@@ -321,10 +316,9 @@ class ImprovementQueryEngine:
         cost: CostFunction | None = None,
         space: StrategySpace | None = None,
         method: str = "efficient",
-        **kwargs: object,
     ) -> IQResult:
         """Max-Hit IQ: maximize ``H(target + s)`` with ``Cost(s) <= budget``."""
-        return self._execute("max_hit", target, budget, cost, space, method, kwargs)
+        return self._execute("max_hit", target, budget, cost, space, method)
 
     # ------------------------------------------------------------------
     # Combinatorial (multi-target) improvement (§5.1)
@@ -386,13 +380,12 @@ class ImprovementQueryEngine:
         goal: float,
         costs_int: "CostFunction | dict[int, CostFunction]",
         spaces_int: "StrategySpace | dict[int, StrategySpace] | None",
-        kwargs: dict[str, object],
     ) -> MultiTargetResult:
         """Execute step for a combinatorial query (joint greedy loop)."""
         solve = combinatorial_min_cost if kind == "min_cost" else combinatorial_max_hit
         targets = [plan.target for plan in plans]
         with stage("solve"):
-            result = solve(self.index, targets, goal, costs_int, spaces_int, **kwargs)
+            result = solve(self.index, targets, goal, costs_int, spaces_int)
         return externalize_multi(self.dataset, result)
 
     def min_cost_multi(
@@ -401,13 +394,12 @@ class ImprovementQueryEngine:
         tau: int,
         costs: CostFunction | dict[int, CostFunction] | None = None,
         spaces: StrategySpace | dict[int, StrategySpace] | None = None,
-        **kwargs: object,
     ) -> MultiTargetResult:
         """Combinatorial Min-Cost IQ over several targets (Def. 5)."""
         plans, costs_int, spaces_int = self._plan_multi(
             "min_cost", targets, tau, costs, spaces
         )
-        return self._run_multi(plans, "min_cost", tau, costs_int, spaces_int, kwargs)
+        return self._run_multi(plans, "min_cost", tau, costs_int, spaces_int)
 
     def max_hit_multi(
         self,
@@ -415,12 +407,11 @@ class ImprovementQueryEngine:
         budget: float,
         costs: CostFunction | dict[int, CostFunction] | None = None,
         spaces: StrategySpace | dict[int, StrategySpace] | None = None,
-        **kwargs: object,
     ) -> MultiTargetResult:
         """Combinatorial Max-Hit IQ over several targets (Def. 6)."""
         goal = check_goal("max_hit", budget)
         plans, costs_int, spaces_int = self._plan_multi("max_hit", targets, goal, costs, spaces)
-        return self._run_multi(plans, "max_hit", goal, costs_int, spaces_int, kwargs)
+        return self._run_multi(plans, "max_hit", goal, costs_int, spaces_int)
 
     def analyze_multi(
         self,
@@ -429,7 +420,6 @@ class ImprovementQueryEngine:
         budget: float | None = None,
         costs: CostFunction | dict[int, CostFunction] | None = None,
         spaces: StrategySpace | dict[int, StrategySpace] | None = None,
-        **kwargs: object,
     ) -> tuple[MultiTargetResult, tuple[ExecutedPlan, ...]]:
         """EXPLAIN ANALYZE for a combinatorial query.
 
@@ -449,7 +439,7 @@ class ImprovementQueryEngine:
             plans, costs_int, spaces_int = self._plan_multi(
                 kind, targets, goal, costs, spaces
             )
-            result = self._run_multi(plans, kind, goal, costs_int, spaces_int, kwargs)
+            result = self._run_multi(plans, kind, goal, costs_int, spaces_int)
         total = now() - started
         executed = tuple(
             ExecutedPlan.from_plan(

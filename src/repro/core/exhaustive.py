@@ -31,7 +31,7 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import InfeasibleError, ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN, min_cost_to_hit_batch, min_cost_to_hit_set
+from repro.optimize.hit_cost import min_cost_to_hit_batch, min_cost_to_hit_set
 
 __all__ = ["exhaustive_min_cost", "exhaustive_max_hit"]
 
@@ -47,7 +47,6 @@ class _Problem:
     target: int
     cost: CostFunction
     space: StrategySpace
-    margin: float
     weights: np.ndarray  #: (m, d)
     gaps: np.ndarray  #: (m,) theta - q . p at the original position
     singles: np.ndarray  #: (m,) single-query optimal costs (inf if infeasible)
@@ -58,7 +57,6 @@ def _prepare(
     target: int,
     cost: CostFunction,
     space: StrategySpace | None,
-    margin: float,
 ) -> _Problem:
     index = evaluator.index
     if cost.dim != index.dataset.dim:
@@ -73,9 +71,9 @@ def _prepare(
     weights = np.asarray(index.queries.weights, dtype=float)
     __, theta = evaluator.thresholds(target)
     gaps = theta - weights @ index.dataset.matrix[target]
-    __, costs, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space, margin=margin)
+    __, costs, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space)
     singles = np.where(feasible, costs, np.inf)
-    return _Problem(evaluator, target, cost, space, margin, weights, gaps, singles)
+    return _Problem(evaluator, target, cost, space, weights, gaps, singles)
 
 
 def _set_cost(problem: _Problem, chosen: list[int]) -> Strategy | None:
@@ -85,11 +83,7 @@ def _set_cost(problem: _Problem, chosen: list[int]) -> Strategy | None:
     idx = np.asarray(chosen, dtype=np.intp)
     try:
         return min_cost_to_hit_set(
-            problem.cost,
-            problem.weights[idx],
-            problem.gaps[idx],
-            space=problem.space,
-            margin=problem.margin,
+            problem.cost, problem.weights[idx], problem.gaps[idx], space=problem.space
         )
     except InfeasibleError:
         return None
@@ -101,13 +95,12 @@ def exhaustive_min_cost(
     tau: int,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> IQResult:
     """Exact Min-Cost IQ: optimal strategy with ``H >= tau``."""
     index = evaluator.index
     if not 1 <= tau <= index.queries.m:
         raise ValidationError(f"tau must be in [1, {index.queries.m}], got {tau}")
-    problem = _prepare(evaluator, target, cost, space, margin)
+    problem = _prepare(evaluator, target, cost, space)
     order = np.argsort(problem.singles, kind="stable")  # cheap queries first
     candidates = [int(j) for j in order if np.isfinite(problem.singles[j])]
     hits_before = evaluator.hits(target)
@@ -161,12 +154,11 @@ def exhaustive_max_hit(
     budget: float,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> IQResult:
     """Exact Max-Hit IQ: optimal strategy with ``Cost <= budget``."""
     if budget < 0:
         raise ValidationError(f"budget must be non-negative, got {budget}")
-    problem = _prepare(evaluator, target, cost, space, margin)
+    problem = _prepare(evaluator, target, cost, space)
     order = np.argsort(problem.singles, kind="stable")
     candidates = [
         int(j)

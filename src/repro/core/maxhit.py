@@ -25,7 +25,6 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN
 
 __all__ = ["max_hit_iq"]
 
@@ -38,8 +37,6 @@ def max_hit_iq(
     budget: float,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_iterations: int | None = None,
 ) -> IQResult:
     """Algorithm 4 in internal (min-convention) coordinates."""
     index = evaluator.index
@@ -48,8 +45,7 @@ def max_hit_iq(
     if cost.dim != index.dataset.dim:
         raise ValidationError(f"cost dim {cost.dim} != dataset dim {index.dataset.dim}")
     space = space or StrategySpace.unconstrained(index.dataset.dim)
-    if max_iterations is None:
-        max_iterations = 2 * index.queries.m + 16
+    max_iterations = 2 * index.queries.m + 16
 
     state = SearchState(
         target=target,
@@ -79,7 +75,6 @@ def max_hit_iq(
             state,
             cost,
             space.shifted(state.applied),
-            margin=margin,
             max_cost=remaining,  # §5.1 step 2: affordable candidates only
         )
         if batch.size == 0:

@@ -24,7 +24,6 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN
 
 __all__ = ["min_cost_iq"]
 
@@ -39,8 +38,6 @@ def min_cost_iq(
     tau: int,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
-    max_iterations: int | None = None,
 ) -> IQResult:
     """Algorithm 3 in internal (min-convention) coordinates.
 
@@ -58,8 +55,7 @@ def min_cost_iq(
     if cost.dim != index.dataset.dim:
         raise ValidationError(f"cost dim {cost.dim} != dataset dim {index.dataset.dim}")
     space = space or StrategySpace.unconstrained(index.dataset.dim)
-    if max_iterations is None:
-        max_iterations = 2 * tau + 16
+    max_iterations = 2 * tau + 16
 
     state = SearchState(
         target=target,
@@ -74,9 +70,7 @@ def min_cost_iq(
     stalls = 0
 
     while state.hits < tau and len(records) < max_iterations:
-        batch = generate_candidates(
-            evaluator, state, cost, space.shifted(state.applied), margin=margin
-        )
+        batch = generate_candidates(evaluator, state, cost, space.shifted(state.applied))
         if batch.size == 0:
             break  # every remaining query is unreachable within bounds
         pick = batch.best_ratio()

@@ -21,7 +21,6 @@ from repro.core.maxhit import max_hit_iq
 from repro.core.results import IQResult
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
-from repro.optimize.hit_cost import DEFAULT_MARGIN
 
 __all__ = ["min_cost_via_max_hit"]
 
@@ -38,7 +37,6 @@ def min_cost_via_max_hit(
     tau: int,
     cost: CostFunction,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
     budget_hint: float | None = None,
     iterations: int = 24,
     oracle: "Callable[..., IQResult]" = max_hit_iq,
@@ -65,7 +63,7 @@ def min_cost_via_max_hit(
         raise ValidationError(f"tau must be in [1, {index.queries.m}], got {tau}")
 
     def probe(budget: float) -> _Probe:
-        return _Probe(budget, oracle(evaluator, target, budget, cost, space, margin=margin))
+        return _Probe(budget, oracle(evaluator, target, budget, cost, space))
 
     # Bracket: grow the budget until tau is reachable.
     high = probe(budget_hint if budget_hint is not None else 1.0)

@@ -9,9 +9,9 @@ Solver metadata feeds the planner (:mod:`repro.core.plan`):
 ``evaluator`` names the evaluation engine the solver expects (``"ese"``
 or ``"rta"``), ``candidate_method`` describes how candidate strategies
 are generated, and ``notes`` carries fallback caveats surfaced by
-EXPLAIN.  ``options`` maps each keyword option the solver takes to the
-check its value must pass (:func:`check_options`).  The RPR006 lint
-rule flags any direct call to a record's ``min_cost`` or ``max_hit``
+EXPLAIN.  A solver takes no tuning option: every iteration cap and
+strictness margin is a constant of its search.  The RPR006 lint rule
+flags any direct call to a record's ``min_cost`` or ``max_hit``
 function outside this module, keeping the table the single dispatch
 point.
 """
@@ -37,7 +37,6 @@ from repro.errors import ValidationError
 __all__ = [
     "Solver",
     "check_goal",
-    "check_options",
     "get_solver",
     "registered_solvers",
     "solver_function_names",
@@ -69,72 +68,19 @@ def check_goal(kind: str, goal: object) -> float:
     return value
 
 
-#: Checks one keyword option: ``check(name, value)`` raises
-#: :class:`~repro.errors.ValidationError` for a value the solver cannot take.
-OptionCheck = Callable[[str, object], None]
-
-
-def _margin(name: str, value: object) -> None:
-    """A strictness margin: a finite real number, at least zero."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(float(value)) and value >= 0:
-                return
-        except OverflowError:
-            pass
-    raise ValidationError(f"option {name!r} must be a finite number >= 0, got {value!r}")
-
-
-def _whole(least: int, optional: bool = False) -> OptionCheck:
-    """A whole number at least ``least`` (or ``None``, when ``optional``)."""
-
-    def check(name: str, value: object) -> None:
-        if value is None and optional:
-            return
-        if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
-            return
-        spelled = f"a whole number >= {least}" + (" or null" if optional else "")
-        raise ValidationError(f"option {name!r} must be {spelled}, got {value!r}")
-
-    return check
-
-
-#: The options of the greedy searches (Alg. 3/4 and the Greedy baseline).
-_SEARCH_OPTIONS: Mapping[str, OptionCheck] = {
-    "margin": _margin,
-    "max_iterations": _whole(1, optional=True),
-}
-
-
-def check_options(solver: Solver, options: Mapping[str, object]) -> None:
-    """Validate a solver's keyword options before anything runs.
-
-    An unknown key is refused with the keys the solver accepts, and a
-    value of the wrong type or out of range by the key's own check."""
-    for name, value in options.items():
-        check = solver.options.get(name)
-        if check is None:
-            raise ValidationError(
-                f"solver {solver.name!r} takes no option {name!r}; "
-                f"its options are {sorted(solver.options)}"
-            )
-        check(name, value)
-
-
 @dataclass(frozen=True, eq=False)
 class Solver:
     """One processing scheme: its two IQ functions and its EXPLAIN metadata.
 
     ``min_cost`` and ``max_hit`` take ``(evaluator, target, goal, cost,
-    space=None, **options)`` in internal convention.  A record compares
-    and hashes by identity: it is the one instance of its scheme.
+    space=None)`` in internal convention.  A record compares and hashes
+    by identity: it is the one instance of its scheme.
     """
 
     name: str  #: the engine's ``method=`` value
     min_cost: Callable[..., IQResult]  #: Min-Cost IQ
     max_hit: Callable[..., IQResult]  #: Max-Hit IQ
     candidate_method: str  #: how candidate strategies are generated
-    options: Mapping[str, OptionCheck]  #: accepted keyword options and their checks
     evaluator: str = "ese"  #: evaluation engine the solver expects ("ese" | "rta")
     notes: tuple[str, ...] = ()  #: fallback caveats surfaced by EXPLAIN
 
@@ -146,15 +92,13 @@ class Solver:
         goal: float,
         cost: CostFunction,
         space: StrategySpace | None = None,
-        **kwargs: object,
     ) -> IQResult:
         """Execute one improvement query of the given kind."""
         value = check_goal(kind, goal)
-        check_options(self, kwargs)
         if kind == "min_cost":
-            return self.min_cost(evaluator, target, int(value), cost, space, **kwargs)
+            return self.min_cost(evaluator, target, int(value), cost, space)
         if kind == "max_hit":
-            return self.max_hit(evaluator, target, value, cost, space, **kwargs)
+            return self.max_hit(evaluator, target, value, cost, space)
         raise ValidationError(f"kind must be one of {QUERY_KINDS}, got {kind!r}")
 
 
@@ -163,30 +107,25 @@ _SOLVERS: Mapping[str, Solver] = {
     solver.name: solver
     for solver in (
         # Efficient-IQ: greedy search with ESE candidate evaluation.
-        Solver("efficient", min_cost_iq, max_hit_iq, "batched-closed-form", _SEARCH_OPTIONS),
+        Solver("efficient", min_cost_iq, max_hit_iq, "batched-closed-form"),
         # RTA-IQ: the same greedy search, hit counts via reverse top-k.
         Solver(
-            "rta", min_cost_iq, max_hit_iq, "batched-closed-form", _SEARCH_OPTIONS,
+            "rta", min_cost_iq, max_hit_iq, "batched-closed-form",
             evaluator="rta",
             notes=(
                 "hit counts via RTA threshold pruning; membership listing falls back to ESE",
             ),
         ),
         # Greedy baseline: repeatedly hit the single cheapest query.
-        Solver(
-            "greedy", greedy_min_cost_iq, greedy_max_hit_iq, "cheapest-single-query",
-            _SEARCH_OPTIONS,
-        ),
-        # Random baseline: best of N uniformly sampled strategies.
+        Solver("greedy", greedy_min_cost_iq, greedy_max_hit_iq, "cheapest-single-query"),
+        # Random baseline: best of 512 uniformly sampled strategies, seed 0.
         Solver(
             "random", random_min_cost_iq, random_max_hit_iq, "uniform-sampling",
-            {"attempts": _whole(1), "seed": _whole(0, optional=True)},
             notes=("stochastic: quality depends on the attempt budget and seed",),
         ),
         # Exact subset enumeration: tiny workloads only (§6.3.2).
         Solver(
             "exhaustive", exhaustive_min_cost, exhaustive_max_hit, "subset-enumeration",
-            {"margin": _margin},
             notes=("exact but exponential in the workload size; tiny instances only",),
         ),
     )

@@ -9,7 +9,7 @@ for each not-yet-hit query ``q``::
 where ``theta_q`` is the score of the k-th ranked *other* object at
 ``q`` (the threshold of Eq. 6).  Writing ``gap = theta_q - q . p``, the
 constraint is ``q . s < gap``; the strict inequality is realized as
-``q . s <= gap - margin``.
+``q . s <= gap - DEFAULT_MARGIN``, the one strictness slack.
 
 That is one linear constraint in a box, so every built-in cost has an
 exact closed form that batches: :func:`min_cost_to_hit_batch` solves
@@ -31,14 +31,14 @@ is its one-row case.
 
 :func:`min_cost_to_hit_set` hits a whole query *set* with one strategy,
 the exhaustive search's joint problem: an LP on the in-house simplex
-for the linear costs, Dykstra's projections for L2.
+for the linear costs and L-infinity, Dykstra's projections for L2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import DEFAULT_MARGIN, EPS_CONVERGENCE, EPS_SET_FEASIBILITY, FD_STEP
+from repro.constants import DEFAULT_MARGIN, EPS_CONVERGENCE, FD_STEP
 from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import InfeasibleError, ValidationError
@@ -52,7 +52,6 @@ def min_cost_to_hit(
     weights: np.ndarray,
     gap: float,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> Strategy:
     """Solve Eq. 13-14 for one query: the one-row :func:`min_cost_to_hit_batch`.
 
@@ -65,7 +64,7 @@ def min_cost_to_hit(
     if weights.shape != (cost.dim,):
         raise ValidationError(f"weights shape {weights.shape} != ({cost.dim},)")
     vectors, costs, feasible = min_cost_to_hit_batch(
-        cost, weights[None, :], np.array([gap], dtype=float), space=space, margin=margin
+        cost, weights[None, :], np.array([gap], dtype=float), space=space
     )
     if not feasible[0]:
         raise InfeasibleError("query cannot be hit within the strategy bounds")
@@ -77,7 +76,6 @@ def min_cost_to_hit_batch(
     weights_rows: np.ndarray,
     gaps: np.ndarray,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eq. 13-14 for a whole batch of queries at once, exactly.
 
@@ -90,16 +88,15 @@ def min_cost_to_hit_batch(
         ``theta_q - q . p``; a positive gap means the target already hits.
     space:
         Valid-strategy box; defaults to unconstrained.
-    margin:
-        Strictness slack: the solver enforces ``q . s <= gap - margin``.
 
     Returns
     -------
     ``(vectors, costs, feasible)``: where ``feasible[i]``, row ``i`` is
-    the cheapest strategy in the box with ``q_i . s <= gaps[i] - margin``
-    and its cost (zero when the gap already exceeds the margin).  A row
-    the box cannot reach, or whose query weights are all zero, is not
-    feasible and holds a zero vector and cost.
+    the cheapest strategy in the box with
+    ``q_i . s <= gaps[i] - DEFAULT_MARGIN`` and its cost (zero when the
+    gap already exceeds the margin).  A row the box cannot reach, or
+    whose query weights are all zero, is not feasible and holds a zero
+    vector and cost.
     """
     q = np.atleast_2d(np.asarray(weights_rows, dtype=float))
     gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
@@ -110,7 +107,7 @@ def min_cost_to_hit_batch(
     space = space or StrategySpace.unconstrained(cost.dim)
     if space.dim != cost.dim:
         raise ValidationError(f"space dim {space.dim} != cost dim {cost.dim}")
-    bounds = gaps - margin
+    bounds = gaps - DEFAULT_MARGIN
     if isinstance(cost, L2Cost):
         return _l2_rows(cost, q, bounds, space)
     vectors = np.zeros(q.shape)
@@ -257,18 +254,20 @@ def min_cost_to_hit_set(
     weights: np.ndarray,
     gaps: np.ndarray,
     space: StrategySpace | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> Strategy:
     """Cheapest single strategy hitting a whole *set* of queries.
 
-    Solves ``min Cost(s)`` s.t. ``W s <= gaps - margin`` (row-wise) plus
-    the strategy box — the multi-constraint generalization used by the
-    exact (exhaustive) IQ search, where a candidate query subset must be
-    hit simultaneously.
+    Solves ``min Cost(s)`` s.t. ``W s <= gaps - DEFAULT_MARGIN``
+    (row-wise) plus the strategy box — the multi-constraint
+    generalization used by the exact (exhaustive) IQ search, where a
+    candidate query subset must be hit simultaneously.
 
-    Solvers: L1/asymmetric -> exact LP; L2 (weighted) -> Dykstra's
-    alternating projections (minimum-norm point of a polyhedron);
-    anything else -> projected subgradient with cyclic projections.
+    Solvers: L1/asymmetric and L-infinity -> exact LP; L2 (weighted) ->
+    Dykstra's alternating projections (minimum-norm point of a
+    polyhedron); anything else -> projected subgradient with cyclic
+    projections.  A strategy is returned only if it hits every row
+    strictly, ``W s < gaps``; otherwise
+    :class:`~repro.errors.InfeasibleError` is raised.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
@@ -277,19 +276,21 @@ def min_cost_to_hit_set(
             f"weights shape {weights.shape} incompatible with gaps {gaps.shape} / dim {cost.dim}"
         )
     space = space or StrategySpace.unconstrained(cost.dim)
-    bounds = gaps - margin
+    bounds = gaps - DEFAULT_MARGIN
     rows = np.flatnonzero(bounds < 0)  # satisfied-at-zero rows stay as guards
     if rows.size == 0:
         return Strategy.zero(cost.dim)
 
     if isinstance(cost, (L1Cost, AsymmetricLinearCost)):
         vector = _set_linear_lp(cost, weights, bounds, space)
+    elif isinstance(cost, LInfCost):
+        vector = _set_linf_lp(cost, weights, bounds, space)
     elif isinstance(cost, L2Cost):
         vector = _set_l2_dykstra(cost, weights, bounds, space)
     else:
         vector = _set_numeric(cost, weights, bounds, space)
     vector = space.clip(vector)
-    if np.any(weights @ vector > bounds + EPS_SET_FEASIBILITY):
+    if not np.all(weights @ vector < gaps):
         raise InfeasibleError("query set cannot be hit jointly within the strategy bounds")
     return Strategy(vector, cost=cost(vector))
 
@@ -300,13 +301,40 @@ def _set_linear_lp(
     bounds: np.ndarray,
     space: StrategySpace,
 ) -> np.ndarray:
+    """L1 and asymmetric linear costs: the LP over ``s = u - v``, priced per part."""
     d = cost.dim
     c = np.concatenate(_prices(cost))
     a_ub = np.hstack([weights, -weights])
-    room = np.concatenate([space.upper, -space.lower])  # caps of u and v in s = u - v
-    lp_bounds = [(0.0, r if np.isfinite(r) else None) for r in room]
-    result = linprog(c, a_ub=a_ub, b_ub=bounds, bounds=lp_bounds)
+    result = linprog(c, a_ub=a_ub, b_ub=bounds, bounds=_split_box(space))
     return result.x[:d] - result.x[d:]
+
+
+def _set_linf_lp(
+    cost: LInfCost, weights: np.ndarray, bounds: np.ndarray, space: StrategySpace
+) -> np.ndarray:
+    """L-infinity: minimize ``t`` over ``s = u - v`` with ``w_i (u_i + v_i) <= t``.
+
+    Any ``s`` with cost ``t`` gives a feasible point (its positive and
+    negative parts), and any feasible point's ``u - v`` costs at most
+    ``t``, so the LP optimum is the set's cheapest strategy.
+    """
+    d = cost.dim
+    c = np.zeros(2 * d + 1)
+    c[-1] = 1.0
+    scale = np.diag(cost.weights)
+    a_ub = np.vstack([
+        np.hstack([weights, -weights, np.zeros((weights.shape[0], 1))]),
+        np.hstack([scale, scale, -np.ones((d, 1))]),
+    ])
+    b_ub = np.concatenate([bounds, np.zeros(d)])
+    result = linprog(c, a_ub=a_ub, b_ub=b_ub, bounds=_split_box(space) + [(0.0, None)])
+    return result.x[:d] - result.x[d : 2 * d]
+
+
+def _split_box(space: StrategySpace) -> list[tuple[float, float | None]]:
+    """LP bounds of ``u`` and ``v`` in ``s = u - v``: the room the box leaves."""
+    room = np.concatenate([space.upper, -space.lower])
+    return [(0.0, float(r) if np.isfinite(r) else None) for r in room]
 
 
 def _set_l2_dykstra(
@@ -348,8 +376,6 @@ def _set_l2_dykstra(
             u = projected
         if shift < EPS_CONVERGENCE:
             break
-    if np.any(a @ u > bounds + EPS_SET_FEASIBILITY):
-        raise InfeasibleError("query set cannot be hit jointly within the strategy bounds")
     return u / scale
 
 

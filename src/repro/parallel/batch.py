@@ -36,8 +36,6 @@ class IQRequest:
 
     ``goal`` is the kind-specific objective: the hit threshold ``tau``
     for ``kind="min_cost"``, the cost budget for ``kind="max_hit"``.
-    ``options`` carries extra solver keyword arguments as key/value
-    pairs (a tuple so requests stay hashable).
     """
 
     kind: str  #: "min_cost" | "max_hit"
@@ -46,12 +44,10 @@ class IQRequest:
     method: str = "efficient"  #: solver name (see get_solver)
     cost: "CostFunction | None" = None
     space: "StrategySpace | None" = None
-    options: tuple[tuple[str, object], ...] = ()
 
 
 def _run_one(engine: "ImprovementQueryEngine", request: IQRequest) -> "IQResult":
     """Execute one request against the engine (serial and worker path)."""
-    kwargs = dict(request.options)
     if request.kind == "min_cost":
         # Passed on unconverted: the solver boundary rejects a tau that
         # is not a whole number with a typed error.
@@ -61,7 +57,6 @@ def _run_one(engine: "ImprovementQueryEngine", request: IQRequest) -> "IQResult"
             cost=request.cost,
             space=request.space,
             method=request.method,
-            **kwargs,
         )
     return engine.max_hit(
         request.target,
@@ -69,22 +64,20 @@ def _run_one(engine: "ImprovementQueryEngine", request: IQRequest) -> "IQResult"
         cost=request.cost,
         space=request.space,
         method=request.method,
-        **kwargs,
     )
 
 
 def _validate_requests(requests: tuple[IQRequest, ...]) -> None:
-    """Refuse a bad kind, method, goal or option before the pool runs."""
-    from repro.core.solvers import QUERY_KINDS, check_goal, check_options, get_solver
+    """Refuse a bad kind, method or goal before the pool runs."""
+    from repro.core.solvers import QUERY_KINDS, check_goal, get_solver
 
     for request in requests:
         if request.kind not in QUERY_KINDS:
             raise ValidationError(
                 f"request kind must be one of {QUERY_KINDS}, got {request.kind!r}"
             )
-        solver = get_solver(request.method)  # unknown methods fail before the pool starts
+        get_solver(request.method)  # unknown methods fail before the pool starts
         check_goal(request.kind, request.goal)
-        check_options(solver, dict(request.options))
 
 
 def run_batch(

@@ -9,12 +9,12 @@ wired to stdio) can drive it:
 Request lines::
 
     {"id": 7, "kind": "min_cost", "target": 3, "goal": 25}
-    {"id": 8, "kind": "max_hit", "target": 3, "goal": 1.5,
-     "method": "random", "options": {"seed": 0}}
+    {"id": 8, "kind": "max_hit", "target": 3, "goal": 1.5, "method": "random"}
 
-``options`` may hold only the keyword options the named solver declares
-(:func:`~repro.core.solvers.check_options`), each of the right type and
-range; anything else is answered with a ``ValidationError``.
+A request names its solver by ``method`` and takes no tuning option: a
+line that carries an ``options`` field is answered with a
+``ValidationError``, since running it on the defaults would answer
+another question than the one asked.
 
 Control lines::
 
@@ -141,13 +141,9 @@ def _parse_request(payload: "dict[str, object]") -> IQRequest:
     method = payload.get("method", "efficient")
     if not isinstance(method, str):
         raise ValidationError("request 'method' must be a solver name string")
-    raw_options = payload.get("options", None)
-    options: "tuple[tuple[str, object], ...]" = ()
-    if raw_options is not None:
-        if not isinstance(raw_options, dict):
-            raise ValidationError("request 'options' must be a JSON object")
-        options = tuple(sorted(raw_options.items()))
-    request = IQRequest(kind=kind, target=target, goal=goal, method=method, options=options)
+    if "options" in payload:
+        raise ValidationError("request field 'options' is not accepted: solvers take no options")
+    request = IQRequest(kind=kind, target=target, goal=goal, method=method)
     # Per-request validation at admission time: a bad kind, an unknown
     # method or a goal out of float range must produce one error
     # *response*, not poison a batch or end the stream.

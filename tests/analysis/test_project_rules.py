@@ -236,6 +236,20 @@ class TestEpochDiscipline:
         assert codes(findings) == ["RPR010"]
         assert len(findings) == 5
 
+    def test_triggers_on_stores_into_every_index_array(self, tmp_path):
+        source = """\
+        def poke(index):
+            index.signatures[0, 0] = 1
+
+        def clear(index):
+            index.prefixes[3] = -1
+
+        def trim(index):
+            index.pairs = index.pairs[:1]
+        """
+        findings = lint_source(tmp_path, source, select=frozenset({"RPR010"}))
+        assert sorted(f.line for f in findings) == [2, 5, 8]
+
     def test_noqa_suppresses_cell_state_rebinding(self, tmp_path):
         source = """\
         def corrupt(index, ranking):

@@ -88,3 +88,30 @@ class TestRTAIQ:
         assert rta.satisfied == efficient.satisfied
         assert rta.total_cost == pytest.approx(efficient.total_cost)
         assert np.allclose(rta.strategy.vector, efficient.strategy.vector)
+
+
+def quantized_index(seed):
+    """14 objects and 10 queries in d = 2 on a 0.25 grid: scores tie often."""
+    rng = np.random.default_rng(seed)
+    objects = rng.integers(0, 5, size=(14, 2)) * 0.25
+    weights = rng.integers(0, 5, size=(10, 2)) * 0.25
+    ks = rng.integers(1, 4, size=10)
+    return SubdomainIndex(Dataset(objects), QuerySet(weights, ks), mode="exact")
+
+
+class TestTiedData:
+    """RTA decides a hit by Eq. 6, ties by id, exactly as ESE does."""
+
+    def test_hits_and_min_cost_iqs_match_ese_on_60_instances(self):
+        cost = euclidean_cost(2)
+        for seed in range(60):
+            index = quantized_index(seed)
+            ese, rta = StrategyEvaluator(index), RTAEvaluator(index)
+            for target in range(index.dataset.n):
+                case = (seed, target)
+                assert rta.hits(target) == ese.hits(target), case
+                efficient = min_cost_iq(ese, target, 4, cost)
+                via_rta = get_solver("rta").min_cost(rta, target, 4, cost)
+                assert via_rta.hits_after == efficient.hits_after, case
+                assert via_rta.total_cost == efficient.total_cost, case
+                assert np.array_equal(via_rta.strategy.vector, efficient.strategy.vector), case

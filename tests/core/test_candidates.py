@@ -9,6 +9,7 @@ and L-infinity costs, free and in bounded strategy boxes.
 import numpy as np
 import pytest
 
+from repro.constants import DEFAULT_MARGIN
 from repro.core._search import SearchState, generate_candidates
 from repro.core.cost import AsymmetricLinearCost, L1Cost, L2Cost, LInfCost, euclidean_cost
 from repro.core.ese import StrategyEvaluator
@@ -157,12 +158,9 @@ class TestBatchClosedForm:
         # The free optimum of row 0 moves both attributes by -0.005, past
         # the first one's bound; row 1 needs more than the box holds.
         gaps = np.array([-0.01, -5.0])
-        margin = 1e-7
-        vectors, costs, feasible = min_cost_to_hit_batch(
-            cost, weights_rows, gaps, space=space, margin=margin
-        )
+        vectors, costs, feasible = min_cost_to_hit_batch(cost, weights_rows, gaps, space=space)
         assert feasible.tolist() == [True, False]
-        bound = -0.01 - margin
+        bound = -0.01 - DEFAULT_MARGIN
         expected = np.array([-0.002, bound + 0.002])
         assert np.allclose(vectors[0], expected, rtol=0.0, atol=1e-15)
         assert costs[0] == pytest.approx(np.hypot(*expected), rel=1e-12)

@@ -64,6 +64,19 @@ class TestHitCounting:
         evaluator.evaluate(3, np.zeros(3))
         assert index.representative_evaluations == evals  # no re-evaluation
 
+    def test_threshold_cache_is_bounded(self, rng):
+        dataset = Dataset(rng.random((300, 2)))
+        queries = QuerySet(rng.random((20, 2)), ks=rng.integers(1, 5, 20))
+        index = SubdomainIndex(dataset, queries, mode="relevant")
+        evaluator = StrategyEvaluator(index)
+        moved = rng.normal(scale=0.2, size=2)
+        answers = [evaluator.evaluate(t, moved) for t in range(300)]
+        assert len(evaluator._target_cache) == 256
+        assert list(evaluator._target_cache) == list(range(44, 300))  # oldest dropped
+        fresh = StrategyEvaluator(index)
+        assert answers == [fresh.evaluate(t, moved) for t in range(300)]
+        assert [evaluator.evaluate(t, moved) for t in range(300)] == answers
+
     def test_zero_strategy_is_identity(self, setup):
         __, __, __, evaluator = setup
         assert evaluator.evaluate(2, np.zeros(3)) == evaluator.hits(2)

@@ -1,5 +1,8 @@
 """Planner, solver registry, and epoch-invalidation tests."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.plan import PLAN_FIELDS, ExecutionPlan
 from repro.core.queries import QuerySet
-from repro.core.solvers import get_solver, registered_solvers, solver_function_names
+from repro.core.solvers import Solver, get_solver, registered_solvers, solver_function_names
 from repro.errors import ValidationError
 
 
@@ -85,28 +88,24 @@ class TestExplain:
             engine.explain(10_000, tau=5)
 
 
-#: Per §6.1 scheme: the plan's evaluator, candidate method and notes,
-#: and the option keys the solver accepts.
+#: Per §6.1 scheme: the plan's evaluator, candidate method and notes.
 SCHEMES = {
-    "efficient": ("ese", "batched-closed-form", [], ["margin", "max_iterations"]),
+    "efficient": ("ese", "batched-closed-form", []),
     "rta": (
         "rta",
         "batched-closed-form",
         ["hit counts via RTA threshold pruning; membership listing falls back to ESE"],
-        ["margin", "max_iterations"],
     ),
-    "greedy": ("ese", "cheapest-single-query", [], ["margin", "max_iterations"]),
+    "greedy": ("ese", "cheapest-single-query", []),
     "random": (
         "ese",
         "uniform-sampling",
         ["stochastic: quality depends on the attempt budget and seed"],
-        ["attempts", "seed"],
     ),
     "exhaustive": (
         "ese",
         "subset-enumeration",
         ["exact but exponential in the workload size; tiny instances only"],
-        ["margin"],
     ),
 }
 
@@ -117,7 +116,7 @@ class TestSolverRegistry:
 
     @pytest.mark.parametrize("method", sorted(SCHEMES))
     def test_scheme_metadata(self, engine, method):
-        evaluator, candidate_method, notes, options = SCHEMES[method]
+        evaluator, candidate_method, notes = SCHEMES[method]
         for plan in (
             engine.explain(0, tau=5, method=method),
             engine.explain(0, budget=0.5, method=method),
@@ -127,7 +126,16 @@ class TestSolverRegistry:
             assert payload["evaluator"] == evaluator
             assert payload["candidate_method"] == candidate_method
             assert payload["notes"] == notes
-        assert sorted(get_solver(method).options) == options
+
+    def test_no_iq_entry_point_takes_a_tuning_option(self):
+        # An IQ is its target(s), goal, cost, space and method: nothing else.
+        for name in (
+            "min_cost", "max_hit", "analyze", "min_cost_multi", "max_hit_multi", "analyze_multi"
+        ):
+            parameters = inspect.signature(getattr(ImprovementQueryEngine, name)).parameters
+            kinds = {parameter.kind for parameter in parameters.values()}
+            assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+        assert "options" not in {field.name for field in dataclasses.fields(Solver)}
 
     def test_unknown_method_lists_registered_names(self, engine):
         with pytest.raises(ValidationError) as excinfo:

@@ -3,18 +3,17 @@
 ``min_cost_to_hit_batch`` solves every built-in cost in closed form.
 Each row must equal ``min_cost_to_hit`` on that row bit for bit, and
 agree with ``min_cost_to_hit_set`` on the row alone: the simplex for
-the linear costs, Dykstra's projections for L2 and the numeric
-projected-subgradient loop for L-infinity.  Values are drawn from
-coarse dyadic grids so that price ratios tie exactly, attributes
-freeze and query weights vanish.
+the linear costs and L-infinity, Dykstra's projections for L2.  Values
+are drawn from coarse dyadic grids so that price ratios tie exactly,
+attributes freeze and query weights vanish.
 
-The set solvers accept a joint solution up to a residual (1e-7 in the
-simplex's phase 1, 1e-6 after Dykstra), while the batch is exact.  A
+The set solvers reach a joint solution up to a residual (1e-7 in the
+simplex's phase 1, Dykstra's convergence), while the batch is exact.  A
 row whose box reaches its bound within that band is therefore held only
-to its one-row solve.  The numeric loop can also miss a feasible row,
-so an L-infinity row takes its feasibility from the L2 batch (the same
-constraint in the same box) and is held to the numeric cost only where
-that loop finds a strategy.
+to its one-row solve.  An L-infinity row takes its feasibility from the
+L2 batch (the same constraint in the same box) and is held to the set
+solver's cost where that solver finds a strategy
+(``test_hit_cost_set.py`` holds the two to each other exactly).
 """
 
 import numpy as np

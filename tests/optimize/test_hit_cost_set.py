@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import AsymmetricLinearCost, CallableCost, L1Cost, L2Cost
+from repro.core.cost import AsymmetricLinearCost, CallableCost, L1Cost, L2Cost, LInfCost
 from repro.core.strategy import StrategySpace
 from repro.errors import InfeasibleError, ValidationError
-from repro.optimize.hit_cost import min_cost_to_hit, min_cost_to_hit_set
+from repro.optimize.hit_cost import min_cost_to_hit, min_cost_to_hit_batch, min_cost_to_hit_set
 
 
 class TestSingleRowReducesToSingleQuery:
@@ -80,6 +80,16 @@ class TestJointConstraints:
         with pytest.raises(InfeasibleError):
             min_cost_to_hit_set(L2Cost(2), weights, gaps, space=space)
 
+    @pytest.mark.parametrize("cost", [L2Cost(2), L1Cost(2)], ids=["l2", "l1"])
+    def test_box_corner_that_only_ties_is_infeasible(self, cost):
+        # The corner (-0.5, -0.5) reaches q . s = -1.0, the gap itself: a
+        # tie, not the strict hit q . s < gap, so no strategy hits.
+        weights = np.array([[1.0, 1.0]])
+        gaps = np.array([-1.0])
+        space = StrategySpace(2, lower=np.full(2, -0.5))
+        with pytest.raises(InfeasibleError):
+            min_cost_to_hit_set(cost, weights, gaps, space=space)
+
 
 class TestCostFamilies:
     def test_weighted_l2(self, rng):
@@ -112,12 +122,63 @@ class TestCostFamilies:
             min_cost_to_hit_set(L2Cost(2), np.ones((2, 2)), np.zeros(3))
 
 
+class TestLInfSets:
+    """L-infinity sets are an LP: exact, and feasible whenever the box allows."""
+
+    def test_boxed_row_the_projection_loop_gave_up_on(self):
+        weights = np.array([[0.25, -0.5, -1.0]])
+        gaps = np.array([-0.875])
+        space = StrategySpace(3, upper=np.full(3, 0.5))
+        cost = LInfCost(3, weights=np.full(3, 0.5))
+        s = min_cost_to_hit_set(cost, weights, gaps, space=space)
+        vectors, __, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space)
+        assert feasible[0]
+        assert np.allclose(s.vector, vectors[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(s.vector, [-0.5000004, 0.5, 0.5], rtol=0.0, atol=1e-12)
+
+    def test_one_row_set_equals_the_batch(self, rng):
+        for __ in range(20):
+            d = int(rng.integers(2, 5))
+            weights = rng.normal(size=(1, d))
+            gaps = -(rng.random(1) + 0.1)
+            cost = LInfCost(d, weights=rng.random(d) + 0.1)
+            space = StrategySpace(d, lower=-rng.random(d) - 0.5, upper=rng.random(d) + 0.5)
+            __, costs, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space)
+            if not feasible[0]:
+                with pytest.raises(InfeasibleError):
+                    min_cost_to_hit_set(cost, weights, gaps, space=space)
+                continue
+            s = min_cost_to_hit_set(cost, weights, gaps, space=space)
+            assert s.cost == pytest.approx(costs[0], rel=1e-12)
+
+    def test_set_hits_every_row_and_costs_at_least_its_dearest_row(self, rng):
+        solved = 0
+        for __ in range(30):
+            d = int(rng.integers(2, 5))
+            rows = int(rng.integers(1, 6))
+            weights = rng.normal(size=(rows, d))
+            gaps = rng.normal(size=rows) - 0.3
+            cost = LInfCost(d, weights=rng.random(d) + 0.1)
+            space = StrategySpace(d, lower=-2 * rng.random(d), upper=2 * rng.random(d))
+            try:
+                s = min_cost_to_hit_set(cost, weights, gaps, space=space)
+            except InfeasibleError:
+                continue
+            solved += 1
+            __, singles, feasible = min_cost_to_hit_batch(cost, weights, gaps, space=space)
+            assert feasible.all()
+            assert np.all(weights @ s.vector < gaps)
+            assert space.contains(s.vector)
+            assert s.cost >= singles.max() * (1 - 1e-12)
+        assert solved > 0
+
+
 class TestDykstraOptimality:
     def test_matches_projection_formula_single_halfspace(self):
         # Min-norm point onto {s : q.s <= b} is (b/||q||^2) q for b < 0.
         q = np.array([0.6, 0.8])
         b = -2.0
-        s = min_cost_to_hit_set(L2Cost(2), q[None, :], np.array([b]), margin=0.0)
+        s = min_cost_to_hit_set(L2Cost(2), q[None, :], np.array([b]))
         expected = (b / float(q @ q)) * q
         assert np.allclose(s.vector, expected, atol=1e-6)
 
@@ -125,5 +186,5 @@ class TestDykstraOptimality:
         # {s0 <= -1} and {s1 <= -1}: the min-norm point is (-1, -1).
         weights = np.eye(2)
         gaps = np.array([-1.0, -1.0])
-        s = min_cost_to_hit_set(L2Cost(2), weights, gaps, margin=0.0)
+        s = min_cost_to_hit_set(L2Cost(2), weights, gaps)
         assert np.allclose(s.vector, [-1.0, -1.0], atol=1e-6)
