@@ -5,9 +5,11 @@ through an independent path and raising
 :class:`~repro.errors.CheckFailure` on divergence:
 
 * **update vs rebuild** (:func:`check_scenario`) — replay a
-  :class:`Scenario` (an op sequence over ``repro.core.updates``) and
-  compare the incrementally maintained index against a fresh build on
-  the final data: both must pass every invariant oracle, the
+  :class:`Scenario` (an op sequence over ``repro.core.updates``, each
+  op on a ranked prefix table whose kept rows must match a brute-force
+  ranking after it) and compare the incrementally maintained index
+  against a fresh build on the final data: both must pass every
+  invariant oracle, the
   incremental partition must equal the fresh one (exact mode) or refine
   it (relevant mode, whose arrangement keeps harmless stale
   hyperplanes), and ``hits_mask`` must agree for every object — and
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import EPS_COST, EPS_FEASIBILITY
-from repro.check.oracles import check_index_invariants
+from repro.check.oracles import check_index_invariants, check_prefixes
 from repro.core import updates
 from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
@@ -146,14 +148,22 @@ class Scenario:
 
 
 def replay(scenario: Scenario) -> SubdomainIndex:
-    """Build the initial index and apply the scenario's ops in order."""
+    """Build the initial index and apply the scenario's ops in order.
+
+    Each op runs on a ranked prefix table, as after a read, so the
+    updates edit ranked rows, and every ranked row is then held to a
+    brute-force ranking (:func:`~repro.check.oracles.check_prefixes`):
+    a row an object update kept wrongly fails at that op.
+    """
     dataset = Dataset(generate(scenario.kind, scenario.n, scenario.d, scenario.seed))
     queries = uniform_queries(
         scenario.m, scenario.d, seed=scenario.seed + 1, k_range=(1, scenario.k_max)
     )
     index = SubdomainIndex(dataset, queries, mode=scenario.mode)
     for op in scenario.ops:
+        index._prefix_rows()
         op.apply(index)
+        check_prefixes(index)
     return index
 
 

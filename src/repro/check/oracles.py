@@ -32,6 +32,7 @@ import numpy as np
 from repro.constants import EPS
 from repro.core.subdomain import (
     SubdomainIndex,
+    _padded,
     contender_mask,
     contender_rows,
     hyperplanes,
@@ -97,7 +98,7 @@ def check_signatures(index: SubdomainIndex) -> None:
 
 def check_prefixes(index: SubdomainIndex) -> None:
     """Every ranked prefix matches a brute-force representative ranking."""
-    matrix = index.dataset.matrix
+    matrix = _padded(index.dataset.matrix)  # scored as the index ranks
     n = index.dataset.n
     for sid in np.flatnonzero(index.prefix_lengths >= 0).tolist():
         depth = int(index.prefix_lengths[sid])
@@ -107,7 +108,7 @@ def check_prefixes(index: SubdomainIndex) -> None:
                 f"cell {sid} prefix is deeper ({depth}) than the dataset ({n})"
             )
         weights, __ = index.queries.query(representative)
-        scores = matrix @ weights
+        scores = (matrix @ weights).reshape(-1)[:n]
         # Independent tie-break derivation: lexicographic (score, id).
         order = np.lexsort((np.arange(n), scores))
         row = index.prefixes[sid]

@@ -93,6 +93,11 @@ _SCORE_CHUNK = 4_000_000
 #: there would raise the process's peak memory.
 _RANK_CHUNK = 250_000
 
+#: A ranked matrix is scored in blocks of a multiple of ``_RANK_ROWS``
+#: rows and at most ``_RANK_ENTRIES`` entries (see :func:`_padded`).
+_RANK_ROWS = 16
+_RANK_ENTRIES = 1 << 16
+
 
 class Contenders(NamedTuple):
     """Relevant mode's contender state, derived and kept by the §4.3 updates."""
@@ -306,8 +311,9 @@ class SubdomainIndex:
       cell shares;
     * ``prefixes``, ``(cells, width)``, and ``prefix_lengths``,
       ``(cells,)``: each cell's ranking prefix as one row of a
-      ``-1``-padded table, and its length, ``-1`` for a cell never
-      ranked.
+      ``-1``-padded table, and its length, ``-1`` for a cell not
+      ranked (never, or unranked by an update; :mod:`repro.core.updates`
+      keeps the rows it cannot change).
 
     Cells are numbered as they were made: a build or a merge orders them
     by signature bytes, a split by parent cell and then by the pattern
@@ -693,15 +699,15 @@ class SubdomainIndex:
         The one scoring routine behind :meth:`prefix` and
         :meth:`_prefix_rows`; it writes the rows of the prefix table in
         place, widening the table when a depth exceeds it.  Each
-        representative is scored by its own gemv (``matmul(matrix,
-        weights[rep])``), so a prefix never depends on which cells were
-        ranked with it.  A row whose cut falls inside a run of equal
-        scores is re-ranked by a stable argsort, so ties go to the lower
-        id at every depth.
+        representative is scored by its own gemvs over the
+        :func:`_padded` matrix, so a prefix never depends on which cells
+        were ranked with it, nor on how many objects follow one.  A row
+        whose cut falls inside a run of equal scores is re-ranked by a
+        stable argsort, so ties go to the lower id at every depth.
         """
-        matrix = self.dataset.matrix
+        matrix = _padded(self.dataset.matrix)
         weights = self.queries.weights
-        n = matrix.shape[0]
+        n = self.dataset.n
         width = int(depths.max(initial=0))
         if width > self.prefixes.shape[1]:
             extra = width - self.prefixes.shape[1]
@@ -711,9 +717,10 @@ class SubdomainIndex:
         for start in range(0, sids.shape[0], chunk):
             cells = sids[start : start + chunk]
             depth = depths[start : start + chunk]
-            block = np.empty((cells.shape[0], n))
+            block = np.empty((cells.shape[0], *matrix.shape[:2]))
             for row, representative in zip(block, self.representatives[cells]):
                 np.matmul(matrix, weights[representative], out=row)
+            block = block.reshape(cells.shape[0], -1)[:, :n]
             rows = np.full((cells.shape[0], columns.shape[0]), -1, dtype=np.intp)
             if width:
                 ranked, tied = _rank_block(block, width, np.full(cells.shape[0], width))
@@ -767,17 +774,20 @@ class SubdomainIndex:
     def _prefix_rows(self) -> "tuple[np.ndarray, np.ndarray]":
         """The prefix table and its lengths, every cell ranked deep enough.
 
-        What :meth:`kth_other` reads.  Per-cell depths come from one
-        ``np.maximum.at`` over the queries; only the cells whose prefix
-        is missing or shorter than their depth are ranked, in one batch.
+        What :meth:`kth_other` reads.  Only the cells whose prefix is
+        missing or shorter than their depth are ranked, in one batch.
         """
-        depths = np.zeros(self.num_subdomains, dtype=np.intp)
-        np.maximum.at(depths, self.subdomain_of, self.queries.ks)
-        depths = self._trusted_depth(depths)
-        stale = np.flatnonzero(self.prefix_lengths < depths)  # -1: never ranked
+        depths = self._cell_depths()
+        stale = np.flatnonzero(self.prefix_lengths < depths)  # -1: not ranked
         if stale.size:
             self._rank_cells(stale, depths[stale])
         return self.prefixes, self.prefix_lengths
+
+    def _cell_depths(self) -> np.ndarray:
+        """Each cell's prefix depth, from one ``np.maximum.at`` over the queries' ``k``."""
+        depths = np.zeros(self.num_subdomains, dtype=np.intp)
+        np.maximum.at(depths, self.subdomain_of, self.queries.ks)
+        return np.asarray(self._trusted_depth(depths), dtype=np.intp)
 
     def hits_mask(self, target: int) -> np.ndarray:
         """Boolean mask over queries currently hit by ``target``."""
@@ -836,6 +846,35 @@ class SubdomainIndex:
         ranked = self.prefixes[np.arange(self.prefixes.shape[1]) < self.prefix_lengths[:, None]]
         if ranked.size and not (0 <= ranked.min() and ranked.max() < n):
             raise IndexCorruptionError(f"a ranking prefix names an object outside [0, {n})")
+
+
+def _padded(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as row blocks ``(blocks, rows, d)``, padded with zero rows.
+
+    A BLAS gemv may score a matrix's last few rows on another code path
+    (OpenBLAS's Haswell kernel does from 8 columns up), which ties an
+    object's score bits to the number of rows after it.  A threaded gemv
+    does the same at the last rows of each thread's share when it cuts
+    the rows at widths that are not multiples of 4 (OpenBLAS 0.3.31 does
+    at 3, 5 to 8, 12 and 16 threads, from about 460,000 entries).  So
+    ``rows`` is a multiple of ``_RANK_ROWS`` and holds at most
+    ``_RANK_ENTRIES`` entries (or ``_RANK_ROWS`` rows), and ``padded @ w``
+    runs one gemv per block, each on one thread: no object takes that
+    path, and each scores the same bits whatever its row, the matrix
+    height and the BLAS thread count.  The object updates of
+    :mod:`repro.core.updates` keep ranked rows on that ground.  This was
+    measured with OpenBLAS 0.3.31 on a 2-CPU x86-64 host at 1 to 8, 12
+    and 16 threads; a tier-1 test pins it at the BLAS's thread count, or
+    at each count up to the CPU count where threadpoolctl is installed.
+    At the benchmarks' sizes there is one block.
+    """
+    n, d = matrix.shape
+    most = _RANK_ROWS * max(1, _RANK_ENTRIES // (_RANK_ROWS * max(1, d)))
+    rows = min(most, max(1, -(-n // _RANK_ROWS)) * _RANK_ROWS)
+    blocks = max(1, -(-n // rows))
+    padded = np.zeros((blocks * rows, d))
+    padded[:n] = matrix
+    return padded.reshape(blocks, rows, d)
 
 
 def _unpack_prefixes(

@@ -15,8 +15,6 @@ Four operations, mirroring the paper:
   cut through.  New hyperplanes can only *split* cells, so each query
   is classified on the new columns only, and the parts of each cell
   are its members grouped by that pattern.
-  Representative rankings are invalidated (the new object may appear
-  anywhere in them).
 * **remove_object** — drop every intersection involving the object.
   Dropped hyperplanes can only *merge* cells: cells whose reduced
   signatures collide merge — exactly the above/below merge the paper
@@ -47,6 +45,24 @@ only, which yields the same columns, in the same order, as recomputing
 whose cut falls between equal scores are ranked afresh with all rows, so
 they follow exactly what a recomputation would pick.
 
+The prefix table (each cell's ranking prefix, see
+:class:`~repro.core.subdomain.SubdomainIndex`) is kept across updates,
+not dropped, and stays, entry for entry, what ranking every cell afresh
+would write.  A row holds the first objects of its representative's
+``(score, id)`` order, so an update unranks only the rows it can
+change: ``add_object`` scores the newcomer at every cell's
+representative in one product and unranks the rows it does not rank
+past by more than a tie band (``EPS_TIE`` times the size of the terms),
+``remove_object`` unranks the rows that held the object and shifts the
+ids above it down in the rest, a split or a merge passes a row on to the
+one cell that keeps its representative, and ``remove_query`` unranks the
+cell whose representative it removed.  Object updates cut every kept
+row to its cell's depth, and the next read ranks only the unranked
+cells.  Kept entries keep their order only while the ranking product
+gives each object the same bits whatever its row and the matrix height;
+:func:`~repro.core.subdomain._padded` says where that was measured to
+hold, and a tier-1 test pins it.
+
 Object ids and query ids are *dense*: removing id ``x`` shifts every id
 above ``x`` down by one, in the dataset/queryset and in the index
 alike.
@@ -56,6 +72,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import EPS_TIE
 from repro.core.subdomain import (
     Contenders,
     SubdomainIndex,
@@ -124,10 +141,16 @@ def remove_query(index: SubdomainIndex, query_id: int) -> None:
         index.prefixes = np.delete(index.prefixes, sid, axis=0)
         index.prefix_lengths = np.delete(index.prefix_lengths, sid)
         representatives = np.delete(representatives, sid)
+    elif representatives[sid] == query_id:
+        # Another member represents the cell now.  Its ranking can differ
+        # from the removed query's in the last bits of a near tie, or in
+        # relevant mode past the contenders, so the cell is ranked afresh.
+        moved = np.arange(representatives.shape[0]) == sid
+        index.prefixes = np.where(moved[:, None], -1, index.prefixes)
+        index.prefix_lengths = np.where(moved, -1, index.prefix_lengths)
     index.subdomain_of = subdomain_of
-    # A representative at or above the removed id moves to its cell's
-    # lowest member.  The cached prefix is still valid: any member is an
-    # equally good representative within the same subdomain.
+    # A representative above the removed id is the same query, renumbered,
+    # and stays its cell's lowest member.
     index.representatives = np.where(
         representatives >= query_id, _lowest_members(index), representatives
     )
@@ -155,6 +178,7 @@ def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
     relevant = _derive_contenders(index)
     index.dataset = new_dataset
     matrix = new_dataset.matrix
+    _unrank_rows_entered(index, object_id)
 
     if not relevant:
         pairs = np.column_stack((np.arange(object_id), np.full(object_id, object_id)))
@@ -170,10 +194,35 @@ def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
         # partition went stale.
         _insert_into_contender_rows(index, object_id)
         _close_over_new_contenders(index)
-    index._clear_prefixes()  # the new object changes every ranking
+    _cut_prefixes(index)
     index.mark_boundaries_dirty()
     index.notify_mutation()
     return object_id
+
+
+def _unrank_rows_entered(index: SubdomainIndex, object_id: int) -> None:
+    """``add_object``: unrank every ranked row the newcomer may now rank inside.
+
+    The newcomer is scored at every ranked cell's representative in one
+    product.  A row stays only where the newcomer outscores its last
+    entry by more than ``EPS_TIE`` times the size of the two scores'
+    terms (``Σ|w_i|(|x_i| + |y_i|)``), so the call never rests on the
+    last bits in which this product and the ranking one differ: the
+    newcomer ranks past every entry, and the row is still the start of
+    its order.
+    """
+    lengths = index.prefix_lengths
+    ranked = np.flatnonzero(lengths > 0)
+    matrix = index.dataset.matrix
+    weights = index.queries.weights[index.representatives[ranked]]
+    last = matrix[index.prefixes[ranked, lengths[ranked] - 1]]
+    newcomer = matrix[object_id]
+    gap = weights @ newcomer - np.einsum("ij,ij->i", last, weights)
+    terms = np.einsum("ij,ij->i", np.abs(weights), np.abs(last) + np.abs(newcomer))
+    entered = np.zeros(lengths.shape[0], dtype=bool)
+    entered[ranked] = gap <= EPS_TIE * np.maximum(1.0, terms)
+    index.prefixes = np.where(entered[:, None], -1, index.prefixes)
+    index.prefix_lengths = np.where(entered, -1, lengths)
 
 
 def _append_columns(
@@ -332,15 +381,48 @@ def _split_cells_on_new_columns(index: SubdomainIndex, new_normals: np.ndarray) 
     """
     patterns = signature_matrix(index.queries.weights, new_normals)
     __, __, pattern_of = unique_signatures(patterns)
-    keys = index.subdomain_of * (int(pattern_of.max(initial=0)) + 1) + pattern_of
+    parent_of, representatives = index.subdomain_of, index.representatives
+    keys = parent_of * (int(pattern_of.max(initial=0)) + 1) + pattern_of
     __, first, cell_of = np.unique(keys, return_index=True, return_inverse=True)
     kept = index.signatures
     if first.shape[0] > index.num_subdomains:  # some cell split: repeat its row
-        kept = kept[index.subdomain_of[first]]
+        kept = kept[parent_of[first]]
     index.signatures = np.hstack((kept, patterns[first]))
     index.subdomain_of = cell_of
     index.representatives = first
-    index._clear_prefixes()
+    _carry_prefixes(index, parent_of, representatives)
+
+
+def _carry_prefixes(
+    index: SubdomainIndex, parent_of: np.ndarray, representatives: np.ndarray
+) -> None:
+    """After a split or a merge, pass each row on to the cell that keeps its representative.
+
+    ``parent_of`` and ``representatives`` are each query's cell and each
+    cell's representative before the regrouping.  A row ranks its
+    representative, so it still holds for the one new cell that
+    representative represents; every other cell is left unranked.
+    """
+    parent = parent_of[index.representatives]
+    kept = representatives[parent] == index.representatives
+    index.prefixes = np.where(kept[:, None], index.prefixes[parent], -1)
+    index.prefix_lengths = np.where(kept, index.prefix_lengths[parent], -1)
+
+
+def _cut_prefixes(index: SubdomainIndex) -> None:
+    """Cut every ranked row to its cell's depth, and the table to its longest row.
+
+    A fresh rank writes each cell at its depth; a kept row is deeper
+    when its cell lost its deepest query, to ``remove_query`` or to a
+    split.  A row shorter than its depth stays, and the next read ranks
+    it.
+    """
+    lengths = np.minimum(index.prefix_lengths, index._cell_depths())
+    width = int(lengths.max(initial=0))
+    index.prefixes = np.where(
+        np.arange(width) < lengths[:, None], index.prefixes[:, :width], -1
+    )
+    index.prefix_lengths = lengths
 
 
 def remove_object(index: SubdomainIndex, object_id: int) -> None:
@@ -348,27 +430,44 @@ def remove_object(index: SubdomainIndex, object_id: int) -> None:
     index.dataset._check_id(object_id)
     relevant = _derive_contenders(index)
     index.dataset = index.dataset.without_object(object_id)
+    _drop_from_prefixes(index, object_id)
     # Drop every column involving the object; ids above it shift down.
-    keep = np.flatnonzero((index.pairs != object_id).all(axis=1))
-    kept = index.pairs[keep]
-    index.pairs = kept - (kept > object_id)
-    index.normals = index.normals[keep]
-
-    # The exact collision test decides the merge on its own.  A dropped
-    # column that bounds a cell separates it from a cell differing only
-    # there, so the two collide; cells differing only in several dropped
-    # columns collide too, and cells differing elsewhere never do.
-    # np.take keeps the rows contiguous, where signatures[:, keep] would not.
-    _merge_cells(index, np.take(index.signatures, keep, axis=1))
+    involved = (index.pairs == object_id).any(axis=1)
+    pairs = index.pairs - (index.pairs > object_id)
+    if involved.any():
+        keep = np.flatnonzero(~involved)
+        index.pairs = pairs[keep]
+        index.normals = index.normals[keep]
+        # The exact collision test decides the merge on its own.  A
+        # dropped column that bounds a cell separates it from a cell
+        # differing only there, so the two collide; cells differing only
+        # in several dropped columns collide too, and cells differing
+        # elsewhere never do.  np.take keeps the rows contiguous, where
+        # signatures[:, keep] would not.
+        _merge_cells(index, np.take(index.signatures, keep, axis=1))
+    else:
+        index.pairs = pairs  # no column dropped: the signatures stay distinct
     # Removing a top-ranked object promotes objects from below the
     # margin depth into the contender set; close over their pairs so
     # relevant-mode cells keep constant rankings at trusted depths.
     if relevant:
         _drop_from_contender_rows(index, object_id)
         _close_over_new_contenders(index)
+    _cut_prefixes(index)
     index.mark_boundaries_dirty()
-    index._clear_prefixes()
     index.notify_mutation()
+
+
+def _drop_from_prefixes(index: SubdomainIndex, object_id: int) -> None:
+    """``remove_object``: unrank the rows that held the object; shift ids above it down.
+
+    A row without the object still holds the first objects of its
+    order: the object ranked past them.
+    """
+    rows = index.prefixes
+    held = (rows == object_id).any(axis=1)
+    index.prefixes = np.where(held[:, None], -1, rows - (rows > object_id))
+    index.prefix_lengths = np.where(held, -1, index.prefix_lengths)
 
 
 def _merge_cells(index: SubdomainIndex, reduced: np.ndarray) -> None:
@@ -382,6 +481,8 @@ def _merge_cells(index: SubdomainIndex, reduced: np.ndarray) -> None:
     if merged.shape[0] == index.num_subdomains:
         index.signatures = reduced
         return
+    parent_of, representatives = index.subdomain_of, index.representatives
     index.signatures = merged
-    index.subdomain_of = cell_of[index.subdomain_of]
+    index.subdomain_of = cell_of[parent_of]
     index.representatives = _lowest_members(index)
+    _carry_prefixes(index, parent_of, representatives)

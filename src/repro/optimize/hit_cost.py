@@ -386,12 +386,28 @@ def _set_numeric(
     space: StrategySpace,
     iterations: int = 500,
 ) -> np.ndarray:
-    """Projected subgradient with cyclic feasibility projections."""
+    """Projected subgradient with feasibility projections.
+
+    One row projects exactly: the nearest point of the halfspace and the
+    box to a point in the box is the clipped ray along ``-q`` from it
+    (:func:`_clipped_ray` on the box shifted by the point).  Several
+    rows take cyclic halfspace-and-clip steps, at most 500.
+    """
+    row_norms = np.einsum("ij,ij->i", weights, weights)
+    if np.any(row_norms <= 0):
+        raise InfeasibleError("a query with all-zero weights cannot be hit")
 
     def project(s: np.ndarray) -> np.ndarray:
-        row_norms = np.einsum("ij,ij->i", weights, weights)
-        if np.any(row_norms <= 0):
-            raise InfeasibleError("a query with all-zero weights cannot be hit")
+        if weights.shape[0] == 1:
+            s = np.clip(s, space.lower, space.upper)
+            bound = bounds - weights @ s
+            if bound[0] >= 0:
+                return s
+            shifted = StrategySpace(space.dim, lower=space.lower - s, upper=space.upper - s)
+            step, reached = _clipped_ray(weights, weights, bound, shifted)
+            if not reached[0]:
+                raise InfeasibleError("query cannot be hit within the strategy bounds")
+            return np.clip(s + step[0], space.lower, space.upper)
         for __ in range(500):
             s = np.clip(s, space.lower, space.upper)
             violations = weights @ s - bounds

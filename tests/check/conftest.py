@@ -15,6 +15,10 @@ they fork; the worker canary patches that binding.
 The batched Eq. 13-14 solver looks its L1/asymmetric form up by name,
 ``hit_cost._knapsack_rows``, on every call, so the box canary patches
 that binding.
+
+``add_object`` unranks the prefix rows the newcomer enters through
+``updates._unrank_rows_entered``, looked up by name on every call, so
+the prefix canary patches that binding.
 """
 
 import os
@@ -22,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import ese
+from repro.core import ese, updates
 from repro.core.strategy import StrategySpace
 from repro.optimize import hit_cost
 from repro.parallel import persistent
@@ -84,3 +88,21 @@ def knapsack_ignores_box(monkeypatch):
 
     monkeypatch.setattr(hit_cost, "_knapsack_rows", boxless)
     return boxless
+
+
+@pytest.fixture
+def newcomer_judged_one_entry_early(monkeypatch):
+    """Judge an added object against the entry before each row's last.
+
+    A row whose last slot the newcomer takes is then kept as it was.
+    """
+    unrank = updates._unrank_rows_entered
+
+    def early(index, object_id):
+        lengths = index.prefix_lengths
+        index.prefix_lengths = np.where(lengths > 1, lengths - 1, lengths)
+        unrank(index, object_id)
+        index.prefix_lengths = np.where(index.prefix_lengths < 0, -1, lengths)
+
+    monkeypatch.setattr(updates, "_unrank_rows_entered", early)
+    return early

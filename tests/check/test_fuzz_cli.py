@@ -103,6 +103,16 @@ class TestCanary:
         assert code == 1
         assert "reference" in out.getvalue()
 
+    def test_fuzz_finds_a_row_kept_though_the_newcomer_enters_it(
+        self, newcomer_judged_one_entry_early
+    ):
+        # The replay ranks the table before each op and checks every
+        # ranked row after it, so a row kept wrongly fails at that op.
+        out = io.StringIO()
+        code = check_main(["--fuzz", "25", "--seed", "0", "--skip-battery"], out=out)
+        assert code == 1
+        assert "cached prefix disagrees with a brute-force ranking" in out.getvalue()
+
     def test_parity_finds_a_change_only_forked_workers_make(self, forked_workers_drift):
         # Every run checks a 2-worker pool; no environment variable
         # decides whether a pool forks.

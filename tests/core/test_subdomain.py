@@ -15,6 +15,7 @@ from repro.core.subdomain import (
 from repro.errors import ValidationError
 from repro.geometry.arrangement import signature_matrix, unique_signatures
 from repro.topk.evaluate import kth_score, top_k
+from tests.core.test_updates import ranked_afresh
 
 
 def build(rng, n=15, m=25, d=3, k_max=4, mode="exact"):
@@ -240,10 +241,14 @@ class TestKthOther:
         assert index.representative_evaluations == ranked
         assert index._prefix_rows()[0] is table  # same epoch: the table is reused
         updates.add_object(index, rng.random(3))
+        unranked = int((index.prefix_lengths < index._cell_depths()).sum())
+        assert unranked < index.num_subdomains  # the update kept the table
         index.kth_other(1)
-        # The object update invalidated every prefix: each cell is ranked again.
-        assert index.representative_evaluations == ranked + index.num_subdomains
-        assert index._prefix_rows()[0] is not table
+        # The read ranks only the cells the update left unranked, and the
+        # table is what ranking every cell afresh writes.
+        assert index.representative_evaluations == ranked + unranked
+        for ours, theirs in zip(index._prefix_rows(), ranked_afresh(index)):
+            assert np.array_equal(ours, theirs)
 
     def test_query_update_ranks_only_cells_that_need_it(self, rng):
         __, __, index = build(rng)

@@ -1,14 +1,28 @@
+import contextlib
+import copy
+import functools
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.check import check_index_invariants
+from repro.check.oracles import check_prefixes
 from repro.core import updates
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import SubdomainIndex, contender_rows, hyperplanes, relevant_pairs
+from repro.core.subdomain import (
+    SubdomainIndex,
+    _padded,
+    contender_rows,
+    hyperplanes,
+    relevant_pairs,
+)
 from repro.errors import ValidationError
 from tests.parallel.test_persistence import assert_same_files
 
@@ -438,6 +452,193 @@ class TestIncrementalClosure:
             updates.add_object(index, np.array([0.01, 0.02, 0.9]))
         assert np.array_equal(loaded.pairs, built.pairs)
         assert np.array_equal(loaded.contenders()[0], built.contenders()[0])
+
+
+def ranked_afresh(index):
+    """The prefix table a cleared copy of ``index`` ranks on its first read."""
+    fresh = copy.copy(index)
+    fresh._clear_prefixes()
+    return fresh._prefix_rows()
+
+
+#: Values on a 0.1 grid: sums of tenths round differently at different
+#: weights, so scores tie to within the last bits (near ties).  Signed
+#: and scaled by 1e5, an object's terms cancel to a score far smaller
+#: than they are, where two products differ most in their last bits.
+GRID = st.integers(0, 10).map(lambda tenths: tenths / 10)
+SIGNED_GRID = st.integers(-10, 10).map(lambda tenths: tenths / 10)
+UPDATE = st.tuples(
+    st.sampled_from(["add_query", "remove_query", "add_object", "copy_object", "remove_object"]),
+    st.integers(0, 1 << 16),
+    arrays(np.float64, 3, elements=SIGNED_GRID),
+    st.integers(1, 4),
+)
+
+
+def apply_update(index, kind, slot, vector, k, scale=1.0):
+    """Apply one drawn update; ``slot`` names an id modulo the current count.
+
+    A query takes ``|vector|`` as its weights, an object ``scale * vector``.
+    """
+    d = index.dataset.dim
+    m, n = index.queries.m, index.dataset.n
+    if kind == "add_query":
+        updates.add_query(index, np.abs(vector[:d]), k)
+    elif kind == "remove_query" and m > 1:
+        updates.remove_query(index, slot % m)
+    elif kind == "add_object":
+        updates.add_object(index, scale * vector[:d])
+    elif kind == "copy_object":  # an exact tie with the original at every query
+        updates.add_object(index, index.dataset.points[slot % n].copy())
+    elif kind == "remove_object" and n > 2:
+        updates.remove_object(index, slot % n)
+
+
+def ranking_scores(matrix, w):
+    """``matrix @ w`` as ``SubdomainIndex._rank_cells`` computes it, padded rows included."""
+    return (_padded(matrix) @ w).reshape(-1)
+
+
+def blas_thread_limits():
+    """Contexts that each hold the BLAS at one thread count, 1 to the CPU count.
+
+    threadpoolctl sets the count where it is installed; without it the
+    one context leaves the BLAS at its own count.
+    """
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        return [contextlib.nullcontext]
+    counts = range(1, (os.cpu_count() or 1) + 1)
+    return [functools.partial(threadpool_limits, limits=t, user_api="blas") for t in counts]
+
+
+class TestKeptPrefixes:
+    """Object updates keep the prefix table instead of dropping it.
+
+    The kept table must stay, entry for entry, what ranking every cell
+    afresh writes: the read after an update ranks only the cells it left
+    unranked.
+    """
+
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    @given(
+        base=st.integers(2, 3).flatmap(
+            lambda d: arrays(
+                np.float64, st.tuples(st.integers(3, 8), st.just(d)), elements=SIGNED_GRID
+            )
+        ),
+        scale=st.sampled_from([1.0, 1e5]),
+        twins=st.integers(1, 8),
+        weights=arrays(np.float64, st.tuples(st.integers(2, 10), st.just(3)), elements=GRID),
+        ks=arrays(np.int64, 10, elements=st.integers(1, 4)),
+        steps=st.lists(UPDATE, min_size=1, max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_table_follows_a_fresh_rank(self, mode, base, scale, twins, weights, ks, steps):
+        points = scale * np.vstack([base, base[:twins]])  # duplicates: exact ties
+        d = points.shape[1]
+        queries = QuerySet(weights[:, :d], ks=ks[: weights.shape[0]])
+        index = SubdomainIndex(Dataset(points), queries, mode=mode)
+        for kind, slot, vector, k in steps:
+            index._prefix_rows()  # a read between updates ranks every cell
+            apply_update(index, kind, slot, vector, k, scale)
+            check_prefixes(index)
+            table, lengths = ranked_afresh(index)
+            # Every ranked row agrees with a fresh rank up to its cell's depth.
+            for cell in np.flatnonzero(index.prefix_lengths >= 0):
+                depth = min(index.prefix_lengths[cell], lengths[cell])
+                assert np.array_equal(index.prefixes[cell, :depth], table[cell, :depth])
+            if kind.endswith("object"):
+                ours, our_lengths = index._prefix_rows()
+                assert np.array_equal(our_lengths, lengths)
+                assert np.array_equal(ours, table)
+
+    @pytest.mark.parametrize("mode", ["exact", "relevant"])
+    def test_reads_after_object_updates_rank_only_unranked_cells(self, rng, mode):
+        dataset = Dataset(rng.random((40, 3)))
+        queries = QuerySet(rng.random((60, 3)), ks=rng.integers(1, 5, 60))
+        index = SubdomainIndex(dataset, queries, mode=mode)
+        ranked = []
+        for step in range(8):
+            index._prefix_rows()
+            if step % 2:
+                updates.remove_object(index, int(rng.integers(index.dataset.n)))
+            else:
+                updates.add_object(index, rng.random(3))
+            unranked = int((index.prefix_lengths < index._cell_depths()).sum())
+            before = index.representative_evaluations
+            table, lengths = index._prefix_rows()
+            assert index.representative_evaluations == before + unranked
+            fresh, fresh_lengths = ranked_afresh(index)
+            assert np.array_equal(lengths, fresh_lengths) and np.array_equal(table, fresh)
+            ranked.append(unranked)
+        # A newcomer near the front at every cell enters every row, but
+        # most updates leave most rows ranked.
+        assert np.median(ranked) < index.num_subdomains / 2
+
+    def test_a_newcomer_whose_terms_cancel_is_judged_by_their_size(self):
+        # At w the row is [0, 1].  OpenBLAS's Haswell gemv, which ranks,
+        # scores object 1 at -4.0e-12 and the newcomer at -4.4e-12, so the
+        # newcomer takes slot 1; the newcomer's own product reads -7.3e-12
+        # and 0.0, a gap far above EPS_TIE * max(1, |score|) but far below
+        # EPS_TIE times the size of the terms, about 2.7e-7.
+        points = np.array([[-1e5, -1e5, -1e5], [-6e4, -3e4, 9e4], [1e5, 1e5, 1e5]])
+        queries = QuerySet(np.array([[0.8, 0.5, 0.7]]), ks=1)
+        index = SubdomainIndex(Dataset(points), queries, mode="exact")
+        index._prefix_rows()
+        updates.add_object(index, np.array([-5e4, -6e4, 1e5]))
+        check_prefixes(index)
+        assert np.array_equal(index._prefix_rows()[0], ranked_afresh(index)[0])
+
+    def test_removing_an_object_that_owns_no_column_skips_the_merge(self, rng, monkeypatch):
+        # A relevant-mode object outside every contender row owns no
+        # hyperplane, so no two signatures can collide once it is gone.
+        dataset = Dataset(rng.random((40, 3)))
+        queries = QuerySet(rng.random((30, 3)), ks=1)
+        index = SubdomainIndex(dataset, queries, mode="relevant")
+        loner = int(np.setdiff1d(np.arange(40), index.pairs)[0])
+        merges = []
+        monkeypatch.setattr(updates, "_merge_cells", lambda *args: merges.append(args))
+        signatures, pairs = index.signatures, index.pairs
+        updates.remove_object(index, loner)
+        assert merges == []
+        assert index.signatures is signatures
+        assert np.array_equal(index.pairs, pairs - (pairs > loner))
+        check_index_invariants(index)
+
+    def test_a_ranked_product_gives_each_object_the_same_bits_at_any_row_and_height(self):
+        # A kept row stays what a fresh rank writes only if the BLAS scores
+        # each object alike whatever its row and the matrix height: after
+        # add_object appends a row, and after remove_object deletes one
+        # and every row below it moves up.  _rank_cells scores the padded
+        # matrix in blocks; unpadded, OpenBLAS's Haswell gemv breaks this
+        # from 8 columns up, in the last rows, and in one gemv past 460,000
+        # entries at 3 threads, in each thread's last rows.  The shapes
+        # span the sizes the index ranks, each matrix freshly allocated as
+        # Dataset.matrix is, and the last 20 reach past 460,000 entries.
+        for limit in blas_thread_limits():
+            with limit():
+                for n, matrix, w in self.shapes_to_pin():
+                    full = ranking_scores(matrix, w)
+                    appended = ranking_scores(matrix[:n].copy(), w)
+                    deleted = ranking_scores(matrix[1:].copy(), w)
+                    bits = full.view(np.int64)
+                    assert np.array_equal(appended.view(np.int64)[:n], bits[:n]), matrix.shape
+                    assert np.array_equal(deleted.view(np.int64)[:n], bits[1 : n + 1]), matrix.shape
+
+    @staticmethod
+    def shapes_to_pin():
+        """``(n, matrix, w)``: 300 shapes below 3,000 x 33, then 20 past 460,000 entries."""
+        rng = np.random.default_rng(0)
+        for case in range(320):
+            if case < 300:
+                n, d = int(rng.integers(1, 3000)), int(rng.integers(1, 33))
+            else:
+                d = int(rng.integers(8, 41))
+                n = int(rng.integers(470_000, 1_000_000)) // d
+            matrix = rng.normal(size=(n + 1, d)) * 10.0 ** rng.integers(-3, 4, (n + 1, 1))
+            yield n, matrix, rng.random((4, d))[int(rng.integers(4))]  # a weights row
 
 
 class TestTypedArguments:

@@ -10,7 +10,7 @@ from repro.core.cost import (
 )
 from repro.core.strategy import StrategySpace
 from repro.errors import InfeasibleError, ValidationError
-from repro.optimize.hit_cost import min_cost_to_hit
+from repro.optimize.hit_cost import min_cost_to_hit, min_cost_to_hit_batch
 
 
 class TestAlreadyHitting:
@@ -145,6 +145,19 @@ class TestNumericFallback:
             cost = CallableCost(3, lambda s: float(np.sum(np.abs(s) ** 1.5)))
             s = min_cost_to_hit(cost, q, gap)
             assert float(q @ s.vector) <= gap + 1e-6
+
+    def test_a_row_reached_only_at_a_box_corner_is_feasible(self):
+        # Cyclic halfspace-and-clip steps crawl towards the corner and
+        # gave up after 500; L-infinity finds [-0.5000004, 0.5, 0.5].
+        q = np.array([[0.25, -0.5, -1.0]])
+        space = StrategySpace(3, upper=np.full(3, 0.5))
+        cost = CallableCost(3, lambda s: float(np.max(0.5 * np.abs(s))))
+        vectors, costs, feasible = min_cost_to_hit_batch(cost, q, np.array([-0.875]), space)
+        exact = min_cost_to_hit(LInfCost(3, np.full(3, 0.5)), q[0], -0.875, space)
+        assert feasible[0]
+        assert space.contains(vectors[0])
+        assert float(q[0] @ vectors[0]) < -0.875
+        assert costs[0] == pytest.approx(exact.cost, rel=1e-3)
 
     def test_zero_weights_infeasible(self):
         cost = CallableCost(2, lambda s: float(np.sum(s**2)))
