@@ -7,7 +7,8 @@ through an independent path and raising
 * **update vs rebuild** (:func:`check_scenario`) — replay a
   :class:`Scenario` (an op sequence over ``repro.core.updates``, each
   op on a ranked prefix table whose kept rows must match a brute-force
-  ranking after it) and compare the incrementally maintained index
+  ranking after it, as the kept contender rows must match a
+  recomputation) and compare the incrementally maintained index
   against a fresh build on the final data: both must pass every
   invariant oracle, the
   incremental partition must equal the fresh one (exact mode) or refine
@@ -45,12 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import EPS_COST, EPS_FEASIBILITY
-from repro.check.oracles import check_index_invariants, check_prefixes
+from repro.check.oracles import check_index_invariants, check_prefixes, check_relevant_closure
 from repro.core import updates
 from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.ese import StrategyEvaluator, _eq6_counts, _eq6_hits
 from repro.core.objects import Dataset
+from repro.core.queries import QuerySet
 from repro.core.results import IQResult
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
@@ -68,6 +70,7 @@ __all__ = [
     "check_affected_parity",
     "check_iq_contracts",
     "check_scenario",
+    "initial_data",
     "replay",
 ]
 
@@ -144,26 +147,39 @@ class Scenario:
     d: int = 2  #: dimensionality
     seed: int = 0  #: data seed (queries use ``seed + 1``)
     k_max: int = 3  #: per-query k drawn from [1, k_max]
+    #: Round the initial objects and query weights to a 0.1 grid, where
+    #: scores tie exactly or to within their last bits.
+    grid: bool = False
     ops: tuple[Op, ...] = field(default_factory=tuple)
+
+
+def initial_data(scenario: Scenario) -> "tuple[Dataset, QuerySet]":
+    """The scenario's objects and queries before its first op."""
+    points = generate(scenario.kind, scenario.n, scenario.d, scenario.seed)
+    queries = uniform_queries(
+        scenario.m, scenario.d, seed=scenario.seed + 1, k_range=(1, scenario.k_max)
+    )
+    if scenario.grid:
+        return Dataset(np.round(points, 1)), QuerySet(np.round(queries.weights, 1), queries.ks)
+    return Dataset(points), queries
 
 
 def replay(scenario: Scenario) -> SubdomainIndex:
     """Build the initial index and apply the scenario's ops in order.
 
     Each op runs on a ranked prefix table, as after a read, so the
-    updates edit ranked rows, and every ranked row is then held to a
-    brute-force ranking (:func:`~repro.check.oracles.check_prefixes`):
-    a row an object update kept wrongly fails at that op.
+    updates edit ranked rows.  After each op every ranked row is held
+    to a brute-force ranking (:func:`~repro.check.oracles.check_prefixes`)
+    and, in relevant mode, every kept contender row to a recomputation
+    (:func:`~repro.check.oracles.check_relevant_closure`): a row an
+    update kept wrongly fails at that op.
     """
-    dataset = Dataset(generate(scenario.kind, scenario.n, scenario.d, scenario.seed))
-    queries = uniform_queries(
-        scenario.m, scenario.d, seed=scenario.seed + 1, k_range=(1, scenario.k_max)
-    )
-    index = SubdomainIndex(dataset, queries, mode=scenario.mode)
+    index = SubdomainIndex(*initial_data(scenario), mode=scenario.mode)
     for op in scenario.ops:
         index._prefix_rows()
         op.apply(index)
         check_prefixes(index)
+        check_relevant_closure(index)
     return index
 
 

@@ -6,8 +6,11 @@ over :mod:`repro.core.updates` — and runs the full oracle battery on
 each: index invariants, update-vs-rebuild differential, affected-vs-full
 ESE parity (tie-band probes included), and IQ result contracts.
 
-Every case is derived deterministically from ``(seed, case_index)``, so
-a failure reported by CI replays locally with the same seed.  On
+A quarter of the scenarios are tie-heavy: their data, query weights and
+op vectors lie on a 0.1 grid, and some added objects copy an initial
+one, so scores tie exactly or to within their last bits.  Every case is
+derived deterministically from ``(seed, case_index)``, so a failure
+reported by CI replays locally with the same seed.  On
 failure the driver greedily shrinks the op sequence — repeatedly
 dropping ops while the scenario still fails — and reports the minimal
 scenario as a copy-pasteable repr::
@@ -36,6 +39,7 @@ from repro.check.differential import (
     check_affected_parity,
     check_iq_contracts,
     check_scenario,
+    initial_data,
 )
 from repro.data.synthetic import DATASET_KINDS
 from repro.errors import ReproError
@@ -43,6 +47,10 @@ from repro.errors import ReproError
 __all__ = ["FuzzFailure", "fuzz", "random_scenario", "run_case", "shrink"]
 
 _MODES = ("exact", "relevant")
+#: Share of scenarios drawn tie-heavy (see :func:`_on_grid`).
+_GRID_SHARE = 0.25
+#: Share of a tie-heavy scenario's added objects that copy an initial one.
+_COPY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ def random_scenario(seed: int, case_index: int, mode: str | None = None) -> Scen
             ops.append(AddObject(attributes=tuple(float(a) for a in rng.random(d))))
         else:
             ops.append(RemoveObject(slot=int(rng.integers(0, 1 << 16))))
-    return Scenario(
+    scenario = Scenario(
         kind=kind,
         mode=picked_mode,
         n=n,
@@ -95,6 +103,34 @@ def random_scenario(seed: int, case_index: int, mode: str | None = None) -> Scen
         k_max=k_max,
         ops=tuple(ops),
     )
+    if rng.random() < _GRID_SHARE:
+        scenario = _on_grid(scenario, rng)
+    return scenario
+
+
+def _on_grid(scenario: Scenario, rng: np.random.Generator) -> Scenario:
+    """``scenario`` made tie-heavy: on the 0.1 grid, some added objects copies.
+
+    The initial data is rounded at replay (:attr:`Scenario.grid`), the
+    op vectors here; a copied object ties its original exactly at every
+    query.
+    """
+    scenario = replace(scenario, grid=True)
+    initial = initial_data(scenario)[0].points
+    ops: list[Op] = []
+    for op in scenario.ops:
+        if isinstance(op, AddQuery):
+            op = replace(op, weights=_grid(op.weights))
+        elif isinstance(op, AddObject):
+            original = initial[int(rng.integers(initial.shape[0]))]
+            copied = rng.random() < _COPY_SHARE
+            op = AddObject(attributes=_grid(original if copied else op.attributes))
+        ops.append(op)
+    return replace(scenario, ops=tuple(ops))
+
+
+def _grid(values: "tuple[float, ...] | np.ndarray") -> tuple[float, ...]:
+    return tuple(float(v) for v in np.round(np.asarray(values, dtype=float), 1))
 
 
 def run_case(scenario: Scenario) -> str | None:

@@ -17,8 +17,8 @@ Each oracle re-derives one structural invariant from first principles
   to ``matrix[a] - matrix[b]``);
 * in relevant mode, the arrangement holds the hyperplane of every pair
   :func:`~repro.core.subdomain.relevant_pairs` finds on the current
-  data, and the contender rows the updates keep name exactly the objects
-  a recomputation names.
+  data, and each contender row the updates keep names exactly the
+  objects, with the same ``tied`` flag, that a recomputation's row does.
 
 :func:`check_index_invariants` runs the whole battery plus the index's
 own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (array
@@ -33,7 +33,6 @@ from repro.constants import EPS
 from repro.core.subdomain import (
     SubdomainIndex,
     _padded,
-    contender_mask,
     contender_rows,
     hyperplanes,
     relevant_pairs,
@@ -153,37 +152,55 @@ def check_pair_consistency(index: SubdomainIndex) -> None:
 
 
 def check_relevant_closure(index: SubdomainIndex) -> None:
-    """Relevant mode: every contender hyperplane is held; kept rows name the contenders.
+    """Relevant mode: kept rows are a recomputation's; every contender hyperplane is held.
 
-    Hyperplanes are compared by normal, up to sign: a query update can
-    trade a contender for its exact duplicate (a tie at a cut), whose
-    pairs are the same hyperplanes under other ids.
+    Each kept contender row must name the objects, and carry the
+    ``tied`` flag, of a recomputation's row: the updates edit the rows
+    one at a time, so a row kept wrongly stays wrong until it is ranked
+    again.  Hyperplanes are compared by normal, up to sign: a query
+    update can trade a contender for its exact duplicate (a tie at a
+    cut), whose pairs are the same hyperplanes under other ids.
     """
     if index.mode != "relevant":
         return
     dataset, queries = index.dataset, index.queries
+    if index._contenders is not None:  # else not derived yet: the next update ranks them
+        rows, tied, __ = index._contenders
+        fresh, fresh_tied = contender_rows(
+            dataset.matrix, queries.weights, queries.ks, index.margin
+        )
+        if rows.shape[0] != queries.m:
+            raise IndexCorruptionError(
+                f"kept contender rows: {rows.shape[0]} rows for {queries.m} queries"
+            )
+        kept, wanted = _members(rows, dataset.n), _members(fresh, dataset.n)
+        wrong = np.flatnonzero((kept != wanted).any(axis=1) | (tied != fresh_tied))
+        if wrong.size:
+            j = int(wrong[0])
+            raise IndexCorruptionError(
+                f"kept contender rows: query {j}'s row names objects "
+                f"{np.flatnonzero(kept[j]).tolist()} (tied {bool(tied[j])}), a recomputation "
+                f"names {np.flatnonzero(wanted[j]).tolist()} (tied {bool(fresh_tied[j])})"
+            )
     # Pairs of identical objects never become hyperplanes.
-    wanted, normals = hyperplanes(dataset.matrix, relevant_pairs(dataset, queries, index.margin))
+    pairs, normals = hyperplanes(dataset.matrix, relevant_pairs(dataset, queries, index.margin))
     held = {(sign * row + 0.0).tobytes() for row in index.normals for sign in (1.0, -1.0)}
     missing = [
-        tuple(pair) for pair, row in zip(wanted.tolist(), normals) if row.tobytes() not in held
+        tuple(pair) for pair, row in zip(pairs.tolist(), normals) if row.tobytes() not in held
     ]
     if missing:
         raise IndexCorruptionError(
             f"relevant-mode arrangement misses {len(missing)} contender "
             f"hyperplane(s), first of pair {missing[0]}"
         )
-    if index._contenders is None:
-        return  # not derived yet: the next update ranks them afresh
-    rows = index._contenders.rows
-    fresh, __ = contender_rows(dataset.matrix, queries.weights, queries.ks, index.margin)
-    kept = np.flatnonzero(contender_mask(rows, dataset.n))
-    expected = np.flatnonzero(contender_mask(fresh, dataset.n))
-    if rows.shape[0] != queries.m or not np.array_equal(kept, expected):
-        raise IndexCorruptionError(
-            f"kept contender rows ({rows.shape[0]} for {queries.m} queries) name "
-            f"objects {kept.tolist()}, a recomputation names {expected.tolist()}"
-        )
+
+
+def _members(rows: np.ndarray, n: int) -> np.ndarray:
+    """``(len(rows), n)``: whether each ``-1``-padded row names each object."""
+    members = np.zeros((rows.shape[0], n), dtype=bool)
+    named = np.nonzero(rows >= 0)
+    members[named[0], rows[named]] = True
+    return members
 
 
 def check_index_invariants(index: SubdomainIndex) -> None:

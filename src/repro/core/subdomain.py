@@ -177,11 +177,14 @@ def contender_rows(
     if n == 0:
         return rows, tied
     # Batched prefix selection: one argpartition per query *chunk*
-    # instead of a Python loop over queries.
+    # instead of a Python loop over queries.  A row's scores have the
+    # same bits in any chunk (see _scores), so the §4.3 updates can rank
+    # one row alone and get what ranking every row writes.
+    padded = _padded(matrix)
     chunk = max(1, _SCORE_CHUNK // n)
     cols = np.arange(width)
     for start in range(0, m, chunk):
-        block = weights[start : start + chunk] @ matrix.T  # (b, n)
+        block = _scores(padded, weights[start : start + chunk], n)
         stop = start + block.shape[0]
         depth = depths[start:stop]
         ranked, tied[start:stop] = _rank_block(block, width, depth)
@@ -699,11 +702,11 @@ class SubdomainIndex:
         The one scoring routine behind :meth:`prefix` and
         :meth:`_prefix_rows`; it writes the rows of the prefix table in
         place, widening the table when a depth exceeds it.  Each
-        representative is scored by its own gemvs over the
-        :func:`_padded` matrix, so a prefix never depends on which cells
-        were ranked with it, nor on how many objects follow one.  A row
-        whose cut falls inside a run of equal scores is re-ranked by a
-        stable argsort, so ties go to the lower id at every depth.
+        representative is scored by :func:`_scores`, so a prefix never
+        depends on which cells were ranked with it, nor on how many
+        objects follow one.  A row whose cut falls inside a run of equal
+        scores is re-ranked by a stable argsort, so ties go to the lower
+        id at every depth.
         """
         matrix = _padded(self.dataset.matrix)
         weights = self.queries.weights
@@ -717,10 +720,7 @@ class SubdomainIndex:
         for start in range(0, sids.shape[0], chunk):
             cells = sids[start : start + chunk]
             depth = depths[start : start + chunk]
-            block = np.empty((cells.shape[0], *matrix.shape[:2]))
-            for row, representative in zip(block, self.representatives[cells]):
-                np.matmul(matrix, weights[representative], out=row)
-            block = block.reshape(cells.shape[0], -1)[:, :n]
+            block = _scores(matrix, weights[self.representatives[cells]], n)
             rows = np.full((cells.shape[0], columns.shape[0]), -1, dtype=np.intp)
             if width:
                 ranked, tied = _rank_block(block, width, np.full(cells.shape[0], width))
@@ -858,14 +858,15 @@ def _padded(matrix: np.ndarray) -> np.ndarray:
     the rows at widths that are not multiples of 4 (OpenBLAS 0.3.31 does
     at 3, 5 to 8, 12 and 16 threads, from about 460,000 entries).  So
     ``rows`` is a multiple of ``_RANK_ROWS`` and holds at most
-    ``_RANK_ENTRIES`` entries (or ``_RANK_ROWS`` rows), and ``padded @ w``
-    runs one gemv per block, each on one thread: no object takes that
-    path, and each scores the same bits whatever its row, the matrix
-    height and the BLAS thread count.  The object updates of
-    :mod:`repro.core.updates` keep ranked rows on that ground.  This was
-    measured with OpenBLAS 0.3.31 on a 2-CPU x86-64 host at 1 to 8, 12
-    and 16 threads; a tier-1 test pins it at the BLAS's thread count, or
-    at each count up to the CPU count where threadpoolctl is installed.
+    ``_RANK_ENTRIES`` entries (or ``_RANK_ROWS`` rows), and
+    :func:`_scores` runs one gemv per block, each on one thread: no
+    object takes that path, and each scores the same bits whatever its
+    row, the matrix height and the BLAS thread count.  The object
+    updates of :mod:`repro.core.updates` keep ranked rows on that
+    ground.  This was measured with OpenBLAS 0.3.31 on a 2-CPU x86-64
+    host at 1 to 8, 12 and 16 threads; a tier-1 test pins it at the
+    BLAS's thread count, or at each count up to the CPU count where
+    threadpoolctl is installed.
     At the benchmarks' sizes there is one block.
     """
     n, d = matrix.shape
@@ -875,6 +876,18 @@ def _padded(matrix: np.ndarray) -> np.ndarray:
     padded = np.zeros((blocks * rows, d))
     padded[:n] = matrix
     return padded.reshape(blocks, rows, d)
+
+
+def _scores(padded: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The ``(len(weights), n)`` scores of the first ``n`` :func:`_padded` objects.
+
+    One gemv per weights row and block, so a row's bits also do not
+    depend on how many rows share the call: a ``weights @ matrix.T``
+    gemm scores one row alone and beside other rows in different bits.
+    The contender rows and the prefix table both rank through it.
+    """
+    scores = np.matmul(padded, weights[:, None, :, None])
+    return scores.reshape(weights.shape[0], -1)[:, :n]
 
 
 def _unpack_prefixes(

@@ -35,15 +35,21 @@ weights only where needed.  A query update that adds or removes a cell
 copies the signature matrix once.
 
 In relevant mode the index keeps every query's top-``(k + margin)`` row
-(:class:`~repro.core.subdomain.Contenders`), and each update edits only
-the rows it touches: ``add_query`` ranks one new row, ``remove_query``
-drops one, ``add_object`` offers the newcomer to each row as one extra
-candidate, and ``remove_object`` re-ranks the rows that held the object.
-The arrangement is then closed over the pairs of the *new* contenders
-only, which yields the same columns, in the same order, as recomputing
+(:class:`~repro.core.subdomain.Contenders`), and each update ranks only
+the rows it can change: ``add_query`` ranks one new row, ``remove_query``
+drops one, ``add_object`` scores the newcomer at every query in one
+product and re-ranks the rows whose last entry it does not outscore by
+more than the tie band (the same test as the prefix rows', below) and
+the rows that held every object, and ``remove_object`` re-ranks the rows
+that held the object.  A row ranked alone gets the rows a recomputation
+writes, since :func:`~repro.core.subdomain.contender_rows` scores each
+row in the same bits whatever rows share its product.  The arrangement
+is then closed over the pairs of the *new* contenders only, which yields
+the same columns, in the same order, as recomputing
 :func:`~repro.core.subdomain.relevant_pairs` after every update.  Rows
 whose cut falls between equal scores are ranked afresh with all rows, so
-they follow exactly what a recomputation would pick.
+they follow exactly what a recomputation would pick; after a
+``remove_query`` that does so, the arrangement is closed too.
 
 The prefix table (each cell's ranking prefix, see
 :class:`~repro.core.subdomain.SubdomainIndex`) is kept across updates,
@@ -156,9 +162,11 @@ def remove_query(index: SubdomainIndex, query_id: int) -> None:
     )
     if index._contenders is not None:
         rows, tied, closed = index._contenders
-        _keep_contenders(
-            index, Contenders(np.delete(rows, query_id, axis=0), np.delete(tied, query_id), closed)
-        )
+        kept = Contenders(np.delete(rows, query_id, axis=0), np.delete(tied, query_id), closed)
+        if _keep_contenders(index, kept):
+            # Ranked afresh at a narrower width, a tied cut can take an
+            # object the arrangement never closed over.
+            _close_over_new_contenders(index)
     index.mark_boundaries_dirty()
     index.notify_mutation()
 
@@ -201,28 +209,41 @@ def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
 
 
 def _unrank_rows_entered(index: SubdomainIndex, object_id: int) -> None:
-    """``add_object``: unrank every ranked row the newcomer may now rank inside.
+    """``add_object``: unrank every ranked prefix row the newcomer may now rank inside."""
+    entered = _entered(
+        index.queries.weights[index.representatives],
+        index.dataset.matrix,
+        index.prefixes,
+        index.prefix_lengths,
+        object_id,
+    )
+    index.prefixes = np.where(entered[:, None], -1, index.prefixes)
+    index.prefix_lengths = np.where(entered, -1, index.prefix_lengths)
 
-    The newcomer is scored at every ranked cell's representative in one
-    product.  A row stays only where the newcomer outscores its last
-    entry by more than ``EPS_TIE`` times the size of the two scores'
-    terms (``Σ|w_i|(|x_i| + |y_i|)``), so the call never rests on the
-    last bits in which this product and the ranking one differ: the
-    newcomer ranks past every entry, and the row is still the start of
-    its order.
+
+def _entered(
+    weights: np.ndarray, matrix: np.ndarray, rows: np.ndarray, lengths: np.ndarray, object_id: int
+) -> np.ndarray:
+    """Which rows, each ``lengths`` entries long, object ``object_id`` may rank inside.
+
+    Row ``i`` ranks ``matrix``'s objects at ``weights[i]``; a row of
+    length 0 or less counts as not entered.  The newcomer is scored at
+    every row in one product.  A row counts as entered unless the
+    newcomer outscores its last entry by more than ``EPS_TIE`` times the
+    size of the two scores' terms (``Σ|w_i|(|x_i| + |y_i|)``), so the
+    call never rests on the last bits in which this product and the
+    ranking one differ: past that band the newcomer ranks after every
+    entry, and the row is still the start of its order.
     """
-    lengths = index.prefix_lengths
     ranked = np.flatnonzero(lengths > 0)
-    matrix = index.dataset.matrix
-    weights = index.queries.weights[index.representatives[ranked]]
-    last = matrix[index.prefixes[ranked, lengths[ranked] - 1]]
+    weights = weights[ranked]
+    last = matrix[rows[ranked, lengths[ranked] - 1]]
     newcomer = matrix[object_id]
     gap = weights @ newcomer - np.einsum("ij,ij->i", last, weights)
     terms = np.einsum("ij,ij->i", np.abs(weights), np.abs(last) + np.abs(newcomer))
     entered = np.zeros(lengths.shape[0], dtype=bool)
     entered[ranked] = gap <= EPS_TIE * np.maximum(1.0, terms)
-    index.prefixes = np.where(entered[:, None], -1, index.prefixes)
-    index.prefix_lengths = np.where(entered, -1, lengths)
+    return entered
 
 
 def _append_columns(
@@ -254,7 +275,7 @@ def _rank_contenders(
     return contender_rows(index.dataset.matrix, weights, ks, index.margin)
 
 
-def _keep_contenders(index: SubdomainIndex, contenders: Contenders) -> None:
+def _keep_contenders(index: SubdomainIndex, contenders: Contenders) -> bool:
     """Store edited rows, ranking every row afresh where an edit cannot be exact.
 
     A tied row holds ``argpartition``'s pick among equal scores at the
@@ -262,13 +283,19 @@ def _keep_contenders(index: SubdomainIndex, contenders: Contenders) -> None:
     :func:`~repro.core.subdomain.contender_rows`).  While any row is
     tied, all rows are ranked together whenever the width a rebuild
     would use, the deepest query's depth, differs from the rows' width.
+    Returns whether they were.
     """
     rows, tied, closed = contenders
-    if tied.any():
-        depths = np.minimum(index.dataset.n, index.queries.ks.astype(np.intp) + index.margin)
-        if rows.shape[1] != int(depths.max(initial=0)):
-            rows, tied = _rank_contenders(index)
+    ranked = bool(tied.any()) and rows.shape[1] != int(_contender_depths(index).max(initial=0))
+    if ranked:
+        rows, tied = _rank_contenders(index)
     index._contenders = Contenders(rows, tied, closed)
+    return ranked
+
+
+def _contender_depths(index: SubdomainIndex) -> np.ndarray:
+    """Each query's contender row length, ``min(n, k + margin)``."""
+    return np.minimum(index.dataset.n, index.queries.ks.astype(np.intp) + index.margin)
 
 
 def _append_contender_row(index: SubdomainIndex, query_id: int) -> None:
@@ -276,8 +303,8 @@ def _append_contender_row(index: SubdomainIndex, query_id: int) -> None:
     rows, tied, closed = index.contenders()
     row, row_tied = _rank_contenders(index, np.array([query_id]))
     if row_tied[0] or (tied.any() and row.shape[1] > rows.shape[1]):
-        # A tied row depends on the whole block's score bits and width;
-        # rank every query together, as a rebuild would.
+        # A tied row depends on the block's width; rank every query
+        # together, as a rebuild would.
         rows, tied = _rank_contenders(index)
     else:
         width = max(rows.shape[1], row.shape[1])
@@ -287,52 +314,58 @@ def _append_contender_row(index: SubdomainIndex, query_id: int) -> None:
 
 
 def _insert_into_contender_rows(index: SubdomainIndex, object_id: int) -> None:
-    """``add_object``: re-rank each row with the new object as one extra candidate.
+    """``add_object``: re-rank only the rows the newcomer may enter.
 
     An untied row's objects all score below every object outside it, so
-    the newcomer is the only object that can enter.  When a row was
-    tied, or a new cut is, every row is ranked afresh.
+    the newcomer is the only object that can enter, and only a row that
+    held every object (now one short of its depth) or a row whose last
+    entry it does not outscore by more than the tie band of
+    :func:`_entered` can change.
     """
     rows, tied, closed = index.contenders()
-    closed = np.append(closed, False)
-    m, n = rows.shape[0], index.dataset.n
-    depths = np.minimum(n, index.queries.ks.astype(np.intp) + index.margin)
-    candidates = np.concatenate((rows, np.full((m, 1), object_id, dtype=np.intp)), axis=1)
-    valid = candidates >= 0
-    scores = np.einsum(
-        "ijk,ik->ij", index.dataset.matrix[np.where(valid, candidates, 0)], index.queries.weights
+    depths = _contender_depths(index)
+    lengths = np.minimum(index.dataset.n - 1, depths)  # before the newcomer
+    entered = (lengths < depths) | _entered(
+        index.queries.weights, index.dataset.matrix, rows, lengths, object_id
     )
-    scores[~valid] = np.inf
-    order = np.lexsort((np.where(valid, candidates, n), scores), axis=1)
-    ranked = np.take_along_axis(candidates, order, axis=1)
-    ranked_scores = np.take_along_axis(scores, order, axis=1)
-    cut = np.flatnonzero(valid.sum(axis=1) > depths)
-    if tied.any() or np.any(ranked_scores[cut, depths[cut] - 1] == ranked_scores[cut, depths[cut]]):
-        rows, tied = _rank_contenders(index)
-    else:
-        width = int(depths.max(initial=0))
-        rows = np.where(np.arange(width) < depths[:, None], ranked[:, :width], -1)
-    _keep_contenders(index, Contenders(rows, tied, closed))
+    rows, tied = _rerank_rows(index, rows, tied, np.flatnonzero(entered))
+    _keep_contenders(index, Contenders(rows, tied, np.append(closed, False)))
 
 
 def _drop_from_contender_rows(index: SubdomainIndex, object_id: int) -> None:
     """``remove_object``: shift ids above it and re-rank only the rows that held it."""
     rows, tied, closed = index.contenders()
-    closed = np.delete(closed, object_id)
     held = np.flatnonzero((rows == object_id).any(axis=1))
-    rows = np.where(rows > object_id, rows - 1, rows)
-    fresh, fresh_tied = _rank_contenders(index, held)
-    if tied.any() or fresh_tied.any():
-        rows, tied = _rank_contenders(index)
-    else:
-        rows[held] = _pad(fresh, rows.shape[1])
-    _keep_contenders(index, Contenders(rows, tied, closed))
+    rows, tied = _rerank_rows(index, np.where(rows > object_id, rows - 1, rows), tied, held)
+    _keep_contenders(index, Contenders(rows, tied, np.delete(closed, object_id)))
+
+
+def _rerank_rows(
+    index: SubdomainIndex, rows: np.ndarray, tied: np.ndarray, picked: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``rows`` with rows ``picked`` ranked afresh, and the ``tied`` flags.
+
+    The picked rows are ranked alone, which
+    :func:`~repro.core.subdomain.contender_rows` scores in the bits it
+    scores them in beside every row.  When a row was tied, or a picked
+    one is, every row is ranked afresh instead.
+    """
+    if tied.any():
+        return _rank_contenders(index)
+    if picked.size:
+        fresh, fresh_tied = _rank_contenders(index, picked)
+        if fresh_tied.any():
+            return _rank_contenders(index)
+        rows = _pad(rows, max(rows.shape[1], fresh.shape[1]))
+        rows[picked] = _pad(fresh, rows.shape[1])
+    return rows, tied
 
 
 def _pad(rows: np.ndarray, width: int) -> np.ndarray:
-    """``rows`` widened to ``width`` columns with ``-1``."""
-    extra = width - rows.shape[1]
-    return np.pad(rows, ((0, 0), (0, extra)), constant_values=-1) if extra else rows
+    """``rows`` in a new array, widened to ``width`` columns with ``-1``."""
+    padded = np.full((rows.shape[0], width), -1, dtype=np.intp)
+    padded[:, : rows.shape[1]] = rows
+    return padded
 
 
 def _close_over_new_contenders(index: SubdomainIndex) -> None:

@@ -19,6 +19,12 @@ that binding.
 ``add_object`` unranks the prefix rows the newcomer enters through
 ``updates._unrank_rows_entered``, looked up by name on every call, so
 the prefix canary patches that binding.
+
+It re-ranks the contender rows the newcomer enters through
+``updates._insert_into_contender_rows``, which asks
+``updates._entered`` which rows those are; both are looked up by name
+on every call, so the contender canary patches the second only while
+the first runs, and the prefix rows are judged as before.
 """
 
 import os
@@ -106,3 +112,27 @@ def newcomer_judged_one_entry_early(monkeypatch):
 
     monkeypatch.setattr(updates, "_unrank_rows_entered", early)
     return early
+
+
+@pytest.fixture
+def contender_newcomer_judged_one_entry_early(monkeypatch):
+    """Judge an added object against the entry before each contender row's last.
+
+    A contender row whose last slot the newcomer takes is then kept as it
+    was.
+    """
+    insert, entered = updates._insert_into_contender_rows, updates._entered
+
+    def early(weights, matrix, rows, lengths, object_id):
+        shorter = np.where(lengths > 1, lengths - 1, lengths)
+        return entered(weights, matrix, rows, shorter, object_id)
+
+    def insert_early(index, object_id):
+        updates._entered = early
+        try:
+            insert(index, object_id)
+        finally:
+            updates._entered = entered
+
+    monkeypatch.setattr(updates, "_insert_into_contender_rows", insert_early)
+    return insert_early

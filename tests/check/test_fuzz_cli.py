@@ -113,6 +113,16 @@ class TestCanary:
         assert code == 1
         assert "cached prefix disagrees with a brute-force ranking" in out.getvalue()
 
+    def test_fuzz_finds_a_contender_row_kept_though_the_newcomer_enters_it(
+        self, contender_newcomer_judged_one_entry_early
+    ):
+        # The replay checks every kept contender row after each op; the
+        # prefix rows are judged correctly, so only that check sees it.
+        out = io.StringIO()
+        code = check_main(["--fuzz", "25", "--seed", "0", "--skip-battery"], out=out)
+        assert code == 1
+        assert "kept contender rows" in out.getvalue()
+
     def test_parity_finds_a_change_only_forked_workers_make(self, forked_workers_drift):
         # Every run checks a 2-worker pool; no environment variable
         # decides whether a pool forks.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.check import check_index_invariants
-from repro.check.oracles import check_prefixes
+from repro.check.oracles import check_prefixes, check_relevant_closure
 from repro.core import updates
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
@@ -19,6 +19,7 @@ from repro.core.queries import QuerySet
 from repro.core.subdomain import (
     SubdomainIndex,
     _padded,
+    _scores,
     contender_rows,
     hyperplanes,
     relevant_pairs,
@@ -453,6 +454,36 @@ class TestIncrementalClosure:
         assert np.array_equal(loaded.pairs, built.pairs)
         assert np.array_equal(loaded.contenders()[0], built.contenders()[0])
 
+    def test_removing_the_deepest_query_closes_over_the_new_tied_pick(self):
+        # At query 1, objects 0, 2 and 4 tie exactly across its cut, so
+        # its row is tied.  Removing the deeper query 0 narrows the width
+        # and every row is ranked afresh: argpartition then picks object
+        # 2, which no row named before and the arrangement never closed
+        # over.
+        points = [[0.4, 0.4], [0.1, 0], [0, 0.8], [0.7, 0.6], [0.4, 0.4], [0.1, 0]]
+        queries = QuerySet(np.array([[0.1, 0.5], [0.4, 0.4]]), ks=[2, 1])
+        index = SubdomainIndex(Dataset(np.array(points)), queries, mode="relevant")
+        updates.remove_query(index, 0)
+        assert index.contenders().tied.tolist() == [True]
+        check_relevant_closure(index)
+
+    def test_a_row_kept_from_a_two_row_rank_equals_a_one_row_rank(self):
+        # At query 0, objects 1, 2 and 7 tie exactly in real arithmetic,
+        # across the cut after object 3.  The build ranks query 0 beside
+        # query 1; once query 1 is gone a rebuild ranks it alone.  The
+        # kept row and its tied flag equal the rebuild's only if a row's
+        # score bits do not depend on how many rows share the product.
+        points = [[0.8, 0.2], [0.3, 0.2], [0.1, 1], [0.2, 0.5], [0.3, 0.7], [0.6, 1]]
+        points += points[:2]
+        queries = QuerySet(np.array([[0.8, 0.2], [1, 0.4]]), ks=[1, 3])
+        index = SubdomainIndex(Dataset(np.array(points)), queries, mode="relevant")
+        updates.remove_query(index, 1)
+        rows, tied, __ = index.contenders()
+        fresh, fresh_tied = contender_rows(index.dataset.matrix, index.queries.weights, [1], 2)
+        assert sorted(rows[0][rows[0] >= 0]) == sorted(fresh[0]) == [1, 2, 3]
+        assert tied.tolist() == fresh_tied.tolist() == [True]
+        check_relevant_closure(index)
+
 
 def ranked_afresh(index):
     """The prefix table a cleared copy of ``index`` ranks on its first read."""
@@ -467,12 +498,22 @@ def ranked_afresh(index):
 #: than they are, where two products differ most in their last bits.
 GRID = st.integers(0, 10).map(lambda tenths: tenths / 10)
 SIGNED_GRID = st.integers(-10, 10).map(lambda tenths: tenths / 10)
-UPDATE = st.tuples(
-    st.sampled_from(["add_query", "remove_query", "add_object", "copy_object", "remove_object"]),
-    st.integers(0, 1 << 16),
-    arrays(np.float64, 3, elements=SIGNED_GRID),
-    st.integers(1, 4),
-)
+
+
+UPDATE_KINDS = ["add_query", "remove_query", "add_object", "copy_object", "remove_object"]
+
+
+def updates_of(dims):
+    """One drawn update: ``(kind, slot, vector, k)``, ``vector`` ``dims`` long."""
+    return st.tuples(
+        st.sampled_from(UPDATE_KINDS),
+        st.integers(0, 1 << 16),
+        arrays(np.float64, dims, elements=SIGNED_GRID),
+        st.integers(1, 4),
+    )
+
+
+UPDATE = updates_of(3)
 
 
 def apply_update(index, kind, slot, vector, k, scale=1.0):
@@ -611,12 +652,15 @@ class TestKeptPrefixes:
         # A kept row stays what a fresh rank writes only if the BLAS scores
         # each object alike whatever its row and the matrix height: after
         # add_object appends a row, and after remove_object deletes one
-        # and every row below it moves up.  _rank_cells scores the padded
-        # matrix in blocks; unpadded, OpenBLAS's Haswell gemv breaks this
+        # and every row below it moves up.  A contender row ranked alone
+        # also needs the bits it has beside other weights rows.
+        # _rank_cells and contender_rows score the padded matrix in
+        # blocks; unpadded, OpenBLAS's Haswell gemv breaks this
         # from 8 columns up, in the last rows, and in one gemv past 460,000
         # entries at 3 threads, in each thread's last rows.  The shapes
         # span the sizes the index ranks, each matrix freshly allocated as
         # Dataset.matrix is, and the last 20 reach past 460,000 entries.
+        rng = np.random.default_rng(1)
         for limit in blas_thread_limits():
             with limit():
                 for n, matrix, w in self.shapes_to_pin():
@@ -626,6 +670,14 @@ class TestKeptPrefixes:
                     bits = full.view(np.int64)
                     assert np.array_equal(appended.view(np.int64)[:n], bits[:n]), matrix.shape
                     assert np.array_equal(deleted.view(np.int64)[:n], bits[1 : n + 1]), matrix.shape
+                    # Batched as the contender rows and the prefix table
+                    # score them, a weights row keeps those bits alone,
+                    # in a subset of the rows and beside all of them.
+                    rows = np.vstack((w, rng.random((5, w.shape[0]))))
+                    padded = _padded(matrix)
+                    for chosen in ([0], [0, 2, 5], slice(None)):
+                        scores = _scores(padded, rows[chosen], n + 1)
+                        assert np.array_equal(scores[0].view(np.int64), bits[: n + 1]), matrix.shape
 
     @staticmethod
     def shapes_to_pin():
@@ -639,6 +691,77 @@ class TestKeptPrefixes:
                 n = int(rng.integers(470_000, 1_000_000)) // d
             matrix = rng.normal(size=(n + 1, d)) * 10.0 ** rng.integers(-3, 4, (n + 1, 1))
             yield n, matrix, rng.random((4, d))[int(rng.integers(4))]  # a weights row
+
+
+class TestKeptContenders:
+    """Relevant-mode updates edit the contender rows one row at a time.
+
+    Each kept row must name the objects, and carry the ``tied`` flag, of
+    a fresh :func:`contender_rows` row; ``add_object`` ranks only the
+    rows the newcomer may enter, ``remove_object`` only the rows that
+    held the object.
+    """
+
+    @given(
+        base=st.integers(2, 16).flatmap(
+            lambda d: arrays(
+                np.float64, st.tuples(st.integers(3, 8), st.just(d)), elements=SIGNED_GRID
+            )
+        ),
+        scale=st.sampled_from([1.0, 1e5]),
+        twins=st.integers(1, 8),
+        weights=arrays(np.float64, st.tuples(st.integers(1, 10), st.just(16)), elements=GRID),
+        ks=arrays(np.int64, 10, elements=st.integers(1, 4)),
+        steps=st.lists(updates_of(16), min_size=1, max_size=10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kept_rows_follow_a_recomputation(self, base, scale, twins, weights, ks, steps):
+        points = scale * np.vstack([base, base[:twins]])  # duplicates: exact ties
+        d = points.shape[1]
+        queries = QuerySet(weights[:, :d], ks=ks[: weights.shape[0]])
+        index = SubdomainIndex(Dataset(points), queries, mode="relevant")
+        for kind, slot, vector, k in steps:
+            apply_update(index, kind, slot, vector, k, scale)
+            rows, tied, __ = index.contenders()
+            fresh, fresh_tied = contender_rows(
+                index.dataset.matrix, index.queries.weights, index.queries.ks, index.margin
+            )
+            assert [set(r) - {-1} for r in rows.tolist()] == [set(r) - {-1} for r in fresh.tolist()]
+            assert np.array_equal(tied, fresh_tied)
+            # Not check_index_invariants: at 1e5 a query exactly on a
+            # hyperplane takes its side from the last bits of one product.
+            check_relevant_closure(index)
+
+    @staticmethod
+    def ranked_rows(monkeypatch):
+        """The number of rows each contender rank of an update ranks."""
+        ranked = []
+        rank = updates.contender_rows
+
+        def counted(matrix, weights, ks, margin):
+            ranked.append(weights.shape[0])
+            return rank(matrix, weights, ks, margin)
+
+        monkeypatch.setattr(updates, "contender_rows", counted)
+        return ranked
+
+    def test_object_updates_rank_only_the_rows_they_change(self, rng, monkeypatch):
+        dataset = Dataset(rng.random((60, 3)))
+        queries = QuerySet(rng.random((80, 3)), ks=rng.integers(1, 5, 80))
+        index = SubdomainIndex(dataset, queries, mode="relevant")
+        ranked = self.ranked_rows(monkeypatch)
+        # Scores past every row's last entry at every query: it enters no row.
+        updates.add_object(index, np.ones(3))
+        assert ranked == []
+        # Scores 0 everywhere: first in every row, each of which is ranked.
+        updates.add_object(index, np.zeros(3))
+        assert ranked == [80]
+        outsider = int(np.flatnonzero(~index.contenders().closed)[0])
+        updates.remove_object(index, outsider)
+        assert ranked == [80]
+        updates.remove_object(index, index.dataset.n - 1)  # the object at 0 again
+        assert ranked == [80, 80]
+        check_index_invariants(index)
 
 
 class TestTypedArguments:
