@@ -33,10 +33,13 @@ __all__ = [
 #: Algorithm 1's BSP loop, held to the index's grouping;
 #: ``generate_candidates`` dispatches between a per-row ``"loop"`` and
 #: the batched ``"auto"``; ``min_cost_to_hit_batch`` is held to its
-#: one-row case and to the simplex/Dykstra set solver.
+#: one-row case and to the simplex/Dykstra set solver; ``hit_bounds``
+#: lets ``best_ratio`` and ``cheapest_reaching`` skip candidates, and
+#: both must still pick what scoring every candidate picks.
 PARITY_PAIRS: dict[str, tuple[str, str]] = {
     "find_subdomains": ("signature_matrix", "unique_signatures"),
     "generate_candidates": ("loop", "auto"),
+    "hit_bounds": ("best_ratio", "cheapest_reaching"),
     "min_cost_to_hit_batch": ("min_cost_to_hit", "min_cost_to_hit_set"),
 }
 

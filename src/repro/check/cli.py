@@ -5,7 +5,8 @@ Three phases, all deterministic:
 1. **Battery** — a fixed scenario per (IN/CO/AC) × (exact/relevant)
    combination: a canonical op sequence replayed through every oracle
    (invariants, update-vs-rebuild, ESE parity with tie-band probes, IQ
-   contracts).
+   contracts); with relevant mode, also the greedy selections at the
+   ``query`` benchmark's size, where the searches bound by themselves.
 2. **Parity** — one engine and one request batch, built once per run:
    EXPLAIN ANALYZE runs against plain ones, then a persistent pool at 0
    and 2 workers, on the fresh index and on the same index saved and
@@ -32,9 +33,11 @@ from repro.check.differential import (
     RemoveObject,
     RemoveQuery,
     Scenario,
+    check_selection_at_scale,
 )
 from repro.check.fuzz import FuzzFailure, fuzz, run_case
 from repro.data.synthetic import DATASET_KINDS
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - the parity phase imports lazily
     from repro.core.engine import ImprovementQueryEngine
@@ -133,6 +136,17 @@ def _run_battery(modes: tuple[str, ...], out: IO[str]) -> list[FuzzFailure]:
         if error is not None:
             failures.append(FuzzFailure(scenario=scenario, error=error))
     return failures
+
+
+def _run_selection_at_scale(out: IO[str]) -> list[str]:
+    """:func:`~repro.check.differential.check_selection_at_scale`, as one battery line."""
+    try:
+        check_selection_at_scale()
+    except ReproError as exc:
+        print("battery selection at scale (IN/relevant, n=2000, m=600, d=3): FAIL", file=out)
+        return [f"selection at scale: {type(exc).__name__}: {exc}"]
+    print("battery selection at scale (IN/relevant, n=2000, m=600, d=3): ok", file=out)
+    return []
 
 
 def _result_mismatch(label: str, serial: object, pooled: object) -> "str | None":
@@ -376,13 +390,16 @@ def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
 
     modes: tuple[str, ...] = _MODES if args.mode == "both" else (args.mode,)
     failures: list[FuzzFailure] = []
+    messages: list[str] = []
 
     if not args.skip_battery:
         failures.extend(_run_battery(modes, out))
+        if "relevant" in modes:
+            messages += _run_selection_at_scale(out)
 
     engine, requests = _parity_engine()
-    parity_failures = _run_analyze_parity(engine, requests, out)
-    parity_failures += _run_pooled_parity(engine, requests, out)
+    messages += _run_analyze_parity(engine, requests, out)
+    messages += _run_pooled_parity(engine, requests, out)
 
     if args.fuzz > 0:
         fuzz_mode = None if args.mode == "both" else args.mode
@@ -394,13 +411,13 @@ def main(argv: "list[str] | None" = None, out: "IO[str] | None" = None) -> int:
         )
         failures.extend(fuzz_failures)
 
-    if failures or parity_failures:
+    if failures or messages:
         print(file=out)
-        for parity_failure in parity_failures:
-            print(parity_failure, file=out)
+        for message in messages:
+            print(message, file=out)
         for failure in failures:
             print(failure.render(), file=out)
-        total = len(failures) + len(parity_failures)
+        total = len(failures) + len(messages)
         print(
             f"\n{total} oracle failure(s); replay any scenario with\n"
             "  PYTHONPATH=src python -c \"from repro.check import run_case; "

@@ -30,7 +30,11 @@ through an independent path and raising
   (strategy re-costed under the IQ's own cost and held to its box, hits
   recounted on a fresh index of the improved data and by brute force,
   budget/goal re-checked), under free L2 and under boxed L1,
-  L-infinity and asymmetric costs.
+  L-infinity and asymmetric costs.  Each IQ is also replayed iteration
+  by iteration: every candidate's hits, scored whole in one product,
+  must stay within its bound, and the bounded selections must pick
+  what scoring every candidate picks (:func:`check_selection_at_scale`
+  does the same at a size where the searches bound by themselves).
 
 Scenarios use ``sense="min"`` datasets, so external and internal
 strategy coordinates coincide and results can be re-checked without
@@ -47,7 +51,16 @@ import numpy as np
 
 from repro.constants import EPS_COST, EPS_FEASIBILITY
 from repro.check.oracles import check_index_invariants, check_prefixes, check_relevant_closure
-from repro.core import updates
+from repro.core import _search, updates
+from repro.core._search import (
+    CandidateBatch,
+    SearchState,
+    Scorer,
+    apply_candidate,
+    best_ratio,
+    cheapest_reaching,
+    generate_candidates,
+)
 from repro.core.cost import AsymmetricLinearCost, CostFunction, L1Cost, L2Cost, LInfCost
 from repro.core.engine import ImprovementQueryEngine
 from repro.core.ese import StrategyEvaluator, _eq6_counts, _eq6_hits
@@ -56,7 +69,7 @@ from repro.core.queries import QuerySet
 from repro.core.results import IQResult
 from repro.core.strategy import StrategySpace
 from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
-from repro.data.synthetic import generate
+from repro.data.synthetic import generate, independent
 from repro.data.workloads import uniform_queries
 from repro.errors import CheckFailure
 
@@ -70,6 +83,7 @@ __all__ = [
     "check_affected_parity",
     "check_iq_contracts",
     "check_scenario",
+    "check_selection_at_scale",
     "initial_data",
     "replay",
 ]
@@ -487,6 +501,112 @@ def _recheck_cost(
         )
 
 
+def _pick(
+    costs: np.ndarray,
+    query_ids: np.ndarray,
+    counts: np.ndarray,
+    tau: int | None,
+    bounds: np.ndarray | None = None,
+    score: Scorer | None = None,
+) -> int:
+    """One greedy iteration's pick: the best ratio, or past ``tau`` the cheapest reaching it."""
+    pick = best_ratio(costs, query_ids, counts, bounds, score)
+    if tau is not None and np.isfinite(costs[pick]) and counts[pick] > tau:
+        pick = cheapest_reaching(costs, query_ids, counts, tau, bounds, score)
+    return pick
+
+
+def _check_selection(
+    evaluator: StrategyEvaluator,
+    state: SearchState,
+    cost: CostFunction,
+    batch: CandidateBatch,
+    tau: int | None,
+    where: str,
+) -> int:
+    """Hold one iteration's selections to scoring every candidate whole.
+
+    Every candidate's hits, scored whole in one product, must stay within
+    its :func:`~repro.core._search.hit_bounds`, and so must each count
+    the batch scored itself.  The bounded selection, run on those same
+    counts whatever the batch size, and the batch's own selection must
+    both pick what every count picks.  Returns that pick.
+    """
+    hits = batch.hits
+    bounds = _search.hit_bounds(evaluator, state, cost, batch.vectors, batch.costs)
+    for counts, kind in ((hits, "scored whole"), (batch.counts, "as the batch scored it")):
+        over = np.flatnonzero(counts > bounds)
+        if over.size:
+            j = int(over[0])
+            raise CheckFailure(
+                f"{where}: the candidate for query {batch.query_ids[j]} hits {counts[j]} "
+                f"queries {kind}, above its bound {bounds[j]}"
+            )
+
+    def whole(rows: "np.ndarray | slice") -> np.ndarray:
+        return hits[rows]
+
+    unscored = np.full(batch.size, -1, dtype=np.intp)
+    picks = {
+        "every candidate scored": _pick(batch.costs, batch.query_ids, hits, tau),
+        "bounded selection": _pick(batch.costs, batch.query_ids, unscored, tau, bounds, whole),
+        "the batch's own selection": _pick(
+            batch.costs, batch.query_ids, batch.counts, tau, batch.bounds, batch.score
+        ),
+    }
+    expected = picks["every candidate scored"]
+    if any(pick != expected for pick in picks.values()):
+        described = ", ".join(
+            f"{name} query {batch.query_ids[pick]}" for name, pick in picks.items()
+        )
+        raise CheckFailure(f"{where}: the selections disagree: {described}")
+    return expected
+
+
+def _replay_selections(
+    engine: ImprovementQueryEngine,
+    result: IQResult,
+    label: str,
+    cost: CostFunction,
+    space: StrategySpace | None,
+    tau: int | None = None,
+    budget: float | None = None,
+) -> None:
+    """Replay a Min-Cost (``tau``) or Max-Hit (``budget``) IQ iteration by iteration.
+
+    Each iteration regenerates the candidates the search saw, checks its
+    selections (:func:`_check_selection`) and applies the candidate the
+    search applied; the replay must pick that candidate from a batch of
+    the recorded size.  Internal and external coordinates coincide
+    (``sense="min"``), so ``cost`` and ``space`` are what the search saw.
+    """
+    index, evaluator = engine.index, engine.evaluator
+    d = index.dataset.dim
+    space = space or StrategySpace.unconstrained(d)
+    target = result.target
+    state = SearchState(
+        target=target,
+        base=index.dataset.matrix[target].copy(),
+        applied=np.zeros(d),
+        spent=0.0,
+        mask=evaluator.hits_mask(target),
+    )
+    for step, record in enumerate(result.iterations):
+        max_cost = None if budget is None else budget + EPS_COST - state.spent
+        batch = generate_candidates(
+            evaluator, state, cost, space.shifted(state.applied), max_cost=max_cost
+        )
+        where = f"{label} iteration {step}"
+        pick = _check_selection(evaluator, state, cost, batch, tau, where)
+        if batch.size != record.candidates or int(batch.query_ids[pick]) != record.query_id:
+            raise CheckFailure(
+                f"{where}: the replay picks query {batch.query_ids[pick]} of "
+                f"{batch.size} candidates, the search picked query {record.query_id} "
+                f"of {record.candidates}"
+            )
+        apply_candidate(evaluator, state, batch, pick, [])
+
+
 def _check_pair(
     engine: ImprovementQueryEngine,
     rng: np.random.Generator,
@@ -502,6 +622,7 @@ def _check_pair(
     result = engine.min_cost(target, tau, cost=cost, space=space)
     _recheck_cost(result, label, cost, space)
     _recheck_hits(index, result, label)
+    _replay_selections(engine, result, label, cost, space, tau=tau)
     if result.satisfied != (result.hits_after >= tau):
         raise CheckFailure(
             f"{label} satisfied={result.satisfied} contradicts "
@@ -513,6 +634,7 @@ def _check_pair(
     result = engine.max_hit(target, budget, cost=cost, space=space)
     _recheck_cost(result, label, cost, space)
     _recheck_hits(index, result, label)
+    _replay_selections(engine, result, label, cost, space, budget=budget)
     if result.total_cost > budget + EPS_COST:
         raise CheckFailure(
             f"{label} spent {result.total_cost} beyond budget {budget} plus the "
@@ -552,3 +674,36 @@ def check_iq_contracts(index: SubdomainIndex, rng: np.random.Generator) -> None:
         (AsymmetricLinearCost(d, up=prices[1], down=prices[2]), "asymmetric, boxed"),
     ):
         _check_pair(engine, rng, cost, box, name)
+
+
+def check_selection_at_scale() -> None:
+    """Greedy selections where the searches bound by themselves, replayed.
+
+    On the ``query`` benchmark's inputs (IN objects, n = 2000, seed
+    20170321; uniform queries, m = 600, seed 20170322, k in [1, 10];
+    d = 3, relevant mode) batches cross the whole-scoring line, so the
+    searches score only what their bounds leave.  The first object that
+    some query ranks and the first that none does each run a Min-Cost
+    IQ (``tau = 10``) and a Max-Hit IQ (budget 0.3), under the free L2
+    cost and under an L1 cost in a box, and every iteration is replayed
+    against whole-batch scoring (:func:`_replay_selections`).
+    """
+    engine = ImprovementQueryEngine(
+        Dataset(independent(2000, 3, seed=20170321)),
+        uniform_queries(600, 3, seed=20170322, k_range=(1, 10)),
+        mode="relevant",
+    )
+    ranked = next(target for target in range(2000) if engine.hits(target) > 0)
+    unranked = next(target for target in range(2000) if engine.hits(target) == 0)
+    box = StrategySpace(3, lower=np.full(3, -0.2), upper=np.full(3, 0.2))
+    for target in (ranked, unranked):
+        for cost, space, name in (
+            (L2Cost(3), None, "L2"),
+            (L1Cost(3, np.array([1.0, 2.0, 0.5])), box, "L1, boxed"),
+        ):
+            label = f"at scale, target {target}, min_cost ({name})"
+            result = engine.min_cost(target, 10, cost=cost, space=space)
+            _replay_selections(engine, result, label, cost, space, tau=10)
+            label = f"at scale, target {target}, max_hit ({name})"
+            result = engine.max_hit(target, 0.3, cost=cost, space=space)
+            _replay_selections(engine, result, label, cost, space, budget=0.3)

@@ -25,6 +25,8 @@ Optimization:
 * :data:`EPS_FEASIBILITY` — verification slack on returned solutions.
 * :data:`EPS_CONVERGENCE`, :data:`FD_STEP` — iterative numeric solvers.
 * :data:`EPS_COST` — cost comparisons in branch-and-bound pruning.
+* :data:`EPS_HIT_BOUND` — rounding allowance of the greedy searches'
+  per-candidate hit bound.
 
 Benchmarking:
 
@@ -40,6 +42,7 @@ __all__ = [
     "EPS_CONVERGENCE",
     "EPS_COST",
     "EPS_FEASIBILITY",
+    "EPS_HIT_BOUND",
     "EPS_TIME",
     "ATOL_PARITY",
     "LP_TOL",
@@ -67,6 +70,18 @@ EPS_CONVERGENCE = 1e-12
 #: Cost comparison slack for branch-and-bound pruning and budget
 #: filtering: ``a`` beats ``b`` only when ``a < b - EPS_COST``.
 EPS_COST = 1e-12
+
+#: Rounding allowance of the greedy searches' hit bound, relative to the
+#: size of a score's terms: a candidate is held able to hit an unhit
+#: query if the float score of ``fl(p + s)`` could pass the query's
+#: Eq. 6 cutoff under any summation order, which the bound grants by
+#: lowering the score gap it must close by this much times
+#: ``sum |q_k| (|p_k| + S) + |cut|``, ``S`` the largest entry of any
+#: candidate's ``|s|``.  The float errors of such a score, of the gap
+#: itself, of the dual norm and of the candidate's cost add up to about
+#: ``4 d + 12`` units in the last place of those terms, so this covers
+#: any ``d`` below about 200,000.
+EPS_HIT_BOUND = 1e-10
 
 #: Slack accepted when *verifying* that a returned strategy satisfies a
 #: single hit constraint or budget (guards against accumulated rounding

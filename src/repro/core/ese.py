@@ -174,6 +174,10 @@ class StrategyEvaluator:
         kth_ids, theta, __ = self._cached(target)
         return kth_ids, theta
 
+    def cutoffs(self, target: int) -> Eq6Cutoffs:
+        """The target's cached Eq. 6 cutoffs: a score hits query ``i`` only below ``cut[i]``."""
+        return self._cached(target)[2]
+
     # ------------------------------------------------------------------
     # Hit counting
     # ------------------------------------------------------------------

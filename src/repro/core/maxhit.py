@@ -25,6 +25,7 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
+from repro.observe import tally
 
 __all__ = ["max_hit_iq"]
 
@@ -80,7 +81,8 @@ def max_hit_iq(
         if batch.size == 0:
             break  # no unhit query is reachable within the leftover budget
         pick = batch.best_ratio()
-        if batch.hits[pick] == 0 or not np.isfinite(batch.costs[pick]):
+        tally("pruned", batch.pruned)
+        if batch.counts[pick] == 0 or not np.isfinite(batch.costs[pick]):
             break
         hits_before_apply = state.hits
         apply_candidate(evaluator, state, batch, pick, records)

@@ -2,28 +2,24 @@
 
 Greedy search for the cheapest strategy making the target hit at least
 ``tau`` queries: each iteration generates one candidate per unhit query
-(Eq. 13-14), scores them with ESE, applies the candidate with the best
-cost-per-hit ratio, and stops when the goal is reached — with the
-paper's anti-overshoot rule (line 10-13): if the best-ratio candidate
-would exceed ``tau``, apply instead the *cheapest* candidate that
-reaches ``tau``.
+(Eq. 13-14), scores with ESE those that can still win, applies the
+candidate with the best cost-per-hit ratio, and stops when the goal is
+reached — with the paper's anti-overshoot rule (line 10-13): if the
+best-ratio candidate would exceed ``tau``, apply instead the *cheapest*
+candidate that reaches ``tau``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core._search import (
-    CandidateBatch,
-    SearchState,
-    apply_candidate,
-    generate_candidates,
-)
+from repro.core._search import SearchState, apply_candidate, generate_candidates
 from repro.core.cost import CostFunction
 from repro.core.ese import StrategyEvaluator
 from repro.core.results import IQResult, IterationRecord
 from repro.core.strategy import Strategy, StrategySpace
 from repro.errors import ValidationError
+from repro.observe import tally
 
 __all__ = ["min_cost_iq"]
 
@@ -74,12 +70,14 @@ def min_cost_iq(
         if batch.size == 0:
             break  # every remaining query is unreachable within bounds
         pick = batch.best_ratio()
-        if not np.isfinite(batch.costs[pick]) or batch.hits[pick] == 0:
-            break
-        if batch.hits[pick] > tau:
+        stop = not np.isfinite(batch.costs[pick]) or batch.counts[pick] == 0
+        if not stop and batch.counts[pick] > tau:
             # Anti-overshoot (lines 10-13): the best-ratio candidate
             # overachieves; take the cheapest candidate reaching tau.
-            pick = _cheapest_reaching(batch, tau)
+            pick = batch.cheapest_reaching(tau)
+        tally("pruned", batch.pruned)
+        if stop:
+            break
         hits_before_apply = state.hits
         apply_candidate(evaluator, state, batch, pick, records)
         stalls = stalls + 1 if state.hits <= hits_before_apply else 0
@@ -96,10 +94,3 @@ def min_cost_iq(
         iterations=records,
         evaluations=evaluator.full_evaluations - evaluations_start,
     )
-
-
-def _cheapest_reaching(batch: CandidateBatch, tau: int) -> int:
-    """Cheapest candidate with ``H >= tau`` (ties by query id)."""
-    reaching = np.flatnonzero(batch.hits >= tau)
-    order = np.lexsort((batch.query_ids[reaching], batch.costs[reaching]))
-    return int(reaching[order[0]])

@@ -70,6 +70,7 @@ ANALYZE_FIELDS = (
     "solve_seconds",
     "candidates_generated",
     "evaluations",
+    "pruned",
     "iterations",
 )
 
@@ -182,7 +183,12 @@ class ExecutedPlan(ExecutionPlan):
     evaluate_seconds: float = 0.0
     solve_seconds: float = 0.0
     candidates_generated: int = 0
-    evaluations: int = 0  #: full hit evaluations (ESE/RTA) performed
+    #: full hit evaluations (ESE/RTA) performed: the candidates actually
+    #: scored, never a pruned one, plus each applied iteration's hit mask
+    evaluations: int = 0
+    #: candidates generated but never scored: their hit bound showed
+    #: they could not be picked
+    pruned: int = 0
     iterations: int = 0  #: greedy iterations applied
 
     @classmethod
@@ -205,6 +211,7 @@ class ExecutedPlan(ExecutionPlan):
             solve_seconds=float(stage_seconds.get("solve", 0.0)),
             candidates_generated=int(counts.get("candidates", 0)),
             evaluations=int(counts.get("evaluations", 0)),
+            pruned=int(counts.get("pruned", 0)),
             iterations=int(counts.get("iterations", 0)),
         )
 
@@ -219,6 +226,7 @@ class ExecutedPlan(ExecutionPlan):
         values["solve_seconds"] = self.solve_seconds
         values["candidates_generated"] = self.candidates_generated
         values["evaluations"] = self.evaluations
+        values["pruned"] = self.pruned
         values["iterations"] = self.iterations
         return values
 

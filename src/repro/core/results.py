@@ -18,7 +18,7 @@ class IterationRecord:
     query_id: int  #: the query whose candidate strategy was applied
     cost: float  #: incremental cost of the applied strategy
     hits_after: int  #: H(p') after applying it
-    candidates: int  #: candidate strategies scored this iteration
+    candidates: int  #: candidate strategies generated this iteration
 
 
 @dataclass
@@ -39,7 +39,9 @@ class IQResult:
     total_cost: float
     satisfied: bool  #: Min-Cost: reached tau; Max-Hit: stayed within beta
     iterations: list[IterationRecord] = field(default_factory=list)
-    evaluations: int = 0  #: strategy evaluations (ESE/RTA calls) consumed
+    #: strategy evaluations (ESE/RTA) consumed: the candidates actually
+    #: scored, never a pruned one, plus each applied iteration's hit mask
+    evaluations: int = 0
 
     @property
     def hits_gained(self) -> int:

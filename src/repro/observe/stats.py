@@ -44,9 +44,10 @@ __all__ = ["COUNTERS", "STAGES", "StageRecorder", "observing", "stage", "tally"]
 #: ESE/RTA hit evaluation; ``solve`` is the whole solver run.
 STAGES = ("plan", "candidates", "evaluate", "solve")
 
-#: The tallied work counters: candidate strategies scored, full hit
-#: evaluations performed, greedy iterations applied.
-COUNTERS = ("candidates", "evaluations", "iterations")
+#: The tallied work counters: candidate strategies generated, full hit
+#: evaluations performed, candidates whose hit bound spared them their
+#: evaluation, greedy iterations applied.
+COUNTERS = ("candidates", "evaluations", "pruned", "iterations")
 
 
 @dataclass

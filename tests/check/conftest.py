@@ -25,6 +25,10 @@ It re-ranks the contender rows the newcomer enters through
 ``updates._entered`` which rows those are; both are looked up by name
 on every call, so the contender canary patches the second only while
 the first runs, and the prefix rows are judged as before.
+
+The greedy searches bound each candidate's hits through
+``_search.hit_bounds``, and the IQ-contract replay asks it by name for
+every batch it checks, so the bound canary patches that binding.
 """
 
 import os
@@ -32,7 +36,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import ese, updates
+from repro.core import _search, ese, updates
 from repro.core.strategy import StrategySpace
 from repro.optimize import hit_cost
 from repro.parallel import persistent
@@ -136,3 +140,19 @@ def contender_newcomer_judged_one_entry_early(monkeypatch):
 
     monkeypatch.setattr(updates, "_insert_into_contender_rows", insert_early)
     return insert_early
+
+
+@pytest.fixture
+def bound_without_own_query(monkeypatch):
+    """Bound each candidate's hits as if it could not hit its own query.
+
+    Every candidate can afford its own query, so this is one less than
+    the bound.
+    """
+    bounds = _search.hit_bounds
+
+    def short(evaluator, state, cost, vectors, costs):
+        return bounds(evaluator, state, cost, vectors, costs) - 1
+
+    monkeypatch.setattr(_search, "hit_bounds", short)
+    return short

@@ -123,6 +123,16 @@ class TestCanary:
         assert code == 1
         assert "kept contender rows" in out.getvalue()
 
+    def test_fuzz_finds_a_bound_that_leaves_out_the_candidates_own_query(
+        self, bound_without_own_query
+    ):
+        # Fuzz batches are far below the whole-scoring line, so only the
+        # replay's bounded selection, run at any batch size, reads it.
+        out = io.StringIO()
+        code = check_main(["--fuzz", "25", "--seed", "0", "--skip-battery"], out=out)
+        assert code == 1
+        assert "above its bound" in out.getvalue()
+
     def test_parity_finds_a_change_only_forked_workers_make(self, forked_workers_drift):
         # Every run checks a 2-worker pool; no environment variable
         # decides whether a pool forks.

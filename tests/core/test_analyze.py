@@ -8,6 +8,8 @@ from repro.core.objects import Dataset
 from repro.core.plan import ANALYZE_FIELDS, PLAN_FIELDS, ExecutedPlan, ExecutionPlan
 from repro.core.queries import QuerySet
 from repro.core.solvers import registered_solvers
+from repro.data.synthetic import independent
+from repro.data.workloads import uniform_queries
 from repro.errors import ValidationError
 
 
@@ -88,6 +90,20 @@ class TestExecutedPlan:
         text = executed.render()
         assert "total_seconds" in text
         assert "candidates_generated" in text
+
+    def test_every_candidate_is_scored_or_pruned(self):
+        # The ``query`` benchmark's size: batches of over 109 candidates
+        # cross the whole-scoring line, so the hit bound prunes some.
+        # Object 0 ranks nowhere and object 12 ranks at some query.
+        dataset = Dataset(independent(2000, 3, seed=20170321))
+        queries = uniform_queries(600, 3, seed=20170322, k_range=(1, 10))
+        engine = ImprovementQueryEngine(dataset, queries, mode="relevant")
+        for target, goal in ((0, {"tau": 10}), (12, {"budget": 0.3})):
+            _, executed = engine.analyze(target, **goal)
+            scored = executed.evaluations - executed.iterations  # one mask per iteration
+            assert executed.pruned > 0
+            assert scored + executed.pruned == executed.candidates_generated
+            assert ("pruned", str(executed.pruned)) in executed.rows()
 
     def test_multi_plans_share_one_runs_observations(self, engine):
         _, plans = engine.analyze_multi([0, 5], tau=8)

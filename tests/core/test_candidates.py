@@ -1,17 +1,38 @@
-"""Parity of batched vs per-query candidate generation (§5.1 step 1).
+"""Parity of batched vs per-query candidate generation (§5.1 step 1),
+and of the bounded candidate selections vs scoring every candidate.
 
 ``generate_candidates(method="auto")`` must return exactly the same
 candidate set — ids, vectors, costs, hits — as the per-query
 ``min_cost_to_hit`` loop, across plain and weighted L2, L1, asymmetric
 and L-infinity costs, free and in bounded strategy boxes.
+
+Every candidate's hits must stay within its ``hit_bounds``, and
+``best_ratio`` and ``cheapest_reaching`` run on those bounds must pick
+what they pick with every candidate's count known.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_MARGIN
-from repro.core._search import SearchState, generate_candidates
-from repro.core.cost import AsymmetricLinearCost, L1Cost, L2Cost, LInfCost, euclidean_cost
+from repro.core import _search
+from repro.core._search import (
+    SearchState,
+    best_ratio,
+    cheapest_reaching,
+    generate_candidates,
+    hit_bounds,
+)
+from repro.core.cost import (
+    AsymmetricLinearCost,
+    CallableCost,
+    L1Cost,
+    L2Cost,
+    LInfCost,
+    euclidean_cost,
+)
 from repro.core.ese import StrategyEvaluator
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
@@ -166,3 +187,134 @@ class TestBatchClosedForm:
         assert costs[0] == pytest.approx(np.hypot(*expected), rel=1e-12)
         assert space.contains(vectors[0], tol=0.0)
         assert np.array_equal(vectors[1], [0.0, 0.0]) and costs[1] == 0.0
+
+
+COST_KINDS = ("L2", "weighted L2", "L1", "LINF", "asymmetric", "callable")
+
+
+def make_cost(kind, d, rng):
+    prices = rng.uniform(0.5, 2.0, (2, d))
+    if kind == "L2":
+        return L2Cost(d)
+    if kind == "weighted L2":
+        return L2Cost(d, prices[0])
+    if kind == "L1":
+        return L1Cost(d, prices[0])
+    if kind == "LINF":
+        return LInfCost(d, prices[0])
+    if kind == "asymmetric":
+        return AsymmetricLinearCost(d, up=prices[0], down=prices[1])
+    return CallableCost(d, lambda s: float(np.sum(np.abs(s)) + np.sum(s * s)))
+
+
+@st.composite
+def iterations(draw):
+    """A greedy iteration part way into an IQ: evaluator, state, cost, box, budget."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(3, 14))
+    m = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.random((n, d))
+    weights = rng.random((m, d))
+    if draw(st.booleans()):
+        # Exact ties: a 0.1 grid, with some objects copies of others.
+        points, weights = np.round(points, 1), np.round(weights, 1)
+        copies = rng.integers(0, n, n // 3)
+        points[rng.integers(0, n, copies.size)] = points[copies]
+    mode = draw(st.sampled_from(["exact", "relevant"]))
+    index = SubdomainIndex(Dataset(points), QuerySet(weights, ks=rng.integers(1, 4, m)), mode=mode)
+    evaluator = StrategyEvaluator(index)
+    cost = make_cost(draw(st.sampled_from(COST_KINDS)), d, rng)
+    if draw(st.booleans()):
+        space = StrategySpace(d, lower=-rng.uniform(0.02, 0.4, d), upper=rng.uniform(0.02, 0.4, d))
+        applied = rng.uniform(space.lower, space.upper) / 2
+        space = space.shifted(applied)
+    else:
+        space = StrategySpace.unconstrained(d)
+        applied = rng.normal(scale=0.1, size=d)
+    target = draw(st.integers(0, n - 1))
+    base = index.dataset.matrix[target].copy()
+    state = SearchState(target, base, applied, 0.0, evaluator.hits_mask(target, base + applied))
+    # A Max-Hit budget that drops some of the candidates, or none.
+    share = draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
+    max_cost = None
+    if share is not None:
+        costs = generate_candidates(evaluator, state, cost, space).costs
+        max_cost = float(np.quantile(costs, share)) if costs.size else None
+    return evaluator, state, cost, space, max_cost
+
+
+class TestBoundedSelection:
+    """The bound never undercounts, and bounded picks are the full-scoring picks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(iterations(), st.integers(1, 8))
+    def test_counts_stay_within_bounds_and_picks_match_full_scoring(self, case, tau):
+        evaluator, state, cost, space, max_cost = case
+        with pytest.MonkeyPatch.context() as patch:
+            # Bound every batch and score one candidate first, so that
+            # small batches stop early too.
+            patch.setattr(_search, "_WHOLE_BATCH_SCORES", 0)
+            patch.setattr(_search, "_FIRST_BLOCK", 1)
+            batch = generate_candidates(evaluator, state, cost, space, max_cost=max_cost)
+            if batch.size == 0:
+                return
+            assert np.array_equal(
+                batch.bounds, hit_bounds(evaluator, state, cost, batch.vectors, batch.costs)
+            )
+            batch.best_ratio()
+            scored = batch.counts >= 0
+            assert np.all(batch.counts[scored] <= batch.bounds[scored])
+            hits = batch.hits
+            assert np.all(hits <= batch.bounds)
+
+            def whole(rows):
+                return hits[rows]
+
+            counts = np.full(batch.size, -1, dtype=np.intp)
+            bounded = best_ratio(batch.costs, batch.query_ids, counts, batch.bounds, whole)
+            assert bounded == best_ratio(batch.costs, batch.query_ids, hits)
+            if np.any(hits >= tau):
+                bounded = cheapest_reaching(
+                    batch.costs, batch.query_ids, counts, tau, batch.bounds, whole
+                )
+                assert bounded == cheapest_reaching(batch.costs, batch.query_ids, hits, tau)
+
+
+def unranked_target_batch(m):
+    """The first batch of a target that no query ranks: one candidate per query."""
+    rng = np.random.default_rng(m)
+    points = rng.random((40, 3))
+    points[0] = 2.0  # worse than every other object at every query
+    queries = QuerySet(rng.random((m, 3)), ks=rng.integers(1, 4, m))
+    evaluator = StrategyEvaluator(SubdomainIndex(Dataset(points), queries, mode="relevant"))
+    state = SearchState(0, points[0].copy(), np.zeros(3), 0.0, evaluator.hits_mask(0))
+    assert state.hits == 0
+    batch = generate_candidates(evaluator, state, euclidean_cost(3), StrategySpace.unconstrained(3))
+    assert batch.size == m
+    return batch
+
+
+class TestWholeBatchLine:
+    """A batch of at most 2^16 scores is scored whole; a larger one is bounded."""
+
+    def test_a_batch_on_the_line_is_scored_whole(self):
+        batch = unranked_target_batch(256)  # 256 queries x 256 candidates
+        assert batch.bounds is None
+        assert np.all(batch.counts >= 0)
+        assert batch.best_ratio() == best_ratio(batch.costs, batch.query_ids, batch.counts)
+
+    def test_a_batch_past_the_line_scores_only_what_can_win(self):
+        batch = unranked_target_batch(257)
+        assert batch.bounds is not None
+        assert np.all(batch.counts < 0)
+        pick = batch.best_ratio()
+        assert 0 < batch.pruned < batch.size
+        scored = batch.counts >= 0
+        assert np.all(batch.counts[scored] <= batch.bounds[scored])
+        assert np.all(batch.hits <= batch.bounds)
+        assert pick == best_ratio(batch.costs, batch.query_ids, batch.hits)
+        tau = int(batch.counts[pick])
+        assert batch.cheapest_reaching(tau) == cheapest_reaching(
+            batch.costs, batch.query_ids, batch.hits, tau
+        )

@@ -75,4 +75,4 @@ class TestRecording:
 class TestVocabulary:
     def test_stage_and_counter_names_are_the_documented_sets(self):
         assert STAGES == ("plan", "candidates", "evaluate", "solve")
-        assert COUNTERS == ("candidates", "evaluations", "iterations")
+        assert COUNTERS == ("candidates", "evaluations", "pruned", "iterations")
