@@ -301,9 +301,7 @@ def check_scenario(scenario: Scenario) -> SubdomainIndex:
     """
     index = replay(scenario)
     check_index_invariants(index)
-    fresh = SubdomainIndex(
-        index.dataset, index.queries, mode=index.mode, margin=index.margin
-    )
+    fresh = SubdomainIndex(index.dataset, index.queries, mode=index.mode)
     check_index_invariants(fresh)
     _check_partition_equivalence(index, fresh)
     _check_hits_parity(index, fresh)
@@ -457,7 +455,7 @@ def check_affected_parity(
 def _recheck_hits(index: SubdomainIndex, result: IQResult, label: str) -> None:
     """Recount ``hits_after`` on a fresh index of the improved data."""
     improved = index.dataset.improved(result.target, result.strategy.vector)
-    fresh = SubdomainIndex(improved, index.queries, mode=index.mode, margin=index.margin)
+    fresh = SubdomainIndex(improved, index.queries, mode=index.mode)
     recounted = int(fresh.hits_mask(result.target).sum())
     if recounted != result.hits_after:
         raise CheckFailure(

@@ -17,8 +17,8 @@ Each oracle re-derives one structural invariant from first principles
   to ``matrix[a] - matrix[b]``);
 * in relevant mode, the arrangement holds the hyperplane of every pair
   :func:`~repro.core.subdomain.relevant_pairs` finds on the current
-  data, and each contender row the updates keep names exactly the
-  objects, with the same ``tied`` flag, that a recomputation's row does.
+  data, and the contender rows the updates keep equal a recomputation's
+  rows array for array.
 
 :func:`check_index_invariants` runs the whole battery plus the index's
 own :meth:`~repro.core.subdomain.SubdomainIndex.validate` (array
@@ -152,55 +152,41 @@ def check_pair_consistency(index: SubdomainIndex) -> None:
 
 
 def check_relevant_closure(index: SubdomainIndex) -> None:
-    """Relevant mode: kept rows are a recomputation's; every contender hyperplane is held.
+    """Relevant mode: kept rows are a recomputation's; every contender pair is held.
 
-    Each kept contender row must name the objects, and carry the
-    ``tied`` flag, of a recomputation's row: the updates edit the rows
-    one at a time, so a row kept wrongly stays wrong until it is ranked
-    again.  Hyperplanes are compared by normal, up to sign: a query
-    update can trade a contender for its exact duplicate (a tie at a
-    cut), whose pairs are the same hyperplanes under other ids.
+    The kept contender rows must equal a recomputation's rows: the
+    updates edit the rows one at a time, so a row kept wrongly stays
+    wrong until it is ranked again.  Every pair of
+    :func:`~repro.core.subdomain.relevant_pairs` on the current data
+    must be a column of the arrangement, by object ids.
     """
     if index.mode != "relevant":
         return
     dataset, queries = index.dataset, index.queries
     if index._contenders is not None:  # else not derived yet: the next update ranks them
-        rows, tied, __ = index._contenders
-        fresh, fresh_tied = contender_rows(
-            dataset.matrix, queries.weights, queries.ks, index.margin
-        )
-        if rows.shape[0] != queries.m:
+        rows = index._contenders.rows
+        fresh = contender_rows(dataset.matrix, queries.weights, queries.ks)
+        if rows.shape != fresh.shape:
             raise IndexCorruptionError(
-                f"kept contender rows: {rows.shape[0]} rows for {queries.m} queries"
+                f"kept contender rows have shape {rows.shape}, a recomputation {fresh.shape}"
             )
-        kept, wanted = _members(rows, dataset.n), _members(fresh, dataset.n)
-        wrong = np.flatnonzero((kept != wanted).any(axis=1) | (tied != fresh_tied))
+        wrong = np.flatnonzero((rows != fresh).any(axis=1))
         if wrong.size:
             j = int(wrong[0])
             raise IndexCorruptionError(
-                f"kept contender rows: query {j}'s row names objects "
-                f"{np.flatnonzero(kept[j]).tolist()} (tied {bool(tied[j])}), a recomputation "
-                f"names {np.flatnonzero(wanted[j]).tolist()} (tied {bool(fresh_tied[j])})"
+                f"kept contender rows: query {j}'s row is {rows[j].tolist()}, "
+                f"a recomputation's is {fresh[j].tolist()}"
             )
     # Pairs of identical objects never become hyperplanes.
-    pairs, normals = hyperplanes(dataset.matrix, relevant_pairs(dataset, queries, index.margin))
-    held = {(sign * row + 0.0).tobytes() for row in index.normals for sign in (1.0, -1.0)}
-    missing = [
-        tuple(pair) for pair, row in zip(pairs.tolist(), normals) if row.tobytes() not in held
-    ]
-    if missing:
+    pairs, __ = hyperplanes(dataset.matrix, relevant_pairs(dataset, queries))
+    n = dataset.n
+    held = index.pairs[:, 0] * n + index.pairs[:, 1]
+    missing = pairs[~np.isin(pairs[:, 0] * n + pairs[:, 1], held)]
+    if missing.size:
         raise IndexCorruptionError(
-            f"relevant-mode arrangement misses {len(missing)} contender "
-            f"hyperplane(s), first of pair {missing[0]}"
+            f"relevant-mode arrangement misses {missing.shape[0]} contender "
+            f"hyperplane(s), first of pair {tuple(missing[0].tolist())}"
         )
-
-
-def _members(rows: np.ndarray, n: int) -> np.ndarray:
-    """``(len(rows), n)``: whether each ``-1``-padded row names each object."""
-    members = np.zeros((rows.shape[0], n), dtype=bool)
-    named = np.nonzero(rows >= 0)
-    members[named[0], rows[named]] = True
-    return members
 
 
 def check_index_invariants(index: SubdomainIndex) -> None:

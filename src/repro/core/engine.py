@@ -73,19 +73,13 @@ class ImprovementQueryEngine:
         The object set (its ``sense`` fixes the ranking convention).
     queries:
         The top-k workload.
-    mode, margin:
-        Subdomain-index construction options (see
+    mode:
+        The subdomain index's hyperplane budget (see
         :class:`~repro.core.subdomain.SubdomainIndex`).
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        queries: QuerySet,
-        mode: str = "exact",
-        margin: int = 2,
-    ) -> None:
-        self.index = SubdomainIndex(dataset, queries, mode=mode, margin=margin)
+    def __init__(self, dataset: Dataset, queries: QuerySet, mode: str = "exact") -> None:
+        self.index = SubdomainIndex(dataset, queries, mode=mode)
         self.evaluator = StrategyEvaluator(self.index)
         self._rta_evaluator: RTAEvaluator | None = None
 

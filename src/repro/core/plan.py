@@ -28,7 +28,7 @@ from repro.core.boundary import describe_cost, describe_space
 from repro.core.cost import CostFunction
 from repro.core.solvers import QUERY_KINDS, Solver, check_goal
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import SubdomainIndex
+from repro.core.subdomain import MARGIN, SubdomainIndex
 from repro.errors import ValidationError
 
 __all__ = [
@@ -254,8 +254,8 @@ def build_plan(
     notes = list(solver.notes) + list(extra_notes)
     if index.mode == "relevant":
         notes.append(
-            f"relevant-mode index: rankings below depth k+{index.margin} fall "
-            f"back to direct evaluation"
+            f"relevant-mode index: hyperplanes only among each query's top-(k+{MARGIN}) "
+            f"objects; cell prefixes ranked to depth k+{MARGIN + 1}"
         )
     return ExecutionPlan(
         kind=kind,

@@ -37,19 +37,19 @@ Hyperplane budget (``mode``)
 ----------------------------
 ``"exact"`` uses all ``C(n, 2)`` intersections, which is what the
 paper describes and what guarantees that rankings are constant within a
-cell.  ``"relevant"`` restricts to intersections among objects that
-appear in some query's top-``(k + margin)`` prefix: only those objects
-can influence top-k membership at the indexed query points, so the
-partition (and the shared prefixes, up to the margin depth) remains
-correct for top-k purposes while the hyperplane count drops from
-``O(n^2)`` to roughly ``O(t^2)`` for the much smaller set of
-top-ranked objects ``t``.  Rankings *below* the margin depth are not
-trusted in this mode; consumers that need deeper prefixes fall back to
-direct evaluation.
+cell.  ``"relevant"`` restricts to intersections among the
+*contenders*, the objects in some query's top-``(k + MARGIN)`` row
+(:func:`contender_rows`, which the §4.3 updates keep): only those
+objects can influence top-k membership at the indexed query points, so
+the hyperplane count drops from ``O(n^2)`` to roughly ``O(t^2)`` for
+the much smaller set of top-ranked objects ``t``.  Every read works as
+in exact mode, from the cells' shared prefixes, which relevant mode
+ranks ``MARGIN`` objects deeper.
 
 Ties: queries lying exactly on a hyperplane count as *above* it (paper
 §4.1); exact score ties between distinct objects are broken by object
-id.  Both are measure-zero events for continuous data.
+id.  Every ranked row, a contender row or a prefix, is the first
+objects of its weights' ``(score, id)`` order (:func:`_ranked_rows`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.index.bloom import CountingBloomFilter
 from repro.index.mmapio import check_index_format, read_mmap_index, write_mmap_index
 
 __all__ = [
+    "MARGIN",
     "Contenders",
     "SubdomainIndex",
     "contender_mask",
@@ -81,6 +82,10 @@ __all__ = [
 ]
 
 _MODES = ("exact", "relevant")
+
+#: Relevant mode's extra ranking depth: a query's contender row holds
+#: its top ``k + MARGIN`` objects.  Saved indexes record it.
+MARGIN = 2
 
 #: Budget (in floats) for intermediate score blocks; large workloads are
 #: processed in query chunks so the full ``m x n`` matrix never needs to
@@ -103,7 +108,6 @@ class Contenders(NamedTuple):
     """Relevant mode's contender state, derived and kept by the §4.3 updates."""
 
     rows: np.ndarray  #: :func:`contender_rows` of the current data
-    tied: np.ndarray  #: per row, whether its cut is tied (see :func:`contender_rows`)
     #: Objects whose pairs with each other the arrangement holds: the
     #: contenders as of the last closure.
     closed: np.ndarray
@@ -127,14 +131,14 @@ def queryset_fingerprint(queries: QuerySet) -> str:
     return digest.hexdigest()
 
 
-def relevant_pairs(dataset: Dataset, queries: QuerySet, margin: int = 2) -> np.ndarray:
+def relevant_pairs(dataset: Dataset, queries: QuerySet) -> np.ndarray:
     """Object pairs whose intersections can affect indexed top-k results.
 
     Returns the ``(p, 2)`` array of ``(a, b)`` rows (``a < b``, sorted)
-    over the union of every query's top-``(k + margin)`` objects (the
+    over the union of every query's top-``(k + MARGIN)`` objects (the
     rows of :func:`contender_rows`).
     """
-    rows, __ = contender_rows(dataset.matrix, queries.weights, queries.ks, margin)
+    rows = contender_rows(dataset.matrix, queries.weights, queries.ks)
     return _pairs_among(contender_mask(rows, dataset.n))
 
 
@@ -154,54 +158,58 @@ def _pairs_among(contender: np.ndarray) -> np.ndarray:
     return np.column_stack((ordered[first], ordered[second]))
 
 
-def contender_rows(
-    matrix: np.ndarray, weights: np.ndarray, ks: np.ndarray, margin: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Each query's top-``(k + margin)`` object ids, in ``(score, id)`` order.
+def contender_rows(matrix: np.ndarray, weights: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Each query's top-``(k + MARGIN)`` object ids, in ``(score, id)`` order.
 
-    Returns ``(rows, tied)``.  ``rows`` is ``(m, width)``, row ``j``
-    holding query ``j``'s ``min(n, k_j + margin)`` best objects and
-    ``-1`` past them.  ``tied[j]`` is set when that cut falls inside a
-    run of equal scores: which of the tied objects made the row then
-    depends on ``argpartition`` and on the block's width (the deepest
-    query's depth), so the row cannot be edited incrementally.  The
-    objects named by any row are the *contenders*.
+    Row ``j`` holds query ``j``'s ``min(n, k_j + MARGIN)`` best objects
+    and ``-1`` past them, in as many columns as the deepest row needs.
+    The objects named by any row are the *contenders*.  A row depends on
+    its own query's scores alone (:func:`_ranked_rows`), so the §4.3
+    updates rank one row alone and get what ranking every row writes.
     """
-    if margin < 0:
-        raise ValidationError(f"margin must be non-negative, got {margin}")
-    n, m = matrix.shape[0], weights.shape[0]
-    depths = np.minimum(n, np.asarray(ks).astype(np.intp) + margin)
+    n = matrix.shape[0]
+    depths = np.minimum(n, np.asarray(ks).astype(np.intp) + MARGIN)
+    return _ranked_rows(_padded(matrix), weights, n, depths, _SCORE_CHUNK)
+
+
+def _ranked_rows(
+    padded: np.ndarray, weights: np.ndarray, n: int, depths: np.ndarray, budget: int
+) -> np.ndarray:
+    """Row ``i``: the first ``depths[i]`` objects of ``weights[i]``'s ``(score, id)`` order.
+
+    The one ranking routine of the contender rows and the prefix table.
+    ``padded`` is :func:`_padded` of the ``n`` objects, which
+    :func:`_scores` scores in blocks of about ``budget`` floats;
+    :func:`_rank_block` ranks each block at the deepest row's depth, and
+    a row whose cut there falls inside a run of equal scores is ranked
+    by a stable argsort, so ties go to the lower id at every depth.  The
+    rows are ``-1`` past their depths, in ``max(depths)`` columns.
+    """
+    m = weights.shape[0]
     width = int(depths.max(initial=0))
     rows = np.full((m, width), -1, dtype=np.intp)
-    tied = np.zeros(m, dtype=bool)
-    if n == 0:
-        return rows, tied
-    # Batched prefix selection: one argpartition per query *chunk*
-    # instead of a Python loop over queries.  A row's scores have the
-    # same bits in any chunk (see _scores), so the §4.3 updates can rank
-    # one row alone and get what ranking every row writes.
-    padded = _padded(matrix)
-    chunk = max(1, _SCORE_CHUNK // n)
-    cols = np.arange(width)
+    if not width:
+        return rows
+    columns = np.arange(width)
+    chunk = max(1, budget // n)
     for start in range(0, m, chunk):
         block = _scores(padded, weights[start : start + chunk], n)
+        ranked, tied = _rank_block(block, width)
+        for i in np.flatnonzero(tied):
+            ranked[i] = np.argsort(block[i], kind="stable")[:width]
         stop = start + block.shape[0]
-        depth = depths[start:stop]
-        ranked, tied[start:stop] = _rank_block(block, width, depth)
-        rows[start:stop] = np.where(cols < depth[:, None], ranked, -1)
-    return rows, tied
+        rows[start:stop] = np.where(columns < depths[start:stop, None], ranked, -1)
+    return rows
 
 
-def _rank_block(
-    block: np.ndarray, width: int, depths: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
+def _rank_block(block: np.ndarray, width: int) -> "tuple[np.ndarray, np.ndarray]":
     """Each row's ``width`` smallest scores, in ``(score, id)`` order.
 
     Returns ``(ranked, tied)``: the column ids, from one ``argpartition``
     then a ``(score, id)`` lexsort, and whether row ``i``'s cut at
-    ``depths[i] <= width`` falls inside a run of equal scores.  Where a
-    cut is tied at ``width``, which of the tied columns are kept is
-    ``argpartition``'s choice.  ``block`` is left as it was passed.
+    ``width`` falls inside a run of equal scores, where which of the
+    tied columns are kept is ``argpartition``'s choice.  ``block`` is
+    left as it was passed.
     """
     n = block.shape[1]
     if width < n:
@@ -210,17 +218,12 @@ def _rank_block(
         part = np.broadcast_to(np.arange(n), block.shape).copy()
     part_scores = np.take_along_axis(block, part, axis=1)
     order = np.lexsort((part, part_scores), axis=1)
-    scores = np.take_along_axis(part_scores, order, axis=1)
-    # The least score past the ranked columns, found in place so no
-    # second (rows, n) array is allocated.
-    past = np.full((block.shape[0], 1), np.inf)
-    if width < n:
-        np.put_along_axis(block, part, np.inf, axis=1)
-        past[:, 0] = block.min(axis=1)
-        np.put_along_axis(block, part, part_scores, axis=1)
-    local = np.arange(block.shape[0])
-    after = np.concatenate((scores, past), axis=1)[local, depths]
-    return np.take_along_axis(part, order, axis=1), after == scores[local, depths - 1]
+    # The least score past the ranked columns (+inf when there are
+    # none), found in place so no second (rows, n) array is allocated.
+    np.put_along_axis(block, part, np.inf, axis=1)
+    past = block.min(axis=1)
+    np.put_along_axis(block, part, part_scores, axis=1)
+    return np.take_along_axis(part, order, axis=1), past == part_scores.max(axis=1)
 
 
 def hyperplanes(matrix: np.ndarray, pairs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -297,8 +300,6 @@ class SubdomainIndex:
     mode:
         ``"exact"`` (all pairwise intersections) or ``"relevant"``
         (top-ranked contenders only; see module docstring).
-    margin:
-        Extra ranking depth kept trustworthy in ``"relevant"`` mode.
 
     The hyperplane set is two aligned arrays: ``pairs``, the ``(h, 2)``
     object ids ``(a, b)`` with ``a < b``, and ``normals``, the ``(h, d)``
@@ -326,9 +327,7 @@ class SubdomainIndex:
     moved only when a query at or below it is removed.
     """
 
-    def __init__(
-        self, dataset: Dataset, queries: QuerySet, mode: str = "exact", margin: int = 2
-    ) -> None:
+    def __init__(self, dataset: Dataset, queries: QuerySet, mode: str = "exact") -> None:
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
         if dataset.dim != queries.dim:
@@ -338,7 +337,6 @@ class SubdomainIndex:
         self.dataset = dataset
         self.queries = queries
         self.mode = mode
-        self.margin = margin
         self.representative_evaluations = 0  #: full rankings computed so far
         self._epoch = 0  #: bumped by every mutation (see :attr:`epoch`)
 
@@ -348,9 +346,9 @@ class SubdomainIndex:
         if mode == "exact":
             pairs = np.column_stack(np.triu_indices(dataset.n, 1))
         else:
-            rows, tied = contender_rows(dataset.matrix, queries.weights, queries.ks, margin)
+            rows = contender_rows(dataset.matrix, queries.weights, queries.ks)
             closed = contender_mask(rows, dataset.n)
-            self._contenders = Contenders(rows, tied, closed)
+            self._contenders = Contenders(rows, closed)
             pairs = _pairs_among(closed)
         self.pairs, self.normals = hyperplanes(dataset.matrix, pairs)
 
@@ -488,7 +486,7 @@ class SubdomainIndex:
         ranked = np.arange(self.prefixes.shape[1]) < lengths[:, None]
         metadata: dict[str, object] = {
             "mode": self.mode,
-            "margin": int(self.margin),
+            "margin": MARGIN,
             "epoch": int(self._epoch),
             "dataset_fingerprint": dataset_fingerprint(self.dataset),
             "queries_fingerprint": queryset_fingerprint(self.queries),
@@ -537,7 +535,8 @@ class SubdomainIndex:
         Missing fields, and a ``margin`` or ``epoch`` that is not a JSON
         integer >= 0, are corruption (the manifest is damaged or written
         under a different key layout); an intact header naming
-        different data or unknown enum values is a validation failure.
+        different data, unknown enum values or a ``margin`` other than
+        :data:`MARGIN` is a validation failure.
         """
         required = (
             "mode",
@@ -558,6 +557,11 @@ class SubdomainIndex:
                     f"saved index {origin} field {key!r} must be an integer >= 0, "
                     f"got {value!r}"
                 )
+        if metadata["margin"] != MARGIN:
+            raise ValidationError(
+                f"saved index {origin} was built with margin {metadata['margin']}, but "
+                f"indexes rank contenders to depth k + {MARGIN}; save the index again"
+            )
         if str(metadata["dataset_fingerprint"]) != dataset_fingerprint(dataset):
             raise ValidationError(
                 "saved index was built for a different dataset (fingerprint mismatch)"
@@ -635,14 +639,12 @@ class SubdomainIndex:
     ) -> "SubdomainIndex":
         """Rebuild an index object from validated persisted state."""
         mode = str(metadata["mode"])
-        margin = int(metadata["margin"])  # type: ignore[call-overload]
         epoch = int(metadata["epoch"])  # type: ignore[call-overload]
 
         index = cls.__new__(cls)
         index.dataset = dataset
         index.queries = queries
         index.mode = mode
-        index.margin = margin
         index.representative_evaluations = 0
         index._epoch = epoch
         # The maps read_mmap_index opened; only the prefixes are unpacked.
@@ -673,15 +675,13 @@ class SubdomainIndex:
         contender pair, as a rebuild would.
         """
         if self._contenders is None:
-            rows, tied = contender_rows(
-                self.dataset.matrix, self.queries.weights, self.queries.ks, self.margin
-            )
-            self._contenders = Contenders(rows, tied, np.zeros(self.dataset.n, dtype=bool))
+            rows = contender_rows(self.dataset.matrix, self.queries.weights, self.queries.ks)
+            self._contenders = Contenders(rows, np.zeros(self.dataset.n, dtype=bool))
         return self._contenders
 
     def _trusted_depth(self, max_k: "int | np.ndarray") -> "int | np.ndarray":
         """Prefix depth a cell needs when its deepest query asks for ``max_k``."""
-        extra = 1 + (self.margin if self.mode == "relevant" else 0)
+        extra = 1 + (MARGIN if self.mode == "relevant" else 0)
         return np.minimum(self.dataset.n, max_k + extra)
 
     def prefix(self, sid: int) -> np.ndarray:
@@ -701,35 +701,21 @@ class SubdomainIndex:
 
         The one scoring routine behind :meth:`prefix` and
         :meth:`_prefix_rows`; it writes the rows of the prefix table in
-        place, widening the table when a depth exceeds it.  Each
-        representative is scored by :func:`_scores`, so a prefix never
-        depends on which cells were ranked with it, nor on how many
-        objects follow one.  A row whose cut falls inside a run of equal
-        scores is re-ranked by a stable argsort, so ties go to the lower
-        id at every depth.
+        place, widening the table when a depth exceeds it.  A row is the
+        first objects of its representative's ``(score, id)`` order
+        (:func:`_ranked_rows`), so a prefix never depends on which cells
+        were ranked with it, nor on how many objects follow one.
         """
-        matrix = _padded(self.dataset.matrix)
-        weights = self.queries.weights
-        n = self.dataset.n
         width = int(depths.max(initial=0))
         if width > self.prefixes.shape[1]:
             extra = width - self.prefixes.shape[1]
             self.prefixes = np.pad(self.prefixes, ((0, 0), (0, extra)), constant_values=-1)
-        columns = np.arange(self.prefixes.shape[1])
-        chunk = max(1, _RANK_CHUNK // max(1, n))
-        for start in range(0, sids.shape[0], chunk):
-            cells = sids[start : start + chunk]
-            depth = depths[start : start + chunk]
-            block = _scores(matrix, weights[self.representatives[cells]], n)
-            rows = np.full((cells.shape[0], columns.shape[0]), -1, dtype=np.intp)
-            if width:
-                ranked, tied = _rank_block(block, width, np.full(cells.shape[0], width))
-                for i in np.flatnonzero(tied):
-                    ranked[i] = np.argsort(block[i], kind="stable")[:width]
-                rows[:, :width] = ranked
-            rows[columns >= depth[:, None]] = -1
-            self.prefixes[cells] = rows
-            self.prefix_lengths[cells] = depth
+        matrix = _padded(self.dataset.matrix)
+        weights = self.queries.weights[self.representatives[sids]]
+        rows = _ranked_rows(matrix, weights, self.dataset.n, depths, _RANK_CHUNK)
+        self.prefixes[sids] = -1
+        self.prefixes[sids, :width] = rows
+        self.prefix_lengths[sids] = depths
         self.representative_evaluations += int(sids.shape[0])
 
     def kth_other(self, target: int) -> tuple[np.ndarray, np.ndarray]:

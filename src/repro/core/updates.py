@@ -34,22 +34,21 @@ grouping pass.  Per-query side vectors are recomputed from the workload
 weights only where needed.  A query update that adds or removes a cell
 copies the signature matrix once.
 
-In relevant mode the index keeps every query's top-``(k + margin)`` row
+In relevant mode the index keeps every query's top-``(k + MARGIN)`` row
 (:class:`~repro.core.subdomain.Contenders`), and each update ranks only
 the rows it can change: ``add_query`` ranks one new row, ``remove_query``
 drops one, ``add_object`` scores the newcomer at every query in one
 product and re-ranks the rows whose last entry it does not outscore by
 more than the tie band (the same test as the prefix rows', below) and
 the rows that held every object, and ``remove_object`` re-ranks the rows
-that held the object.  A row ranked alone gets the rows a recomputation
-writes, since :func:`~repro.core.subdomain.contender_rows` scores each
-row in the same bits whatever rows share its product.  The arrangement
-is then closed over the pairs of the *new* contenders only, which yields
-the same columns, in the same order, as recomputing
-:func:`~repro.core.subdomain.relevant_pairs` after every update.  Rows
-whose cut falls between equal scores are ranked afresh with all rows, so
-they follow exactly what a recomputation would pick; after a
-``remove_query`` that does so, the arrangement is closed too.
+that held the object.  A row is the first objects of its query's
+``(score, id)`` order, ties going to the lower id, and
+:func:`~repro.core.subdomain.contender_rows` scores each row in the same
+bits whatever rows share its product, so a row ranked alone is the row a
+recomputation writes, tied scores or not.  The arrangement is then
+closed over the pairs of the *new* contenders only, which yields the
+same columns, in the same order, as recomputing
+:func:`~repro.core.subdomain.relevant_pairs` after every update.
 
 The prefix table (each cell's ranking prefix, see
 :class:`~repro.core.subdomain.SubdomainIndex`) is kept across updates,
@@ -80,6 +79,7 @@ import numpy as np
 
 from repro.constants import EPS_TIE
 from repro.core.subdomain import (
+    MARGIN,
     Contenders,
     SubdomainIndex,
     contender_mask,
@@ -161,12 +161,10 @@ def remove_query(index: SubdomainIndex, query_id: int) -> None:
         representatives >= query_id, _lowest_members(index), representatives
     )
     if index._contenders is not None:
-        rows, tied, closed = index._contenders
-        kept = Contenders(np.delete(rows, query_id, axis=0), np.delete(tied, query_id), closed)
-        if _keep_contenders(index, kept):
-            # Ranked afresh at a narrower width, a tied cut can take an
-            # object the arrangement never closed over.
-            _close_over_new_contenders(index)
+        # No other row changes, so no object becomes a contender.
+        rows, closed = index._contenders
+        rows = _rerank_rows(index, np.delete(rows, query_id, axis=0), np.empty(0, dtype=np.intp))
+        index._contenders = Contenders(rows, closed)
     index.mark_boundaries_dirty()
     index.notify_mutation()
 
@@ -195,7 +193,7 @@ def add_object(index: SubdomainIndex, attributes: np.ndarray) -> int:
             _append_columns(index, new_pairs, new_normals)
     else:
         # Relevant mode: the newcomer is the only object that can join a
-        # query's top-(k + margin); close over its pairs with every
+        # query's top-(k + MARGIN); close over its pairs with every
         # contender.  Deriving counterparts from the *existing* pair list
         # (the pre-fix behaviour) silently left the newcomer without
         # hyperplanes whenever the pair list was empty, and the
@@ -265,100 +263,59 @@ def _derive_contenders(index: SubdomainIndex) -> bool:
     return True
 
 
-def _rank_contenders(
-    index: SubdomainIndex, query_ids: "np.ndarray | None" = None
-) -> "tuple[np.ndarray, np.ndarray]":
-    """:func:`~repro.core.subdomain.contender_rows` of some (default: all) queries."""
-    weights, ks = index.queries.weights, index.queries.ks
-    if query_ids is not None:
-        weights, ks = weights[query_ids], ks[query_ids]
-    return contender_rows(index.dataset.matrix, weights, ks, index.margin)
-
-
-def _keep_contenders(index: SubdomainIndex, contenders: Contenders) -> bool:
-    """Store edited rows, ranking every row afresh where an edit cannot be exact.
-
-    A tied row holds ``argpartition``'s pick among equal scores at the
-    width it was ranked with (see
-    :func:`~repro.core.subdomain.contender_rows`).  While any row is
-    tied, all rows are ranked together whenever the width a rebuild
-    would use, the deepest query's depth, differs from the rows' width.
-    Returns whether they were.
-    """
-    rows, tied, closed = contenders
-    ranked = bool(tied.any()) and rows.shape[1] != int(_contender_depths(index).max(initial=0))
-    if ranked:
-        rows, tied = _rank_contenders(index)
-    index._contenders = Contenders(rows, tied, closed)
-    return ranked
-
-
 def _contender_depths(index: SubdomainIndex) -> np.ndarray:
-    """Each query's contender row length, ``min(n, k + margin)``."""
-    return np.minimum(index.dataset.n, index.queries.ks.astype(np.intp) + index.margin)
+    """Each query's contender row length, ``min(n, k + MARGIN)``."""
+    return np.minimum(index.dataset.n, index.queries.ks.astype(np.intp) + MARGIN)
 
 
 def _append_contender_row(index: SubdomainIndex, query_id: int) -> None:
     """``add_query``: rank the new query alone and append its row."""
-    rows, tied, closed = index.contenders()
-    row, row_tied = _rank_contenders(index, np.array([query_id]))
-    if row_tied[0] or (tied.any() and row.shape[1] > rows.shape[1]):
-        # A tied row depends on the block's width; rank every query
-        # together, as a rebuild would.
-        rows, tied = _rank_contenders(index)
-    else:
-        width = max(rows.shape[1], row.shape[1])
-        rows = np.vstack((_pad(rows, width), _pad(row, width)))
-        tied = np.append(tied, False)
-    _keep_contenders(index, Contenders(rows, tied, closed))
+    rows, closed = index.contenders()
+    rows = np.vstack((rows, np.full((1, rows.shape[1]), -1, dtype=np.intp)))
+    index._contenders = Contenders(_rerank_rows(index, rows, np.array([query_id])), closed)
 
 
 def _insert_into_contender_rows(index: SubdomainIndex, object_id: int) -> None:
     """``add_object``: re-rank only the rows the newcomer may enter.
 
-    An untied row's objects all score below every object outside it, so
-    the newcomer is the only object that can enter, and only a row that
-    held every object (now one short of its depth) or a row whose last
-    entry it does not outscore by more than the tie band of
+    A row holds the first objects of its query's ``(score, id)`` order,
+    so the newcomer is the only object that can enter it, and only a row
+    that held every object (now one short of its depth) or a row whose
+    last entry it does not outscore by more than the tie band of
     :func:`_entered` can change.
     """
-    rows, tied, closed = index.contenders()
+    rows, closed = index.contenders()
     depths = _contender_depths(index)
     lengths = np.minimum(index.dataset.n - 1, depths)  # before the newcomer
     entered = (lengths < depths) | _entered(
         index.queries.weights, index.dataset.matrix, rows, lengths, object_id
     )
-    rows, tied = _rerank_rows(index, rows, tied, np.flatnonzero(entered))
-    _keep_contenders(index, Contenders(rows, tied, np.append(closed, False)))
+    rows = _rerank_rows(index, rows, np.flatnonzero(entered))
+    index._contenders = Contenders(rows, np.append(closed, False))
 
 
 def _drop_from_contender_rows(index: SubdomainIndex, object_id: int) -> None:
     """``remove_object``: shift ids above it and re-rank only the rows that held it."""
-    rows, tied, closed = index.contenders()
+    rows, closed = index.contenders()
     held = np.flatnonzero((rows == object_id).any(axis=1))
-    rows, tied = _rerank_rows(index, np.where(rows > object_id, rows - 1, rows), tied, held)
-    _keep_contenders(index, Contenders(rows, tied, np.delete(closed, object_id)))
+    rows = _rerank_rows(index, np.where(rows > object_id, rows - 1, rows), held)
+    index._contenders = Contenders(rows, np.delete(closed, object_id))
 
 
-def _rerank_rows(
-    index: SubdomainIndex, rows: np.ndarray, tied: np.ndarray, picked: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``rows`` with rows ``picked`` ranked afresh, and the ``tied`` flags.
+def _rerank_rows(index: SubdomainIndex, rows: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """``rows`` with rows ``picked`` ranked afresh, in the deepest row's width.
 
     The picked rows are ranked alone, which
-    :func:`~repro.core.subdomain.contender_rows` scores in the bits it
-    scores them in beside every row.  When a row was tied, or a picked
-    one is, every row is ranked afresh instead.
+    :func:`~repro.core.subdomain.contender_rows` ranks as it ranks them
+    beside every row.  The rows are cut or widened to the deepest
+    query's depth, so they equal a recomputation array for array.
     """
-    if tied.any():
-        return _rank_contenders(index)
+    width = int(_contender_depths(index).max(initial=0))
+    rows = _pad(rows[:, :width], width)
     if picked.size:
-        fresh, fresh_tied = _rank_contenders(index, picked)
-        if fresh_tied.any():
-            return _rank_contenders(index)
-        rows = _pad(rows, max(rows.shape[1], fresh.shape[1]))
-        rows[picked] = _pad(fresh, rows.shape[1])
-    return rows, tied
+        weights, ks = index.queries.weights[picked], index.queries.ks[picked]
+        rows[picked] = _pad(contender_rows(index.dataset.matrix, weights, ks), width)
+    return rows
 
 
 def _pad(rows: np.ndarray, width: int) -> np.ndarray:
@@ -378,10 +335,10 @@ def _close_over_new_contenders(index: SubdomainIndex) -> None:
     hyperplanes only refine the partition, so stale pairs of objects
     that dropped out stay harmlessly.
     """
-    rows, tied, closed = index.contenders()
+    rows, closed = index.contenders()
     n = index.dataset.n
     now = contender_mask(rows, n)
-    index._contenders = Contenders(rows, tied, now)
+    index._contenders = Contenders(rows, now)
     fresh = now & ~closed
     new = np.flatnonzero(fresh)
     if not new.size:
@@ -481,7 +438,7 @@ def remove_object(index: SubdomainIndex, object_id: int) -> None:
     else:
         index.pairs = pairs  # no column dropped: the signatures stay distinct
     # Removing a top-ranked object promotes objects from below the
-    # margin depth into the contender set; close over their pairs so
+    # MARGIN depth into the contender set; close over their pairs so
     # relevant-mode cells keep constant rankings at trusted depths.
     if relevant:
         _drop_from_contender_rows(index, object_id)

@@ -15,9 +15,11 @@ IMPROVE (or EXPLAIN) brings it up to date from what the catalog shows:
 * the engine is rebuilt from both tables instead after an UPDATE or a
   DELETE of either table (``APPLY`` writes back by UPDATE), after any
   INSERT into the object table (an exact-mode ``add_object`` adds ``n``
-  hyperplanes and drops every ranking prefix, so a few dozen objects
-  cost more than a rebuild), and when more query rows were appended
-  than the engine holds (about where a rebuild becomes cheaper).
+  hyperplanes and splits the cells they cut; a few dozen inserts cost
+  more than a rebuild while each also dropped every ranking prefix, and
+  the break-even is unmeasured since inserts keep the prefixes), and
+  when more query rows were appended than the engine holds (about where
+  a rebuild becomes cheaper).
 
 Either way IMPROVE runs against current data, and both paths refuse a
 bad ``k`` with the same :class:`~repro.errors.ValidationError`.

@@ -10,8 +10,8 @@ from repro.core.ese import StrategyEvaluator
 from repro.core.mincost import min_cost_iq
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import SubdomainIndex, relevant_pairs
-from repro.errors import IndexCorruptionError, ValidationError
+from repro.core.subdomain import SubdomainIndex
+from repro.errors import IndexCorruptionError
 from repro.topk.evaluate import top_k
 
 
@@ -26,21 +26,6 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(ese_module, "_CHUNK_BUDGET", 10)  # force many chunks
         fresh = StrategyEvaluator(SubdomainIndex(dataset, queries))
         assert fresh.evaluate_many(0, positions).tolist() == expected
-
-
-class TestRelevantPairs:
-    def test_margin_zero_minimal_set(self, rng):
-        dataset = Dataset(rng.random((30, 2)))
-        queries = QuerySet(rng.random((10, 2)), ks=1)
-        tight = relevant_pairs(dataset, queries, margin=0)
-        loose = relevant_pairs(dataset, queries, margin=5)
-        assert set(map(tuple, tight.tolist())) <= set(map(tuple, loose.tolist()))
-
-    def test_negative_margin_rejected(self, rng):
-        dataset = Dataset(rng.random((5, 2)))
-        queries = QuerySet(rng.random((3, 2)), ks=1)
-        with pytest.raises(ValidationError):
-            relevant_pairs(dataset, queries, margin=-1)
 
 
 class TestDegenerateWorkloads:

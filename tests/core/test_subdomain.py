@@ -294,7 +294,7 @@ class TestKthOther:
 class TestRelevantMode:
     def test_relevant_pairs_subset_of_all(self, rng):
         dataset, queries, __ = build(rng, n=20, m=15)
-        pairs = relevant_pairs(dataset, queries, margin=2)
+        pairs = relevant_pairs(dataset, queries)
         assert len(pairs) <= 20 * 19 // 2
         assert all(a < b for a, b in pairs)
 
@@ -316,7 +316,7 @@ class TestRelevantMode:
         dataset = Dataset(rng.random((25, 3)))
         queries = QuerySet(rng.random((30, 3)), ks=rng.integers(1, 4, 30))
         exact = SubdomainIndex(dataset, queries, mode="exact")
-        relevant = SubdomainIndex(dataset, queries, mode="relevant", margin=3)
+        relevant = SubdomainIndex(dataset, queries, mode="relevant")
         assert relevant.num_hyperplanes <= exact.num_hyperplanes
         for target in range(0, 25, 5):
             assert relevant.hits(target) == exact.hits(target)

@@ -17,6 +17,7 @@ from repro.core.engine import ImprovementQueryEngine
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.subdomain import (
+    MARGIN,
     SubdomainIndex,
     _padded,
     _scores,
@@ -38,7 +39,7 @@ def build(rng, n=10, m=20, d=2):
 
 def rebuilt(index):
     """A from-scratch index over the same data, the ground truth."""
-    return SubdomainIndex(index.dataset, index.queries, mode=index.mode, margin=index.margin)
+    return SubdomainIndex(index.dataset, index.queries, mode=index.mode)
 
 
 def assert_equivalent(index, reference):
@@ -321,7 +322,7 @@ def recomputed_closure(index):
     current data, appending every pair the arrangement misses in
     ``(a, b)`` order."""
     n = index.dataset.n
-    wanted = relevant_pairs(index.dataset, index.queries, index.margin)
+    wanted = relevant_pairs(index.dataset, index.queries)
     held = index.pairs[:, 0] * n + index.pairs[:, 1]
     missing = wanted[~np.isin(wanted[:, 0] * n + wanted[:, 1], held)]
     new_pairs, new_normals = hyperplanes(index.dataset.matrix, missing)
@@ -333,7 +334,7 @@ def mixed_sequence(seed, mode, steps=36):
     """A fixed §4.3 update sequence with planted duplicate objects.
 
     Yields the index after every step.  Duplicates tie for every query,
-    so some queries' top-(k + margin) cuts fall between two of them.
+    so some queries' top-(k + MARGIN) cuts fall between two of them.
     """
     rng = np.random.default_rng(seed)
     points = rng.random((48, 3))
@@ -405,19 +406,16 @@ class TestIncrementalClosure:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_kept_rows_match_a_recomputation(self, seed):
         for index in mixed_sequence(seed, "relevant"):
-            rows, tied, __ = index.contenders()
-            fresh, fresh_tied = contender_rows(
-                index.dataset.matrix, index.queries.weights, index.queries.ks, index.margin
-            )
-            assert [set(r) - {-1} for r in rows.tolist()] == [set(r) - {-1} for r in fresh.tolist()]
-            assert np.array_equal(tied, fresh_tied)
+            rows = index.contenders().rows
+            fresh = contender_rows(index.dataset.matrix, index.queries.weights, index.queries.ks)
+            assert rows.shape == fresh.shape and np.array_equal(rows, fresh)
             check_index_invariants(index)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tied_rows_follow_the_deepest_query(self, monkeypatch, seed):
-        # A tied row holds argpartition's pick at the block's width, the
-        # deepest query's depth: removing or adding that query can change
-        # the pick, and the kept rows must follow it.
+        # Every object has a twin, so cuts fall between equal scores, and
+        # removing or adding the deepest query moves the rows' width; the
+        # kept rows must still follow a recomputation.
         def sequence():
             rng = np.random.default_rng(seed)
             base = rng.random((20, 3))
@@ -455,33 +453,31 @@ class TestIncrementalClosure:
         assert np.array_equal(loaded.contenders()[0], built.contenders()[0])
 
     def test_removing_the_deepest_query_closes_over_the_new_tied_pick(self):
-        # At query 1, objects 0, 2 and 4 tie exactly across its cut, so
-        # its row is tied.  Removing the deeper query 0 narrows the width
-        # and every row is ranked afresh: argpartition then picks object
-        # 2, which no row named before and the arrangement never closed
-        # over.
+        # At query 1, objects 0, 2 and 4 tie exactly across its cut.
+        # Removing the deeper query 0 narrows the rows' width; query 1's
+        # row must keep the lower ids, as a recomputation at the narrower
+        # width does, and name no object the arrangement never closed over.
         points = [[0.4, 0.4], [0.1, 0], [0, 0.8], [0.7, 0.6], [0.4, 0.4], [0.1, 0]]
         queries = QuerySet(np.array([[0.1, 0.5], [0.4, 0.4]]), ks=[2, 1])
         index = SubdomainIndex(Dataset(np.array(points)), queries, mode="relevant")
         updates.remove_query(index, 0)
-        assert index.contenders().tied.tolist() == [True]
         check_relevant_closure(index)
 
     def test_a_row_kept_from_a_two_row_rank_equals_a_one_row_rank(self):
         # At query 0, objects 1, 2 and 7 tie exactly in real arithmetic,
         # across the cut after object 3.  The build ranks query 0 beside
         # query 1; once query 1 is gone a rebuild ranks it alone.  The
-        # kept row and its tied flag equal the rebuild's only if a row's
-        # score bits do not depend on how many rows share the product.
+        # kept row equals the rebuild's only if a row's score bits do not
+        # depend on how many rows share the product.
         points = [[0.8, 0.2], [0.3, 0.2], [0.1, 1], [0.2, 0.5], [0.3, 0.7], [0.6, 1]]
         points += points[:2]
         queries = QuerySet(np.array([[0.8, 0.2], [1, 0.4]]), ks=[1, 3])
         index = SubdomainIndex(Dataset(np.array(points)), queries, mode="relevant")
         updates.remove_query(index, 1)
-        rows, tied, __ = index.contenders()
-        fresh, fresh_tied = contender_rows(index.dataset.matrix, index.queries.weights, [1], 2)
-        assert sorted(rows[0][rows[0] >= 0]) == sorted(fresh[0]) == [1, 2, 3]
-        assert tied.tolist() == fresh_tied.tolist() == [True]
+        rows = index.contenders().rows
+        fresh = contender_rows(index.dataset.matrix, index.queries.weights, [1])
+        assert sorted(fresh[0]) == [1, 2, 3]
+        assert np.array_equal(rows, fresh)
         check_relevant_closure(index)
 
 
@@ -696,10 +692,9 @@ class TestKeptPrefixes:
 class TestKeptContenders:
     """Relevant-mode updates edit the contender rows one row at a time.
 
-    Each kept row must name the objects, and carry the ``tied`` flag, of
-    a fresh :func:`contender_rows` row; ``add_object`` ranks only the
-    rows the newcomer may enter, ``remove_object`` only the rows that
-    held the object.
+    The kept rows must equal a fresh :func:`contender_rows` array for
+    array; ``add_object`` ranks only the rows the newcomer may enter,
+    ``remove_object`` only the rows that held the object.
     """
 
     @given(
@@ -722,15 +717,48 @@ class TestKeptContenders:
         index = SubdomainIndex(Dataset(points), queries, mode="relevant")
         for kind, slot, vector, k in steps:
             apply_update(index, kind, slot, vector, k, scale)
-            rows, tied, __ = index.contenders()
-            fresh, fresh_tied = contender_rows(
-                index.dataset.matrix, index.queries.weights, index.queries.ks, index.margin
-            )
-            assert [set(r) - {-1} for r in rows.tolist()] == [set(r) - {-1} for r in fresh.tolist()]
-            assert np.array_equal(tied, fresh_tied)
+            rows = index.contenders().rows
+            fresh = contender_rows(index.dataset.matrix, index.queries.weights, index.queries.ks)
+            assert rows.shape == fresh.shape and np.array_equal(rows, fresh)
             # Not check_index_invariants: at 1e5 a query exactly on a
             # hyperplane takes its side from the last bits of one product.
             check_relevant_closure(index)
+
+    @given(
+        base=st.integers(2, 4).flatmap(
+            lambda d: arrays(
+                np.float64, st.tuples(st.integers(3, 8), st.just(d)), elements=SIGNED_GRID
+            )
+        ),
+        twins=st.integers(1, 8),
+        weights=arrays(np.float64, st.tuples(st.integers(1, 10), st.just(4)), elements=GRID),
+        ks=arrays(np.int64, 10, elements=st.integers(1, 4)),
+        steps=st.lists(updates_of(4), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_starts_its_score_id_order(self, base, twins, weights, ks, steps):
+        # Duplicates and a 0.1 grid put exact ties across the cuts; a row
+        # must still hold the lower ids, whichever rows it was ranked with.
+        points = np.vstack([base, base[:twins]])
+        d = points.shape[1]
+        queries = QuerySet(weights[:, :d], ks=ks[: weights.shape[0]])
+        index = SubdomainIndex(Dataset(points), queries, mode="relevant")
+        self.assert_rows_start_their_orders(index)
+        for kind, slot, vector, k in steps:
+            apply_update(index, kind, slot, vector, k)
+            self.assert_rows_start_their_orders(index)
+
+    @staticmethod
+    def assert_rows_start_their_orders(index):
+        """Row ``j`` is the first ``min(n, k_j + MARGIN)`` ids of ``(score, id)`` order."""
+        n = index.dataset.n
+        scores = _scores(_padded(index.dataset.matrix), index.queries.weights, n)
+        rows = index.contenders().rows
+        for j, k in enumerate(index.queries.ks.tolist()):
+            depth = min(n, k + MARGIN)
+            order = np.lexsort((np.arange(n), scores[j]))
+            assert rows[j, :depth].tolist() == order[:depth].tolist()
+            assert (rows[j, depth:] == -1).all()
 
     @staticmethod
     def ranked_rows(monkeypatch):
@@ -738,9 +766,9 @@ class TestKeptContenders:
         ranked = []
         rank = updates.contender_rows
 
-        def counted(matrix, weights, ks, margin):
+        def counted(matrix, weights, ks):
             ranked.append(weights.shape[0])
-            return rank(matrix, weights, ks, margin)
+            return rank(matrix, weights, ks)
 
         monkeypatch.setattr(updates, "contender_rows", counted)
         return ranked

@@ -486,6 +486,20 @@ class TestMonolithicLoadErrors:
         with pytest.raises(IndexCorruptionError, match=f"{field!r} must be an integer >= 0"):
             SubdomainIndex.load(root, dataset, queries)
 
+    @pytest.mark.parametrize("margin", [0, 3])
+    def test_another_margin_refused_with_save_again_hint(self, tmp_path, monkeypatch, margin):
+        # Indexes rank contenders to one depth; a directory saved at
+        # another is refused from the manifest alone.
+        dataset, queries = fixture_inputs()
+        root = tmp_path / "idx"
+        shutil.copytree(SAVED / "monolithic", root)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["margin"] = margin
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        TestSavedByEarlierVersion.refuse_opens(monkeypatch)
+        with pytest.raises(ValidationError, match=f"margin {margin}.*save the index again"):
+            SubdomainIndex.load(root, dataset, queries)
+
 
 class TestFingerprints:
     def test_content_addressed(self, market, rng):
