@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import EPS_TIE
 from repro.core.ese import StrategyEvaluator
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
+from repro.core.subdomain import SubdomainIndex, _beats_batch
 from repro.errors import ValidationError
 
 __all__ = ["ReverseTopK", "RTAEvaluator"]
@@ -78,7 +79,7 @@ class ReverseTopK:
             my_score = float(point @ weights)
             if buffer is not None and buffer.shape[0] >= k:
                 kth_buffered = float(np.partition(buffer @ weights, k - 1)[k - 1])
-                band = _PRUNE_BANDS * _TIE_TOL * max(1.0, abs(kth_buffered))
+                band = _PRUNE_BANDS * EPS_TIE * max(1.0, abs(kth_buffered))
                 if kth_buffered < my_score - band:
                     # Threshold test: k known objects beat the candidate
                     # by more than the tie band, so the k-th other object

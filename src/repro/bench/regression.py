@@ -562,8 +562,9 @@ def _analyze_points(config: BenchConfig, limit: int | None, workers: int):
 
 
 _POOLED = "the pooled path must beat serial on a multi-core host"
-#: At bench scale the row read 2.1-2.4x in five ``--check`` runs on a
-#: 2-CPU host with no numba; 1.5x leaves room for a slower host.
+#: At bench scale the row's median read 1.97-2.10x in ten ``--check``
+#: runs on a 2-CPU host with no numba; 1.5x leaves room for a slower
+#: host.
 _EVALUATE = (
     "one compare per score against a cached cutoff must beat the reference "
     "Eq. 6 test it restates, on any host"

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import EPS_COST, EPS_FEASIBILITY
+from repro.constants import EPS_COST, EPS_FEASIBILITY, EPS_TIE
 from repro.check.oracles import check_index_invariants, check_prefixes, check_relevant_closure
 from repro.core import _search, updates
 from repro.core._search import (
@@ -68,7 +68,7 @@ from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.results import IQResult
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex, _beats_batch
+from repro.core.subdomain import SubdomainIndex, _beats_batch
 from repro.data.synthetic import generate, independent
 from repro.data.workloads import uniform_queries
 from repro.errors import CheckFailure
@@ -208,10 +208,11 @@ def brute_force_hits(
     Returns ``(mask, ambiguous)``: ``mask[j]`` is True when ``target``
     is among the ``ks[j]`` lowest-scoring objects at query ``j`` under
     the lexicographic ``(score, id)`` order, and ``ambiguous[j]`` is
-    True when the target's score sits within the relative tie band of
-    the k-th-other threshold — positions where the float-exact brute
-    force and the banded Eq. 6 evaluator may legitimately disagree, so
-    callers compare masks only where ``~ambiguous``.
+    True when the target's score sits in the tie interval ``[fl(theta -
+    b), fl(theta + b)]`` of the k-th-other threshold — positions where
+    the float-exact brute force and the banded Eq. 6 evaluator may
+    legitimately disagree, so callers compare masks only where
+    ``~ambiguous``.
     """
     matrix = np.asarray(matrix, dtype=float)
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -228,8 +229,8 @@ def brute_force_hits(
         others = order[order != target]
         if k <= others.shape[0]:
             theta = float(scores[others[k - 1]])
-            band = _TIE_TOL * max(1.0, abs(theta))
-            ambiguous[j] = abs(float(scores[target]) - theta) <= band
+            band = EPS_TIE * max(1.0, abs(theta))
+            ambiguous[j] = theta - band <= float(scores[target]) <= theta + band
         else:
             mask[j] = True  # fewer than k other objects exist
     return mask, ambiguous
@@ -368,15 +369,15 @@ def _compare_band_edges(evaluator: StrategyEvaluator, target: int) -> None:
     """The cached cutoffs ≡ ``_beats_batch`` on scores at every row's band edges.
 
     A position rarely lands its score on an exact float, so the edges
-    are planted as scores: ``theta``, ``theta +- b/2``, ``theta +- b``
-    and the last float under each row's cutoff, each with its
-    neighbours two floats either way.  A cutoff one float off fails
-    here, and so does a missed or extra hole at ``fl(theta - b)``.
+    are planted as scores: ``theta``, ``theta +- b/2``, the tie
+    interval's ends ``theta +- b`` and the last float under each row's
+    cutoff, each with its neighbours two floats either way.  A cutoff
+    one float off fails here.
     """
     kth_ids, theta, cutoffs = evaluator._cached(target)
     with np.errstate(over="ignore", invalid="ignore"):
         center = np.where(np.isinf(theta), 0.0, theta)
-        band = _TIE_TOL * np.maximum(1.0, np.abs(center))
+        band = EPS_TIE * np.maximum(1.0, np.abs(center))
         edges = [
             center, center - band / 2, center + band / 2, center - band, center + band,
             np.nextafter(cutoffs.cut, -np.inf),
@@ -438,7 +439,7 @@ def check_affected_parity(
             denom = float(q @ q)
             if denom <= 0.0:
                 continue
-            band = _TIE_TOL * max(1.0, abs(float(theta[j])))
+            band = EPS_TIE * max(1.0, abs(float(theta[j])))
             for frac in (0.0, 0.5, -0.5):
                 landing = float(theta[j]) + frac * band
                 new = old + q * ((landing - float(q @ old)) / denom)

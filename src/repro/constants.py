@@ -60,6 +60,10 @@ EPS = 1e-12
 
 #: Two object scores at a query within ``EPS_TIE`` are a rank tie and
 #: are broken deterministically by object id (paper's "lower id wins").
+#: Eq. 6 widens it by ``max(1, |theta|)``.  A band is needed at all
+#: because two products, such as the evaluator's batched scores and
+#: the threshold dot products, may round the same exact value
+#: differently.
 EPS_TIE = 1e-12
 
 #: Stationarity / fixed-point threshold for iterative solvers

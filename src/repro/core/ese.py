@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.subdomain import _TIE_TOL, Eq6Cutoffs, SubdomainIndex, _eq6_cutoffs
+from repro.constants import EPS_TIE
+from repro.core.subdomain import Eq6Cutoffs, SubdomainIndex, _eq6_cutoffs
 from repro.errors import ValidationError
 
 __all__ = ["StrategyEvaluator"]
@@ -67,8 +68,15 @@ def _slab_crossings(
     that enters or leaves it changes membership through the tie rule
     even when the raw sign of the offset never flips (the ESE-parity bug
     the correctness harness guards).
+
+    The regions approximate Eq. 6's own test: an offset is ``s -
+    theta`` in real arithmetic, but Eq. 6 compares the score with the
+    tie interval ``[fl(theta - b), fl(theta + b)]``, each side its own
+    product, so an offset within rounding of ``+-b`` may fall in the
+    other region.  :meth:`StrategyEvaluator.evaluate_affected` re-tests
+    those queries itself.
     """
-    band = _TIE_TOL * np.maximum(1.0, np.abs(theta))
+    band = EPS_TIE * np.maximum(1.0, np.abs(theta))
     old_region = (old_values > band).astype(np.int8) - (old_values < -band).astype(np.int8)
     new_region = (new_values > band).astype(np.int8) - (new_values < -band).astype(np.int8)
     return old_region != new_region
@@ -97,31 +105,24 @@ def _eq6_hits(scores: np.ndarray, cutoffs: Eq6Cutoffs) -> np.ndarray:
 
     Equal to :func:`~repro.core.subdomain._beats_batch` bit for bit (see
     :func:`~repro.core.subdomain._eq6_cutoffs`); only the sparse
-    ``always`` and ``gap`` rows are read a second time.
+    ``always`` rows are written a second time.
     """
     hits = scores < cutoffs.cut[:, None]
     if cutoffs.always.size:
         hits[cutoffs.always] = True
-    if cutoffs.gap.size:
-        hits[cutoffs.gap] &= scores[cutoffs.gap] != cutoffs.gap_at[:, None]
     return hits
 
 
 def _eq6_counts(scores: np.ndarray, cutoffs: Eq6Cutoffs) -> np.ndarray:
     """Per column of an ``(m, b)`` score block, how many queries it hits.
 
-    :func:`_eq6_hits` summed over the rows, without writing the fix-ups
-    back: the ``always`` rows add the scores no cutoff passes (NaN and
-    ``+inf``), and the ``gap`` rows take away the scores on their one
-    missing float, which a score almost never lands on.
+    :func:`_eq6_hits` summed over the rows, without writing the
+    ``always`` rows back: they add the scores no cutoff passes (NaN and
+    ``+inf``).
     """
     counts = _column_counts(scores < cutoffs.cut[:, None])
     if cutoffs.always.size:
         counts += _column_counts(~(scores[cutoffs.always] < np.inf))
-    if cutoffs.gap.size:
-        missed = scores[cutoffs.gap] == cutoffs.gap_at[:, None]
-        if missed.any():
-            counts -= _column_counts(missed)
     return counts
 
 
@@ -252,7 +253,9 @@ class StrategyEvaluator:
         band changes membership through the id tie-break without the raw
         side of either hyperplane flipping, so it must count as
         affected for :meth:`evaluate_affected` to equal
-        :meth:`evaluate`.
+        :meth:`evaluate`.  The band's ends hold only up to the offsets'
+        rounding, so :meth:`evaluate_affected` adds the scores that lie
+        within rounding of their cutoff.
 
         The slab classification runs over every query as one batched
         pass per chunk of other objects through :func:`_slab_crossings`,
@@ -295,15 +298,29 @@ class StrategyEvaluator:
         previous membership (Fact 1); affected ones are re-tested with
         the threshold shortcut (the rank-switch of Fact 2 collapses to
         re-checking Eq. 6 against the unchanged k-th-other threshold).
+
+        So is every query whose score, before or after the move, lies
+        within rounding of its cutoff, where the slab test's offsets
+        (another product) may disagree with Eq. 6: within ``(2 d + 4)
+        eps sum |q| (|p_kth| + max(|old|, |new|))``.  The new scores are
+        rows of the one product :meth:`hits_mask` computes.
         """
+        old_position = np.asarray(old_position, dtype=float)
+        new_position = np.asarray(new_position, dtype=float)
         if base_mask is None:
             base_mask = self.hits_mask(target, old_position)
         new_mask = base_mask.copy()
-        affected = self.affected_queries(target, old_position, new_position)
+        kth_ids, __, cutoffs = self._cached(target)
+        matrix, weights = self.index.dataset.matrix, self.index.queries.weights
+        old_scores, new_scores = weights @ old_position, weights @ new_position
+        reach = np.maximum(np.abs(old_position), np.abs(new_position))
+        terms = (np.abs(weights) * (np.abs(matrix[kth_ids]) + reach)).sum(axis=1)
+        slack = (2 * matrix.shape[1] + 4) * np.finfo(float).eps * terms
+        gap = np.minimum(np.abs(old_scores - cutoffs.cut), np.abs(new_scores - cutoffs.cut))
+        affected = np.union1d(
+            self.affected_queries(target, old_position, new_position), np.flatnonzero(gap <= slack)
+        )
         if affected.size:
-            cutoffs = self._cached(target)[2].take(affected)
-            weights = self.index.queries.weights[affected]
-            scores = weights @ np.asarray(new_position, dtype=float)
-            new_mask[affected] = _eq6_hits(scores[:, None], cutoffs)[:, 0]
+            new_mask[affected] = _eq6_hits(new_scores[affected, None], cutoffs.take(affected))[:, 0]
         self.incremental_evaluations += 1
         return int(new_mask.sum()), new_mask

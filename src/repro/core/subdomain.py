@@ -899,10 +899,9 @@ def _unpack_prefixes(
     return table, lengths
 
 
-#: Scores within this relative band count as tied (resolved by object
-#: id).  Needed because the evaluator's batched matrix products and the
-#: threshold dot products may round the *same* exact value differently.
-_TIE_TOL = EPS_TIE
+#: The largest finite float.  A tie interval's top is held there, so
+#: that no finite threshold ties a ``+inf`` score, which no cutoff passes.
+_BIG = np.finfo(float).max
 
 
 def _beats_batch(
@@ -920,136 +919,56 @@ def _beats_batch(
     the reference the tests, ``repro check`` and the bench table's
     ``evaluate`` row hold it to.
 
-    Position ``j`` beats query ``i``'s threshold strictly, ties within
-    the relative band and wins the id tie-break (``target <
-    kth_ids[i]``), or meets an infinite threshold.
+    With ``b = EPS_TIE * max(1, |theta|)``, a score ties on the float
+    interval ``[lo, hi]``: ``lo = fl(theta - b)`` and ``hi = fl(theta +
+    b)``, held at the largest finite float.  Position ``j`` beats query
+    ``i``'s threshold strictly (``s < lo``), ties and wins the id
+    tie-break (``s <= hi`` and ``target < kth_ids[i]``), or meets an
+    infinite threshold.
     """
-    always = np.isinf(theta)
-    finite_theta = np.where(always, 0.0, theta)
-    band = _TIE_TOL * np.maximum(1.0, np.abs(finite_theta))
-    tie_ok = target < kth_ids
-    strict = scores < (finite_theta - band)[:, None]
-    tie = (np.abs(scores - finite_theta[:, None]) <= band[:, None]) & tie_ok[:, None]
+    with np.errstate(over="ignore"):
+        always = np.isinf(theta)
+        finite_theta = np.where(always, 0.0, theta)
+        band = EPS_TIE * np.maximum(1.0, np.abs(finite_theta))
+        lo = finite_theta - band
+        hi = np.minimum(finite_theta + band, _BIG)
+    strict = scores < lo[:, None]
+    tie = (scores <= hi[:, None]) & (target < kth_ids)[:, None]
     return always[:, None] | strict | tie
 
 
 class Eq6Cutoffs(NamedTuple):
     """:func:`_beats_batch` for one target as one compare per query.
 
-    Score ``s`` hits query ``i`` iff ``s < cut[i]``, except on two
-    kinds of row, listed sparsely: the ``always`` rows (an infinite
-    threshold, cut at ``+inf``), where NaN and ``+inf`` scores hit too,
-    and the ``gap`` rows, where the one float ``gap_at`` misses
-    although it sits below the cutoff.
+    Score ``s`` hits query ``i`` iff ``s < cut[i]``, except on the
+    ``always`` rows (an infinite threshold, cut at ``+inf``), listed
+    sparsely, where NaN and ``+inf`` scores hit too.
     """
 
     cut: np.ndarray  #: (m,) per-query cutoff
     always: np.ndarray  #: rows every score hits
-    gap: np.ndarray  #: rows that one float below the cutoff misses
-    gap_at: np.ndarray  #: per gap row, that float
 
     def take(self, rows: np.ndarray) -> "Eq6Cutoffs":
         """The cutoffs of ``rows`` (distinct query ids), renumbered from 0."""
         rows = np.asarray(rows, dtype=np.intp)
-        where = np.full(self.cut.shape[0], -1, dtype=np.intp)
-        where[rows] = np.arange(rows.shape[0])
-        always, gap = where[self.always], where[self.gap]
-        kept = gap >= 0
-        return Eq6Cutoffs(self.cut[rows], always[always >= 0], gap[kept], self.gap_at[kept])
-
-
-#: Flips every bit but the sign of a negative float's int64 image, so
-#: that the images of all floats order as the floats do.
-_ORDER_MASK = np.int64(0x7FFFFFFFFFFFFFFF)
-
-
-def _float_order(values: np.ndarray) -> np.ndarray:
-    """Monotone int64 image of float64 values: adjacent floats differ by 1."""
-    bits = values.view(np.int64)
-    return bits ^ ((bits >> 63) & _ORDER_MASK)
-
-
-def _order_float(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_float_order`."""
-    return (keys ^ ((keys >> 63) & _ORDER_MASK)).view(np.float64)
-
-
-#: Rows with ``|theta|`` at least this far from zero have the top of
-#: their tie interval in closed form; see :func:`_eq6_cutoffs`.
-_CLOSED_FORM = 4 * _TIE_TOL
-
-
-def _tie_top(theta: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Per row, the largest float ``s`` with ``fl(s - theta) <= band``.
-
-    ``theta`` and ``band`` are finite.  ``fl(s - theta)`` is monotone in
-    ``s``, so the floats that pass form a prefix of the number line and
-    this is its last one.  Near ``theta = -band`` it sits far below
-    ``theta`` in magnitude, where many floats share one rounded
-    difference and no fixed number of ``nextafter`` steps reaches it,
-    so rows the first guess does not settle bisect the float order,
-    each step one vectorized test.
-    """
-    guess = theta + band
-    below = np.nextafter(guess, -np.inf)
-    above = np.nextafter(guess, np.inf)
-    passes = guess - theta <= band
-    top = np.where(passes, guess, below)
-    settled = np.where(passes, above - theta > band, below - theta <= band)
-    if settled.all():
-        return top
-    rows = np.flatnonzero(~settled)
-    theta, band = theta[rows], band[rows]
-    # Invariant: good passes, bad fails.
-    good = _float_order(np.where(passes[rows], above[rows], theta))
-    bad = _float_order(np.where(passes[rows], np.inf, below[rows]))
-    while True:
-        middle = (good >> 1) + (bad >> 1) + (good & bad & 1)  # no overflow
-        if not (middle != good).any():
-            break
-        ok = _order_float(middle) - theta <= band
-        good = np.where(ok, middle, good)
-        bad = np.where(ok, bad, middle)
-    top[rows] = _order_float(good)
-    return top
+        return Eq6Cutoffs(self.cut[rows], np.flatnonzero(np.isin(rows, self.always)))
 
 
 def _eq6_cutoffs(theta: np.ndarray, target: int, kth_ids: np.ndarray) -> Eq6Cutoffs:
     """:func:`_beats_batch` for ``target`` as :class:`Eq6Cutoffs`, bit for bit.
 
-    With ``b`` the row's band and ``L = fl(theta - b)``, a score ``s``
-    hits a row with finite ``theta`` when ``s < L``, or when the target
-    wins the id tie-break and ``|fl(s - theta)| <= b``.  That tie set
-    is one float interval ``[lo, hi]``, since ``fl(s - theta)`` is
-    monotone in ``s``.  So the hit set is ``s < L`` on rows without the
-    tie-break and ``s <= hi`` on rows with it, less any float in
-    ``[L, lo)``.  That hole is at most ``L`` itself: ``L`` is within
-    half a float of ``theta - b``, so when ``L`` lies below it the float
-    after ``L`` lies above it and passes the tie test.  The hole is
-    there exactly when ``L`` fails the test, ``fl(theta - L) > b``,
-    which it does when ``theta - b`` rounded down.
-
-    Once ``|theta| >= 4 * EPS_TIE`` (so ``|theta| >= 4b``),
-    ``fl(s - theta)`` is exact for every ``s`` near ``theta + b``
-    (Sterbenz), so ``hi`` is the float at or below ``theta + b``:
-    ``fl(theta + b)`` or the float below it.  Closer to zero,
-    :func:`_tie_top` finds it.  A NaN threshold keeps a NaN cutoff,
-    which no score passes, as in the reference.
+    Where the target loses the id tie-break a score hits below ``lo``;
+    where it wins, at or below ``hi`` (which covers every score below
+    ``lo``), and no float lies between ``hi`` and the next one up.  So
+    the cutoff is ``lo`` or ``nextafter(hi, +inf)``.  A NaN threshold
+    keeps a NaN cutoff, which no score passes, as in the reference.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         always = np.isinf(theta)
         finite_theta = np.where(always, 0.0, theta)
-        size = np.abs(finite_theta)
-        band = _TIE_TOL * np.maximum(1.0, size)
-        strict = finite_theta - band
-        top = finite_theta + band
-        tie = target < kth_ids
-        past = np.where(top - finite_theta <= band, np.nextafter(top, np.inf), top)
-        cut = np.where(tie, past, strict)
-        near = tie & (size < _CLOSED_FORM)
-        if near.any():
-            rows = np.flatnonzero(near)
-            cut[rows] = np.nextafter(_tie_top(finite_theta[rows], band[rows]), np.inf)
-        cut[always] = np.inf
-        gap = np.flatnonzero(tie & (finite_theta - strict > band))
-    return Eq6Cutoffs(cut, np.flatnonzero(always), gap, strict[gap])
+        band = EPS_TIE * np.maximum(1.0, np.abs(finite_theta))
+        lo = finite_theta - band
+        hi = np.minimum(finite_theta + band, _BIG)
+        cut = np.where(target < kth_ids, np.nextafter(hi, np.inf), lo)
+    cut[always] = np.inf
+    return Eq6Cutoffs(cut, np.flatnonzero(always))

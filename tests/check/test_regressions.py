@@ -1,8 +1,9 @@
 """Regression tests for the bugs the correctness harness flushed out.
 
-Each test pins one fix: the ESE-parity tie-band slab test, the
-relevant-mode ``add_object`` contender closure, the once-only Max-Hit
-budget slack, and the shared Eq. 6 kernel behind ``evaluate_many``.
+Each test pins one fix: the ESE-parity tie-band slab test and its
+re-test of scores at their cutoffs, the relevant-mode ``add_object``
+contender closure, the once-only Max-Hit budget slack, and the shared
+Eq. 6 kernel behind ``evaluate_many``.
 Where practical, the pre-fix behaviour is re-created in place (the
 ``tie_band_blind`` fixture patches ``ese._slab_crossings`` back to its
 old sign-only form) to show the test really distinguishes the two.
@@ -11,7 +12,16 @@ old sign-only form) to show the test really distinguishes the two.
 import numpy as np
 import pytest
 
-from repro.constants import EPS_COST
+from repro.check.differential import (
+    AddObject,
+    AddQuery,
+    RemoveObject,
+    RemoveQuery,
+    Scenario,
+    check_affected_parity,
+    check_scenario,
+)
+from repro.constants import EPS_COST, EPS_TIE
 from repro.core import updates
 from repro.core._search import SearchState, generate_candidates
 from repro.core.cost import L2Cost
@@ -20,7 +30,7 @@ from repro.core.maxhit import max_hit_iq
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.strategy import StrategySpace
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex
+from repro.core.subdomain import SubdomainIndex
 
 
 def tie_band_instance():
@@ -39,7 +49,7 @@ class TestAffectedTieBandParity:
         __, theta = evaluator.thresholds(target)
         q = index.queries.weights[j]
         old = index.dataset.matrix[target].copy()
-        band = _TIE_TOL * max(1.0, abs(float(theta[j])))
+        band = EPS_TIE * max(1.0, abs(float(theta[j])))
         landing = float(theta[j]) + 0.4 * band  # same raw side as a miss
         new = old + q * ((landing - float(q @ old)) / float(q @ q))
         return old, new
@@ -75,6 +85,39 @@ class TestAffectedTieBandParity:
         hits, mask = evaluator_moved.evaluate_affected(0, inside, old)
         full = evaluator_moved.hits_mask(0, old)
         assert np.array_equal(mask, full)
+
+
+class TestAffectedAtExactTies:
+    """Fix 1b: ``evaluate_affected`` re-tests scores that sit on their cutoff.
+
+    Shrunk fuzz scenarios on 0.1-grid data.  At seed 7137 a move lands
+    query 6's score on its ``hi``, 0.40000000000100006, while the slab
+    test's offset ``q . (p - p_l)``, another product, reads 1.000055e-12,
+    past the band ``b = 1e-12``, so the slab test alone leaves the query
+    unaffected.  At seed 761519 a score lands on ``lo`` the same way.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(
+                kind="CO", mode="relevant", n=10, m=9, d=2, seed=761519, k_max=3, grid=True,
+                ops=(RemoveObject(slot=28079), AddObject(attributes=(0.1, 0.1))),
+            ),
+            Scenario(
+                kind="IN", mode="exact", n=5, m=10, d=2, seed=7137, k_max=3, grid=True,
+                ops=(
+                    AddQuery(weights=(0.4, 0.7), k=1),
+                    RemoveQuery(slot=27005),
+                    AddObject(attributes=(0.8, 0.1)),
+                ),
+            ),
+        ],
+        ids=["relevant-761519", "exact-7137"],
+    )
+    def test_moves_onto_a_cutoff_keep_parity(self, scenario):
+        index = check_scenario(scenario)
+        check_affected_parity(index, np.random.default_rng([scenario.seed, 97]))
 
 
 class TestRelevantAddObjectClosure:
@@ -188,7 +231,7 @@ class TestSharedBeatsKernel:
         __, theta = evaluator.thresholds(0)
         q = index.queries.weights[0]
         old = index.dataset.matrix[0]
-        band = _TIE_TOL * max(1.0, abs(float(theta[0])))
+        band = EPS_TIE * max(1.0, abs(float(theta[0])))
         inside = old + q * ((float(theta[0]) + 0.4 * band - float(q @ old)) / float(q @ q))
         outside = old + q * ((float(theta[0]) + 3.0 * band - float(q @ old)) / float(q @ q))
         counts = evaluator.evaluate_many(0, np.vstack([inside, outside]))

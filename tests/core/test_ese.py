@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from repro.constants import EPS_TIE
 from repro.core.ese import StrategyEvaluator, _slab_crossings
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
-from repro.core.subdomain import _TIE_TOL, SubdomainIndex
+from repro.core.subdomain import SubdomainIndex
 from repro.errors import ValidationError
 from repro.topk.evaluate import top_k
 
@@ -136,7 +137,7 @@ class TestSlabCrossings:
 
     def test_region_change_detected_both_directions(self):
         theta = np.array([1.0, 1.0, 1.0])
-        band = _TIE_TOL * 1.0
+        band = EPS_TIE * 1.0
         old = np.array([2 * band, 2 * band, -2 * band])
         new = np.array([-2 * band, 2 * band, 0.0])
         out = _slab_crossings(old, new, theta)
@@ -149,7 +150,7 @@ class TestSlabCrossings:
         # above the band to inside it flips membership through the id
         # tie-break even though the raw sign never changes.
         theta = np.array([1.0])
-        band = _TIE_TOL * 1.0
+        band = EPS_TIE * 1.0
         out = _slab_crossings(np.array([2 * band]), np.array([band / 2]), theta)
         assert out.tolist() == [True]
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from repro.check.oracles import check_prefixes
+from repro.constants import EPS_TIE
 from repro.core import updates
 from repro.core.objects import Dataset
 from repro.core.queries import QuerySet
 from repro.core.subdomain import (
-    _TIE_TOL,
     SubdomainIndex,
     _beats_batch,
     find_subdomains,
@@ -372,7 +372,7 @@ class TestBeatsBatch:
 
     def test_strict_beat_below_band(self):
         theta = np.array([1.0])
-        band = _TIE_TOL * 1.0
+        band = EPS_TIE * 1.0
         scores = np.array([[1.0 - 2 * band, 1.0 + 2 * band]])
         out = _beats_batch(scores, theta, 0, np.array([9], dtype=np.intp))
         assert out.tolist() == [[True, False]]
@@ -389,7 +389,7 @@ class TestBeatsBatch:
     def test_band_scales_relative_to_threshold(self):
         # |theta| > 1 widens the band: a score off by theta*tol/2 still ties.
         theta = np.array([100.0])
-        near = 100.0 + 100.0 * _TIE_TOL / 2
+        near = 100.0 + 100.0 * EPS_TIE / 2
         out = _beats_batch(np.array([[near]]), theta, 0, np.array([9], dtype=np.intp))
         assert out.all()
 

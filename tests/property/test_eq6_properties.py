@@ -2,17 +2,19 @@
 
 ``StrategyEvaluator`` answers Eq. 6 through per-query cutoffs built once
 per target (``subdomain._eq6_cutoffs``); ``_beats_batch`` is the
-reference statement of the rule.  Scores are planted on the band's
-float edges (``L = fl(theta - b)``, the tie interval's ends ``lo`` and
-``hi``, ``theta +- b/2``, ``theta +- 2b``, each +-3 ulps) for
+reference statement of the rule.  Scores are planted on the ends of
+the tie interval (``lo = fl(theta - b)`` and ``hi = fl(theta + b)``),
+on ``theta +- b/2``, ``theta +- 2b`` and ``theta``, each +-3 ulps, for
 thresholds in every regime: ordinary, zero and subnormal, within a few
-bands of zero (where one ``nextafter`` step per end is not enough),
-near the float maximum, infinite and NaN.  Every row is asked with the
-target on both sides of its k-th object's id.
+bands of zero, near the float maximum, infinite and NaN.  Every row is
+asked with the target on both sides of its k-th object's id.  Drawn
+thresholds check the interval itself: both ends tie, and the float
+after ``hi`` does not.
 
-The evaluator is driven through a one-attribute stub index whose
-weights are all 1, so a candidate position *is* its score and the
-thresholds are whatever the test plants.
+The evaluator is driven through a stub index whose scores are the
+positions: one attribute with weights all 1, or the identity, so that
+each query reads its own entry.  The thresholds are whatever the test
+plants.
 """
 
 from types import SimpleNamespace
@@ -21,22 +23,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import EPS_TIE
 from repro.core.ese import StrategyEvaluator, _column_counts, _eq6_counts, _eq6_hits
-from repro.core.subdomain import _TIE_TOL, _beats_batch, _eq6_cutoffs, _tie_top
+from repro.core.subdomain import _beats_batch, _eq6_cutoffs
 
 TARGET = 5
 BIG = np.finfo(float).max
 TINY = np.finfo(float).smallest_subnormal
-#: theta = THETA_BAD, score = SCORE_BAD, target < kth: a tie that one
-#: nextafter step from fl(theta + b) misses.
-THETA_BAD = -9.737458350371517e-13
-SCORE_BAD = 2.6254164962848283e-14
 
 THETAS = np.array(
     [
         0.37, -0.37, 1.0, -1.0, 3.25, -1234.5, 1e6, -1e6,
         0.0, -0.0, TINY, -TINY, 1e-310, -1e-310,
-        1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, THETA_BAD, -THETA_BAD,
+        1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, -9.737458350371517e-13, 9.737458350371517e-13,
         np.nextafter(-1e-12, 0.0), np.nextafter(1e-12, 0.0), 2e-12, -2e-12, 4e-12, -4e-12,
         BIG, -BIG, BIG / 2, -BIG / 2,
         np.inf, -np.inf, np.nan,
@@ -55,27 +54,36 @@ def _ulps(values, count=3):
     return out
 
 
+def _interval(center):
+    """The tie band ``b`` and interval ``[lo, hi]`` of finite thresholds."""
+    with np.errstate(over="ignore"):
+        band = EPS_TIE * np.maximum(1.0, np.abs(center))
+        return band, center - band, np.minimum(center + band, BIG)
+
+
 def _edges(theta):
     """Every planted score for ``theta`` (finite edges only where defined)."""
     with np.errstate(over="ignore", invalid="ignore"):
         center = np.array([theta if np.isfinite(theta) else 0.0])
-        band = _TIE_TOL * np.maximum(1.0, np.abs(center))
-        hi = _tie_top(center, band)
-        lo = -_tie_top(-center, band)
-        bases = [center - band, lo, hi, center - band / 2, center + band / 2,
+        band, lo, hi = _interval(center)
+        bases = [lo, hi, center - band / 2, center + band / 2,
                  center - 2 * band, center + 2 * band, center]
         planted = np.concatenate([edge for base in bases for edge in _ulps(base)])
-    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, SCORE_BAD, BIG, -BIG]
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, BIG, -BIG]
     return np.unique(np.concatenate([planted, special]))
 
 
-def _stub_evaluator(theta, kth_ids):
-    """A StrategyEvaluator whose thresholds are planted, scores = positions."""
-    m = theta.shape[0]
+def _stub_evaluator(theta, kth_ids, weights=None):
+    """A StrategyEvaluator whose thresholds are planted, scores = positions.
+
+    ``weights`` defaults to one attribute weighted 1 at every query.
+    """
+    weights = np.ones((theta.shape[0], 1)) if weights is None else weights
+    dim = weights.shape[1]
     index = SimpleNamespace(
         epoch=0,
-        dataset=SimpleNamespace(dim=1, matrix=np.zeros((TARGET + 1, 1))),
-        queries=SimpleNamespace(weights=np.ones((m, 1))),
+        dataset=SimpleNamespace(dim=dim, matrix=np.zeros((TARGET + 1, dim))),
+        queries=SimpleNamespace(weights=weights),
         kth_other=lambda target: (kth_ids, theta),
     )
     return StrategyEvaluator(index)
@@ -120,19 +128,43 @@ class TestPlantedEdges:
             assert np.array_equal(_eq6_hits(scores, cutoffs), expected), theta
             assert np.array_equal(_eq6_counts(scores, cutoffs), expected.sum(axis=0)), theta
 
-    def test_the_counterexample_ties(self):
-        theta = np.array([THETA_BAD])
-        kth_ids = np.array([TARGET + 1], dtype=np.intp)
-        scores = np.array([[SCORE_BAD]])
-        assert _reference(scores, theta, kth_ids).all()
-        assert _eq6_hits(scores, _eq6_cutoffs(theta, TARGET, kth_ids)).all()
-
     def test_take_restricts_and_renumbers(self):
         scores = np.tile(self.positions.T, (self.theta.shape[0], 1))
         cutoffs = _eq6_cutoffs(self.theta, TARGET, self.kth_ids)
         rows = np.arange(self.theta.shape[0])[::-3]
         expected = _reference(scores, self.theta, self.kth_ids)[rows]
         assert np.array_equal(_eq6_hits(scores[rows], cutoffs.take(rows)), expected)
+
+
+class TestTieInterval:
+    """Every float in ``[lo, hi]`` ties, and no float outside it does.
+
+    Thresholds are drawn in both regimes, ``|theta|`` up to 4 and up to
+    ``1e-11``, where ``fl(s - theta)`` rounds at ``theta``'s scale.  The
+    evaluator's identity weights give each query its own score.
+    """
+
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([rng.uniform(-4.0, 4.0, 600), rng.uniform(-1e-11, 1e-11, 600)])
+    __, lo, hi = _interval(theta)
+    past = np.nextafter(hi, np.inf)
+    wins = np.full(theta.shape[0], TARGET + 1, dtype=np.intp)
+    loses = np.full(theta.shape[0], TARGET - 1, dtype=np.intp)
+
+    def check(self, kth_ids, scores, expected):
+        """Each score vector hits every row (``True``) or none: three ways."""
+        assert (_reference(np.stack(scores, axis=1), self.theta, kth_ids) == expected).all()
+        evaluator = _stub_evaluator(self.theta, kth_ids, np.eye(self.theta.shape[0]))
+        for position, hit in zip(scores, expected):
+            assert (evaluator.hits_mask(TARGET, position) == hit).all(), hit
+        counts = evaluator.evaluate_many(TARGET, np.stack(scores))
+        assert counts.tolist() == [self.theta.shape[0] if hit else 0 for hit in expected]
+
+    def test_a_winning_target_ties_on_both_ends_only(self):
+        self.check(self.wins, [self.lo, self.hi, self.past], [True, True, False])
+
+    def test_a_losing_target_misses_at_lo(self):
+        self.check(self.loses, [self.lo, np.nextafter(self.lo, -np.inf)], [False, True])
 
 
 class TestColumnCounts:
@@ -151,7 +183,7 @@ finite_theta = st.one_of(
     st.floats(-1e-11, 1e-11),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-theta_value = st.one_of(finite_theta, st.sampled_from([np.inf, -np.inf, np.nan, THETA_BAD]))
+theta_value = st.one_of(finite_theta, st.sampled_from([np.inf, -np.inf, np.nan]))
 
 
 @st.composite
@@ -169,7 +201,7 @@ def block(draw):
         columns = []
         for row, fraction, steps in picks:
             center = theta[row] if np.isfinite(theta[row]) else 0.0
-            value = center + fraction * _TIE_TOL * max(1.0, abs(center))
+            value = center + fraction * EPS_TIE * max(1.0, abs(center))
             for __ in range(abs(steps)):
                 value = np.nextafter(value, np.inf if steps > 0 else -np.inf)
             columns.append(value)
